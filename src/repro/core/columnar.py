@@ -114,6 +114,20 @@ class ColumnarTile:
         tile.extend(rects)
         return tile
 
+    @classmethod
+    def from_columns(cls, xlo, xhi, ylo, yhi, rid) -> "ColumnarTile":
+        """A tile copied from five contiguous column buffers.
+
+        The buffers are float64 x4 + int64 runs of equal length (numpy
+        arrays, memoryviews); each column is one ``frombytes`` memcpy,
+        so a tile packed from a column image builds no ``Rect``.
+        """
+        tile = cls()
+        for col, src in ((tile.xlo, xlo), (tile.xhi, xhi), (tile.ylo, ylo),
+                         (tile.yhi, yhi), (tile.rid, rid)):
+            col.frombytes(memoryview(src).cast("B"))
+        return tile
+
     def append(self, r: Rect) -> None:
         if self._sorted_cache is not None:
             self._sorted_cache = None

@@ -370,14 +370,20 @@ def _charge_sort_count(n: int) -> int:
     return int(n * math.log2(n)) if n > 1 else 0
 
 
-def _window_filter(cols: Tuple[np.ndarray, ...],
-                   window) -> Tuple[np.ndarray, ...]:
-    """Closed-interval ``Rect.intersects`` pruning over whole columns."""
-    xlo, xhi, ylo, yhi, rid = cols
-    keep = (
+def window_mask(xlo: np.ndarray, xhi: np.ndarray, ylo: np.ndarray,
+                yhi: np.ndarray, window) -> np.ndarray:
+    """Closed-interval ``Rect.intersects(window)`` over whole columns."""
+    return (
         (xlo <= window.xhi) & (window.xlo <= xhi)
         & (ylo <= window.yhi) & (window.ylo <= yhi)
     )
+
+
+def _window_filter(cols: Tuple[np.ndarray, ...],
+                   window) -> Tuple[np.ndarray, ...]:
+    """:func:`window_mask` pruning of a side's columns."""
+    xlo, xhi, ylo, yhi, rid = cols
+    keep = window_mask(xlo, xhi, ylo, yhi, window)
     if bool(np.all(keep)):
         return cols
     return (xlo[keep], xhi[keep], ylo[keep], yhi[keep], rid[keep])

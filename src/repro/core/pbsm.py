@@ -165,6 +165,29 @@ class TileAllowance:
                 return True
         return False
 
+    def take_many(self, count: int, nbytes: int = RECT_BYTES) -> int:
+        """How many of ``count`` consecutive ``try_take(nbytes)`` calls
+        succeed before the first refusal, drawn in bulk.
+
+        Same arithmetic as the per-call path — the remainder is used
+        up, then the grant extends one ``EXTEND_BYTES`` step at a time
+        and only while another take is wanted — so the grant's size
+        and high-water mark land exactly where ``count`` single takes
+        would have left them.
+        """
+        taken = 0
+        step = max(nbytes, self.EXTEND_BYTES)
+        while True:
+            fit = min(count - taken, self.remaining // nbytes)
+            self.remaining -= fit * nbytes
+            taken += fit
+            if taken == count or self._grant is None:
+                return taken
+            if not self._grant.try_extend(step):
+                return taken
+            self.total_bytes += step
+            self.remaining += step
+
 
 class SpillablePartition:
     """One partition's tiles: in memory up to an allowance, then on disk.
@@ -182,6 +205,12 @@ class SpillablePartition:
 
     ``allowance=None`` means unbudgeted (never spills), which keeps the
     pre-budget executor behaviour byte-identical.
+
+    The resident part is either the ``in_memory`` list that
+    :meth:`append` fills one rectangle at a time, or — on the columnar
+    distribute path, which draws the allowance in bulk and routes the
+    overflow through :meth:`spill` itself — one ``packed``
+    :class:`ColumnarTile` set by the caller.
     """
 
     def __init__(self, disk: Disk, name: str,
@@ -190,6 +219,7 @@ class SpillablePartition:
         self.name = name
         self.allowance = allowance
         self.in_memory: List[Rect] = []
+        self.packed: Optional[ColumnarTile] = None
         self._spill: Optional[Stream] = None
         self.spilled_rects = 0
 
@@ -197,13 +227,20 @@ class SpillablePartition:
         if self.allowance is None or self.allowance.try_take(RECT_BYTES):
             self.in_memory.append(r)
             return
+        self.spill(r)
+
+    def spill(self, r: Rect) -> None:
+        """Write ``r`` to the disk-backed overflow stream."""
         if self._spill is None:
             self._spill = Stream(self.disk, name=f"{self.name}.spill")
         self._spill.append(r)
         self.spilled_rects += 1
 
+    def _resident(self) -> int:
+        return len(self.in_memory if self.packed is None else self.packed)
+
     def __len__(self) -> int:
-        return len(self.in_memory) + self.spilled_rects
+        return self._resident() + self.spilled_rects
 
     @property
     def spilled(self) -> bool:
@@ -211,7 +248,7 @@ class SpillablePartition:
 
     @property
     def memory_bytes(self) -> int:
-        return len(self.in_memory) * RECT_BYTES
+        return self._resident() * RECT_BYTES
 
     @property
     def spilled_bytes(self) -> int:
@@ -223,10 +260,13 @@ class SpillablePartition:
         The spill re-read charges block reads on the shared disk — call
         this from the thread that owns the I/O accounting.
         """
+        resident = (
+            self.in_memory if self.packed is None else self.packed.decode()
+        )
         if self._spill is None:
-            return self.in_memory
+            return resident
         self._spill.close()
-        return self.in_memory + list(self._spill.scan())
+        return resident + list(self._spill.scan())
 
     def materialize_columnar(self) -> "ColumnarTile":
         """The partition as one flat columnar tile, in append order.
@@ -237,7 +277,16 @@ class SpillablePartition:
         format the engine's process workers and partition-artifact
         cache consume, so spilled and resident tiles ship identically.
         """
-        tile = ColumnarTile.from_rects(self.in_memory)
+        packed = self.packed
+        if packed is None:
+            tile = ColumnarTile.from_rects(self.in_memory)
+        elif self._spill is None:
+            return packed
+        else:
+            # A copy, so a second call does not see the spill twice.
+            tile = ColumnarTile.from_columns(
+                packed.xlo, packed.xhi, packed.ylo, packed.yhi, packed.rid
+            )
         if self._spill is not None:
             self._spill.close()
             tile.extend(self._spill.scan())
@@ -250,6 +299,7 @@ class SpillablePartition:
             self._spill.free()
             self._spill = None
         self.in_memory = []
+        self.packed = None
 
 
 # -- internals ---------------------------------------------------------------
@@ -289,14 +339,23 @@ class TileGrid:
         r1 = self._clamp(int((r.yhi - self.universe.ylo) * self.inv_y))
         return c0, c1, r0, r1
 
-    def partitions_of(self, r: Rect) -> set:
+    def partitions_of(self, r: Rect) -> List[int]:
+        """The distinct partitions ``r``'s tiles map to, ascending.
+
+        Ascending, not set order: when a shared allowance runs out in
+        the middle of a boundary rectangle, the order of its copies
+        decides which of them spill, and a set's iteration order is
+        CPython's hash-table layout (ascending only while ``p <= 8``).
+        """
         c0, c1, r0, r1 = self.tile_range(r)
+        if c0 == c1 and r0 == r1:
+            return [(r0 * self.t + c0) % self.p]
         out = set()
         for row in range(r0, r1 + 1):
             base = row * self.t
             for col in range(c0, c1 + 1):
                 out.add((base + col) % self.p)
-        return out
+        return sorted(out)
 
     def partition_of_point(self, x: float, y: float) -> int:
         col = self._clamp(int((x - self.universe.xlo) * self.inv_x))

@@ -48,7 +48,6 @@ Quick start::
 from repro.engine.artifacts import ArtifactStore, ResultStore
 from repro.engine.cache import (
     ArtifactCache,
-    PartitionArtifactCache,
     ResultCache,
 )
 from repro.engine.catalog import Catalog, CatalogEntry
@@ -113,7 +112,6 @@ __all__ = [
     "InjectedFault",
     "LatencyTracker",
     "Optimizer",
-    "PartitionArtifactCache",
     "PhysicalPlan",
     "PlanActuals",
     "PoolClient",

@@ -497,7 +497,3 @@ class ArtifactCache:
         stats["entries"] -= 1
         if self._grant is not None and nbytes > 0:
             self._grant.release(nbytes)
-
-
-#: The pre-generalization name; PR 3 call sites and tests use it.
-PartitionArtifactCache = ArtifactCache

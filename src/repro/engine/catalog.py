@@ -10,7 +10,9 @@ representations lazily, on first use, and keeps them:
 * the R-tree (bulk-loaded on first demand, or loaded from a persisted
   index file via :mod:`repro.rtree.persist`);
 * the grid :class:`~repro.core.histogram.SpatialHistogram` feeding the
-  optimizer's selectivity fractions.
+  optimizer's selectivity fractions;
+* the :class:`~repro.core.kernels.np_distribute.ColumnImage` the numpy
+  cold path distributes and post-filters from (numpy engines only).
 
 Every entry carries a monotonically increasing ``version``;
 re-registering a name bumps it, which is what invalidates cached query
@@ -73,6 +75,7 @@ class CatalogEntry:
         self._stream: Optional[Stream] = None
         self._tree: Optional[RTree] = None
         self._histogram: Optional[SpatialHistogram] = None
+        self._columns = None
         self._fingerprint: Optional[int] = None
 
     # -- lazy representations -------------------------------------------
@@ -103,6 +106,23 @@ class CatalogEntry:
                 self.rects, self.universe, grid=self.catalog.histogram_grid
             )
         return self._histogram
+
+    @property
+    def columns(self):
+        """The base stream as a column image (requires numpy).
+
+        Same rectangles, same order as :attr:`stream`; ~56 bytes per
+        rectangle with the id index.  Like ``rects`` and ``by_id`` it
+        is a host-side copy of what the simulated disk already holds,
+        so it is not charged to the memory budget.  It lives on the
+        entry: re-registering the name replaces the entry and the
+        image with it.
+        """
+        if self._columns is None:
+            from repro.core.kernels.np_distribute import ColumnImage
+
+            self._columns = ColumnImage(self.rects)
+        return self._columns
 
     @property
     def has_tree(self) -> bool:

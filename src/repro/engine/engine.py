@@ -296,7 +296,8 @@ class SpatialQueryEngine:
         return self.catalog.get(name).universe
 
     def prepare(self, *names: str) -> None:
-        """Force-build streams, indexes and histograms now.
+        """Force-build streams, indexes, histograms and (numpy
+        kernel) column images now.
 
         The catalog builds lazily, which charges the build to the first
         query that needs it; benchmark-style callers prepare up front so
@@ -306,6 +307,8 @@ class SpatialQueryEngine:
         for name in (names or self.catalog.names()):
             entry = self.catalog.get(name)
             entry.stream, entry.tree, entry.histogram  # noqa: B018
+            if self.kernel == "numpy":
+                entry.columns  # noqa: B018
         # Boot the worker pool alongside the data structures: forking
         # the workers belongs to the build phase, not to whichever
         # query happens to be the first partitioned one.

@@ -13,7 +13,7 @@ eliminated exactly as in PBSM: a pair is reported only by the partition
 owning the tile of its reference point, so the merge is pure
 concatenation.
 
-The hot path is built around four cooperating mechanisms:
+The hot path is built around these cooperating mechanisms:
 
 * **Persistent pool** — the pool outlives queries; the plan's
   ``workers`` count is a scheduling hint for the simulated critical
@@ -26,6 +26,13 @@ The hot path is built around four cooperating mechanisms:
   ``Rect`` NamedTuples; a worker decodes each tile once and sweeps over
   locals.  Spilled partitions materialize into the same format
   (:meth:`SpillablePartition.materialize_columnar`).
+* **Columnar distribute** — under the numpy kernel the cold path
+  places tiles from the catalog entry's column image
+  (:func:`_distribute_columnar`, :mod:`repro.core.kernels.np_distribute`)
+  and post-filters windows the same way; the per-rectangle python
+  loops (:func:`_distribute`, :func:`_filter_window`) are the
+  no-numpy path and the reference, bit-identical in tiles, ops and
+  simulated I/O.
 * **Zero-callback sweep** — workers run
   :func:`~repro.core.sweep.forward_sweep_pairs_batched`, which appends
   intersecting pairs to a local batch instead of invoking a
@@ -274,7 +281,8 @@ class Executor:
         if query.window is not None and result.pairs is not None:
             with span_meter(env, self.machine, trace,
                             "window-filter") as wspan:
-                result = _filter_window(result, entries, query.window)
+                result = _filter_window(result, entries, query.window,
+                                        self.kernel)
                 if wspan is not None:
                     wspan.attrs["filtered"] = result.detail[
                         "window_filtered"
@@ -559,6 +567,10 @@ class Executor:
                                inline_all=inline_all, cancel=token)
         grant = None
         spilled_rects = spill_partitions = 0
+        # Which distribute ran (None: tiles came from the artifact
+        # layer) and how many tile copies it placed, replication
+        # included.
+        distribute_attrs: Dict[str, object] = {"kernel": None, "copies": 0}
         parts_to_free: List[SpillablePartition] = []
         try:
             if cached is not None:
@@ -567,8 +579,8 @@ class Executor:
                     task_window, shipper,
                 )
             else:
-                (grant, spilled_rects, spill_partitions,
-                 parts_to_free) = self._distribute_and_submit(
+                (grant, spilled_rects, spill_partitions, parts_to_free,
+                 distribute_attrs) = self._distribute_and_submit(
                     plan, entries, grid, grid_spec, self_join, collect,
                     n_parts, akey, shipper,
                 )
@@ -581,6 +593,7 @@ class Executor:
                     "artifact_hit": cached is not None,
                     "restore_bytes": restore_bytes,
                     "spilled_rects": spilled_rects,
+                    **distribute_attrs,
                 })
                 # Created before gather so the children land in phase
                 # order; populated below, once the task dicts are back.
@@ -867,18 +880,30 @@ class Executor:
         ]
         parts_b = parts_a
         parts_to_free = list(parts_a)
+        sides = [(entries[0], parts_a)]
+        if not self_join:
+            parts_b = [
+                SpillablePartition(self.disk, f"tiles.b{i}",
+                                   allowance=allowance)
+                for i in range(n_parts)
+            ]
+            parts_to_free.extend(parts_b)
+            sides.append((entries[1], parts_b))
         try:
-            ops = _distribute(entries[0].stream, parts_a, grid,
-                              query.window)
-            if not self_join:
-                parts_b = [
-                    SpillablePartition(self.disk, f"tiles.b{i}",
-                                       allowance=allowance)
-                    for i in range(n_parts)
-                ]
-                parts_to_free.extend(parts_b)
-                ops += _distribute(entries[1].stream, parts_b, grid,
-                                   query.window)
+            ops = scanned = 0
+            distribute_kernel = self.kernel
+            for entry, parts in sides:
+                side_ops = None
+                if distribute_kernel == "numpy":
+                    side_ops = _distribute_columnar(
+                        entry, parts, grid, query.window, allowance
+                    )
+                if side_ops is None:
+                    distribute_kernel = "python"
+                    side_ops = _distribute(entry.stream, parts, grid,
+                                           query.window)
+                ops += side_ops
+                scanned += len(entry.stream)
             env.charge("partition", ops)
 
             all_parts = (
@@ -912,7 +937,9 @@ class Executor:
                 )
                 reread_rects += sum(p.spilled_rects for p in active)
                 size = len(parts_a[i]) + len(parts_b[i])
-                if ship and (batching or size >= self.min_ship_rects):
+                if any(p.packed is not None for p in active) or (
+                    ship and (batching or size >= self.min_ship_rects)
+                ):
                     # Columnar from the start: the same flat tiles
                     # serve the pickle boundary, the batch queue and
                     # the artifact cache.  (With batching on, a small
@@ -976,7 +1003,9 @@ class Executor:
                     [e.name for e in
                      (entries[:1] if self_join else entries)],
                 )
-        return (grant, spilled_rects, spill_partitions, parts_to_free)
+        # One op per scanned rectangle, one per copy placed.
+        return (grant, spilled_rects, spill_partitions, parts_to_free,
+                {"kernel": distribute_kernel, "copies": ops - scanned})
 
 
 # -- helpers -----------------------------------------------------------------
@@ -1363,6 +1392,9 @@ def _distribute(stream, parts: List[SpillablePartition], grid: TileGrid,
     partition pass the optimizer priced); partitions hold tiles in
     memory up to their allowance and overflow to disk streams beyond
     it.  Returns abstract partitioning ops.
+
+    The path of engines without numpy, and the reference
+    :func:`_distribute_columnar` is tested against.
     """
     ops = 0
     for r in stream.scan():
@@ -1376,6 +1408,47 @@ def _distribute(stream, parts: List[SpillablePartition], grid: TileGrid,
     return ops
 
 
+def _distribute_columnar(entry: CatalogEntry,
+                         parts: List[SpillablePartition], grid: TileGrid,
+                         window: Optional[Rect],
+                         allowance: Optional[TileAllowance],
+                         ) -> Optional[int]:
+    """:func:`_distribute` from the entry's column image.
+
+    The numpy kernel decides where every copy goes; this step places
+    them.  The allowance is drawn in bulk, the copies it covers are
+    packed per partition straight from the image, and the rest are
+    spilled rectangle by rectangle while the base stream's blocks are
+    read — each block once, each spill write between the same two
+    reads as in the python loop — so tiles, op charges, grant size and
+    the simulated disk's ledger all match :func:`_distribute`.
+    Returns ``None``, having touched nothing, when the kernel declines
+    the input.
+    """
+    from repro.core.kernels import np_distribute
+
+    image = entry.columns
+    dist = np_distribute.distribute(image, grid, window)
+    if dist is None:
+        return None
+    copies = len(dist.rows)
+    resident = (
+        copies if allowance is None else allowance.take_many(copies)
+    )
+    for part, tile in zip(parts, dist.tiles(image, resident, len(parts))):
+        part.packed = tile
+    spill_rows = dist.rows[resident:].tolist()
+    spill_parts = dist.parts[resident:].tolist()
+    i = start = 0
+    for block in entry.stream.scan_blocks():
+        end = start + len(block)
+        while i < len(spill_rows) and spill_rows[i] < end:
+            parts[spill_parts[i]].spill(block[spill_rows[i] - start])
+            i += 1
+        start = end
+    return dist.ops
+
+
 def _critical_path_ops(part_ops: List[int], workers: int) -> int:
     """Busiest worker's ops under greedy LPT assignment of partitions."""
     if not part_ops:
@@ -1387,18 +1460,30 @@ def _critical_path_ops(part_ops: List[int], workers: int) -> int:
 
 
 def _filter_window(result: JoinResult, entries: List[CatalogEntry],
-                   window: Rect) -> JoinResult:
-    """Keep pairs/tuples whose common MBR intersection meets the window."""
-    kept = []
-    for ids in result.pairs:
-        rects = [entries[i].by_id[rid] for i, rid in enumerate(ids)]
-        acc: Optional[Rect] = rects[0]
-        for r in rects[1:]:
-            acc = intersection(acc, r)
-            if acc is None:
-                break
-        if acc is not None and acc.intersects(window):
-            kept.append(ids)
+                   window: Rect, kernel: str = "python") -> JoinResult:
+    """Keep pairs/tuples whose common MBR intersection meets the window.
+
+    ``kernel="numpy"`` tests all pairs at once against the entries'
+    column images; the python loop is the fallback and the reference.
+    """
+    kept = None
+    if kernel == "numpy":
+        from repro.core.kernels import np_distribute
+
+        kept = np_distribute.filter_window(
+            [e.columns for e in entries], result.pairs, window
+        )
+    if kept is None:
+        kept = []
+        for ids in result.pairs:
+            rects = [entries[i].by_id[rid] for i, rid in enumerate(ids)]
+            acc: Optional[Rect] = rects[0]
+            for r in rects[1:]:
+                acc = intersection(acc, r)
+                if acc is None:
+                    break
+            if acc is not None and acc.intersects(window):
+                kept.append(ids)
     result.detail["window_filtered"] = result.n_pairs - len(kept)
     result.pairs = kept
     result.n_pairs = len(kept)

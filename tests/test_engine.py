@@ -726,11 +726,11 @@ class TestPartitionArtifacts:
         assert engine.execute(q).result.detail["artifact_hit"] is False
 
     def test_budget_eviction_of_artifacts(self):
-        from repro.engine.cache import PartitionArtifactCache
+        from repro.engine.cache import ArtifactCache
         from repro.engine.resources import ResourceBudget
 
         budget = ResourceBudget(10_000)
-        cache = PartitionArtifactCache(budget=budget)
+        cache = ArtifactCache(budget=budget)
         tiles = [
             ColumnarTile.from_rects(
                 uniform_rects(40, UNIT, 0.02, seed=s)

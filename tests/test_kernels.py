@@ -16,14 +16,26 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.columnar import COLUMN_BYTES_PER_RECT, ColumnarTile
+from repro.core.join_result import JoinResult
+from repro.core.pbsm import SpillablePartition, TileAllowance, TileGrid
 from repro.core.sweep import forward_sweep_pairs_batched
-from repro.engine import Query, SpatialQueryEngine, WorkerPool
+from repro.engine import (
+    Query,
+    ResourceBudget,
+    ShardedEngine,
+    SpatialQueryEngine,
+    WorkerPool,
+)
 from repro.engine import executor as executor_mod
+from repro.engine.catalog import Catalog
 from repro.engine.executor import _OpCounter, sweep_tile_task
-from repro.geom.rect import Rect
+from repro.geom.rect import RECT_BYTES, Rect, intersection
+from repro.storage.disk import Disk
+from repro.storage.pages import PageStore
 
 from tests.conftest import (
     GENERATORS,
@@ -31,6 +43,7 @@ from tests.conftest import (
     _clustered,
     _uniform,
     brute_reference,
+    make_env,
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
@@ -353,3 +366,389 @@ class TestShmShipping:
             assert snap["bytes_packed"] == 0
         finally:
             engine.close()
+
+
+# -- cold path: distribute + window post-filter parity -----------------------
+
+#: Interior window (its clipped universe starts right of and above
+#: many rectangles that still meet it, so ``v - universe.lo`` goes
+#: negative), and one poking out of the data on two sides.
+WINDOWS = {
+    "full": None,
+    "interior": Rect(0.31, 0.74, 0.22, 0.58, 0),
+    "overhang": Rect(-0.5, 0.4, 0.6, 1.7, 0),
+}
+
+#: Budget totals as a function of the scan size ``want`` and ``p``:
+#: never short; the scan estimate plus one extension step (boundary
+#: replication beyond that spills); a third of the scan; and the
+#: executor's minimum grant, where nearly everything spills.
+BUDGETS = {
+    "unbudgeted": lambda want, p: None,
+    "roomy": lambda want, p: 10 * want,
+    "one_step": lambda want, p: want + TileAllowance.EXTEND_BYTES,
+    "third": lambda want, p: want // 3,
+    "minimum": lambda want, p: p * RECT_BYTES,
+}
+
+
+def _place(kernel, relations, grid, window, budget_of):
+    """Run one distribute implementation in a fresh machine room.
+
+    Mirrors the executor's cold path around the call — shared tile
+    grant, one partition list per side, spill re-read at materialize
+    time — and returns everything the two implementations must agree
+    on: tiles (contents and order), op charge, spill counts, the
+    grant's final size, the budget's high-water mark and the
+    simulated disk's ledger on all three machines.
+    """
+    env = make_env()
+    disk = Disk(env)
+    catalog = Catalog(disk, PageStore(disk, TEST_SCALE.index_page_bytes))
+    entries = [
+        catalog.register(f"r{i}", rects)
+        for i, rects in enumerate(relations)
+    ]
+    want = sum(e.stream.data_bytes for e in entries)
+    env.reset_counters()  # writing the base streams is set-up
+    total = budget_of(want, grid.p)
+    budget = grant = allowance = None
+    if total is not None:
+        budget = ResourceBudget(total)
+        grant = budget.acquire("tiles", want,
+                               minimum=grid.p * RECT_BYTES)
+        allowance = TileAllowance(grant.bytes, grant=grant)
+    ops = 0
+    sides = []
+    for i, entry in enumerate(entries):
+        parts = [
+            SpillablePartition(disk, f"t{i}.{j}", allowance=allowance)
+            for j in range(grid.p)
+        ]
+        if kernel == "numpy":
+            side_ops = executor_mod._distribute_columnar(
+                entry, parts, grid, window, allowance
+            )
+            assert side_ops is not None
+        else:
+            side_ops = executor_mod._distribute(
+                entry.stream, parts, grid, window
+            )
+        ops += side_ops
+        sides.append(parts)
+    flat = [part for parts in sides for part in parts]
+    return {
+        "ops": ops,
+        "spilled": [part.spilled_rects for part in flat],
+        "tiles": [part.materialize_columnar().decode() for part in flat],
+        "granted": grant.granted if grant else None,
+        "high_water": budget.high_water_bytes if budget else None,
+        "io": (env.page_reads, env.page_writes, env.bytes_read,
+               env.bytes_written),
+        "machines": env.snapshots(),
+    }
+
+
+def _engine_outcome(kernel, a, b, window, workers, memory_bytes):
+    engine = SpatialQueryEngine(
+        scale=TEST_SCALE, workers=workers, pool_kind="serial",
+        cache_capacity=0, artifact_cache_bytes=0, kernel=kernel,
+        memory_bytes=memory_bytes,
+    )
+    try:
+        engine.register("a", a, universe=UNIT)
+        if b is not None:
+            engine.register("b", b, universe=UNIT)
+        engine.prepare()
+        env = engine.env
+        env.reset_counters()  # index builds are not the query's
+        out = engine.execute(Query(
+            relations=("a", "a" if b is None else "b"),
+            window=window, force="pbsm-grid",
+        ))
+        detail = out.result.detail
+        return {
+            "pairs": out.result.pairs,
+            "spill": (detail["spilled_rects"], detail["spill_partitions"],
+                      detail["tile_grant_bytes"]),
+            "sim": (out.sim_wall_seconds, env.cpu_ops, env.page_reads,
+                    env.page_writes, env.bytes_read, env.bytes_written),
+            "high_water": engine.budget.high_water_bytes,
+        }
+    finally:
+        engine.close()
+
+
+@needs_numpy
+class TestDistributeParity:
+    """python ``_distribute`` vs the numpy kernel, bit for bit."""
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("p", (1, 3, 8, 16))
+    @pytest.mark.parametrize("kind", ("uniform", "clustered",
+                                      "degenerate"))
+    def test_placement_matches(self, kind, p, window, budget):
+        rng = random.Random(f"{kind}-{p}-{window}-{budget}")
+        a = GENERATORS[kind](rng, 240)
+        # The degenerate generator's duplicates, zero-area points and
+        # full-width slivers meet a second shape on the other side;
+        # every other case is a self-join (one side, distributed once).
+        relations = [a]
+        if kind == "degenerate":
+            relations.append(GENERATORS["skewed"](rng, 200, 10_000))
+        win = WINDOWS[window]
+        universe = UNIT if win is None else intersection(UNIT, win)
+        grid = TileGrid(universe, 32, p)
+        got = {
+            kernel: _place(kernel, relations, grid, win, BUDGETS[budget])
+            for kernel in ("python", "numpy")
+        }
+        assert got["numpy"] == got["python"]
+        # Placement is complete: a rectangle reaches exactly the
+        # partitions its tiles map to.
+        for rects, tiles in zip(
+            relations,
+            (got["numpy"]["tiles"][i * p:(i + 1) * p]
+             for i in range(len(relations))),
+        ):
+            expect = [[] for _ in range(p)]
+            for r in rects:
+                if win is None or r.intersects(win):
+                    for t in grid.partitions_of(r):
+                        expect[t].append(r)
+            assert tiles == expect
+
+    def test_extension_steps_then_spill(self):
+        # The vacuity guard for the matrix above: this configuration
+        # really does extend the grant and then run out mid-stream.
+        rng = random.Random(5)
+        a = GENERATORS["degenerate"](rng, 400)
+        grid = TileGrid(UNIT, 32, 8)
+        got = {
+            kernel: _place(kernel, [a], grid, None, BUDGETS["one_step"])
+            for kernel in ("python", "numpy")
+        }
+        assert got["numpy"] == got["python"]
+        want = len(a) * RECT_BYTES
+        assert got["numpy"]["granted"] == want + TileAllowance.EXTEND_BYTES
+        assert sum(got["numpy"]["spilled"]) > 0
+        assert got["numpy"]["io"][1] > 0  # spill blocks were written
+
+    def test_take_many_matches_single_takes(self):
+        for total, free in ((1, 0), (45, 0), (200, 5120 * 2 + 19),
+                            (1000, 10_000_000)):
+            outcomes = []
+            for bulk in (False, True):
+                budget = ResourceBudget(total + free)
+                grant = budget.acquire("tiles", total)
+                allowance = TileAllowance(grant.bytes, grant=grant)
+                if bulk:
+                    taken = allowance.take_many(700)
+                else:
+                    taken = sum(
+                        allowance.try_take(RECT_BYTES) for _ in range(700)
+                    )
+                outcomes.append((taken, allowance.remaining,
+                                 allowance.total_bytes, grant.granted,
+                                 budget.high_water_bytes))
+            assert outcomes[0] == outcomes[1]
+        assert TileAllowance(50).take_many(9) == 2  # no grant: no growth
+
+    def test_partitions_of_is_ascending(self):
+        # p = 16 collides in a set's 8-slot table: iteration order was
+        # hash-table layout, which decided the spill victim.
+        grid = TileGrid(UNIT, 32, 16)
+        sliver = Rect(0.0, 1.0, 0.30, 0.34, 0)
+        got = grid.partitions_of(sliver)
+        assert got == sorted(set(got)) and len(got) == 16
+
+    @pytest.mark.parametrize("memory", (10_000_000, 9_000, 2_600))
+    @pytest.mark.parametrize("workers", (2, 4))
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_engine_pairs_and_accounting(self, window, workers, memory):
+        rng = random.Random(f"{window}-{workers}-{memory}")
+        a = GENERATORS["degenerate"](rng, 260)
+        b = GENERATORS["clustered"](rng, 240, 10_000)
+        win = WINDOWS[window]
+        for second in (b, None):
+            got = {
+                kernel: _engine_outcome(kernel, a, second, win, workers,
+                                        memory)
+                for kernel in ("python", "numpy")
+            }
+            assert got["numpy"] == got["python"]
+            assert set(got["numpy"]["pairs"]) == brute_reference(
+                a, second, win
+            )
+            assert len(set(got["numpy"]["pairs"])) == len(
+                got["numpy"]["pairs"]
+            )
+
+    def test_non_finite_input_falls_back_untouched(self, disk, store):
+        from repro.core.kernels import np_distribute
+
+        rects = _uniform(random.Random(2), 50)
+        rects[7] = Rect(0.2, float("inf"), 0.1, 0.3, 7)
+        entry = Catalog(disk, store).register("a", rects, universe=UNIT)
+        grid = TileGrid(UNIT, 32, 8)
+        assert np_distribute.distribute(entry.columns, grid, None) is None
+        assert np_distribute.filter_window(
+            [entry.columns, entry.columns], [(1, 2)], UNIT
+        ) is None
+        entry.stream  # built before the counters are read
+        reads = disk.env.page_reads
+        allowance = TileAllowance(10_000)
+        parts = [SpillablePartition(disk, f"t{i}", allowance=allowance)
+                 for i in range(8)]
+        assert executor_mod._distribute_columnar(
+            entry, parts, grid, None, allowance
+        ) is None
+        assert allowance.remaining == 10_000
+        assert disk.env.page_reads == reads
+        assert not any(len(part) for part in parts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+        span=st.tuples(st.floats(0, 100), st.floats(0, 100)),
+        t=st.integers(1, 40),
+        p=st.integers(1, 20),
+        corners=st.lists(
+            st.tuples(st.floats(-200, 200), st.floats(0, 120),
+                      st.floats(-200, 200), st.floats(0, 120)),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_tile_range_property(self, lo, span, t, p, corners):
+        from repro.core.kernels import np_distribute
+
+        if t * t < p:
+            t = p
+        universe = Rect(lo[0], lo[0] + span[0], lo[1], lo[1] + span[1], 0)
+        grid = TileGrid(universe, t, p)
+        rects = [Rect(x, x + w, y, y + h, i)
+                 for i, (x, w, y, h) in enumerate(corners)]
+        image = np_distribute.ColumnImage(rects)
+        try:
+            expect = [grid.tile_range(r) for r in rects]
+        except (OverflowError, ValueError):
+            # A subnormal span makes ``t / span`` infinite and the
+            # python ``int()`` raise: outside the kernel's model.
+            assert np_distribute.distribute(image, grid, None) is None
+            return
+        ranges = np_distribute.tile_ranges(
+            image.xlo, image.xhi, image.ylo, image.yhi, grid
+        )
+        assert [tuple(int(col[i]) for col in ranges)
+                for i in range(len(rects))] == expect
+        dist = np_distribute.distribute(image, grid, None)
+        assert list(zip(dist.rows.tolist(), dist.parts.tolist())) == [
+            (i, part)
+            for i, r in enumerate(rects) for part in grid.partitions_of(r)
+        ]
+        assert dist.ops == len(rects) + len(dist.rows)
+
+    def test_wide_rectangles_are_expanded_in_chunks(self, monkeypatch):
+        from repro.core.kernels import np_distribute
+
+        monkeypatch.setattr(np_distribute, "CHUNK_CANDIDATES", 50)
+        rects = GENERATORS["degenerate"](random.Random(11), 300)
+        grid = TileGrid(UNIT, 64, 7)
+        dist = np_distribute.distribute(
+            np_distribute.ColumnImage(rects), grid, None
+        )
+        assert list(zip(dist.rows.tolist(), dist.parts.tolist())) == [
+            (i, part)
+            for i, r in enumerate(rects) for part in grid.partitions_of(r)
+        ]
+
+    @pytest.mark.parametrize("arity", (2, 3))
+    def test_filter_window_parity(self, arity, disk, store):
+        rng = random.Random(arity)
+        catalog = Catalog(disk, store)
+        entries = []
+        for i in range(arity):
+            rects = GENERATORS["degenerate" if i == 0 else "uniform"](
+                rng, 120, 1000 * i
+            )
+            # Duplicate ids with different coordinates: the last
+            # registration wins, as in ``by_id``.
+            rects.append(Rect(0.4, 0.6, 0.4, 0.6, rects[3].rid))
+            rects.append(Rect(0.0, 0.01, 0.0, 0.01, rects[5].rid))
+            entries.append(catalog.register(f"r{i}", rects))
+        ids = [[r.rid for r in e.rects] for e in entries]
+        tuples = [tuple(rng.choice(col) for col in ids)
+                  for _ in range(1500)]
+        window = Rect(0.25, 0.7, 0.3, 0.8, 0)
+        got = {}
+        for kernel in ("python", "numpy"):
+            result = JoinResult(algorithm="x", n_pairs=len(tuples),
+                                pairs=list(tuples), detail={})
+            out = executor_mod._filter_window(result, entries, window,
+                                              kernel)
+            got[kernel] = (out.pairs, out.n_pairs, dict(out.detail))
+        assert got["numpy"] == got["python"]
+        assert 0 < got["numpy"][1] < len(tuples)
+
+    def test_reregistering_replaces_the_image(self):
+        rng = random.Random(23)
+        a1 = GENERATORS["clustered"](rng, 200)
+        a2 = GENERATORS["uniform"](rng, 260)  # same ids, new places
+        b = GENERATORS["skewed"](rng, 180, 10_000)
+        window = WINDOWS["interior"]
+        queries = [Query(relations=("a", "b"), force="pbsm-grid"),
+                   Query(relations=("a", "b"), window=window)]
+        engines = [
+            SpatialQueryEngine(scale=TEST_SCALE, workers=2,
+                               pool_kind="serial", kernel="numpy"),
+            ShardedEngine(shards=2, scale=TEST_SCALE, workers=2,
+                          pool_kind="serial", kernel="numpy"),
+        ]
+        for engine in engines:
+            try:
+                engine.register("a", a1, universe=UNIT)
+                engine.register("b", b, universe=UNIT)
+                engine.prepare()
+                for q in queries:
+                    assert set(engine.execute(q).result.pairs) == (
+                        brute_reference(a1, b, q.window)
+                    )
+                # Mid-workload: no prepare(), the next query builds
+                # the new entry's image itself.
+                engine.register("a", a2, universe=UNIT)
+                for q in queries:
+                    assert set(engine.execute(q).result.pairs) == (
+                        brute_reference(a2, b, q.window)
+                    )
+            finally:
+                engine.close()
+        entry = engines[0].catalog.get("a")
+        assert len(entry.columns) == len(a2)
+
+    def test_distribute_span_names_the_kernel(self):
+        rng = random.Random(31)
+        a = GENERATORS["degenerate"](rng, 200)
+        b = GENERATORS["uniform"](rng, 200, 10_000)
+        query = Query(relations=("a", "b"), force="pbsm-grid")
+        attrs = {}
+        for kernel in ("python", "numpy"):
+            engine = SpatialQueryEngine(
+                scale=TEST_SCALE, workers=2, pool_kind="serial",
+                cache_capacity=0, kernel=kernel, trace=True,
+                memory_bytes=10_000_000,
+            )
+            try:
+                engine.register("a", a, universe=UNIT)
+                engine.register("b", b, universe=UNIT)
+                cold = engine.execute(query).trace.find("distribute")
+                warm = engine.execute(query).trace.find("distribute")
+            finally:
+                engine.close()
+            assert cold.attrs["kernel"] == kernel
+            attrs[kernel] = cold.attrs["copies"]
+            # Tiles came from the artifact cache: nothing distributed.
+            assert warm.attrs["artifact_hit"] is True
+            assert (warm.attrs["kernel"], warm.attrs["copies"]) == (None, 0)
+        grid_copies = attrs["python"]
+        assert grid_copies == attrs["numpy"] > len(a) + len(b)

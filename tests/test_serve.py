@@ -701,12 +701,25 @@ class TestSingleEngineSerialization:
             for q in make_workload(UNIT, 24, seed=7)
         ]
         engine = _registered_single(n=150)
-        serial = run_workload(engine, queries)
-        engine.close()
-        engine = _registered_single(n=150)
+        execute = engine.execute
+        granted = []
+
+        def recording(query, **kw):
+            granted.append(query)
+            return execute(query, **kw)
+
+        engine.execute = recording
         report = run_concurrent_workload(
             engine, queries, clients=8, admission_bytes=8 << 20,
         )
+        engine.close()
+        # Eight threads take the engine lock in no fixed order, and a
+        # query's cost depends on what ran before it (buffer-pool LRU
+        # state): the serial baseline replays the order the lock
+        # granted.
+        assert sorted(map(id, granted)) == sorted(map(id, queries))
+        engine = _registered_single(n=150)
+        serial = run_workload(engine, granted)
         engine.close()
         assert report["served"] == report["queries"] == 24
         assert report["serve"]["errors"] == 0

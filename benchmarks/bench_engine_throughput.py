@@ -21,11 +21,9 @@ against fresh engines in seven configurations —
   at the same directory serves the same workload, restoring persisted
   distributions and sorted runs instead of recomputing them — the
   cold-restart warm-up the artifact layer exists to kill;
-* **skewed, per-tile vs. batched**: a deliberately skewed grid (one
-  dense cluster plus a thin spread — many tiny tiles, one huge one)
-  served with tile batching disabled (every small tile sweeps serially
-  on the coordinator, the PR-3 cutoff) and enabled (small tiles ship
-  to the pool in multi-tile batches);
+* **skewed, batched**: a deliberately skewed grid (one dense cluster
+  plus a thin spread — many tiny tiles, one huge one), whose small
+  tiles must reach the pool in multi-tile batches;
 * **sharded, K workers**: the same workload scattered over a 2-shard
   :class:`~repro.engine.shard.ShardedEngine` — both shards on one
   shared worker pool — gathered with boundary dedup; the pair totals
@@ -37,12 +35,10 @@ against fresh engines in seven configurations —
   clients for aggregate throughput at equal pool size, and an
   open-loop saturation burst into a tiny queue that must load-shed
   with bounded p95 instead of queueing without bound;
-* **kernel/shipping ablations**: the cold partitioned config on the
-  pure-python kernel with pickled shipping (the pre-rework mode), and
-  the skewed batched config with only the kernel or only the shm
-  transport reverted — wall-clock attribution for the vectorized
-  kernel and the zero-copy shared-memory tile shipping, which by
-  contract change no answers and no simulated numbers.
+* **kernel ablations**: the cold partitioned config and the skewed
+  batched config on the pure-python kernel — wall-clock attribution
+  for the vectorized kernel, which by contract changes no answers and
+  no simulated numbers.
 
 The non-tight configurations run under a budget large enough to hold
 the partitioned tiles in memory, isolating the parallelism/caching
@@ -52,11 +48,7 @@ tail latency (p95 over the metrics reservoir) alongside.
 
 Besides the txt table the bench emits ``BENCH_engine_throughput.json``
 at the repo root — configuration, per-run wall/simulated clocks,
-queries/sec, spill, pool, artifact-cache and restore stats — and
-compares the multi-worker configuration against the recorded
-pre-parallel-rework baseline (commit 3d530e0): the rework's acceptance
-bar is >= 2x queries/sec there, asserted at the default scale where
-the simulated numbers are deterministic.
+queries/sec, spill, pool, artifact-cache and restore stats.
 """
 
 from __future__ import annotations
@@ -73,7 +65,6 @@ from repro.engine.workload import (
     make_workload,
     run_concurrent_workload,
     run_workload,
-    sharded_engine_for_dataset,
 )
 from repro.experiments.report import fmt_seconds, format_table
 from repro.geom.rect import RECT_BYTES, Rect
@@ -89,47 +80,23 @@ REPLICAS = 2
 
 #: Skewed synthetic grid: one dense corner cluster (a huge tile) plus
 #: a thin uniform spread (many tiny tiles).  The spread dominates the
-#: sweep work, so keeping it on the coordinator (the per-tile inline
-#: cutoff) serializes most of the query — exactly the regime batching
-#: fixes.
+#: sweep work, so keeping it on the coordinator would serialize most
+#: of the query — exactly the regime batching fixes.
 SKEW_CLUSTER = 500
 SKEW_SPREAD = 8000
 
-#: Pre-rework numbers for the same bench on this machine (commit
-#: 3d530e0: per-query ThreadPoolExecutor, per-pair callback sweeps, no
-#: artifact reuse), recorded at the default 1/256 scale.  The simulated
-#: figures are deterministic, so the >= 2x acceptance bar is asserted
-#: against them; wall figures are informational.
-PRE_PR_BASELINE_SCALE = "1/256"
-PRE_PR_BASELINE = {
-    "cold_k": {"queries_per_sec_sim": 341.7, "wall_seconds": 0.0572},
-    "cold_1": {"queries_per_sec_sim": 226.7, "wall_seconds": 0.0426},
-    "warm_1": {"queries_per_sec_sim": 549.5, "wall_seconds": 0.0160},
-    "tight_k": {"queries_per_sec_sim": 143.9, "wall_seconds": 0.0556},
-}
-
-#: Wall-clock throughput immediately before the kernel/shm rework
-#: (python sweeps, pickled tile shipping), recorded on this machine at
-#: the default 1/256 scale.  Simulated numbers are *unchanged* by the
-#: rework (the kernels are accounting-identical by contract — the
-#: differential suite asserts it), so its acceptance bar is wall
-#: clock: >= 2x queries/sec on both the partitioned cold config and
-#: the skewed batched grid with the numpy kernel + shm shipping.
-PRE_KERNEL_BASELINE_SCALE = "1/256"
-PRE_KERNEL_BASELINE = {
-    "cold_k": {"queries_per_sec_wall": 204.2},
-    "skewed_batched": {"queries_per_sec_wall": 47.2},
-}
+#: Wall-clock comparisons between rows are asserted only at this
+#: scale: at quick scale a row is a few milliseconds of wall.
+WALL_GATE_SCALE = "1/256"
 
 
 def _serve(workers: int, cache_capacity: int, memory_bytes: int,
-           artifact_dir=None, kernel: str = "auto",
-           shm_min_bytes=None) -> dict:
+           artifact_dir=None, kernel: str = "auto") -> dict:
     scale = bench_scale()
     engine = engine_for_dataset(
         DATASET, scale, workers=workers, cache_capacity=cache_capacity,
         memory_bytes=memory_bytes, artifact_dir=artifact_dir,
-        kernel=kernel, shm_min_bytes=shm_min_bytes,
+        kernel=kernel,
     )
     queries = make_workload(
         engine.catalog.get("roads").universe, N_QUERIES, seed=7,
@@ -142,7 +109,7 @@ def _serve(workers: int, cache_capacity: int, memory_bytes: int,
 def _serve_sharded(shards: int, memory_bytes: int,
                    replicas: int = 1, faults=None) -> dict:
     scale = bench_scale()
-    engine = sharded_engine_for_dataset(
+    engine = engine_for_dataset(
         DATASET, scale, shards=shards, workers=WORKERS,
         cache_capacity=0, memory_bytes=memory_bytes,
         replicas=replicas, faults=faults,
@@ -210,19 +177,12 @@ def _skewed_relations():
     return roads, hydro, unit
 
 
-def _serve_skewed(tile_batch_bytes, memory_bytes: int,
-                  kernel: str = "auto", shm_min_bytes=None) -> dict:
+def _serve_skewed(memory_bytes: int, kernel: str = "auto") -> dict:
     scale = bench_scale()
     roads, hydro, unit = _skewed_relations()
-    kwargs = {}
-    if tile_batch_bytes is not None:
-        kwargs["tile_batch_bytes"] = tile_batch_bytes
-    if shm_min_bytes is not None:
-        kwargs["shm_min_bytes"] = shm_min_bytes
     engine = SpatialQueryEngine(
         scale=scale, machine=MACHINE_3, workers=WORKERS,
         cache_capacity=0, memory_bytes=memory_bytes, kernel=kernel,
-        **kwargs,
     )
     engine.register("roads", roads, universe=unit)
     engine.register("hydro", hydro, universe=unit)
@@ -295,12 +255,11 @@ def test_engine_throughput():
     warm_1 = _serve(workers=1, cache_capacity=64, memory_bytes=roomy)
     tight_k = _serve(workers=WORKERS, cache_capacity=0, memory_bytes=tight)
 
-    # Kernel/shipping ablation rows: the same cold partitioned config
-    # on the pure-python kernel with pickled shipping (the pre-rework
-    # execution mode, for wall-clock attribution).
+    # Kernel ablation row: the same cold partitioned config on the
+    # pure-python kernel (wall-clock attribution).
     cold_k_python = _serve(
         workers=WORKERS, cache_capacity=0, memory_bytes=roomy,
-        kernel="python", shm_min_bytes=-1,
+        kernel="python",
     )
 
     # Restart warm-up: populate a sidecar, shut down, serve again from
@@ -316,19 +275,11 @@ def test_engine_throughput():
     finally:
         shutil.rmtree(artifact_dir, ignore_errors=True)
 
-    # Skewed grid: per-tile (batching off — small tiles sweep serially
-    # on the coordinator) vs. batched shipping.
+    # Skewed grid: small tiles ship in multi-tile batches; the same
+    # config on the python kernel is the ablation row.
     skew_budget = 8 * (SKEW_CLUSTER + SKEW_SPREAD) * 2 * RECT_BYTES
-    skewed_per_tile = _serve_skewed(0, skew_budget)
-    skewed_batched = _serve_skewed(None, skew_budget)  # default target
-    # Ablations on the headline skewed config: python kernel (shm
-    # still on) and pickled shipping (numpy kernel still on).
-    skewed_batched_python = _serve_skewed(
-        None, skew_budget, kernel="python",
-    )
-    skewed_batched_pickled = _serve_skewed(
-        None, skew_budget, shm_min_bytes=-1,
-    )
+    skewed_batched = _serve_skewed(skew_budget)
+    skewed_batched_python = _serve_skewed(skew_budget, kernel="python")
 
     # Sharded catalog: scatter/gather over SHARDS engine shards, one
     # shared worker pool, a roomy budget slice per shard.
@@ -374,10 +325,8 @@ def test_engine_throughput():
         "cold_k_python": cold_k_python,
         "warm_1": warm_1, "tight_k": tight_k,
         "restart_warm": restart_warm,
-        "skewed_per_tile": skewed_per_tile,
         "skewed_batched": skewed_batched,
         "skewed_batched_python": skewed_batched_python,
-        "skewed_batched_pickled": skewed_batched_pickled,
         "sharded_k": sharded_k,
         "sharded_replicated": sharded_replicated,
         "sharded_failover": sharded_failover,
@@ -388,15 +337,12 @@ def test_engine_throughput():
     labels = {
         "cold_1": "cold cache, 1 worker",
         "cold_k": f"cold cache, {WORKERS} workers",
-        "cold_k_python": f"cold, {WORKERS} wk, python+pickle",
+        "cold_k_python": f"cold, {WORKERS} wk, python",
         "warm_1": "warm cache, 1 worker",
         "tight_k": f"tight budget, {WORKERS} workers",
         "restart_warm": f"restart warm, {WORKERS} workers",
-        "skewed_per_tile": f"skewed grid, per-tile, {WORKERS} workers",
         "skewed_batched": f"skewed grid, batched, {WORKERS} workers",
         "skewed_batched_python": f"skewed batched, {WORKERS} wk, python",
-        "skewed_batched_pickled":
-            f"skewed batched, {WORKERS} wk, pickled",
         "sharded_k": f"{SHARDS} shards, {WORKERS} workers shared",
         "sharded_replicated":
             f"{SHARDS} shards x {REPLICAS} replicas, healthy",
@@ -410,9 +356,8 @@ def test_engine_throughput():
 
     rows = []
     for key in ("cold_1", "cold_k", "cold_k_python", "warm_1",
-                "tight_k", "restart_warm", "skewed_per_tile",
-                "skewed_batched", "skewed_batched_python",
-                "skewed_batched_pickled", "sharded_k",
+                "tight_k", "restart_warm", "skewed_batched",
+                "skewed_batched_python", "sharded_k",
                 "sharded_replicated", "sharded_failover",
                 "serve_1client", "concurrent_serve",
                 "saturated_serve"):
@@ -447,34 +392,6 @@ def test_engine_throughput():
         ),
     )
 
-    # The pre-PR comparison is only meaningful at the scale the
-    # baseline was recorded; at other scales the block is null rather
-    # than a fabricated cross-scale ratio.
-    speedup = None
-    if scale.name == PRE_PR_BASELINE_SCALE:
-        speedup = {
-            "config": "cold_k",
-            "queries_per_sec_sim": (
-                cold_k["queries_per_sec_sim"]
-                / PRE_PR_BASELINE["cold_k"]["queries_per_sec_sim"]
-            ),
-            "wall_clock": (
-                PRE_PR_BASELINE["cold_k"]["wall_seconds"]
-                / cold_k["wall_seconds"]
-                if cold_k["wall_seconds"] > 0 else float("inf")
-            ),
-            "baseline_scale": PRE_PR_BASELINE_SCALE,
-        }
-    kernel_speedup = None
-    if scale.name == PRE_KERNEL_BASELINE_SCALE:
-        kernel_speedup = {
-            key: (
-                reports[key]["queries_per_sec_wall"]
-                / base["queries_per_sec_wall"]
-            )
-            for key, base in PRE_KERNEL_BASELINE.items()
-        }
-        kernel_speedup["baseline_scale"] = PRE_KERNEL_BASELINE_SCALE
     emit_json("BENCH_engine_throughput.json", {
         "bench": "engine_throughput",
         "dataset": DATASET,
@@ -484,10 +401,6 @@ def test_engine_throughput():
         "budget_roomy_bytes": roomy,
         "budget_tight_bytes": tight,
         "configurations": {k: _json_row(r) for k, r in reports.items()},
-        "pre_pr_baseline": PRE_PR_BASELINE,
-        "parallel_speedup_vs_pre_pr": speedup,
-        "pre_kernel_baseline": PRE_KERNEL_BASELINE,
-        "wall_speedup_vs_pre_kernel": kernel_speedup,
     })
 
     # The subsystem's reason to exist, asserted.
@@ -519,19 +432,11 @@ def test_engine_throughput():
     assert restart_warm["artifacts"]["disk_restores"] > 0, (
         "a restarted engine must restore persisted artifacts"
     )
-    # Batching must beat the per-tile (inline-cutoff) baseline on the
-    # skewed grid: small tiles reach the pool instead of sweeping
-    # serially on the coordinator.
-    assert (skewed_per_tile["pairs_returned"]
-            == skewed_batched["pairs_returned"])
+    # On the skewed grid small tiles reach the pool in batches instead
+    # of sweeping serially on the coordinator.
     assert skewed_batched["pool"]["tiles_dispatched"] > (
         skewed_batched["pool"]["tasks_dispatched"]
     ), "skewed batched config must ship multi-tile tasks"
-    assert (skewed_batched["queries_per_sec_sim"]
-            > skewed_per_tile["queries_per_sec_sim"]), (
-        "batched tile shipping must improve simulated q/s on a "
-        "skewed grid"
-    )
     # The sharded differential contract: scatter/gather with boundary
     # dedup returns exactly the single-engine answers, and window
     # queries actually prune shards.
@@ -559,15 +464,14 @@ def test_engine_throughput():
     assert sharded_failover["metrics"]["replica_failures"] >= 1
     assert sharded_failover["metrics"]["replica_recoveries"] >= 1
     # Kernel parity: the ablation rows answer the same workload and
-    # charge the same simulated cost — the kernels and the shipping
-    # transport change wall clock only.
+    # charge the same simulated cost — the kernel changes wall clock
+    # only.
     assert (cold_k_python["pairs_returned"] == cold_k["pairs_returned"]
             and cold_k_python["sim_wall_seconds"]
             == cold_k["sim_wall_seconds"]), (
         "python-kernel ablation must be accounting-identical to numpy"
     )
     assert (skewed_batched_python["pairs_returned"]
-            == skewed_batched_pickled["pairs_returned"]
             == skewed_batched["pairs_returned"])
     # The concurrent front-end's contract: every query served (no
     # shedding at a sane budget), identical answers to the serial
@@ -608,7 +512,7 @@ def test_engine_throughput():
         f"batch queue age must stay bounded under saturation "
         f"(got {batch_age:.3f}s)"
     )
-    if scale.name == PRE_KERNEL_BASELINE_SCALE:
+    if scale.name == WALL_GATE_SCALE:
         # Multiplexing eight clients must not tax the front-end: even
         # on a one-core box (where aggregate wall throughput of
         # CPU-bound work is fixed) the concurrent row stays close to
@@ -624,26 +528,10 @@ def test_engine_throughput():
             # single caller leaves workers idle during its GIL-bound
             # coordinator phases; eight clients fill them.  On one
             # core the comparison is physically meaningless, so it is
-            # skipped (like the scale gate above).
+            # skipped (like the scale gate).
             assert (concurrent_serve["queries_per_sec_wall"]
                     > serve_1client["queries_per_sec_wall"]), (
                 "8 concurrent clients must out-serve a single caller"
-            )
-    if speedup is not None:
-        # The parallel-rework acceptance bar, on deterministic
-        # simulated numbers at the scale the baseline was recorded.
-        assert speedup["queries_per_sec_sim"] >= 2.0, (
-            f"multi-worker config must serve >= 2x the pre-rework "
-            f"queries/sec (got {speedup['queries_per_sec_sim']:.2f}x)"
-        )
-    if kernel_speedup is not None:
-        # The kernel/shm-rework acceptance bar: wall-clock throughput
-        # (simulated numbers are invariant by construction).
-        for key in PRE_KERNEL_BASELINE:
-            assert kernel_speedup[key] >= 2.0, (
-                f"{key}: numpy kernel + shm shipping must serve >= 2x "
-                f"the pre-rework wall queries/sec "
-                f"(got {kernel_speedup[key]:.2f}x)"
             )
 
 

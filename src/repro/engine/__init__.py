@@ -92,7 +92,6 @@ from repro.engine.workload import (
     make_workload,
     run_concurrent_workload,
     run_workload,
-    sharded_engine_for_dataset,
 )
 
 __all__ = [
@@ -136,7 +135,6 @@ __all__ = [
     "run_concurrent_workload",
     "run_workload",
     "serve_http",
-    "sharded_engine_for_dataset",
     "span_meter",
     "validate_prometheus",
     "validate_trace",

@@ -40,12 +40,7 @@ from repro.engine.artifacts import ArtifactStore, check_store_layout
 from repro.engine.faults import FaultPlan
 from repro.engine.cache import ArtifactCache, ResultCache
 from repro.engine.catalog import Catalog, GeometryMap
-from repro.engine.executor import (
-    DEFAULT_MIN_SHIP_RECTS,
-    DEFAULT_TILE_BATCH_BYTES,
-    DEFAULT_TILES_PER_SIDE,
-    Executor,
-)
+from repro.engine.executor import DEFAULT_TILES_PER_SIDE, Executor
 from repro.engine.metrics import EngineMetrics
 from repro.engine.obs import SlowQueryLog
 from repro.engine.optimizer import Optimizer, PhysicalPlan, PlanActuals
@@ -147,21 +142,16 @@ class SpatialQueryEngine:
         workers: int = 1,
         cache_capacity: int = 64,
         auto_index: bool = True,
-        histogram_grid: int = 32,
         memory_bytes: Optional[int] = None,
         cache_bytes: Optional[int] = None,
         pool_kind: str = "process",
-        min_ship_rects: int = DEFAULT_MIN_SHIP_RECTS,
         artifact_cache_bytes: Optional[int] = None,
         artifact_dir: Optional[str] = None,
-        tile_batch_bytes: int = DEFAULT_TILE_BATCH_BYTES,
         worker_pool: Optional[WorkerPool] = None,
         trace: bool = False,
         slow_log_capacity: Optional[int] = None,
         slow_threshold_seconds: float = 0.0,
         kernel: str = "auto",
-        shm_min_bytes: Optional[int] = None,
-        inline_plan_ops: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.scale = scale
@@ -181,9 +171,7 @@ class SpatialQueryEngine:
         self.pool = BufferPool(
             self.store, scale.buffer_pool_pages, budget=self.budget
         )
-        self.catalog = Catalog(
-            self.disk, self.store, histogram_grid=histogram_grid
-        )
+        self.catalog = Catalog(self.disk, self.store)
         # The persistent worker pool (process-based by default) and the
         # artifact cache are engine-lived: the pool is created lazily
         # on the first shipped task and reused by every query;
@@ -229,25 +217,11 @@ class SpatialQueryEngine:
         )
         # ``kernel`` selects the sweep implementation ("auto" resolves
         # to numpy when importable; results are bit-identical either
-        # way).  ``shm_min_bytes`` tunes zero-copy tile shipping on
-        # process pools: None keeps the executor default, negative
-        # disables shared memory entirely (tiles pickle as before).
-        # ``inline_plan_ops`` tunes cost-aware dispatch (repeat plans
-        # measured cheaper than a pool round-trip sweep inline): None
-        # keeps the executor default, 0 disables the memo.
-        extra = {}
-        if shm_min_bytes is not None:
-            extra["shm_min_bytes"] = shm_min_bytes
-        if inline_plan_ops is not None:
-            extra["inline_plan_ops"] = inline_plan_ops
+        # way).
         self.executor = Executor(
             self.disk, machine, pool=self.pool, budget=self.budget,
             worker_pool=self.worker_pool, artifacts=self.artifacts,
-            min_ship_rects=min_ship_rects,
-            tile_batch_bytes=tile_batch_bytes,
-            store=self.artifact_store,
-            kernel=kernel,
-            **extra,
+            store=self.artifact_store, kernel=kernel,
         )
         self.kernel = self.executor.kernel
         # The cache governs result memory with its own byte ledger

@@ -17,10 +17,8 @@ The hot path is built around these cooperating mechanisms:
 
 * **Persistent pool** — the pool outlives queries; the plan's
   ``workers`` count is a scheduling hint for the simulated critical
-  path, not a pool size.  Tasks smaller than ``min_ship_rects`` run
-  inline on the coordinator (shipping them would cost more than the
-  sweep), and a broken process pool degrades to threads without losing
-  a query.
+  path, not a pool size.  A broken process pool degrades to threads
+  without losing a query.
 * **Columnar shipping** — tiles cross the process boundary as
   :class:`~repro.core.columnar.ColumnarTile` flat arrays, not lists of
   ``Rect`` NamedTuples; a worker decodes each tile once and sweeps over
@@ -50,24 +48,20 @@ The hot path is built around these cooperating mechanisms:
   fingerprints, so a restarted engine restores its warm state lazily
   on first touch — the restore is priced as one sequential read of
   the artifact's logical bytes on the simulated disk.
-* **Batched tile shipping** — tiles big enough to be worth a pool
-  round-trip on their own (``min_ship_rects``) ship individually;
-  smaller tiles coalesce into multi-tile batch tasks under a byte
-  target (``tile_batch_bytes``), so a skewed grid with thousands of
-  tiny tiles costs a handful of pool round-trips instead of thousands
-  (or, before batching, a serial inline sweep of everything small on
-  the coordinator).  A worker decodes each batch once and returns the
-  merged pair set; op accounting is bit-identical to per-tile
-  execution, and a batch is one scheduling unit on the simulated
-  critical path — as it is on the real pool.
-* **Cost-aware dispatch** — the executor remembers each partitioned
-  plan's measured sweep cost (total simulated ops, keyed by artifact
-  key).  A repeat of a plan whose whole sweep measured at or under
-  ``inline_plan_ops`` keeps every tile on the coordinator: with warm
-  cached tiles a small sweep runs in microseconds, while a pool
-  round-trip costs milliseconds of submit/gather overhead.  Simulated
-  op/byte accounting is placement-independent, so this changes wall
-  clock only; big plans (and all first executions) ship as before.
+* **Tile dispatch** — where a tile sweeps and how it travels is
+  policy, decided from what the executor observes against the
+  measured constants below (``MIN_SHIP_RECTS`` …): a tile big enough
+  to pay for a pool round-trip ships on its own; smaller tiles
+  coalesce into multi-tile batch tasks, so a skewed grid with
+  thousands of tiny tiles costs a handful of round-trips; a trailing
+  remainder too small to pay sweeps inline on the coordinator.  On a
+  process pool with working shared memory a big enough task ships its
+  tiles as shared-memory refs (zero-copy when a cached tile is
+  re-shipped), otherwise as pickled columns.  A repeat of a plan
+  whose whole sweep *measured* cheaper than a round-trip keeps every
+  tile on the coordinator.  Op accounting is placement-independent,
+  so all of this moves wall clock only; a batch is one scheduling
+  unit on the simulated critical path, as it is on the real pool.
 
 Worker tasks touch no shared simulation state: each sweeps local
 rectangle lists against a private op counter, and the merged op total
@@ -99,6 +93,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -152,40 +147,57 @@ from repro.storage.sort import sort_stream_by_ylo
 #: 128x128 because partitions here number workers x 4, not hundreds.
 DEFAULT_TILES_PER_SIDE = 32
 
-#: Tasks below this many rectangles (both sides) are too small to be
-#: worth a pool round-trip *on their own*: pickling a tile across the
-#: process boundary costs more than a small sweep saves.  Small tasks
-#: coalesce into batches (below); tests force solo shipping with 0.
-DEFAULT_MIN_SHIP_RECTS = 2048
+# -- dispatch policy ---------------------------------------------------
+#
+# Where a tile sweeps and how it crosses the process boundary follows
+# from what the executor observes — tile size, pool kind, whether
+# shared memory works, the plan's measured sweep cost — held against
+# the constants below.  They are policy, not configuration: each names
+# the ``benchmarks/e2e`` measurement that put it there (``python3
+# benchmarks/e2e/run.py --traced`` prints the probes and the per-layer
+# metrics; the numbers quoted are in ``benchmarks/e2e/README.md``).
 
-#: Target logical payload of one multi-tile batch task, in bytes
-#: (records x ``RECT_BYTES``).  Small tiles accumulate until the batch
-#: reaches this target, then ship as one pool task — one round-trip
-#: for many tiles, the IPC-amortization answer to skewed grids.  A
-#: trailing batch smaller than ``min_ship_rects`` still sweeps inline
-#: (shipping it would cost more than it saves); ``0`` disables
-#: batching and restores the blunt inline cutoff.
-DEFAULT_TILE_BATCH_BYTES = 64 * 1024
+#: A tile of at least this many rectangles (both sides) ships as a pool
+#: task of its own; smaller ones coalesce into batches, and a trailing
+#: batch still under it sweeps inline.  ``pool.probe.roundtrip_us_pickle``
+#: against ``..._inline``: a round-trip adds 0.4–0.8 ms at every size
+#: probed, half again the sweep at 512 rectangles and a tenth of it at
+#: 8 192 — a second core pays that back from a millisecond of sweep,
+#: about this many rectangles (``kernels.probe.*_us_per_rect``).
+MIN_SHIP_RECTS = 2048
 
-#: Tasks whose logical payload (records x ``RECT_BYTES``) is at least
-#: this large ship their tiles as shared-memory refs instead of
-#: pickled columns when the pool is process-based and shared memory
-#: works; smaller tasks keep pickling (a tiny payload's pickle beats a
-#: segment's syscalls).  Negative disables shm shipping outright.
-DEFAULT_SHM_MIN_BYTES = 16 * 1024
+#: Logical payload (records x ``RECT_BYTES``) at which a batch of small
+#: tiles ships as one pool task: about 3 300 rectangles, one and a half
+#: solo tasks' worth, so a batch amortizes its round-trip as a solo
+#: tile does.  ``pool.tiles_per_task`` > 1 beside ``0 <
+#: pool.inline_tile_share < 1`` on ``sharded_skew`` is batching and the
+#: inline remainder both engaging at this size.
+TILE_BATCH_BYTES = 64 * 1024
+
+#: Shipped tasks at least this large (logical bytes) travel as
+#: shared-memory refs when the pool is process-based and shared memory
+#: works; smaller ones pickle.  ``pool.probe.roundtrip_us_shm`` never
+#: beats ``..._pickle`` on a fresh pack (0–24 % slower at 512
+#: rectangles, noise above), so no threshold wins on first ship; shm
+#: earns its keep re-shipping cached tiles by reference
+#: (``pool.shm_refs_reused_per_query``), and the floor only keeps
+#: sub-page payloads from costing a segment.
+SHM_MIN_BYTES = 16 * 1024
 
 #: A repeat plan whose *measured* sweep came in at or under this many
-#: simulated ops keeps every tile on the coordinator.  The executor
-#: remembers each partitioned plan's total sweep ops from its last
-#: execution (keyed by the plan's artifact key); when the same plan
-#: comes back and the whole sweep is known to cost less than a couple
-#: of pool round-trips, shipping is pure overhead — submit+gather on a
-#: process pool runs milliseconds while a warm sub-64k-op sweep runs
-#: microseconds.  Simulated accounting is placement-independent (ops
-#: and bytes are charged identically wherever a sweep runs), so this
-#: is a wall-clock policy, not a semantic one.  First executions have
-#: no measurement and ship as before; ``0`` disables the memo.
-DEFAULT_INLINE_PLAN_OPS = 64 * 1024
+#: simulated ops keeps every tile on the coordinator: the sweep of a
+#: 512-rectangle tile runs ~0.3 ms inline (``pool.probe.roundtrip_us_
+#: inline_n256``) against ~0.8 ms more for the round-trip, so shipping
+#: a plan this cheap is pure overhead.  Simulated accounting is
+#: placement-independent, so this is a wall-clock policy, not a
+#: semantic one; first executions have no measurement and ship.
+INLINE_PLAN_OPS = 64 * 1024
+
+#: Plans whose measured sweep cost the executor remembers (LRU by last
+#: execution).  Keys contain the query window, so never-repeating
+#: windowed traffic would otherwise grow the memo for the life of the
+#: server; a plan evicted here merely ships once more.
+PLAN_MEMO_ENTRIES = 1024
 
 #: Below this many rectangles (both sides), a tile's sweep dispatches
 #: to the python kernel even when the engine selected numpy: the
@@ -210,12 +222,8 @@ class Executor:
         budget: Optional[ResourceBudget] = None,
         worker_pool: Optional[Union[WorkerPool, PoolClient]] = None,
         artifacts: Optional[ArtifactCache] = None,
-        min_ship_rects: int = DEFAULT_MIN_SHIP_RECTS,
-        tile_batch_bytes: int = DEFAULT_TILE_BATCH_BYTES,
         store: Optional[ArtifactStore] = None,
         kernel: str = "auto",
-        shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES,
-        inline_plan_ops: int = DEFAULT_INLINE_PLAN_OPS,
     ) -> None:
         self.disk = disk
         self.machine = machine
@@ -228,17 +236,13 @@ class Executor:
         # sees the client/pool submission surface).
         self.worker_pool = worker_pool or WorkerPool(1, kind="serial")
         self.artifacts = artifacts
-        self.min_ship_rects = max(0, min_ship_rects)
-        self.tile_batch_bytes = max(0, tile_batch_bytes)
         self.store = store
         # Resolved once, here; workers obey the name in each payload.
         self.kernel = resolve_kernel(kernel)
-        self.shm_min_bytes = shm_min_bytes
-        self.inline_plan_ops = max(0, inline_plan_ops)
         # Measured sweep cost of each partitioned plan (total simulated
-        # ops, keyed by artifact key), written after every execution.
-        # Bounded by the number of distinct plans this executor serves.
-        self._plan_ops: Dict[tuple, int] = {}
+        # ops, keyed by artifact key), written after every execution;
+        # the PLAN_MEMO_ENTRIES most recently executed plans are kept.
+        self._plan_ops: OrderedDict[tuple, int] = OrderedDict()
         if self.kernel == "numpy":
             # Import the vectorized kernel on the coordinator now so
             # fork-started pool workers inherit the loaded module
@@ -553,17 +557,14 @@ class Executor:
         prior_ops = self._plan_ops.get(akey)
         if prior_ops is None and fullkey is not None:
             prior_ops = self._plan_ops.get(fullkey)
-        inline_all = (
-            self.inline_plan_ops > 0
-            and prior_ops is not None
-            and prior_ops <= self.inline_plan_ops
-        )
+        inline_all = prior_ops is not None and prior_ops <= INLINE_PLAN_OPS
         # Only a CancelToken travels inside payloads (it pickles;
         # arbitrary cancel callables do not) — workers then observe
         # cancellation at tile boundaries.  Any callable still gates
         # the gather loop below.
         token = cancel if isinstance(cancel, CancelToken) else None
-        shipper = _TaskShipper(self, traced=trace is not None,
+        shipper = _TaskShipper(self.worker_pool,
+                               traced=trace is not None,
                                inline_all=inline_all, cancel=token)
         grant = None
         spilled_rects = spill_partitions = 0
@@ -641,10 +642,12 @@ class Executor:
             # belongs to the sweep span, not the gather drain.
             gmeter.__exit__()
         env.charge("sweep", total_ops)
-        self._plan_ops[akey] = total_ops
+        self._note_plan_ops(akey, total_ops)
         if fullkey is not None:
-            self._plan_ops[fullkey] = max(
-                self._plan_ops.get(fullkey, 0), total_ops
+            # Written second, so the bound a new window inherits is
+            # never the entry its own write evicts.
+            self._note_plan_ops(
+                fullkey, max(self._plan_ops.get(fullkey, 0), total_ops)
             )
 
         # The simulated critical path: shipped tasks (solo tiles and
@@ -728,6 +731,14 @@ class Executor:
         )
 
     # -- partitioned internals -------------------------------------------
+
+    def _note_plan_ops(self, key: tuple, ops: int) -> None:
+        """Remember a plan's measured sweep cost, most recent last."""
+        memo = self._plan_ops
+        memo[key] = ops
+        memo.move_to_end(key)
+        while len(memo) > PLAN_MEMO_ENTRIES:
+            memo.popitem(last=False)
 
     def _partition_token(self, entries: List[CatalogEntry],
                          self_join: bool, universe: Rect,
@@ -924,7 +935,6 @@ class Executor:
             # double-charge the one-write-one-reread model the
             # optimizer priced.
             ship = self.worker_pool.kind == "process"
-            batching = self.tile_batch_bytes > 0
             will_cache = self._artifacts_enabled()
             cache_tasks: List[tuple] = []
             reread_rects = 0
@@ -937,14 +947,11 @@ class Executor:
                 )
                 reread_rects += sum(p.spilled_rects for p in active)
                 size = len(parts_a[i]) + len(parts_b[i])
-                if any(p.packed is not None for p in active) or (
-                    ship and (batching or size >= self.min_ship_rects)
-                ):
+                if ship or any(p.packed is not None for p in active):
                     # Columnar from the start: the same flat tiles
                     # serve the pickle boundary, the batch queue and
-                    # the artifact cache.  (With batching on, a small
-                    # tile may cross the process boundary as part of a
-                    # batch, so it is encoded too.)
+                    # the artifact cache (even a small tile may cross
+                    # the process boundary, as part of a batch).
                     side_a = parts_a[i].materialize_columnar()
                     side_b = (
                         None if self_join
@@ -1017,32 +1024,29 @@ class _TaskShipper:
     One shipper lives for one partitioned query.  With ``inline_all``
     the executor has measured this exact plan before and found the
     whole sweep cheaper than a pool round-trip: every tile sweeps on
-    the coordinator, no batching, no shipping.  Otherwise tiles at or
-    above
-    ``min_ship_rects`` ship individually the moment they arrive
+    the coordinator, no batching, no shipping.  Otherwise tiles of at
+    least ``MIN_SHIP_RECTS`` ship individually the moment they arrive
     (streaming submission is preserved — workers sweep early tiles
     while the coordinator materializes later ones).  Smaller tiles
     accumulate into a pending batch; when the batch's logical payload
-    reaches ``tile_batch_bytes`` it ships as **one** pool task
+    reaches ``TILE_BATCH_BYTES`` it ships as **one** pool task
     (:func:`sweep_tile_batch_task`).  The trailing batch ships only if
-    it is collectively worth a round-trip (``>= min_ship_rects``
-    rectangles); otherwise its tiles sweep inline, exactly like the
-    pre-batching cutoff.  ``tile_batch_bytes == 0`` disables batching
-    outright: small tiles sweep inline, the PR-3 behaviour.
+    it is collectively worth a round-trip (``>= MIN_SHIP_RECTS``
+    rectangles); otherwise its tiles sweep inline.
 
     ``submitted`` collects ``(future, shipped, size, tiles)`` in
     submission order; payloads and task functions ride along on the
     future for broken-pool recovery.
 
-    With ``traced=True`` every task runs through its traced wrapper
-    (:func:`sweep_tile_task_traced` / :func:`sweep_tile_batch_task_traced`),
-    which returns ``(outcome, span dict)`` instead of the bare outcome
-    — the worker-side half of the trace tree, shipped back across the
-    process boundary with the result.  Untraced queries dispatch the
-    bare functions: the zero-cost-when-off contract.
+    With ``traced=True`` every task runs through
+    :func:`sweep_task_traced`, which returns ``(outcome, span dict)``
+    instead of the bare outcome — the worker-side half of the trace
+    tree, shipped back across the process boundary with the result.
+    Untraced queries dispatch the bare functions: the
+    zero-cost-when-off contract.
 
     On a process pool with working shared memory, a shipped task whose
-    logical payload reaches the executor's ``shm_min_bytes`` has its
+    logical payload reaches ``SHM_MIN_BYTES`` has its
     :class:`ColumnarTile` sides swapped for :class:`ShmTileRef`
     handles before pickling — the columns cross the process boundary
     through a shared segment (memcpy on first publish, zero-copy on
@@ -1051,35 +1055,23 @@ class _TaskShipper:
     and pickling proceeds as before.
     """
 
-    def __init__(self, executor: "Executor",
+    def __init__(self, pool: Union[WorkerPool, PoolClient],
                  traced: bool = False,
                  inline_all: bool = False,
                  cancel: Optional[CancelToken] = None) -> None:
-        self.ex = executor
-        self.pool = executor.worker_pool
+        self.pool = pool
         self.traced = traced
         self.inline_all = inline_all
         #: Per-query cancel token appended to every task payload
         #: (element 8), so workers check it at tile boundaries.
         self.cancel = cancel
-        self._solo_fn = (
-            sweep_tile_task_traced if traced else sweep_tile_task
-        )
-        self._batch_fn = (
-            sweep_tile_batch_task_traced if traced
-            else sweep_tile_batch_task
-        )
         self.submitted: List[tuple] = []
         self._pending: List[Tuple[tuple, int]] = []
         self._pending_size = 0
         self.batches = 0
         self.batched_tiles = 0
         self.shm_tasks = 0
-        self._use_shm = (
-            self.pool.kind == "process"
-            and executor.shm_min_bytes >= 0
-            and self.pool.shm.enabled
-        )
+        self._use_shm = pool.kind == "process" and pool.shm.enabled
 
     def add(self, payload: tuple, size: int) -> None:
         if self.cancel is not None:
@@ -1087,24 +1079,25 @@ class _TaskShipper:
         if self.pool.kind == "serial" or self.inline_all:
             self._inline(payload, size)
             return
-        if size >= self.ex.min_ship_rects:
-            self._ship(self._solo_fn, payload, size, 1)
-            return
-        if self.ex.tile_batch_bytes <= 0:
-            self._inline(payload, size)
+        if size >= MIN_SHIP_RECTS:
+            self._ship(sweep_tile_task, payload, size, 1)
             return
         self._pending.append((payload, size))
         self._pending_size += size
-        if self._pending_size * RECT_BYTES >= self.ex.tile_batch_bytes:
+        if self._pending_size * RECT_BYTES >= TILE_BATCH_BYTES:
             self._flush_pending(ship=True)
 
     def flush(self) -> None:
         """Dispatch the trailing batch (ship it only if it pays)."""
-        self._flush_pending(
-            ship=self._pending_size >= self.ex.min_ship_rects
-        )
+        self._flush_pending(ship=self._pending_size >= MIN_SHIP_RECTS)
 
     # -- internals -------------------------------------------------------
+
+    def _task(self, fn, payload) -> tuple:
+        """What goes to the pool: the bare call or its traced wrapper."""
+        if self.traced:
+            return sweep_task_traced, (fn, payload)
+        return fn, payload
 
     def _flush_pending(self, ship: bool) -> None:
         if not self._pending:
@@ -1113,11 +1106,11 @@ class _TaskShipper:
             payloads = tuple(p for p, _ in self._pending)
             self.batches += 1
             self.batched_tiles += len(payloads)
-            self._ship(self._batch_fn, payloads,
+            self._ship(sweep_tile_batch_task, payloads,
                        self._pending_size, len(payloads))
         elif ship:
             payload, size = self._pending[0]
-            self._ship(self._solo_fn, payload, size, 1)
+            self._ship(sweep_tile_task, payload, size, 1)
         else:
             for payload, size in self._pending:
                 self._inline(payload, size)
@@ -1126,8 +1119,8 @@ class _TaskShipper:
 
     def _ship(self, fn, payload, size: int, tiles: int) -> None:
         shm_names = ()
-        if self._use_shm and size * RECT_BYTES >= self.ex.shm_min_bytes:
-            payload, shm_names = self._shm_payload(fn, payload)
+        if self._use_shm and size * RECT_BYTES >= SHM_MIN_BYTES:
+            payload, shm_names = self._shm_payload(payload, tiles > 1)
         if shm_names:
             # Inflight must be registered BEFORE submit: the broken-pool
             # submit fallback resets the shm manager and then runs the
@@ -1135,20 +1128,20 @@ class _TaskShipper:
             # reset would close the very segments the payload points at.
             self.pool.shm.add_inflight(shm_names)
             self.shm_tasks += 1
+        fn, payload = self._task(fn, payload)
         fut = self.pool.submit(fn, payload, units=tiles)
         fut._repro_payload = payload
         fut._repro_fn = fn
         fut._repro_shm = shm_names
         self.submitted.append((fut, True, size, tiles))
 
-    def _shm_payload(self, fn, payload):
+    def _shm_payload(self, payload, batch: bool):
         """Swap the payload's tile sides for shared-memory refs.
 
         Returns ``(payload, segment names)``; the original payload and
         ``()`` when nothing was packable (list-form sides, or the
         segment allocation failed — pickling is always correct).
         """
-        batch = fn is self._batch_fn
         payloads = payload if batch else (payload,)
         tiles: List[ColumnarTile] = []
         slots: List[Tuple[int, int]] = []
@@ -1181,9 +1174,9 @@ class _TaskShipper:
                     manager.task_done(names)
 
     def _inline(self, payload: tuple, size: int) -> None:
+        fn, payload = self._task(sweep_tile_task, payload)
         self.submitted.append(
-            (self.pool.run_inline(self._solo_fn, payload), False,
-             size, 1)
+            (self.pool.run_inline(fn, payload), False, size, 1)
         )
 
 
@@ -1339,43 +1332,28 @@ def sweep_tile_batch_task(payloads: tuple) -> Tuple[int, Optional[List[Tuple[int
     return (count, merged, ops, dups)
 
 
-def sweep_tile_task_traced(payload: tuple) -> Tuple[tuple, dict]:
-    """:func:`sweep_tile_task` plus a worker-side span dict.
+def sweep_task_traced(task: tuple) -> Tuple[tuple, dict]:
+    """Either sweep entry point plus a worker-side span dict.
 
-    The dict is plain picklable data — built inside the pool worker,
-    shipped back attached to the outcome, and converted to a
+    ``task`` is ``(fn, payload)`` with ``fn`` one of
+    :func:`sweep_tile_task` / :func:`sweep_tile_batch_task`.  The dict
+    is plain picklable data — built inside the pool worker, shipped
+    back attached to the outcome, and converted to a
     :class:`~repro.engine.trace.Span` on the coordinator
     (:meth:`Span.from_task`), which also prices the ops on the
-    engine's machine.  The wrapped outcome is bit-identical to the
-    untraced task's.
+    engine's machine.  One span per *task* (the scheduling unit), not
+    per tile: a batch crossed the boundary once and swept back to
+    back, and ``tiles`` records the amortization.  The wrapped outcome
+    is bit-identical to the untraced task's.
     """
+    fn, payload = task
+    batch = fn is sweep_tile_batch_task
     t0 = time.perf_counter()
-    outcome = sweep_tile_task(payload)
+    outcome = fn(payload)
     return outcome, {
         "name": "sweep-task",
-        "part": payload[0],
-        "tiles": 1,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_ops": outcome[2],
-        "pairs": outcome[0],
-        "dups": outcome[3],
-        "pid": os.getpid(),
-    }
-
-
-def sweep_tile_batch_task_traced(payloads: tuple) -> Tuple[tuple, dict]:
-    """:func:`sweep_tile_batch_task` plus a worker-side span dict.
-
-    One span per *task* (the scheduling unit), not per tile — the
-    batch crossed the boundary once and swept back to back, and that
-    is the story the trace tells; ``tiles`` records the amortization.
-    """
-    t0 = time.perf_counter()
-    outcome = sweep_tile_batch_task(payloads)
-    return outcome, {
-        "name": "sweep-task",
-        "part": None,
-        "tiles": len(payloads),
+        "part": None if batch else payload[0],
+        "tiles": len(payload) if batch else 1,
         "wall_seconds": time.perf_counter() - t0,
         "cpu_ops": outcome[2],
         "pairs": outcome[0],

@@ -160,25 +160,6 @@ class EngineMetrics:
         default_factory=LatencyTracker, repr=False
     )
 
-    # Attribute-compatible views of the tracker (pre-extraction callers
-    # and tests read these names directly).
-
-    @property
-    def latency_count(self) -> int:
-        return self.latency.count
-
-    @property
-    def latency_total_seconds(self) -> float:
-        return self.latency.total_seconds
-
-    @property
-    def latency_max_seconds(self) -> float:
-        return self.latency.max_seconds
-
-    @property
-    def _latency_reservoir(self) -> List[float]:
-        return self.latency._reservoir
-
     # -- recording -------------------------------------------------------
 
     def record_latency(self, seconds: float) -> None:

@@ -23,8 +23,8 @@ cost — pickle both ways plus scheduling — so the pool degrades
 gracefully: single-worker pools run inline, a broken process pool
 (sandboxes without working semaphores, forks that die) falls back to
 threads once and re-runs the lost task inline, and callers are expected
-to keep tiny tasks on the coordinator (the executor's
-``min_ship_rects`` threshold).
+to keep tiny tasks on the coordinator (the executor's dispatch
+policy does).
 
 Submission is streaming: :meth:`submit` hands one task to the pool the
 moment its partition is materialized, so coordinator-side
@@ -930,10 +930,6 @@ class PoolClient:
             return
         self._released = True
         self.pool._detach()
-
-    def shutdown(self) -> None:
-        """Alias for :meth:`release` (the pre-sharing engine verb)."""
-        self.release()
 
     # -- observability ---------------------------------------------------
 

@@ -92,7 +92,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.histogram import SpatialHistogram
+from repro.core.histogram import DEFAULT_GRID, SpatialHistogram
 from repro.core.join_result import JoinResult
 from repro.engine.artifacts import (
     ResultStore,
@@ -108,10 +108,6 @@ from repro.engine.engine import (
     _copy_result,
     flatten_cache_keys,
     flatten_result_cache_keys,
-)
-from repro.engine.executor import (
-    DEFAULT_MIN_SHIP_RECTS,
-    DEFAULT_TILE_BATCH_BYTES,
 )
 from repro.engine.faults import FaultPlan, InjectedFault
 from repro.engine.metrics import (
@@ -289,31 +285,25 @@ class ShardedEngine:
         machine: MachineSpec = MACHINE_3,
         workers: int = 1,
         cache_capacity: int = 64,
-        histogram_grid: int = 32,
         memory_bytes: Optional[int] = None,
         cache_bytes: Optional[int] = None,
         pool_kind: str = "process",
-        min_ship_rects: int = DEFAULT_MIN_SHIP_RECTS,
         artifact_cache_bytes: Optional[int] = None,
-        tile_batch_bytes: int = DEFAULT_TILE_BATCH_BYTES,
         trace: bool = False,
         slow_log_capacity: Optional[int] = None,
         slow_threshold_seconds: float = 0.0,
         kernel: str = "auto",
-        shm_min_bytes: Optional[int] = None,
         replicas: int = 1,
         artifact_dir: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
         retry_backoff_seconds: float = 0.01,
         replica_timeout_seconds: Optional[float] = None,
         result_store_bytes: Optional[int] = None,
-        scatter_threads: Optional[int] = None,
     ) -> None:
         self.shards = max(1, shards)
         self.replicas = max(1, replicas)
         self.scale = scale
         self.machine = machine
-        self.histogram_grid = histogram_grid
         self.faults = faults
         #: Base of the exponential backoff slept between failover
         #: attempts (0 disables sleeping; tests want speed).
@@ -356,15 +346,11 @@ class ShardedEngine:
                 SpatialQueryEngine(
                     scale=scale, machine=machine, workers=workers,
                     cache_capacity=0,
-                    histogram_grid=histogram_grid,
                     memory_bytes=per_shard, cache_bytes=None,
-                    min_ship_rects=min_ship_rects,
                     artifact_cache_bytes=artifact_cache_bytes,
                     artifact_dir=_leaf_dir(k, r),
-                    tile_batch_bytes=tile_batch_bytes,
                     worker_pool=self.pool,
                     kernel=kernel,
-                    shm_min_bytes=shm_min_bytes,
                     faults=faults,
                     # Shard engines trace (their span trees become
                     # shard subtrees of the scatter trace) but never
@@ -431,10 +417,7 @@ class ShardedEngine:
         ]
         #: Coordinator-side threads that overlap the per-shard scatter;
         #: lazily created on the first multi-shard query.
-        self._scatter_threads = (
-            scatter_threads if scatter_threads is not None
-            else min(self.shards, MAX_SCATTER_THREADS)
-        )
+        self._scatter_threads = min(self.shards, MAX_SCATTER_THREADS)
         self._scatter_pool: Optional[ThreadPoolExecutor] = None
         #: Accumulated scatter critical path (LPT makespan per query)
         #: — the deployment's simulated serving clock.
@@ -565,7 +548,7 @@ class ShardedEngine:
         uni = universe if universe is not None else mbr_of(rect_list)
         if self._cuts is None:
             self._cuts = balanced_cuts(
-                rect_list, uni, self.shards, self.histogram_grid
+                rect_list, uni, self.shards, DEFAULT_GRID
             )
         was_present = self._present.get(name, [False] * self.shards)
         present = [False] * self.shards

@@ -25,7 +25,6 @@ from repro.engine.query import Query
 from repro.engine.serve import ServingFrontend
 from repro.engine.shard import ShardedEngine
 from repro.geom.rect import Rect
-from repro.sim.machines import MACHINE_3, MachineSpec
 from repro.sim.scale import ScaleConfig
 
 #: Anything run_workload can serve against.
@@ -38,121 +37,21 @@ REPEAT_SHARE = 0.4
 WINDOW_SHARE = 0.6
 
 
-def engine_for_dataset(
-    dataset: str,
-    scale: ScaleConfig,
-    machine: MachineSpec = MACHINE_3,
-    workers: int = 1,
-    cache_capacity: int = 64,
-    memory_bytes: Optional[int] = None,
-    cache_bytes: Optional[int] = None,
-    pool_kind: str = "process",
-    min_ship_rects: Optional[int] = None,
-    artifact_cache_bytes: Optional[int] = None,
-    artifact_dir: Optional[str] = None,
-    tile_batch_bytes: Optional[int] = None,
-    trace: bool = False,
-    slow_log_capacity: Optional[int] = None,
-    slow_threshold_seconds: float = 0.0,
-    kernel: str = "auto",
-    shm_min_bytes: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-) -> SpatialQueryEngine:
+def engine_for_dataset(dataset: str, scale: ScaleConfig, shards: int = 1,
+                       **engine_kwargs) -> ServingEngine:
     """An engine with one Table 2 dataset registered as two relations.
 
-    ``memory_bytes`` overrides the engine's memory budget (default:
-    the scaled paper budget); ``cache_bytes`` bounds the result cache
-    in bytes.  ``pool_kind``/``min_ship_rects``/``tile_batch_bytes``
-    configure the persistent worker pool and its batch shipping,
-    ``artifact_cache_bytes`` caps (or with 0 disables) the artifact
-    cache, and ``artifact_dir`` persists artifacts to a sidecar
-    directory that survives engine restarts.  ``kernel`` selects the
-    sweep implementation and ``shm_min_bytes`` tunes (or with a
-    negative value disables) shared-memory tile shipping.
+    ``shards > 1`` builds a :class:`ShardedEngine` (``memory_bytes`` is
+    then the *total* budget, sliced evenly; all shards share one
+    worker pool), otherwise a :class:`SpatialQueryEngine`;
+    ``engine_kwargs`` go to that constructor unchanged.  Both relations
+    are prepared, so the first query starts from built representations.
     """
     ds = build_dataset(dataset, scale)
-    extra = {}
-    if min_ship_rects is not None:
-        extra["min_ship_rects"] = min_ship_rects
-    if tile_batch_bytes is not None:
-        extra["tile_batch_bytes"] = tile_batch_bytes
-    engine = SpatialQueryEngine(
-        kernel=kernel, shm_min_bytes=shm_min_bytes,
-        scale=scale, machine=machine, workers=workers,
-        cache_capacity=cache_capacity,
-        memory_bytes=memory_bytes, cache_bytes=cache_bytes,
-        pool_kind=pool_kind,
-        artifact_cache_bytes=artifact_cache_bytes,
-        artifact_dir=artifact_dir,
-        faults=faults,
-        trace=trace,
-        slow_log_capacity=slow_log_capacity,
-        slow_threshold_seconds=slow_threshold_seconds,
-        **extra,
-    )
-    engine.register("roads", ds.roads, universe=ds.universe)
-    engine.register("hydro", ds.hydro, universe=ds.universe)
-    engine.prepare()
-    return engine
-
-
-def sharded_engine_for_dataset(
-    dataset: str,
-    scale: ScaleConfig,
-    shards: int,
-    machine: MachineSpec = MACHINE_3,
-    workers: int = 1,
-    cache_capacity: int = 64,
-    memory_bytes: Optional[int] = None,
-    cache_bytes: Optional[int] = None,
-    pool_kind: str = "process",
-    min_ship_rects: Optional[int] = None,
-    artifact_cache_bytes: Optional[int] = None,
-    tile_batch_bytes: Optional[int] = None,
-    trace: bool = False,
-    slow_log_capacity: Optional[int] = None,
-    slow_threshold_seconds: float = 0.0,
-    kernel: str = "auto",
-    shm_min_bytes: Optional[int] = None,
-    replicas: int = 1,
-    artifact_dir: Optional[str] = None,
-    faults: Optional[FaultPlan] = None,
-    result_store_bytes: Optional[int] = None,
-    scatter_threads: Optional[int] = None,
-) -> ShardedEngine:
-    """Like :func:`engine_for_dataset`, but scattered over N shards.
-
-    ``memory_bytes`` here is the *total* budget, sliced evenly across
-    the shards; all shards share one worker pool of ``workers``
-    workers.  ``replicas`` places that many identical engines on every
-    shard (scatter fails over between them), ``artifact_dir`` persists
-    per-replica artifacts and the shared result store under one root,
-    and ``faults`` threads a :class:`~repro.engine.faults.FaultPlan`
-    through the pool, the artifact stores and shard execution.
-    """
-    ds = build_dataset(dataset, scale)
-    extra = {}
-    if min_ship_rects is not None:
-        extra["min_ship_rects"] = min_ship_rects
-    if tile_batch_bytes is not None:
-        extra["tile_batch_bytes"] = tile_batch_bytes
-    engine = ShardedEngine(
-        kernel=kernel, shm_min_bytes=shm_min_bytes,
-        shards=shards, scale=scale, machine=machine, workers=workers,
-        cache_capacity=cache_capacity,
-        memory_bytes=memory_bytes, cache_bytes=cache_bytes,
-        pool_kind=pool_kind,
-        artifact_cache_bytes=artifact_cache_bytes,
-        replicas=replicas,
-        artifact_dir=artifact_dir,
-        faults=faults,
-        result_store_bytes=result_store_bytes,
-        scatter_threads=scatter_threads,
-        trace=trace,
-        slow_log_capacity=slow_log_capacity,
-        slow_threshold_seconds=slow_threshold_seconds,
-        **extra,
-    )
+    if shards > 1:
+        engine = ShardedEngine(shards=shards, scale=scale, **engine_kwargs)
+    else:
+        engine = SpatialQueryEngine(scale=scale, **engine_kwargs)
     engine.register("roads", ds.roads, universe=ds.universe)
     engine.register("hydro", ds.hydro, universe=ds.universe)
     engine.prepare()

@@ -139,13 +139,6 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--min-ship-rects", type=int, default=None,
-        help=(
-            "smallest tile (rects) worth shipping to a pool worker; "
-            "smaller tiles sweep inline on the coordinator"
-        ),
-    )
-    parser.add_argument(
         "--no-artifact-cache", action="store_true",
         help="disable artifact reuse (distributions and sorted runs)",
     )
@@ -160,31 +153,12 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--tile-batch-bytes", type=int, default=None,
-        help=(
-            "target logical payload of one multi-tile pool task; "
-            "small tiles coalesce into batches up to this size "
-            "(0 disables batching and restores the inline cutoff)"
-        ),
-    )
-    parser.add_argument(
         "--kernel", choices=("auto", "numpy", "python"), default="auto",
         help=(
             "sweep kernel: 'numpy' (vectorized, errors if numpy is "
             "missing), 'python' (pure-python reference), or 'auto' "
             "(numpy when importable; default)"
         ),
-    )
-    parser.add_argument(
-        "--shm-min-bytes", type=int, default=None,
-        help=(
-            "smallest logical tile payload shipped via shared memory "
-            "instead of pickling (process pools only; default 16 KiB)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shm", action="store_true",
-        help="disable shared-memory tile shipping (always pickle)",
     )
     parser.add_argument(
         "--spill-report", action="store_true",
@@ -435,7 +409,6 @@ def serve_bench(args: argparse.Namespace) -> int:
         make_workload,
         run_concurrent_workload,
         run_workload,
-        sharded_engine_for_dataset,
     )
 
     scale = _scale(args.scale)
@@ -447,39 +420,24 @@ def serve_bench(args: argparse.Namespace) -> int:
             faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
-    obs_kwargs = {
+    engine_kwargs = {
+        "workers": max(1, args.workers),
+        "memory_bytes": args.memory_bytes,
+        "pool_kind": args.pool_kind,
+        "artifact_cache_bytes": 0 if args.no_artifact_cache else None,
+        "artifact_dir": args.artifact_dir,
         "trace": args.trace,
         "slow_log_capacity": args.slow_log,
         "slow_threshold_seconds": args.slow_threshold_ms / 1000.0,
         "kernel": args.kernel,
-        "shm_min_bytes": -1 if args.no_shm else args.shm_min_bytes,
         "faults": faults,
     }
     if args.shards > 1:
-        engine = sharded_engine_for_dataset(
-            args.dataset, scale, shards=args.shards,
-            workers=max(1, args.workers),
-            memory_bytes=args.memory_bytes,
-            pool_kind=args.pool_kind,
-            min_ship_rects=args.min_ship_rects,
-            artifact_cache_bytes=0 if args.no_artifact_cache else None,
-            tile_batch_bytes=args.tile_batch_bytes,
-            replicas=max(1, args.replicas),
-            artifact_dir=args.artifact_dir,
-            result_store_bytes=args.result_store_bytes,
-            **obs_kwargs,
-        )
-    else:
-        engine = engine_for_dataset(
-            args.dataset, scale, workers=max(1, args.workers),
-            memory_bytes=args.memory_bytes,
-            pool_kind=args.pool_kind,
-            min_ship_rects=args.min_ship_rects,
-            artifact_cache_bytes=0 if args.no_artifact_cache else None,
-            artifact_dir=args.artifact_dir,
-            tile_batch_bytes=args.tile_batch_bytes,
-            **obs_kwargs,
-        )
+        engine_kwargs["replicas"] = max(1, args.replicas)
+        engine_kwargs["result_store_bytes"] = args.result_store_bytes
+    engine = engine_for_dataset(
+        args.dataset, scale, shards=args.shards, **engine_kwargs
+    )
     queries = make_workload(
         engine.universe_of("roads"), args.queries, seed=args.seed,
     )
@@ -614,10 +572,7 @@ def serve_cmd(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.engine.serve import ServingFrontend, serve_http
-    from repro.engine.workload import (
-        engine_for_dataset,
-        sharded_engine_for_dataset,
-    )
+    from repro.engine.workload import engine_for_dataset
 
     scale = _scale(args.scale)
     faults = None
@@ -628,21 +583,18 @@ def serve_cmd(args: argparse.Namespace) -> int:
             faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
+    engine_kwargs = {
+        "workers": max(1, args.workers),
+        "pool_kind": args.pool_kind,
+        "artifact_dir": args.artifact_dir,
+        "faults": faults,
+    }
     if args.shards > 1:
-        engine = sharded_engine_for_dataset(
-            args.dataset, scale, shards=args.shards,
-            workers=max(1, args.workers), pool_kind=args.pool_kind,
-            replicas=max(1, args.replicas),
-            artifact_dir=args.artifact_dir,
-            result_store_bytes=args.result_store_bytes,
-            faults=faults,
-        )
-    else:
-        engine = engine_for_dataset(
-            args.dataset, scale, workers=max(1, args.workers),
-            pool_kind=args.pool_kind, artifact_dir=args.artifact_dir,
-            faults=faults,
-        )
+        engine_kwargs["replicas"] = max(1, args.replicas)
+        engine_kwargs["result_store_bytes"] = args.result_store_bytes
+    engine = engine_for_dataset(
+        args.dataset, scale, shards=args.shards, **engine_kwargs
+    )
     fe_kwargs = {"faults": faults}
     if args.queue_depth is not None:
         fe_kwargs["queue_depth"] = args.queue_depth

@@ -4,12 +4,14 @@ sharded scatter/gather)."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 from typing import List, Optional, Sequence, Set, Tuple
 
 import pytest
 
 from repro.core.brute import brute_force_pairs
+from repro.engine import executor as executor_mod
 from repro.geom.rect import Rect, intersection, mbr_of
 from repro.sim.env import SimEnv
 from repro.sim.machines import ALL_MACHINES, MACHINE_3
@@ -47,6 +49,34 @@ def store(disk) -> PageStore:
 @pytest.fixture
 def unit_square() -> Rect:
     return Rect(0.0, 1.0, 0.0, 1.0, 0)
+
+
+@contextlib.contextmanager
+def dispatch(**constants):
+    """Run a block under overridden executor dispatch constants.
+
+    The tile-dispatch thresholds (``MIN_SHIP_RECTS``,
+    ``TILE_BATCH_BYTES``, ``SHM_MIN_BYTES``, ``INLINE_PLAN_OPS``,
+    ``PLAN_MEMO_ENTRIES``) are module constants of
+    :mod:`repro.engine.executor`, sized for production tiles; the
+    tiny test datasets would never leave the coordinator under them.
+    This is the one seam that forces a path: ``MIN_SHIP_RECTS=0``
+    ships every tile solo, ``INLINE_PLAN_OPS=0`` keeps repeats
+    shipping, and so on.  The coordinator reads the constants per
+    query — wrap the queries, not just the engine's construction — and
+    workers never read them, so it holds for process pools too.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(executor_mod, name, value)
+        yield
+
+
+@pytest.fixture
+def ship_every_tile():
+    """Every tile ships to the pool as a task of its own."""
+    with dispatch(MIN_SHIP_RECTS=0):
+        yield
 
 
 def make_env(scale: ScaleConfig = TEST_SCALE) -> SimEnv:
@@ -162,7 +192,7 @@ def brute_reference(
 
 
 @pytest.fixture
-def assert_same_pairs():
+def assert_same_pairs(ship_every_tile):
     """Differential check: brute force == single engine == sharded.
 
     The returned callable runs one join (optionally windowed, or a
@@ -206,7 +236,7 @@ def assert_same_pairs():
 
         single = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
-            cache_capacity=0, min_ship_rects=0,
+            cache_capacity=0,
         )
         single.register("a", rects_a, universe=universe)
         if not self_join:
@@ -224,7 +254,7 @@ def assert_same_pairs():
                 sharded = ShardedEngine(
                     shards=n_shards, scale=TEST_SCALE, machine=MACHINE_3,
                     workers=workers, pool_kind=kind, cache_capacity=0,
-                    min_ship_rects=0, replicas=replicas, faults=faults,
+                    replicas=replicas, faults=faults,
                     retry_backoff_seconds=0.0,
                 )
                 sharded.register("a", rects_a, universe=universe)

@@ -18,7 +18,7 @@ from repro.engine import (
 from repro.geom.rect import Rect, intersection
 from repro.sim.machines import MACHINE_3
 
-from tests.conftest import TEST_SCALE
+from tests.conftest import TEST_SCALE, dispatch
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -537,14 +537,15 @@ class TestParallelPool:
         serial = make_engine(workers=3, cache_capacity=0)
         other = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-            cache_capacity=0, min_ship_rects=0, **kw,
+            cache_capacity=0, **kw,
         )
         a, b = serial._test_rects
         other.register("a", a, universe=UNIT)
         other.register("b", b, universe=UNIT)
         return serial, other
 
-    def test_process_pool_matches_serial_random_workloads(self):
+    def test_process_pool_matches_serial_random_workloads(
+            self, ship_every_tile):
         rng_seeds = [(31, 32), (41, 42)]
         for sa, sb in rng_seeds:
             a = uniform_rects(350, UNIT, 0.02, seed=sa)
@@ -555,7 +556,7 @@ class TestParallelPool:
             )
             proc = SpatialQueryEngine(
                 scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-                cache_capacity=0, pool_kind="process", min_ship_rects=0,
+                cache_capacity=0, pool_kind="process",
             )
             for e in (serial, proc):
                 e.register("a", a, universe=UNIT)
@@ -573,7 +574,7 @@ class TestParallelPool:
             assert proc.env.bytes_read == serial.env.bytes_read
             proc.close()
 
-    def test_process_pool_self_join_matches_serial(self):
+    def test_process_pool_self_join_matches_serial(self, ship_every_tile):
         a = uniform_rects(300, UNIT, 0.025, seed=51)
         serial = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=2,
@@ -581,7 +582,7 @@ class TestParallelPool:
         )
         proc = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="process", min_ship_rects=0,
+            cache_capacity=0, pool_kind="process",
         )
         for e in (serial, proc):
             e.register("a", a, universe=UNIT)
@@ -593,7 +594,7 @@ class TestParallelPool:
         assert rp.detail["tasks_shipped"] > 0
         proc.close()
 
-    def test_thread_pool_matches_serial(self):
+    def test_thread_pool_matches_serial(self, ship_every_tile):
         serial, threaded = self._engines(pool_kind="thread")
         q = Query(relations=("a", "b"), force="pbsm-grid")
         rs = serial.execute(q).result
@@ -606,7 +607,6 @@ class TestParallelPool:
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=3,
             cache_capacity=0, pool_kind="process",
-            min_ship_rects=10**9,
         )
         a, b = make_engine()._test_rects
         engine.register("a", a, universe=UNIT)
@@ -617,10 +617,10 @@ class TestParallelPool:
         assert not engine.worker_pool.started  # never even created
         engine.close()
 
-    def test_pool_is_persistent_across_queries(self):
+    def test_pool_is_persistent_across_queries(self, ship_every_tile):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="thread", min_ship_rects=0,
+            cache_capacity=0, pool_kind="thread",
         )
         a, b = make_engine()._test_rects
         engine.register("a", a, universe=UNIT)
@@ -978,11 +978,18 @@ class TestTileBatching:
         ]
         return rects, other
 
-    def _engine(self, a, b, pool_kind, tile_batch_bytes, workers=3):
+    @pytest.fixture(autouse=True)
+    def _small_batches(self):
+        # A 1 024-rectangle batch target, so the 3 600-rectangle
+        # dataset fills several batches.
+        with dispatch(TILE_BATCH_BYTES=20480):
+            yield
+
+    def _engine(self, a, b, pool_kind, workers=3):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
             cache_capacity=0, memory_bytes=10_000_000,
-            pool_kind=pool_kind, tile_batch_bytes=tile_batch_bytes,
+            pool_kind=pool_kind,
         )
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)
@@ -991,10 +998,10 @@ class TestTileBatching:
     def test_batched_matches_serial_across_pool_kinds(self):
         a, b = self._skewed()
         q = Query(relations=("a", "b"), force="pbsm-grid")
-        serial = self._engine(a, b, "serial", 0)
+        serial = self._engine(a, b, "serial")
         ref = serial.execute(q).result
         for kind in ("thread", "process"):
-            engine = self._engine(a, b, kind, 20480)
+            engine = self._engine(a, b, kind)
             out = engine.execute(q).result
             # Identical pair sets and bit-identical op accounting,
             # whether tiles shipped solo, batched or inline.
@@ -1010,7 +1017,7 @@ class TestTileBatching:
     def test_batch_is_one_pool_task(self):
         a, b = self._skewed()
         q = Query(relations=("a", "b"), force="pbsm-grid")
-        engine = self._engine(a, b, "thread", 20480)
+        engine = self._engine(a, b, "thread")
         out = engine.execute(q).result
         pool = engine.worker_pool.snapshot()
         # Tiles outnumber dispatched tasks: batches amortize round-trips.
@@ -1019,42 +1026,31 @@ class TestTileBatching:
                 >= out.detail["tasks_shipped"])
         engine.close()
 
-    def test_batching_disabled_restores_inline_cutoff(self):
-        a, b = self._skewed()
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        engine = self._engine(a, b, "process", 0)
-        out = engine.execute(q).result
-        assert out.detail["tile_batches"] == 0
-        assert out.detail["batched_tiles"] == 0
-        # Small tiles stayed on the coordinator (the PR-3 cutoff).
-        assert out.detail["tasks_shipped"] == 0
-        engine.close()
-
     def test_batching_parallelizes_skewed_grids(self):
         # The point of batching: small tiles reach the worker pool
         # instead of sweeping serially on the coordinator, so the
         # simulated parallel savings strictly improve.
         a, b = self._skewed()
         q = Query(relations=("a", "b"), force="pbsm-grid")
-        per_tile = self._engine(a, b, "process", 0)
-        batched = self._engine(a, b, "process", 20480)
-        saved_per_tile = per_tile.execute(q).result.detail[
+        coordinator = self._engine(a, b, "serial")
+        batched = self._engine(a, b, "process")
+        saved_coordinator = coordinator.execute(q).result.detail[
             "parallel_cpu_seconds_saved"]
         saved_batched = batched.execute(q).result.detail[
             "parallel_cpu_seconds_saved"]
-        assert saved_batched > saved_per_tile
-        per_tile.close()
+        assert saved_batched > saved_coordinator
+        coordinator.close()
         batched.close()
 
 
+@pytest.mark.usefixtures("ship_every_tile")
 class TestCostAwareDispatch:
     """Repeat plans measured cheaper than a round-trip sweep inline."""
 
-    def _engine(self, **kw):
+    def _engine(self):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-            cache_capacity=0, pool_kind="thread", min_ship_rects=0,
-            **kw,
+            cache_capacity=0, pool_kind="thread",
         )
         a = uniform_rects(400, UNIT, 0.02, seed=31)
         b = uniform_rects(200, UNIT, 0.03, seed=32, id_base=100_000)
@@ -1078,22 +1074,40 @@ class TestCostAwareDispatch:
                 == first.detail["sweep_ops_total"])
         engine.close()
 
-    def test_memo_disabled_keeps_shipping(self):
-        engine = self._engine(inline_plan_ops=0)
+    def test_plan_above_threshold_keeps_shipping(self):
+        engine = self._engine()
         q = Query(relations=("a", "b"), force="pbsm-grid")
-        engine.execute(q)
-        second = engine.execute(q).result
+        with dispatch(INLINE_PLAN_OPS=1):
+            engine.execute(q)
+            second = engine.execute(q).result
         assert second.detail["inlined_by_cost"] is False
         assert second.detail["tasks_shipped"] > 0
         engine.close()
 
-    def test_plan_above_threshold_keeps_shipping(self):
-        engine = self._engine(inline_plan_ops=1)
+    def test_plan_memo_is_bounded(self):
+        # Memo keys contain the window, so never-repeating windowed
+        # traffic writes one entry per query: the memo must stay under
+        # its cap without forgetting what routing still needs.
+        engine = self._engine()
         q = Query(relations=("a", "b"), force="pbsm-grid")
-        engine.execute(q)
-        second = engine.execute(q).result
-        assert second.detail["inlined_by_cost"] is False
-        assert second.detail["tasks_shipped"] > 0
+        memo = engine.executor._plan_ops
+        with dispatch(PLAN_MEMO_ENTRIES=8):
+            first = engine.execute(q).result
+            assert first.detail["inlined_by_cost"] is False
+            for i in range(30):
+                x = 0.02 * i
+                out = engine.execute(Query(
+                    relations=("a", "b"), force="pbsm-grid",
+                    window=Rect(x, x + 0.3, 0.1, 0.6, 0),
+                )).result
+                assert len(memo) <= 8
+                # The full distribution's bound is refreshed by every
+                # window's write, so it is never the entry evicted.
+                assert out.detail["inlined_by_cost"] is True
+            assert len(memo) == 8, "old windows were evicted"
+            second = engine.execute(q).result
+        assert second.detail["inlined_by_cost"] is True
+        assert second.pair_set() == first.pair_set()
         engine.close()
 
     def test_new_window_inherits_full_distribution_bound(self):
@@ -1142,9 +1156,9 @@ class TestLatencyMetrics:
         m = EngineMetrics()
         for i in range(3 * LATENCY_RESERVOIR):
             m.record_latency(float(i))
-        assert m.latency_count == 3 * LATENCY_RESERVOIR
-        assert len(m._latency_reservoir) == LATENCY_RESERVOIR
-        assert m.latency_max_seconds == float(3 * LATENCY_RESERVOIR - 1)
+        assert m.latency.count == 3 * LATENCY_RESERVOIR
+        assert len(m.latency._reservoir) == LATENCY_RESERVOIR
+        assert m.latency.max_seconds == float(3 * LATENCY_RESERVOIR - 1)
         assert m.latency_percentile(0.5) > 0.0
 
     def test_workload_report_includes_latency_and_pool(self):

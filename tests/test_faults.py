@@ -44,6 +44,10 @@ from tests.conftest import TEST_SCALE, _uniform, brute_reference
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
+#: ``pool.task`` faults fire on shipped tasks only, and the datasets
+#: here are far below the executor's solo-ship cutoff.
+pytestmark = pytest.mark.usefixtures("ship_every_tile")
+
 
 def _data(seed=1, n_a=80, n_b=60):
     rng = random.Random(seed)
@@ -55,7 +59,6 @@ def _single(faults=None, **kw):
     kw.setdefault("machine", MACHINE_3)
     kw.setdefault("workers", 2)
     kw.setdefault("cache_capacity", 0)
-    kw.setdefault("min_ship_rects", 0)
     kw.setdefault("pool_kind", "thread")
     a, b = _data()
     engine = SpatialQueryEngine(faults=faults, **kw)
@@ -70,7 +73,6 @@ def _sharded(faults=None, **kw):
     kw.setdefault("machine", MACHINE_3)
     kw.setdefault("workers", 2)
     kw.setdefault("cache_capacity", 0)
-    kw.setdefault("min_ship_rects", 0)
     kw.setdefault("pool_kind", "serial")
     kw.setdefault("retry_backoff_seconds", 0.0)
     a, b = _data()
@@ -621,7 +623,7 @@ class TestShardedDurability:
         engine = ShardedEngine(
             shards=2, replicas=replicas, scale=TEST_SCALE,
             machine=MACHINE_3, workers=2, pool_kind="serial",
-            cache_capacity=0, min_ship_rects=0,
+            cache_capacity=0,
             artifact_dir=str(tmp_path), faults=faults,
             retry_backoff_seconds=0.0,
         )

@@ -43,6 +43,7 @@ from tests.conftest import (
     _clustered,
     _uniform,
     brute_reference,
+    dispatch,
     make_env,
 )
 
@@ -245,8 +246,7 @@ class TestEngineParity:
     def _engine(self, kernel, pool_kind, rects_a, rects_b):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
-            cache_capacity=0, min_ship_rects=0, kernel=kernel,
-            shm_min_bytes=0,
+            cache_capacity=0, kernel=kernel,
         )
         engine.register("a", rects_a, universe=UNIT)
         if rects_b is not None:
@@ -267,7 +267,8 @@ class TestEngineParity:
         for kernel in ("python", "numpy"):
             engine = self._engine(kernel, pool_kind, a, b)
             try:
-                out = engine.execute(query)
+                with dispatch(MIN_SHIP_RECTS=0, SHM_MIN_BYTES=0):
+                    out = engine.execute(query)
                 outcomes[kernel] = (
                     sorted(out.result.pairs),
                     engine.metrics.sim_wall_seconds,
@@ -295,11 +296,16 @@ class TestShmShipping:
         assert len(view) == len(tile)
         assert view.decode() == tile.decode()
 
-    def _shm_engine(self, shm_min_bytes):
+    @pytest.fixture(autouse=True)
+    def _ship_everything_by_shm(self):
+        # Every tile a task of its own, every task above the shm floor.
+        with dispatch(MIN_SHIP_RECTS=0, SHM_MIN_BYTES=0):
+            yield
+
+    def _shm_engine(self):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, workers=2, pool_kind="process",
-            cache_capacity=0, min_ship_rects=0, kernel="python",
-            shm_min_bytes=shm_min_bytes,
+            cache_capacity=0, kernel="python",
         )
         rects = _clustered(random.Random(23), 400)
         engine.register("a", rects, universe=UNIT)
@@ -308,8 +314,11 @@ class TestShmShipping:
     def test_shm_and_pickle_agree_and_release(self):
         query = Query(relations=("a", "a"))
         results = {}
-        for label, threshold in (("shm", 0), ("pickle", -1)):
-            engine, rects = self._shm_engine(threshold)
+        for label in ("shm", "pickle"):
+            engine, rects = self._shm_engine()
+            if label == "pickle":
+                # What a failed segment allocation leaves behind.
+                engine.worker_pool.shm.enabled = False
             try:
                 out = engine.execute(query)
                 results[label] = sorted(out.result.pairs)
@@ -335,7 +344,7 @@ class TestShmShipping:
                 pass
 
         query = Query(relations=("a", "a"))
-        engine, rects = self._shm_engine(0)
+        engine, rects = self._shm_engine()
         ref = sorted(brute_reference(rects))
         try:
             out = engine.execute(query)
@@ -357,10 +366,11 @@ class TestShmShipping:
         ] if os.path.isdir("/dev/shm") else []
         assert not leftovers, f"leaked shm files: {leftovers}"
 
-    def test_negative_threshold_disables_shm(self):
-        engine, _ = self._shm_engine(-1)
+    def test_tasks_below_the_floor_pickle(self):
+        engine, _ = self._shm_engine()
         try:
-            engine.execute(Query(relations=("a", "a")))
+            with dispatch(SHM_MIN_BYTES=10**9):
+                engine.execute(Query(relations=("a", "a")))
             snap = engine.worker_pool.snapshot()["shm"]
             assert snap["segments_created"] == 0
             assert snap["bytes_packed"] == 0

@@ -58,7 +58,6 @@ def _make_sharded(shards: int = 2, **kw) -> ShardedEngine:
     kw.setdefault("workers", 2)
     kw.setdefault("pool_kind", "serial")
     kw.setdefault("cache_capacity", 0)
-    kw.setdefault("min_ship_rects", 0)
     return ShardedEngine(shards=shards, **kw)
 
 
@@ -1082,7 +1081,8 @@ class TestPriorityAging:
 
 
 class TestPoolDeadlinePropagation:
-    def test_expired_query_reclaims_pool_tasks_without_leaks(self):
+    def test_expired_query_reclaims_pool_tasks_without_leaks(
+            self, ship_every_tile):
         """The tentpole's acceptance gate: a deadline that expires
         mid-scatter must show reclaimed pool work
         (``pool_tasks_cancelled > 0``) and leak neither admission nor
@@ -1093,8 +1093,7 @@ class TestPoolDeadlinePropagation:
         # task, so a 20 ms deadline reliably expires while tasks are
         # in flight and others are still queued behind them.
         engine = _registered_single(
-            n=400, pool_kind="thread", workers=2, min_ship_rects=0,
-            tile_batch_bytes=0,
+            n=400, pool_kind="thread", workers=2,
             faults=FaultPlan([
                 FaultRule(site="pool.task", kind="slow",
                           delay_seconds=0.05, times=2),

@@ -14,6 +14,7 @@ caches, interleaved and concurrent workloads).
 
 from __future__ import annotations
 
+import inspect
 import random
 import threading
 
@@ -40,9 +41,14 @@ from tests.conftest import (
     _skewed,
     _uniform,
     brute_reference,
+    dispatch,
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
+
+#: The datasets here are tiny: without this nothing would reach the
+#: shared pool whose accounting and lifecycle the module tests.
+pytestmark = pytest.mark.usefixtures("ship_every_tile")
 
 
 def _make_sharded(shards: int, **kw) -> ShardedEngine:
@@ -51,7 +57,6 @@ def _make_sharded(shards: int, **kw) -> ShardedEngine:
     kw.setdefault("workers", 2)
     kw.setdefault("pool_kind", "serial")
     kw.setdefault("cache_capacity", 0)
-    kw.setdefault("min_ship_rects", 0)
     return ShardedEngine(shards=shards, **kw)
 
 
@@ -60,8 +65,23 @@ def _make_single(pool=None, **kw) -> SpatialQueryEngine:
     kw.setdefault("machine", MACHINE_3)
     kw.setdefault("workers", 2)
     kw.setdefault("cache_capacity", 0)
-    kw.setdefault("min_ship_rects", 0)
     return SpatialQueryEngine(worker_pool=pool, **kw)
+
+
+def test_sharded_signature_tracks_the_single_engine():
+    # ShardedEngine re-declares the engine parameters it forwards; a
+    # default changed on one side only would make ``--shards 2`` a
+    # different deployment, and a tile-dispatch threshold must not
+    # come back as a parameter on either.
+    single = inspect.signature(SpatialQueryEngine.__init__).parameters
+    sharded = inspect.signature(ShardedEngine.__init__).parameters
+    shared = (set(single) & set(sharded)) - {"self"}
+    assert {"workers", "memory_bytes", "pool_kind", "kernel"} <= shared
+    for name in sorted(shared):
+        assert sharded[name].default == single[name].default, name
+    deleted = {"min_ship_rects", "tile_batch_bytes", "shm_min_bytes",
+               "inline_plan_ops", "histogram_grid", "scatter_threads"}
+    assert not deleted & (set(single) | set(sharded))
 
 
 # -- sharding geometry -------------------------------------------------------
@@ -299,16 +319,17 @@ class TestSharedPoolLifecycle:
 
     def test_client_counters_sum_to_pool_totals(self):
         pool = WorkerPool(2, kind="thread")
+        e1, _ = self._registered(pool, 3)
+        e2, _ = self._registered(pool, 4)
+        q = Query(relations=("a", "a"))
         # Cost-aware dispatch off: the point here is per-client counter
         # attribution, which needs e2's third (windowed) query to ship
         # rather than inline off the full plan's measured cost.
-        e1, _ = self._registered(pool, 3, inline_plan_ops=0)
-        e2, _ = self._registered(pool, 4, inline_plan_ops=0)
-        q = Query(relations=("a", "a"))
-        e1.execute(q)
-        e2.execute(q)
-        e2.execute(Query(relations=("a", "a"),
-                         window=Rect(0.0, 0.5, 0.0, 0.5, 0)))
+        with dispatch(INLINE_PLAN_OPS=0):
+            e1.execute(q)
+            e2.execute(q)
+            e2.execute(Query(relations=("a", "a"),
+                             window=Rect(0.0, 0.5, 0.0, 0.5, 0)))
         for counter in ("tasks_dispatched", "tasks_inline",
                         "tiles_dispatched", "tiles_inline"):
             total = getattr(pool, counter)
@@ -342,7 +363,7 @@ class TestSharedPoolLifecycle:
         # the lazily recreated executor is stopped by the next close
         # instead of leaking worker threads/processes.  Cost-aware
         # dispatch off: the repeat must ship to restart the pool.
-        engine = _make_single(pool_kind="thread", inline_plan_ops=0)
+        engine = _make_single(pool_kind="thread")
         engine.register("a", _uniform(random.Random(71), 200),
                         universe=UNIT)
         q = Query(relations=("a", "a"))
@@ -350,7 +371,8 @@ class TestSharedPoolLifecycle:
         assert engine.worker_pool.started
         engine.close()
         assert not engine.worker_pool.started
-        engine.execute(q)  # recreates the executor lazily
+        with dispatch(INLINE_PLAN_OPS=0):
+            engine.execute(q)  # recreates the executor lazily
         assert engine.worker_pool.started
         engine.close()
         assert not engine.worker_pool.started

@@ -60,7 +60,7 @@ QUERY = Query(relations=("a", "b"))
 def _engine(**kwargs) -> SpatialQueryEngine:
     defaults = dict(
         scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-        pool_kind="serial", min_ship_rects=0,
+        pool_kind="serial",
     )
     defaults.update(kwargs)
     engine = SpatialQueryEngine(**defaults)
@@ -73,7 +73,7 @@ def _engine(**kwargs) -> SpatialQueryEngine:
 def _sharded(shards: int, **kwargs) -> ShardedEngine:
     defaults = dict(
         shards=shards, scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-        pool_kind="serial", min_ship_rects=0,
+        pool_kind="serial",
     )
     defaults.update(kwargs)
     engine = ShardedEngine(**defaults)
@@ -148,8 +148,8 @@ def test_hit_path_traces_and_records_latency():
         assert tr.wall_seconds > 0.0
         # Satellite 1: the hit recorded its *measured* wall latency.
         m = engine.metrics
-        assert m.latency_count == 2
-        assert min(m._latency_reservoir) > 0.0
+        assert m.latency.count == 2
+        assert min(m.latency._reservoir) > 0.0
 
 
 def test_sweep_span_reconciles_task_ops():
@@ -171,7 +171,7 @@ def test_sweep_span_reconciles_task_ops():
 
 
 @pytest.mark.parametrize("kind", ["thread", "process"])
-def test_span_shape_matches_serial(kind):
+def test_span_shape_matches_serial(kind, ship_every_tile):
     with _engine(trace=True, pool_kind="serial") as serial:
         base = serial.execute(QUERY)
         base_shape = base.trace.shape()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -17,8 +17,15 @@ class JoinResult:
     n_pairs:
         Number of intersecting MBR pairs reported.
     pairs:
-        The (left id, right id) pairs themselves, present only when the
+        The (left id, right id) pairs themselves — id tuples of the
+        join's arity for a multiway join — present only when the
         caller asked to collect them (large experiments count only).
+        Read it as an immutable sequence of tuples: the algorithms
+        return a list, a numpy engine returns
+        :class:`~repro.core.columnar.PairColumns` (one int64 array that
+        builds tuples as they are read) and shares it with its result
+        cache, so it compares equal to the list it replaces but cannot
+        be written to.
     max_memory_bytes:
         High-water mark of the algorithm's internal-memory structures
         (sweep actives + queues/partitions), the Table 3 measure.
@@ -29,7 +36,7 @@ class JoinResult:
 
     algorithm: str
     n_pairs: int
-    pairs: Optional[List[Tuple[int, int]]] = None
+    pairs: Optional[Sequence[Tuple[int, ...]]] = None
     max_memory_bytes: int = 0
     detail: Dict[str, float] = field(default_factory=dict)
 

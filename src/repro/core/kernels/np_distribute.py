@@ -37,13 +37,12 @@ the python reference, with identical results by contract.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarTile
+from repro.core.columnar import ColumnarTile, PairColumns
 from repro.core.kernels.np_sweep import window_mask
 from repro.geom.rect import Rect
 
@@ -225,25 +224,25 @@ def _multi_tile_keys(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray,
 
 def filter_window(images: Sequence[ColumnImage],
                   pairs: Sequence[tuple],
-                  window: Rect) -> Optional[List[tuple]]:
+                  window: Rect) -> Optional[PairColumns]:
     """The pairs/tuples whose common intersection meets ``window``.
 
     ``images[i]`` resolves the *i*-th id of every tuple (arity >= 2).
     The common intersection is max-of-lows / min-of-highs over the
     tuple's rectangles; it is empty when a low exceeds its high.
-    Kept tuples come back as the same objects in the same order.
+    Kept tuples come back as columns, in the same order; ``pairs``
+    that already are columns are masked as they stand.
     """
     if not all(math.isfinite(b) for im in images for b in im.bounds):
         return None
-    if not pairs:
-        return []
-    arity = len(images)
-    ids = np.fromiter(chain.from_iterable(pairs), np.int64,
-                      len(pairs) * arity).reshape(-1, arity)
+    columns = PairColumns.from_pairs(pairs, len(images))
+    if not len(columns):
+        return columns
+    ids = columns.ids
     rows = images[0].rows_of(ids[:, 0])
     xlo, xhi = images[0].xlo[rows], images[0].xhi[rows]
     ylo, yhi = images[0].ylo[rows], images[0].yhi[rows]
-    for i in range(1, arity):
+    for i in range(1, len(images)):
         im = images[i]
         rows = im.rows_of(ids[:, i])
         np.maximum(xlo, im.xlo[rows], out=xlo)
@@ -254,4 +253,4 @@ def filter_window(images: Sequence[ColumnImage],
         (xlo <= xhi) & (ylo <= yhi)
         & window_mask(xlo, xhi, ylo, yhi, window)
     )
-    return list(compress(pairs, keep.tolist()))
+    return PairColumns(ids[keep])

@@ -41,6 +41,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.columnar import PairColumns
 from repro.core.sweep import SweepStats
 from repro.geom.rect import RECT_BYTES, Rect
 
@@ -322,15 +323,17 @@ def sweep_pairs_batched(
 def sweep_tile(
     side_a, side_b, self_join: bool, grid_spec: tuple, part_id: int,
     window, collect: bool,
-) -> Optional[Tuple[int, Optional[List[Tuple[int, int]]], int, int]]:
+) -> Optional[Tuple[int, Optional[PairColumns], int, int]]:
     """The whole tile task, vectorized: sweep + ownership + dedup.
 
     Mirrors :func:`repro.engine.executor.sweep_tile_task`'s python
     body — window pruning, the batched sweep (sort charge included),
     reference-point ownership against the PBSM grid, self-join dedup —
-    without boxing a single ``Rect``.  Returns the task outcome
-    ``(count, owned pairs or None, cpu_ops, dups)``, or ``None`` when
-    the input is outside the kernel's model.
+    without boxing a single ``Rect`` or id pair.  Returns the task
+    outcome ``(count, owned pairs or None, cpu_ops, dups)``, the pairs
+    as :class:`~repro.core.columnar.PairColumns` in the python body's
+    emit order, or ``None`` when the input is outside the kernel's
+    model.
     """
     ca = _columns(side_a)
     cb = ca if (side_b is None or side_b is side_a) else _columns(side_b)
@@ -356,13 +359,15 @@ def sweep_tile(
             own &= rid_a < rid_b
         count = int(np.count_nonzero(own))
         dups = int(a_idx.size) - count
-        pairs: Optional[List[Tuple[int, int]]] = (
-            list(zip(rid_a[own].tolist(), rid_b[own].tolist()))
-            if collect else None
-        )
+        pairs: Optional[PairColumns] = None
+        if collect:
+            ids = np.empty((count, 2), dtype=np.int64)
+            ids[:, 0] = rid_a[own]
+            ids[:, 1] = rid_b[own]
+            pairs = PairColumns(ids)
     else:
         count = dups = 0
-        pairs = [] if collect else None
+        pairs = PairColumns.empty() if collect else None
     return (count, pairs, ops, dups)
 
 

@@ -51,7 +51,7 @@ from array import array
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.columnar import ColumnarTile
+from repro.core.columnar import ColumnarTile, PairColumns
 from repro.core.join_result import JoinResult
 from repro.engine.cache import PARTITION_KIND, SORTED_RUN_KIND
 from repro.engine.faults import FaultPlan, corrupt_file
@@ -347,8 +347,10 @@ class ArtifactStore:
             with self._lock:
                 # The prewarm thread and a query can detect the same
                 # damage concurrently; only the one that actually
-                # removes the entry counts the drop.
-                if self._drop(token):
+                # removes the entry counts the drop — and only the
+                # entry it read: the other may already have re-saved a
+                # healthy artifact under this token.
+                if self._manifest.get(token) is meta and self._drop(token):
                     self._write_manifest()
                     self.corrupt_drops += 1
             return None
@@ -628,14 +630,16 @@ class ResultStore:
         # Per-writer tmp name: two threads saving the same token must
         # not interleave writes into one tmp file.
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        pairs = result.pairs
+        if isinstance(pairs, PairColumns):
+            pairs = pairs.ids.tolist()
+        elif pairs is not None:
+            pairs = [list(p) for p in pairs]
         try:
             payload = json.dumps({
                 "algorithm": result.algorithm,
                 "n_pairs": result.n_pairs,
-                "pairs": (
-                    [list(p) for p in result.pairs]
-                    if result.pairs is not None else None
-                ),
+                "pairs": pairs,
                 "detail": result.detail,
             }, sort_keys=True)
             body = json.dumps({

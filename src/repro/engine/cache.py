@@ -36,9 +36,10 @@ so re-registered relations never serve stale results.
 
 Eviction is LRU under two limits: an entry-count ``capacity`` and an
 optional byte budget ``max_bytes``.  Entry footprints are approximated
-by :func:`approx_result_bytes` (id-tuple payloads dominate, so the
-estimate is pairs x per-tuple cost plus a fixed overhead); a single
-result larger than the whole byte budget is served but never cached.
+by :func:`approx_result_bytes` (the pairs dominate: an id array's own
+size when they are columns, pairs x per-tuple cost when they are a
+list, plus a fixed overhead); a single result larger than the whole
+byte budget is served but never cached.
 
 The cache keeps its own byte ledger (``bytes_used``, surfaced as
 ``result_cache_bytes`` in the engine snapshot) rather than charging
@@ -54,6 +55,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional, Tuple
 
+from repro.core.columnar import PairColumns
 from repro.geom.rect import RECT_BYTES
 
 #: Approximate CPython cost of one cached id tuple: tuple header plus
@@ -68,11 +70,15 @@ _ENTRY_BYTES = 512
 def approx_result_bytes(value: Any) -> int:
     """Approximate resident bytes of a cached result.
 
-    Works on anything exposing a ``pairs`` list of id tuples
+    Works on anything exposing ``pairs``
     (:class:`~repro.core.join_result.JoinResult`); other values get the
-    fixed overhead only.
+    fixed overhead only.  Columnar pairs cost their id array — they
+    never keep the tuples they hand out, so that stays true for as
+    long as the entry lives; a list is estimated per boxed tuple.
     """
     pairs = getattr(value, "pairs", None)
+    if isinstance(pairs, PairColumns):
+        return _ENTRY_BYTES + pairs.nbytes
     if not pairs:
         return _ENTRY_BYTES
     width = len(pairs[0])

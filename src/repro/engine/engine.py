@@ -62,12 +62,12 @@ MAX_CACHED_PAIRS = 250_000
 
 
 def _copy_result(result: JoinResult) -> JoinResult:
-    """A structurally independent copy (pairs and detail are fresh)."""
-    return replace(
-        result,
-        pairs=list(result.pairs) if result.pairs is not None else None,
-        detail=dict(result.detail),
-    )
+    """A copy the holder may vandalize: a fresh detail dict, and pairs
+    either copied (a list) or shared (immutable columns)."""
+    pairs = result.pairs
+    if isinstance(pairs, list):
+        pairs = list(pairs)
+    return replace(result, pairs=pairs, detail=dict(result.detail))
 
 
 def flatten_cache_keys(artifacts: dict, budget: dict,

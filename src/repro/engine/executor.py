@@ -31,6 +31,12 @@ The hot path is built around these cooperating mechanisms:
   loops (:func:`_distribute`, :func:`_filter_window`) are the
   no-numpy path and the reference, bit-identical in tiles, ops and
   simulated I/O.
+* **Columnar pairs** — under the numpy kernel the pairs a tile owns
+  come back as :class:`~repro.core.columnar.PairColumns` (one int64
+  array, pickled as a buffer), per-tile results are concatenated as
+  arrays and the window post-filter masks the array; no id tuple is
+  built unless the caller iterates the result.  The python kernel
+  returns lists through the same code, the reference.
 * **Zero-callback sweep** — workers run
   :func:`~repro.core.sweep.forward_sweep_pairs_batched`, which appends
   intersecting pairs to a local batch instead of invoking a
@@ -95,9 +101,9 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.columnar import ColumnarTile, SortedRunView
+from repro.core.columnar import ColumnarTile, PairColumns, SortedRunView
 from repro.core.join_result import JoinResult
 from repro.core.kernels import resolve_kernel
 from repro.core.multiway import multiway_join
@@ -618,7 +624,7 @@ class Executor:
             task_dicts = [outcome[1] for outcome in outcomes]
             outcomes = [outcome[0] for outcome in outcomes]
 
-        pairs: Optional[List[Tuple[int, int]]] = [] if collect else None
+        parts: List[Sequence] = []
         n_pairs = 0
         total_ops = 0
         duplicates = 0
@@ -635,8 +641,9 @@ class Executor:
                 shipped_ops.append(task_ops)
             else:
                 inline_ops += task_ops
-            if pairs is not None:
-                pairs.extend(part_pairs)
+            if collect:
+                parts.append(part_pairs)
+        pairs = _merge_pairs(parts, self.kernel) if collect else None
         if gmeter is not None:
             # Close before charging the sweep ops: the merged op total
             # belongs to the sweep span, not the gather drain.
@@ -1191,6 +1198,11 @@ class _OpCounter:
             self.cpu_ops += ops
 
 
+#: What a tile task returns: ``(owned pair count, owned pairs or None,
+#: cpu ops, duplicates suppressed)``.  The pairs are a list of tuples
+#: from the python body and :class:`PairColumns` from the numpy kernel.
+TaskOutcome = Tuple[int, Optional[Sequence[Tuple[int, int]]], int, int]
+
 _np_sweep_mod = False  # False = not probed yet; None = unavailable
 
 
@@ -1207,7 +1219,7 @@ def _np_sweep():
     return _np_sweep_mod
 
 
-def sweep_tile_task(payload: tuple) -> Tuple[int, Optional[List[Tuple[int, int]]], int, int]:
+def sweep_tile_task(payload: tuple) -> TaskOutcome:
     """Sweep one partition tile; runs on a pool worker or inline.
 
     The payload is self-contained and picklable: tiles arrive either as
@@ -1304,32 +1316,55 @@ def sweep_tile_task(payload: tuple) -> Tuple[int, Optional[List[Tuple[int, int]]
     return (len(owned), owned if collect else None, local.cpu_ops, dups)
 
 
-def sweep_tile_batch_task(payloads: tuple) -> Tuple[int, Optional[List[Tuple[int, int]]], int, int]:
+def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
     """Sweep a batch of small tiles in one pool task.
 
     The batch crosses the process boundary once (one pickle, one
     scheduling round-trip); the worker decodes each tile once, sweeps
     them back to back, and returns the *merged* outcome in the same
     ``(count, pairs, ops, dups)`` shape a single-tile task produces.
-    Per-tile results are simply concatenated — each tile is an
-    independent partition, so merging commutes with sweeping and the
-    pair set and op accounting are bit-identical to per-tile dispatch.
+    Per-tile results are simply concatenated (:func:`_merge_pairs`: as
+    one array under the numpy kernel, so the batch's pairs pickle back
+    as a buffer) — each tile is an independent partition, so merging
+    commutes with sweeping and the pair set, its order and the op
+    accounting are bit-identical to per-tile dispatch.
     """
     count = 0
     ops = 0
     dups = 0
-    # payload[5] is the collect flag; all tiles of one query share it.
-    merged: Optional[List[Tuple[int, int]]] = (
-        [] if payloads and payloads[0][5] else None
-    )
+    parts: List[Sequence] = []
     for payload in payloads:
         c, pairs, o, d = sweep_tile_task(payload)
         count += c
         ops += o
         dups += d
         if pairs is not None:
-            merged.extend(pairs)
+            parts.append(pairs)
+    # payload[5] is the collect flag, payload[7] the kernel; all tiles
+    # of one query share both.  A worker that cannot import numpy swept
+    # every tile with the python body and merges the same way.
+    merged = None
+    if payloads and payloads[0][5]:
+        kernel = payloads[0][7] if len(payloads[0]) > 7 else "python"
+        if _np_sweep() is None:
+            kernel = "python"
+        merged = _merge_pairs(parts, kernel)
     return (count, merged, ops, dups)
+
+
+def _merge_pairs(parts: List[Sequence], kernel: str) -> Sequence:
+    """Per-tile pair sets back to back, in order.
+
+    Under the numpy kernel one array concatenation — a tile the python
+    body swept arrives as a list and is converted on the way in; the
+    python kernel extends a list.
+    """
+    if kernel == "numpy":
+        return PairColumns.concat(parts)
+    merged: List[Tuple[int, int]] = []
+    for part in parts:
+        merged.extend(part)
+    return merged
 
 
 def sweep_task_traced(task: tuple) -> Tuple[tuple, dict]:
@@ -1442,7 +1477,8 @@ def _filter_window(result: JoinResult, entries: List[CatalogEntry],
     """Keep pairs/tuples whose common MBR intersection meets the window.
 
     ``kernel="numpy"`` tests all pairs at once against the entries'
-    column images; the python loop is the fallback and the reference.
+    column images and keeps them as columns (a list input is converted
+    once); the python loop is the fallback and the reference.
     """
     kept = None
     if kernel == "numpy":

@@ -32,8 +32,10 @@ scatter/gather exact:
   intersection.
 
 A rectangle pair straddling a cut is therefore found by up to two
-shards; the gather phase deduplicates by rid pair (set union, the same
-rule the self-join path uses) and counts what it dropped.
+shards; the gather phase deduplicates by rid pair and counts what it
+dropped (:func:`gather_pairs`: on a numpy engine one concatenate,
+sort and adjacent-unique over the shards' id columns, otherwise a set
+union — the same ascending, duplicate-free order either way).
 
 **Scatter planning.**  A query touches only the shards that (a) hold
 data for every referenced relation and (b) — for windowed queries —
@@ -92,6 +94,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.columnar import PairColumns
 from repro.core.histogram import DEFAULT_GRID, SpatialHistogram
 from repro.core.join_result import JoinResult
 from repro.engine.artifacts import (
@@ -202,6 +205,25 @@ def lpt_makespan(walls: Sequence[float], lanes: int) -> float:
         # loads[0] is the least-loaded lane (min-heap invariant).
         heapq.heapreplace(loads, loads[0] + float(w))
     return max(loads)
+
+
+def gather_pairs(parts: Sequence[Sequence[tuple]], arity: int,
+                 kernel: str, collect: bool):
+    """Shard sub-results merged: ``(distinct tuples, how many)``.
+
+    The tuples come back in ascending order — which makes collected
+    gathers deterministic — or as ``None`` for a count-only query,
+    which needs just the deduplicated cardinality.  ``parts`` may mix
+    lists (index strategies, restored results) and columns.  The set
+    union is the path of engines without numpy and the reference.
+    """
+    if kernel == "numpy":
+        merged = PairColumns.concat(parts, arity).sorted_unique()
+        return (merged if collect else None), len(merged)
+    distinct: set = set()
+    for part in parts:
+        distinct.update(part)
+    return (sorted(distinct) if collect else None), len(distinct)
 
 
 class _ShardMetricsView:
@@ -667,7 +689,9 @@ class ShardedEngine:
         reorders the rotation: a replica whose observed-latency EWMA
         exceeds the fastest healthy sibling's by
         :data:`SLOW_REPLICA_FACTOR` is moved behind the comparable
-        ones (counted in ``weighted_reroutes``).  Replicas with no
+        ones (counted in ``weighted_reroutes`` when that changes the
+        order — a slow replica the rotation already put last is not a
+        reroute).  Replicas with no
         observations yet rank with the fast set, so fresh replicas get
         traffic.  Unhealthy replicas are appended as a last resort — a
         query is never failed while an untried replica remains — and
@@ -694,7 +718,7 @@ class ShardedEngine:
                         if self._latency_ewma[k][r] is None
                         or self._latency_ewma[k][r] <= cutoff]
                 slow = [r for r in healthy if r not in fast]
-                if slow:
+                if fast + slow != healthy:
                     self.weighted_reroutes += 1
                     healthy = fast + slow
         if not sick:
@@ -959,7 +983,7 @@ class ShardedEngine:
             if first_exc is not None:
                 raise first_exc
 
-        merged: set = set()
+        parts: List[Sequence[tuple]] = []
         raw_pairs = 0
         shard_walls: List[float] = []
         shard_pairs: Dict[int, int] = {}
@@ -984,7 +1008,7 @@ class ShardedEngine:
                 shard_strategies[k] = str(
                     restored.detail.get("strategy", "?")
                 )
-                merged.update(restored.pairs or ())
+                parts.append(restored.pairs or ())
                 if scatter is not None:
                     scatter.child(
                         "restore", shard=k, disk=True,
@@ -1005,7 +1029,7 @@ class ShardedEngine:
             shard_strategies[k] = str(
                 out.result.detail.get("strategy", "?")
             )
-            merged.update(out.result.pairs)
+            parts.append(out.result.pairs)
             if analyze and out.plan is not None:
                 shard_plans[k] = out.plan.explain()
             if scatter is not None and out.trace is not None:
@@ -1035,12 +1059,12 @@ class ShardedEngine:
                 setattr(scatter, f,
                         sum(getattr(c, f) for c in scatter.children))
         t_gather = time.perf_counter()
-        # Sorting makes collected gathers deterministic; count-only
-        # queries need just the deduplicated cardinality.
-        pairs = sorted(merged) if query.collect_pairs else None
+        pairs, n_pairs = gather_pairs(
+            parts, len(query.relations), self.kernel, query.collect_pairs
+        )
         result = JoinResult(
             algorithm="scatter-gather",
-            n_pairs=len(merged),
+            n_pairs=n_pairs,
             pairs=pairs,
             max_memory_bytes=mem_high,
             detail={
@@ -1048,7 +1072,7 @@ class ShardedEngine:
                 "shards": self.shards,
                 "shards_queried": list(participating),
                 "shards_pruned": list(pruned),
-                "cross_shard_duplicates": raw_pairs - len(merged),
+                "cross_shard_duplicates": raw_pairs - n_pairs,
                 "shard_pairs": shard_pairs,
                 "shard_strategies": shard_strategies,
                 "shard_replicas": shard_replicas,
@@ -1064,8 +1088,8 @@ class ShardedEngine:
             result.detail["shard_plans"] = shard_plans
         if trace is not None:
             gather = trace.child(
-                "gather", raw_pairs=raw_pairs, pairs=len(merged),
-                duplicates=raw_pairs - len(merged),
+                "gather", raw_pairs=raw_pairs, pairs=n_pairs,
+                duplicates=raw_pairs - n_pairs,
             )
             gather.wall_seconds = time.perf_counter() - t_gather
         wall = time.perf_counter() - t_start

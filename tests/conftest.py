@@ -5,6 +5,7 @@ sharded scatter/gather)."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -77,6 +78,22 @@ def ship_every_tile():
     """Every tile ships to the pool as a task of its own."""
     with dispatch(MIN_SHIP_RECTS=0):
         yield
+
+
+def force_strategies(engines, forces) -> None:
+    """Make each engine plan every query with its own forced strategy.
+
+    ``Query.force`` is one value for a whole scatter; wrapping the
+    shard engines' ``execute`` is how a test gets one shard answering
+    from an index plan (a list) beside one answering from the
+    partitioned path (columns).
+    """
+    for engine, force in zip(engines, forces):
+        def execute(query, *args, _run=engine.execute, _force=force,
+                    **kwargs):
+            return _run(dataclasses.replace(query, force=_force),
+                        *args, **kwargs)
+        engine.execute = execute
 
 
 def make_env(scale: ScaleConfig = TEST_SCALE) -> SimEnv:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pickle
+import random
+from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
+from repro.core import kernels
 from repro.core.columnar import (
     COLUMN_BYTES_PER_RECT,
     DECODE_CACHE_TILES,
     ColumnarTile,
+    PairColumns,
     SortedRunView,
 )
 from repro.core.pbsm import SpillablePartition, TileAllowance
@@ -120,6 +126,135 @@ class TestColumnarTile:
                 hot.decode_sorted_cached()  # refresh recency
         assert hot._sorted_cache is not None
         assert any(t._sorted_cache is None for t in cold)
+
+
+#: What a ``PairColumns`` must be indistinguishable from, case by case.
+PAIR_LISTS = {
+    "empty": [],
+    "one": [(7, 100_003)],
+    "arity3": [(3, 20, 100), (1, 20, 100), (3, 20, 99), (-4, 0, 2**40)],
+    "duplicates": [(5, 9), (2, 9), (5, 9), (5, 8), (2, 9), (5, 9)],
+}
+
+
+def _len_and_back(pairs):
+    """Runs in a pool worker: proves the columns arrived usable."""
+    return len(pairs), pairs
+
+
+@pytest.mark.skipif(not kernels.numpy_available(),
+                    reason="numpy not importable")
+class TestPairColumns:
+    """Protocol parity with the list of tuples it replaces."""
+
+    @staticmethod
+    def _columns(name):
+        ref = PAIR_LISTS[name]
+        return ref, PairColumns.from_pairs(ref, 3 if name == "arity3" else 2)
+
+    @pytest.mark.parametrize("name", sorted(PAIR_LISTS))
+    def test_reads_like_the_list(self, name):
+        ref, cols = self._columns(name)
+        assert len(cols) == len(ref)
+        assert bool(cols) == bool(ref)
+        assert list(cols) == ref
+        assert list(iter(cols)) == ref  # iterates afresh each time
+        assert all(type(t) is tuple and type(t[0]) is int for t in cols)
+        for i in range(-len(ref), len(ref)):
+            assert cols[i] == ref[i]
+        with pytest.raises(IndexError):
+            cols[len(ref)]
+        for sl in (slice(None), slice(1, None), slice(None, -1),
+                   slice(None, None, 2), slice(4, 1, -1)):
+            assert isinstance(cols[sl], PairColumns)
+            assert cols[sl] == ref[sl]
+        assert sorted(cols) == sorted(ref)
+        assert set(cols) == set(ref)
+        assert [t in cols for t in ref] == [True] * len(ref)
+        assert (10**9, 10**9) not in cols
+
+    @pytest.mark.parametrize("name", sorted(PAIR_LISTS))
+    def test_equality_both_ways(self, name):
+        ref, cols = self._columns(name)
+        assert cols == ref and ref == cols
+        assert not (cols != ref) and not (ref != cols)
+        assert cols == PairColumns.from_pairs(ref, cols.ids.shape[1])
+        longer = ref + [ref[0] if ref else (0, 0)]
+        assert cols != longer and longer != cols
+        if ref:
+            moved = ref[1:] + ref[:1]
+            assert (cols == moved) == (ref == moved)
+            assert cols != [tuple(x + 1 for x in t) for t in ref]
+        assert cols != "pairs" and cols != None  # noqa: E711
+
+    def test_empty_results_are_equal_whatever_their_arity(self):
+        assert PairColumns.empty(2) == PairColumns.empty(3) == []
+
+    @pytest.mark.parametrize("name", sorted(PAIR_LISTS))
+    def test_pickle_round_trip_through_a_process_pool(self, name):
+        ref, cols = self._columns(name)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            n, back = pool.submit(_len_and_back, cols).result(timeout=60)
+        assert n == len(ref)
+        assert isinstance(back, PairColumns) and back == ref
+        assert back.ids.shape == cols.ids.shape
+        assert not back.ids.flags.writeable
+        # One buffer, not a tuple per pair: the payload is the array.
+        big = PairColumns.from_pairs([(i, i + 1) for i in range(5000)])
+        assert len(pickle.dumps(big, pickle.HIGHEST_PROTOCOL)) < (
+            big.nbytes + 512
+        )
+
+    def test_immutable_and_unhashable(self):
+        cols = PairColumns.from_pairs(PAIR_LISTS["duplicates"])
+        with pytest.raises(ValueError, match="read-only"):
+            cols.ids[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            cols[1:].ids[0, 0] = 1
+        with pytest.raises(TypeError):
+            cols[0] = (1, 2)
+        with pytest.raises(AttributeError):
+            cols.append((1, 2))
+        with pytest.raises(TypeError):
+            hash(cols)
+
+    def test_tuples_are_never_kept(self):
+        cols = PairColumns.from_pairs(PAIR_LISTS["duplicates"])
+        assert cols[0] is not cols[0]
+        assert PairColumns.__slots__ == ("ids",)
+        assert not hasattr(cols, "__dict__")
+
+    def test_from_pairs_and_concat(self):
+        ref = PAIR_LISTS["duplicates"]
+        cols = PairColumns.from_pairs(ref)
+        assert PairColumns.from_pairs(cols) is cols
+        assert PairColumns.concat([]) == []
+        assert PairColumns.concat([[], cols, []]).ids is cols.ids
+        mixed = PairColumns.concat([ref[:2], cols[2:4], [], ref[4:]])
+        assert mixed == ref
+        assert PairColumns.concat(
+            [PAIR_LISTS["arity3"][:1], PAIR_LISTS["arity3"][1:]], 3
+        ) == PAIR_LISTS["arity3"]
+
+    @pytest.mark.parametrize("name", sorted(PAIR_LISTS))
+    def test_sorted_unique_is_sorted_set(self, name):
+        ref, cols = self._columns(name)
+        assert cols.sorted_unique() == sorted(set(ref))
+
+    def test_sorted_unique_on_ids_too_spread_for_a_key(self):
+        # Both paths, against the same oracle: ids spanning the whole
+        # int64 range cannot be fused into one key and take the
+        # lexsort; negatives and repeats ride along.
+        rng = random.Random(5)
+        near = [(rng.randrange(-50, 50), rng.randrange(10**6, 10**6 + 40))
+                for _ in range(3000)]
+        far = near + [(-2**63, 2**63 - 1), (2**63 - 1, -2**63),
+                      (2**63 - 1, -2**63), (0, 0)]
+        wide3 = [(rng.randrange(-2**40, 2**40), rng.randrange(2**40),
+                  rng.randrange(-3, 3)) for _ in range(500)] * 2
+        for ref, arity in ((near, 2), (far, 2), (wide3, 3)):
+            got = PairColumns.from_pairs(ref, arity).sorted_unique()
+            assert got == sorted(set(ref))
 
 
 class TestSortedRunView:

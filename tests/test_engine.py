@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.brute import brute_force_pairs
-from repro.core.columnar import ColumnarTile
+from repro.core.columnar import ColumnarTile, PairColumns
 from repro.data.generator import uniform_rects
 from repro.engine import (
     AdmissionError,
@@ -394,6 +394,38 @@ class TestMemoryGovernance:
         assert engine.cache.bytes_used <= 4096
         assert engine.execute(small).from_cache
         assert not engine.execute(big).from_cache
+
+    @pytest.mark.parametrize("kernel", ("python", "numpy"))
+    def test_pair_count_bound_ignores_the_representation(
+            self, kernel, monkeypatch):
+        # MAX_CACHED_PAIRS counts pairs: a list (python kernel) and
+        # columns (numpy) stop being cached at the same result size.
+        from repro.engine import engine as engine_mod
+
+        engine = SpatialQueryEngine(
+            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
+            pool_kind="serial", kernel=kernel,
+        )
+        engine.register("a", uniform_rects(300, UNIT, 0.02, seed=1),
+                        universe=UNIT)
+        engine.register("b", uniform_rects(120, UNIT, 0.03, seed=2,
+                                           id_base=100_000),
+                        universe=UNIT)
+        q = Query(relations=("a", "b"), force="pbsm-grid")
+        monkeypatch.setattr(engine_mod, "MAX_CACHED_PAIRS", 0)
+        n = engine.execute(q).result.n_pairs
+        assert n > 1 and len(engine.cache) == 0
+        monkeypatch.setattr(engine_mod, "MAX_CACHED_PAIRS", n - 1)
+        assert not engine.execute(q).from_cache
+        assert len(engine.cache) == 0
+        monkeypatch.setattr(engine_mod, "MAX_CACHED_PAIRS", n)
+        assert not engine.execute(q).from_cache
+        hit = engine.execute(q)
+        assert hit.from_cache and len(hit.result.pairs) == n
+        assert type(hit.result.pairs) is (
+            list if kernel == "python" else PairColumns
+        )
+        engine.close()
 
 
 class TestSelfJoin:
@@ -949,6 +981,40 @@ class TestArtifactPersistence:
                 for p, x, y in value] == [
             (0, rects_a, rects_b), (3, rects_b, None),
         ]
+
+    def test_late_damage_report_spares_the_healed_artifact(
+            self, tmp_path, monkeypatch):
+        # The prewarm thread and a query read the same damaged file;
+        # the query drops it, runs cold and re-saves under the token
+        # before the prewarm thread gets to report.  The late report
+        # must not take the fresh artifact down with it.
+        import zlib
+
+        from repro.engine.artifacts import ArtifactStore
+        from repro.engine.cache import PARTITION_KIND
+        from repro.engine.faults import corrupt_file
+
+        tasks = [(0, ColumnarTile.from_rects(
+            uniform_rects(50, UNIT, 0.03, seed=5)), None)]
+        store = ArtifactStore(str(tmp_path))
+        assert store.save("tok", PARTITION_KIND, tasks, ["a"])
+        corrupt_file(str(tmp_path / "tok.art"))
+        real_crc32 = zlib.crc32
+        healed = []
+
+        def crc32_while_the_other_reader_heals(body):
+            out = real_crc32(body)
+            if not healed:
+                healed.append(True)
+                assert store.load("tok") is None
+                assert store.save("tok", PARTITION_KIND, tasks, ["a"])
+            return out
+
+        monkeypatch.setattr(zlib, "crc32", crc32_while_the_other_reader_heals)
+        assert store.load("tok") is None  # the late reader's own miss
+        monkeypatch.undo()
+        assert store.corrupt_drops == 1
+        assert store.load("tok") is not None
 
 
 class TestTileBatching:

@@ -14,10 +14,14 @@ restart-rewarm story (per-shard ``disk_restores`` > 0 on every shard).
 from __future__ import annotations
 
 import json
+import os
 import random
+import zlib
 
 import pytest
 
+from repro.core import kernels
+from repro.core.columnar import PairColumns
 from repro.core.join_result import JoinResult
 from repro.engine import (
     FaultPlan,
@@ -581,6 +585,51 @@ class TestResultStore:
         assert store.load("tok") is None
         assert store.corrupt_drops == 1
 
+    @pytest.mark.skipif(not kernels.numpy_available(),
+                        reason="numpy not importable")
+    def test_columnar_pairs_write_the_list_file(self, tmp_path):
+        # Same bytes on disk whichever representation was saved, so
+        # version, CRC and every older file stay valid.
+        triples = [(3, 20, 100), (1, 20, 99), (-4, 0, 2**40)]
+        for name, pairs, arity in (
+            ("pairs", [(1, 5), (2, 7)], 2), ("triples", triples, 3),
+            ("none", [], 2),
+        ):
+            stores = {}
+            for kind, value in (
+                ("list", list(pairs)),
+                ("columns", PairColumns.from_pairs(pairs, arity)),
+            ):
+                store = ResultStore(str(tmp_path / name / kind))
+                result = self._result()
+                result.pairs, result.n_pairs = value, len(pairs)
+                assert store.save("tok", result) is True
+                stores[kind] = store
+            files = {
+                kind: open(store._path("tok"), "rb").read()
+                for kind, store in stores.items()
+            }
+            assert files["columns"] == files["list"]
+            out = stores["columns"].load("tok")
+            assert type(out.pairs) is list and out.pairs == pairs
+
+    def test_file_written_before_columnar_pairs_still_loads(
+            self, tmp_path):
+        # A result file exactly as the list-only ``save`` wrote it.
+        payload = json.dumps({
+            "algorithm": "PBSM-grid", "n_pairs": 2,
+            "pairs": [[1, 5], [2, 7]], "detail": {"strategy": "x"},
+        }, sort_keys=True)
+        store = ResultStore(str(tmp_path))
+        with open(store._path("old"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({
+                "version": 1,
+                "crc32": zlib.crc32(payload.encode("utf-8")),
+                "result": payload,
+            }))
+        out = store.load("old")
+        assert out.pairs == [(1, 5), (2, 7)] and out.n_pairs == 2
+
     def test_unserializable_detail_never_fails(self, tmp_path):
         store = ResultStore(str(tmp_path))
         bad = JoinResult(
@@ -647,6 +696,50 @@ class TestShardedDurability:
         assert snap["result_disk_restores"] == 2
         for shard in snap["per_shard"]:
             assert shard["disk_restores"] > 0
+        second.close()
+
+    @pytest.mark.skipif(not kernels.numpy_available(),
+                        reason="numpy not importable")
+    def test_restored_list_merges_with_live_columns(self, tmp_path):
+        # After a restart one shard's sub-result comes back from disk
+        # (a list) while the other executes (columns): one gather.
+        import glob
+        a, b = _data(seed=17, n_a=260, n_b=200)
+        # Straddle the cut so the two representations share pairs.
+        a += [Rect(0.0, 1.0, 0.1 * i, 0.1 * i + 0.01, 5000 + i)
+              for i in range(8)]
+        q = Query(relations=("a", "b"), force="pbsm-grid")
+        ref = sorted(brute_reference(a, b))
+
+        def engine():
+            engine = ShardedEngine(
+                shards=2, scale=TEST_SCALE, machine=MACHINE_3,
+                workers=2, pool_kind="serial", cache_capacity=0,
+                artifact_dir=str(tmp_path), kernel="numpy",
+            )
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            return engine
+
+        first = engine()
+        cold = first.execute(q).result
+        assert isinstance(cold.pairs, PairColumns)
+        assert list(cold.pairs) == ref
+        assert cold.detail["cross_shard_duplicates"] > 0
+        assert first.metrics_snapshot()["result_store"]["saves"] == 2
+        first.close()
+        for victim in glob.glob(
+            str(tmp_path / "shard-01" / "results" / "*.res.json")
+        ):
+            os.remove(victim)
+
+        second = engine()
+        warm = second.execute(q).result
+        assert warm.detail["shard_disk_restores"] == [0]
+        assert isinstance(warm.pairs, PairColumns)
+        assert list(warm.pairs) == ref
+        for key in ("cross_shard_duplicates", "shard_pairs"):
+            assert warm.detail[key] == cold.detail[key]
         second.close()
 
     def test_restored_results_identical_across_replicas(self, tmp_path):

@@ -19,7 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.columnar import COLUMN_BYTES_PER_RECT, ColumnarTile
+from repro.core.columnar import (
+    COLUMN_BYTES_PER_RECT,
+    ColumnarTile,
+    PairColumns,
+)
 from repro.core.join_result import JoinResult
 from repro.core.pbsm import SpillablePartition, TileAllowance, TileGrid
 from repro.core.sweep import forward_sweep_pairs_batched
@@ -32,7 +36,11 @@ from repro.engine import (
 )
 from repro.engine import executor as executor_mod
 from repro.engine.catalog import Catalog
-from repro.engine.executor import _OpCounter, sweep_tile_task
+from repro.engine.executor import (
+    _OpCounter,
+    sweep_tile_batch_task,
+    sweep_tile_task,
+)
 from repro.geom.rect import RECT_BYTES, Rect, intersection
 from repro.storage.disk import Disk
 from repro.storage.pages import PageStore
@@ -762,3 +770,155 @@ class TestDistributeParity:
             assert (warm.attrs["kernel"], warm.attrs["copies"]) == (None, 0)
         grid_copies = attrs["python"]
         assert grid_copies == attrs["numpy"] > len(a) + len(b)
+
+
+# -- columnar pairs: the kernel's output format ------------------------------
+
+
+@needs_numpy
+class TestPairColumnsParity:
+    """``sweep_tile`` columns vs the python body's tuples, in order."""
+
+    P = 4
+
+    def _payloads(self, kind, window):
+        """One task payload per non-empty partition of a real grid."""
+        rng = random.Random(f"pairs-{kind}-{window}")
+        a = GENERATORS[kind](rng, 600)
+        b = (GENERATORS["skewed"](rng, 500, 10_000)
+             if kind == "degenerate" else None)
+        win = WINDOWS[window]
+        grid = TileGrid(UNIT, 32, self.P)
+        spec = (UNIT.xlo, UNIT.xhi, UNIT.ylo, UNIT.yhi, grid.t, self.P)
+
+        def tiles(rects):
+            out = [ColumnarTile() for _ in range(self.P)]
+            for r in rects:
+                for t in grid.partitions_of(r):
+                    out[t].append(r)
+            return out
+
+        tiles_a = tiles(a)
+        tiles_b = tiles(b) if b is not None else [None] * self.P
+        return [
+            (i, spec, tiles_a[i], tiles_b[i], b is None, True, win)
+            for i in range(self.P)
+            if len(tiles_a[i]) and (b is None or len(tiles_b[i]))
+        ]
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("kind", ("uniform", "clustered",
+                                      "degenerate"))
+    def test_solo_tiles(self, kind, window, monkeypatch):
+        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
+        payloads = self._payloads(kind, window)
+        assert payloads
+        total = 0
+        for payload in payloads:
+            ref = sweep_tile_task(payload + ("python",))
+            got = sweep_tile_task(payload + ("numpy",))
+            assert type(ref[1]) is list
+            assert isinstance(got[1], PairColumns)
+            assert got[1].ids.shape == (ref[0], 2)
+            assert list(got[1]) == ref[1], "same pairs, same order"
+            assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
+            total += ref[0]
+        assert total, "vacuous: no tile owned a pair"
+
+    @pytest.mark.parametrize("kind", ("uniform", "clustered",
+                                      "degenerate"))
+    def test_batch_of_mixed_python_and_numpy_tiles(self, kind,
+                                                   monkeypatch):
+        payloads = self._payloads(kind, "full")
+        sizes = sorted(
+            len(p[2]) + len(p[2] if p[3] is None else p[3])
+            for p in payloads
+        )
+        # A cutoff between the tile sizes: the small tiles take the
+        # python body (lists), the big ones the kernel (columns).
+        cutoff = sizes[len(sizes) // 2]
+        assert sizes[0] < cutoff <= sizes[-1]
+        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", cutoff)
+        solo = [sweep_tile_task(p + ("numpy",)) for p in payloads]
+        assert {type(out[1]) for out in solo} == {list, PairColumns}
+        ref = sweep_tile_batch_task(
+            tuple(p + ("python",) for p in payloads)
+        )
+        got = sweep_tile_batch_task(
+            tuple(p + ("numpy",) for p in payloads)
+        )
+        assert type(ref[1]) is list and isinstance(got[1], PairColumns)
+        assert list(got[1]) == ref[1] == [
+            pair for out in solo for pair in out[1]
+        ]
+        assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
+        assert got[0] == len(got[1]) > 0
+
+    def test_batch_outcome_shapes(self):
+        tile = ColumnarTile.from_rects(_uniform(random.Random(1), 30))
+        spec = (0.0, 1.0, 0.0, 1.0, 1, 1)
+        for kernel, kind in (("python", list), ("numpy", PairColumns)):
+            counted = sweep_tile_batch_task((
+                (0, spec, tile, None, True, False, None, kernel),
+            ))
+            assert counted[1] is None and counted[0] > 0
+            collected = sweep_tile_batch_task((
+                (0, spec, tile, None, True, True, None, kernel),
+            ))
+            assert type(collected[1]) is kind
+            assert len(collected[1]) == collected[0] == counted[0]
+        assert sweep_tile_batch_task(()) == (0, None, 0, 0)
+
+    def test_worker_without_numpy_returns_a_list(self, monkeypatch):
+        # The coordinator resolved numpy, the worker cannot import it:
+        # the task takes the python body and the batch stays a list,
+        # which the coordinator converts on the way in.
+        monkeypatch.setattr(executor_mod, "_np_sweep", lambda: None)
+        tile = ColumnarTile.from_rects(_uniform(random.Random(2), 700))
+        payload = (0, (0.0, 1.0, 0.0, 1.0, 1, 1), tile, None, True, True,
+                   None, "numpy")
+        out = sweep_tile_batch_task((payload, payload))
+        assert type(out[1]) is list and len(out[1]) == out[0] > 0
+        assert executor_mod._merge_pairs([out[1]], "numpy") == out[1]
+
+    @pytest.mark.parametrize("pool_kind",
+                             ("serial", "thread", "process"))
+    def test_engine_returns_columns_in_the_python_order(self, pool_kind):
+        rng = random.Random(31)
+        a = GENERATORS["clustered"](rng, 900)
+        b = GENERATORS["skewed"](rng, 700, 10_000)
+        window = WINDOWS["interior"]
+        got = {}
+        for kernel in ("python", "numpy"):
+            engine = SpatialQueryEngine(
+                scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
+                cache_capacity=4, kernel=kernel,
+            )
+            try:
+                engine.register("a", a, universe=UNIT)
+                engine.register("b", b, universe=UNIT)
+                # Small tiles batch, the trailing ones sweep inline.
+                with dispatch(MIN_SHIP_RECTS=600,
+                              TILE_BATCH_BYTES=400 * RECT_BYTES):
+                    outs = [
+                        engine.execute(Query(
+                            relations=("a", "b"), window=w,
+                            force="pbsm-grid",
+                        ))
+                        for w in (None, window, None)
+                    ]
+                got[kernel] = [o.result.pairs for o in outs]
+                assert outs[2].from_cache
+                # A hit shares immutable columns and copies a list.
+                assert (outs[2].result.pairs is outs[0].result.pairs) == (
+                    kernel == "numpy"
+                )
+                if pool_kind != "serial":
+                    assert outs[0].result.detail["tile_batches"] > 0
+            finally:
+                engine.close()
+        assert all(type(p) is list for p in got["python"])
+        assert all(isinstance(p, PairColumns) for p in got["numpy"])
+        assert [list(p) for p in got["numpy"]] == got["python"]
+        assert set(got["python"][0]) == brute_reference(a, b)
+        assert set(got["python"][1]) == brute_reference(a, b, window)

@@ -218,3 +218,51 @@ class TestSizeAwareCache:
         small = approx_result_bytes(FakeResult(10))
         large = approx_result_bytes(FakeResult(1000))
         assert large > 50 * small
+
+    def test_columnar_pairs_are_charged_their_array(self):
+        from repro.core.columnar import PairColumns
+        from repro.core.join_result import JoinResult
+        from repro.engine.cache import _ENTRY_BYTES
+
+        def result(pairs):
+            return JoinResult(algorithm="x", n_pairs=len(pairs or ()),
+                              pairs=pairs)
+
+        tuples = [(i, i + 1) for i in range(1000)]
+        triples = [(i, i + 1, i + 2) for i in range(1000)]
+        # Side by side: a list is estimated per boxed tuple, columns
+        # cost exactly the array they are.
+        assert approx_result_bytes(result(tuples)) == (
+            _ENTRY_BYTES + 1000 * (56 + 2 * 36)
+        )
+        cols = PairColumns.from_pairs(tuples)
+        assert approx_result_bytes(result(cols)) == (
+            _ENTRY_BYTES + cols.ids.nbytes
+        ) == _ENTRY_BYTES + 1000 * 16
+        assert approx_result_bytes(
+            result(PairColumns.from_pairs(triples, 3))
+        ) == _ENTRY_BYTES + 1000 * 24
+        for empty in ([], PairColumns.empty(), None):
+            assert approx_result_bytes(result(empty)) == _ENTRY_BYTES
+        # Reading the columns leaves nothing behind to charge for.
+        assert sum(1 for _ in cols) == 1000 and cols[3] == (3, 4)
+        assert approx_result_bytes(result(cols)) == _ENTRY_BYTES + 16_000
+
+    def test_byte_budget_rejects_each_representation_at_its_size(self):
+        from repro.core.columnar import PairColumns
+        from repro.core.join_result import JoinResult
+
+        budget = 512 + 16 * 200  # room for exactly 200 columnar pairs
+        for n, fits in ((200, True), (201, False)):
+            cache = ResultCache(capacity=8, max_bytes=budget)
+            cols = PairColumns.from_pairs([(i, -i) for i in range(n)])
+            cache.put("k", JoinResult("x", n, pairs=cols))
+            assert (len(cache) == 1) == fits
+            assert cache.oversized_rejections == (0 if fits else 1)
+            assert cache.bytes_used == (budget if fits else 0)
+        # The same budget holds 25 boxed pairs and refuses 26.
+        for n, fits in ((25, True), (26, False)):
+            cache = ResultCache(capacity=8, max_bytes=budget)
+            cache.put("k", JoinResult(
+                "x", n, pairs=[(i, -i) for i in range(n)]))
+            assert (len(cache) == 1) == fits

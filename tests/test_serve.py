@@ -202,6 +202,20 @@ class TestWeightedReplicaSelection:
         assert engine.weighted_reroutes == reroutes
         engine.close()
 
+    def test_slow_replica_already_last_is_not_a_reroute(self):
+        engine = _registered(shards=2, replicas=3)
+        # Two equally fast replicas, and a slow one the rotation
+        # starting at replica 0 already puts last.
+        engine._latency_ewma[0] = [0.010, 0.010, 0.5]
+        assert engine._replica_order(0) == [0, 1, 2]
+        assert engine.weighted_reroutes == 0, (
+            "weighting changed nothing: not a reroute"
+        )
+        # The next rotation would try the slow replica second.
+        assert engine._replica_order(0) == [1, 0, 2]
+        assert engine.weighted_reroutes == 1
+        engine.close()
+
     def test_ewma_recorded_on_success(self):
         engine = _registered(shards=2, replicas=2)
         for q in (Query(relations=("a", "b")),
@@ -815,6 +829,73 @@ class TestHttpEndpoint:
         assert validate_prometheus(text, prefix="repro_engine") == []
         assert "repro_engine_serve_submitted 1" in text
         assert "repro_engine_serve_aged_promotions" in text
+        engine.close()
+
+    def test_numpy_engine_answers_without_boxing_a_pair(self,
+                                                        monkeypatch):
+        # From the sweep kernel to the reply, a partitioned plan's
+        # pairs stay int64 columns: turning them into tuples anywhere
+        # on the way (merge, window filter, shard gather, cache fill,
+        # cache hit, the reply's count) is the regression this pins.
+        from repro.core.columnar import PairColumns
+        from repro.engine import executor as executor_mod
+        from tests.conftest import (
+            brute_reference,
+            dispatch,
+            force_strategies,
+        )
+
+        rng = random.Random(19)
+        a = _uniform(rng, 700)
+        b = _uniform(rng, 500, 10_000)
+        window = Rect(0.2, 0.7, 0.1, 0.6, 0)
+        engine = _make_sharded(2, pool_kind="thread", kernel="numpy",
+                               cache_capacity=8)
+        engine.register("a", a, universe=UNIT)
+        engine.register("b", b, universe=UNIT)
+        shards = engine.all_engines
+        force_strategies(shards, ["pbsm-grid"] * len(shards))
+        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
+
+        def boxed(*_args, **_kwargs):
+            raise AssertionError("a result pair was boxed into a tuple")
+
+        monkeypatch.setattr(PairColumns, "__iter__", boxed)
+        monkeypatch.setattr(PairColumns, "__getitem__", boxed)
+
+        async def scenario(fe):
+            server = await serve_http(fe, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            replies = []
+            for body in ({"relations": ["a", "b"]},
+                         {"relations": ["a", "b"],
+                          "window": list(window[:4])},
+                         {"relations": ["a", "b"]}):
+                replies.append(await _http(
+                    port, "POST", "/query", json.dumps(body).encode(),
+                ))
+            server.close()
+            await server.wait_closed()
+            return replies
+
+        with dispatch(MIN_SHIP_RECTS=0), _frontend(engine) as fe:
+            replies = asyncio.run(scenario(fe))
+        assert [status for status, _ in replies] == [200, 200, 200]
+        counts = [json.loads(body)["pairs"] for _, body in replies]
+        assert counts == [len(brute_reference(a, b)),
+                          len(brute_reference(a, b, window)),
+                          len(brute_reference(a, b))]
+        assert counts[1] > 0
+        snap = engine.metrics_snapshot()
+        assert snap["cache_hits"] == 1
+        cached = list(engine.cache._entries.values())
+        assert len(cached) == 2 and all(
+            isinstance(r.pairs, PairColumns) and len(r.pairs) == r.n_pairs
+            for r in cached
+        )
+        assert set(snap["per_strategy"]) == {"pbsm-grid"}, snap[
+            "per_strategy"
+        ]
         engine.close()
 
     def test_hostile_content_length_gets_a_response(self):

@@ -20,6 +20,8 @@ import threading
 
 import pytest
 
+from repro.core import kernels
+from repro.core.columnar import PairColumns
 from repro.engine import (
     AdmissionError,
     Query,
@@ -29,7 +31,7 @@ from repro.engine import (
     make_workload,
     run_workload,
 )
-from repro.engine.shard import balanced_cuts
+from repro.engine.shard import balanced_cuts, gather_pairs
 from repro.geom.rect import Rect, intersection
 from repro.sim.machines import MACHINE_3
 
@@ -42,6 +44,7 @@ from tests.conftest import (
     _uniform,
     brute_reference,
     dispatch,
+    force_strategies,
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
@@ -177,15 +180,7 @@ class TestDifferential:
         a = _uniform(rng, 90)
         b = _uniform(rng, 70, 10_000)
         c = _uniform(rng, 60, 20_000)
-        ref = set()
-        for ra in a:
-            for rb in b:
-                i1 = intersection(ra, rb)
-                if i1 is None:
-                    continue
-                for rc in c:
-                    if intersection(i1, rc) is not None:
-                        ref.add((ra.rid, rb.rid, rc.rid))
+        ref = _multiway_reference(a, b, c)
         query = Query(relations=("a", "b", "c"))
         single = _make_single()
         for name, rects in (("a", a), ("b", b), ("c", c)):
@@ -240,6 +235,137 @@ class TestDifferential:
             sharded.register("b", b, universe=UNIT, geometries=geom_b)
             assert sorted(sharded.execute(query).result.pairs) == ref
             sharded.close()
+
+
+def _multiway_reference(a, b, c):
+    ref = set()
+    for ra in a:
+        for rb in b:
+            i1 = intersection(ra, rb)
+            if i1 is None:
+                continue
+            for rc in c:
+                if intersection(i1, rc) is not None:
+                    ref.add((ra.rid, rb.rid, rc.rid))
+    return ref
+
+
+@pytest.mark.skipif(not kernels.numpy_available(),
+                    reason="numpy not importable")
+class TestGatherParity:
+    """The numpy gather against brute force and the set-union gather.
+
+    Collected results are compared as sequences, not sets: the gather
+    promises ascending, duplicate-free order, whichever path built it.
+    """
+
+    WINDOW = Rect(0.2, 0.55, 0.15, 0.6, 0)
+
+    @staticmethod
+    def _data():
+        rng = random.Random(77)
+        return {
+            # Full-width slivers straddle every cut: cross-shard
+            # duplicates are guaranteed from two shards up.
+            "a": _degenerate(rng, 220),
+            "b": _degenerate(rng, 160, 10_000),
+            "c": _uniform(rng, 70, 20_000),
+            # Lives where nothing of "far" reaches: an empty result.
+            "near": [Rect(0.1, 0.2, 0.1, 0.2, 30_000)],
+            "far": [Rect(0.8, 0.9, 0.8, 0.9, 40_000)],
+        }
+
+    def _cases(self, data):
+        a, b, c = data["a"], data["b"], data["c"]
+        return [
+            (Query(relations=("a", "b")), brute_reference(a, b)),
+            (Query(relations=("a", "a")), brute_reference(a)),
+            (Query(relations=("a", "b"), window=self.WINDOW),
+             brute_reference(a, b, self.WINDOW)),
+            (Query(relations=("a", "b"), collect_pairs=False),
+             brute_reference(a, b)),
+            (Query(relations=("a", "b", "c")),
+             _multiway_reference(a, b, c)),
+            (Query(relations=("near", "far")), set()),
+        ]
+
+    def _serve(self, shards, pool_kind, kernel):
+        data = self._data()
+        engine = _make_sharded(shards, pool_kind=pool_kind, kernel=kernel)
+        try:
+            for name, rects in data.items():
+                engine.register(name, rects, universe=UNIT)
+            return [(query, ref, engine.execute(query).result)
+                    for query, ref in self._cases(data)]
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("pool_kind",
+                             ("serial", "thread", "process"))
+    @pytest.mark.parametrize("shards", (1, 2, 4))
+    def test_every_query_shape(self, shards, pool_kind):
+        served = self._serve(shards, pool_kind, "numpy")
+        for query, ref, result in served:
+            what = f"{query.describe()} on {shards} {pool_kind} shards"
+            assert result.n_pairs == len(ref), what
+            if not query.collect_pairs:
+                assert result.pairs is None
+                continue
+            assert isinstance(result.pairs, PairColumns), what
+            assert result.pairs.ids.shape == (
+                len(ref), len(query.relations)
+            ), what
+            assert list(result.pairs) == sorted(ref), what
+        dups = served[0][2].detail["cross_shard_duplicates"]
+        assert (dups > 0) == (shards > 1), "straddlers must be deduped"
+        # The forced-python leg: plain lists, the same answers and the
+        # same duplicate accounting.
+        for (query, ref, result), (_, _, want) in zip(
+            served, self._serve(shards, pool_kind, "python")
+        ):
+            assert want.n_pairs == result.n_pairs
+            for key in ("cross_shard_duplicates", "shard_pairs",
+                        "shards_queried", "shards_pruned"):
+                assert want.detail[key] == result.detail[key], key
+            if query.collect_pairs:
+                assert type(want.pairs) is list
+                assert want.pairs == sorted(ref) == list(result.pairs)
+
+    def test_shards_answering_with_different_strategies(self):
+        data = self._data()
+        ref = sorted(brute_reference(data["a"], data["b"]))
+        for forced in (("pq-index", "pbsm-grid"), ("pbsm-grid", "sssj")):
+            engine = _make_sharded(2)
+            try:
+                engine.register("a", data["a"], universe=UNIT)
+                engine.register("b", data["b"], universe=UNIT)
+                force_strategies(engine.engines, forced)
+                result = engine.execute(Query(relations=("a", "b"))).result
+                assert [
+                    result.detail["shard_strategies"][k] for k in (0, 1)
+                ] == list(forced)
+                assert list(result.pairs) == ref
+                assert result.detail["cross_shard_duplicates"] > 0
+            finally:
+                engine.close()
+
+    @pytest.mark.parametrize("collect", (True, False))
+    def test_gather_pairs_mixes_lists_and_columns(self, collect):
+        rng = random.Random(3)
+        triples = [(rng.randrange(40), rng.randrange(-9, 9),
+                    rng.randrange(10**6, 10**6 + 5)) for _ in range(900)]
+        parts = [triples[:300], PairColumns.from_pairs(triples[250:600], 3),
+                 [], PairColumns.empty(3), triples[500:]]
+        want = sorted(set(triples))
+        for kernel in ("python", "numpy"):
+            pairs, n = gather_pairs(parts, 3, kernel, collect)
+            assert n == len(want)
+            if collect:
+                assert pairs == want
+            else:
+                assert pairs is None
+        assert gather_pairs([], 2, "numpy", True) == ([], 0)
+        assert gather_pairs([], 2, "python", True) == ([], 0)
 
 
 # -- randomized property tests (the test-archetype headline) -----------------
@@ -549,9 +675,14 @@ class TestShardedServing:
                    for e in sharded.engines) == executed, (
             "a top-level hit must not touch any shard"
         )
-        # The cached copy is private: mutating it cannot poison later
-        # hits.
-        second.result.pairs.clear()
+        # A hit cannot poison later hits: a list is a private copy,
+        # columns are shared with the cache but refuse writes.
+        pairs = second.result.pairs
+        if isinstance(pairs, list):
+            pairs.clear()
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                pairs.ids[:] = -1
         assert sharded.execute(q).result.pair_set() == (
             first.result.pair_set()
         )

@@ -13,7 +13,6 @@ runs); the default is the 1/256 scale all recorded results use.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from typing import Dict, Tuple
@@ -70,15 +69,3 @@ def emit(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
 
-
-def emit_json(filename: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable bench result at the repo root.
-
-    CI diffs these files mechanically (see
-    ``benchmarks/check_engine_regression.py``), so keys are sorted and
-    the layout is stable.
-    """
-    path = RESULTS_DIR.parent.parent / filename
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[bench] wrote {path}")
-    return path

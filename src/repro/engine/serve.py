@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -648,6 +649,17 @@ def _http_response(code: int, body: bytes,
     return head.encode("ascii") + body
 
 
+def _finite_number(value: object) -> bool:
+    """A JSON number usable as a coordinate or a duration: not the
+    NaN, Infinity, boolean or too-big-for-a-float ``json.loads`` allows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def parse_query_body(body: bytes) -> Dict[str, object]:
     """Decode one POST /query body into ``submit`` keyword arguments.
 
@@ -678,8 +690,12 @@ def parse_query_body(body: bytes) -> Dict[str, object]:
     if data.get("window") is not None:
         w = data["window"]
         if (not isinstance(w, list) or len(w) != 4
-                or not all(isinstance(v, (int, float)) for v in w)):
-            raise ValueError("window must be [xlo, xhi, ylo, yhi]")
+                or not all(_finite_number(v) for v in w)
+                or w[0] > w[1] or w[2] > w[3]):
+            raise ValueError(
+                "window must be [xlo, xhi, ylo, yhi]: finite numbers "
+                "with xlo <= xhi and ylo <= yhi"
+            )
         window = Rect(float(w[0]), float(w[1]),
                       float(w[2]), float(w[3]), 0)
     query_class = data.get("class", "interactive")
@@ -690,7 +706,7 @@ def parse_query_body(body: bytes) -> Dict[str, object]:
     deadline_seconds = None
     if data.get("deadline_ms") is not None:
         ms = data["deadline_ms"]
-        if not isinstance(ms, (int, float)) or ms <= 0:
+        if not _finite_number(ms) or ms <= 0:
             raise ValueError("deadline_ms must be a positive number")
         deadline_seconds = float(ms) / 1e3
     query = Query(
@@ -732,7 +748,9 @@ async def _read_request(reader) -> Optional[Dict[str, object]]:
     consumed the declared body from the stream on every path —
     including 413s up to :data:`MAX_DRAIN_BYTES` and bodies attached
     to GETs — so the next request on a persistent connection starts at
-    a request line, never mid-body.
+    a request line, never mid-body.  A head that does not say where
+    its body ends (``Content-Length`` not one non-negative integer, any
+    ``Transfer-Encoding``) sets ``bad_framing`` and clears ``keep_alive``.
     """
     line = await reader.readline()
     if not line:
@@ -743,7 +761,8 @@ async def _read_request(reader) -> Optional[Dict[str, object]]:
     method, path = parts[0].upper(), parts[1]
     version = parts[2].upper() if len(parts) > 2 else "HTTP/1.0"
     keep_alive = version == "HTTP/1.1"
-    length = 0
+    length: Optional[int] = None
+    bad_framing = False
     while True:
         header = await reader.readline()
         if header in (b"\r\n", b"\n", b""):
@@ -751,17 +770,24 @@ async def _read_request(reader) -> Optional[Dict[str, object]]:
         name, _, value = header.decode("latin-1").partition(":")
         name = name.strip().lower()
         if name == "content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
-                length = 0
+            digits = value.strip()
+            if (digits.isascii() and digits.isdigit()
+                    and length in (None, int(digits))):
+                length = int(digits)
+            else:
+                bad_framing = True
+        elif name == "transfer-encoding":
+            bad_framing = True
         elif name == "connection":
             tokens = {t.strip().lower() for t in value.split(",")}
             if "close" in tokens:
                 keep_alive = False
             elif "keep-alive" in tokens:
                 keep_alive = True
-    length = max(0, length)
+    if bad_framing:
+        return {"method": method, "path": path, "body": b"",
+                "bad_framing": True, "keep_alive": False}
+    length = length or 0
     if length > MAX_BODY_BYTES:
         # Refuse to buffer, but drain what's reasonable so the
         # connection stays usable; past the drain cap, force close.
@@ -807,6 +833,10 @@ async def serve_http(frontend: ServingFrontend,
 
     async def respond(req) -> Tuple[bytes, bool]:
         keep = bool(req.get("keep_alive"))
+        if req.get("bad_framing"):
+            return _http_response(
+                400, b'{"error": "bad Content-Length or '
+                b'Transfer-Encoding"}\n'), False
         if req.get("too_large"):
             return _http_response(
                 413, b'{"error": "request body too large"}\n',

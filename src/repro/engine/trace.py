@@ -2,10 +2,11 @@
 
 The serving metrics (:mod:`repro.engine.metrics`) answer *how much* —
 cumulative pages, ops and seconds over an engine's lifetime.  They
-cannot answer *where one query spent its time*: when ``skewed_batched``
-serves 51 wall q/s against 361 sim q/s, nothing in a flat counter bag
-says whether the gap is the scan, the distribute, the pickle boundary
-or the sweeps.  A :class:`Span` tree answers that question per query:
+cannot answer *where one query spent its time*: when a skewed grid
+serves a seventh of its simulated q/s on the wall clock, nothing in a
+flat counter bag says whether the gap is the scan, the distribute, the
+pickle boundary or the sweeps.  A :class:`Span` tree answers that
+question per query:
 
     query
     ├── lookup                (result-cache probe)

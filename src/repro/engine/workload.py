@@ -7,8 +7,8 @@ such a mix deterministically from a seed; :func:`run_workload` replays
 it against a :class:`~repro.engine.engine.SpatialQueryEngine` — or a
 :class:`~repro.engine.shard.ShardedEngine`, whose aggregate facades
 expose the same serving surface — and returns the serving report that
-both the ``serve-bench`` CLI subcommand and
-``benchmarks/bench_engine_throughput.py`` print.
+the ``serve-bench`` CLI subcommand prints.  (Speed claims come from
+``benchmarks/e2e/``, which drives a server process over a socket.)
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def run_concurrent_workload(
     """Serve ``queries`` through a concurrent front-end and report.
 
     The concurrent sibling of :func:`run_workload`: the same report
-    keys (so the bench JSON rows stay comparable), measured through a
+    keys (so the two reports stay comparable), measured through a
     :class:`~repro.engine.serve.ServingFrontend` driven by ``clients``
     concurrent callers.  **Closed loop** (the default): each client
     pulls the next unserved query as soon as its previous one resolves

@@ -539,15 +539,32 @@ class TestMetricsAndWorkload:
         assert "sssj" in text
 
     def test_workload_runs_and_reports(self):
-        engine = make_engine(workers=2, cache_capacity=32)
-        # make_workload targets relations named roads/hydro.
-        engine.register("roads", engine._test_rects[0], universe=UNIT)
-        engine.register("hydro", engine._test_rects[1], universe=UNIT)
         queries = make_workload(UNIT, 12, seed=3)
-        report = run_workload(engine, queries)
+        report = self._replay(queries, workers=2, cache_capacity=32)
         assert report["queries"] == 12
         assert report["sim_wall_seconds"] > 0
         assert report["metrics"]["queries_served"] == 12
+        # The serving layer's reason to exist, on the simulated clock:
+        # the same workload takes longer on one worker with no result
+        # cache than with either of them, and answers the same.
+        cold_1, cold_k, warm_1 = reports = [
+            self._replay(queries, workers, capacity)
+            for workers, capacity in ((1, 0), (2, 0), (1, 32))
+        ]
+        assert cold_k["sim_wall_seconds"] < cold_1["sim_wall_seconds"]
+        assert warm_1["sim_wall_seconds"] < cold_1["sim_wall_seconds"]
+        assert warm_1["metrics"]["cache_hits"] > 0
+        assert {r["pairs_returned"] for r in reports} == {
+            report["pairs_returned"]}
+
+    @staticmethod
+    def _replay(queries, workers, cache_capacity):
+        engine = make_engine(workers=workers, cache_capacity=cache_capacity)
+        # make_workload targets relations named roads/hydro.
+        engine.register("roads", engine._test_rects[0], universe=UNIT)
+        engine.register("hydro", engine._test_rects[1], universe=UNIT)
+        with engine:
+            return run_workload(engine, queries)
 
     def test_run_workload_reports_deltas(self):
         engine = make_engine(cache_capacity=0)

@@ -363,6 +363,7 @@ class TestReplicaFailover:
                 out.result.detail["shard_replicas"].values()
             )
         assert served == {0, 1}
+        assert engine.failovers == 0
         engine.close()
 
     def test_worker_crash_under_sharding_recovers(self):

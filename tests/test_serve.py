@@ -657,7 +657,8 @@ class TestConcurrentWorkloadDriver:
         engine.close()
         assert report["served"] == report["queries"] == 24
         assert report["pairs_returned"] == serial["pairs_returned"]
-        assert report["serve"]["shed"] == 0
+        for fate in ("shed", "expired", "rejected", "errors"):
+            assert report["serve"][fate] == 0, fate
         assert report["serve"]["admission"]["in_use_bytes"] == 0
         assert report["serve"]["queued_total"] >= 0
         assert report["latency_p95_seconds"] >= (
@@ -680,6 +681,13 @@ class TestConcurrentWorkloadDriver:
         assert s["errors"] == 0
         assert s["admission"]["in_use_bytes"] == 0
         assert report["served"] == s["served_ok"] > 0
+        # Bounded, counted rather than timed: the queue never outgrew
+        # its depth and every arrival met exactly one fate by the end.
+        assert s["queue_high_water"] <= 2 and s["queue_length"] == 0
+        assert s["submitted"] == 40 == (
+            s["served_ok"] + s["served_degraded"] + s["shed"]
+            + s["expired"]
+        )
 
 
 # -- single-engine serialization ---------------------------------------------
@@ -802,6 +810,15 @@ class TestHttpEndpoint:
                             "count_only": True}).encode(),
             )
             bad = await _http(port, "POST", "/query", b"not json")
+            # 400s that never reach submit: the scrape below counts 1.
+            for garbage in (b'"window": [NaN, 1, 0, 1]',
+                            b'"window": [5, 1, 0, 1]',
+                            b'"deadline_ms": true'):
+                status, _ = await _http(
+                    port, "POST", "/query",
+                    b'{"relations": ["a", "b"], ' + garbage + b"}",
+                )
+                assert status == 400, garbage
             missing = await _http(port, "GET", "/nope")
             wrong_method = await _http(port, "GET", "/query")
             metrics = await _http(port, "GET", "/metrics")
@@ -915,7 +932,7 @@ class TestHttpEndpoint:
         async def scenario(fe):
             server = await serve_http(fe, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            # Negative length: clamped to no body -> invalid JSON, 400.
+            # Negative length: the body's extent is unknown -> 400.
             negative = await raw(
                 port,
                 "POST /query HTTP/1.1\r\nHost: t\r\n"
@@ -930,14 +947,39 @@ class TestHttpEndpoint:
                 "POST /query HTTP/1.1\r\nHost: t\r\n"
                 f"Content-Length: {64 << 20}\r\n\r\n",
             )
+            # Keep-alive variants: a head that does not frame its body,
+            # the body, then a good request pipelined behind it.  One
+            # 400 that closes; the rest is never read as a request.
+            body = json.dumps({"relations": ["a", "b"]}).encode()
+            good = (f"POST /query HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+            unframed = []
+            for header in ("Content-Length: abc", "Content-Length: -7",
+                           f"Content-Length: {len(body)}\r\n"
+                           "Content-Length: 3",
+                           "Transfer-Encoding: chunked"):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(f"POST /query HTTP/1.1\r\nHost: t\r\n"
+                             f"{header}\r\n\r\n".encode() + body + good)
+                await writer.drain()
+                status, _, connection = await _read_response(reader)
+                tail = await asyncio.wait_for(reader.read(), timeout=2.0)
+                writer.close()
+                unframed.append((status, connection, tail))
+            handlers = len(asyncio.all_tasks()) - 1
             server.close()
             await server.wait_closed()
-            return negative, huge
+            return negative, huge, unframed, handlers
 
         with _frontend(engine) as fe:
-            negative, huge = asyncio.run(scenario(fe))
+            negative, huge, unframed, handlers = asyncio.run(scenario(fe))
+            assert fe.submitted == 0
         assert negative == 400
         assert huge == 413
+        assert unframed == [(400, "close", b"")] * 4
+        assert handlers == 0, "a connection handler is still parked"
         engine.close()
 
     def test_keep_alive_serves_many_requests_on_one_connection(self):
@@ -1045,6 +1087,13 @@ class TestHttpEndpoint:
             {"relations": ["a", "b"], "class": "bulk"},
             {"relations": ["a", "b"], "deadline_ms": -5},
             {"relations": ["a", "b"], "bogus": 1},
+            {"relations": ["a", "b"], "window": [float("nan"), 1, 0, 1]},
+            {"relations": ["a", "b"],
+             "window": [float("-inf"), float("inf"), 0, 1]},
+            {"relations": ["a", "b"], "window": [True, False, 0, 1]},
+            {"relations": ["a", "b"], "window": [5, 1, 0, 1]},
+            {"relations": ["a", "b"], "window": [0, 1, 0, 10 ** 400]},
+            {"relations": ["a", "b"], "deadline_ms": True},
         ):
             with pytest.raises(ValueError):
                 parse_query_body(json.dumps(payload).encode())

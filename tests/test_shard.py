@@ -751,6 +751,7 @@ class TestShardedServing:
         assert report["sim_wall_seconds"] > 0
         m = report["metrics"]
         assert m["shards"] == 3
+        assert m["shards_pruned_total"] > 0, "windows must prune shards"
         assert m["queries_served"] == 14
         assert m["cache_hits"] > 0, "repeats must hit the top cache"
         assert m["budget_total_bytes"] == sum(

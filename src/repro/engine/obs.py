@@ -40,7 +40,6 @@ _LABELLED_DICTS = {
     "artifact_kinds": "kind",
     "high_water_by_category": "category",
     "budget_high_water_by_category": "category",
-    "observed_high_water_by_category": "category",
     "shard_pairs": "shard",
     "shard_strategies": "shard",
     "shard_replicas": "shard",

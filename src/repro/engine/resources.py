@@ -132,12 +132,6 @@ class ResourceBudget:
         self.high_water_by_category: Dict[str, int] = {}
         self.grants_issued = 0
         self.overcommits = 0
-        #: Externally reported per-category observations (see
-        #: :meth:`note_observation`) — the *measured* footprint of work
-        #: done under a category's grants, as opposed to
-        #: ``high_water_by_category``, which records what the grants
-        #: themselves charged.
-        self.observed_by_category: Dict[str, int] = {}
 
     # -- granting --------------------------------------------------------
 
@@ -184,25 +178,6 @@ class ResourceBudget:
             self._charge_locked(category, nbytes)
         return ResourceGrant(self, category, nbytes)
 
-    def note_observation(self, category: str, nbytes: int) -> None:
-        """Record a *measured* footprint for ``category``.
-
-        Keeps the running maximum.  The serving layer's adaptive
-        admission feeds each served query's actual peak memory back
-        here, then sizes future grants for the class from the observed
-        high-water instead of a static configured guess.
-        """
-        if nbytes <= 0:
-            return
-        with self._lock:
-            if nbytes > self.observed_by_category.get(category, 0):
-                self.observed_by_category[category] = nbytes
-
-    def observed_high_water(self, category: str) -> int:
-        """The largest observation recorded for ``category`` (0 if none)."""
-        with self._lock:
-            return self.observed_by_category.get(category, 0)
-
     # -- reading ---------------------------------------------------------
 
     @property
@@ -228,9 +203,6 @@ class ResourceBudget:
                 "high_water_bytes": self.high_water_bytes,
                 "by_category": dict(self._by_category),
                 "high_water_by_category": dict(self.high_water_by_category),
-                "observed_high_water_by_category": dict(
-                    self.observed_by_category
-                ),
                 "grants_issued": self.grants_issued,
                 "overcommits": self.overcommits,
             }

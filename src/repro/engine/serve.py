@@ -14,7 +14,8 @@ concurrent service with three production behaviours:
 (``interactive`` or ``batch``) and is admitted by taking a per-class
 byte grant from a serve-level
 :class:`~repro.engine.resources.ResourceBudget` via ``try_acquire`` —
-the refusal-capable sibling of ``acquire``.  When the grant is not
+the refusal-capable sibling of ``acquire``; grant sizes are the static
+per-class table (``grant_bytes``).  When the grant is not
 free the query *parks* in a FIFO queue instead of failing; each
 released grant pumps the queue head.  The queue is bounded: past
 ``queue_depth`` the front-end load-sheds, evicting the **oldest
@@ -36,13 +37,6 @@ workers themselves: not-yet-started pool tasks are dropped
 (``pool_tasks_cancelled`` counts the reclaimed CPU) and in-flight ones
 stop at tile boundaries.  Expiry never corrupts shared state —
 checkpoints fire only between whole units of work.
-
-**Adaptive admission.**  With ``adaptive_grants`` on, per-class grant
-sizes track the *observed* per-class memory high-water that served
-queries report (``ResourceBudget.note_observation``) instead of the
-static configured bytes — a deployment whose interactive queries
-measure 200 KiB stops billing them 1 MiB, and one whose batch overlays
-measure 6 MiB stops letting two of them melt an 8 MiB budget.
 
 **Graceful degradation.**  Overload produces ``shed`` and ``expired``
 responses with correct counters, never unbounded queue growth and never
@@ -116,10 +110,6 @@ DEFAULT_MAX_CONCURRENCY = 8
 #: interactive-equivalent shed priority (see ``_shed_for``).  ``<= 0``
 #: disables aging (the pre-aging oldest-batch-first behaviour).
 DEFAULT_AGING_SECONDS = 0.5
-
-#: Floor for adaptively sized grants: observations below this would
-#: let a burst of trivially-small queries admit an unbounded crowd.
-MIN_ADAPTIVE_GRANT_BYTES = 64 << 10
 
 
 @dataclass
@@ -208,7 +198,6 @@ class ServingFrontend:
                  default_deadline_seconds: Optional[float] = None,
                  max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
                  aging_seconds: float = DEFAULT_AGING_SECONDS,
-                 adaptive_grants: bool = False,
                  faults: Optional[FaultPlan] = None) -> None:
         if queue_depth < 1:
             raise ValueError("queue depth must be at least 1")
@@ -227,9 +216,6 @@ class ServingFrontend:
             self.grant_bytes.update(grant_bytes)
         self.default_deadline_seconds = default_deadline_seconds
         self.aging_seconds = aging_seconds
-        #: Size grants from observed per-class memory high-water (fed
-        #: back by served queries) instead of the static table above.
-        self.adaptive_grants = adaptive_grants
         # One plan governs the deployment: absent an explicit plan the
         # front-end joins the engine's, so serve.* rules in an engine
         # fault plan reach the admission/deadline sites.
@@ -338,35 +324,6 @@ class ServingFrontend:
             self._note_dequeue(self._queue.pop(0))
             waiter.future.set_result(grant)
 
-    def _effective_grant(self, query_class: str) -> int:
-        """The admission charge for one query of ``query_class``.
-
-        Static configuration unless ``adaptive_grants`` is on and at
-        least one served query of the class has reported its measured
-        peak (:meth:`ResourceBudget.note_observation`); then the
-        observed high-water governs, floored at
-        :data:`MIN_ADAPTIVE_GRANT_BYTES` and capped at the admission
-        budget so an outsized observation degrades to serialize-the-
-        class instead of rejecting it outright.
-        """
-        configured = self.grant_bytes[query_class]
-        if not self.adaptive_grants:
-            return configured
-        observed = self.admission.observed_high_water(query_class)
-        if observed <= 0:
-            return configured
-        return max(MIN_ADAPTIVE_GRANT_BYTES,
-                   min(observed, self.admission.total_bytes))
-
-    def _observe_served(self, query_class: str,
-                        out: EngineResult) -> None:
-        """Feed one served query's measured peak back to admission."""
-        observed = int(
-            getattr(out.result, "max_memory_bytes", 0) or 0
-        )
-        if observed > 0:
-            self.admission.note_observation(query_class, observed)
-
     async def _admit(self, query_class: str, nbytes: int,
                      deadline: Optional[float], t0: float):
         """A grant for this query, or None when it shed/expired.
@@ -454,7 +411,7 @@ class ServingFrontend:
             deadline_seconds = self.default_deadline_seconds
         deadline = (t0 + deadline_seconds
                     if deadline_seconds is not None else None)
-        nbytes = self._effective_grant(query_class)
+        nbytes = self.grant_bytes[query_class]
 
         def finish(status: str, queue_seconds: float,
                    **kw) -> ServeResponse:
@@ -530,8 +487,6 @@ class ServingFrontend:
             if degraded:
                 self.served_degraded += 1
             self.per_class[query_class]["ok"] += 1
-            if self.adaptive_grants:
-                self._observe_served(query_class, out)
             return finish("ok", queue_seconds,
                           pairs=out.result.n_pairs, degraded=degraded,
                           result=out)
@@ -575,10 +530,7 @@ class ServingFrontend:
             "max_concurrency": self.max_concurrency,
             "aged_promotions": self.aged_promotions,
             "queue_age_max_seconds": dict(self.queue_age_max_seconds),
-            "adaptive_grants": self.adaptive_grants,
-            "effective_grant_bytes": {
-                c: self._effective_grant(c) for c in QUERY_CLASSES
-            },
+            "grant_bytes": dict(self.grant_bytes),
             "admission": self.admission.snapshot(),
             "per_class": {
                 c: dict(v) for c, v in self.per_class.items()
@@ -709,9 +661,12 @@ def parse_query_body(body: bytes) -> Dict[str, object]:
         if not _finite_number(ms) or ms <= 0:
             raise ValueError("deadline_ms must be a positive number")
         deadline_seconds = float(ms) / 1e3
+    count_only = data.get("count_only", False)
+    if not isinstance(count_only, bool):
+        raise ValueError("count_only must be a boolean")
     query = Query(
         relations=tuple(relations), window=window,
-        collect_pairs=not bool(data.get("count_only", False)),
+        collect_pairs=not count_only,
     )
     return {"query": query, "query_class": query_class,
             "deadline_seconds": deadline_seconds}
@@ -859,10 +814,15 @@ async def serve_http(frontend: ServingFrontend,
                 ), keep
             try:
                 kwargs = parse_query_body(req["body"])
-            except ValueError as exc:
+                # A name the catalog does not hold is the client's
+                # mistake: answered here, before it takes a grant.
+                for name in kwargs["query"].relations:
+                    frontend.engine.universe_of(name)
+            except (ValueError, KeyError) as exc:
+                # args[0], not str(): a KeyError's str is a repr.
                 return _http_response(
                     400,
-                    json.dumps({"error": str(exc)}).encode("utf-8")
+                    json.dumps({"error": exc.args[0]}).encode("utf-8")
                     + b"\n",
                     keep_alive=keep,
                 ), keep

@@ -51,15 +51,19 @@ exists for.
 scaled paper budget), its own :class:`~repro.engine.cache.ArtifactCache`
 (version-bump invalidation stays per-shard — re-registering a relation
 invalidates every shard holding it, but never a *sibling engine's*
-unrelated artifacts) and its own metrics; :meth:`ShardedEngine.metrics_snapshot` aggregates them with
+unrelated artifacts) and its own metrics.  The deployment is read
+through one path, :meth:`ShardedEngine.metrics_snapshot`, which merges
+every replica engine's snapshot with
 :func:`~repro.engine.metrics.merge_snapshots` and overrides the
 serving-level counters (one logical query is one serve, however many
 shards it scattered to).
 
 **Availability.**  ``replicas=R`` backs every strip with R identical
 engines (same slice, same budget — replicas model separate boxes) on
-the one shared pool.  Scatter picks a live replica per shard by
-round-robin over a health score; a replica whose sub-query raises is
+the one shared pool.  Replicas are availability, not read scaling:
+scatter tries a shard's healthy replicas in fixed index order, so the
+primary serves everything while it is up (one warm artifact cache, one
+reproducible replica sequence).  A replica whose sub-query raises is
 marked unhealthy, the failure is recorded (counters + a ``failover``
 trace span) and the sub-query retried with exponential backoff on the
 next candidate — the logical query only fails when *every* replica of
@@ -72,13 +76,13 @@ immediately — failing over would just repeat them R times.
 **Durability.**  With ``artifact_dir`` set, every replica engine gets
 its own keyed leaf (``root/shard-XX/replica-YY``) of one artifact
 tree, so a restarted sharded engine rewarms each shard from disk
-exactly like a restarted single engine — including each store's
-background prewarm of its hottest artifacts.  Result-cache entries
-persist **per shard** (``root/shard-XX/results``, shared by the
-shard's replicas and content-addressed by the shard slice's
-fingerprints + the canonical sub-query): the scatter still runs after
-a restart, but every participating shard serves its sub-result
-straight from disk instead of re-executing, so the per-shard
+exactly like a restarted single engine — lazily, on first touch.
+Result-cache entries persist **per shard**
+(``root/shard-XX/results``, shared by the shard's replicas and
+content-addressed by the shard slice's fingerprints + the canonical
+sub-query): the scatter still runs after a restart, but every
+participating shard serves its sub-result straight from disk instead
+of re-executing, so the per-shard
 ``disk_restores`` counters show the whole deployment rewarming, and a
 replica that was down when a result was first computed can still
 serve it.
@@ -109,15 +113,10 @@ from repro.engine.engine import (
     EngineResult,
     SpatialQueryEngine,
     _copy_result,
-    flatten_cache_keys,
     flatten_result_cache_keys,
 )
 from repro.engine.faults import FaultPlan, InjectedFault
-from repro.engine.metrics import (
-    LatencyTracker,
-    merge_snapshots,
-    sum_counters,
-)
+from repro.engine.metrics import LatencyTracker, merge_snapshots
 from repro.engine.obs import SlowQueryLog
 from repro.engine.optimizer import effective_region
 from repro.engine.pool import DeadlineExceeded, WorkerPool
@@ -171,14 +170,6 @@ HEALTH_FLOOR = 0.5
 #: Cap on the exponential retry backoff between failover attempts.
 MAX_BACKOFF_SECONDS = 0.25
 
-#: A healthy replica whose observed-latency EWMA exceeds the fastest
-#: sibling's by this factor is deprioritized (still served, last) —
-#: health says *up or down*, the EWMA says *fast or slow*.
-SLOW_REPLICA_FACTOR = 1.5
-
-#: Smoothing factor for the per-replica observed-latency EWMA.
-EWMA_ALPHA = 0.3
-
 #: Most coordinator threads one scatter fan-out will use; the real
 #: bound is min(participating shards, this, pool workers are shared
 #: anyway so more buys nothing).
@@ -226,71 +217,6 @@ def gather_pairs(parts: Sequence[Sequence[tuple]], arity: int,
     return (sorted(distinct) if collect else None), len(distinct)
 
 
-class _ShardMetricsView:
-    """The counters :func:`run_workload` reads, summed over shards.
-
-    ``sim_wall_seconds`` is the exception: shards execute concurrently
-    on one shared pool, so the deployment's simulated serving time is
-    the scatter layer's accumulated *critical path*
-    (:func:`lpt_makespan` per query), not the sum of every engine's
-    wall — summing would bill a 4-shard scatter as if the shards ran
-    back to back.
-    """
-
-    def __init__(self, owner: "ShardedEngine") -> None:
-        self._owner = owner
-
-    @property
-    def sim_wall_seconds(self) -> float:
-        return self._owner.sim_wall_total
-
-    @property
-    def spilled_rects(self) -> int:
-        return sum(
-            e.metrics.spilled_rects for e in self._owner.all_engines
-        )
-
-
-class _ShardArtifactsView:
-    """Per-shard artifact caches presented as one summed snapshot."""
-
-    def __init__(self, owner: "ShardedEngine") -> None:
-        self._owner = owner
-
-    def snapshot(self) -> Dict[str, object]:
-        merged: Dict[str, object] = {}
-        for engine in self._owner.all_engines:
-            sum_counters(merged, engine.artifacts.snapshot())
-        probes = merged.get("hits", 0) + merged.get("misses", 0)
-        merged["hit_rate"] = (
-            merged.get("hits", 0) / probes if probes else 0.0
-        )
-        return merged
-
-
-class _ShardBudgetView:
-    """Per-shard budget slices presented as one summed snapshot.
-
-    Every gauge sums — including ``high_water_bytes``, so it stays
-    comparable to the summed ``total_bytes`` (high water <= total
-    holds for the deployment as it does per shard).  Because the
-    scatter loop runs shards sequentially on one coordinator, the
-    summed high water is an upper bound on the true momentary peak:
-    conservative for memory sizing, and exact once shards execute
-    concurrently.  Per-slice peaks are in ``high_water_by_category``
-    and the per-shard engines' own snapshots.
-    """
-
-    def __init__(self, owner: "ShardedEngine") -> None:
-        self._owner = owner
-
-    def snapshot(self) -> Dict[str, object]:
-        merged: Dict[str, object] = {}
-        for engine in self._owner.all_engines:
-            sum_counters(merged, engine.budget.snapshot())
-        return merged
-
-
 class ShardedEngine:
     """N engine shards, one shared worker pool, exact scatter/gather."""
 
@@ -319,7 +245,6 @@ class ShardedEngine:
         artifact_dir: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
         retry_backoff_seconds: float = 0.01,
-        replica_timeout_seconds: Optional[float] = None,
         result_store_bytes: Optional[int] = None,
     ) -> None:
         self.shards = max(1, shards)
@@ -330,11 +255,6 @@ class ShardedEngine:
         #: Base of the exponential backoff slept between failover
         #: attempts (0 disables sleeping; tests want speed).
         self.retry_backoff_seconds = max(0.0, retry_backoff_seconds)
-        #: Post-hoc replica SLO: a sub-query slower than this gets a
-        #: health penalty, steering future selections away.  The
-        #: coordinator is synchronous, so an in-flight sub-query is
-        #: never cancelled — the timeout shapes *future* routing.
-        self.replica_timeout_seconds = replica_timeout_seconds
         #: One pool for every shard and replica; each engine below
         #: holds a ref-counted client.
         self.pool = WorkerPool(max(1, workers), kind=pool_kind,
@@ -413,19 +333,11 @@ class ShardedEngine:
         self._health: List[List[float]] = [
             [1.0] * self.replicas for _ in range(self.shards)
         ]
-        #: Observed sub-query latency EWMA per (shard, replica); None
-        #: until the replica has served.  Drives *weighted* selection:
-        #: a replica markedly slower than its fastest healthy sibling
-        #: is deprioritized without being marked down.
-        self._latency_ewma: List[List[Optional[float]]] = [
-            [None] * self.replicas for _ in range(self.shards)
-        ]
-        self._rr = [0] * self.shards
         self._probe_tick = [0] * self.shards
         # -- concurrency ------------------------------------------------
         #: Guards every piece of coordinator state that concurrent
         #: scatters (and concurrent callers of ``execute``) share:
-        #: replica health/rotation, serving counters, the top-level
+        #: replica health, serving counters, the top-level
         #: result cache and latency tracker, and the sim critical-path
         #: accumulator.  Never held across a shard engine's execution.
         self._lock = threading.Lock()
@@ -453,13 +365,6 @@ class ShardedEngine:
         #: Top-level result cache: a verbatim repeat skips the scatter.
         self.cache = ResultCache(capacity=cache_capacity,
                                  max_bytes=cache_bytes)
-        # Aggregate facades so serving harnesses (run_workload, the
-        # serve-bench CLI) read a sharded deployment exactly like a
-        # single engine.
-        self.metrics = _ShardMetricsView(self)
-        self.artifacts = _ShardArtifactsView(self)
-        self.budget = _ShardBudgetView(self)
-        self.worker_pool = self.pool
         # -- serving-level counters -------------------------------------
         self.queries_served = 0
         self.cache_hits = 0
@@ -476,13 +381,8 @@ class ShardedEngine:
         #: Individual replica sub-query failures (each also zeroes the
         #: replica's health score).
         self.replica_failures = 0
-        #: Sub-queries that exceeded ``replica_timeout_seconds``.
-        self.replica_timeouts = 0
         #: Unhealthy replicas that earned their health back via probes.
         self.replica_recoveries = 0
-        #: Selections in which latency weighting demoted a healthy-but-
-        #: slow replica behind faster siblings.
-        self.weighted_reroutes = 0
         #: Shard sub-results served from the persisted result stores
         #: (total, plus the per-shard breakdown the snapshot reports).
         self.result_disk_restores = 0
@@ -512,7 +412,7 @@ class ShardedEngine:
 
     @property
     def all_engines(self) -> List[SpatialQueryEngine]:
-        """Every engine — all replicas of all shards (facade sums)."""
+        """Every engine — all replicas of all shards."""
         return [e for group in self._replica_engines for e in group]
 
     @property
@@ -636,12 +536,6 @@ class ShardedEngine:
                     for engine in group:
                         engine.prepare(name)
 
-    def wait_prewarm(self, timeout: Optional[float] = None) -> None:
-        """Block until every replica's background prewarm finishes."""
-        for engine in self.all_engines:
-            if engine.artifact_store is not None:
-                engine.artifact_store.wait_prewarm(timeout)
-
     def _check_known(self, name: str) -> None:
         if name not in self._versions:
             known = ", ".join(self.names()) or "<empty catalog>"
@@ -684,43 +578,20 @@ class ShardedEngine:
     def _replica_order(self, k: int) -> List[int]:
         """Candidate replicas for shard ``k``, best try first.
 
-        Healthy replicas rotate round-robin (read scaling: repeats of
-        one query spread over the replica set), then latency weighting
-        reorders the rotation: a replica whose observed-latency EWMA
-        exceeds the fastest healthy sibling's by
-        :data:`SLOW_REPLICA_FACTOR` is moved behind the comparable
-        ones (counted in ``weighted_reroutes`` when that changes the
-        order — a slow replica the rotation already put last is not a
-        reroute).  Replicas with no
-        observations yet rank with the fast set, so fresh replicas get
-        traffic.  Unhealthy replicas are appended as a last resort — a
-        query is never failed while an untried replica remains — and
-        every ``PROBE_EVERY``-th selection they are tried *first*,
-        which is how a healed replica gets traffic to earn its score
-        back.  Called under ``self._lock``.
+        Healthy replicas in fixed index order — the primary serves
+        while it is up, so one replica's caches stay warm and a serial
+        replay always picks the same sequence.  Unhealthy replicas are
+        appended as a last resort — a query is never failed while an
+        untried replica remains — and every ``PROBE_EVERY``-th
+        selection they are tried *first*, which is how a healed replica
+        gets traffic to earn its score back.  Called under
+        ``self._lock``.
         """
-        n = self.replicas
-        start = self._rr[k]
-        self._rr[k] = (self._rr[k] + 1) % max(1, n)
-        rotated = [(start + i) % n for i in range(n)]
-        healthy = [r for r in rotated
-                   if self._health[k][r] >= HEALTH_FLOOR]
-        sick = [r for r in rotated
-                if self._health[k][r] < HEALTH_FLOOR]
-        if len(healthy) > 1:
-            observed = [
-                self._latency_ewma[k][r] for r in healthy
-                if self._latency_ewma[k][r] is not None
-            ]
-            if observed:
-                cutoff = min(observed) * SLOW_REPLICA_FACTOR
-                fast = [r for r in healthy
-                        if self._latency_ewma[k][r] is None
-                        or self._latency_ewma[k][r] <= cutoff]
-                slow = [r for r in healthy if r not in fast]
-                if fast + slow != healthy:
-                    self.weighted_reroutes += 1
-                    healthy = fast + slow
+        health = self._health[k]
+        healthy = [r for r in range(self.replicas)
+                   if health[r] >= HEALTH_FLOOR]
+        sick = [r for r in range(self.replicas)
+                if health[r] < HEALTH_FLOOR]
         if not sick:
             return healthy
         self._probe_tick[k] += 1
@@ -733,25 +604,8 @@ class ShardedEngine:
             self._health[k][r] = 0.0
             self.replica_failures += 1
 
-    def _mark_success(self, k: int, r: int, wall: float) -> None:
+    def _mark_success(self, k: int, r: int) -> None:
         with self._lock:
-            ewma = self._latency_ewma[k][r]
-            self._latency_ewma[k][r] = (
-                wall if ewma is None
-                else (1.0 - EWMA_ALPHA) * ewma + EWMA_ALPHA * wall
-            )
-            timeout = self.replica_timeout_seconds
-            if timeout is not None and wall > timeout:
-                # Served, but slower than the replica SLO: penalize the
-                # score so routing drifts away before the replica fails
-                # outright.  (An in-flight sub-query is never cancelled
-                # by the coordinator; the timeout shapes future
-                # routing.)
-                self.replica_timeouts += 1
-                self._health[k][r] = max(
-                    0.0, self._health[k][r] - HEALTH_FLOOR
-                )
-                return
             before = self._health[k][r]
             self._health[k][r] = min(1.0, before + HEALTH_FLOOR)
             if before < HEALTH_FLOOR <= self._health[k][r]:
@@ -788,7 +642,6 @@ class ShardedEngine:
                         MAX_BACKOFF_SECONDS,
                         self.retry_backoff_seconds * (2 ** (attempt - 1)),
                     ))
-            t0 = time.perf_counter()
             try:
                 if self.faults is not None:
                     rule = self.faults.fire(
@@ -815,7 +668,7 @@ class ShardedEngine:
                     "error": type(exc).__name__, "attempt": attempt,
                 })
                 continue
-            self._mark_success(k, r, time.perf_counter() - t0)
+            self._mark_success(k, r)
             return out, r, attempt + 1, events
         assert last_exc is not None
         raise last_exc
@@ -994,8 +847,7 @@ class ShardedEngine:
         degraded = False
         # The logical query's memory high-water is the worst shard's:
         # shards run concurrently but each replica enforces its own
-        # budget, and serving-layer adaptive admission sizes grants
-        # from this peak.
+        # budget.
         mem_high = 0
         for oc in outcomes:
             k = oc["shard"]
@@ -1166,45 +1018,23 @@ class ShardedEngine:
     # -- observability ----------------------------------------------------
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Shard counters aggregated, serving counters at this level.
+        """Every replica engine's snapshot merged, serving counters at
+        this level — the one read path of a sharded deployment.
 
         Physical counters (pages, bytes, CPU ops, simulated seconds,
-        spills) sum across shards; serving counters are overridden
-        with the scatter layer's own — one logical query is one serve,
-        even when it executed on four shards.  ``per_shard`` keeps the
-        attribution story: each shard's serve/pair/dispatch counts,
-        whose dispatch totals sum to the shared pool's by
+        spills, artifact-cache and budget gauges, the per-replica disk
+        sidecars) sum across engines — ``budget_high_water_bytes``
+        too, so it stays comparable to the summed total and bounds the
+        true momentary peak from above.  Serving counters are
+        overridden with the scatter layer's own — one logical query is
+        one serve, even when it executed on four shards.  ``per_shard``
+        keeps the attribution story: each shard's serve/pair/dispatch
+        counts, whose dispatch totals sum to the shared pool's by
         construction.
         """
         snap = merge_snapshots(
-            [e.metrics.snapshot() for e in self.all_engines]
+            [e.metrics_snapshot() for e in self.all_engines]
         )
-        return self._finish_snapshot(snap)
-
-    def _result_store_snapshot(self) -> Optional[Dict[str, object]]:
-        """Per-shard result stores merged into one counter dict."""
-        if self.result_stores is None:
-            return None
-        merged: Dict[str, object] = {}
-        for store in self.result_stores:
-            sum_counters(merged, store.snapshot())
-        return merged
-
-    def _finish_snapshot(self, snap: Dict[str, object]) -> Dict[str, object]:
-        snap["kernel"] = self.kernel
-        # Per-replica disk sidecars merge into one store snapshot (None
-        # when the deployment has no artifact dir, like the single
-        # engine's key).
-        store_snap: Optional[Dict[str, object]] = None
-        if self.artifact_dir:
-            store_snap = {}
-            for e in self.all_engines:
-                if e.artifact_store is not None:
-                    sum_counters(store_snap, e.artifact_store.snapshot())
-        snap.update(flatten_cache_keys(
-            self.artifacts.snapshot(), self.budget.snapshot(),
-            store_snap,
-        ))
         # Physical shard execution time still sums (real work billed to
         # the simulated hardware), but the deployment's serving clock is
         # the accumulated scatter critical path over the pool's lanes.
@@ -1214,10 +1044,6 @@ class ShardedEngine:
         snap.update({
             "sim_wall_seconds": self.sim_wall_total,
             "scatter_lanes": self.scatter_lanes,
-            "weighted_reroutes": self.weighted_reroutes,
-            "replica_latency_ewma": [
-                list(r) for r in self._latency_ewma
-            ],
             "queries_served": self.queries_served,
             "cache_hits": self.cache_hits,
             "cache_hit_rate": (
@@ -1245,7 +1071,6 @@ class ShardedEngine:
             "failovers": self.failovers,
             "retries": self.retries,
             "replica_failures": self.replica_failures,
-            "replica_timeouts": self.replica_timeouts,
             "replica_recoveries": self.replica_recoveries,
             "unhealthy_replicas": self.unhealthy_replicas,
             "replica_health": self.replica_health(),
@@ -1254,7 +1079,10 @@ class ShardedEngine:
                 if self.queries_executed else 0.0
             ),
             "result_disk_restores": self.result_disk_restores,
-            "result_store": self._result_store_snapshot(),
+            "result_store": (
+                merge_snapshots(s.snapshot() for s in self.result_stores)
+                if self.result_stores is not None else None
+            ),
             "worker_pool": self.pool.snapshot(),
             "per_shard": [
                 {
@@ -1280,8 +1108,7 @@ class ShardedEngine:
                     # artifact restores on any replica plus persisted
                     # sub-results served for the whole shard.
                     "disk_restores": sum(
-                        e.artifacts.snapshot()["disk_restores"]
-                        for e in group
+                        e.artifacts.disk_restores for e in group
                     ) + self._shard_result_restores[i],
                     "result_restores": self._shard_result_restores[i],
                     "replica_health": list(self._health[i]),
@@ -1295,22 +1122,12 @@ class ShardedEngine:
             # it is the only result cache in a sharded deployment
             # (shard engines run with theirs disabled).
             **flatten_result_cache_keys(self.cache),
-            "buffer_pool_requests": sum(
-                e.pool.requests for e in self.all_engines
-            ),
+            # Requests, evictions, resident pages and index builds sum
+            # in the merge; a hit rate is weighted by its requests.
             "buffer_pool_hit_rate": (
                 sum(e.pool.hit_rate * e.pool.requests
                     for e in self.all_engines)
-                / max(1, sum(e.pool.requests for e in self.all_engines))
-            ),
-            "buffer_pool_evictions": sum(
-                e.pool.evictions for e in self.all_engines
-            ),
-            "buffer_pool_resident_pages": sum(
-                e.pool.resident_pages for e in self.all_engines
-            ),
-            "indexes_built": sum(
-                e.catalog.indexes_built for e in self.all_engines
+                / max(1, snap["buffer_pool_requests"])
             ),
             "relations": self.names(),
         })

@@ -4,10 +4,10 @@ A production engine sees a *mix*: dense nationwide overlays, localized
 window joins (the Section 6.3 scenario), and plenty of exact repeats —
 dashboards refresh the same query.  :func:`make_workload` generates
 such a mix deterministically from a seed; :func:`run_workload` replays
-it against a :class:`~repro.engine.engine.SpatialQueryEngine` — or a
-:class:`~repro.engine.shard.ShardedEngine`, whose aggregate facades
-expose the same serving surface — and returns the serving report that
-the ``serve-bench`` CLI subcommand prints.  (Speed claims come from
+it against a :class:`~repro.engine.engine.SpatialQueryEngine` or a
+:class:`~repro.engine.shard.ShardedEngine` — both are read through
+``metrics_snapshot()`` alone — and returns the serving report that the
+``serve-bench`` CLI subcommand prints.  (Speed claims come from
 ``benchmarks/e2e/``, which drives a server process over a socket.)
 """
 
@@ -19,7 +19,11 @@ import time
 from typing import Dict, List, Optional, Union
 
 from repro.data.datasets import build_dataset
-from repro.engine.engine import SpatialQueryEngine
+from repro.engine.engine import (
+    ARTIFACT_SNAPSHOT_KEYS,
+    BUDGET_SNAPSHOT_KEYS,
+    SpatialQueryEngine,
+)
 from repro.engine.faults import FaultPlan
 from repro.engine.query import Query
 from repro.engine.serve import ServingFrontend
@@ -93,6 +97,50 @@ def _quantile(ordered: List[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
+def _report(before: Dict[str, object], after: Dict[str, object],
+            served: int, pairs: int, wall: float,
+            latencies: List[float]) -> Dict[str, object]:
+    """The report keys both drivers share, from two metrics snapshots.
+
+    Clocks, spills and the pool / artifact counters are deltas between
+    the snapshot taken before the workload and the one taken after;
+    gauges (pool kind and size, artifact entries and bytes, the budget
+    block) and ``metrics`` itself are the after-state.
+    """
+    sim_wall = after["sim_wall_seconds"] - before["sim_wall_seconds"]
+    pool = dict(after["worker_pool"])
+    for key in ("tasks_dispatched", "tasks_inline", "tiles_dispatched",
+                "tiles_inline", "pools_created", "fallbacks",
+                "demotions", "pool_tasks_cancelled"):
+        pool[key] -= before["worker_pool"][key]
+    artifacts = {key: after[flat]
+                 for key, flat in ARTIFACT_SNAPSHOT_KEYS.items()}
+    for key in ("hits", "misses", "puts", "evictions", "invalidations",
+                "rejections", "disk_restores", "disk_restore_bytes"):
+        artifacts[key] -= before[ARTIFACT_SNAPSHOT_KEYS[key]]
+    probes = artifacts["hits"] + artifacts["misses"]
+    artifacts["hit_rate"] = artifacts["hits"] / probes if probes else 0.0
+    latencies = sorted(latencies)
+    return {
+        "pairs_returned": pairs,
+        "wall_seconds": wall,
+        "sim_wall_seconds": sim_wall,
+        "queries_per_sec_wall": served / wall if wall > 0 else 0.0,
+        "queries_per_sec_sim": (
+            served / sim_wall if sim_wall > 0 else float("inf")
+        ),
+        "spilled_rects": after["spilled_rects"] - before["spilled_rects"],
+        "budget": {key: after[flat]
+                   for key, flat in BUDGET_SNAPSHOT_KEYS.items()},
+        "pool": pool,
+        "artifacts": artifacts,
+        "latency_p50_seconds": _quantile(latencies, 0.50),
+        "latency_p95_seconds": _quantile(latencies, 0.95),
+        "latency_max_seconds": latencies[-1] if latencies else 0.0,
+        "metrics": after,
+    }
+
+
 def run_workload(engine: ServingEngine,
                  queries: List[Query]) -> Dict[str, object]:
     """Serve ``queries`` and summarize the engine's behaviour.
@@ -105,12 +153,9 @@ def run_workload(engine: ServingEngine,
     counters — is a delta over *this* workload, not the engine's
     lifetime (the engine may have served earlier traffic); only
     gauges (pool kind/size, artifact entries/bytes, the snapshot) and
-    the budget snapshot reflect current engine state.
+    the budget block reflect current engine state.
     """
-    sim_before = engine.metrics.sim_wall_seconds
-    spilled_before = engine.metrics.spilled_rects
-    pool_before = engine.worker_pool.snapshot()
-    art_before = engine.artifacts.snapshot()
+    before = engine.metrics_snapshot()
     latencies: List[float] = []
     t0 = time.perf_counter()
     total_pairs = 0
@@ -119,44 +164,14 @@ def run_workload(engine: ServingEngine,
         total_pairs += out.result.n_pairs
         latencies.append(out.wall_seconds)
     wall = time.perf_counter() - t0
-    snap = engine.metrics_snapshot()
-    sim_wall = engine.metrics.sim_wall_seconds - sim_before
-    pool = engine.worker_pool.snapshot()
-    for key in ("tasks_dispatched", "tasks_inline", "tiles_dispatched",
-                "tiles_inline", "pools_created", "fallbacks",
-                "demotions", "pool_tasks_cancelled"):
-        pool[key] -= pool_before[key]
-    artifacts = engine.artifacts.snapshot()
-    for key in ("hits", "misses", "puts", "evictions", "invalidations",
-                "rejections", "disk_restores", "disk_restore_bytes"):
-        artifacts[key] -= art_before[key]
-    probes = artifacts["hits"] + artifacts["misses"]
-    artifacts["hit_rate"] = artifacts["hits"] / probes if probes else 0.0
-    latencies.sort()
-    last_trace = getattr(engine, "last_trace", None)
-    slow_log = getattr(engine, "slow_log", None)
-    report: Dict[str, object] = {
-        "queries": len(queries),
-        "pairs_returned": total_pairs,
-        "wall_seconds": wall,
-        "sim_wall_seconds": sim_wall,
-        "queries_per_sec_wall": len(queries) / wall if wall > 0 else 0.0,
-        "queries_per_sec_sim": (
-            len(queries) / sim_wall if sim_wall > 0 else float("inf")
-        ),
-        "spilled_rects": engine.metrics.spilled_rects - spilled_before,
-        "budget": engine.budget.snapshot(),
-        "pool": pool,
-        "artifacts": artifacts,
-        "latency_p50_seconds": _quantile(latencies, 0.50),
-        "latency_p95_seconds": _quantile(latencies, 0.95),
-        "latency_max_seconds": latencies[-1] if latencies else 0.0,
-        "metrics": snap,
-    }
-    if last_trace is not None:
-        report["trace"] = last_trace.to_dict()
-    if slow_log is not None:
-        report["slow_queries"] = slow_log.entries()
+    report = {"queries": len(queries), **_report(
+        before, engine.metrics_snapshot(), len(queries), total_pairs,
+        wall, latencies,
+    )}
+    if engine.last_trace is not None:
+        report["trace"] = engine.last_trace.to_dict()
+    if engine.slow_log is not None:
+        report["slow_queries"] = engine.slow_log.entries()
     return report
 
 
@@ -180,7 +195,6 @@ def run_concurrent_workload(
     grant_bytes: Optional[Dict[str, int]] = None,
     max_concurrency: Optional[int] = None,
     aging_seconds: Optional[float] = None,
-    adaptive_grants: bool = False,
     faults: Optional[FaultPlan] = None,
     seed: int = 11,
 ) -> Dict[str, object]:
@@ -214,8 +228,6 @@ def run_concurrent_workload(
         fe_kwargs["grant_bytes"] = grant_bytes
     if aging_seconds is not None:
         fe_kwargs["aging_seconds"] = aging_seconds
-    if adaptive_grants:
-        fe_kwargs["adaptive_grants"] = True
     fe_kwargs["max_concurrency"] = (
         max_concurrency if max_concurrency is not None else max(1, clients)
     )
@@ -256,10 +268,7 @@ def run_concurrent_workload(
             *(one(i) for i in range(len(queries)))
         )
 
-    sim_before = engine.metrics.sim_wall_seconds
-    spilled_before = engine.metrics.spilled_rects
-    pool_before = engine.worker_pool.snapshot()
-    art_before = engine.artifacts.snapshot()
+    before = engine.metrics_snapshot()
     t0 = time.perf_counter()
     try:
         responses = asyncio.run(
@@ -269,43 +278,16 @@ def run_concurrent_workload(
         frontend.close()
     wall = time.perf_counter() - t0
     served = [r for r in responses if r.ok]
-    latencies = sorted(r.wall_seconds for r in served)
-    total_pairs = sum(r.pairs or 0 for r in served)
-    sim_wall = engine.metrics.sim_wall_seconds - sim_before
-    pool = engine.worker_pool.snapshot()
-    for key in ("tasks_dispatched", "tasks_inline", "tiles_dispatched",
-                "tiles_inline", "pools_created", "fallbacks",
-                "demotions", "pool_tasks_cancelled"):
-        pool[key] -= pool_before[key]
-    artifacts = engine.artifacts.snapshot()
-    for key in ("hits", "misses", "puts", "evictions", "invalidations",
-                "rejections", "disk_restores", "disk_restore_bytes"):
-        artifacts[key] -= art_before[key]
-    probes = artifacts["hits"] + artifacts["misses"]
-    artifacts["hit_rate"] = artifacts["hits"] / probes if probes else 0.0
-    serve_snap = frontend.snapshot()
-    report: Dict[str, object] = {
+    after = frontend.metrics_snapshot()
+    return {
         "queries": len(queries),
         "served": len(served),
         "clients": clients,
         "open_loop_qps": open_loop_qps,
-        "pairs_returned": total_pairs,
-        "wall_seconds": wall,
-        "sim_wall_seconds": sim_wall,
-        "queries_per_sec_wall": (
-            len(served) / wall if wall > 0 else 0.0
+        "serve": after["serve"],
+        **_report(
+            before, after, len(served),
+            sum(r.pairs or 0 for r in served), wall,
+            [r.wall_seconds for r in served],
         ),
-        "queries_per_sec_sim": (
-            len(served) / sim_wall if sim_wall > 0 else float("inf")
-        ),
-        "spilled_rects": engine.metrics.spilled_rects - spilled_before,
-        "budget": engine.budget.snapshot(),
-        "pool": pool,
-        "artifacts": artifacts,
-        "latency_p50_seconds": _quantile(latencies, 0.50),
-        "latency_p95_seconds": _quantile(latencies, 0.95),
-        "latency_max_seconds": latencies[-1] if latencies else 0.0,
-        "serve": serve_snap,
-        "metrics": frontend.metrics_snapshot(),
     }
-    return report

@@ -75,53 +75,14 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
             "spatial query engine."
         ),
     )
-    parser.add_argument(
-        "--dataset", choices=DATASET_ORDER, default="NJ",
-        help="Table 2 dataset registered as roads/hydro (default: NJ)",
-    )
+    _add_engine_args(parser)
     parser.add_argument(
         "--queries", type=int, default=30,
         help="workload length (default: 30)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="executor worker-pool size (default: 1)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help=(
-            "catalog shards served scatter/gather-style; >1 partitions "
-            "each relation across this many engines sharing one worker "
-            "pool (default: 1, a single engine)"
-        ),
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help=(
-            "replica engines per shard (sharded runs only); scatter "
-            "picks a healthy replica and fails over to the survivors "
-            "when one dies mid-query (default: 1)"
-        ),
-    )
-    parser.add_argument(
-        "--faults", default=None, metavar="JSON",
-        help=(
-            "fault-injection plan: a JSON list of rule objects "
-            '(e.g. \'[{"site": "pool.task", "kind": "crash"}]\'); '
-            "see repro.engine.faults.FaultPlan.from_json"
-        ),
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for probabilistic fault rules (default: 0)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=7,
         help="workload seed (default: 7)",
-    )
-    parser.add_argument(
-        "--scale", choices=("default", "quick"), default="default",
-        help="1/256 of the paper's sizes (default) or 1/1024 (quick)",
     )
     parser.add_argument(
         "--memory-bytes", type=int, default=None,
@@ -131,26 +92,8 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--pool-kind", choices=("process", "thread", "serial"),
-        default="process",
-        help=(
-            "worker pool flavour for partitioned plans (default: "
-            "process — a persistent process pool shared by all queries)"
-        ),
-    )
-    parser.add_argument(
         "--no-artifact-cache", action="store_true",
         help="disable artifact reuse (distributions and sorted runs)",
-    )
-    parser.add_argument(
-        "--artifact-dir", default=None,
-        help=(
-            "persist artifacts to this directory (content-keyed "
-            "sidecar); a restarted serve-bench pointed at the same "
-            "directory restores its warm state lazily; with --shards "
-            "the root holds per-shard/per-replica subdirectories plus "
-            "a shared result store"
-        ),
     )
     parser.add_argument(
         "--kernel", choices=("auto", "numpy", "python"), default="auto",
@@ -222,6 +165,68 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """The deployment serve-bench and the serve endpoint both build."""
+    parser.add_argument(
+        "--dataset", choices=DATASET_ORDER, default="NJ",
+        help="Table 2 dataset registered as roads/hydro (default: NJ)",
+    )
+    parser.add_argument(
+        "--scale", choices=("default", "quick"), default="default",
+        help="1/256 of the paper's sizes (default) or 1/1024 (quick)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="executor worker-pool size (default: 1)",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=1,
+        help=(
+            "catalog shards served scatter/gather-style; >1 partitions "
+            "each relation across this many engines sharing one worker "
+            "pool (default: 1, a single engine)"
+        ),
+    )
+    parser.add_argument(
+        "--replicas", type=int, default=1,
+        help=(
+            "replica engines per shard (sharded runs only); the first "
+            "healthy one serves and scatter fails over to the "
+            "survivors when it dies mid-query (default: 1)"
+        ),
+    )
+    parser.add_argument(
+        "--pool-kind", choices=("process", "thread", "serial"),
+        default="process",
+        help=(
+            "worker pool flavour for partitioned plans (default: "
+            "process — a persistent process pool shared by all queries)"
+        ),
+    )
+    parser.add_argument(
+        "--artifact-dir", default=None,
+        help=(
+            "persist artifacts to this directory (content-keyed "
+            "sidecar); a restart pointed at the same directory "
+            "restores its warm state lazily; with --shards the root "
+            "holds per-shard/per-replica subdirectories plus a shared "
+            "result store"
+        ),
+    )
+    parser.add_argument(
+        "--faults", default=None, metavar="JSON",
+        help=(
+            "fault-injection plan: a JSON list of rule objects "
+            '(e.g. \'[{"site": "pool.task", "kind": "crash"}]\'); '
+            "see repro.engine.faults.FaultPlan.from_json"
+        ),
+    )
+    parser.add_argument(
+        "--fault-seed", type=int, default=0,
+        help="seed for probabilistic fault rules (default: 0)",
+    )
+
+
 def _add_serve_args(parser: argparse.ArgumentParser) -> None:
     """Front-end knobs shared by serve-bench and the serve endpoint."""
     parser.add_argument(
@@ -270,13 +275,6 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
             "disables aging (default: 0.5)"
         ),
     )
-    parser.add_argument(
-        "--adaptive-admission", action="store_true",
-        help=(
-            "size per-class admission grants from the observed "
-            "per-class memory high-water instead of fixed bytes"
-        ),
-    )
 
 
 def _parse_http_args(argv: List[str]) -> argparse.Namespace:
@@ -288,24 +286,7 @@ def _parse_http_args(argv: List[str]) -> argparse.Namespace:
             "GET /healthz)."
         ),
     )
-    parser.add_argument(
-        "--dataset", choices=DATASET_ORDER, default="NJ",
-        help="Table 2 dataset registered as roads/hydro (default: NJ)",
-    )
-    parser.add_argument(
-        "--scale", choices=("default", "quick"), default="default",
-        help="1/256 of the paper's sizes (default) or 1/1024 (quick)",
-    )
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--replicas", type=int, default=1)
-    parser.add_argument(
-        "--pool-kind", choices=("process", "thread", "serial"),
-        default="process",
-    )
-    parser.add_argument("--artifact-dir", default=None)
-    parser.add_argument("--faults", default=None, metavar="JSON")
-    parser.add_argument("--fault-seed", type=int, default=0)
+    _add_engine_args(parser)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
         "--port", type=int, default=8642,
@@ -401,42 +382,46 @@ def run_dataset(name: str, algorithms: List[str],
     )
 
 
-def serve_bench(args: argparse.Namespace) -> int:
+def _build_engine(args: argparse.Namespace, **extra):
+    """The engine ``_add_engine_args`` describes (a front-end built on
+    it joins its fault plan); ``extra`` are constructor keywords only
+    one subcommand has flags for."""
     # Imported here so the classic experiment path stays importable
     # even if the engine package is being bisected.
+    from repro.engine.faults import FaultPlan
+    from repro.engine.workload import engine_for_dataset
+
+    faults = None
+    if args.faults:
+        try:
+            faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
+        except ValueError as exc:
+            raise SystemExit(f"--faults: {exc}")
+    if args.shards > 1:
+        extra["replicas"] = max(1, args.replicas)
+        extra["result_store_bytes"] = args.result_store_bytes
+    return engine_for_dataset(
+        args.dataset, _scale(args.scale), shards=args.shards,
+        workers=max(1, args.workers), pool_kind=args.pool_kind,
+        artifact_dir=args.artifact_dir, faults=faults, **extra,
+    )
+
+
+def serve_bench(args: argparse.Namespace) -> int:
     from repro.engine.workload import (
-        engine_for_dataset,
         make_workload,
         run_concurrent_workload,
         run_workload,
     )
 
-    scale = _scale(args.scale)
-    faults = None
-    if args.faults:
-        from repro.engine.faults import FaultPlan
-
-        try:
-            faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
-        except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}")
-    engine_kwargs = {
-        "workers": max(1, args.workers),
-        "memory_bytes": args.memory_bytes,
-        "pool_kind": args.pool_kind,
-        "artifact_cache_bytes": 0 if args.no_artifact_cache else None,
-        "artifact_dir": args.artifact_dir,
-        "trace": args.trace,
-        "slow_log_capacity": args.slow_log,
-        "slow_threshold_seconds": args.slow_threshold_ms / 1000.0,
-        "kernel": args.kernel,
-        "faults": faults,
-    }
-    if args.shards > 1:
-        engine_kwargs["replicas"] = max(1, args.replicas)
-        engine_kwargs["result_store_bytes"] = args.result_store_bytes
-    engine = engine_for_dataset(
-        args.dataset, scale, shards=args.shards, **engine_kwargs
+    engine = _build_engine(
+        args,
+        memory_bytes=args.memory_bytes,
+        artifact_cache_bytes=0 if args.no_artifact_cache else None,
+        trace=args.trace,
+        slow_log_capacity=args.slow_log,
+        slow_threshold_seconds=args.slow_threshold_ms / 1000.0,
+        kernel=args.kernel,
     )
     queries = make_workload(
         engine.universe_of("roads"), args.queries, seed=args.seed,
@@ -456,8 +441,6 @@ def serve_bench(args: argparse.Namespace) -> int:
             admission_bytes=args.admission_bytes,
             max_concurrency=args.max_concurrency,
             aging_seconds=args.aging_seconds,
-            adaptive_grants=args.adaptive_admission,
-            faults=faults,
         )
     else:
         report = run_workload(engine, queries)
@@ -536,7 +519,6 @@ def serve_bench(args: argparse.Namespace) -> int:
             f"{s['admission']['in_use_bytes']} B in use of "
             f"{s['admission']['total_bytes']} B, "
             f"{s['admission']['grants_issued']} grants issued"
-            + (" (adaptive)" if s.get("adaptive_grants") else "")
         )])
         ages = s.get("queue_age_max_seconds", {})
         rows.append(["queue aging", (
@@ -559,7 +541,7 @@ def serve_bench(args: argparse.Namespace) -> int:
             ["result cache bytes", m["result_cache_bytes"]],
         ]
     title = (
-        f"serve-bench {args.dataset} (scale {scale.name}): "
+        f"serve-bench {args.dataset} (scale {engine.scale.name}): "
         f"{args.queries} queries, {max(1, args.workers)} workers"
         + (f", {args.shards} shards" if args.shards > 1 else "")
     )
@@ -572,30 +554,9 @@ def serve_cmd(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.engine.serve import ServingFrontend, serve_http
-    from repro.engine.workload import engine_for_dataset
 
-    scale = _scale(args.scale)
-    faults = None
-    if args.faults:
-        from repro.engine.faults import FaultPlan
-
-        try:
-            faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
-        except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}")
-    engine_kwargs = {
-        "workers": max(1, args.workers),
-        "pool_kind": args.pool_kind,
-        "artifact_dir": args.artifact_dir,
-        "faults": faults,
-    }
-    if args.shards > 1:
-        engine_kwargs["replicas"] = max(1, args.replicas)
-        engine_kwargs["result_store_bytes"] = args.result_store_bytes
-    engine = engine_for_dataset(
-        args.dataset, scale, shards=args.shards, **engine_kwargs
-    )
-    fe_kwargs = {"faults": faults}
+    engine = _build_engine(args)
+    fe_kwargs = {}
     if args.queue_depth is not None:
         fe_kwargs["queue_depth"] = args.queue_depth
     if args.admission_bytes is not None:
@@ -606,8 +567,6 @@ def serve_cmd(args: argparse.Namespace) -> int:
         fe_kwargs["default_deadline_seconds"] = args.deadline_ms / 1e3
     if args.aging_seconds is not None:
         fe_kwargs["aging_seconds"] = args.aging_seconds
-    if args.adaptive_admission:
-        fe_kwargs["adaptive_grants"] = True
     frontend = ServingFrontend(engine, **fe_kwargs)
 
     async def run() -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import threading
+
 import pytest
 
 from repro.core.brute import brute_force_pairs
@@ -912,8 +915,19 @@ class TestArtifactPersistence:
         s1 = first.execute(sq).result
         assert first.artifact_store.saves == 3  # 1 distribution + 2 runs
         first.close()
+        # A manifest as written before restores went lazy-only: every
+        # entry carries the retired "heat" rank.  It must still load.
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for rank, meta in enumerate(manifest["artifacts"].values()):
+            meta["heat"] = rank
+        manifest_path.write_text(json.dumps(manifest))
 
-        second = self._engine(tmp_path, a, b)
+        second = self._engine(tmp_path, a, b)  # registers and prepares
+        # Nothing is read ahead of the first touch, on no thread.
+        assert not [t for t in threading.enumerate()
+                    if t.name == "artifact-prewarm"]
+        assert second.artifact_store.restores == 0
         bytes_before = second.env.bytes_read
         p2 = second.execute(pq).result
         assert p2.detail["artifact_hit"] is True
@@ -1001,10 +1015,10 @@ class TestArtifactPersistence:
 
     def test_late_damage_report_spares_the_healed_artifact(
             self, tmp_path, monkeypatch):
-        # The prewarm thread and a query read the same damaged file;
-        # the query drops it, runs cold and re-saves under the token
-        # before the prewarm thread gets to report.  The late report
-        # must not take the fresh artifact down with it.
+        # Two readers see the same damaged file; one drops it, runs
+        # cold and re-saves under the token before the other gets to
+        # report.  The late report must not take the fresh artifact
+        # down with it.
         import zlib
 
         from repro.engine.artifacts import ArtifactStore

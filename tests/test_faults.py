@@ -34,11 +34,7 @@ from repro.engine import (
     WorkerPool,
     merge_snapshots,
 )
-from repro.engine.artifacts import (
-    ArtifactStore,
-    ResultStore,
-    check_store_layout,
-)
+from repro.engine.artifacts import ResultStore, check_store_layout
 from repro.engine.faults import corrupt_file
 from repro.engine.shard import HEALTH_FLOOR, PROBE_EVERY
 from repro.geom.rect import Rect
@@ -339,31 +335,31 @@ class TestReplicaFailover:
         assert engine.replica_recoveries >= 1
         engine.close()
 
-    def test_slow_replica_takes_timeout_penalty(self):
+    def test_primary_serves_until_it_fails_and_again_once_probed(self):
+        # after=3: the primary serves three sub-queries and fails the
+        # fourth.
         plan = FaultPlan([
-            FaultRule(site="shard.execute", kind="slow",
-                      delay_seconds=0.02, times=1),
+            FaultRule(site="shard.execute", kind="exception",
+                      after=3, times=1),
         ])
-        engine, a, b = _sharded(
-            faults=plan, replicas=2, shards=1,
-            replica_timeout_seconds=0.005,
-        )
-        out = engine.execute(Query(relations=("a", "b")))
-        assert sorted(out.result.pairs) == sorted(brute_reference(a, b))
-        assert engine.replica_timeouts == 1
-        assert engine.failovers == 0  # served, just slowly
-        engine.close()
+        engine, a, b = _sharded(faults=plan, replicas=2, shards=1)
+        q = Query(relations=("a", "b"))
 
-    def test_healthy_replicas_rotate_round_robin(self):
-        engine, a, b = _sharded(replicas=2, shards=1)
-        served = set()
-        for _ in range(4):
-            out = engine.execute(Query(relations=("a", "b")))
-            served.update(
-                out.result.detail["shard_replicas"].values()
-            )
-        assert served == {0, 1}
-        assert engine.failovers == 0
+        def replica():
+            return engine.execute(q).result.detail["shard_replicas"][0]
+
+        assert [replica() for _ in range(3)] == [0, 0, 0]
+        assert replica() == 1  # the primary raised: failover
+        assert engine.failovers == 1 and engine.unhealthy_replicas == 1
+        # Sick, it is the last resort — until the PROBE_EVERY-th
+        # selection tries it first and its success recovers it.
+        assert ([replica() for _ in range(PROBE_EVERY - 1)]
+                == [1] * (PROBE_EVERY - 1))
+        assert replica() == 0
+        assert engine.unhealthy_replicas == 0
+        assert engine.replica_recoveries == 1
+        assert [replica() for _ in range(3)] == [0, 0, 0]
+        assert engine.failovers == 1 and engine.retries == 1
         engine.close()
 
     def test_worker_crash_under_sharding_recovers(self):
@@ -472,70 +468,6 @@ class TestArtifactFaults:
         assert out.detail["artifact_hit"] is False
         assert second.artifact_store.corrupt_drops >= 1
         second.close()
-
-
-class TestPrewarm:
-    def _warm_store(self, tmp_path):
-        a, b = _data(seed=11, n_a=120, n_b=80)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            memory_bytes=10_000_000, artifact_dir=str(tmp_path),
-        )
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        engine.execute(Query(relations=("a", "b"), force="sssj"))
-        engine.close()
-
-    def test_prewarm_stages_and_load_pops(self, tmp_path):
-        self._warm_store(tmp_path)
-        store = ArtifactStore(str(tmp_path))
-        assert len(store) == 2  # two sorted runs
-        assert store.prewarm() == 2
-        snap = store.snapshot()
-        assert snap["prewarmed"] == 2 and snap["staged"] == 2
-        token = next(iter(store._manifest))
-        kind, value, logical = store.load(token)
-        assert logical > 0
-        # Staged payloads count as restores exactly like file reads.
-        assert store.restores == 1
-        assert store.snapshot()["staged"] == 1
-
-    def test_prewarm_limit_takes_hottest(self, tmp_path):
-        self._warm_store(tmp_path)
-        store = ArtifactStore(str(tmp_path))
-        tokens = sorted(store._manifest)
-        # Heat flushes to the manifest every _HEAT_FLUSH_EVERY bumps;
-        # eight loads guarantee the new store sees the skew.
-        for _ in range(8):
-            store.load(tokens[0])
-        store2 = ArtifactStore(str(tmp_path))
-        assert store2.prewarm(limit=1) == 1
-        assert tokens[0] in store2._staged
-
-    def test_background_prewarm_on_prepare(self, tmp_path):
-        self._warm_store(tmp_path)
-        a, b = _data(seed=11, n_a=120, n_b=80)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            memory_bytes=10_000_000, artifact_dir=str(tmp_path),
-        )
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        engine.prepare()
-        engine.artifact_store.wait_prewarm(5.0)
-        assert engine.artifact_store.snapshot()["prewarmed"] == 2
-        # Warm queries consume the staged payloads as disk restores.
-        out = engine.execute(
-            Query(relations=("a", "b"), force="sssj")
-        ).result
-        assert out.detail["artifact_restores"] == 2
-        engine.close()
-
-    def test_empty_store_starts_no_thread(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        assert store.start_prewarm() is None
 
 
 class TestResultStore:
@@ -824,7 +756,7 @@ class TestFailoverMetrics:
         engine, a, b = _single()
         snap = engine.metrics_snapshot()
         for key in ("failovers", "retries", "replica_failures",
-                    "replica_timeouts", "failover_rate"):
+                    "failover_rate"):
             assert snap[key] == 0
         engine.close()
 

@@ -36,7 +36,9 @@ from repro.engine import (
     ServingFrontend,
     ShardedEngine,
     SpatialQueryEngine,
+    engine_for_dataset,
     lpt_makespan,
+    make_workload,
     run_concurrent_workload,
     run_workload,
     serve_http,
@@ -44,6 +46,7 @@ from repro.engine import (
 from repro.engine.serve import parse_query_body
 from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
+from repro.sim.scale import QUICK_SCALE
 
 from tests.conftest import TEST_SCALE, _uniform
 
@@ -175,60 +178,36 @@ class TestLptMakespan:
         engine.close()
 
 
-# -- weighted replica selection ----------------------------------------------
+# -- replica selection -------------------------------------------------------
 
 
-class TestWeightedReplicaSelection:
-    def test_slow_replica_demoted_behind_fast_ones(self):
-        engine = _registered(shards=2, replicas=2)
-        # Shard 0: replica 0 is observed 100x slower than replica 1.
-        engine._latency_ewma[0][0] = 0.5
-        engine._latency_ewma[0][1] = 0.005
-        order = engine._replica_order(0)
-        assert order[0] == 1, "the fast replica must be tried first"
-        assert 0 in order, "the slow replica stays as fallback"
-        assert engine.weighted_reroutes >= 1
-        engine.close()
+class TestReplicaSelection:
+    def test_serial_replays_pick_the_same_replicas(self):
+        # Replica choice reads health alone, never a measured latency:
+        # two fresh 2 x 2 deployments replaying one workload serially
+        # pick the same replica for every sub-query, so their
+        # simulated clocks (which see each replica's warm or cold
+        # artifact cache) agree to the bit.
+        def replay():
+            sharded = engine_for_dataset(
+                "NJ", QUICK_SCALE, shards=2, replicas=2,
+                pool_kind="serial",
+            )
+            queries = make_workload(
+                sharded.universe_of("roads"), 60, seed=5
+            )
+            picked = [
+                sorted(out.result.detail["shard_replicas"].items())
+                for out in map(sharded.execute, queries)
+                if not out.from_cache
+            ]
+            sim_wall = sharded.metrics_snapshot()["sim_wall_seconds"]
+            sharded.close()
+            return picked, sim_wall
 
-    def test_comparable_replicas_keep_rotating(self):
-        engine = _registered(shards=2, replicas=2)
-        engine._latency_ewma[0][0] = 0.010
-        engine._latency_ewma[0][1] = 0.011  # within 1.5x: both fast
-        reroutes = engine.weighted_reroutes
-        seen_first = {engine._replica_order(0)[0] for _ in range(4)}
-        assert seen_first == {0, 1}, (
-            "comparable replicas must still round-robin"
-        )
-        assert engine.weighted_reroutes == reroutes
-        engine.close()
-
-    def test_slow_replica_already_last_is_not_a_reroute(self):
-        engine = _registered(shards=2, replicas=3)
-        # Two equally fast replicas, and a slow one the rotation
-        # starting at replica 0 already puts last.
-        engine._latency_ewma[0] = [0.010, 0.010, 0.5]
-        assert engine._replica_order(0) == [0, 1, 2]
-        assert engine.weighted_reroutes == 0, (
-            "weighting changed nothing: not a reroute"
-        )
-        # The next rotation would try the slow replica second.
-        assert engine._replica_order(0) == [1, 0, 2]
-        assert engine.weighted_reroutes == 1
-        engine.close()
-
-    def test_ewma_recorded_on_success(self):
-        engine = _registered(shards=2, replicas=2)
-        for q in (Query(relations=("a", "b")),
-                  Query(relations=("a", "a"))):
-            engine.execute(q)
-        observed = [
-            ew for shard in engine._latency_ewma
-            for ew in shard if ew is not None
-        ]
-        assert observed, "serving must record latency EWMAs"
-        snap = engine.metrics_snapshot()
-        assert snap["replica_latency_ewma"] == engine._latency_ewma
-        engine.close()
+        first, second = replay(), replay()
+        assert first[0] and first[0] == second[0]
+        assert first[1] > 0 and first[1] == second[1]
 
 
 # -- ResultStore LRU cap -----------------------------------------------------
@@ -627,7 +606,8 @@ class TestChaosDifferential:
         # have been released.
         held = {
             cat: n
-            for cat, n in engine.budget.snapshot()["by_category"].items()
+            for e in engine.all_engines
+            for cat, n in e.budget.snapshot()["by_category"].items()
             if n
         }
         assert set(held) <= {"artifacts"}, held
@@ -639,8 +619,6 @@ class TestChaosDifferential:
 
 class TestConcurrentWorkloadDriver:
     def test_closed_loop_matches_serial_pairs(self):
-        from repro.engine import make_workload
-
         engine = _registered(n=150)
         queries = make_workload(UNIT, 24, seed=7)
         # make_workload names relations roads/hydro; remap onto ours.
@@ -715,8 +693,6 @@ class TestSingleEngineSerialization:
             sharded.close()
 
     def test_concurrent_single_engine_matches_serial_accounting(self):
-        from repro.engine import make_workload
-
         queries = [
             Query(relations=("a", "b"), window=q.window)
             for q in make_workload(UNIT, 24, seed=7)
@@ -1094,9 +1070,50 @@ class TestHttpEndpoint:
             {"relations": ["a", "b"], "window": [5, 1, 0, 1]},
             {"relations": ["a", "b"], "window": [0, 1, 0, 10 ** 400]},
             {"relations": ["a", "b"], "deadline_ms": True},
+            {"relations": ["a", "b"], "count_only": "yes"},
+            {"relations": ["a", "b"], "count_only": 1},
         ):
             with pytest.raises(ValueError):
                 parse_query_body(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("make", [_registered, _registered_single])
+    def test_client_typos_are_400s_that_take_no_grant(self, make):
+        # An unknown relation name or a non-boolean count_only is the
+        # client's mistake: answered before admission, so no grant is
+        # issued and neither ``errors`` nor ``submitted`` moves.
+        engine = make()
+
+        async def scenario(fe):
+            server = await serve_http(fe, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            replies = [
+                await _http(port, "POST", "/query",
+                            json.dumps(body).encode())
+                for body in (
+                    {"relations": ["a", "nope"]},
+                    {"relations": ["a", ""]},
+                    {"relations": ["a", "b"], "count_only": "yes"},
+                    {"relations": ["a", "b"], "count_only": True},
+                )
+            ]
+            server.close()
+            await server.wait_closed()
+            return replies
+
+        with _frontend(engine) as fe:
+            unknown, empty, truthy, served = asyncio.run(scenario(fe))
+            snap = fe.snapshot()
+        assert unknown[0] == empty[0] == truthy[0] == 400
+        # The catalog's own message, not a repr of it.
+        assert json.loads(unknown[1])["error"].startswith(
+            "unknown relation 'nope'; registered: a, b")
+        assert "unknown relation ''" in json.loads(empty[1])["error"]
+        assert "count_only" in json.loads(truthy[1])["error"]
+        assert served[0] == 200
+        assert snap["submitted"] == snap["served_ok"] == 1
+        assert snap["errors"] == 0
+        assert snap["admission"]["grants_issued"] == 1
+        engine.close()
 
 
 # -- cancellation checkpoints ------------------------------------------------
@@ -1118,7 +1135,7 @@ class TestCancellationCheckpoints:
         # and its accounting clean.
         out = engine.execute(Query(relations=("a", "b")))
         assert out.result.n_pairs > 0
-        assert engine.budget.snapshot()["in_use_bytes"] == 0
+        assert engine.metrics_snapshot()["budget_in_use_bytes"] == 0
         engine.close()
 
     def test_cancel_noop_when_never_raising(self):
@@ -1282,7 +1299,7 @@ class TestPoolDeadlinePropagation:
         snap = engine.metrics_snapshot()
         assert snap["failovers"] == 0
         assert snap["retries"] == 0
-        assert engine.budget.snapshot()["in_use_bytes"] == 0
+        assert snap["budget_in_use_bytes"] == 0
         out = engine.execute(Query(relations=("a", "b")))
         assert out.result.n_pairs > 0
         engine.close()

@@ -25,10 +25,12 @@ from repro.core.columnar import PairColumns
 from repro.engine import (
     AdmissionError,
     Query,
+    ServingFrontend,
     ShardedEngine,
     SpatialQueryEngine,
     WorkerPool,
     make_workload,
+    run_concurrent_workload,
     run_workload,
 )
 from repro.engine.shard import balanced_cuts, gather_pairs
@@ -83,8 +85,12 @@ def test_sharded_signature_tracks_the_single_engine():
     for name in sorted(shared):
         assert sharded[name].default == single[name].default, name
     deleted = {"min_ship_rects", "tile_batch_bytes", "shm_min_bytes",
-               "inline_plan_ops", "histogram_grid", "scatter_threads"}
+               "inline_plan_ops", "histogram_grid", "scatter_threads",
+               "replica_timeout_seconds"}
     assert not deleted & (set(single) | set(sharded))
+    # Admission grants are the static per-class table.
+    for fn in (ServingFrontend.__init__, run_concurrent_workload):
+        assert "adaptive_grants" not in inspect.signature(fn).parameters
 
 
 # -- sharding geometry -------------------------------------------------------

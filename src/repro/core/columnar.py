@@ -6,10 +6,9 @@ costs one object header, five boxed fields and a memo entry per
 rectangle; a :class:`ColumnarTile` holds the same tile as five flat
 ``array`` columns (four ``'d'`` coordinate columns plus one ``'q'``
 identifier column), which pickle as raw buffers — a single memcpy per
-column instead of per-rectangle object traversal.  Workers decode a
-tile once into a local ``List[Rect]`` and sweep over the locals, so the
-per-rectangle cost is paid exactly once per side of the process
-boundary.
+column instead of per-rectangle object traversal.  The numpy sweep
+kernel reads the columns in place; the python kernel decodes a tile
+once into a local ``List[Rect]`` and sweeps over the locals.
 
 The codec is exact: coordinates travel as the same IEEE-754 doubles the
 in-memory ``Rect`` holds (``array('d')`` is a lossless round-trip for
@@ -32,10 +31,7 @@ and cached as arrays, and boxed only when a caller iterates them.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from array import array
-from collections import OrderedDict
 from collections.abc import Sequence
 from itertools import chain
 from math import prod
@@ -52,55 +48,6 @@ except ImportError:  # only numpy engines ever build a PairColumns
 #: coordinates plus one int64 identifier.
 COLUMN_BYTES_PER_RECT = 4 * 8 + 8
 
-#: Bound on how many tiles may hold a decoded ``decode_sorted_cached``
-#: list at once, per process.  The memo used to be unbounded: a
-#: long-lived worker (or a coordinator holding a large artifact cache)
-#: would accumulate one boxed ``List[Rect]`` per tile it ever decoded.
-#: The registry below evicts the *decoded list* of the
-#: least-recently-used tile — the flat columns are untouched, so an
-#: evicted tile just decodes again on its next sweep.
-DECODE_CACHE_TILES = 128
-
-#: LRU registry of tiles currently holding a decoded list.  Values are
-#: weak references: the registry must never keep a dead tile (and its
-#: decoded rectangles) alive — it only bounds memos of *live* tiles.
-#: Thread pools decode tiles concurrently, so all registry mutation
-#: (and the cross-object memo eviction it performs) happens under one
-#: lock; readers of ``_sorted_cache`` hold a local reference, so an
-#: eviction landing mid-call can never turn their result into None.
-_decode_lru: "OrderedDict[int, weakref.ref]" = OrderedDict()
-#: Reentrant: dropping a strong reference inside the locked eviction
-#: loop can fire a tile's death callback on the same thread, which
-#: itself takes the lock.
-_decode_lock = threading.RLock()
-
-
-def _register_decode(tile: "ColumnarTile") -> None:
-    """Note that ``tile`` holds a decoded list; evict the LRU beyond cap."""
-    key = id(tile)
-
-    def on_death(ref) -> None:
-        # Purge the dead tile's entry — but only if the slot still
-        # holds *this* ref (the id may have been reused as a key by a
-        # newer tile's registration before the callback ran).
-        with _decode_lock:
-            if _decode_lru.get(key) is ref:
-                del _decode_lru[key]
-
-    with _decode_lock:
-        _decode_lru.pop(key, None)  # re-registration refreshes recency
-        _decode_lru[key] = weakref.ref(tile, on_death)
-        while len(_decode_lru) > DECODE_CACHE_TILES:
-            _, ref = _decode_lru.popitem(last=False)
-            victim = ref()
-            if victim is not None:
-                victim._sorted_cache = None
-
-
-def _unregister_decode(tile: "ColumnarTile") -> None:
-    with _decode_lock:
-        _decode_lru.pop(id(tile), None)
-
 
 class ColumnarTile:
     """One tile of rectangles as five flat columns.
@@ -111,8 +58,9 @@ class ColumnarTile:
     is one contiguous buffer.
     """
 
-    __slots__ = ("xlo", "xhi", "ylo", "yhi", "rid", "_sorted_cache",
-                 "__weakref__")
+    # Weakly referenceable: the pool's shared-memory manager unpins a
+    # tile's segment from a finalizer on the tile.
+    __slots__ = ("xlo", "xhi", "ylo", "yhi", "rid", "__weakref__")
 
     def __init__(self) -> None:
         self.xlo = array("d")
@@ -120,7 +68,6 @@ class ColumnarTile:
         self.ylo = array("d")
         self.yhi = array("d")
         self.rid = array("q")
-        self._sorted_cache = None
 
     @classmethod
     def from_rects(cls, rects: Iterable[Rect]) -> "ColumnarTile":
@@ -143,9 +90,6 @@ class ColumnarTile:
         return tile
 
     def append(self, r: Rect) -> None:
-        if self._sorted_cache is not None:
-            self._sorted_cache = None
-            _unregister_decode(self)
         self.xlo.append(r.xlo)
         self.xhi.append(r.xhi)
         self.ylo.append(r.ylo)
@@ -156,9 +100,6 @@ class ColumnarTile:
         # Column-at-a-time bulk append beats per-rect append for the
         # common encode-a-whole-list case, but needs a second pass per
         # column; a materialized sequence makes those passes cheap.
-        if self._sorted_cache is not None:
-            self._sorted_cache = None
-            _unregister_decode(self)
         rects = rects if isinstance(rects, (list, tuple)) else list(rects)
         self.xlo.extend(r.xlo for r in rects)
         self.xhi.extend(r.xhi for r in rects)
@@ -170,33 +111,6 @@ class ColumnarTile:
         """The boxed rectangle list, element-for-element, in order."""
         return list(map(Rect, self.xlo, self.xhi, self.ylo, self.yhi,
                         self.rid))
-
-    def decode_sorted_cached(self) -> List[Rect]:
-        """Decoded rectangles sorted by ``(ylo, xlo)``, memoized.
-
-        The sweep kernel sorts its inputs by that key anyway; handing
-        it an already-sorted list keeps the output bit-identical (the
-        sort is stable and keyed the same) while the re-sort collapses
-        to a linear scan.  The memo makes repeated coordinator-side
-        sweeps of a cached tile decode-and-sort once, not per query;
-        it never crosses the pickle boundary (``__reduce__`` ships the
-        raw columns only), so process workers are unaffected.  Callers
-        must not mutate the returned list.
-
-        The memo is bounded per process: at most
-        :data:`DECODE_CACHE_TILES` tiles hold a decoded list at once
-        (LRU over tiles, tracked by a module-level weak registry).
-        Beyond the bound the oldest tile's decoded list is dropped —
-        its columns are untouched, so it simply decodes again next
-        time it is swept.
-        """
-        decoded = self._sorted_cache
-        if decoded is None:
-            decoded = self.decode()
-            decoded.sort(key=lambda r: (r.ylo, r.xlo))
-            self._sorted_cache = decoded
-        _register_decode(self)
-        return decoded
 
     def __len__(self) -> int:
         return len(self.rid)
@@ -257,7 +171,6 @@ class ColumnarTile:
             setattr(tile, name, mv[o:o + stride].cast("d"))
             o += stride
         tile.rid = mv[o:o + stride].cast("q")
-        tile._sorted_cache = None
         return tile
 
     # Pickle via __reduce__ keeps the arrays as raw buffers and stays
@@ -281,7 +194,6 @@ def _rebuild_tile(xlo, xhi, ylo, yhi, rid) -> ColumnarTile:
     tile.ylo = ylo
     tile.yhi = yhi
     tile.rid = rid
-    tile._sorted_cache = None
     return tile
 
 
@@ -293,11 +205,8 @@ class SortedRunView:
     tile; this view makes that tile consumable by everything that
     expects a :class:`~repro.storage.stream.Stream` — the SSSJ sweep,
     its slab fallback — without touching the simulated disk at all.
-    ``scan()`` decodes through the bounded memo
-    (:meth:`ColumnarTile.decode_sorted_cached`; stable re-sort of an
-    already-sorted run is the identity), so repeated sweeps of a warm
-    run decode once, and ``free()`` is a no-op: the artifact cache owns
-    the tile's lifetime.
+    ``scan()`` decodes the run, which is stored in sorted order, and
+    ``free()`` is a no-op: the artifact cache owns the tile's lifetime.
     """
 
     __slots__ = ("tile", "name")
@@ -307,7 +216,7 @@ class SortedRunView:
         self.name = name
 
     def scan(self) -> Iterator[Rect]:
-        return iter(self.tile.decode_sorted_cached())
+        return iter(self.tile.decode())
 
     def free(self) -> None:
         """Nothing to release — the backing tile is cache-owned."""

@@ -28,6 +28,16 @@ arithmetic:
   probe/insert/compact schedule on those counts — no rectangle is
   touched — and lands on bit-identical ``cpu_ops`` and
   ``max_active_items``.
+* **Segments.**  PBSM's tiles are independent sweeps, so *k* of them
+  run as one: the sides are concatenated and every y-coordinate is
+  replaced by the exact integer key ``tile * R + rank``, ``rank`` being
+  the order-preserving dense rank of all ``ylo``/``yhi`` values of the
+  group (one argsort — no arithmetic on coordinates, ties stay ties).
+  Events then order by tile first, an alive range can never reach into
+  the next tile, and the three steps above run unchanged over the
+  whole group; only the op replay knows about tiles, restarting its
+  state at each segment.  One tile needs no ranks: its raw floats are
+  already such a key.
 
 Inputs with inverted y-intervals (``yhi < ylo``) break the
 "dead implies already inserted" identity; every entry point returns
@@ -37,7 +47,8 @@ Inputs with inverted y-intervals (``yhi < ylo``) break the
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,16 +64,21 @@ CHUNK_CANDIDATES = 4_000_000
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
+#: ``(xlo, xhi, ylo, yhi, rid)`` arrays of one side.
+Columns = Tuple[np.ndarray, ...]
+
 
 # -- column extraction -------------------------------------------------------
 
 
-def _columns(side) -> Tuple[np.ndarray, ...]:
+def _columns(side) -> Columns:
     """``(xlo, xhi, ylo, yhi, rid)`` arrays from a tile or Rect list.
 
     Columnar tiles (``array('d')`` columns or shared-memory
     memoryviews) convert zero-copy via ``frombuffer``; boxed Rect
-    lists pay one bulk conversion.
+    lists pay one bulk conversion for the coordinates and one for the
+    ids, which never pass through a float (a ``rid`` above 2**53 would
+    not survive it).
     """
     if isinstance(side, (list, tuple)):
         if not side:
@@ -74,7 +90,7 @@ def _columns(side) -> Tuple[np.ndarray, ...]:
             np.ascontiguousarray(arr[:, 1]),
             np.ascontiguousarray(arr[:, 2]),
             np.ascontiguousarray(arr[:, 3]),
-            arr[:, 4].astype(np.int64),
+            np.fromiter(map(itemgetter(4), side), np.int64, len(side)),
         )
     return (
         np.frombuffer(side.xlo, dtype=np.float64),
@@ -85,13 +101,9 @@ def _columns(side) -> Tuple[np.ndarray, ...]:
     )
 
 
-def _sort_side(cols: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
-    """Columns reordered by ``(ylo, xlo)``, stable — the python sort key."""
-    xlo, xhi, ylo, yhi, rid = cols
-    if len(ylo) <= 1:
-        return cols
-    order = np.lexsort((xlo, ylo))
-    return (xlo[order], xhi[order], ylo[order], yhi[order], rid[order])
+def _valid(cols: Columns) -> bool:
+    """No inverted y-interval: the kernel's model holds for this side."""
+    return bool(np.all(cols[3] >= cols[2]))
 
 
 def _is_sorted_by_ylo(ylo: np.ndarray) -> bool:
@@ -101,15 +113,69 @@ def _is_sorted_by_ylo(ylo: np.ndarray) -> bool:
 # -- the vectorized sweep core -----------------------------------------------
 
 
-def _find_pairs(ylo: np.ndarray, yhi: np.ndarray, xlo: np.ndarray,
+class _Merged:
+    """Merged event columns of one sweep (sorted sides, A-first ties).
+
+    ``lo`` / ``hi`` are the sweep keys of each event's y-interval: the
+    raw ``ylo`` / ``yhi`` for a single sweep, the segmented integer
+    keys for a group (:func:`_segment_keys`).  Each side is ordered by
+    ``(lo, xlo)`` unless ``presorted``, then the two runs are merged by
+    ``lo`` with a stable sort; the columns are gathered once, through
+    the composed permutation.  ``cb is ca`` sweeps one side against
+    itself and sorts it once.
+    """
+
+    __slots__ = ("xlo", "xhi", "ylo", "rid", "lo", "hi", "is_a", "n")
+
+    def __init__(self, ca: Columns, cb: Columns,
+                 keys_a: Tuple[np.ndarray, np.ndarray],
+                 keys_b: Tuple[np.ndarray, np.ndarray],
+                 presorted: bool = False) -> None:
+        na = len(ca[0])
+        nb = len(cb[0])
+        self.n = na + nb
+        order_a = _side_order(ca[0], keys_a[0], presorted)
+        if cb is ca:
+            # Both runs index the one side: no second copy of it.
+            order_b = order_a
+            src = ca + keys_a
+        else:
+            order_b = _side_order(cb[0], keys_b[0], presorted) + na
+            src = tuple(
+                np.concatenate(pair) for pair in zip(ca + keys_a,
+                                                     cb + keys_b)
+            )
+        perm = np.concatenate((order_a, order_b))
+        merge = np.argsort(src[5][perm], kind="stable")
+        perm = perm[merge]
+        self.is_a = merge < na
+        self.xlo = src[0][perm]
+        self.xhi = src[1][perm]
+        self.ylo = src[2][perm]
+        self.rid = src[4][perm]
+        self.lo = src[5][perm]
+        self.hi = src[6][perm]
+
+
+def _side_order(xlo: np.ndarray, lo: np.ndarray,
+                presorted: bool) -> np.ndarray:
+    """One side's sort permutation: by ``(lo, xlo)``, stable — the
+    python sort key — or the identity for a presorted side."""
+    if presorted or len(lo) <= 1:
+        return np.arange(len(lo), dtype=np.int64)
+    return np.lexsort((xlo, lo))
+
+
+def _find_pairs(lo: np.ndarray, hi: np.ndarray, xlo: np.ndarray,
                 xhi: np.ndarray, is_a: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """All sweep pairs as ``(later, earlier)`` event indices, emit order.
 
-    Because events are sorted by ``ylo``, the earlier rectangle *c* of
-    a pair is alive at the later event *e* exactly when
-    ``ylo[e] <= yhi[c]`` — i.e. *e* lies in the contiguous index range
-    ``(c, hi_c)`` with ``hi_c = searchsorted(ylo, yhi[c], 'right')``.
+    Because events are sorted by their ``lo`` key, the earlier
+    rectangle *c* of a pair is alive at the later event *e* exactly
+    when ``lo[e] <= hi[c]`` — i.e. *e* lies in the contiguous index
+    range ``(c, end_c)`` with ``end_c = searchsorted(lo, hi[c],
+    'right')``, which a segmented key keeps inside *c*'s own tile.
     Candidates are enumerated one direction at a time (A-earlier with
     B-later, then B-earlier with A-later) through each side's compact
     index space, so only opposite-side candidates are ever
@@ -118,11 +184,11 @@ def _find_pairs(ylo: np.ndarray, yhi: np.ndarray, xlo: np.ndarray,
     x-overlap test.  Enumeration is chunked so peak memory stays
     bounded on pathologically overlapping inputs.
     """
-    n = len(ylo)
+    n = len(lo)
     if n == 0:
         return _EMPTY_I64, _EMPTY_I64
-    # hi[c]: first event index no longer alive for c (hi[c] >= c + 1).
-    hi = np.searchsorted(ylo, yhi, side="right")
+    # end[c]: first event index no longer alive for c (end[c] >= c + 1).
+    end = np.searchsorted(lo, hi, side="right")
     # Inclusive per-side prefix counts: cnt_a[i] = #A events <= i.
     cnt_a = np.cumsum(is_a)
     cnt_b = np.arange(1, n + 1, dtype=cnt_a.dtype) - cnt_a
@@ -137,9 +203,9 @@ def _find_pairs(ylo: np.ndarray, yhi: np.ndarray, xlo: np.ndarray,
         if not (len(c_side) and len(e_side)):
             continue
         # Later opposite-side events for c occupy the compact range
-        # [cnt_e[c], cnt_e[hi[c] - 1]) of e_side.
+        # [cnt_e[c], cnt_e[end[c] - 1]) of e_side.
         lo_j = cnt_e[c_side]
-        hi_j = cnt_e[hi[c_side] - 1]
+        hi_j = cnt_e[end[c_side] - 1]
         counts = hi_j - lo_j
         cum = np.cumsum(counts)
         xlo_e = xlo[e_side]
@@ -178,106 +244,83 @@ def _find_pairs(ylo: np.ndarray, yhi: np.ndarray, xlo: np.ndarray,
     return later[order], earlier[order]
 
 
-def _simulate_ops(is_a: np.ndarray, ylo: np.ndarray,
-                  yhi: np.ndarray) -> Tuple[int, int]:
+def _pairs(m: _Merged, bounds: Sequence[int]
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_find_pairs` oriented: ``(a_idx, b_idx, segment)`` event
+    indices of each pair's A and B rectangle and the segment of
+    ``bounds`` it was found in (its later event's), in emit order.
+    (The later/earlier arrays end with this frame: a hot tile's pair
+    columns are what sets a pool worker's peak memory.)"""
+    later, earlier = _find_pairs(m.lo, m.hi, m.xlo, m.xhi, m.is_a)
+    a_later = m.is_a[later]
+    return (np.where(a_later, later, earlier),
+            np.where(a_later, earlier, later),
+            np.searchsorted(bounds, later, side="right") - 1)
+
+
+def _simulate_ops(is_a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  bounds: Sequence[int]) -> List[Tuple[int, int]]:
     """Replay the probe/insert/compact op schedule on merged events.
 
-    Returns ``(cpu_ops, max_active_items)`` bit-identical to
-    :func:`~repro.core.sweep.sweep_join_batched` over the same events.
-    ``live_x[i]`` is the live size of side x's active list when event
-    *i* probes/compacts: inserts before *i* minus deaths before
-    ``y_i`` (validity ``ylo <= yhi`` guarantees every death happened
-    after its insert).
+    Returns one ``(cpu_ops, max_active_items)`` per segment
+    ``[bounds[t], bounds[t + 1])``, each bit-identical to
+    :func:`~repro.core.sweep.sweep_join_batched` over that segment's
+    events alone.  ``live_x[i]`` is the live size of side x's active
+    list when event *i* probes/compacts: inserts before *i* minus
+    deaths before ``lo[i]`` (validity ``lo <= hi`` guarantees every
+    death happened after its insert).  Both terms are counted over the
+    whole array; a segmented key puts every event of an earlier tile
+    among the inserted *and* the dead, so the difference is the tile's
+    own, and only the replay state restarts per segment.
     """
     ins_a = np.cumsum(is_a) - is_a
     not_a = ~is_a
     ins_b = np.cumsum(not_a) - not_a
-    deaths_a = np.sort(yhi[is_a])
-    deaths_b = np.sort(yhi[not_a])
-    live_a = (ins_a - np.searchsorted(deaths_a, ylo, side="left")).tolist()
-    live_b = (ins_b - np.searchsorted(deaths_b, ylo, side="left")).tolist()
+    deaths_a = np.sort(hi[is_a])
+    deaths_b = np.sort(hi[not_a])
+    live_a = (ins_a - np.searchsorted(deaths_a, lo, side="left")).tolist()
+    live_b = (ins_b - np.searchsorted(deaths_b, lo, side="left")).tolist()
     side_a = is_a.tolist()
 
-    ops = 0
-    raw_a = raw_b = 0
-    compact_at = 64
-    max_active = 0
-    for i, a_event in enumerate(side_a):
-        if a_event:
-            ops += raw_b + 1  # probe the whole raw B list, insert into A
-            raw_b = live_b[i]
-            raw_a += 1
-        else:
-            ops += raw_a + 1
-            raw_a = live_a[i]
-            raw_b += 1
-        total = raw_a + raw_b
-        if total > compact_at:
-            ops += total  # compact() scans both raw lists
+    out: List[Tuple[int, int]] = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        ops = 0
+        raw_a = raw_b = 0
+        compact_at = 64
+        max_active = 0
+        for a_event, la, lb in zip(side_a[start:stop], live_a[start:stop],
+                                   live_b[start:stop]):
             if a_event:
-                raw_a = live_a[i] + 1  # the just-inserted rect is live
-                raw_b = live_b[i]
+                ops += raw_b + 1  # probe the whole raw B list, insert into A
+                raw_b = lb
+                raw_a += 1
             else:
-                raw_a = live_a[i]
-                raw_b = live_b[i] + 1
+                ops += raw_a + 1
+                raw_a = la
+                raw_b += 1
             total = raw_a + raw_b
-            doubled = 2 * total
-            compact_at = doubled if doubled > 64 else 64
-            if total > max_active:
+            if total > compact_at:
+                ops += total  # compact() scans both raw lists
+                if a_event:
+                    raw_a = la + 1  # the just-inserted rect is live
+                    raw_b = lb
+                else:
+                    raw_a = la
+                    raw_b = lb + 1
+                total = raw_a + raw_b
+                doubled = 2 * total
+                compact_at = doubled if doubled > 64 else 64
+                if total > max_active:
+                    max_active = total
+            elif total <= 64 and total > max_active:
                 max_active = total
-        elif total <= 64 and total > max_active:
-            max_active = total
-    return ops, max_active
+        out.append((ops, max_active))
+    return out
 
 
-class _Merged:
-    """Merged event columns of one sweep (sorted sides, A-first ties)."""
-
-    __slots__ = ("xlo", "xhi", "ylo", "yhi", "rid", "is_a", "n")
-
-    def __init__(self, sa: Tuple[np.ndarray, ...],
-                 sb: Tuple[np.ndarray, ...]) -> None:
-        na = len(sa[0])
-        nb = len(sb[0])
-        self.n = na + nb
-        is_a = np.zeros(self.n, dtype=bool)
-        is_a[:na] = True
-        ylo_cat = np.concatenate((sa[2], sb[2]))
-        order = np.argsort(ylo_cat, kind="stable")
-        self.xlo = np.concatenate((sa[0], sb[0]))[order]
-        self.xhi = np.concatenate((sa[1], sb[1]))[order]
-        self.ylo = ylo_cat[order]
-        self.yhi = np.concatenate((sa[3], sb[3]))[order]
-        self.rid = np.concatenate((sa[4], sb[4]))[order]
-        self.is_a = is_a[order]
-
-
-def _sweep_merged(m: _Merged) -> Tuple[np.ndarray, np.ndarray, SweepStats]:
-    """Pairs (as merged-event ``a_idx``/``b_idx``) plus kernel stats."""
-    later, earlier = _find_pairs(m.ylo, m.yhi, m.xlo, m.xhi, m.is_a)
-    ops, max_active = _simulate_ops(m.is_a, m.ylo, m.yhi)
-    stats = SweepStats(
-        pairs=int(later.size),
-        cpu_ops=ops,
-        max_active_items=max_active,
-        max_active_bytes=max_active * RECT_BYTES,
-    )
-    if later.size:
-        a_later = m.is_a[later]
-        a_idx = np.where(a_later, later, earlier)
-        b_idx = np.where(a_later, earlier, later)
-    else:
-        a_idx = b_idx = _EMPTY_I64
-    return a_idx, b_idx, stats
-
-
-def _charge_sort(env, n: int) -> int:
+def _sort_ops(n: int) -> int:
     """The python kernel's sort charge: ``int(n * log2(n))`` for n > 1."""
-    if n > 1:
-        ops = int(n * math.log2(n))
-        env.charge("sweep", ops)
-        return ops
-    return 0
+    return int(n * math.log2(n)) if n > 1 else 0
 
 
 # -- public entry points -----------------------------------------------------
@@ -294,7 +337,7 @@ def sweep_pairs_batched(
     """
     ca = _columns(rects_a)
     cb = ca if rects_b is rects_a else _columns(rects_b)
-    if np.any(ca[3] < ca[2]) or np.any(cb[3] < cb[2]):
+    if not (_valid(ca) and (cb is ca or _valid(cb))):
         return None
     if presorted:
         # The python merge loop raises on the first out-of-order event;
@@ -303,16 +346,21 @@ def sweep_pairs_batched(
             raise ValueError("source A is not sorted by ylo")
         if not _is_sorted_by_ylo(cb[2]):
             raise ValueError("source B is not sorted by ylo")
-        sa, sb = ca, cb
     else:
-        sa = _sort_side(ca)
-        sb = sa if cb is ca else _sort_side(cb)
-        _charge_sort(env, len(sa[0]) + len(sb[0]))
-    m = _Merged(sa, sb)
-    a_idx, b_idx, stats = _sweep_merged(m)
-    env.charge("sweep", stats.cpu_ops)
+        env.charge("sweep", _sort_ops(len(ca[0]) + len(cb[0])))
+    m = _Merged(ca, cb, ca[2:4], cb[2:4], presorted)
+    a_idx, b_idx, _ = _pairs(m, (0, m.n))
+    (ops, max_active), = _simulate_ops(m.is_a, m.lo, m.hi, (0, m.n))
+    stats = SweepStats(
+        pairs=int(a_idx.size),
+        cpu_ops=ops,
+        max_active_items=max_active,
+        max_active_bytes=max_active * RECT_BYTES,
+    )
+    env.charge("sweep", ops)
+    # One sweep, raw keys: ``m.hi`` is the events' ``yhi``.
     events = list(map(Rect, m.xlo.tolist(), m.xhi.tolist(),
-                      m.ylo.tolist(), m.yhi.tolist(), m.rid.tolist()))
+                      m.ylo.tolist(), m.hi.tolist(), m.rid.tolist()))
     pairs = [
         (events[a], events[b])
         for a, b in zip(a_idx.tolist(), b_idx.tolist())
@@ -320,59 +368,126 @@ def sweep_pairs_batched(
     return pairs, stats
 
 
-def sweep_tile(
-    side_a, side_b, self_join: bool, grid_spec: tuple, part_id: int,
-    window, collect: bool,
-) -> Optional[Tuple[int, Optional[PairColumns], int, int]]:
-    """The whole tile task, vectorized: sweep + ownership + dedup.
+def sweep_tiles(
+    tiles: Sequence[tuple], self_join: bool, grid_spec: tuple, window,
+    collect: bool,
+) -> Optional[Tuple[List[int], Optional[PairColumns], List[int],
+                    List[int]]]:
+    """*k* whole tile tasks in one pass: sweep + ownership + dedup.
 
-    Mirrors :func:`repro.engine.executor.sweep_tile_task`'s python
-    body — window pruning, the batched sweep (sort charge included),
-    reference-point ownership against the PBSM grid, self-join dedup —
-    without boxing a single ``Rect`` or id pair.  Returns the task
-    outcome ``(count, owned pairs or None, cpu_ops, dups)``, the pairs
-    as :class:`~repro.core.columnar.PairColumns` in the python body's
-    emit order, or ``None`` when the input is outside the kernel's
-    model.
+    ``tiles`` holds one ``(part_id, side_a, side_b)`` per tile of one
+    query (so ``self_join``, the grid, the window and ``collect`` are
+    shared; ``side_b`` is ``None`` when a tile sweeps against itself).
+    Mirrors the python body of
+    :func:`repro.engine.executor.sweep_tile_task` tile by tile — window
+    pruning, the batched sweep (sort charge included), reference-point
+    ownership against the PBSM grid and each pair's own partition,
+    self-join dedup — without boxing a single ``Rect`` or id pair, and
+    without a pair ever crossing from one tile into the next.  Returns
+    ``(counts, owned pairs or None, cpu_ops, dups)`` with one entry
+    per tile in the three lists and the pairs of all tiles as one
+    :class:`~repro.core.columnar.PairColumns`, tile after tile in the
+    python body's emit order — or ``None`` when the input is outside
+    the kernel's model, and then for the whole group.
     """
-    ca = _columns(side_a)
-    cb = ca if (side_b is None or side_b is side_a) else _columns(side_b)
-    if np.any(ca[3] < ca[2]) or (cb is not ca and np.any(cb[3] < cb[2])):
-        return None
-    if window is not None:
-        ca = _window_filter(ca, window)
-        cb = ca if (self_join or cb is ca) else _window_filter(cb, window)
-    sa = _sort_side(ca)
-    sb = sa if cb is ca else _sort_side(cb)
-    ops = _charge_sort_count(len(sa[0]) + len(sb[0]))
-    m = _Merged(sa, sb)
-    a_idx, b_idx, stats = _sweep_merged(m)
-    ops += stats.cpu_ops
-
-    if a_idx.size:
-        rid_a = m.rid[a_idx]
-        rid_b = m.rid[b_idx]
-        x_ref = np.maximum(m.xlo[a_idx], m.xlo[b_idx])
-        y_ref = np.maximum(m.ylo[a_idx], m.ylo[b_idx])
-        own = _partition_of_points(x_ref, y_ref, grid_spec) == part_id
-        if self_join:
-            own &= rid_a < rid_b
-        count = int(np.count_nonzero(own))
-        dups = int(a_idx.size) - count
-        pairs: Optional[PairColumns] = None
-        if collect:
-            ids = np.empty((count, 2), dtype=np.int64)
-            ids[:, 0] = rid_a[own]
-            ids[:, 1] = rid_b[own]
-            pairs = PairColumns(ids)
+    k = len(tiles)
+    ca, tile_a = _gather([a for _, a, _ in tiles], window)
+    if (self_join and window is not None) or all(
+        b is None or b is a for _, a, b in tiles
+    ):
+        cb, tile_b = ca, tile_a
     else:
-        count = dups = 0
-        pairs = PairColumns.empty() if collect else None
-    return (count, pairs, ops, dups)
+        cb, tile_b = _gather(
+            [a if b is None else b for _, a, b in tiles], window
+        )
+    if not (_valid(ca) and (cb is ca or _valid(cb))):
+        return None
+    sizes = np.bincount(tile_a, minlength=k) + np.bincount(
+        tile_b, minlength=k
+    )
+    bounds = [0] + np.cumsum(sizes).tolist()
+    # One tile needs no ranks: its raw floats are already a valid key.
+    keys_a, keys_b = (
+        (ca[2:4], cb[2:4]) if k == 1
+        else _segment_keys(ca, tile_a, cb, tile_b)
+    )
+    m = _Merged(ca, cb, keys_a, keys_b)
+    a_idx, b_idx, seg = _pairs(m, bounds)
+    ops = [
+        _sort_ops(stop - start) + swept
+        for start, stop, (swept, _) in zip(
+            bounds[:-1], bounds[1:],
+            _simulate_ops(m.is_a, m.lo, m.hi, bounds),
+        )
+    ]
+    if not a_idx.size:
+        return ([0] * k, PairColumns.empty() if collect else None, ops,
+                [0] * k)
+
+    # Owned: the reference point lies in the pair's own partition.
+    # (Its coordinates are dropped before the ids are gathered: on a
+    # hot tile these pair-length columns are the task's peak memory.)
+    own = _partition_of_points(
+        np.maximum(m.xlo[a_idx], m.xlo[b_idx]),
+        np.maximum(m.ylo[a_idx], m.ylo[b_idx]), grid_spec,
+    ) == np.array([part_id for part_id, _, _ in tiles], np.int64)[seg]
+    rid_a = m.rid[a_idx]
+    rid_b = m.rid[b_idx]
+    if self_join:
+        own &= rid_a < rid_b
+    owned = np.bincount(seg[own], minlength=k)
+    dups = np.bincount(seg, minlength=k) - owned
+    pairs: Optional[PairColumns] = None
+    if collect:
+        ids = np.empty((int(owned.sum()), 2), dtype=np.int64)
+        ids[:, 0] = rid_a[own]
+        ids[:, 1] = rid_b[own]
+        pairs = PairColumns(ids)
+    return (owned.tolist(), pairs, ops, dups.tolist())
 
 
-def _charge_sort_count(n: int) -> int:
-    return int(n * math.log2(n)) if n > 1 else 0
+def _gather(sides: list, window) -> Tuple[Columns, np.ndarray]:
+    """One side of a group: the tiles' columns end to end, pruned to
+    ``window``, and the tile index of every row."""
+    per_tile = [_columns(side) for side in sides]
+    cols = tuple(np.concatenate(col) for col in zip(*per_tile))
+    tile = np.repeat(
+        np.arange(len(sides), dtype=np.int64),
+        [len(c[0]) for c in per_tile],
+    )
+    if window is not None:
+        keep = window_mask(*cols[:4], window)
+        if not bool(np.all(keep)):
+            cols = tuple(col[keep] for col in cols)
+            tile = tile[keep]
+    return cols, tile
+
+
+def _segment_keys(ca: Columns, tile_a: np.ndarray, cb: Columns,
+                  tile_b: np.ndarray):
+    """``(lo, hi)`` integer sweep keys per side: ``tile * R + rank``.
+
+    ``rank`` is the dense rank of a y-value among all ``ylo`` / ``yhi``
+    of the group — equal values share a rank, order is kept — so keys
+    compare inside a tile exactly as the floats do, and every key of
+    tile *t* lies below every key of tile *t + 1*.
+    """
+    parts = [ca[2], ca[3]] if cb is ca else [ca[2], ca[3], cb[2], cb[3]]
+    values = np.concatenate(parts)
+    order = np.argsort(values)
+    ordered = values[order]
+    step = np.zeros(len(values), dtype=np.int64)
+    step[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.cumsum(step)
+    span = len(values)  # R: above every rank
+    na, nb = len(tile_a), len(tile_b)
+    keys_a = (tile_a * span + rank[:na], tile_a * span + rank[na:2 * na])
+    if cb is ca:
+        return keys_a, keys_a
+    rank_b = rank[2 * na:]
+    return keys_a, (tile_b * span + rank_b[:nb],
+                    tile_b * span + rank_b[nb:])
 
 
 def window_mask(xlo: np.ndarray, xhi: np.ndarray, ylo: np.ndarray,
@@ -382,16 +497,6 @@ def window_mask(xlo: np.ndarray, xhi: np.ndarray, ylo: np.ndarray,
         (xlo <= window.xhi) & (window.xlo <= xhi)
         & (ylo <= window.yhi) & (window.ylo <= yhi)
     )
-
-
-def _window_filter(cols: Tuple[np.ndarray, ...],
-                   window) -> Tuple[np.ndarray, ...]:
-    """:func:`window_mask` pruning of a side's columns."""
-    xlo, xhi, ylo, yhi, rid = cols
-    keep = window_mask(xlo, xhi, ylo, yhi, window)
-    if bool(np.all(keep)):
-        return cols
-    return (xlo[keep], xhi[keep], ylo[keep], yhi[keep], rid[keep])
 
 
 def _partition_of_points(x: np.ndarray, y: np.ndarray,

@@ -264,11 +264,10 @@ def artifact_key(versions, universe, tiles_per_side: int,
 def artifact_bytes(tasks) -> int:
     """Approximate resident bytes of one partition artifact's tiles.
 
-    Each tile is charged its flat columns plus one decoded rectangle
-    set at the repo's ``RECT_BYTES`` convention — the coordinator memo
-    (:meth:`ColumnarTile.decode_sorted_cached`) may keep a boxed copy
-    alive for the artifact's lifetime (the memo itself is bounded, so
-    this is the conservative upper bound).
+    Each tile is charged its flat columns plus its logical size at
+    the repo's ``RECT_BYTES`` convention — headroom for what a sweep
+    materializes from it.  Eviction points, and with them the
+    simulated I/O of cached workloads, move with this number.
     """
     total = _ARTIFACT_ENTRY_BYTES
     for _part_id, tile_a, tile_b in tasks:

@@ -21,8 +21,9 @@ The hot path is built around these cooperating mechanisms:
   without losing a query.
 * **Columnar shipping** — tiles cross the process boundary as
   :class:`~repro.core.columnar.ColumnarTile` flat arrays, not lists of
-  ``Rect`` NamedTuples; a worker decodes each tile once and sweeps over
-  locals.  Spilled partitions materialize into the same format
+  ``Rect`` NamedTuples; the numpy kernel sweeps the columns in place,
+  the python kernel decodes each tile once and sweeps over locals.
+  Spilled partitions materialize into the same format
   (:meth:`SpillablePartition.materialize_columnar`).
 * **Columnar distribute** — under the numpy kernel the cold path
   places tiles from the catalog entry's column image
@@ -37,12 +38,19 @@ The hot path is built around these cooperating mechanisms:
   arrays and the window post-filter masks the array; no id tuple is
   built unless the caller iterates the result.  The python kernel
   returns lists through the same code, the reference.
-* **Zero-callback sweep** — workers run
-  :func:`~repro.core.sweep.forward_sweep_pairs_batched`, which appends
-  intersecting pairs to a local batch instead of invoking a
-  ``PairSink`` per pair; reference-point ownership and self-join dedup
-  are applied in one tight loop over the batch.  Comparison counting is
-  bit-identical to the callback mode and flushed once per tile.
+* **Zero-callback sweep** — a task is one call into the sweep kernel,
+  never a ``PairSink`` per pair.  Under the numpy kernel that is one
+  :func:`~repro.core.kernels.np_sweep.sweep_tiles` call per *task*,
+  however many tiles the task holds: PBSM's tiles are independent
+  sweeps, so a group of *k* runs as one segmented pass — sort, alive
+  ranges, x-filter, reference-point ownership against each pair's own
+  partition, self-join dedup and the op replay — and a solo tile is
+  its ``k = 1`` case.  The python kernel
+  (:func:`~repro.core.sweep.forward_sweep_pairs_batched`, then one
+  tight ownership/dedup loop over the batch, tile after tile) is the
+  reference, and the fallback for a group the vectorized kernel
+  declines; pairs, their order, counts, ops and dups are bit-identical
+  tile by tile.
 * **Artifact layer** — reusable execution intermediates are retained
   (budget-charged, LRU by bytes) in the engine's
   :class:`~repro.engine.cache.ArtifactCache`: distributed tile sets
@@ -58,20 +66,23 @@ The hot path is built around these cooperating mechanisms:
   policy, decided from what the executor observes against the
   measured constants below (``MIN_SHIP_RECTS`` …): a tile big enough
   to pay for a pool round-trip ships on its own; smaller tiles
-  coalesce into multi-tile batch tasks, so a skewed grid with
-  thousands of tiny tiles costs a handful of round-trips; a trailing
-  remainder too small to pay sweeps inline on the coordinator.  On a
-  process pool with working shared memory a big enough task ships its
-  tiles as shared-memory refs (zero-copy when a cached tile is
-  re-shipped), otherwise as pickled columns.  A repeat of a plan
+  coalesce into multi-tile groups, one task and one kernel call each,
+  so a skewed grid with thousands of tiny tiles costs a handful of
+  round-trips; a trailing group too small to pay runs on the
+  coordinator, still as one task.  Groups form by one rule whether
+  they ship or not, so a serial pool runs the same tasks a process
+  pool would ship.  On a process pool with working shared memory a
+  big enough task ships its tiles as shared-memory refs (zero-copy
+  when a cached tile is re-shipped), otherwise as pickled columns.
+  A repeat of a plan
   whose whole sweep *measured* cheaper than a round-trip keeps every
-  tile on the coordinator.  Op accounting is placement-independent,
+  group on the coordinator.  Op accounting is placement-independent,
   so all of this moves wall clock only; a batch is one scheduling
   unit on the simulated critical path, as it is on the real pool.
 
-Worker tasks touch no shared simulation state: each sweeps local
-rectangle lists against a private op counter, and the merged op total
-is charged to the environment once.  Alongside the total the executor
+Worker tasks touch no shared simulation state: each sweeps its own
+tiles and counts its own ops, and the merged op total is charged to
+the environment once.  Alongside the total the executor
 computes the *critical path* (the busiest worker's ops under a greedy
 longest-processing-time assignment), from which the engine derives the
 simulated parallel wall time.
@@ -164,12 +175,16 @@ DEFAULT_TILES_PER_SIDE = 32
 # metrics; the numbers quoted are in ``benchmarks/e2e/README.md``).
 
 #: A tile of at least this many rectangles (both sides) ships as a pool
-#: task of its own; smaller ones coalesce into batches, and a trailing
-#: batch still under it sweeps inline.  ``pool.probe.roundtrip_us_pickle``
-#: against ``..._inline``: a round-trip adds 0.4–0.8 ms at every size
-#: probed, half again the sweep at 512 rectangles and a tenth of it at
-#: 8 192 — a second core pays that back from a millisecond of sweep,
-#: about this many rectangles (``kernels.probe.*_us_per_rect``).
+#: task of its own; smaller ones coalesce into groups, and a trailing
+#: group still under it runs inline.  ``pool.probe.roundtrip_us_pickle``
+#: against ``..._inline`` (``BENCH_e2e.json`` record 3; in brackets
+#: record 4, taken on a host half again as slow): a round-trip adds
+#: 0.5–0.6 ms (1.1–1.7) to the inline kernel call at 512 and at 8 192
+#: rectangles — two to three times the whole call at 512 (0.2 ms;
+#: 0.6), a fifth to a quarter of it at 8 192 (2.9 ms; 4.2).  A second
+#: core pays that back from about a millisecond of sweep, and at the
+#: 0.4 µs a rectangle those probes read that is about this many
+#: rectangles.
 MIN_SHIP_RECTS = 2048
 
 #: Logical payload (records x ``RECT_BYTES``) at which a batch of small
@@ -191,10 +206,13 @@ TILE_BATCH_BYTES = 64 * 1024
 SHM_MIN_BYTES = 16 * 1024
 
 #: A repeat plan whose *measured* sweep came in at or under this many
-#: simulated ops keeps every tile on the coordinator: the sweep of a
-#: 512-rectangle tile runs ~0.3 ms inline (``pool.probe.roundtrip_us_
-#: inline_n256``) against ~0.8 ms more for the round-trip, so shipping
-#: a plan this cheap is pure overhead.  Simulated accounting is
+#: simulated ops keeps every group on the coordinator.  ``cold_scan``'s
+#: windows average 100 K ops and their inline group is one 1.5–1.8 ms
+#: kernel call (``executor.phase.sweep_ms_p50``), so a plan at the
+#: threshold is about a millisecond of kernel time; a round-trip costs
+#: 0.5 ms or more on top of the sweep it moves (``pool.probe.
+#: roundtrip_us_pickle_n256`` against ``..._inline_n256``), so shipping
+#: a plan this cheap buys nothing.  Simulated accounting is
 #: placement-independent, so this is a wall-clock policy, not a
 #: semantic one; first executions have no measurement and ship.
 INLINE_PLAN_OPS = 64 * 1024
@@ -204,16 +222,6 @@ INLINE_PLAN_OPS = 64 * 1024
 #: windowed traffic would otherwise grow the memo for the life of the
 #: server; a plan evicted here merely ships once more.
 PLAN_MEMO_ENTRIES = 1024
-
-#: Below this many rectangles (both sides), a tile's sweep dispatches
-#: to the python kernel even when the engine selected numpy: the
-#: vectorized kernel's fixed per-call cost exceeds the whole sweep,
-#: and repeated sweeps of a cached tile amortize the python path's
-#: decode+sort memo while numpy re-sorts every call.  The pair set
-#: and op accounting are identical either way — this is a wall-clock
-#: cutoff, not a semantic switch.
-NUMPY_MIN_TILE_RECTS = 512
-NUMPY_MIN_LIST_RECTS = 512
 
 
 class Executor:
@@ -1026,20 +1034,23 @@ class Executor:
 
 
 class _TaskShipper:
-    """Routes tile tasks to the pool: solo ship, batch, or inline.
+    """Groups tiles into tasks and routes each: ship it or run it here.
 
-    One shipper lives for one partitioned query.  With ``inline_all``
-    the executor has measured this exact plan before and found the
-    whole sweep cheaper than a pool round-trip: every tile sweeps on
-    the coordinator, no batching, no shipping.  Otherwise tiles of at
-    least ``MIN_SHIP_RECTS`` ship individually the moment they arrive
-    (streaming submission is preserved — workers sweep early tiles
-    while the coordinator materializes later ones).  Smaller tiles
-    accumulate into a pending batch; when the batch's logical payload
-    reaches ``TILE_BATCH_BYTES`` it ships as **one** pool task
-    (:func:`sweep_tile_batch_task`).  The trailing batch ships only if
-    it is collectively worth a round-trip (``>= MIN_SHIP_RECTS``
-    rectangles); otherwise its tiles sweep inline.
+    One shipper lives for one partitioned query.  Grouping is one rule
+    wherever the task ends up: a tile of at least ``MIN_SHIP_RECTS``
+    is a task of its own, dispatched the moment it arrives (streaming
+    submission is preserved — workers sweep early tiles while the
+    coordinator materializes later ones); smaller tiles accumulate,
+    and when their logical payload reaches ``TILE_BATCH_BYTES`` the
+    group goes out as **one** task (:func:`sweep_tile_batch_task` —
+    under the numpy kernel one kernel call).  Routing: a solo tile and
+    a full group ship; the trailing group ships only if it is
+    collectively worth a round-trip (``>= MIN_SHIP_RECTS`` rectangles)
+    and otherwise runs on the coordinator, still as one task.  On a
+    serial pool, and with ``inline_all`` — the executor has measured
+    this exact plan before and found the whole sweep cheaper than a
+    pool round-trip — nothing ships: the same groups all run here, so
+    the task list and the trace have one shape on every pool kind.
 
     ``submitted`` collects ``(future, shipped, size, tiles)`` in
     submission order; payloads and task functions ride along on the
@@ -1068,34 +1079,31 @@ class _TaskShipper:
                  cancel: Optional[CancelToken] = None) -> None:
         self.pool = pool
         self.traced = traced
-        self.inline_all = inline_all
         #: Per-query cancel token appended to every task payload
-        #: (element 8), so workers check it at tile boundaries.
+        #: (element 8), so workers check it before each kernel call.
         self.cancel = cancel
         self.submitted: List[tuple] = []
-        self._pending: List[Tuple[tuple, int]] = []
+        self._pending: List[tuple] = []
         self._pending_size = 0
         self.batches = 0
         self.batched_tiles = 0
         self.shm_tasks = 0
         self._use_shm = pool.kind == "process" and pool.shm.enabled
+        self._inline_only = pool.kind == "serial" or inline_all
 
     def add(self, payload: tuple, size: int) -> None:
         if self.cancel is not None:
             payload = payload + (self.cancel,)
-        if self.pool.kind == "serial" or self.inline_all:
-            self._inline(payload, size)
-            return
         if size >= MIN_SHIP_RECTS:
-            self._ship(sweep_tile_task, payload, size, 1)
+            self._dispatch((payload,), size, ship=True)
             return
-        self._pending.append((payload, size))
+        self._pending.append(payload)
         self._pending_size += size
         if self._pending_size * RECT_BYTES >= TILE_BATCH_BYTES:
             self._flush_pending(ship=True)
 
     def flush(self) -> None:
-        """Dispatch the trailing batch (ship it only if it pays)."""
+        """Dispatch the trailing group (ship it only if it pays)."""
         self._flush_pending(ship=self._pending_size >= MIN_SHIP_RECTS)
 
     # -- internals -------------------------------------------------------
@@ -1107,22 +1115,30 @@ class _TaskShipper:
         return fn, payload
 
     def _flush_pending(self, ship: bool) -> None:
-        if not self._pending:
-            return
-        if ship and len(self._pending) > 1:
-            payloads = tuple(p for p, _ in self._pending)
-            self.batches += 1
-            self.batched_tiles += len(payloads)
-            self._ship(sweep_tile_batch_task, payloads,
-                       self._pending_size, len(payloads))
-        elif ship:
-            payload, size = self._pending[0]
-            self._ship(sweep_tile_task, payload, size, 1)
+        if self._pending:
+            self._dispatch(tuple(self._pending), self._pending_size, ship)
+            self._pending = []
+            self._pending_size = 0
+
+    def _dispatch(self, payloads: tuple, size: int, ship: bool) -> None:
+        """One group, one task — shipped if it pays and may, else run
+        here and now; a group of one is a solo tile task."""
+        tiles = len(payloads)
+        if tiles == 1:
+            fn, payload = sweep_tile_task, payloads[0]
         else:
-            for payload, size in self._pending:
-                self._inline(payload, size)
-        self._pending = []
-        self._pending_size = 0
+            fn, payload = sweep_tile_batch_task, payloads
+        if ship and not self._inline_only:
+            if tiles > 1:
+                self.batches += 1
+                self.batched_tiles += tiles
+            self._ship(fn, payload, size, tiles)
+            return
+        fn, payload = self._task(fn, payload)
+        self.submitted.append((
+            self.pool.run_inline(fn, payload, units=tiles),
+            False, size, tiles,
+        ))
 
     def _ship(self, fn, payload, size: int, tiles: int) -> None:
         shm_names = ()
@@ -1180,12 +1196,6 @@ class _TaskShipper:
                 if names:
                     manager.task_done(names)
 
-    def _inline(self, payload: tuple, size: int) -> None:
-        fn, payload = self._task(sweep_tile_task, payload)
-        self.submitted.append(
-            (self.pool.run_inline(fn, payload), False, size, 1)
-        )
-
 
 class _OpCounter:
     """Minimal env stand-in for worker-local sweeps: counts CPU ops."""
@@ -1219,73 +1229,96 @@ def _np_sweep():
     return _np_sweep_mod
 
 
+def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
+    """The tiles of ``payloads`` through one vectorized kernel call.
+
+    All payloads belong to one query, so the first one speaks for the
+    grid, the self-join and collect flags, the window, the kernel and
+    the cancel token — which is checked once, before the call: a group
+    is the unit a deadline can stop.  ``None`` hands the tiles to the
+    python body: the payloads name the python kernel, this process
+    cannot import numpy, or the kernel declined the input (then for
+    the whole group; the caller retries tile by tile).
+    """
+    first = payloads[0]
+    if len(first) <= 7 or first[7] != "numpy":
+        return None
+    mod = _np_sweep()
+    if mod is None:
+        return None
+    _check_cancel(first)
+    _, grid_spec, _, _, self_join, collect, window = first[:7]
+    out = mod.sweep_tiles(
+        [(p[0], _resolved(p[2]), _resolved(p[3])) for p in payloads],
+        self_join, grid_spec, window, collect,
+    )
+    if out is None:
+        return None
+    counts, pairs, ops, dups = out
+    return (sum(counts), pairs, sum(ops), sum(dups))
+
+
+def _check_cancel(payload: tuple) -> None:
+    """Raise :class:`DeadlineExceeded` if the payload carries the
+    query's cancel token (its optional ninth element) and it fired."""
+    if len(payload) > 8 and payload[8] is not None:
+        payload[8]()
+
+
+def _resolved(side):
+    """A tile side with a :class:`ShmTileRef` handle mapped to the
+    zero-copy view over the coordinator's shared segment."""
+    return resolve_shm_tile(side) if isinstance(side, ShmTileRef) else side
+
+
 def sweep_tile_task(payload: tuple) -> TaskOutcome:
     """Sweep one partition tile; runs on a pool worker or inline.
 
-    The payload is self-contained and picklable: tiles arrive either as
-    :class:`ColumnarTile` columns (decoded here, once) or as ready
-    ``Rect`` lists (inline/thread dispatch); ``side_b is None`` marks a
-    self-join, whose single side sweeps against itself.  The sweep is
-    the zero-callback batched kernel; reference-point ownership and
-    self-join dedup run in one tight loop over the batch, so no Python
-    callback fires per candidate pair.  For self-joins the sweep emits
-    every pair in both orientations plus each rectangle against itself,
-    and the filter keeps exactly the ``rid_a < rid_b`` representative.
-
-    Returns ``(owned pair count, owned pairs or None, cpu ops,
-    duplicates suppressed by the reference-point test and self-join
-    dedup)`` — op counts bit-identical to the per-pair-callback path.
-
+    The payload is self-contained and picklable: tiles arrive as
+    :class:`ColumnarTile` columns, :class:`ShmTileRef` handles to them,
+    or ready ``Rect`` lists (inline/thread dispatch); ``side_b is
+    None`` marks a self-join, whose single side sweeps against itself.
     The payload's optional eighth element names the sweep kernel
     (``"python"`` when absent — old payloads stay valid); the optional
     ninth is the query's :class:`~repro.engine.pool.CancelToken`,
     checked before the sweep so a deadline-doomed task stops at the
-    tile boundary instead of finishing a pointless sweep (batch tasks
-    inherit one check per tile from their per-payload loop).  Tile
-    sides may arrive as :class:`ShmTileRef` handles, resolved here into
-    zero-copy views over the coordinator's shared segment.  The numpy
-    kernel runs the whole tile body vectorized when the tile is big
-    enough to pay its fixed cost; anything smaller — and any input
-    outside the vectorized model — takes the python body below, with
-    bit-identical results either way.
+    tile boundary instead of finishing a pointless sweep.
+
+    Under the numpy kernel a solo tile is a group of one
+    (:func:`_sweep_group`): the whole task runs vectorized.  The body
+    below is the python kernel and the reference — ``kernel="python"``
+    engines, workers without numpy, and any tile the vectorized kernel
+    declines land here, with bit-identical results.  It decodes the
+    tile, runs the zero-callback batched sweep (which sorts), then
+    applies reference-point ownership and self-join dedup in one tight
+    loop over the batch, so no Python callback fires per candidate
+    pair.  For self-joins the sweep emits every pair in both
+    orientations plus each rectangle against itself, and the filter
+    keeps exactly the ``rid_a < rid_b`` representative.
+
+    Returns ``(owned pair count, owned pairs or None, cpu ops,
+    duplicates suppressed by the reference-point test and self-join
+    dedup)`` — op counts bit-identical to the per-pair-callback path.
     """
+    out = _sweep_group((payload,))
+    if out is not None:
+        return out
     part_id, grid_spec, side_a, side_b, self_join, collect, window = (
         payload[:7]
     )
-    kernel = payload[7] if len(payload) > 7 else "python"
-    cancel = payload[8] if len(payload) > 8 else None
-    if cancel is not None:
-        cancel()  # raises DeadlineExceeded past the deadline
-    if isinstance(side_a, ShmTileRef):
-        side_a = resolve_shm_tile(side_a)
-    if isinstance(side_b, ShmTileRef):
-        side_b = resolve_shm_tile(side_b)
-    if kernel == "numpy":
-        columnar = isinstance(side_a, ColumnarTile) and (
-            side_b is None or isinstance(side_b, ColumnarTile)
-        )
-        cutoff = (
-            NUMPY_MIN_TILE_RECTS if columnar else NUMPY_MIN_LIST_RECTS
-        )
-        size = len(side_a) + len(side_a if side_b is None else side_b)
-        if size >= cutoff:
-            mod = _np_sweep()
-            if mod is not None:
-                out = mod.sweep_tile(side_a, side_b, self_join,
-                                     grid_spec, part_id, window,
-                                     collect)
-                if out is not None:
-                    return out
+    _check_cancel(payload)
+    side_a = _resolved(side_a)
     if isinstance(side_a, ColumnarTile):
-        side_a = side_a.decode_sorted_cached()
+        side_a = side_a.decode()
     if side_b is None:
         side_b = side_a
-    elif isinstance(side_b, ColumnarTile):
-        side_b = side_b.decode_sorted_cached()
+    else:
+        side_b = _resolved(side_b)
+        if isinstance(side_b, ColumnarTile):
+            side_b = side_b.decode()
     if window is not None:
         # Windowed reuse of a full distribution: prune to the window
-        # exactly as the distribute phase would have (the filter keeps
-        # sort order, so the presorted fast path stays intact).
+        # exactly as the distribute phase would have.
         side_a = [r for r in side_a if r.intersects(window)]
         side_b = (
             side_a if self_join
@@ -1317,18 +1350,26 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
 
 
 def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
-    """Sweep a batch of small tiles in one pool task.
+    """Sweep a group of small tiles as one task, shipped or inline.
 
-    The batch crosses the process boundary once (one pickle, one
-    scheduling round-trip); the worker decodes each tile once, sweeps
-    them back to back, and returns the *merged* outcome in the same
-    ``(count, pairs, ops, dups)`` shape a single-tile task produces.
-    Per-tile results are simply concatenated (:func:`_merge_pairs`: as
-    one array under the numpy kernel, so the batch's pairs pickle back
-    as a buffer) — each tile is an independent partition, so merging
-    commutes with sweeping and the pair set, its order and the op
-    accounting are bit-identical to per-tile dispatch.
+    The group crosses the process boundary once (one pickle, one
+    scheduling round-trip) and, under the numpy kernel, is swept by
+    one kernel call (:func:`_sweep_group`) that returns the *merged*
+    outcome in the same ``(count, pairs, ops, dups)`` shape a
+    single-tile task produces.  The cancel token is checked once per
+    group, before that call.  Each tile is an independent partition,
+    so the pair set, its order (tile after tile) and the op accounting
+    are bit-identical to per-tile dispatch — which is also the
+    fallback: under the python kernel, or when the vectorized kernel
+    declines the group, the tiles run back to back through
+    :func:`sweep_tile_task` (one cancel check per tile) and their
+    results are concatenated (:func:`_merge_pairs`).
     """
+    if not payloads:
+        return (0, None, 0, 0)
+    out = _sweep_group(payloads)
+    if out is not None:
+        return out
     count = 0
     ops = 0
     dups = 0
@@ -1344,7 +1385,7 @@ def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
     # of one query share both.  A worker that cannot import numpy swept
     # every tile with the python body and merges the same way.
     merged = None
-    if payloads and payloads[0][5]:
+    if payloads[0][5]:
         kernel = payloads[0][7] if len(payloads[0]) > 7 else "python"
         if _np_sweep() is None:
             kernel = "python"

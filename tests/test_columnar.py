@@ -11,7 +11,6 @@ import pytest
 from repro.core import kernels
 from repro.core.columnar import (
     COLUMN_BYTES_PER_RECT,
-    DECODE_CACHE_TILES,
     ColumnarTile,
     PairColumns,
     SortedRunView,
@@ -73,59 +72,6 @@ class TestColumnarTile:
         clone = pickle.loads(pickle.dumps(tile))
         assert clone.decode() == rects
         assert clone.nbytes == tile.nbytes
-
-    def test_pickle_drops_decode_memo(self):
-        tile = ColumnarTile.from_rects(uniform_rects(50, UNIT, 0.05, seed=1))
-        tile.decode_sorted_cached()
-        clone = pickle.loads(pickle.dumps(tile))
-        assert clone._sorted_cache is None
-
-    def test_decode_sorted_cached_memoizes_and_invalidates(self):
-        rects = uniform_rects(100, UNIT, 0.03, seed=9)
-        tile = ColumnarTile.from_rects(rects)
-        first = tile.decode_sorted_cached()
-        assert first == _ylo_sorted(rects)
-        assert tile.decode_sorted_cached() is first
-        extra = Rect(0.5, 0.6, 0.0, 0.1, 10_000)
-        tile.append(extra)
-        second = tile.decode_sorted_cached()
-        assert second is not first
-        assert second == _ylo_sorted(rects + [extra])
-
-    def test_decode_memo_is_bounded_lru(self):
-        # The memo registry holds at most DECODE_CACHE_TILES decoded
-        # lists per process; older tiles lose theirs (LRU) but keep
-        # their columns and simply decode again.
-        tiles = [
-            ColumnarTile.from_rects(uniform_rects(8, UNIT, 0.05, seed=s))
-            for s in range(DECODE_CACHE_TILES + 16)
-        ]
-        for t in tiles:
-            t.decode_sorted_cached()
-        with_memo = sum(1 for t in tiles if t._sorted_cache is not None)
-        assert with_memo == DECODE_CACHE_TILES
-        assert tiles[0]._sorted_cache is None  # oldest: evicted
-        assert tiles[-1]._sorted_cache is not None  # newest: kept
-        # An evicted tile still decodes correctly (and re-registers).
-        again = tiles[0].decode_sorted_cached()
-        assert again == _ylo_sorted(tiles[0].decode())
-        assert tiles[0]._sorted_cache is not None
-
-    def test_decode_memo_refreshes_recency(self):
-        # A tile touched regularly survives arbitrarily many other
-        # decodes; untouched tiles get evicted around it.
-        hot = ColumnarTile.from_rects(uniform_rects(8, UNIT, 0.05, seed=1))
-        hot.decode_sorted_cached()
-        cold = [
-            ColumnarTile.from_rects(uniform_rects(8, UNIT, 0.05, seed=s))
-            for s in range(2, 2 * DECODE_CACHE_TILES + 2)
-        ]
-        for i, t in enumerate(cold):
-            t.decode_sorted_cached()
-            if i % 50 == 0:
-                hot.decode_sorted_cached()  # refresh recency
-        assert hot._sorted_cache is not None
-        assert any(t._sorted_cache is None for t in cold)
 
 
 #: What a ``PairColumns`` must be indistinguishable from, case by case.

@@ -207,8 +207,7 @@ class TestTileTaskParity:
             )
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
-    def test_columnar_join(self, name, monkeypatch):
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
+    def test_columnar_join(self, name):
         rng = random.Random(len(name))
         ta = ColumnarTile.from_rects(GENERATORS[name](rng, 300))
         tb = ColumnarTile.from_rects(
@@ -216,34 +215,19 @@ class TestTileTaskParity:
         )
         self._run(ta, tb, False)
 
-    def test_columnar_self_join(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
+    def test_columnar_self_join(self):
         tile = ColumnarTile.from_rects(_clustered(random.Random(3), 320))
         self._run(tile, None, True)
 
-    def test_windowed_join(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
+    def test_windowed_join(self):
         rng = random.Random(21)
         ta = ColumnarTile.from_rects(_uniform(rng, 300))
         tb = ColumnarTile.from_rects(_uniform(rng, 240, 10_000))
         self._run(ta, tb, False, window=Rect(0.2, 0.7, 0.1, 0.6, 0))
 
-    def test_rect_list_sides(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_LIST_RECTS", 1)
+    def test_rect_list_sides(self):
         rng = random.Random(27)
         self._run(_uniform(rng, 280), _uniform(rng, 200, 10_000), False)
-
-    def test_below_cutoff_stays_python(self, monkeypatch):
-        # Tiny tiles skip the vectorized path entirely — results are
-        # identical by construction, so only the wall clock may differ.
-        calls = []
-        monkeypatch.setattr(executor_mod, "_np_sweep",
-                            lambda: calls.append(1))
-        tile = ColumnarTile.from_rects(_uniform(random.Random(1), 40))
-        payload = (0, self.GRID_SPEC, tile, None, True, True, None,
-                   "numpy")
-        sweep_tile_task(payload)
-        assert not calls, "numpy kernel engaged below the size cutoff"
 
 
 # -- engine-level parity across pool kinds -----------------------------------
@@ -263,9 +247,7 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("pool_kind",
                              ("serial", "thread", "process"))
-    def test_pairs_and_accounting_match(self, pool_kind, monkeypatch):
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_LIST_RECTS", 1)
+    def test_pairs_and_accounting_match(self, pool_kind):
         rng = random.Random(17)
         a = GENERATORS["clustered"](rng, 300)
         b = GENERATORS["skewed"](rng, 260, 10_000)
@@ -772,6 +754,29 @@ class TestDistributeParity:
         assert grid_copies == attrs["numpy"] > len(a) + len(b)
 
 
+def _tile_payloads(a, b, p, win):
+    """Task payloads (no kernel yet) for the partitions of a 32 x 32
+    grid over ``UNIT`` in which both sides hold something; ``b=None``
+    is a self-join."""
+    grid = TileGrid(UNIT, 32, p)
+    spec = (UNIT.xlo, UNIT.xhi, UNIT.ylo, UNIT.yhi, grid.t, p)
+
+    def tiles(rects):
+        out = [ColumnarTile() for _ in range(p)]
+        for r in rects:
+            for t in grid.partitions_of(r):
+                out[t].append(r)
+        return out
+
+    tiles_a = tiles(a)
+    tiles_b = tiles(b) if b is not None else [None] * p
+    return [
+        (i, spec, tiles_a[i], tiles_b[i], b is None, True, win)
+        for i in range(p)
+        if len(tiles_a[i]) and (b is None or len(tiles_b[i]))
+    ]
+
+
 # -- columnar pairs: the kernel's output format ------------------------------
 
 
@@ -787,30 +792,12 @@ class TestPairColumnsParity:
         a = GENERATORS[kind](rng, 600)
         b = (GENERATORS["skewed"](rng, 500, 10_000)
              if kind == "degenerate" else None)
-        win = WINDOWS[window]
-        grid = TileGrid(UNIT, 32, self.P)
-        spec = (UNIT.xlo, UNIT.xhi, UNIT.ylo, UNIT.yhi, grid.t, self.P)
-
-        def tiles(rects):
-            out = [ColumnarTile() for _ in range(self.P)]
-            for r in rects:
-                for t in grid.partitions_of(r):
-                    out[t].append(r)
-            return out
-
-        tiles_a = tiles(a)
-        tiles_b = tiles(b) if b is not None else [None] * self.P
-        return [
-            (i, spec, tiles_a[i], tiles_b[i], b is None, True, win)
-            for i in range(self.P)
-            if len(tiles_a[i]) and (b is None or len(tiles_b[i]))
-        ]
+        return _tile_payloads(a, b, self.P, WINDOWS[window])
 
     @pytest.mark.parametrize("window", sorted(WINDOWS))
     @pytest.mark.parametrize("kind", ("uniform", "clustered",
                                       "degenerate"))
-    def test_solo_tiles(self, kind, window, monkeypatch):
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
+    def test_solo_tiles(self, kind, window):
         payloads = self._payloads(kind, window)
         assert payloads
         total = 0
@@ -827,20 +814,17 @@ class TestPairColumnsParity:
 
     @pytest.mark.parametrize("kind", ("uniform", "clustered",
                                       "degenerate"))
-    def test_batch_of_mixed_python_and_numpy_tiles(self, kind,
-                                                   monkeypatch):
+    def test_batch_of_mixed_python_and_numpy_tiles(self, kind):
         payloads = self._payloads(kind, "full")
-        sizes = sorted(
-            len(p[2]) + len(p[2] if p[3] is None else p[3])
-            for p in payloads
-        )
-        # A cutoff between the tile sizes: the small tiles take the
-        # python body (lists), the big ones the kernel (columns).
-        cutoff = sizes[len(sizes) // 2]
-        assert sizes[0] < cutoff <= sizes[-1]
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", cutoff)
+        assert len(payloads) > 1
+        # One inverted y-interval: the kernel declines the group, the
+        # tiles fall back one by one, and only the tile that holds it
+        # takes the python body (a list) — the others stay columns.
+        payloads[0] = _inverted(payloads[0])
         solo = [sweep_tile_task(p + ("numpy",)) for p in payloads]
-        assert {type(out[1]) for out in solo} == {list, PairColumns}
+        assert [type(out[1]) for out in solo] == (
+            [list] + [PairColumns] * (len(payloads) - 1)
+        )
         ref = sweep_tile_batch_task(
             tuple(p + ("python",) for p in payloads)
         )
@@ -922,3 +906,311 @@ class TestPairColumnsParity:
         assert [list(p) for p in got["numpy"]] == got["python"]
         assert set(got["python"][0]) == brute_reference(a, b)
         assert set(got["python"][1]) == brute_reference(a, b, window)
+
+
+# -- k tiles, one kernel call ------------------------------------------------
+
+
+def _inverted(payload):
+    """``payload`` with one ``yhi < ylo`` rectangle added to side A."""
+    bad = ColumnarTile.from_rects(
+        payload[2].decode() + [Rect(0.4, 0.5, 0.6, 0.2, 99_999)]
+    )
+    return payload[:2] + (bad,) + payload[3:]
+
+
+@needs_numpy
+class TestSegmentedSweepParity:
+    """``sweep_tiles`` over a group vs the python body tile by tile."""
+
+    def _check(self, payloads):
+        """Pairs, order, count, ops and dups per tile, at the kernel
+        and through both task entry points."""
+        from repro.core.kernels import np_sweep
+
+        first = payloads[0]
+        refs = [sweep_tile_task(p + ("python",)) for p in payloads]
+        tiles = [(p[0], p[2], p[3]) for p in payloads]
+        got = np_sweep.sweep_tiles(tiles, first[4], first[1], first[6], True)
+        assert got is not None, "the kernel declined a valid group"
+        counts, pairs, ops, dups = got
+        assert [counts, ops, dups] == [
+            [ref[i] for ref in refs] for i in (0, 2, 3)
+        ]
+        assert isinstance(pairs, PairColumns)
+        assert list(pairs) == [pair for ref in refs for pair in ref[1]]
+        assert np_sweep.sweep_tiles(
+            tiles, first[4], first[1], first[6], False
+        ) == (counts, None, ops, dups)
+        assert sweep_tile_batch_task(
+            tuple(p + ("numpy",) for p in payloads)
+        ) == (sum(counts), pairs, sum(ops), sum(dups))
+        for payload, ref in zip(payloads, refs):  # k = 1, same kernel
+            solo = sweep_tile_task(payload + ("numpy",))
+            assert isinstance(solo[1], PairColumns)
+            assert (solo[0], list(solo[1]), solo[2], solo[3]) == ref
+        return refs
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("kind", ("uniform", "clustered",
+                                      "degenerate"))
+    def test_pair_columns_datasets(self, kind, window):
+        # Self-joins (uniform, clustered), a join (degenerate) and, with
+        # a window in the payload, windowed reuse of a full distribution.
+        payloads = TestPairColumnsParity()._payloads(kind, window)
+        assert len(payloads) > 1
+        refs = self._check(payloads)
+        assert sum(ref[0] for ref in refs), "vacuous: no pair owned"
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("p", (1, 3, 8, 16))
+    @pytest.mark.parametrize("kind", ("uniform", "clustered",
+                                      "degenerate"))
+    def test_distribute_datasets(self, kind, p, window):
+        rng = random.Random(f"{kind}-{p}-{window}")
+        a = GENERATORS[kind](rng, 240)
+        b = (GENERATORS["skewed"](rng, 200, 10_000)
+             if kind == "degenerate" else None)
+        self._check(_tile_payloads(a, b, p, WINDOWS[window]))
+
+    def test_side_forms(self):
+        # Columns, shared-memory refs to them and Rect lists, mixed in
+        # one group, are one input to the kernel.
+        payloads = TestPairColumnsParity()._payloads("degenerate", "full")
+        ref = sweep_tile_batch_task(
+            tuple(p + ("python",) for p in payloads)
+        )
+        pool = WorkerPool(2, kind="thread")
+        try:
+            shm = pool.shm.refs_for(
+                [side for p in payloads for side in p[2:4]]
+            )
+            assert shm is not None
+            forms = {
+                "columns": payloads,
+                "lists": [p[:2] + (p[2].decode(), p[3].decode()) + p[4:]
+                          for p in payloads],
+                "shm": [p[:2] + tuple(shm[2 * i:2 * i + 2]) + p[4:]
+                        for i, p in enumerate(payloads)],
+            }
+            forms["mixed"] = [
+                forms[form][i] for i, form in zip(
+                    range(len(payloads)), ("shm", "lists", "columns") * 2
+                )
+            ]
+            for form, group in forms.items():
+                got = sweep_tile_batch_task(
+                    tuple(p + ("numpy",) for p in group)
+                )
+                assert isinstance(got[1], PairColumns), form
+                assert (got[0], list(got[1]), got[2], got[3]) == ref, form
+        finally:
+            pool.shutdown()
+
+    def test_edge_tiles(self):
+        spec = (0.0, 1.0, 0.0, 1.0, 2, 4)  # part = the tile itself
+        # Every ylo (and most xlo) drawn from five values: ties inside
+        # a side, across sides and across tiles; a fifth of the
+        # rectangles are points or segments.
+        rng = random.Random(8)
+        steps = [0.0, 0.125, 0.25, 0.375, 0.5]
+
+        def tied(n, base):
+            return [
+                Rect(x, x + rng.choice((0.0, 0.0625, 0.3)),
+                     y, y + rng.choice((0.0, 0.125, 0.3)), base + i)
+                for i, (x, y) in enumerate(
+                    (rng.choice(steps), rng.choice(steps))
+                    for _ in range(n)
+                )
+            ]
+
+        # One rectangle over all four tiles, replicated into each, and
+        # a pair that meets only across two tiles' segments.
+        wide_a = Rect(0.1, 0.9, 0.1, 0.9, 500)
+        wide_b = Rect(0.2, 0.8, 0.2, 0.8, 10_500)
+        lone_a = Rect(0.3, 0.4, 0.3, 0.4, 501)
+        lone_b = Rect(0.3, 0.4, 0.3, 0.4, 10_501)
+        tile = ColumnarTile.from_rects
+        group = [
+            (0, tile(tied(70, 0) + [wide_a]), tile(tied(60, 10_000)
+                                                   + [wide_b])),
+            (1, ColumnarTile(), ColumnarTile()),            # empty
+            (2, tile([wide_a, lone_a]), ColumnarTile()),    # one-sided
+            (3, ColumnarTile(), tile([wide_b, lone_b])),    # the other
+            (1, tile([wide_a] + tied(40, 100)), tile([wide_b])),
+            (2, tile([wide_a]), tile([wide_b] + tied(40, 10_100))),
+        ]
+        for window in (None, Rect(0.1, 0.45, 0.1, 0.45, 0)):
+            refs = self._check([
+                (part, spec, a, b, False, True, window)
+                for part, a, b in group
+            ])
+            assert [ref[0] for ref in refs[1:4]] == [0, 0, 0]
+            owners = [ref[1].count((500, 10_500)) for ref in refs]
+            assert owners == [1, 0, 0, 0, 0, 0]  # its reference point
+        # The same tiles against themselves, and a group of nothing.
+        self._check([
+            (part, spec, a, None, True, True, None) for part, a, _ in group
+        ])
+        self._check([(part, spec, ColumnarTile(), ColumnarTile(), False,
+                      True, None) for part in (0, 3)])
+
+    def test_compaction_schedule_restarts_per_tile(self):
+        # Tall rectangles keep the active lists long: the replay has to
+        # compact, double its threshold, and forget both at the next
+        # tile (the small tile after a dense one compacts at 64 again).
+        def tall(rng, n, base):
+            return [
+                Rect(x, x + 0.01, y, y + 0.6, base + i)
+                for i, (x, y) in enumerate(
+                    (rng.random(), 0.4 * rng.random()) for _ in range(n)
+                )
+            ]
+
+        rng = random.Random(12)
+        sides = [(tall(rng, n, 1000 * t), tall(rng, n, 1000 * t + 500))
+                 for t, n in enumerate((150, 40, 90))]
+        peaks = [
+            forward_sweep_pairs_batched(a, b, _OpCounter())[1]
+            .max_active_items for a, b in sides
+        ]
+        assert peaks[0] > 2 * peaks[1] > 128 and peaks[2] > 2 * peaks[1]
+        spec = (0.0, 1.0, 0.0, 1.0, 1, 1)
+        self._check([
+            (0, spec, ColumnarTile.from_rects(a), ColumnarTile.from_rects(b),
+             False, True, None)
+            for a, b in sides
+        ])
+
+    def test_an_inverted_tile_declines_the_whole_group(self):
+        from repro.core.kernels import np_sweep
+
+        payloads = TestPairColumnsParity()._payloads("clustered", "full")
+        payloads[1] = _inverted(payloads[1])
+        first = payloads[0]
+        assert np_sweep.sweep_tiles(
+            [(p[0], p[2], p[3]) for p in payloads],
+            first[4], first[1], first[6], True,
+        ) is None
+        # (``test_batch_of_mixed_python_and_numpy_tiles`` holds the
+        # tile-by-tile fallback to the python batch.)  Outside the
+        # window the rectangle never reaches either sweep.
+        away = Rect(0.0, 0.3, 0.7, 1.0, 0)
+        self._check([p[:6] + (away,) for p in payloads])
+
+    @pytest.mark.parametrize("entry", ("task", "batched", "segmented"))
+    def test_ids_above_2_53_survive_a_rect_list(self, entry):
+        # Rect-list sides used to pass through one float64 array.
+        big = 2 ** 53 + 1
+        a = [Rect(0.0, 1.0, 0.0, 1.0, big)]
+        b = [Rect(0.5, 1.5, 0.5, 1.5, 7)]
+        spec = (0.0, 2.0, 0.0, 2.0, 1, 1)
+        payload = (0, spec, a, b, False, True, None, "numpy")
+        if entry == "task":
+            pairs = sweep_tile_task(payload)[1]
+        elif entry == "segmented":
+            pairs = sweep_tile_batch_task((payload, payload))[1][:1]
+        else:
+            found, _ = kernels.sweep_pairs_batched(
+                "numpy", a, b, _OpCounter(),
+            )
+            pairs = _pair_rids(found)
+        assert list(pairs) == [(big, 7)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tiles=st.lists(
+            st.tuples(*[st.lists(
+                st.tuples(st.integers(0, 8), st.integers(0, 3),
+                          st.integers(0, 8), st.integers(0, 3)),
+                max_size=48,
+            )] * 2),
+            min_size=2, max_size=5,
+        ),
+        parts=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        self_join=st.booleans(),
+        windowed=st.booleans(),
+    )
+    def test_random_groups(self, tiles, parts, self_join, windowed):
+        # Coordinates on an eighth-grid: ties and zero areas everywhere.
+        from repro.core.kernels import np_sweep
+
+        def rects(corners, base):
+            return [Rect(x / 8, (x + w) / 8, y / 8, (y + h) / 8, base + i)
+                    for i, (x, w, y, h) in enumerate(corners)]
+
+        sides = [
+            (rects(ca, 1000 * t), rects(cb, 1000 * t + 500))
+            for t, (ca, cb) in enumerate(tiles)
+        ]
+        spec = (0.0, 1.375, 0.0, 1.375, 2, 4)
+        window = Rect(0.25, 0.8, 0.1, 0.9, 0) if windowed else None
+        self._check([
+            (part, spec, ColumnarTile.from_rects(a),
+             None if self_join else ColumnarTile.from_rects(b),
+             self_join, True, window)
+            for part, (a, b) in zip(parts, sides)
+        ])
+        # The replay alone, against the python sweep's own stats (the
+        # tile tasks never report ``max_active_items``).
+        ca, tile_a = np_sweep._gather([a for a, _ in sides], None)
+        cb, tile_b = np_sweep._gather([b for _, b in sides], None)
+        m = np_sweep._Merged(
+            ca, cb, *np_sweep._segment_keys(ca, tile_a, cb, tile_b)
+        )
+        bounds = [0]
+        for a, b in sides:
+            bounds.append(bounds[-1] + len(a) + len(b))
+        expect = []
+        for a, b in sides:
+            _, stats = forward_sweep_pairs_batched(a, b, _OpCounter())
+            expect.append((stats.cpu_ops, stats.max_active_items))
+        assert np_sweep._simulate_ops(m.is_a, m.lo, m.hi, bounds) == expect
+
+    @pytest.mark.parametrize("pool_kind",
+                             ("serial", "thread", "process"))
+    def test_numpy_path_never_runs_the_python_sweep(self, pool_kind,
+                                                    monkeypatch):
+        # Solo tiles, shipped groups and the inline remainder all go
+        # through the kernel: neither a python sweep nor a decoded
+        # ``Rect`` list anywhere between the catalog and the pairs.
+        # (``tests/test_serve.py::test_numpy_engine_answers_without_
+        # boxing_a_pair`` holds an HTTP query to the same.)
+        def boxed(*_args, **_kwargs):
+            raise AssertionError("the numpy path fell back to python")
+
+        monkeypatch.setattr(executor_mod, "forward_sweep_pairs_batched",
+                            boxed)
+        monkeypatch.setattr(ColumnarTile, "decode", boxed)
+        rng = random.Random(41)
+        a = GENERATORS["clustered"](rng, 500)
+        b = GENERATORS["skewed"](rng, 400, 10_000)
+        engine = SpatialQueryEngine(
+            scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
+            cache_capacity=0, kernel="numpy",
+        )
+        try:
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            with dispatch(MIN_SHIP_RECTS=300,
+                          TILE_BATCH_BYTES=200 * RECT_BYTES):
+                for relations, second in ((("a", "b"), b),
+                                          (("a", "a"), None)):
+                    # A cold window, the overlay, and another window
+                    # off the overlay's cached tiles (the tasks prune).
+                    for window in (WINDOWS["interior"], None,
+                                   WINDOWS["overhang"]):
+                        out = engine.execute(Query(
+                            relations=relations, window=window,
+                            force="pbsm-grid",
+                        ))
+                        assert set(out.result.pairs) == brute_reference(
+                            a, second, window
+                        )
+                snap = engine.worker_pool.snapshot()
+            assert snap["tiles_inline"] > snap["tasks_inline"] > 0
+            if pool_kind != "serial":
+                assert snap["tiles_dispatched"] > snap["tasks_dispatched"]
+        finally:
+            engine.close()

@@ -830,7 +830,7 @@ class TestHttpEndpoint:
         # pairs stay int64 columns: turning them into tuples anywhere
         # on the way (merge, window filter, shard gather, cache fill,
         # cache hit, the reply's count) is the regression this pins.
-        from repro.core.columnar import PairColumns
+        from repro.core.columnar import ColumnarTile, PairColumns
         from repro.engine import executor as executor_mod
         from tests.conftest import (
             brute_reference,
@@ -848,13 +848,21 @@ class TestHttpEndpoint:
         engine.register("b", b, universe=UNIT)
         shards = engine.all_engines
         force_strategies(shards, ["pbsm-grid"] * len(shards))
-        monkeypatch.setattr(executor_mod, "NUMPY_MIN_TILE_RECTS", 1)
 
         def boxed(*_args, **_kwargs):
             raise AssertionError("a result pair was boxed into a tuple")
 
         monkeypatch.setattr(PairColumns, "__iter__", boxed)
         monkeypatch.setattr(PairColumns, "__getitem__", boxed)
+
+        # Nor does a rectangle leave its columns on the way in: every
+        # tile is swept by the numpy kernel, none decoded for python's.
+        def decoded(*_args, **_kwargs):
+            raise AssertionError("a tile took the python sweep")
+
+        monkeypatch.setattr(executor_mod, "forward_sweep_pairs_batched",
+                            decoded)
+        monkeypatch.setattr(ColumnarTile, "decode", decoded)
 
         async def scenario(fe):
             server = await serve_http(fe, "127.0.0.1", 0)

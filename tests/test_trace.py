@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from conftest import TEST_SCALE
+from conftest import TEST_SCALE, dispatch
 from repro.engine import (
     LatencyTracker,
     Query,
@@ -39,7 +39,7 @@ from repro.engine import (
 )
 from repro.engine.metrics import EngineMetrics
 from repro.engine.trace import SPAN_METRIC_FIELDS
-from repro.geom.rect import Rect
+from repro.geom.rect import RECT_BYTES, Rect
 from repro.sim.machines import MACHINE_3
 
 
@@ -184,6 +184,33 @@ def test_span_shape_matches_serial(kind, ship_every_tile):
         # Worker-side spans crossed the pool boundary with real pids.
         for task in out.trace.find("sweep").find_all("sweep-task"):
             assert task.attrs["pid"] > 0
+
+
+@pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+def test_grouped_tiles_are_one_span_wherever_they_run(kind):
+    # The eight tiles hold 114-140 rectangles: three fill a group, the
+    # last two are the remainder too small to ship.  The same groups
+    # form on every pool kind; only ``shipped`` tells them apart.
+    with dispatch(MIN_SHIP_RECTS=300, TILE_BATCH_BYTES=360 * RECT_BYTES), \
+            _engine(trace=True, pool_kind=kind) as engine:
+        out = engine.execute(QUERY)
+        detail = out.result.detail
+        snap = engine.worker_pool.snapshot()
+    tasks = out.trace.find("sweep").find_all("sweep-task")
+    assert [t.attrs["tiles"] for t in tasks] == [3, 3, 2]
+    assert [t.attrs["shipped"] for t in tasks] == (
+        [False] * 3 if kind == "serial" else [True, True, False]
+    )
+    assert all(t.attrs["part"] is None for t in tasks)
+    assert sum(t.cpu_ops for t in tasks) == detail["sweep_ops_total"]
+    assert all(t.cpu_ops > 0 for t in tasks)
+    assert detail["active_partitions"] == 8
+    # The pool counts tiles, not calls, on both sides of the split.
+    inline = [t.attrs["tiles"] for t in tasks if not t.attrs["shipped"]]
+    assert (snap["tasks_inline"], snap["tiles_inline"]) == (
+        len(inline), sum(inline)
+    )
+    assert snap["tiles_dispatched"] == 8 - sum(inline)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])

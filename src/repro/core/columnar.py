@@ -84,10 +84,15 @@ class ColumnarTile:
         so a tile packed from a column image builds no ``Rect``.
         """
         tile = cls()
-        for col, src in ((tile.xlo, xlo), (tile.xhi, xhi), (tile.ylo, ylo),
-                         (tile.yhi, yhi), (tile.rid, rid)):
-            col.frombytes(memoryview(src).cast("B"))
+        tile.extend_columns(xlo, xhi, ylo, yhi, rid)
         return tile
+
+    def extend_columns(self, xlo, xhi, ylo, yhi, rid) -> None:
+        """Append five contiguous column buffers (see
+        :meth:`from_columns`), one memcpy each."""
+        for col, src in ((self.xlo, xlo), (self.xhi, xhi), (self.ylo, ylo),
+                         (self.yhi, yhi), (self.rid, rid)):
+            col.frombytes(memoryview(src).cast("B"))
 
     def append(self, r: Rect) -> None:
         self.xlo.append(r.xlo)

@@ -19,6 +19,7 @@ the running average rectangle extent.  Two estimators are derived:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Optional
 
 from repro.geom.rect import Rect
@@ -42,6 +43,17 @@ class SpatialHistogram:
         self.sum_w: List[float] = [0.0] * (grid * grid)
         self.sum_h: List[float] = [0.0] * (grid * grid)
         self.total = 0
+        # Cell edges for :meth:`leaf_fraction`, from the expressions the
+        # per-cell test would evaluate (``lo + i * cell``, then
+        # ``+ cell``), so a bisection makes only comparisons that test
+        # makes.  Both sequences are non-decreasing in ``i``.
+        self._x_lo = [universe.xlo + i * self.cell_w for i in range(grid)]
+        self._x_hi = [lo + self.cell_w for lo in self._x_lo]
+        self._y_lo = [universe.ylo + i * self.cell_h for i in range(grid)]
+        self._y_hi = [lo + self.cell_h for lo in self._y_lo]
+        #: Summed-area table of ``counts`` (``(grid + 1)^2`` integers),
+        #: built by the first windowed lookup after an ``add``.
+        self._area: Optional[List[int]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -61,6 +73,7 @@ class SpatialHistogram:
         self.sum_w[idx] += r.xhi - r.xlo
         self.sum_h[idx] += r.yhi - r.ylo
         self.total += 1
+        self._area = None
 
     # -- estimators -----------------------------------------------------------
 
@@ -101,29 +114,40 @@ class SpatialHistogram:
             return 1.0
         if self.total == 0:
             return 0.0
-        inside = 0
-        g = self.grid
-        for row in range(g):
-            cell_ylo = self.universe.ylo + row * self.cell_h
-            cell_yhi = cell_ylo + self.cell_h
-            if cell_yhi < window.ylo or cell_ylo > window.yhi:
-                continue
-            base = row * g
-            for col in range(g):
-                n = self.counts[base + col]
-                if n == 0:
-                    continue
-                cell_xlo = self.universe.xlo + col * self.cell_w
-                cell_xhi = cell_xlo + self.cell_w
-                if cell_xhi < window.xlo or cell_xlo > window.xhi:
-                    continue
-                inside += n
+        # A cell counts when ``cell_hi >= window.lo and cell_lo <=
+        # window.hi`` on both axes.  The edges are monotone, so the
+        # cells that pass are a row range times a column range, and
+        # their (integer) mass is four reads of the summed-area table.
+        r0 = bisect_left(self._y_hi, window.ylo)
+        r1 = bisect_right(self._y_lo, window.yhi)
+        c0 = bisect_left(self._x_hi, window.xlo)
+        c1 = bisect_right(self._x_lo, window.xhi)
+        if r0 >= r1 or c0 >= c1:
+            return 0.0
+        area = self._area or self._build_area()
+        w = self.grid + 1
+        inside = (area[r1 * w + c1] - area[r0 * w + c1]
+                  - area[r1 * w + c0] + area[r0 * w + c0])
         return inside / self.total
 
     # -- plumbing ----------------------------------------------------------
 
     def occupied_cells(self) -> int:
         return sum(1 for c in self.counts if c)
+
+    def _build_area(self) -> List[int]:
+        """``area[r * (g + 1) + c]``: rectangles in rows < r, cols < c."""
+        g = self.grid
+        w = g + 1
+        area = [0] * (w * w)
+        for row in range(g):
+            run = 0
+            above = row * w
+            for col in range(g):
+                run += self.counts[row * g + col]
+                area[above + w + col + 1] = area[above + col + 1] + run
+        self._area = area
+        return area
 
     def _cell_index(self, x: float, y: float) -> int:
         col = int((x - self.universe.xlo) / self.cell_w)

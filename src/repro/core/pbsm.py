@@ -208,9 +208,13 @@ class SpillablePartition:
 
     The resident part is either the ``in_memory`` list that
     :meth:`append` fills one rectangle at a time, or — on the columnar
-    distribute path, which draws the allowance in bulk and routes the
-    overflow through :meth:`spill` itself — one ``packed``
-    :class:`ColumnarTile` set by the caller.
+    distribute path, which draws the allowance in bulk — one ``packed``
+    :class:`ColumnarTile` set by the caller.  The overflow likewise
+    arrives one rectangle at a time (:meth:`spill`) or as rows of the
+    relation's column image (:meth:`spill_rows`); the second keeps the
+    spill stream columnar, and :meth:`materialize_columnar` then
+    assembles the tile from column blocks without building a ``Rect``.
+    One partition takes one form of overflow, as its stream does.
     """
 
     def __init__(self, disk: Disk, name: str,
@@ -231,10 +235,25 @@ class SpillablePartition:
 
     def spill(self, r: Rect) -> None:
         """Write ``r`` to the disk-backed overflow stream."""
+        self._spill_stream().append(r)
+        self.spilled_rects += 1
+
+    def spill_rows(self, image, rows) -> None:
+        """Row-wise :meth:`spill`: ``rows`` of the column ``image``
+        (an index array), in order, written as column blocks."""
+        self._spill_stream().append_rows(image, rows)
+        self.spilled_rects += len(rows)
+
+    def spill_fills(self, count: int) -> range:
+        """Which of the next ``count`` spilled records fill a block of
+        the overflow stream (and so flush it): their 1-based ordinals."""
+        stream = self._spill_stream()
+        return range(stream.room, count + 1, stream.block_capacity)
+
+    def _spill_stream(self) -> Stream:
         if self._spill is None:
             self._spill = Stream(self.disk, name=f"{self.name}.spill")
-        self._spill.append(r)
-        self.spilled_rects += 1
+        return self._spill
 
     def _resident(self) -> int:
         return len(self.in_memory if self.packed is None else self.packed)
@@ -276,20 +295,28 @@ class SpillablePartition:
         packed as :class:`~repro.core.columnar.ColumnarTile` — the wire
         format the engine's process workers and partition-artifact
         cache consume, so spilled and resident tiles ship identically.
+        Overflow that was spilled as rows comes back as column blocks,
+        one memcpy per column and block, the block reads charged in the
+        order a scan charges them.
         """
         packed = self.packed
-        if packed is None:
-            tile = ColumnarTile.from_rects(self.in_memory)
-        elif self._spill is None:
+        if packed is not None and self._spill is None:
             return packed
-        else:
+        tile = ColumnarTile()
+        if packed is not None:
             # A copy, so a second call does not see the spill twice.
-            tile = ColumnarTile.from_columns(
-                packed.xlo, packed.xhi, packed.ylo, packed.yhi, packed.rid
-            )
+            tile.extend_columns(packed.xlo, packed.xhi, packed.ylo,
+                                packed.yhi, packed.rid)
+        elif self.in_memory:
+            tile.extend(self.in_memory)
         if self._spill is not None:
             self._spill.close()
-            tile.extend(self._spill.scan())
+            if self._spill.row_fed:
+                for block in self._spill.scan_columns():
+                    tile.extend_columns(block.xlo, block.xhi, block.ylo,
+                                        block.yhi, block.rid)
+            else:
+                tile.extend(self._spill.scan())
         return tile
 
     def free(self) -> None:

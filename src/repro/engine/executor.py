@@ -28,10 +28,16 @@ The hot path is built around these cooperating mechanisms:
 * **Columnar distribute** — under the numpy kernel the cold path
   places tiles from the catalog entry's column image
   (:func:`_distribute_columnar`, :mod:`repro.core.kernels.np_distribute`)
-  and post-filters windows the same way; the per-rectangle python
-  loops (:func:`_distribute`, :func:`_filter_window`) are the
-  no-numpy path and the reference, bit-identical in tiles, ops and
-  simulated I/O.
+  and post-filters windows the same way.  That holds past the tile
+  grant too: the overflow is spilled as image rows, one run per base
+  block with the flushes it triggers replayed in copy order across
+  the spill streams (:func:`_spill_run`), written as column blocks
+  and re-read as column blocks, so a partitioned plan under spill
+  builds no ``Rect`` either.  The per-rectangle python loops
+  (:func:`_distribute` with ``SpillablePartition.spill``,
+  :func:`_filter_window`) are the no-numpy path and the reference,
+  bit-identical in tiles, ops and simulated I/O — the order of the
+  disk's ``allocate`` / write / read calls included.
 * **Columnar pairs** — under the numpy kernel the pairs a tile owns
   come back as :class:`~repro.core.columnar.PairColumns` (one int64
   array, pickled as a buffer), per-tile results are concatenated as
@@ -112,6 +118,7 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.columnar import ColumnarTile, PairColumns, SortedRunView
@@ -197,12 +204,14 @@ TILE_BATCH_BYTES = 64 * 1024
 
 #: Shipped tasks at least this large (logical bytes) travel as
 #: shared-memory refs when the pool is process-based and shared memory
-#: works; smaller ones pickle.  ``pool.probe.roundtrip_us_shm`` never
-#: beats ``..._pickle`` on a fresh pack (0–24 % slower at 512
-#: rectangles, noise above), so no threshold wins on first ship; shm
-#: earns its keep re-shipping cached tiles by reference
-#: (``pool.shm_refs_reused_per_query``), and the floor only keeps
-#: sub-page payloads from costing a segment.
+#: works; smaller ones pickle.  Since segments are recycled instead of
+#: created and unlinked per task, a fresh pack ties pickling at 512
+#: rectangles and beats it above (``pool.probe.roundtrip_us_shm``
+#: against ``..._pickle``, medians of five probe runs: -4 % at n256,
+#: -8 % at n4096, -7 % at n65536; it used to lose by 1-13 %), and
+#: re-shipping cached tiles by reference
+#: (``pool.shm_refs_reused_per_query``) comes on top; the floor only
+#: keeps sub-page payloads from costing a segment.
 SHM_MIN_BYTES = 16 * 1024
 
 #: A repeat plan whose *measured* sweep came in at or under this many
@@ -1188,13 +1197,18 @@ class _TaskShipper:
         return (packed if batch else packed[0]), frozenset(names)
 
     def release_shm(self) -> None:
-        """Drop the inflight pins of every shipped task (post-gather)."""
+        """Drop the inflight pins of every shipped task (post-gather).
+
+        After a clean gather every future is done and its segments may
+        be recycled; a task a deadline left unfinished may still read
+        its segments, so those are given up for good.
+        """
         manager = self.pool.shm
         for fut, shipped, _size, _tiles in self.submitted:
             if shipped:
                 names = getattr(fut, "_repro_shm", ())
                 if names:
-                    manager.task_done(names)
+                    manager.task_done(names, abandoned=not fut.done())
 
 
 class _OpCounter:
@@ -1472,12 +1486,13 @@ def _distribute_columnar(entry: CatalogEntry,
     The numpy kernel decides where every copy goes; this step places
     them.  The allowance is drawn in bulk, the copies it covers are
     packed per partition straight from the image, and the rest are
-    spilled rectangle by rectangle while the base stream's blocks are
-    read — each block once, each spill write between the same two
-    reads as in the python loop — so tiles, op charges, grant size and
-    the simulated disk's ledger all match :func:`_distribute`.
-    Returns ``None``, having touched nothing, when the kernel declines
-    the input.
+    spilled as image rows while the base stream's blocks are read —
+    each block once, with the spill writes of the copies it holds
+    between the same two reads as in the python loop
+    (:func:`_spill_run`) — so tiles, op charges, grant size and the
+    simulated disk's ledger all match :func:`_distribute`, and no
+    ``Rect`` is built on the way.  Returns ``None``, having touched
+    nothing, when the kernel declines the input.
     """
     from repro.core.kernels import np_distribute
 
@@ -1491,16 +1506,56 @@ def _distribute_columnar(entry: CatalogEntry,
     )
     for part, tile in zip(parts, dist.tiles(image, resident, len(parts))):
         part.packed = tile
-    spill_rows = dist.rows[resident:].tolist()
-    spill_parts = dist.parts[resident:].tolist()
-    i = start = 0
+    # The overflow, in copy order: ascending image row, so a base
+    # block's copies are one run of it.
+    rows = dist.rows[resident:]
+    targets = dist.parts[resident:]
+    done = scanned = 0
     for block in entry.stream.scan_blocks():
-        end = start + len(block)
-        while i < len(spill_rows) and spill_rows[i] < end:
-            parts[spill_parts[i]].spill(block[spill_rows[i] - start])
-            i += 1
-        start = end
+        scanned += len(block)
+        run_end = int(rows.searchsorted(scanned))
+        if run_end > done:
+            _spill_run(parts, image, rows[done:run_end],
+                       targets[done:run_end])
+            done = run_end
     return dist.ops
+
+
+def _spill_run(parts: List[SpillablePartition], image, rows,
+               targets) -> None:
+    """Spill one run of copies: ``rows[i]`` of ``image`` to
+    ``parts[targets[i]]``, as one ``spill`` per copy in that order
+    would.
+
+    A spill stream touches the simulated disk only when a copy fills
+    its block, and ``Disk.allocate`` hands out offsets in call order
+    while the machine observers price seeks from the offset sequence —
+    so across streams the order of those flushes *is* the ledger.  The
+    run is cut per stream (a stable group-by keeps copy order inside
+    each), every stream is fed up to and including each copy that
+    fills it in the run-wide order of those copies, and the
+    remainders, which flush nothing, go last.
+    """
+    order = targets.argsort(kind="stable")
+    grouped = targets[order]
+    cuts = (grouped[1:] != grouped[:-1]).nonzero()[0] + 1
+    bounds = [0, *cuts.tolist(), len(order)]
+    fills = []
+    tails = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = parts[grouped[lo]]
+        at = order[lo:hi]
+        fed = 0
+        for upto in part.spill_fills(hi - lo):
+            fills.append((at[upto - 1], part, rows[at[fed:upto]]))
+            fed = upto
+        if fed < hi - lo:
+            tails.append((part, rows[at[fed:]]))
+    fills.sort(key=itemgetter(0))
+    for _, part, chunk in fills:
+        part.spill_rows(image, chunk)
+    for part, chunk in tails:
+        part.spill_rows(image, chunk)
 
 
 def _critical_path_ops(part_ops: List[int], workers: int) -> int:

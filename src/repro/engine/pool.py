@@ -145,11 +145,12 @@ class ShmTileRef(NamedTuple):
 class _ShmSegment:
     """Coordinator-side record of one owned segment."""
 
-    __slots__ = ("shm", "nbytes", "pins", "inflight", "unlinked",
+    __slots__ = ("shm", "nbytes", "pins", "inflight", "idle", "unlinked",
                  "closed")
 
     def __init__(self, shm, nbytes: int) -> None:
         self.shm = shm
+        #: Capacity (a power of two), not the bytes in use.
         self.nbytes = nbytes
         #: Live packed tiles pointing into this segment; each pin is
         #: released by the tile's finalizer.
@@ -157,8 +158,32 @@ class _ShmSegment:
         #: Shipped-but-ungathered tasks referencing this segment; the
         #: executor decrements in its gather ``finally``.
         self.inflight = 0
+        #: On the free list: nothing points into it, the next pack may
+        #: overwrite it.
+        self.idle = False
         self.unlinked = False
         self.closed = False
+
+
+#: Idle segments the coordinator keeps for the next pack instead of
+#: unlinking them.  One query's shipped tasks return their segments
+#: together, and ``cold_scan`` / ``tight_spill`` ship at most eight
+#: tasks a query (an overlay: 8 x ~155 KB of tiles, all in the 256 KB
+#: class), so eight covers a query's worth: 1 200 shipped overlay tasks
+#: create 8 segments instead of 1 200, and ``_ship`` loses the four
+#: resource-tracker writes a create / unlink pair costs (18 -> 11 ms
+#: per overlay under cProfile; the rest is the executor's own wake-up
+#: write).
+FREE_SEGMENTS = 8
+
+#: Segments a worker process keeps attached, least recently used out
+#: first.  An attach is two descriptors and one mapping; unbounded, a
+#: worker held 1 209-1 219 descriptors after 1 200 shipped overlay
+#: tasks (RSS 43 -> 136 MB) and died of EMFILE at the 31st overlay
+#: under ``ulimit -n 256``.  With recycling a cold workload has 8 names
+#: to attach and ``sharded_skew``'s cached tiles pin 7; 32 leaves room
+#: for both several times over at 64 descriptors a worker.
+ATTACH_CACHE_SEGMENTS = 32
 
 
 class ShmSegments:
@@ -168,11 +193,23 @@ class ShmSegments:
     shared pool also share segments).  Tiles are packed on first ship
     and *cached by tile identity*: re-shipping a cached artifact tile
     re-sends a :class:`ShmTileRef` instead of re-packing (and instead
-    of re-pickling 40 bytes/rect).  A segment is unlinked and closed
-    when its last pinned tile dies and no shipped task still references
-    it; :meth:`reset` (pool shutdown, broken-pool demotion) unlinks
-    everything immediately, deferring only the closes that in-flight
-    recovery still needs.
+    of re-pickling 40 bytes/rect).  A dying tile's finalizer drops its
+    cache entry and its pin, so an ``id()`` the allocator hands out
+    again can never resolve to another tile's bytes.
+
+    A segment's life is bounded at both ends.  Capacities are rounded
+    up to a power of two, and a segment whose last pinned tile is dead
+    and whose last shipped task is gathered goes *idle* instead of
+    away: up to :data:`FREE_SEGMENTS` of them wait on a free list and
+    the next pack takes the smallest one that fits, so steady cold
+    traffic creates a handful of segments and then none (workers keep
+    the few names attached, :data:`ATTACH_CACHE_SEGMENTS`).  What
+    overflows the list is unlinked and closed, oldest first.  A segment
+    a task was *abandoned* on — shipped, not finished when its query
+    gave up — is unlinked at once and never reused: a worker may still
+    be reading it.  :meth:`reset` (pool shutdown, broken-pool demotion)
+    unlinks everything immediately, the free list included, deferring
+    only what in-flight recovery still needs.
 
     Any ``OSError`` at segment creation (no ``/dev/shm``, rlimit)
     disables the manager for the pool's lifetime — shipping falls back
@@ -183,15 +220,20 @@ class ShmSegments:
         # Reentrant: a tile finalizer (``_unpin``) can fire on this
         # thread mid-allocation while the lock is already held.
         self._lock = threading.RLock()
+        #: Every owned segment by name, idle ones included.
         self._segments: Dict[str, _ShmSegment] = {}
+        #: Names of the idle segments, longest idle first.
+        self._free: List[str] = []
         #: id(tile) -> (ref, finalizer); identity-keyed so the cached
         #: artifact tiles the executor re-ships resolve to their
-        #: existing segment.
+        #: existing segment.  An entry lives exactly as long as its
+        #: tile.
         self._tile_refs: Dict[int, Tuple[ShmTileRef, object]] = {}
         self._seq = 0
         self.enabled = shared_memory is not None
         # -- counters (surfaced via WorkerPool.snapshot) ----------------
         self.segments_created = 0
+        self.segments_recycled = 0
         self.segments_released = 0
         self.bytes_packed = 0
         self.tile_refs_reused = 0
@@ -199,6 +241,7 @@ class ShmSegments:
 
     @property
     def open_segments(self) -> int:
+        """Named segments this manager owns, idle ones included."""
         with self._lock:
             return sum(
                 1 for s in self._segments.values() if not s.unlinked
@@ -218,10 +261,11 @@ class ShmSegments:
         """Shared-memory refs for ``tiles``, packing the misses.
 
         Cache hits (a tile already packed, verified by length) reuse
-        their segment; all misses are packed together into **one** new
-        segment — a batch of small tiles costs one ``shm_open``, not
-        one per tile.  Returns ``None`` when shared memory is
-        unavailable (caller ships pickled columns instead).
+        their segment; all misses are packed together into **one**
+        segment, recycled or new — a batch of small tiles costs at most
+        one ``shm_open``, not one per tile.  Returns ``None`` when
+        shared memory is unavailable (caller ships pickled columns
+        instead).
         """
         if not self.enabled:
             return None
@@ -230,17 +274,23 @@ class ShmSegments:
             misses: List[Tuple[int, ColumnarTile]] = []
             for i, tile in enumerate(tiles):
                 hit = self._tile_refs.get(id(tile))
-                if hit is not None and hit[0].count == len(tile):
+                if hit is not None:
                     seg = self._segments.get(hit[0].segment)
-                    if seg is not None and not seg.unlinked:
+                    if (hit[0].count == len(tile) and seg is not None
+                            and not seg.unlinked):
                         refs.append(hit[0])
                         self.tile_refs_reused += 1
                         continue
+                    # Packed again below (the tile grew, or a task was
+                    # abandoned on its segment): the old pack lets go
+                    # now, not when the tile dies.
+                    hit[1].detach()
+                    self._unpin(hit[0].segment, id(tile))
                 refs.append(None)
                 misses.append((i, tile))
             if misses:
                 total = sum(t.nbytes for _, t in misses)
-                seg_name = self._create_locked(max(1, total))
+                seg_name = self._take_locked(max(1, total))
                 if seg_name is None:
                     return None
                 seg = self._segments[seg_name]
@@ -252,12 +302,25 @@ class ShmSegments:
                     refs[i] = ref
                     seg.pins += 1
                     fin = weakref.finalize(
-                        tile, self._unpin, seg_name
+                        tile, self._unpin, seg_name, id(tile)
                     )
                     fin.atexit = False
                     self._tile_refs[id(tile)] = (ref, fin)
                 self.bytes_packed += total
         return refs  # type: ignore[return-value]
+
+    def _take_locked(self, nbytes: int) -> Optional[str]:
+        """A segment of at least ``nbytes`` nobody reads: the smallest
+        idle one that fits, else a new one of the next power of two."""
+        fits = [name for name in self._free
+                if self._segments[name].nbytes >= nbytes]
+        if fits:
+            name = min(fits, key=lambda n: self._segments[n].nbytes)
+            self._free.remove(name)
+            self._segments[name].idle = False
+            self.segments_recycled += 1
+            return name
+        return self._create_locked(1 << (nbytes - 1).bit_length())
 
     def _create_locked(self, nbytes: int) -> Optional[str]:
         self._seq += 1
@@ -285,25 +348,46 @@ class ShmSegments:
                 if seg is not None:
                     seg.inflight += 1
 
-    def task_done(self, names) -> None:
-        """Gather-side release: one in-flight count per task per segment."""
+    def task_done(self, names, abandoned: bool = False) -> None:
+        """Gather-side release: one in-flight count per task per segment.
+
+        ``abandoned`` says the task had not finished when its query
+        stopped waiting for it: its segments are unlinked now and never
+        recycled, since a worker may read them for a while yet.
+        """
         with self._lock:
             for name in names:
                 seg = self._segments.get(name)
                 if seg is not None:
                     seg.inflight = max(0, seg.inflight - 1)
-                    self._maybe_free_locked(name, seg)
+                    if abandoned:
+                        self._unlink_locked(seg)
+                    self._settle_locked(name, seg)
 
-    def _unpin(self, name: str) -> None:
+    def _unpin(self, name: str, tile_id: int) -> None:
         with self._lock:
+            self._tile_refs.pop(tile_id, None)
             seg = self._segments.get(name)
             if seg is not None:
                 seg.pins = max(0, seg.pins - 1)
-                self._maybe_free_locked(name, seg)
+                self._settle_locked(name, seg)
 
-    def _maybe_free_locked(self, name: str, seg: _ShmSegment) -> None:
-        if seg.pins > 0 or seg.inflight > 0:
+    def _settle_locked(self, name: str, seg: _ShmSegment) -> None:
+        """A pin or an in-flight count was dropped: if nothing points
+        into the segment any more, park it on the free list, or let it
+        go when it lost its name or the list is full."""
+        if seg.idle or seg.pins > 0 or seg.inflight > 0:
             return
+        if seg.unlinked:
+            self._release_locked(name, seg)
+            return
+        seg.idle = True
+        self._free.append(name)
+        if len(self._free) > FREE_SEGMENTS:
+            oldest = self._free.pop(0)
+            self._release_locked(oldest, self._segments[oldest])
+
+    def _release_locked(self, name: str, seg: _ShmSegment) -> None:
         self._unlink_locked(seg)
         self._close_locked(seg)
         if seg.closed:
@@ -343,25 +427,23 @@ class ShmSegments:
         Segments still referenced by in-flight tasks keep their name
         until the executor's gather calls :meth:`task_done` (their
         inline recovery resolves through this manager's mapping);
-        everything else is unlinked and closed here.  The tile-ref
-        cache is dropped wholesale — the next ship repacks fresh
-        segments.
+        everything else, the free list included, is unlinked and
+        closed here.  The tile-ref cache is dropped wholesale — the
+        next ship repacks.
         """
         with self._lock:
             for _tid, (_ref, fin) in list(self._tile_refs.items()):
                 fin.detach()
             self._tile_refs.clear()
+            self._free.clear()
             for name, seg in list(self._segments.items()):
                 seg.pins = 0
+                seg.idle = False
                 if seg.inflight > 0:
                     # Unlink is deferred to task_done so a live worker
                     # (or the inline recovery) can still attach/read.
                     continue
-                self._unlink_locked(seg)
-                self._close_locked(seg)
-                if seg.closed:
-                    del self._segments[name]
-                    self.segments_released += 1
+                self._release_locked(name, seg)
 
     # -- resolution (same-process: inline recovery, thread dispatch) -----
 
@@ -380,6 +462,7 @@ class ShmSegments:
             return {
                 "enabled": self.enabled,
                 "segments_created": self.segments_created,
+                "segments_recycled": self.segments_recycled,
                 "segments_released": self.segments_released,
                 "segments_open": open_segments,
                 "bytes_packed": self.bytes_packed,
@@ -388,15 +471,18 @@ class ShmSegments:
             }
 
 
-#: Worker-process attach cache: segment name -> SharedMemory.  Reset
-#: when the pid changes (a forked worker inherits the parent's dict;
-#: the inherited *objects* belong to the parent's registry and are
-#: simply dropped).  Bounded implicitly by the coordinator's segment
-#: count.
-_WORKER_SEGMENTS: Dict[str, object] = {}
+#: Worker-process attach cache: segment name -> SharedMemory, least
+#: recently resolved first, at most :data:`ATTACH_CACHE_SEGMENTS` (the
+#: coordinator recycles a few names under steady traffic, so the bound
+#: is rarely met).  Reset when the pid changes (a forked worker inherits
+#: the parent's dict; the inherited *objects* belong to the parent's
+#: registry and are simply dropped).
+_WORKER_SEGMENTS: "OrderedDict[str, object]" = OrderedDict()
+#: Evicted attaches whose mapping a running task's views still pinned
+#: when they were dropped; closed at a later eviction.
+_WORKER_UNCLOSED: List[object] = []
 #: Worker-process view-tile cache keyed by ref, so repeat tasks on a
-#: cached artifact segment reuse one tile object — which also makes
-#: the decode-sorted memo effective across queries.
+#: cached artifact segment reuse one tile object.
 _WORKER_VIEWS: "OrderedDict[ShmTileRef, ColumnarTile]" = OrderedDict()
 _WORKER_VIEW_CAP = 512
 _WORKER_PID = -1
@@ -407,11 +493,34 @@ _WORKER_PID = -1
 _LOCAL_MANAGERS: "weakref.WeakSet[ShmSegments]" = weakref.WeakSet()
 
 
-def _worker_forget(name: str) -> None:
-    """Drop a worker/coordinator cache entry for a dying segment."""
-    _WORKER_SEGMENTS.pop(name, None)
+def _worker_forget(name: str) -> Optional[object]:
+    """Drop the attach and the views cached for ``name``; returns the
+    attach, still open, if there was one."""
     for ref in [r for r in _WORKER_VIEWS if r.segment == name]:
         _WORKER_VIEWS.pop(ref, None)
+    return _WORKER_SEGMENTS.pop(name, None)
+
+
+def _trim_attached() -> None:
+    """Evict least recently used attaches down to the bound.
+
+    Called right after an attach, so the segment being resolved is the
+    newest entry and never a victim.  A victim the task in hand
+    resolved earlier still has live views: its mapping cannot be closed
+    yet (``BufferError``), the views stay valid, and the close is
+    retried at the next eviction.
+    """
+    while len(_WORKER_SEGMENTS) > ATTACH_CACHE_SEGMENTS:
+        _WORKER_UNCLOSED.append(
+            _worker_forget(next(iter(_WORKER_SEGMENTS)))
+        )
+    still_open = []
+    for shm in _WORKER_UNCLOSED:
+        try:
+            shm.close()
+        except BufferError:
+            still_open.append(shm)
+    _WORKER_UNCLOSED[:] = still_open
 
 
 def resolve_shm_tile(ref: ShmTileRef) -> ColumnarTile:
@@ -421,8 +530,8 @@ def resolve_shm_tile(ref: ShmTileRef) -> ColumnarTile:
     the coordinator (inline recovery, thread pools — resolved straight
     from the owning manager's mapping, no second attach).  Raises
     ``FileNotFoundError`` if the segment is gone, which only happens
-    after the owning pool was reset — by then every such task has been
-    recovered inline.
+    after the owning pool was reset or the task's query abandoned it —
+    by then nobody waits for the result.
     """
     global _WORKER_PID
     pid = os.getpid()
@@ -431,11 +540,14 @@ def resolve_shm_tile(ref: ShmTileRef) -> ColumnarTile:
         # the parent's caches): drop inherited entries, never close
         # them — the objects belong to the parent's lifecycle.
         _WORKER_SEGMENTS.clear()
+        _WORKER_UNCLOSED.clear()
         _WORKER_VIEWS.clear()
         _WORKER_PID = pid
     tile = _WORKER_VIEWS.get(ref)
     if tile is not None:
         _WORKER_VIEWS.move_to_end(ref)
+        if ref.segment in _WORKER_SEGMENTS:
+            _WORKER_SEGMENTS.move_to_end(ref.segment)
         return tile
     buf = None
     for manager in list(_LOCAL_MANAGERS):
@@ -444,7 +556,9 @@ def resolve_shm_tile(ref: ShmTileRef) -> ColumnarTile:
             break
     if buf is None:
         shm = _WORKER_SEGMENTS.get(ref.segment)
-        if shm is None:
+        if shm is not None:
+            _WORKER_SEGMENTS.move_to_end(ref.segment)
+        else:
             # Attaching would register the segment with the resource
             # tracker, which the forked workers *share* with the
             # coordinator — the coordinator's later unlink would then
@@ -461,6 +575,7 @@ def resolve_shm_tile(ref: ShmTileRef) -> ColumnarTile:
             else:
                 shm = shared_memory.SharedMemory(name=ref.segment)
             _WORKER_SEGMENTS[ref.segment] = shm
+            _trim_attached()
         buf = shm.buf
     tile = ColumnarTile.view_over(buf, ref.offset, ref.count)
     _WORKER_VIEWS[ref] = tile
@@ -494,6 +609,9 @@ class _InlineFuture:
         if self._error is not None:
             raise self._error
         return self._value
+
+    def done(self) -> bool:
+        return True
 
 
 def _faulted_task(wrapped):

@@ -472,7 +472,8 @@ def serve_bench(args: argparse.Namespace) -> int:
         )],
         ["kernel / shm", (
             f"{m.get('kernel', 'python')}, "
-            f"{report['pool']['shm']['segments_created']} segments, "
+            f"{report['pool']['shm']['segments_created']} segments "
+            f"(+{report['pool']['shm']['segments_recycled']} recycled), "
             f"{report['pool']['shm']['tile_refs_reused']} tile refs "
             f"reused"
         )],

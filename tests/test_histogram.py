@@ -1,6 +1,9 @@
 """Spatial histograms: construction, selectivity, leaf fractions."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.brute import brute_force_pairs
 from repro.core.histogram import SpatialHistogram
@@ -125,3 +128,78 @@ class TestLeafFraction:
         small = h.leaf_fraction(Rect(0.4, 0.6, 0.4, 0.6, 0))
         large = h.leaf_fraction(Rect(0.2, 0.8, 0.2, 0.8, 0))
         assert small <= large
+
+
+def _leaf_fraction_by_cell(h: SpatialHistogram, window: Rect) -> float:
+    """The per-cell loop ``leaf_fraction`` replaced, as the reference."""
+    if h.total == 0:
+        return 0.0
+    inside = 0
+    g = h.grid
+    for row in range(g):
+        cell_ylo = h.universe.ylo + row * h.cell_h
+        cell_yhi = cell_ylo + h.cell_h
+        if cell_yhi < window.ylo or cell_ylo > window.yhi:
+            continue
+        for col in range(g):
+            cell_xlo = h.universe.xlo + col * h.cell_w
+            cell_xhi = cell_xlo + h.cell_w
+            if cell_xhi < window.xlo or cell_xlo > window.xhi:
+                continue
+            inside += h.counts[row * g + col]
+    return inside / h.total
+
+
+class TestLeafFractionMatchesTheCellLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+        span=st.tuples(st.sampled_from([0.0, 1.0, 0.3, 7.7, 1e-9]),
+                       st.sampled_from([0.0, 1.0, 0.1, 13.0])),
+        grid=st.sampled_from([1, 2, 3, 7, 32]),
+        n=st.integers(0, 60),
+        seed=st.integers(0, 10_000),
+        # Each window corner: a cell edge exactly, one ulp-ish off it,
+        # or anywhere (outside the universe included).
+        corners=st.lists(
+            st.tuples(st.sampled_from(["edge", "near", "free"]),
+                      st.integers(-1, 33), st.floats(-0.2, 1.2)),
+            min_size=4, max_size=4,
+        ),
+    )
+    def test_any_window(self, lo, span, grid, n, seed, corners):
+        universe = Rect(lo[0], lo[0] + span[0], lo[1], lo[1] + span[1], 0)
+        rng = random.Random(seed)
+        h = SpatialHistogram(universe, grid)
+        for i in range(n):
+            x = lo[0] + span[0] * rng.uniform(-0.1, 1.1)
+            y = lo[1] + span[1] * rng.uniform(-0.1, 1.1)
+            h.add(Rect(x, x + rng.random() * h.cell_w,
+                       y, y + rng.random() * h.cell_h, i))
+
+        def coordinate(kind, cell, frac, origin, size, extent):
+            edge = origin + min(cell, grid) * size
+            if kind == "edge":
+                # Either expression a cell's edge is computed by.
+                return edge if cell % 2 else (edge - size) + size
+            if kind == "near":
+                return edge * (1 + (frac - 0.5) * 1e-15)
+            return origin + frac * (extent or 1.0)
+
+        xs = sorted(coordinate(*c, lo[0], h.cell_w, span[0])
+                    for c in corners[:2])
+        ys = sorted(coordinate(*c, lo[1], h.cell_h, span[1])
+                    for c in corners[2:])
+        window = Rect(xs[0], xs[1], ys[0], ys[1], 0)
+        assert h.leaf_fraction(window) == _leaf_fraction_by_cell(h, window)
+        # Inverted on an axis: whatever the loop made of it.
+        flipped = Rect(xs[1], xs[0], ys[0], ys[1], 0)
+        assert h.leaf_fraction(flipped) == _leaf_fraction_by_cell(h, flipped)
+
+    def test_add_invalidates_the_table(self):
+        h = SpatialHistogram(UNIT, grid=4)
+        h.add(Rect(0.1, 0.1, 0.1, 0.1, 1))
+        left = Rect(0.0, 0.4, 0.0, 1.0, 0)
+        assert h.leaf_fraction(left) == 1.0
+        h.add(Rect(0.9, 0.9, 0.9, 0.9, 2))
+        assert h.leaf_fraction(left) == 0.5 == _leaf_fraction_by_cell(h, left)

@@ -167,6 +167,90 @@ class TestStream:
         assert s.num_blocks == 0
 
 
+class TestRowFedStream:
+    """``append_rows`` against ``append`` of the same rectangles."""
+
+    @pytest.fixture
+    def image(self):
+        pytest.importorskip("numpy")
+        from repro.core.kernels.np_distribute import ColumnImage
+
+        # Ids past 2**53 and awkward doubles: the payload is exact.
+        return ColumnImage([
+            Rect(i / 7, i / 7 + 1e-17, -i / 3, i / 3, 2 ** 53 + i)
+            for i in range(200)
+        ])
+
+    def _rects(self, image, rows):
+        return [Rect(image.xlo[i].item(), image.xhi[i].item(),
+                     image.ylo[i].item(), image.yhi[i].item(),
+                     image.rid[i].item()) for i in rows]
+
+    @pytest.mark.parametrize("chunks", (
+        [200], [1] * 60, [24, 1, 25, 50, 3, 97], [25, 25, 26, 0, 49, 75],
+    ))
+    def test_same_blocks_same_ledger_same_rectangles(self, image, chunks):
+        import numpy as np
+
+        from tests.conftest import make_env
+
+        rows = np.random.default_rng(5).permutation(200)[:sum(chunks)]
+        streams = {}
+        for fed in ("rects", "rows"):
+            env = make_env()
+            s = Stream(Disk(env), name=fed)
+            start = 0
+            for n in chunks:
+                part = rows[start:start + n]
+                if fed == "rows":
+                    s.append_rows(image, part)
+                else:
+                    s.extend(self._rects(image, part.tolist()))
+                start += n
+                assert len(s) == start
+            s.close()
+            streams[fed] = (s, env.snapshots())
+        by_rect, by_row = streams["rects"][0], streams["rows"][0]
+        # Every write and extent, priced by three machines: one ledger.
+        assert streams["rows"][1] == streams["rects"][1]
+        assert by_row.row_fed and not by_rect.row_fed
+        assert by_row._block_offsets == by_rect._block_offsets
+        assert by_row._block_lengths == by_rect._block_lengths
+        assert by_row.data_bytes == by_rect.data_bytes
+        assert list(by_row.scan()) == list(by_rect.scan())
+        assert list(by_row.scan_blocks()) == list(by_rect.scan_blocks())
+        assert all(type(x.rid) is int and type(x.xlo) is float
+                   for x in by_row.scan())
+        reads = by_row.disk.env.page_reads
+        assert [len(b) for b in by_row.scan_columns()] == [
+            n // RECT_BYTES for n in by_rect._block_lengths
+        ]
+        assert by_row.disk.env.page_reads - reads == by_row.num_blocks
+
+    def test_one_feed_per_stream(self, disk, image):
+        import numpy as np
+
+        from repro.core.kernels.np_distribute import ColumnImage
+
+        rows = np.arange(3)
+        by_rect = Stream(disk)
+        # A flushed-empty buffer is still a rectangle stream.
+        by_rect.extend(r(i) for i in range(by_rect.block_capacity))
+        with pytest.raises(RuntimeError):
+            by_rect.append_rows(image, rows)
+        by_row = Stream(disk)
+        by_row.append_rows(image, rows)
+        with pytest.raises(RuntimeError):
+            by_row.append(r(0))
+        with pytest.raises(RuntimeError):
+            by_row.append_rows(ColumnImage([r(0), r(1), r(2)]), rows)
+        by_row.close()
+        with pytest.raises(RuntimeError):
+            by_row.append_rows(image, rows)
+        with pytest.raises(RuntimeError):
+            by_rect.close().scan_columns().__next__()
+
+
 class TestBufferPool:
     def _store_with_pages(self, store, n):
         for i in range(n):

@@ -20,8 +20,13 @@ TWIN_CITIES = Rect(-93.8, -92.6, 44.5, 45.4)
 
 
 def main() -> None:
-    engine = SpatialQueryEngine(workers=4, cache_capacity=32)
+    # The context manager closes the engine: the worker pool stops and
+    # its shared-memory segments are unlinked when the block ends.
+    with SpatialQueryEngine(workers=4, cache_capacity=32) as engine:
+        serve(engine)
 
+
+def serve(engine: SpatialQueryEngine) -> None:
     # -- register once ---------------------------------------------------
     roads = make_roads(40_000, US, seed=11, layout_seed=11)
     hydro = make_hydro(8_000, US, seed=12, layout_seed=11,

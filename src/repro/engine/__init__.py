@@ -66,7 +66,6 @@ from repro.engine.metrics import (
 )
 from repro.engine.obs import (
     SlowQueryLog,
-    render_json,
     render_prometheus,
     validate_prometheus,
     validate_trace,
@@ -90,7 +89,6 @@ from repro.engine.trace import EnvMeter, Span, span_meter
 from repro.engine.workload import (
     engine_for_dataset,
     make_workload,
-    run_concurrent_workload,
     run_workload,
 )
 
@@ -130,9 +128,7 @@ __all__ = [
     "lpt_makespan",
     "make_workload",
     "merge_snapshots",
-    "render_json",
     "render_prometheus",
-    "run_concurrent_workload",
     "run_workload",
     "serve_http",
     "span_meter",

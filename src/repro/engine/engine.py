@@ -73,7 +73,7 @@ def _copy_result(result: JoinResult) -> JoinResult:
 #: What the keys of ``ArtifactCache.snapshot()`` and
 #: ``ResourceBudget.snapshot()`` are called in a serving snapshot.  Read
 #: in both directions: ``metrics_snapshot()`` flattens the two blocks
-#: with these tables and the serve-bench report
+#: with these tables and ``run_workload``'s report
 #: (:mod:`repro.engine.workload`) rebuilds them — from a single engine's
 #: snapshot or a sharded deployment's merged one alike.
 ARTIFACT_SNAPSHOT_KEYS = {
@@ -150,7 +150,6 @@ class SpatialQueryEngine:
         worker_pool: Optional[WorkerPool] = None,
         trace: bool = False,
         slow_log_capacity: Optional[int] = None,
-        slow_threshold_seconds: float = 0.0,
         kernel: str = "auto",
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -239,7 +238,7 @@ class SpatialQueryEngine:
         if slow_log_capacity is None:
             slow_log_capacity = 8 if self.tracing else 0
         self.slow_log = (
-            SlowQueryLog(slow_log_capacity, slow_threshold_seconds)
+            SlowQueryLog(slow_log_capacity)
             if slow_log_capacity > 0 else None
         )
         self.last_trace: Optional[Span] = None

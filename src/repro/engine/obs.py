@@ -17,8 +17,8 @@ operator can actually consume:
   (``failovers``, ``retries``, ``replica_failures``, per-shard
   ``disk_restores``) reached the exposition without new code here.
 * :func:`validate_prometheus` / :func:`validate_trace` — structural
-  validators for the two exported formats, shared between the test
-  suite and the CI checker scripts so "valid" means one thing.
+  validators for the two exported formats (the test suite pins the
+  schemas with them; a live deployment is scraped at ``GET /metrics``).
 """
 
 from __future__ import annotations
@@ -222,13 +222,6 @@ def render_prometheus(snapshot: Dict[str, object],
                       prefix: str = "repro_engine") -> str:
     """One snapshot as Prometheus text format (trailing newline)."""
     return "\n".join(prometheus_lines(snapshot, prefix)) + "\n"
-
-
-def render_json(snapshot: Dict[str, object],
-                indent: Optional[int] = 2) -> str:
-    """One snapshot as structured JSON (the machine-diffable export)."""
-    return json.dumps(snapshot, indent=indent, sort_keys=True,
-                      default=str)
 
 
 def validate_prometheus(text: str,

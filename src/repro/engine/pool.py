@@ -760,7 +760,7 @@ class WorkerPool:
         if self._executor is not None:
             self.pools_created += 1
             self._finalizer = weakref.finalize(
-                self, _shutdown_executor, self._executor
+                self, _abandon_pool, self._executor, self.shm
             )
         return self._executor
 
@@ -1064,6 +1064,12 @@ class PoolClient:
         return snap
 
 
-def _shutdown_executor(executor: _FuturesExecutor) -> None:
-    # Module-level so the finalizer holds no reference to the pool.
+def _abandon_pool(executor: _FuturesExecutor,
+                  shm: ShmSegments) -> None:
+    # A pool nobody shut down (collected, or alive at interpreter
+    # exit): stop the workers and unlink the segments, the idle ones
+    # on the free list included.  Module-level, and handed the
+    # segment manager rather than the pool, so the finalizer holds no
+    # reference to the pool.
     executor.shutdown(wait=False)
+    shm.reset()

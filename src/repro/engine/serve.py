@@ -43,7 +43,11 @@ responses with correct counters, never unbounded queue growth and never
 a surprise ``AdmissionError`` (oversized singletons still get a clean
 ``rejected``).  Every outcome is a first-class state in
 :meth:`ServingFrontend.snapshot`, which rides the engine's metrics
-snapshot into the Prometheus/JSON exporters unchanged.
+snapshot into the Prometheus exporter unchanged, and every submitted
+query meets exactly one: a caller cancelled while its query is parked
+or running (its own timeout, a disconnect, shutdown) counts as
+``expired``, takes its waiter or its grant with it and flags the
+query's token, so nothing is granted to, or run for, nobody.
 
 The fault plan participates: ``serve.queue`` rules fire at admission
 (``exception`` fails the admission, ``slow`` delays the grant attempt)
@@ -367,32 +371,49 @@ class ServingFrontend:
             grant = await asyncio.wait_for(
                 asyncio.shield(future), timeout
             )
-        except asyncio.TimeoutError:
-            # Expired while parked.  Whatever fate won the race, the
-            # time this waiter spent queued is queue wait.
+        except (asyncio.TimeoutError, asyncio.CancelledError) as gave_up:
+            # Expired while parked, or the caller was cancelled there
+            # (its own timeout, a disconnect, shutdown) — the shield
+            # keeps the queue's future alive either way, so it is let
+            # go of here.  Whatever fate won the race, the time this
+            # waiter spent queued is queue wait.
+            cancelled = isinstance(gave_up, asyncio.CancelledError)
             self.queue_wait_seconds += (
                 time.monotonic() - waiter.enqueued_at
             )
             self._note_dequeue(waiter)
             if future.done():
                 resolved = future.result()
-                if resolved is None:
+                if resolved is not None:
+                    # The pump granted concurrently — hand it straight
+                    # back.
+                    resolved.release()
+                    self._pump()
+                elif not cancelled:
                     # Shed in the same tick the deadline fired: the
                     # shed decision already removed the waiter and
                     # charged nothing — report it as shed.
                     return None
-                # The pump granted concurrently — hand it straight back.
-                resolved.release()
-                self._pump()
             else:
                 future.cancel()
             if waiter in self._queue:
                 self._queue.remove(waiter)
+            if cancelled:
+                raise
             raise DeadlineExceeded("deadline passed while queued")
         self.queue_wait_seconds += time.monotonic() - waiter.enqueued_at
         return grant  # a ResourceGrant, or None when shed
 
     # -- serving -----------------------------------------------------------
+
+    def _caller_gone(self, query_class: str, token: CancelToken) -> None:
+        """``submit`` was cancelled (the caller's own timeout, a client
+        disconnect, shutdown): nobody will read this query's fate, so
+        it counts with the expired, and an engine thread already
+        running it stops at its next checkpoint."""
+        token.cancel()
+        self.expired += 1
+        self.per_class[query_class]["expired"] += 1
 
     async def submit(self, query: Query,
                      query_class: str = "interactive",
@@ -421,6 +442,12 @@ class ServingFrontend:
                 queue_seconds=queue_seconds, **kw,
             )
 
+        # The token is both the engine's cooperative checkpoint and —
+        # because it pickles — the per-payload cancellation flag pool
+        # workers check at tile boundaries.  An absolute monotonic
+        # deadline travels exactly across fork.
+        token = CancelToken(deadline)
+
         try:
             grant = await self._admit(query_class, nbytes, deadline, t0)
         except DeadlineExceeded:
@@ -428,6 +455,9 @@ class ServingFrontend:
             self.per_class[query_class]["expired"] += 1
             return finish("expired", time.monotonic() - t0,
                           error="deadline passed while queued")
+        except asyncio.CancelledError:
+            self._caller_gone(query_class, token)
+            raise
         except AdmissionError as exc:
             self.rejected += 1
             self.per_class[query_class]["rejected"] += 1
@@ -456,12 +486,6 @@ class ServingFrontend:
                 raise DeadlineExceeded(
                     "deadline passed before dispatch"
                 )
-
-            # The token is both the engine's cooperative checkpoint
-            # and — because it pickles — the per-payload cancellation
-            # flag pool workers check at tile boundaries.  An absolute
-            # monotonic deadline travels exactly across fork.
-            token = CancelToken(deadline)
 
             self.in_flight += 1
             self.in_flight_high_water = max(
@@ -494,6 +518,9 @@ class ServingFrontend:
             self.expired += 1
             self.per_class[query_class]["expired"] += 1
             return finish("expired", queue_seconds, error=str(exc))
+        except asyncio.CancelledError:
+            self._caller_gone(query_class, token)
+            raise
         except AdmissionError as exc:
             # The engine's own gate (a per-query grant below this
             # layer): surfaced as a rejection, not an exception.

@@ -239,7 +239,6 @@ class ShardedEngine:
         artifact_cache_bytes: Optional[int] = None,
         trace: bool = False,
         slow_log_capacity: Optional[int] = None,
-        slow_threshold_seconds: float = 0.0,
         kernel: str = "auto",
         replicas: int = 1,
         artifact_dir: Optional[str] = None,
@@ -400,7 +399,7 @@ class ShardedEngine:
         if slow_log_capacity is None:
             slow_log_capacity = 8 if self.tracing else 0
         self.slow_log = (
-            SlowQueryLog(slow_log_capacity, slow_threshold_seconds)
+            SlowQueryLog(slow_log_capacity)
             if slow_log_capacity > 0 else None
         )
         self.last_trace: Optional[Span] = None

@@ -8,14 +8,22 @@ Reproduce any cell of the paper's evaluation from a shell::
 
 Prints the per-machine observed/estimated costs and the page-request
 accounting for each run; ``--json`` emits one JSON object per
-algorithm x machine row instead, so CI and the throughput bench can
-diff results mechanically.
+algorithm x machine row instead, so results diff mechanically
+(``tests/golden/experiments_quick.jsonl`` pins ``--all --scale quick``
+in tier-1).
 
-The ``serve-bench`` subcommand replays a mixed query workload against
-the persistent :class:`~repro.engine.engine.SpatialQueryEngine`::
+Two subcommands build one deployment from the same arguments
+(dataset, workers, shards, replicas, memory budget, faults, ...):
+``serve-bench`` replays a seeded query mix against it serially, in
+process, and prints the report; ``serve`` puts it behind the admission
+front-end on an HTTP port (scrape ``GET /metrics``)::
 
     python -m repro.experiments serve-bench --dataset NY --queries 40 \
         --workers 4 --scale quick --json
+    python -m repro.experiments serve --dataset NY --workers 4 --port 8642
+
+Load comes from ``benchmarks/e2e/``, which drives a server process over
+a socket; nothing here generates concurrent traffic.
 """
 
 from __future__ import annotations
@@ -71,8 +79,8 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments serve-bench",
         description=(
-            "Replay a mixed query workload against the persistent "
-            "spatial query engine."
+            "Replay a seeded mixed query workload serially, in process, "
+            "against the deployment the arguments describe."
         ),
     )
     _add_engine_args(parser)
@@ -85,82 +93,8 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
         help="workload seed (default: 7)",
     )
     parser.add_argument(
-        "--memory-bytes", type=int, default=None,
-        help=(
-            "engine memory budget in bytes (default: the scaled paper "
-            "budget); small budgets force partitioned tiles to spill"
-        ),
-    )
-    parser.add_argument(
-        "--no-artifact-cache", action="store_true",
-        help="disable artifact reuse (distributions and sorted runs)",
-    )
-    parser.add_argument(
-        "--kernel", choices=("auto", "numpy", "python"), default="auto",
-        help=(
-            "sweep kernel: 'numpy' (vectorized, errors if numpy is "
-            "missing), 'python' (pure-python reference), or 'auto' "
-            "(numpy when importable; default)"
-        ),
-    )
-    parser.add_argument(
-        "--spill-report", action="store_true",
-        help="append budget/spill/cache-bytes rows to the report table",
-    )
-    parser.add_argument(
-        "--trace", action="store_true",
-        help=(
-            "record a span tree per query (admission -> plan -> "
-            "scatter -> worker tasks -> gather); the last query's tree "
-            "lands in the JSON report under 'trace'"
-        ),
-    )
-    parser.add_argument(
-        "--slow-log", type=int, default=None, metavar="N",
-        help=(
-            "keep the N slowest queries (with traces when --trace); "
-            "they land in the JSON report under 'slow_queries'"
-        ),
-    )
-    parser.add_argument(
-        "--slow-threshold-ms", type=float, default=0.0,
-        help="ignore queries faster than this for the slow log",
-    )
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help=(
-            "also write the metrics snapshot to PATH — Prometheus "
-            "text exposition format, or structured JSON when PATH "
-            "ends in .json"
-        ),
-    )
-    parser.add_argument(
         "--json", action="store_true",
         help="emit the serving report as one JSON object",
-    )
-    _add_serve_args(parser)
-    parser.add_argument(
-        "--clients", type=int, default=1,
-        help=(
-            "concurrent closed-loop clients driving the workload "
-            "through the admission front-end (default: 1, the classic "
-            "serial driver with no front-end)"
-        ),
-    )
-    parser.add_argument(
-        "--open-loop-qps", type=float, default=None,
-        help=(
-            "drive the workload open-loop at this arrival rate instead "
-            "of closed-loop clients (saturation testing; implies the "
-            "concurrent front-end)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-share", type=float, default=0.25,
-        help=(
-            "share of queries submitted in the 'batch' class "
-            "(concurrent driver only; default: 0.25)"
-        ),
     )
     return parser.parse_args(argv)
 
@@ -214,6 +148,30 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
+        "--result-store-bytes", type=int, default=None,
+        help=(
+            "byte cap per shard result store (with --shards and "
+            "--artifact-dir); oldest entries evict LRU past it "
+            "(default: unbounded)"
+        ),
+    )
+    parser.add_argument(
+        "--memory-bytes", type=int, default=None,
+        help=(
+            "engine memory budget in bytes (default: the scaled paper "
+            "budget); small budgets force partitioned tiles to spill"
+        ),
+    )
+    parser.add_argument(
+        "--trace", action="store_true",
+        help=(
+            "record a span tree per query (plan -> scatter -> worker "
+            "tasks -> gather) and keep the slowest eight; serve-bench "
+            "--json reports the last tree under 'trace' and the kept "
+            "ones under 'slow_queries'"
+        ),
+    )
+    parser.add_argument(
         "--faults", default=None, metavar="JSON",
         help=(
             "fault-injection plan: a JSON list of rule objects "
@@ -227,8 +185,21 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_serve_args(parser: argparse.ArgumentParser) -> None:
-    """Front-end knobs shared by serve-bench and the serve endpoint."""
+def _parse_http_args(argv: List[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments serve",
+        description=(
+            "Serve the engine over HTTP through the concurrent "
+            "admission front-end (POST /query, GET /metrics, "
+            "GET /healthz)."
+        ),
+    )
+    _add_engine_args(parser)
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=8642,
+        help="listen port (default: 8642; 0 picks a free port)",
+    )
     parser.add_argument(
         "--queue-depth", type=int, default=None,
         help=(
@@ -256,15 +227,7 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
         "--max-concurrency", type=int, default=None,
         help=(
             "threads executing admitted queries on the engine "
-            "(default: the client count for serve-bench, 8 for serve)"
-        ),
-    )
-    parser.add_argument(
-        "--result-store-bytes", type=int, default=None,
-        help=(
-            "byte cap per shard result store (with --shards and "
-            "--artifact-dir); oldest entries evict LRU past it "
-            "(default: unbounded)"
+            "(default: 8)"
         ),
     )
     parser.add_argument(
@@ -274,47 +237,6 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
             "and no longer load-shed ahead of interactive work; 0 "
             "disables aging (default: 0.5)"
         ),
-    )
-
-
-def _parse_http_args(argv: List[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve",
-        description=(
-            "Serve the engine over HTTP through the concurrent "
-            "admission front-end (POST /query, GET /metrics, "
-            "GET /healthz)."
-        ),
-    )
-    _add_engine_args(parser)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=8642,
-        help="listen port (default: 8642; 0 picks a free port)",
-    )
-    _add_serve_args(parser)
-    return parser.parse_args(argv)
-
-
-def _parse_metrics_args(argv: List[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments metrics",
-        description=(
-            "Re-render a serve-bench JSON report (or raw metrics "
-            "snapshot) as Prometheus text or structured JSON."
-        ),
-    )
-    parser.add_argument(
-        "--from", dest="source", default="-", metavar="FILE",
-        help="serve-bench --json output or a bare snapshot ('-': stdin)",
-    )
-    parser.add_argument(
-        "--format", choices=("prometheus", "json"), default="prometheus",
-        help="output format (default: prometheus)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write here instead of stdout",
     )
     return parser.parse_args(argv)
 
@@ -382,10 +304,9 @@ def run_dataset(name: str, algorithms: List[str],
     )
 
 
-def _build_engine(args: argparse.Namespace, **extra):
+def _build_engine(args: argparse.Namespace):
     """The engine ``_add_engine_args`` describes (a front-end built on
-    it joins its fault plan); ``extra`` are constructor keywords only
-    one subcommand has flags for."""
+    it joins its fault plan)."""
     # Imported here so the classic experiment path stays importable
     # even if the engine package is being bisected.
     from repro.engine.faults import FaultPlan
@@ -397,56 +318,25 @@ def _build_engine(args: argparse.Namespace, **extra):
             faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
+    sharded = {}
     if args.shards > 1:
-        extra["replicas"] = max(1, args.replicas)
-        extra["result_store_bytes"] = args.result_store_bytes
+        sharded = {"replicas": max(1, args.replicas),
+                   "result_store_bytes": args.result_store_bytes}
     return engine_for_dataset(
         args.dataset, _scale(args.scale), shards=args.shards,
         workers=max(1, args.workers), pool_kind=args.pool_kind,
-        artifact_dir=args.artifact_dir, faults=faults, **extra,
+        artifact_dir=args.artifact_dir, faults=faults,
+        memory_bytes=args.memory_bytes, trace=args.trace, **sharded,
     )
 
 
 def serve_bench(args: argparse.Namespace) -> int:
-    from repro.engine.workload import (
-        make_workload,
-        run_concurrent_workload,
-        run_workload,
-    )
+    from repro.engine.workload import make_workload, run_workload
 
-    engine = _build_engine(
-        args,
-        memory_bytes=args.memory_bytes,
-        artifact_cache_bytes=0 if args.no_artifact_cache else None,
-        trace=args.trace,
-        slow_log_capacity=args.slow_log,
-        slow_threshold_seconds=args.slow_threshold_ms / 1000.0,
-        kernel=args.kernel,
-    )
-    queries = make_workload(
-        engine.universe_of("roads"), args.queries, seed=args.seed,
-    )
-    concurrent = args.clients > 1 or args.open_loop_qps is not None
-    if concurrent:
-        report = run_concurrent_workload(
-            engine, queries,
-            clients=max(1, args.clients),
-            batch_share=args.batch_share,
-            deadline_seconds=(
-                args.deadline_ms / 1e3
-                if args.deadline_ms is not None else None
-            ),
-            open_loop_qps=args.open_loop_qps,
-            queue_depth=args.queue_depth,
-            admission_bytes=args.admission_bytes,
-            max_concurrency=args.max_concurrency,
-            aging_seconds=args.aging_seconds,
-        )
-    else:
-        report = run_workload(engine, queries)
-    engine.close()
-    if args.metrics_out:
-        _write_metrics(report["metrics"], args.metrics_out)
+    with _build_engine(args) as engine:
+        report = run_workload(engine, make_workload(
+            engine.universe_of("roads"), args.queries, seed=args.seed,
+        ))
     if args.json:
         print(json.dumps(report, default=str, sort_keys=True))
         return 0
@@ -471,7 +361,7 @@ def serve_bench(args: argparse.Namespace) -> int:
             f"{report['pool']['tasks_inline']} inline"
         )],
         ["kernel / shm", (
-            f"{m.get('kernel', 'python')}, "
+            f"{m['kernel']}, "
             f"{report['pool']['shm']['segments_created']} segments "
             f"(+{report['pool']['shm']['segments_recycled']} recycled), "
             f"{report['pool']['shm']['tile_refs_reused']} tile refs "
@@ -505,42 +395,17 @@ def serve_bench(args: argparse.Namespace) -> int:
                 f"{m['result_store']['saves']} saves, "
                 f"{m['result_store']['corrupt_drops']} corrupt dropped"
             )])
-    if "serve" in report:
-        s = report["serve"]
-        rows.append(["front-end", (
-            f"{report['clients']} clients"
-            + (f" (open loop {report['open_loop_qps']:g} q/s)"
-               if report.get("open_loop_qps") else "")
-            + f", {s['queued_total']} queued "
-            f"(peak {s['queue_high_water']}), {s['shed']} shed, "
-            f"{s['expired']} expired, {s['rejected']} rejected, "
-            f"{s['errors']} errors, {s['served_degraded']} degraded"
-        )])
-        rows.append(["admission", (
-            f"{s['admission']['in_use_bytes']} B in use of "
-            f"{s['admission']['total_bytes']} B, "
-            f"{s['admission']['grants_issued']} grants issued"
-        )])
-        ages = s.get("queue_age_max_seconds", {})
-        rows.append(["queue aging", (
-            f"{s.get('aged_promotions', 0)} batch promotions, "
-            "max queue age "
-            + "/".join(f"{ages.get(c, 0.0) * 1e3:.0f}ms"
-                       for c in ("interactive", "batch"))
-            + " (interactive/batch)"
-        )])
-    if args.spill_report:
-        budget = report["budget"]
-        rows += [
-            ["budget total bytes", budget["total_bytes"]],
-            ["budget high-water bytes", budget["high_water_bytes"]],
-            ["budget overcommits", budget["overcommits"]],
-            ["spilled rects", m["spilled_rects"]],
-            ["spilled bytes", m["spilled_bytes"]],
-            ["queries that spilled", m["spill_queries"]],
-            ["queries rejected", m["queries_rejected"]],
-            ["result cache bytes", m["result_cache_bytes"]],
-        ]
+    budget = report["budget"]
+    rows += [
+        ["budget total bytes", budget["total_bytes"]],
+        ["budget high-water bytes", budget["high_water_bytes"]],
+        ["budget overcommits", budget["overcommits"]],
+        ["spilled rects", m["spilled_rects"]],
+        ["spilled bytes", m["spilled_bytes"]],
+        ["queries that spilled", m["spill_queries"]],
+        ["queries rejected", m["queries_rejected"]],
+        ["result cache bytes", m["result_cache_bytes"]],
+    ]
     title = (
         f"serve-bench {args.dataset} (scale {engine.scale.name}): "
         f"{args.queries} queries, {max(1, args.workers)} workers"
@@ -551,8 +416,9 @@ def serve_bench(args: argparse.Namespace) -> int:
 
 
 def serve_cmd(args: argparse.Namespace) -> int:
-    """Run the HTTP serving endpoint until interrupted."""
+    """Run the HTTP serving endpoint until interrupted or terminated."""
     import asyncio
+    import signal
 
     from repro.engine.serve import ServingFrontend, serve_http
 
@@ -574,9 +440,23 @@ def serve_cmd(args: argparse.Namespace) -> int:
         server = await serve_http(frontend, args.host, args.port)
         addr = server.sockets[0].getsockname()
         print(f"serving {args.dataset} on http://{addr[0]}:{addr[1]} "
-              f"(POST /query, GET /metrics, GET /healthz)")
-        async with server:
-            await server.serve_forever()
+              f"(POST /query, GET /metrics, GET /healthz)", flush=True)
+        # SIGTERM (systemd, docker stop, a CI runner) ends the serve
+        # the way Ctrl-C does, so the finally below stops the pool
+        # workers instead of orphaning them.  The listener is closed
+        # without waiting for idle keep-alive connections: their
+        # handlers are cancelled with the loop.
+        stop = asyncio.Event()
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, stop.set
+            )
+        except NotImplementedError:  # no loop signal handlers here
+            pass
+        try:
+            await stop.wait()
+        finally:
+            server.close()
 
     try:
         asyncio.run(run())
@@ -588,52 +468,12 @@ def serve_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_metrics(snapshot: Dict, path: str) -> None:
-    """Export one metrics snapshot to ``path`` (format by extension)."""
-    from repro.engine.obs import render_json, render_prometheus
-
-    if path.endswith(".json"):
-        text = render_json(snapshot)
-    else:
-        text = render_prometheus(snapshot)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def metrics_cmd(args: argparse.Namespace) -> int:
-    """Re-render a saved report/snapshot as Prometheus text or JSON."""
-    from repro.engine.obs import render_json, render_prometheus
-
-    if args.source == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    # Accept either a full serve-bench report (snapshot under
-    # "metrics") or a bare snapshot dict.
-    snapshot = data.get("metrics", data) if isinstance(data, dict) else data
-    if not isinstance(snapshot, dict):
-        print("metrics: input is not a report or snapshot object",
-              file=sys.stderr)
-        return 2
-    text = (render_json(snapshot) if args.format == "json"
-            else render_prometheus(snapshot))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def main(argv: List[str] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "serve-bench":
         return serve_bench(_parse_serve_args(argv[1:]))
     if argv and argv[0] == "serve":
         return serve_cmd(_parse_http_args(argv[1:]))
-    if argv and argv[0] == "metrics":
-        return metrics_cmd(_parse_metrics_args(argv[1:]))
     args = _parse_args(argv)
     scale = _scale(args.scale)
     datasets = (

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import os
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
+import repro
 from repro.core.brute import brute_force_pairs
 from repro.engine import executor as executor_mod
 from repro.geom.rect import Rect, intersection, mbr_of
@@ -50,6 +52,17 @@ def store(disk) -> PageStore:
 @pytest.fixture
 def unit_square() -> Rect:
     return Rect(0.0, 1.0, 0.0, 1.0, 0)
+
+
+def child_env() -> Dict[str, str]:
+    """The environment for a test that runs the package in a child
+    process: this one's, with the directory ``repro`` was imported
+    from first on ``PYTHONPATH`` whatever the working directory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=(
+        src + os.pathsep + inherited if inherited else src
+    ))
 
 
 @contextlib.contextmanager

@@ -1,10 +1,17 @@
 """Experiment harness: runner, report formatting, CLI."""
 
+import http.client
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from repro.experiments.cli import main as cli_main, run_dataset
+from repro.data.datasets import DATASET_ORDER
+from repro.experiments.cli import dataset_rows, main as cli_main, run_dataset
 from repro.experiments.report import fmt_ratio, fmt_seconds, format_table
 from repro.experiments.runner import (
     ALGORITHMS,
@@ -13,6 +20,8 @@ from repro.experiments.runner import (
 )
 from repro.sim.machines import MACHINE_1, MACHINE_3
 from repro.sim.scale import QUICK_SCALE
+
+from tests.conftest import child_env
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +116,33 @@ class TestReport:
         assert fmt_ratio(float("nan"), 1.0) == "-"
 
 
+def test_quick_scale_reproduction_matches_the_golden():
+    """Tables 2-4 and Figures 2-3 at quick scale cannot move silently.
+
+    ``golden/experiments_quick.jsonl`` is the output of ``python -m
+    repro.experiments --all --scale quick --json``; a change that moves
+    the reproduction on purpose replaces the file with that command's
+    new output and says so.
+    """
+    golden_path = os.path.join(os.path.dirname(__file__), "golden",
+                               "experiments_quick.jsonl")
+    with open(golden_path, encoding="utf-8") as fh:
+        golden = [json.loads(line) for line in fh]
+    rows = [row for name in DATASET_ORDER
+            for row in dataset_rows(name, list(ALGORITHMS), QUICK_SCALE)]
+    exact = ("dataset", "scale", "algorithm", "machine", "pairs",
+             "page_reads")
+    seconds = ("observed_seconds", "cpu_seconds", "io_seconds",
+               "estimated_seconds")
+    assert [[row[k] for k in exact] for row in rows] == [
+        [gold[k] for k in exact] for gold in golden]
+    for row, gold in zip(rows, golden):
+        assert set(row) == set(gold) == set(exact + seconds)
+        for key in seconds:
+            assert row[key] == pytest.approx(gold[key], rel=1e-9), (
+                row, key)
+
+
 class TestCLI:
     def test_run_dataset_produces_rows(self):
         text = run_dataset("NJ", ["SSSJ", "PQ"], QUICK_SCALE)
@@ -156,3 +192,58 @@ class TestCLI:
         assert report["queries"] == 8
         assert report["metrics"]["queries_served"] == 8
         assert report["sim_wall_seconds"] > 0
+
+    def test_cli_serve_bench_memory_budget_and_trace(self, capsys):
+        # The shared deployment arguments reach the engine: a 4 KiB
+        # budget makes the partitioned plans spill, --trace traces.
+        rc = cli_main(["serve-bench", "--dataset", "NJ", "--scale",
+                       "quick", "--queries", "12", "--workers", "2",
+                       "--pool-kind", "serial", "--memory-bytes", "4096",
+                       "--trace", "--json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["budget"]["total_bytes"] == 4096
+        assert report["metrics"]["spilled_rects"] > 0
+        assert report["trace"]["name"] == "query"
+
+    @pytest.mark.skipif(os.name != "posix",
+                        reason="POSIX signals and process groups")
+    def test_cli_serve_sigterm_leaves_no_process_behind(self):
+        # What systemd, docker stop and CI runners send: the serve
+        # must unwind as it does on Ctrl-C, or its forked pool workers
+        # outlive it.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "serve",
+             "--dataset", "NJ", "--scale", "quick", "--workers", "2",
+             "--port", "0", "--memory-bytes", "65536", "--trace"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=child_env(), start_new_session=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(re.search(r":(\d+) \(POST", banner).group(1))
+            conn = http.client.HTTPConnection("127.0.0.1", port,
+                                              timeout=30)
+            close = {"Connection": "close"}
+            conn.request("POST", "/query", headers=close, body=json.dumps(
+                {"relations": ["roads", "hydro"], "count_only": True}))
+            reply = conn.getresponse()
+            assert reply.status == 200 and json.load(reply)["pairs"] > 0
+            conn.request("GET", "/metrics", headers=close)
+            scrape = conn.getresponse().read().decode()
+            conn.close()
+            # serve takes the deployment arguments serve-bench takes.
+            assert "repro_engine_budget_total_bytes 65536\n" in scrape
+            assert "repro_engine_slow_query_log_admitted 1\n" in scrape
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(10) == 0, proc.stderr.read()
+        finally:
+            # Whatever is left of the group (nothing, if the serve
+            # drained) goes now, not when the test session ends.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+                outlived = True
+            except ProcessLookupError:
+                outlived = False
+            proc.wait(10)
+        assert not outlived, "the process group outlived the serve"

@@ -601,10 +601,11 @@ class TestStoreLayoutGuard:
 
 
 class TestShardedDurability:
-    def _engine(self, tmp_path, a, b, faults=None, replicas=2):
+    def _engine(self, tmp_path, a, b, faults=None, replicas=2,
+                pool_kind="serial"):
         engine = ShardedEngine(
             shards=2, replicas=replicas, scale=TEST_SCALE,
-            machine=MACHINE_3, workers=2, pool_kind="serial",
+            machine=MACHINE_3, workers=2, pool_kind=pool_kind,
             cache_capacity=0,
             artifact_dir=str(tmp_path), faults=faults,
             retry_backoff_seconds=0.0,
@@ -714,6 +715,42 @@ class TestShardedDurability:
         snap = second.metrics_snapshot()
         assert snap["result_store"]["corrupt_drops"] == 1
         assert snap["result_disk_restores"] >= 1
+        second.close()
+
+    def test_four_fault_sites_at_once_on_a_restart(self, tmp_path):
+        # Each site is covered alone above; a chaos run meets them
+        # together: a restart-warm 2 x 2 deployment on a process pool
+        # reads a corrupt result file, so shard 0 re-executes; its
+        # primary is dead, so the cold replica ships tiles; a worker
+        # crashes under them; and the window that follows finds shard
+        # 1's persisted artifact corrupt.
+        a, b = _data(seed=18, n_a=150, n_b=100)
+        overlay = Query(relations=("a", "b"), force="pbsm-grid")
+        windowed = Query(relations=("a", "b"), force="pbsm-grid",
+                         window=Rect(0.1, 0.9, 0.2, 0.8, 0))
+        first = self._engine(tmp_path, a, b, pool_kind="process")
+        first.execute(overlay)
+        first.close()
+        plan = FaultPlan([
+            FaultRule(site="pool.task", kind="crash"),
+            FaultRule(site="result.load", kind="corrupt"),
+            FaultRule(site="shard.execute", kind="exception"),
+            FaultRule(site="artifact.load", kind="corrupt"),
+        ], seed=7)
+        second = self._engine(tmp_path, a, b, faults=plan,
+                              pool_kind="process")
+        for q in (overlay, windowed, overlay):
+            assert sorted(second.execute(q).result.pairs) == sorted(
+                brute_reference(a, b, q.window))
+        assert plan.injected == {
+            "pool.task:crash": 1, "result.load:corrupt": 1,
+            "shard.execute:exception": 1, "artifact.load:corrupt": 1,
+        }
+        snap = second.metrics_snapshot()
+        assert snap["failovers"] > 0
+        assert snap["retries"] >= snap["failovers"]
+        assert snap["result_store"]["corrupt_drops"] > 0
+        assert snap["worker_pool"]["demotions"] == 1
         second.close()
 
     def test_changed_data_stays_cold(self, tmp_path):

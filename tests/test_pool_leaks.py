@@ -15,6 +15,7 @@ import gc
 import glob
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -34,6 +35,7 @@ from tests.conftest import (
     _clustered,
     _uniform,
     brute_reference,
+    child_env,
     dispatch,
 )
 
@@ -314,3 +316,31 @@ def test_concurrent_packs_never_share_an_idle_segment():
         pool.shutdown()
     assert shm.open_segments == shm.mapped_segments == 0
     assert not _shm_files()
+
+
+_NEVER_CLOSED = """
+import os
+from repro.engine import Query
+from tests.conftest import dispatch
+from tests.test_pool_leaks import _shipping_engine, _shm_files
+
+engine, _ = _shipping_engine()
+with dispatch(MIN_SHIP_RECTS=0, SHM_MIN_BYTES=0, INLINE_PLAN_OPS=0):
+    for _ in range(3):
+        engine.execute(Query(relations=("a", "a")))
+assert engine.worker_pool.pool.tasks_dispatched and _shm_files()
+print(os.getpid())
+"""
+
+
+def test_an_engine_never_closed_unlinks_its_idle_segments_at_exit():
+    # A script that ships tasks and just ends (examples/ did): the
+    # free list's segments must go with the pool's exit finalizer, not
+    # with the resource tracker's "leaked shared_memory" sweep.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run([sys.executable, "-c", _NEVER_CLOSED], cwd=root,
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "leaked shared_memory" not in done.stderr, done.stderr
+    assert not glob.glob(f"/dev/shm/repro-{int(done.stdout)}-*")

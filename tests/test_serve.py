@@ -22,6 +22,8 @@ import asyncio
 import json
 import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -39,7 +41,6 @@ from repro.engine import (
     engine_for_dataset,
     lpt_makespan,
     make_workload,
-    run_concurrent_workload,
     run_workload,
     serve_http,
 )
@@ -468,6 +469,82 @@ class TestFrontendFates:
         assert fe.shed == 1
         engine.close()
 
+    def test_cancelled_parked_caller_releases_everything(self):
+        # The obvious client-side timeout: a caller cancelled while
+        # its query is parked must take its waiter with it, or the
+        # next pump grants a future nobody reads and that grant is
+        # never released.
+        engine = _registered()
+        q = Query(relations=("a", "b"))
+
+        async def scenario(fe):
+            first = asyncio.ensure_future(fe.submit(q))
+            await asyncio.sleep(0)  # it holds the only grant
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(fe.submit(q), 0.001)
+            assert (await first).ok
+            return await asyncio.wait_for(fe.submit(q), 5.0)
+
+        with _frontend(engine, admission_bytes=1 << 20) as fe:
+            follow_up = asyncio.run(scenario(fe))
+            assert follow_up.ok, "the deployment wedged"
+            snap = fe.snapshot()
+            assert snap["admission"]["in_use_bytes"] == 0
+            assert snap["queue_length"] == 0 and snap["in_flight"] == 0
+            assert (snap["served_ok"], snap["expired"]) == (2, 1)
+            assert snap["submitted"] == 3 == (
+                snap["served_ok"] + snap["shed"] + snap["expired"]
+                + snap["rejected"] + snap["errors"]
+            )
+        engine.close()
+
+    def test_cancelled_running_caller_stops_the_engine(self):
+        # Cancelled mid-execution: the grant goes back at once, so the
+        # engine thread must not run on — the token is flagged and the
+        # thread stops at its next checkpoint.
+        engine = _registered()
+        execute = engine.execute
+        running = threading.Event()
+        stopped = []
+
+        def slow(query, cancel=None):
+            running.set()
+            try:
+                for _ in range(5000):
+                    cancel()
+                    time.sleep(0.001)
+            except DeadlineExceeded:
+                stopped.append(query)
+                raise
+            raise AssertionError("the engine was never told to stop")
+
+        async def scenario(fe):
+            engine.execute = slow
+            task = asyncio.ensure_future(
+                fe.submit(Query(relations=("a", "b"))))
+            while not running.is_set():
+                await asyncio.sleep(0.001)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert fe.admission.in_use_bytes == 0
+            engine.execute = execute
+            return await fe.submit(Query(relations=("a", "b")))
+
+        with _frontend(engine, max_concurrency=1) as fe:
+            # One serving thread: the follow-up runs only once the
+            # cancelled query's thread has actually stopped.
+            follow_up = asyncio.run(scenario(fe))
+            assert follow_up.ok and len(stopped) == 1
+            snap = fe.snapshot()
+            assert snap["admission"]["in_use_bytes"] == 0
+            assert snap["in_flight"] == 0
+            assert snap["submitted"] == 2 == (
+                snap["served_ok"] + snap["expired"]
+            )
+            assert snap["per_class"]["interactive"]["expired"] == 1
+        engine.close()
+
     def test_unknown_class_raises(self):
         engine = _registered()
         with _frontend(engine) as fe:
@@ -614,7 +691,27 @@ class TestChaosDifferential:
         engine.close()
 
 
-# -- concurrent workload driver ----------------------------------------------
+# -- concurrent callers ------------------------------------------------------
+
+
+def _serve_concurrently(fe, queries, clients, batch_share=0.25):
+    """Every query through ``fe.submit``, at most ``clients`` in flight
+    (the semaphore-and-gather shape of the chaos differential above),
+    deterministically classed interactive / batch."""
+    rng = random.Random(11)
+    classes = ["batch" if rng.random() < batch_share else "interactive"
+               for _ in queries]
+
+    async def drive():
+        sem = asyncio.Semaphore(clients)
+
+        async def one(query, query_class):
+            async with sem:
+                return await fe.submit(query, query_class)
+
+        return await asyncio.gather(*map(one, queries, classes))
+
+    return asyncio.run(drive())
 
 
 class TestConcurrentWorkloadDriver:
@@ -629,36 +726,44 @@ class TestConcurrentWorkloadDriver:
         serial = run_workload(engine, queries)
         engine.close()
         engine = _registered(n=150)
-        report = run_concurrent_workload(
-            engine, queries, clients=6, admission_bytes=6 << 20,
-        )
+        before = engine.metrics_snapshot()
+        with _frontend(engine, admission_bytes=6 << 20,
+                       max_concurrency=6) as fe:
+            responses = _serve_concurrently(fe, queries, clients=6)
+            s = fe.snapshot()
+        after = engine.metrics_snapshot()
         engine.close()
-        assert report["served"] == report["queries"] == 24
-        assert report["pairs_returned"] == serial["pairs_returned"]
+        assert len(responses) == 24 and all(r.ok for r in responses)
+        assert sum(r.pairs for r in responses) == serial["pairs_returned"]
+        assert s["served_ok"] == s["submitted"] == 24
         for fate in ("shed", "expired", "rejected", "errors"):
-            assert report["serve"][fate] == 0, fate
-        assert report["serve"]["admission"]["in_use_bytes"] == 0
-        assert report["serve"]["queued_total"] >= 0
-        assert report["latency_p95_seconds"] >= (
-            report["latency_p50_seconds"]
+            assert s[fate] == 0, fate
+        assert s["admission"]["in_use_bytes"] == 0
+        assert s["queued_total"] >= 0
+        assert after["latency_count"] - before["latency_count"] == 24
+        assert after["latency_p95_seconds"] >= (
+            after["latency_p50_seconds"]
         )
-        assert "sim_wall_seconds" in report
+        assert after["sim_wall_seconds"] > before["sim_wall_seconds"]
 
-    def test_open_loop_saturation_sheds_not_errors(self):
+    def test_burst_saturation_sheds_not_errors(self):
+        # 40 submits gathered at once against one serving thread and a
+        # depth-2 queue: arrival outruns service, so the front-end must
+        # shed rather than queue without bound.
         engine = _registered(n=150)
         queries = [Query(relations=("a", "b"))] * 40
-        report = run_concurrent_workload(
-            engine, queries, clients=8, open_loop_qps=20_000.0,
-            queue_depth=2, admission_bytes=4 << 20,
-            max_concurrency=1, batch_share=0.5,
-        )
+        with _frontend(engine, queue_depth=2, admission_bytes=4 << 20,
+                       max_concurrency=1) as fe:
+            responses = _serve_concurrently(
+                fe, queries, clients=len(queries), batch_share=0.5,
+            )
+            s = fe.snapshot()
         engine.close()
-        s = report["serve"]
-        assert s["shed"] > 0, "a 20k q/s burst into queue=2 must shed"
+        assert s["shed"] > 0, "a 40-query burst into queue=2 must shed"
         assert s["rejected"] == 0
         assert s["errors"] == 0
         assert s["admission"]["in_use_bytes"] == 0
-        assert report["served"] == s["served_ok"] > 0
+        assert sum(r.ok for r in responses) == s["served_ok"] > 0
         # Bounded, counted rather than timed: the queue never outgrew
         # its depth and every arrival met exactly one fate by the end.
         assert s["queue_high_water"] <= 2 and s["queue_length"] == 0
@@ -706,9 +811,12 @@ class TestSingleEngineSerialization:
             return execute(query, **kw)
 
         engine.execute = recording
-        report = run_concurrent_workload(
-            engine, queries, clients=8, admission_bytes=8 << 20,
-        )
+        before = engine.metrics_snapshot()
+        with _frontend(engine, admission_bytes=8 << 20,
+                       max_concurrency=8) as fe:
+            responses = _serve_concurrently(fe, queries, clients=8)
+            errors = fe.snapshot()["errors"]
+        after = engine.metrics_snapshot()
         engine.close()
         # Eight threads take the engine lock in no fixed order, and a
         # query's cost depends on what ran before it (buffer-pool LRU
@@ -718,17 +826,17 @@ class TestSingleEngineSerialization:
         engine = _registered_single(n=150)
         serial = run_workload(engine, granted)
         engine.close()
-        assert report["served"] == report["queries"] == 24
-        assert report["serve"]["errors"] == 0
+        assert len(responses) == 24 and all(r.ok for r in responses)
+        assert errors == 0
         # With execute serialized the env page counter deltas and
         # metrics cannot interleave: totals match the serial run bit
         # for bit (a race here shows up as corrupted sums).
-        assert report["pairs_returned"] == serial["pairs_returned"]
-        assert report["metrics"]["pages_read"] == (
+        assert sum(r.pairs for r in responses) == serial["pairs_returned"]
+        assert after["pages_read"] - before["pages_read"] == (
             serial["metrics"]["pages_read"]
         )
-        assert report["sim_wall_seconds"] == pytest.approx(
-            serial["sim_wall_seconds"]
+        assert after["sim_wall_seconds"] - before["sim_wall_seconds"] == (
+            pytest.approx(serial["sim_wall_seconds"])
         )
 
 
@@ -821,6 +929,7 @@ class TestHttpEndpoint:
         text = metrics[1].decode("utf-8")
         assert validate_prometheus(text, prefix="repro_engine") == []
         assert "repro_engine_serve_submitted 1" in text
+        assert "repro_engine_latency_count 1" in text
         assert "repro_engine_serve_aged_promotions" in text
         engine.close()
 

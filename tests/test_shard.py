@@ -30,7 +30,6 @@ from repro.engine import (
     SpatialQueryEngine,
     WorkerPool,
     make_workload,
-    run_concurrent_workload,
     run_workload,
 )
 from repro.engine.shard import balanced_cuts, gather_pairs
@@ -86,11 +85,12 @@ def test_sharded_signature_tracks_the_single_engine():
         assert sharded[name].default == single[name].default, name
     deleted = {"min_ship_rects", "tile_batch_bytes", "shm_min_bytes",
                "inline_plan_ops", "histogram_grid", "scatter_threads",
-               "replica_timeout_seconds"}
+               "replica_timeout_seconds", "slow_threshold_seconds"}
     assert not deleted & (set(single) | set(sharded))
+    assert (len(single) - 1, len(sharded) - 1) == (15, 17)
     # Admission grants are the static per-class table.
-    for fn in (ServingFrontend.__init__, run_concurrent_workload):
-        assert "adaptive_grants" not in inspect.signature(fn).parameters
+    assert "adaptive_grants" not in inspect.signature(
+        ServingFrontend.__init__).parameters
 
 
 # -- sharding geometry -------------------------------------------------------

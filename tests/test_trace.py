@@ -427,6 +427,7 @@ def test_prometheus_export_is_valid_and_labelled():
         assert validate_prometheus(text) == []
         assert "repro_engine_queries_served 1" in text
         assert "repro_engine_cpu_ops" in text
+        assert "repro_engine_latency_count 1" in text
         assert 'repro_engine_per_strategy{strategy="' in text
         assert 'repro_engine_estimate_errors_queries{strategy="' in text
         assert "repro_engine_worker_pool_tasks_inline" in text
@@ -457,35 +458,17 @@ def test_validators_reject_malformed_input():
 # -- CLI ----------------------------------------------------------------------
 
 
-def test_serve_bench_trace_flags_and_metrics_cli(tmp_path, capsys):
+def test_serve_bench_trace_report(capsys):
     from repro.experiments.cli import main as cli_main
 
-    metrics_path = tmp_path / "metrics.prom"
     rc = cli_main([
         "serve-bench", "--dataset", "NJ", "--queries", "6",
         "--scale", "quick", "--pool-kind", "serial",
-        "--trace", "--slow-log", "3", "--metrics-out",
-        str(metrics_path), "--json",
+        "--trace", "--json",
     ])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert validate_trace(report["trace"]) == []
-    assert 0 < len(report["slow_queries"]) <= 3
-    prom = metrics_path.read_text()
-    assert validate_prometheus(prom) == []
-
-    report_path = tmp_path / "report.json"
-    report_path.write_text(json.dumps(report, default=str))
-    rc = cli_main(["metrics", "--from", str(report_path)])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert validate_prometheus(text) == []
-    assert "repro_engine_queries_served" in text
-
-    json_out = tmp_path / "snap.json"
-    rc = cli_main([
-        "metrics", "--from", str(report_path), "--format", "json",
-        "--out", str(json_out),
-    ])
-    assert rc == 0
-    assert "queries_served" in json.loads(json_out.read_text())
+    assert 0 < len(report["slow_queries"]) <= 8
+    for entry in report["slow_queries"]:
+        assert validate_trace(entry["trace"]) == []

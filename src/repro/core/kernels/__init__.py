@@ -1,17 +1,36 @@
-"""Runtime-selected sweep kernels.
+"""Runtime-selected kernels.
 
-The batched forward sweep (:func:`repro.core.sweep.forward_sweep_pairs_batched`)
-exists in two implementations:
+Three pieces of the join stack exist in two implementations: the
+batched forward sweep
+(:func:`repro.core.sweep.forward_sweep_pairs_batched`), the distribute
+phase of a partitioned plan, and the PQ join of two indexed inputs
+(:func:`repro.core.pq_join.pq_join` over two R-trees).
 
-* ``python`` — the pure-python :class:`~repro.core.sweep.ForwardSweep`
-  list-scan the repo has always used.  Always available; the reference
-  for correctness *and* accounting.
-* ``numpy`` — a vectorized kernel (:mod:`repro.core.kernels.np_sweep`)
-  that runs the y-interval filter and x-overlap test over whole
-  columns.  Bit-identical to the python kernel in the pairs it emits
-  (same pairs, same order) and in op accounting (same ``cpu_ops``,
-  same ``max_active_items``), so simulated numbers stay comparable
-  across kernels; only wall-clock changes.
+* ``python`` — the pure-python code the repo has always used: the
+  :class:`~repro.core.sweep.ForwardSweep` list-scan, the per-rectangle
+  distribute, and :class:`~repro.core.sources.IndexSource` generators
+  feeding :func:`~repro.core.sweep.sweep_join` over
+  :class:`~repro.core.sweep.StripedSweep`.  Always available; the
+  reference for correctness *and* accounting.
+* ``numpy`` — vectorized kernels (:mod:`~repro.core.kernels.np_sweep`,
+  :mod:`~repro.core.kernels.np_distribute`,
+  :mod:`~repro.core.kernels.np_index`) that work on whole columns.
+  Bit-identical to the python code in the pairs they emit (same
+  pairs, same order), in op accounting (same ``cpu_ops``, same
+  ``max_active_items``) and in simulated I/O (the same disk calls in
+  the same order), so simulated numbers stay comparable across
+  kernels; only wall-clock changes.
+
+Every numpy entry point returns ``None`` for input outside its model
+and the caller runs the reference instead.  For the indexed join that
+is: an input that is not an ``RTree``, ``queue_memory_items`` asking
+for the external heap, a non-finite or inverted rectangle, or a tree
+handle whose pages changed shape under it.  Two quirks of the
+reference's queues are contract there, not bugs to fix — on equal
+``ylo`` a queued rectangle goes before a queued node iff its push
+sequence number is ``<=`` the node's page id, and equal-``ylo``
+rectangles of different open leaves leave in push order; see
+:mod:`~repro.core.kernels.np_index`.
 
 Selection is by name:
 

@@ -149,12 +149,14 @@ def unified_spatial_join(
     machine: MachineSpec = MACHINE_3,
     collect_pairs: bool = False,
     force: Optional[str] = None,
+    kernel: str = "auto",
 ) -> JoinResult:
     """Join two relations, choosing the strategy with the cost model.
 
     ``force`` overrides the decision ("pq-index", "pq-mixed-a",
     "pq-mixed-b", "sssj") — the ablation benches use it.  The chosen
     strategy and its estimate land in the result's ``detail``.
+    ``kernel`` is :func:`~repro.core.pq_join.pq_join`'s.
     """
     env = disk.env
     if force is None:
@@ -181,18 +183,21 @@ def unified_spatial_join(
             rel_a.tree, rel_b.tree, disk, universe=universe,
             config=PQConfig(prune=True), collect_pairs=collect_pairs,
             window_a=rel_a.universe, window_b=rel_b.universe,
+            kernel=kernel,
         )
     elif strategy == "pq-mixed-a":
         result = pq_join(
             rel_a.tree, rel_b.stream, disk, universe=universe,
             config=PQConfig(prune=True), collect_pairs=collect_pairs,
             window_a=rel_a.universe, window_b=rel_b.universe,
+            kernel=kernel,
         )
     elif strategy == "pq-mixed-b":
         result = pq_join(
             rel_a.stream, rel_b.tree, disk, universe=universe,
             config=PQConfig(prune=True), collect_pairs=collect_pairs,
             window_a=rel_a.universe, window_b=rel_b.universe,
+            kernel=kernel,
         )
     elif strategy == "sssj":
         result = sssj_join(

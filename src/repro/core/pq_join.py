@@ -19,6 +19,16 @@ them.
 The sweep uses the same internal components as SSSJ (Striped-Sweep by
 default).  ``max_memory_bytes`` of the result is the Table 3 measure:
 sweep structures plus priority queues plus the per-leaf sorted buffers.
+
+The code in this module — the sources, the merge loop, the striped
+structures, one rectangle at a time — is the reference.  Two indexed
+inputs under the numpy kernel are joined by
+:mod:`repro.core.kernels.np_index` instead, which reproduces the
+reference's pairs and their order, its ``read_node`` sequence across
+both trees, its charges and every number reported here; it declines
+(and the reference runs) when an input is not an ``RTree``, when
+``queue_memory_items`` asks for the external heap, and on a non-finite
+or inverted rectangle.  ``detail["kernel"]`` names the one that ran.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from repro.core.join_result import JoinResult
+from repro.core.kernels import resolve_kernel
 from repro.core.sources import (
     IndexSource,
     ListSource,
@@ -48,6 +59,9 @@ from repro.storage.stream import Stream
 
 #: Anything pq_join can turn into a sorted source.
 JoinInput = Union[SortedSource, RTree, Stream]
+
+#: Rectangles per input the automatic strip sizing samples.
+SAMPLE_RECTS = 512
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,7 @@ def pq_join(
     collect_pairs: bool = False,
     window_a: Optional[Rect] = None,
     window_b: Optional[Rect] = None,
+    kernel: str = "auto",
 ) -> JoinResult:
     """Join two inputs of any representation (index, stream, source).
 
@@ -89,22 +104,16 @@ def pq_join(
     ``window_a``/``window_b`` override the bounding boxes used for
     pruning (by default an index's root MBR; streams have none) —
     the planner passes catalog universes here so a pruned traversal
-    works even against a non-indexed opposite input.
+    works even against a non-indexed opposite input.  ``kernel``
+    (``"auto"`` / ``"numpy"`` / ``"python"``, resolved by
+    :func:`~repro.core.kernels.resolve_kernel`) picks the implementation
+    for two indexed inputs; see the module docstring.
     """
     env = disk.env
     if window_a is None:
         window_a = _bounding_box(input_a)
     if window_b is None:
         window_b = _bounding_box(input_b)
-    source_a = _as_source(
-        input_a, disk, prune_window=window_b if config.prune else None,
-        tag="a", queue_memory_items=config.queue_memory_items,
-    )
-    source_b = _as_source(
-        input_b, disk, prune_window=window_a if config.prune else None,
-        tag="b", queue_memory_items=config.queue_memory_items,
-    )
-
     if universe is None:
         if window_a is not None and window_b is not None:
             universe = union_mbr(window_a, window_b)
@@ -112,6 +121,29 @@ def pq_join(
             universe = window_a
         elif window_b is not None:
             universe = window_b
+    prune_a = window_b if config.prune else None
+    prune_b = window_a if config.prune else None
+
+    if (resolve_kernel(kernel) == "numpy" and isinstance(input_a, RTree)
+            and isinstance(input_b, RTree)
+            and config.queue_memory_items is None):
+        from repro.core.kernels import np_index
+
+        swept = np_index.index_join(
+            input_a, input_b, env, universe, config.structure,
+            config.nstrips, prune_a, prune_b, collect_pairs,
+        )
+        if swept is not None:
+            return _result(*swept, kernel="numpy")
+
+    source_a = _as_source(
+        input_a, disk, prune_window=prune_a,
+        tag="a", queue_memory_items=config.queue_memory_items,
+    )
+    source_b = _as_source(
+        input_b, disk, prune_window=prune_b,
+        tag="b", queue_memory_items=config.queue_memory_items,
+    )
 
     pairs: Optional[List[Tuple[int, int]]] = [] if collect_pairs else None
 
@@ -132,16 +164,26 @@ def pq_join(
         env,
         on_pair=sink if pairs is not None else None,
     )
+    return _result(stats, pairs, source_a, source_b, kernel="python")
 
+
+# -- internals ---------------------------------------------------------------
+
+
+def _result(stats, pairs, source_a, source_b, kernel: str) -> JoinResult:
+    """The PQ result record; index sides also report their traversal
+    (an ``IndexSource``, or the numpy kernel's account of one)."""
     queue_bytes = source_a.max_memory_bytes + source_b.max_memory_bytes
     detail = {
         "sweep_bytes": stats.max_active_bytes,
         "queue_bytes": queue_bytes,
         "max_active_items": stats.max_active_items,
+        "kernel": kernel,
     }
     for side, src in (("a", source_a), ("b", source_b)):
-        if isinstance(src, IndexSource):
+        if hasattr(src, "pages_read"):
             detail[f"pages_read_{side}"] = src.pages_read
+            detail[f"rects_{side}"] = src.rects_emitted
             detail[f"max_node_queue_{side}"] = src.max_node_queue
             detail[f"max_data_queue_{side}"] = src.max_data_queue
             detail[f"queue_spills_{side}"] = src.queue_spills
@@ -152,9 +194,6 @@ def pq_join(
         max_memory_bytes=stats.max_active_bytes + queue_bytes,
         detail=detail,
     )
-
-
-# -- internals ---------------------------------------------------------------
 
 
 def _as_source(
@@ -192,7 +231,7 @@ def _structure_factory(config: PQConfig, universe: Optional[Rect],
 
 
 def _sample_avg_width(input_a: JoinInput, input_b: JoinInput,
-                      limit: int = 512) -> float:
+                      limit: int = SAMPLE_RECTS) -> float:
     """Average rectangle width sampled (uncharged) from both inputs.
 
     Stands in for catalog statistics, like the histograms of [1] the

@@ -104,6 +104,15 @@ class StreamSource(SortedSource):
 class IndexSource(SortedSource):
     """Priority-queue-driven sorted extraction from an R-tree (Figure 1).
 
+    This generator is the reference: under the numpy kernel ``pq_join``
+    plans the same traversal a page at a time
+    (:mod:`repro.core.kernels.np_index`) and must reproduce its reads,
+    charges, emit order and statistics exactly — including two quirks
+    of the queues below: a data key ``(ylo, seq)`` is compared with a
+    node key ``(ylo, page id)``, so on equal ``ylo`` data goes first
+    iff ``seq <= page id``; and equal-``ylo`` rectangles of different
+    open leaves leave in push order.
+
     Parameters
     ----------
     tree:
@@ -121,7 +130,11 @@ class IndexSource(SortedSource):
         self.tree = tree
         self.prune_window = prune_window
         self.queue_memory_items = queue_memory_items
+        self._reset_statistics()
+
+    def _reset_statistics(self) -> None:
         self.pages_read = 0
+        self.rects_emitted = 0
         self.max_memory_bytes = 0
         self.max_node_queue = 0
         self.max_data_queue = 0
@@ -137,6 +150,9 @@ class IndexSource(SortedSource):
         return _InMemoryQueue()
 
     def __iter__(self) -> Iterator[Rect]:
+        # The statistics describe one traversal: a second iteration
+        # (or one cut short by a disjoint prune window) starts from zero.
+        self._reset_statistics()
         tree = self.tree
         env = tree.store.disk.env
         prune = self.prune_window
@@ -168,6 +184,7 @@ class IndexSource(SortedSource):
                                 (succ, leaf_rects, nxt + 1))
                     seq += 1
                     heap_ops += _log2(len(data_q))
+                self.rects_emitted += 1
                 yield rect
                 continue
 

@@ -270,15 +270,16 @@ class SpatialQueryEngine:
 
     def prepare(self, *names: str) -> None:
         """Force-build streams, indexes, histograms and (numpy
-        kernel) column images now.
+        kernel) column images and leaf columns now.
 
         The catalog builds lazily, which charges the build to the first
         query that needs it; benchmark-style callers prepare up front so
         every measured query starts from built representations, like
         the paper's build-once-measure-many runner.
         """
-        for name in (names or self.catalog.names()):
-            entry = self.catalog.get(name)
+        entries = [self.catalog.get(name)
+                   for name in (names or self.catalog.names())]
+        for entry in entries:
             entry.stream, entry.tree, entry.histogram  # noqa: B018
             if self.kernel == "numpy":
                 entry.columns  # noqa: B018
@@ -286,6 +287,13 @@ class SpatialQueryEngine:
         # the workers belongs to the build phase, not to whichever
         # query happens to be the first partitioned one.
         self.worker_pool.prestart()
+        if self.kernel == "numpy":
+            # After every index is built — a page written to the shared
+            # store makes a tree rebuild its leaf columns — and after
+            # the fork: index plans run on the coordinator, and what a
+            # worker inherits it keeps resident (+2.3 MB each, measured).
+            for entry in entries:
+                entry.tree.leaf_columns()
 
     # -- serving ---------------------------------------------------------
 

@@ -1,7 +1,11 @@
 """Physical plan execution, including partitioned parallel joins.
 
 Direct plans delegate to the algorithms the repo already trusts
-(:func:`unified_spatial_join`, :func:`st_join`, :func:`multiway_join`).
+(:func:`unified_spatial_join`, :func:`st_join`, :func:`multiway_join`);
+the resolved kernel goes down with them, so a ``pq-index`` plan on a
+numpy engine runs :mod:`repro.core.kernels.np_index` and hands back
+:class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``, ``st``,
+``sssj``, multiway and :func:`_refine_pairs` still build tuple lists.
 The engine-only path is **partitioned execution**: both inputs are
 scanned once, cut into PBSM-style tiles (reusing PBSM's tile grid and
 reference-point arithmetic), and the per-partition sweeps are fanned
@@ -301,9 +305,23 @@ class Executor:
             result = self._execute_partitioned(plan, entries, trace,
                                                cancel)
         else:
+            reads_before = env.page_reads
             with span_meter(env, self.machine, trace, "join",
-                            strategy=plan.strategy):
+                            strategy=plan.strategy) as jspan:
                 result = self._execute_pairwise(plan, entries)
+                if jspan is not None:
+                    # What the join worked on, as ``distribute`` reports
+                    # for its path: which kernel ran (``numpy`` only if
+                    # it did not decline) and how much each side fed it
+                    # — a stream side feeds the whole relation.
+                    detail = result.detail
+                    jspan.attrs.update({
+                        "kernel": detail.get("kernel", "python"),
+                        "pages_read": env.page_reads - reads_before,
+                        "rects_a": detail.get("rects_a", len(entries[0])),
+                        "rects_b": detail.get("rects_b", len(entries[1])),
+                        "pairs": result.n_pairs,
+                    })
 
         if query.window is not None and result.pairs is not None:
             with span_meter(env, self.machine, trace,
@@ -354,6 +372,7 @@ class Executor:
         return unified_spatial_join(
             rel_a, rel_b, self.disk, self.machine,
             collect_pairs=query.collect_pairs, force=plan.strategy,
+            kernel=self.kernel,
         )
 
     # -- sorted-run artifact path ----------------------------------------
@@ -1573,8 +1592,10 @@ def _filter_window(result: JoinResult, entries: List[CatalogEntry],
     """Keep pairs/tuples whose common MBR intersection meets the window.
 
     ``kernel="numpy"`` tests all pairs at once against the entries'
-    column images and keeps them as columns (a list input is converted
-    once); the python loop is the fallback and the reference.
+    column images and keeps them as columns (a partitioned or
+    ``pq-index`` plan hands columns in; the list of a ``pq-mixed-*``,
+    ``st``, ``sssj`` or multiway plan is converted once); the python
+    loop is the fallback and the reference.
     """
     kept = None
     if kernel == "numpy":

@@ -263,13 +263,20 @@ def validate_prometheus(text: str,
 # -- trace JSON schema -------------------------------------------------------
 
 
+#: Counts the ``join`` span of a pairwise plan carries beside
+#: ``strategy`` and ``kernel``.
+JOIN_SPAN_COUNTS = ("pages_read", "rects_a", "rects_b", "pairs")
+
+
 def validate_trace(span: Dict[str, object],
                    path: str = "$") -> List[str]:
     """Structural errors in one trace dict (empty list == valid).
 
     Checks the shape :meth:`repro.engine.trace.Span.to_dict` promises:
     a ``name`` string, every metric field numeric and non-negative, an
-    ``attrs`` dict, and ``children`` recursively valid.
+    ``attrs`` dict, and ``children`` recursively valid — and that the
+    ``join`` span of a pairwise plan says what it joined
+    (:data:`JOIN_SPAN_COUNTS` and which ``kernel`` ran).
     """
     errors: List[str] = []
     if not isinstance(span, dict):
@@ -282,8 +289,16 @@ def validate_trace(span: Dict[str, object],
             errors.append(f"{path}: field {f!r} is not a number")
         elif v != v or v < 0:
             errors.append(f"{path}: field {f!r} is negative or NaN")
-    if not isinstance(span.get("attrs"), dict):
+    attrs = span.get("attrs")
+    if not isinstance(attrs, dict):
         errors.append(f"{path}: attrs is not an object")
+    elif span.get("name") == "join" and attrs.get("strategy") != "multiway":
+        if attrs.get("kernel") not in ("numpy", "python"):
+            errors.append(f"{path}: join span names no kernel")
+        for key in JOIN_SPAN_COUNTS:
+            v = attrs.get(key)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                errors.append(f"{path}: join attr {key!r} is not a count")
     children = span.get("children")
     if not isinstance(children, list):
         errors.append(f"{path}: children is not a list")

@@ -528,12 +528,16 @@ class ShardedEngine:
 
     def prepare(self, *names: str) -> None:
         """Force-build every replica's streams/indexes/histograms now."""
-        for name in (names or self.names()):
+        names = names or tuple(self.names())
+        for name in names:
             self._check_known(name)
-            for k, group in enumerate(self._replica_engines):
-                if self._present[name][k]:
-                    for engine in group:
-                        engine.prepare(name)
+        # One call per engine: it builds what depends on every index
+        # (the leaf columns) once all of them are written.
+        for k, group in enumerate(self._replica_engines):
+            present = [n for n in names if self._present[n][k]]
+            if present:
+                for engine in group:
+                    engine.prepare(*present)
 
     def _check_known(self, name: str) -> None:
         if name not in self._versions:

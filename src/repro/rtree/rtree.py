@@ -17,6 +17,12 @@ Read paths:
 
 Each charged node read also charges one ``decode`` CPU op per entry,
 modelling the cost of unpacking the 20-byte records.
+
+:meth:`leaf_columns` is the same leaf pages as flat numpy columns, for
+the vectorized PQ traversal (:mod:`repro.core.kernels.np_index`): a
+host-side copy of what the simulated disk holds, built on first use,
+never charged, and rebuilt when a page of the store has been written
+since.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ class RTree:
             list(level) for level in pages_per_level
         ]
         self.name = name
+        #: ``(store.writes when built, LeafColumns)`` or None.
+        self._leaf_columns = None
 
     # -- basic shape ----------------------------------------------------
 
@@ -94,6 +102,22 @@ class RTree:
 
     def read_node_silent(self, page_id: int) -> Node:
         return self.store.read_silent(page_id)
+
+    def leaf_columns(self):
+        """The leaf pages as numpy columns (requires numpy).
+
+        Like a catalog entry's column image this duplicates, on the
+        host, records the simulated disk already holds, so it is
+        neither charged nor budgeted.  The insertion builders edit a
+        node's entries in place and then write the page: a build is
+        kept only while the store's write count stands where it stood.
+        """
+        writes = self.store.writes
+        if self._leaf_columns is None or self._leaf_columns[0] != writes:
+            from repro.core.kernels.np_index import LeafColumns
+
+            self._leaf_columns = (writes, LeafColumns(self))
+        return self._leaf_columns[1]
 
     # -- queries ------------------------------------------------------------
 

@@ -24,6 +24,11 @@ class PageStore:
         self.page_bytes = page_bytes
         self._offsets: Dict[int, int] = {}
         self._next_page_id = 0
+        #: Page writes so far.  The tree builders mutate a node's entry
+        #: list in place and then write the page, so anything derived
+        #: from page contents (an R-tree's leaf columns) is stale once
+        #: this has moved.
+        self.writes = 0
 
     def __len__(self) -> int:
         return self._next_page_id
@@ -50,6 +55,7 @@ class PageStore:
             raise KeyError(f"page {page_id} was never allocated") from None
 
     def write(self, page_id: int, payload: Any) -> None:
+        self.writes += 1
         self.disk.write(self.offset_of(page_id), self.page_bytes, payload)
 
     def read(self, page_id: int) -> Any:

@@ -1,10 +1,11 @@
 """Asymptotic gate on simulated ops: complexity class *and* coefficient.
 
-The sweep and one ``pbsm-grid`` overlay run over a ladder of input sizes
-at constant density (extents shrink with ``1/sqrt(n)``, so output stays
-linear in ``n`` and the curve is the kernel's).  A percentage gate cannot
-see a change of class at small sizes and a class fit cannot see a
-constant that grew, so both are pinned — on op counts, never the clock.
+The sweep, one ``pbsm-grid`` overlay and one ``pq-index`` window run
+over a ladder of input sizes at constant density (extents shrink with
+``1/sqrt(n)``, so output stays linear in ``n`` and the curve is the
+kernel's).  A percentage gate cannot see a change of class at small
+sizes and a class fit cannot see a constant that grew, so both are
+pinned — on op counts, never the clock.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import random
 
 import pytest
 
-from repro.core.kernels import resolve_kernel, sweep_pairs_batched
+from repro.core.kernels import (
+    numpy_available,
+    resolve_kernel,
+    sweep_pairs_batched,
+)
 from repro.engine import Query, SpatialQueryEngine
 from repro.geom.rect import Rect
 from repro.sim.env import SimEnv
@@ -36,6 +41,12 @@ CLASSES = {
 #: a curve may cost up to 1.10x that.
 SWEEP_LIMIT = ("nsqrtn", 2.865)
 OVERLAY_LIMIT = ("nlogn", 10.39)
+#: The indexed path, over a window holding a quarter of the universe
+#: whatever ``n`` is: total simulated ops and charged page reads, as
+#: fitted when its numpy kernel landed (both measure linear).
+INDEX_WINDOW = Rect(0.2, 0.7, 0.3, 0.8, 0)
+INDEX_OPS_LIMIT = ("nlogn", 1.0799)
+INDEX_READS_LIMIT = ("nlogn", 0.00633)
 
 
 def violations(ns, costs, limit):
@@ -109,6 +120,33 @@ def test_overlay_stays_in_class_and_under_its_coefficient(ladder):
                                  collect_pairs=False))
             costs.append(engine.env.cpu_ops)
     assert violations(sizes, costs, OVERLAY_LIMIT) == []
+
+
+@pytest.mark.parametrize("kernel", ("python", "numpy"))
+def test_index_window_stays_in_class_and_under_its_coefficients(ladder,
+                                                                kernel):
+    # Both kernels, not just this leg's: the parity shapes are small,
+    # and a replay that is exact there must not leave the class here.
+    if kernel == "numpy" and not numpy_available():
+        pytest.skip("numpy not importable")
+    sizes, ops, reads = SIZES[:4], [], []
+    for n in sizes:
+        with SpatialQueryEngine(scale=TEST_SCALE, workers=2,
+                                pool_kind="serial", cache_capacity=0,
+                                memory_bytes=64 << 20,
+                                kernel=kernel) as engine:
+            engine.register("a", ladder[n][0], universe=UNIT)
+            engine.register("b", ladder[n][1], universe=UNIT)
+            engine.prepare()
+            engine.env.reset_counters()  # the index builds are set-up
+            out = engine.execute(Query(relations=("a", "b"),
+                                       window=INDEX_WINDOW,
+                                       force="pq-index"))
+            assert out.result.detail["kernel"] == kernel
+            ops.append(engine.env.cpu_ops)
+            reads.append(engine.env.page_reads)
+    assert violations(sizes, ops, INDEX_OPS_LIMIT) == []
+    assert violations(sizes, reads, INDEX_READS_LIMIT) == []
 
 
 def test_the_gate_bites(ladder, real_sweep_costs):

@@ -137,6 +137,38 @@ class TestIndexSource:
         assert src.max_node_queue >= 1
         assert src.max_data_queue >= 1
 
+    def test_statistics_describe_one_iteration(self):
+        # Each iteration starts from zero: a second one used to report
+        # twice the page reads (and kept the larger run's maxima), and
+        # one cut short by a disjoint window kept the last run's spills
+        # and heap ops.
+        def statistics(src):
+            return {name: getattr(src, name) for name in (
+                "pages_read", "rects_emitted", "max_memory_bytes",
+                "max_node_queue", "max_data_queue", "queue_spills",
+                "_heap_ops",
+            )}
+
+        tree, rects, _ = self._tree()
+        window = Rect(0.2, 0.6, 0.1, 0.5, 0)
+        for prune, memory_items in ((None, None), (window, None),
+                                    (None, 4)):
+            fresh = IndexSource(tree, prune_window=prune,
+                                queue_memory_items=memory_items)
+            first = list(fresh)
+            expect = statistics(fresh)
+            assert expect["pages_read"] > 0
+            assert expect["rects_emitted"] == len(first)
+            again = IndexSource(tree, prune_window=prune,
+                                queue_memory_items=memory_items)
+            assert list(again) == first
+            assert list(again) == first
+            assert statistics(again) == expect
+            again.prune_window = Rect(5, 6, 5, 6, 0)
+            assert list(again) == []
+            assert statistics(again) == statistics(IndexSource(tree))
+        assert expect["queue_spills"] > 0  # the bounded run did spill
+
 
 class TestJoinSource:
     def test_cascade_produces_sorted_intersections(self):

@@ -137,6 +137,48 @@ def test_root_span_carries_metrics_deltas():
         assert validate_trace(tr.to_dict()) == []
 
 
+@pytest.mark.parametrize("force,kernel", (
+    ("pq-index", "numpy"), ("pq-index", "python"),
+    ("pq-mixed-a", "numpy"), ("st", "numpy"), ("sssj", "numpy"),
+))
+def test_join_span_says_what_it_joined(force, kernel):
+    # A slow pairwise plan explains itself from its own span: which
+    # kernel ran (``numpy`` only where one exists and did not decline),
+    # the pages it read and how much each side fed the sweep.
+    window = Rect(20.0, 70.0, 10.0, 60.0, 0)
+    with _engine(trace=True, kernel=kernel, cache_capacity=0) as engine:
+        for win in (window, None):
+            out = engine.execute(Query(relations=("a", "b"), window=win,
+                                       force=force))
+            join = out.trace.find("join")
+            ran = ("numpy" if (force, kernel) == ("pq-index", "numpy")
+                   else "python")
+            assert join.attrs["strategy"] == force
+            assert join.attrs["kernel"] == ran
+            assert join.attrs["pages_read"] == join.pages_read
+            assert join.attrs["pairs"] >= out.result.n_pairs
+            if force == "pq-index":
+                inside = [sum(r.intersects(window) for r in rects)
+                          if win else len(rects)
+                          for rects in (A_RECTS, B_RECTS)]
+                assert [join.attrs["rects_a"],
+                        join.attrs["rects_b"]] == inside
+            else:
+                assert join.attrs["rects_b"] == len(B_RECTS)
+            assert validate_trace(out.trace.to_dict()) == []
+            # The validator is what pins them.
+            for key in ("kernel", "pages_read", "rects_a", "rects_b",
+                        "pairs"):
+                broken = out.trace.to_dict()
+                spans = [broken]
+                while spans:
+                    span = spans.pop()
+                    spans.extend(span["children"])
+                    if span["name"] == "join":
+                        del span["attrs"][key]
+                assert validate_trace(broken) != [], key
+
+
 def test_hit_path_traces_and_records_latency():
     with _engine(trace=True, cache_capacity=8) as engine:
         engine.execute(QUERY)

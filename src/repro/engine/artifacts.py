@@ -42,7 +42,6 @@ or bit-flipped artifact is detected before any of it is decoded.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -55,7 +54,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarTile, PairColumns
 from repro.core.join_result import JoinResult
-from repro.engine.cache import PARTITION_KIND, SORTED_RUN_KIND
+from repro.engine.cache import (
+    PARTITION_KIND,
+    SORTED_RUN_KIND,
+    canonical_token,
+)
 from repro.engine.faults import FaultPlan, corrupt_file
 from repro.geom.rect import RECT_BYTES
 
@@ -106,68 +109,15 @@ def check_store_layout(root: str, sharded: bool) -> None:
         )
 
 
-def canonical_token(kind: str, fingerprints: Sequence[Tuple[str, int]],
-                    *extra) -> str:
-    """A stable, filename-safe identity for one persistable artifact.
-
-    ``fingerprints`` is the content identity of the artifact's input
-    relations — ``(name, fingerprint)`` pairs.  ``extra`` pins the
-    derivation parameters (grid geometry and window for partition
-    artifacts, the sort axis for sorted runs); floats are rendered via
-    ``repr`` so the token is exact, and the whole string is hashed to
-    keep filenames uniform.
-    """
-    parts: List[str] = [kind]
-    for name, fp in fingerprints:
-        parts.append(f"{name}={fp}")
-    parts.extend(_canon(x) for x in extra)
-    raw = "|".join(parts)
-    return hashlib.sha1(raw.encode("utf-8")).hexdigest()
-
-
-def _canon(obj) -> str:
-    if obj is None:
-        return "~"
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (list, tuple)):
-        return "(" + ",".join(_canon(x) for x in obj) + ")"
-    return str(obj)
-
-
-def partition_token(fingerprints: Sequence[Tuple[str, int]], universe,
-                    tiles: int, partitions: int, window) -> str:
-    """Sidecar token of one distribution.
-
-    One definition shared by the executor (save/restore) and the
-    optimizer (pricing probes) — the two must derive byte-identical
-    tokens or warm plans get priced that the executor then runs cold.
-    ``universe``/``window`` are rectangles (window may be None);
-    ``tiles`` is the *effective* grid resolution
-    (:func:`~repro.engine.cache.grid_tiles`).
-    """
-    return canonical_token(
-        PARTITION_KIND, fingerprints,
-        (universe.xlo, universe.xhi, universe.ylo, universe.yhi),
-        tiles, partitions,
-        None if window is None else tuple(window[:4]),
-    )
-
-
-def sorted_run_token(name: str, fingerprint: int,
-                     axis: str = "ylo") -> str:
-    """Sidecar token of one relation's sorted run (shared, see above)."""
-    return canonical_token(SORTED_RUN_KIND, ((name, fingerprint),), axis)
-
-
 class ArtifactStore:
     """A directory of persisted artifacts plus its manifest.
 
     The store is deliberately dumb: it maps tokens to checksummed
     payload files and knows nothing about budgets, versions or plan
-    keys — the executor owns key/token translation and restore
-    pricing, the cache owns memory.  All counters are cumulative for
-    the store object's lifetime.
+    keys — :class:`~repro.engine.cache.ArtifactCache`, which it is
+    attached to, owns memory, the key/token translation and the probe
+    order; the executor prices the restore.  All counters are
+    cumulative for the store object's lifetime.
     """
 
     def __init__(self, root: str,
@@ -197,8 +147,8 @@ class ArtifactStore:
         return token in self._manifest
 
     def peek(self, token: str) -> Optional[dict]:
-        """The manifest entry (no payload I/O); the optimizer prices
-        restorable plans from ``logical_bytes`` here."""
+        """The manifest entry (no payload I/O): restorable plans are
+        priced from its ``logical_bytes``."""
         return self._manifest.get(token)
 
     def __len__(self) -> int:

@@ -52,11 +52,21 @@ result memory is governed here, by ``max_bytes``.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.columnar import PairColumns
-from repro.geom.rect import RECT_BYTES
+from repro.geom.rect import RECT_BYTES, union_mbr
 
 #: Approximate CPython cost of one cached id tuple: tuple header plus
 #: one pointer-and-int per component.  Deliberately rough — the cache
@@ -232,33 +242,87 @@ _ARTIFACT_ENTRY_BYTES = 512
 #: Per-partition overhead within an artifact (tuple + list slots).
 _ARTIFACT_TASK_BYTES = 96
 
+#: Tile grid resolution for partitioned plans.  Coarser than PBSM's
+#: 128x128 because partitions here number workers x 4, not hundreds.
+DEFAULT_TILES_PER_SIDE = 32
 
-def grid_tiles(tiles_per_side: int, partitions: int) -> int:
-    """The executor's effective tile resolution for ``partitions``.
 
-    The grid doubles until it can feed every partition at least one
-    tile; optimizer and executor share this so artifact keys computed
-    at plan time match the ones the executor writes.
-    """
-    tiles = tiles_per_side
+def grid_tiles(partitions: int) -> int:
+    """The effective tile resolution for ``partitions``: the grid
+    doubles until it can feed every partition at least one tile."""
+    tiles = DEFAULT_TILES_PER_SIDE
     while tiles * tiles < partitions:
         tiles *= 2
     return tiles
 
 
-def artifact_key(versions, universe, tiles_per_side: int,
-                 partitions: int, window) -> Tuple:
-    """The identity of one distributed tile set.
+def canonical_token(kind: str, fingerprints: Sequence[Tuple[str, int]],
+                    *extra) -> str:
+    """A stable, filename-safe identity for one persistable artifact.
 
-    ``versions`` is the catalog's ``((name, version), ...)`` tuple for
-    the distributed input(s) — a re-registered relation bumps its
-    version, so stale artifacts become unreachable; the grid
-    fingerprint (universe, resolution, partition count) and the query
-    window (the distribute phase filters by it) pin the exact
-    distribution geometry.
+    ``fingerprints`` is the content identity of the artifact's input
+    relations — ``(name, fingerprint)`` pairs.  ``extra`` pins the
+    derivation parameters (grid geometry and window for partition
+    artifacts, the sort axis for sorted runs); floats are rendered via
+    ``repr`` so the token is exact, and the whole string is hashed to
+    keep filenames uniform.
     """
-    return (versions, tuple(universe[:4]),
-            grid_tiles(tiles_per_side, partitions), partitions, window)
+    parts: List[str] = [kind]
+    for name, fp in fingerprints:
+        parts.append(f"{name}={fp}")
+    parts.extend(_canon(x) for x in extra)
+    raw = "|".join(parts)
+    return hashlib.sha1(raw.encode("utf-8")).hexdigest()
+
+
+def _canon(obj) -> str:
+    if obj is None:
+        return "~"
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, (list, tuple)):
+        return "(" + ",".join(_canon(x) for x in obj) + ")"
+    return str(obj)
+
+
+class Candidate(NamedTuple):
+    """One place an artifact may be found.
+
+    ``key`` names it in the memory tier — built on catalog versions,
+    which a re-registration bumps, so stale entries are unreachable;
+    the leading ``((name, version), ...)`` tuple is what
+    :meth:`ArtifactCache.invalidate_relation` scans.  ``token`` names
+    it in the sidecar — built on content fingerprints, which survive a
+    restart; ``None`` when no sidecar is attached.  A distribution
+    also carries the ``universe`` its grid covers and the window a
+    sweep must ``prune`` each tile to when it reuses this candidate
+    (``None``: the tiles hold exactly what the query asked for).
+    """
+
+    key: Tuple
+    token: Optional[str]
+    universe: Any = None
+    prune: Any = None
+
+
+class ArtifactIdentity(NamedTuple):
+    """What one plan looks for, best candidate first, and the grid a
+    distribution is cut on (``tiles`` a side; 0 for a sorted run)."""
+
+    kind: str
+    relations: Tuple[str, ...]
+    candidates: Tuple[Candidate, ...]
+    tiles: int = 0
+
+
+class ArtifactHit(NamedTuple):
+    """A :meth:`ArtifactCache.fetch` that found something: the value,
+    the candidate it was found under and — when it came off the
+    sidecar — the logical bytes the caller owes the simulated disk."""
+
+    value: Any
+    candidate: Candidate
+    restored_bytes: int
 
 
 def artifact_bytes(tasks) -> int:
@@ -276,19 +340,6 @@ def artifact_bytes(tasks) -> int:
         if tile_b is not None:
             total += tile_b.nbytes + len(tile_b) * RECT_BYTES
     return total
-
-
-def sorted_run_key(name: str, version: int, axis: str = "ylo") -> Tuple:
-    """The identity of one sorted relation view.
-
-    Sorted runs are window-independent (the sort consumes the whole
-    base stream; windows are applied downstream), so the key is just
-    the relation's identity plus the sort axis.  The leading
-    ``((name, version),)`` tuple matches the partition-artifact key
-    shape, which is what lets :meth:`ArtifactCache.invalidate_relation`
-    treat every kind uniformly.
-    """
-    return (((name, version),), axis)
 
 
 def sorted_run_bytes(tile) -> int:
@@ -325,17 +376,29 @@ class ArtifactCache:
     empty cache would have avoided.  ``max_bytes`` adds an absolute
     cap on top (``0`` disables the cache outright).
 
+    ``store`` attaches the engine's
+    :class:`~repro.engine.artifacts.ArtifactStore`: memory tier and
+    sidecar are then one object, and this class is the one owner of
+    what an artifact is called (:meth:`distribution`,
+    :meth:`sorted_run`) and of the order it is looked for in — exact
+    candidate before the full one, memory before sidecar.  The
+    optimizer prices a plan from :meth:`locate`, the executor runs it
+    through :meth:`fetch` and :meth:`retain`; neither derives a key or
+    a token, so what was priced is what runs.
+
     For backward compatibility every lookup/write method defaults to
     the ``"partition"`` kind (the only kind that existed before the
     artifact layer was generalized).
     """
 
     def __init__(self, budget=None,
-                 max_bytes: Optional[int] = None) -> None:
+                 max_bytes: Optional[int] = None,
+                 store=None) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("artifact byte budget cannot be negative")
         self.budget = budget
         self.max_bytes = max_bytes
+        self.store = store
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._sizes: Dict[Tuple, int] = {}
         self._grant = None
@@ -350,7 +413,131 @@ class ArtifactCache:
         self.disk_restore_bytes = 0
         self.kind_stats: Dict[str, Dict[str, int]] = {}
 
+    @property
+    def enabled(self) -> bool:
+        return self.max_bytes != 0
+
+    @property
+    def _sidecar(self):
+        """The attached store — none for a disabled cache, which has
+        nothing to restore into or persist."""
+        return self.store if self.enabled else None
+
+    # -- identity --------------------------------------------------------
+
+    def distribution(self, entries, self_join: bool, universe,
+                     partitions: int, window) -> ArtifactIdentity:
+        """The identity of one plan's distributed tile set.
+
+        ``entries`` are the plan's catalog entries and ``universe``
+        the union of its window-clipped regions.  The exact candidate
+        is that universe cut on the effective grid for ``partitions``
+        and filtered by ``window``; a windowed plan may also reuse the
+        *full* distribution of the same relations, swept whole with
+        every tile pruned to the window first — identical results,
+        because the distribute-phase filter is only a pruning step
+        and windowed queries always run the window post-filter.
+        """
+        inputs = entries[:1] if self_join else entries
+        versions = tuple((e.name, e.version) for e in inputs)
+        fingerprints = (
+            tuple((e.name, e.fingerprint) for e in inputs)
+            if self._sidecar is not None else None
+        )
+        tiles = grid_tiles(partitions)
+
+        def candidate(uni, win, prune) -> Candidate:
+            return Candidate(
+                (versions, tuple(uni[:4]), tiles, partitions, win),
+                None if fingerprints is None else canonical_token(
+                    PARTITION_KIND, fingerprints, tuple(uni[:4]), tiles,
+                    partitions, None if win is None else tuple(win[:4]),
+                ),
+                uni, prune,
+            )
+
+        candidates = [candidate(universe, window, None)]
+        if window is not None:
+            candidates.append(candidate(
+                union_mbr(entries[0].universe, entries[-1].universe),
+                None, window,
+            ))
+        return ArtifactIdentity(
+            PARTITION_KIND, tuple(e.name for e in inputs),
+            tuple(candidates), tiles,
+        )
+
+    def sorted_run(self, entry, axis: str = "ylo") -> ArtifactIdentity:
+        """The identity of one relation in sweep order.
+
+        Window-independent: the sort consumes the whole base stream
+        and windows are applied downstream.
+        """
+        return ArtifactIdentity(
+            SORTED_RUN_KIND, (entry.name,),
+            (Candidate(
+                (((entry.name, entry.version),), axis),
+                canonical_token(
+                    SORTED_RUN_KIND, ((entry.name, entry.fingerprint),),
+                    axis,
+                ) if self._sidecar is not None else None,
+            ),),
+        )
+
     # -- lookups ---------------------------------------------------------
+
+    def locate(self, ident: ArtifactIdentity) -> Tuple[Optional[str], int]:
+        """Where :meth:`fetch` would find ``ident``, touching nothing.
+
+        ``("memory", 0)``, ``("disk", logical bytes of the restore
+        read)`` or ``(None, 0)`` — what the optimizer prices.
+        """
+        if not self.enabled:
+            return None, 0
+        for cand in ident.candidates:
+            if self.has(cand.key, ident.kind):
+                return "memory", 0
+        if self.store is not None:
+            for cand in ident.candidates:
+                meta = self.store.peek(cand.token)
+                if meta is not None:
+                    return "disk", int(meta["logical_bytes"])
+        return None, 0
+
+    def fetch(self, ident: ArtifactIdentity) -> Optional[ArtifactHit]:
+        """Look ``ident`` up for execution: one hit-or-miss event.
+
+        Every candidate is tried in memory, then — the miss counted —
+        in the sidecar; a restored artifact is counted
+        (:meth:`note_restore`) and re-inserted best effort: a full
+        budget serves it to this query without retaining it.
+        """
+        kind = ident.kind
+        for cand in ident.candidates:
+            # has() bumps no counters: the event is the get() below.
+            if self.has(cand.key, kind):
+                return ArtifactHit(self.get(cand.key, kind=kind), cand, 0)
+        self.get(ident.candidates[0].key, kind=kind)
+        if self._sidecar is not None:
+            for cand in ident.candidates:
+                loaded = self.store.load(cand.token)
+                if loaded is None:
+                    continue
+                _kind, value, logical = loaded
+                self.note_restore(logical)
+                self.put(cand.key, value, kind=kind)
+                return ArtifactHit(value, cand, logical)
+        return None
+
+    def retain(self, ident: ArtifactIdentity, value) -> None:
+        """Keep a freshly built artifact under its exact candidate, in
+        memory and — content-keyed, so a restarted engine finds it —
+        in the sidecar."""
+        exact = ident.candidates[0]
+        self.put(exact.key, value, kind=ident.kind)
+        if exact.token is not None:
+            self.store.save(exact.token, ident.kind, value,
+                            ident.relations)
 
     def get(self, key: Tuple, kind: str = PARTITION_KIND):
         """The cached value, refreshed to MRU; or ``None``."""
@@ -366,7 +553,7 @@ class ArtifactCache:
         return None
 
     def has(self, key: Tuple, kind: str = PARTITION_KIND) -> bool:
-        """Presence probe for the optimizer; bumps no hit/miss counters."""
+        """Presence probe; bumps no hit/miss counters."""
         return (kind, key) in self._entries
 
     # -- writes ----------------------------------------------------------

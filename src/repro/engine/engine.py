@@ -40,7 +40,7 @@ from repro.engine.artifacts import ArtifactStore, check_store_layout
 from repro.engine.faults import FaultPlan
 from repro.engine.cache import ArtifactCache, ResultCache
 from repro.engine.catalog import Catalog, GeometryMap
-from repro.engine.executor import DEFAULT_TILES_PER_SIDE, Executor
+from repro.engine.executor import Executor
 from repro.engine.metrics import EngineMetrics
 from repro.engine.obs import SlowQueryLog
 from repro.engine.optimizer import Optimizer, PhysicalPlan, PlanActuals
@@ -126,7 +126,70 @@ class EngineResult:
     trace: Optional[Span] = None
 
 
-class SpatialQueryEngine:
+def cacheable(result: JoinResult) -> bool:
+    """The result-cache put rule, for either engine and the persisted
+    sub-results: count-only results (no pair list) always cache,
+    collected ones up to :data:`MAX_CACHED_PAIRS`."""
+    return result.pairs is None or len(result.pairs) <= MAX_CACHED_PAIRS
+
+
+class _ServeShell:
+    """What serving a query looks like around either engine's own
+    execution: the result cache and its hit path, the slow-query log
+    and the last trace.  The engine supplies ``_record_hit(n_pairs,
+    wall)`` (its counters, under its own locking)."""
+
+    def _init_serve_shell(self, cache_capacity: int, trace: bool,
+                          slow_log_capacity: Optional[int] = None,
+                          ) -> None:
+        # Result memory is governed by the cache's own ledger; the
+        # execution budget stays dedicated to algorithm memory, as in
+        # the paper's Section 5.1 split.
+        self.cache = ResultCache(capacity=cache_capacity)
+        # Observability.  ``trace`` turns on per-query span trees; the
+        # slow-query log keeps the N worst traces (it also works with
+        # tracing off, logging latencies without trees).  Both are off
+        # by default so the serving hot path stays allocation-free.
+        self.tracing = bool(trace)
+        if slow_log_capacity is None:
+            slow_log_capacity = 8 if self.tracing else 0
+        self.slow_log = (
+            SlowQueryLog(slow_log_capacity)
+            if slow_log_capacity > 0 else None
+        )
+        self.last_trace: Optional[Span] = None
+
+    def _serve_hit(self, query: Query, cached: JoinResult,
+                   t_start: float, trace: Optional[Span]) -> EngineResult:
+        """The reply to a result-cache hit: a copy the caller may
+        vandalize, counted, traced and offered to the slow log."""
+        result = _copy_result(cached)
+        result.detail["cache_hit"] = True
+        wall = time.perf_counter() - t_start
+        self._record_hit(cached.n_pairs, wall)
+        if trace is not None:
+            lookup = trace.child("lookup", hit=True)
+            lookup.wall_seconds = wall
+            trace.wall_seconds = wall
+            trace.attrs["pairs"] = cached.n_pairs
+        self._observe_query(query, wall, 0.0, trace, True)
+        return EngineResult(
+            query=query, result=result, plan=None, from_cache=True,
+            wall_seconds=wall, sim_wall_seconds=0.0, trace=trace,
+        )
+
+    def _observe_query(self, query: Query, wall: float, sim_wall: float,
+                       trace: Optional[Span], from_cache: bool) -> None:
+        if trace is not None:
+            self.last_trace = trace
+        if self.slow_log is not None:
+            self.slow_log.offer(
+                query.describe(), wall, sim_wall,
+                trace=trace, from_cache=from_cache,
+            )
+
+
+class SpatialQueryEngine(_ServeShell):
     """A persistent spatial-join serving layer over the repro stack."""
 
     #: ``execute`` is not reentrant: the env page counter, metrics and
@@ -143,7 +206,6 @@ class SpatialQueryEngine:
         cache_capacity: int = 64,
         auto_index: bool = True,
         memory_bytes: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
         pool_kind: str = "process",
         artifact_cache_bytes: Optional[int] = None,
         artifact_dir: Optional[str] = None,
@@ -193,9 +255,6 @@ class SpatialQueryEngine:
             else WorkerPool(self.workers, kind=pool_kind, faults=faults)
         ).client()
         self.faults = faults
-        self.artifacts = ArtifactCache(
-            budget=self.budget, max_bytes=artifact_cache_bytes,
-        )
         if artifact_dir:
             # A single engine must not be pointed at the *root* of a
             # sharded tree (tokens would never match and the files
@@ -206,13 +265,17 @@ class SpatialQueryEngine:
             ArtifactStore(artifact_dir, faults=faults)
             if artifact_dir else None
         )
+        # Memory tier and sidecar are one object, shared by the
+        # optimizer (which prices from it) and the executor (which
+        # runs through it).
+        self.artifacts = ArtifactCache(
+            budget=self.budget, max_bytes=artifact_cache_bytes,
+            store=self.artifact_store,
+        )
         self.optimizer = Optimizer(
             self.catalog, machine, scale,
             workers=self.workers, auto_index=auto_index,
-            budget=self.budget,
-            artifacts=self.artifacts,
-            tiles_per_side=DEFAULT_TILES_PER_SIDE,
-            store=self.artifact_store,
+            budget=self.budget, artifacts=self.artifacts,
         )
         # ``kernel`` selects the sweep implementation ("auto" resolves
         # to numpy when importable; results are bit-identical either
@@ -220,28 +283,11 @@ class SpatialQueryEngine:
         self.executor = Executor(
             self.disk, machine, pool=self.pool, budget=self.budget,
             worker_pool=self.worker_pool, artifacts=self.artifacts,
-            store=self.artifact_store, kernel=kernel,
+            kernel=kernel,
         )
         self.kernel = self.executor.kernel
-        # The cache governs result memory with its own byte ledger
-        # (``cache_bytes``); the execution budget above stays dedicated
-        # to algorithm memory, as in the paper's Section 5.1 split.
-        self.cache = ResultCache(
-            capacity=cache_capacity, max_bytes=cache_bytes,
-        )
         self.metrics = EngineMetrics()
-        # Observability.  ``trace`` turns on per-query span trees; the
-        # slow-query log keeps the N worst traces (it also works with
-        # tracing off, logging latencies without trees).  Both are off
-        # by default so the serving hot path stays allocation-free.
-        self.tracing = bool(trace)
-        if slow_log_capacity is None:
-            slow_log_capacity = 8 if self.tracing else 0
-        self.slow_log = (
-            SlowQueryLog(slow_log_capacity)
-            if slow_log_capacity > 0 else None
-        )
-        self.last_trace: Optional[Span] = None
+        self._init_serve_shell(cache_capacity, trace, slow_log_capacity)
 
     # -- catalog management ----------------------------------------------
 
@@ -316,21 +362,7 @@ class SpatialQueryEngine:
                self.catalog.versions_of(query.relations))
         cached = self.cache.get(key)
         if cached is not None:
-            result = _copy_result(cached)
-            result.detail["cache_hit"] = True
-            hit_wall = time.perf_counter() - t_start
-            self.metrics.record_hit(cached.n_pairs, hit_wall)
-            if trace is not None:
-                lookup = trace.child("lookup", hit=True)
-                lookup.wall_seconds = hit_wall
-                trace.wall_seconds = hit_wall
-                trace.attrs["pairs"] = cached.n_pairs
-            self._observe_query(query, hit_wall, 0.0, trace, True)
-            return EngineResult(
-                query=query, result=result, plan=None, from_cache=True,
-                wall_seconds=hit_wall, sim_wall_seconds=0.0,
-                trace=trace,
-            )
+            return self._serve_hit(query, cached, t_start, trace)
 
         # Snapshot counters before compiling: plan-time lazy builds
         # (streams, indexes, histograms) are charged to the query that
@@ -422,7 +454,7 @@ class SpatialQueryEngine:
                     result.detail.get("artifact_restore_bytes", 0)
                 ),
             )
-        if result.pairs is None or len(result.pairs) <= MAX_CACHED_PAIRS:
+        if cacheable(result):
             # Cache a private copy: the caller owns the returned object
             # and may mutate it without corrupting future hits.
             with span_meter(self.env, self.machine, trace, "finalize"):
@@ -451,15 +483,8 @@ class SpatialQueryEngine:
             wall_seconds=wall, sim_wall_seconds=sim_wall, trace=trace,
         )
 
-    def _observe_query(self, query: Query, wall: float, sim_wall: float,
-                       trace: Optional[Span], from_cache: bool) -> None:
-        if trace is not None:
-            self.last_trace = trace
-        if self.slow_log is not None:
-            self.slow_log.offer(
-                query.describe(), wall, sim_wall,
-                trace=trace, from_cache=from_cache,
-            )
+    def _record_hit(self, n_pairs: int, wall: float) -> None:
+        self.metrics.record_hit(n_pairs, wall)
 
     def explain_analyze(self, query: Query) -> str:
         """Execute the query and return its plan annotated with actuals.

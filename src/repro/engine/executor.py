@@ -6,114 +6,93 @@ the resolved kernel goes down with them, so a ``pq-index`` plan on a
 numpy engine runs :mod:`repro.core.kernels.np_index` and hands back
 :class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``, ``st``,
 ``sssj``, multiway and :func:`_refine_pairs` still build tuple lists.
-The engine-only path is **partitioned execution**: both inputs are
-scanned once, cut into PBSM-style tiles (reusing PBSM's tile grid and
-reference-point arithmetic), and the per-partition sweeps are fanned
-out over the engine's persistent :class:`~repro.engine.pool.WorkerPool`
-— process-based by default, so the sweeps run on separate interpreters
-instead of serializing on the GIL.  Duplicate pairs — a pair is
-replicated into every partition its rectangles straddle — are
-eliminated exactly as in PBSM: a pair is reported only by the partition
-owning the tile of its reference point, so the merge is pure
-concatenation.
+An ``sssj`` plan resolves each side's sorted run through the artifact
+layer first (:meth:`Executor._execute_sssj`).  Window and refinement
+predicates are post-filters on the collected pairs
+(:func:`_filter_window`, :func:`_refine_pairs`).
 
-The hot path is built around these cooperating mechanisms:
+The engine-only path is **partitioned execution**
+(:meth:`Executor._execute_partitioned`): both inputs are cut into
+PBSM-style tiles (PBSM's tile grid and reference-point arithmetic: a
+pair is reported only by the partition owning the tile of its
+reference point, so the merge is pure concatenation) and the
+per-partition sweeps fan out over the engine's persistent
+:class:`~repro.engine.pool.WorkerPool`.  It is a pipeline of five
+stages, each a method that opens the span it is measured by, handing
+one :class:`_PartitionedRun` along; whatever the query comes to hold —
+tile grant, spill streams, shm pins — sits on one ``ExitStack`` and
+goes back once, whichever stage raises:
 
-* **Persistent pool** — the pool outlives queries; the plan's
-  ``workers`` count is a scheduling hint for the simulated critical
-  path, not a pool size.  A broken process pool degrades to threads
-  without losing a query.
-* **Columnar shipping** — tiles cross the process boundary as
-  :class:`~repro.core.columnar.ColumnarTile` flat arrays, not lists of
-  ``Rect`` NamedTuples; the numpy kernel sweeps the columns in place,
-  the python kernel decodes each tile once and sweeps over locals.
-  Spilled partitions materialize into the same format
-  (:meth:`SpillablePartition.materialize_columnar`).
-* **Columnar distribute** — under the numpy kernel the cold path
-  places tiles from the catalog entry's column image
-  (:func:`_distribute_columnar`, :mod:`repro.core.kernels.np_distribute`)
-  and post-filters windows the same way.  That holds past the tile
-  grant too: the overflow is spilled as image rows, one run per base
-  block with the flushes it triggers replayed in copy order across
-  the spill streams (:func:`_spill_run`), written as column blocks
-  and re-read as column blocks, so a partitioned plan under spill
-  builds no ``Rect`` either.  The per-rectangle python loops
-  (:func:`_distribute` with ``SpillablePartition.spill``,
-  :func:`_filter_window`) are the no-numpy path and the reference,
-  bit-identical in tiles, ops and simulated I/O — the order of the
-  disk's ``allocate`` / write / read calls included.
-* **Columnar pairs** — under the numpy kernel the pairs a tile owns
-  come back as :class:`~repro.core.columnar.PairColumns` (one int64
-  array, pickled as a buffer), per-tile results are concatenated as
-  arrays and the window post-filter masks the array; no id tuple is
-  built unless the caller iterates the result.  The python kernel
-  returns lists through the same code, the reference.
-* **Zero-callback sweep** — a task is one call into the sweep kernel,
-  never a ``PairSink`` per pair.  Under the numpy kernel that is one
-  :func:`~repro.core.kernels.np_sweep.sweep_tiles` call per *task*,
-  however many tiles the task holds: PBSM's tiles are independent
-  sweeps, so a group of *k* runs as one segmented pass — sort, alive
-  ranges, x-filter, reference-point ownership against each pair's own
-  partition, self-join dedup and the op replay — and a solo tile is
-  its ``k = 1`` case.  The python kernel
-  (:func:`~repro.core.sweep.forward_sweep_pairs_batched`, then one
-  tight ownership/dedup loop over the batch, tile after tile) is the
-  reference, and the fallback for a group the vectorized kernel
-  declines; pairs, their order, counts, ops and dups are bit-identical
-  tile by tile.
-* **Artifact layer** — reusable execution intermediates are retained
-  (budget-charged, LRU by bytes) in the engine's
-  :class:`~repro.engine.cache.ArtifactCache`: distributed tile sets
-  (a warm repeated query skips the scan + distribute + spill phases
-  entirely) and *sorted runs* (a warm ``sssj`` plan skips both
-  external sorts and sweeps straight out of memory).  With an
-  :class:`~repro.engine.artifacts.ArtifactStore` attached, both kinds
-  also persist to a spill-directory sidecar keyed by relation content
-  fingerprints, so a restarted engine restores its warm state lazily
-  on first touch — the restore is priced as one sequential read of
-  the artifact's logical bytes on the simulated disk.
-* **Tile dispatch** — where a tile sweeps and how it travels is
-  policy, decided from what the executor observes against the
-  measured constants below (``MIN_SHIP_RECTS`` …): a tile big enough
-  to pay for a pool round-trip ships on its own; smaller tiles
-  coalesce into multi-tile groups, one task and one kernel call each,
-  so a skewed grid with thousands of tiny tiles costs a handful of
-  round-trips; a trailing group too small to pay runs on the
-  coordinator, still as one task.  Groups form by one rule whether
-  they ship or not, so a serial pool runs the same tasks a process
-  pool would ship.  On a process pool with working shared memory a
-  big enough task ships its tiles as shared-memory refs (zero-copy
-  when a cached tile is re-shipped), otherwise as pickled columns.
-  A repeat of a plan
-  whose whole sweep *measured* cheaper than a round-trip keeps every
-  group on the coordinator.  Op accounting is placement-independent,
-  so all of this moves wall clock only; a batch is one scheduling
-  unit on the simulated critical path, as it is on the real pool.
+1. **Plan** (:meth:`~Executor._plan_partitioned`).  The tiles'
+   identity comes from the artifact layer
+   (:meth:`ArtifactCache.distribution
+   <repro.engine.cache.ArtifactCache.distribution>` — the optimizer
+   priced the plan from the same object, so neither side derives a key
+   or a token); routing comes from the plan memo: a repeat whose whole
+   sweep *measured* at or under ``INLINE_PLAN_OPS`` keeps every group
+   on the coordinator.
+2. **Produce** (:meth:`~Executor._produce_tiles`, the ``distribute``
+   span).  One :meth:`~repro.engine.cache.ArtifactCache.fetch` decides
+   where the tiles come from — cached, restored from the sidecar at
+   the price of one sequential read, or (a miss) distributed cold —
+   and on which grid they are swept: a windowed plan may reuse the
+   full distribution, every task pruning its tiles to the window.
+3. **Grant and ship.**  The query's one ``"tiles"`` grant
+   (:meth:`~Executor._acquire_tiles`) is sized by what stage 2 found:
+   the decoded working set of cached tiles
+   (:meth:`~Executor._ship_cached`), or the scan size — cached
+   artifacts evicted first, extended on demand, overflowing into
+   disk-backed :class:`~repro.core.pbsm.SpillablePartition` streams —
+   of a cold distribute (:meth:`~Executor._distribute_and_ship`:
+   :meth:`~Executor._scan_into_partitions`, then
+   :meth:`~Executor._materialize_and_ship`, then
+   :meth:`ArtifactCache.retain
+   <repro.engine.cache.ArtifactCache.retain>` for an unspilled
+   distribution).  Under the numpy kernel tiles are placed from the
+   catalog entry's column image (:func:`_distribute_columnar`) and
+   the overflow spilled as image rows (:func:`_spill_run`) — no
+   ``Rect`` is built; the per-rectangle :func:`_distribute` is the
+   no-numpy path and the reference, identical down to the order of
+   the disk's ``allocate`` / write / read calls.  Each tile goes to
+   the :class:`_TaskShipper` the moment it is ready, so workers sweep
+   early partitions while the coordinator re-reads later ones.
+4. **Gather** (:meth:`~Executor._gather`, the ``gather`` span).
+   Outcomes in submission order, the ``cancel`` checkpoint before
+   each; a broken pool is recovered inline, a deadline reclaims the
+   unfinished tail.  Then the release, then one merge of the per-task
+   pair sets (arrays under the numpy kernel).
+5. **Account** (:meth:`~Executor._account`).  The merged op total is
+   charged once; the *critical path* — shipped tasks spread over the
+   plan's workers by greedy LPT against the coordinator's inline lane
+   — gives the simulated parallel wall time; the plan memo, the
+   ``sweep`` span and the :class:`JoinResult` are written.
 
-Worker tasks touch no shared simulation state: each sweeps its own
-tiles and counts its own ops, and the merged op total is charged to
-the environment once.  Alongside the total the executor
-computes the *critical path* (the busiest worker's ops under a greedy
-longest-processing-time assignment), from which the engine derives the
-simulated parallel wall time.
+**Tile dispatch** (:class:`_TaskShipper`) is policy, decided from what
+the executor observes against the measured constants below: a tile of
+``MIN_SHIP_RECTS`` ships on its own; smaller tiles coalesce into groups
+of ``TILE_BATCH_BYTES``, one task and one kernel call each; a trailing
+group too small to pay runs on the coordinator, still as one task —
+one grouping rule whether a group ships or not, so a serial pool runs
+the same tasks a process pool would ship.  On a process pool with
+working shared memory a task of ``SHM_MIN_BYTES`` ships its tiles as
+shared-memory refs (zero-copy when a cached tile is re-shipped),
+otherwise as pickled :class:`~repro.core.columnar.ColumnarTile`
+columns.  Op accounting is placement-independent, so all of this moves
+wall clock only.
 
-Partitioned execution runs under the engine's shared
-:class:`~repro.engine.resources.ResourceBudget`: the executor acquires
-a grant for its tiles (category ``"tiles"``) — evicting cached
-artifacts first if the budget is short — and a partition that outgrows
-the shared allowance overflows into a disk-backed
-:class:`~repro.core.pbsm.SpillablePartition` stream, re-read before its
-sweep, with the spill traffic priced by the same simulated-disk ledger
-as every other I/O.  Coordinator-side materialization streams: each
-partition is handed to the pool the moment it materializes, so workers
-sweep early partitions while the coordinator re-reads later ones.
-Self-joins ride the same path: the single input is distributed once,
-each partition is swept against itself, and the symmetric/identity
-pairs are deduplicated in the batch filter (only ``rid_a < rid_b``
-survives).
-
-Window and refinement predicates are applied as post-filters on the
-collected pairs, using the catalog's id -> rectangle / geometry maps.
+**Tasks** (:func:`sweep_tile_task`, :func:`sweep_tile_batch_task`) touch
+no shared simulation state: each sweeps its own tiles and counts its
+own ops.  Under the numpy kernel a task is one
+:func:`~repro.core.kernels.np_sweep.sweep_tiles` call however many
+tiles it holds (:func:`_sweep_group`) and its pairs come back as
+:class:`~repro.core.columnar.PairColumns`; the python body
+(:func:`~repro.core.sweep.forward_sweep_pairs_batched`, then one tight
+ownership/dedup loop) is the reference and the fallback for a group the
+kernel declines — pairs, order, counts, ops and dups bit-identical tile
+by tile.  Self-joins ride the same path: the single input is
+distributed once, each partition swept against itself, and only
+``rid_a < rid_b`` survives.  Both functions are resolved as globals of
+this module at dispatch time (the end-to-end bench rebinds them).
 """
 
 from __future__ import annotations
@@ -122,6 +101,7 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
+from contextlib import ExitStack
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -138,20 +118,8 @@ from repro.core.planner import unified_spatial_join
 from repro.core.sssj import sssj_join
 from repro.core.st_join import st_join
 from repro.core.sweep import forward_sweep_pairs_batched
-from repro.engine.artifacts import (
-    ArtifactStore,
-    charge_restore,
-    partition_token,
-    sorted_run_token,
-)
-from repro.engine.cache import (
-    PARTITION_KIND,
-    SORTED_RUN_KIND,
-    ArtifactCache,
-    artifact_key,
-    grid_tiles,
-    sorted_run_key,
-)
+from repro.engine.artifacts import charge_restore
+from repro.engine.cache import ArtifactCache, ArtifactIdentity, Candidate
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.optimizer import PhysicalPlan
 from repro.engine.pool import (
@@ -163,17 +131,13 @@ from repro.engine.pool import (
     resolve_shm_tile,
 )
 from repro.engine.resources import ResourceBudget
-from repro.engine.trace import EnvMeter, Span, span_meter
+from repro.engine.trace import Span, span_meter
 from repro.geom.rect import RECT_BYTES, Rect, intersection, union_mbr
 from repro.geom.refine import polylines_intersect
 from repro.sim.machines import MachineSpec
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.sort import sort_stream_by_ylo
-
-#: Tile grid resolution for partitioned plans.  Coarser than PBSM's
-#: 128x128 because partitions here number workers x 4, not hundreds.
-DEFAULT_TILES_PER_SIDE = 32
 
 # -- dispatch policy ---------------------------------------------------
 #
@@ -245,25 +209,26 @@ class Executor:
         disk: Disk,
         machine: MachineSpec,
         pool: Optional[BufferPool] = None,
-        tiles_per_side: int = DEFAULT_TILES_PER_SIDE,
         budget: Optional[ResourceBudget] = None,
         worker_pool: Optional[Union[WorkerPool, PoolClient]] = None,
         artifacts: Optional[ArtifactCache] = None,
-        store: Optional[ArtifactStore] = None,
         kernel: str = "auto",
     ) -> None:
         self.disk = disk
         self.machine = machine
         self.pool = pool
-        self.tiles_per_side = tiles_per_side
         self.budget = budget
         # A private serial pool keeps direct (engine-less) construction
         # working; the engine passes a client on its long-lived pool
         # (possibly shared with other engines — the executor only ever
         # sees the client/pool submission surface).
         self.worker_pool = worker_pool or WorkerPool(1, kind="serial")
-        self.artifacts = artifacts
-        self.store = store
+        # The engine's artifact layer (memory tier + optional sidecar);
+        # without one, a disabled cache: every lookup is a miss.
+        self.artifacts = (
+            artifacts if artifacts is not None
+            else ArtifactCache(max_bytes=0)
+        )
         # Resolved once, here; workers obey the name in each payload.
         self.kernel = resolve_kernel(kernel)
         # Measured sweep cost of each partitioned plan (total simulated
@@ -348,7 +313,7 @@ class Executor:
     def _execute_pairwise(self, plan: PhysicalPlan,
                           entries: List[CatalogEntry]) -> JoinResult:
         query = plan.query
-        if plan.strategy == "sssj" and self._artifacts_enabled():
+        if plan.strategy == "sssj" and self.artifacts.enabled:
             return self._execute_sssj(plan, entries)
         if plan.strategy == "st":
             result = st_join(
@@ -377,16 +342,14 @@ class Executor:
 
     # -- sorted-run artifact path ----------------------------------------
 
-    def _artifacts_enabled(self) -> bool:
-        return self.artifacts is not None and self.artifacts.max_bytes != 0
-
     def _execute_sssj(self, plan: PhysicalPlan,
                       entries: List[CatalogEntry]) -> JoinResult:
         """SSSJ with sorted-run artifact reuse.
 
-        Each side's sorted view is resolved independently: a memory
-        hit sweeps straight out of the cached columnar run (no sort,
-        no I/O at all for that side), a disk hit restores the run from
+        Each side's sorted view is resolved independently through the
+        artifact layer (one hit-or-miss event a side): a memory hit
+        sweeps straight out of the cached columnar run (no sort, no
+        I/O at all for that side), a disk hit restores the run from
         the artifact sidecar (priced as one sequential read of its
         logical bytes), and a miss runs the external sort as usual —
         capturing the sorted output as it passes through memory and
@@ -403,21 +366,28 @@ class Executor:
         owned = []
         hits = restores = restore_bytes = 0
         for idx, entry in enumerate(entries):
-            view, source = self._sorted_run_for(entry)
-            if view is not None:
-                if source == "memory":
-                    hits += 1
-                else:
+            ident = self.artifacts.sorted_run(entry)
+            hit = self.artifacts.fetch(ident)
+            if hit is not None:
+                if hit.restored_bytes:
+                    charge_restore(self.disk, hit.restored_bytes)
                     restores += 1
-                    restore_bytes += view.data_bytes
-                runs.append(view)
+                    restore_bytes += hit.restored_bytes
+                else:
+                    hits += 1
+                runs.append(
+                    SortedRunView(hit.value, name=f"{entry.name}.sorted")
+                )
                 continue
             captured: List[Rect] = []
             sorted_stream = sort_stream_by_ylo(
                 entry.stream, self.disk, name=f"sssj.{'ab'[idx]}",
                 on_record=captured.append,
             )
-            self._retain_sorted_run(entry, captured)
+            if captured:
+                self.artifacts.retain(
+                    ident, ColumnarTile.from_rects(captured)
+                )
             runs.append(sorted_stream)
             owned.append(sorted_stream)
         try:
@@ -437,45 +407,6 @@ class Executor:
         result.detail["artifact_restore_bytes"] = restore_bytes
         return result
 
-    def _sorted_run_for(self, entry: CatalogEntry):
-        """Resolve one relation's warm sorted view.
-
-        Returns ``(view, "memory" | "disk")`` or ``(None, None)``.
-        Exactly one cache hit/miss event fires per side; a disk
-        restore counts as a miss plus a ``disk_restore``.
-        """
-        key = sorted_run_key(entry.name, entry.version)
-        tile = self.artifacts.get(key, kind=SORTED_RUN_KIND)
-        if tile is not None:
-            return SortedRunView(tile, name=f"{entry.name}.sorted"), "memory"
-        if self.store is None:
-            return None, None
-        loaded = self.store.load(self._sorted_run_token(entry))
-        if loaded is None:
-            return None, None
-        _kind, tile, logical = loaded
-        charge_restore(self.disk, logical)
-        self.artifacts.note_restore(logical)
-        # Best effort: a full budget serves the restored run to this
-        # query without retaining it.
-        self.artifacts.put(key, tile, kind=SORTED_RUN_KIND)
-        return SortedRunView(tile, name=f"{entry.name}.sorted"), "disk"
-
-    def _retain_sorted_run(self, entry: CatalogEntry,
-                           captured: List[Rect]) -> None:
-        """Cache (and persist) one freshly sorted relation."""
-        if not captured:
-            return
-        tile = ColumnarTile.from_rects(captured)
-        self.artifacts.put(sorted_run_key(entry.name, entry.version),
-                           tile, kind=SORTED_RUN_KIND)
-        if self.store is not None:
-            self.store.save(self._sorted_run_token(entry),
-                            SORTED_RUN_KIND, tile, [entry.name])
-
-    def _sorted_run_token(self, entry: CatalogEntry) -> str:
-        return sorted_run_token(entry.name, entry.fingerprint)
-
     def _execute_multiway(self, plan: PhysicalPlan,
                           entries: List[CatalogEntry]) -> JoinResult:
         inputs = [
@@ -493,98 +424,63 @@ class Executor:
         trace: Optional[Span] = None,
         cancel: Optional[Callable[[], None]] = None,
     ) -> JoinResult:
-        env = self.disk.env
-        query = plan.query
-        self_join = query.is_self_join
-        universe = union_mbr(plan.regions[0], plan.regions[1])
-        n_parts = max(1, plan.partitions)
-        grid = TileGrid(universe, grid_tiles(self.tiles_per_side, n_parts),
-                        n_parts)
-        grid_spec = (universe.xlo, universe.xhi, universe.ylo,
-                     universe.yhi, grid.t, n_parts)
-        collect = query.collect_pairs
-
-        versions = tuple(
-            (e.name, e.version)
-            for e in (entries[:1] if self_join else entries)
-        )
-        akey = artifact_key(versions, universe, self.tiles_per_side,
-                            n_parts, query.window)
-        cached = None
-        fullkey: Optional[tuple] = None
-        task_window: Optional[Rect] = None
-        restore_bytes = 0
-        # The distribute span covers the artifact probe (a disk restore
-        # is distribute work) through scan/partition/spill/submission.
-        # Entered manually rather than as a ``with`` block so the
-        # existing control flow keeps its shape; on an execution error
-        # the whole trace is discarded with the query, so the meter
-        # needs no unwind protection.
-        dmeter = None
-        if trace is not None:
-            dmeter = EnvMeter(env, self.machine,
-                              trace.child("distribute"))
-            dmeter.__enter__()
-        if self.artifacts is not None:
-            # Candidate keys, best first: the exact (possibly windowed)
-            # distribution, then — for windowed queries — the *full*
-            # distribution of the same relations, which can be swept
-            # whole and post-filtered with identical results (the
-            # distribute-phase window filter is only a pruning step;
-            # window semantics are enforced by ``_filter_window``,
-            # which windowed queries always run).  Each candidate is
-            # probed in memory first, then in the artifact sidecar.
-            candidates = [(akey, universe, None)]
-            if query.window is not None:
-                full_universe = union_mbr(
-                    entries[0].universe, entries[-1].universe
+        """The partitioned pipeline: plan, produce + ship, gather,
+        account — one stage a method, each span opened by the stage
+        it measures."""
+        env, machine = self.disk.env, self.machine
+        run = self._plan_partitioned(plan, entries, trace, cancel)
+        shipper = run.shipper
+        # What the query comes to hold goes back here, once and newest
+        # first, whichever stage raises: spill streams, the tile grant,
+        # and last the in-flight pins of the shipped tasks (every one
+        # gathered or abandoned by then; pinned cached-artifact tiles
+        # keep their segments for the next query's zero-copy re-ship).
+        with ExitStack() as held:
+            held.callback(shipper.release_shm)
+            # A disk restore is distribute work: the span runs from the
+            # artifact lookup through scan/partition/spill/submission.
+            with span_meter(env, machine, trace, "distribute") as dspan:
+                self._produce_tiles(run, held)
+            sweep_span = None
+            if dspan is not None:
+                dspan.attrs.update({
+                    "partitions": run.n_parts,
+                    "artifact_hit": run.artifact_hit,
+                    "restore_bytes": run.restore_bytes,
+                    "spilled_rects": run.spilled_rects,
+                    **run.distribute_attrs,
+                })
+                # Created before gather so the children land in phase
+                # order; filled by the account stage.
+                sweep_span = trace.child("sweep")
+            with span_meter(env, machine, trace, "gather"):
+                outcomes = self._gather(shipper.submitted, cancel)
+                held.close()
+                task_dicts: Optional[List[dict]] = None
+                if shipper.traced:
+                    task_dicts = [outcome[1] for outcome in outcomes]
+                    outcomes = [outcome[0] for outcome in outcomes]
+                pairs = (
+                    _merge_pairs([o[1] for o in outcomes], self.kernel)
+                    if run.collect else None
                 )
-                fullkey = artifact_key(versions, full_universe,
-                                       self.tiles_per_side, n_parts,
-                                       None)
-                candidates.append((
-                    fullkey, full_universe, query.window,
-                ))
-            hit = None
-            for key_try, uni, win in candidates:
-                if self.artifacts.has(key_try):
-                    # Exactly one hit/miss event per query: the probes
-                    # use has(), which bumps no counters.
-                    hit = (self.artifacts.get(key_try), uni, win)
-                    break
-            if hit is None:
-                # Count the miss, then try the disk sidecar lazily.
-                self.artifacts.get(akey)
-                if self.store is not None and self._artifacts_enabled():
-                    for key_try, uni, win in candidates:
-                        token = self._partition_token(
-                            entries, self_join, uni, n_parts, key_try[-1]
-                        )
-                        loaded = self.store.load(token)
-                        if loaded is None:
-                            continue
-                        _kind, tasks, logical = loaded
-                        charge_restore(self.disk, logical)
-                        self.artifacts.note_restore(logical)
-                        restore_bytes = logical
-                        self.artifacts.put(key_try, tasks)
-                        hit = (tasks, uni, win)
-                        break
-            if hit is not None:
-                cached, hit_universe, task_window = hit
-                if hit_universe is not universe:
-                    # Full-distribution reuse: sweep the full grid and
-                    # let workers prune each tile to the window first.
-                    universe = hit_universe
-                    grid = TileGrid(
-                        universe,
-                        grid_tiles(self.tiles_per_side, n_parts),
-                        n_parts,
-                    )
-                    grid_spec = (universe.xlo, universe.xhi,
-                                 universe.ylo, universe.yhi,
-                                 grid.t, n_parts)
+        # The gather span is closed: the merged op total the account
+        # stage charges belongs to the sweep span, not the drain.
+        return self._account(run, outcomes, task_dicts, pairs, sweep_span)
 
+    def _plan_partitioned(
+        self, plan: PhysicalPlan, entries: List[CatalogEntry],
+        trace: Optional[Span],
+        cancel: Optional[Callable[[], None]],
+    ) -> "_PartitionedRun":
+        """Stage 1: the tiles' identity, and where their sweeps run."""
+        query = plan.query
+        n_parts = max(1, plan.partitions)
+        ident = self.artifacts.distribution(
+            entries, query.is_self_join,
+            union_mbr(plan.regions[0], plan.regions[1]),
+            n_parts, query.window,
+        )
         # Cost-aware routing: if this exact plan ran before and its
         # whole sweep measured at or under the inline threshold, every
         # tile stays on the coordinator — a single pool round-trip
@@ -596,209 +492,206 @@ class Executor:
         # new windows inline from their first execution; one dense
         # cluster anywhere keeps the estimate conservative and every
         # unmeasured window ships, exactly as before the memo.
-        prior_ops = self._plan_ops.get(akey)
-        if prior_ops is None and fullkey is not None:
-            prior_ops = self._plan_ops.get(fullkey)
+        prior_ops = None
+        for cand in ident.candidates:
+            prior_ops = self._plan_ops.get(cand.key)
+            if prior_ops is not None:
+                break
         inline_all = prior_ops is not None and prior_ops <= INLINE_PLAN_OPS
         # Only a CancelToken travels inside payloads (it pickles;
         # arbitrary cancel callables do not) — workers then observe
         # cancellation at tile boundaries.  Any callable still gates
-        # the gather loop below.
+        # the gather loop.
         token = cancel if isinstance(cancel, CancelToken) else None
         shipper = _TaskShipper(self.worker_pool,
                                traced=trace is not None,
                                inline_all=inline_all, cancel=token)
-        grant = None
-        spilled_rects = spill_partitions = 0
-        # Which distribute ran (None: tiles came from the artifact
-        # layer) and how many tile copies it placed, replication
-        # included.
-        distribute_attrs: Dict[str, object] = {"kernel": None, "copies": 0}
-        parts_to_free: List[SpillablePartition] = []
-        try:
-            if cached is not None:
-                grant = self._submit_cached(
-                    cached, grid_spec, self_join, collect, n_parts,
-                    task_window, shipper,
+        return _PartitionedRun(plan, entries, ident, n_parts, shipper,
+                               inline_all, self.kernel)
+
+    def _produce_tiles(self, run: "_PartitionedRun",
+                       held: ExitStack) -> None:
+        """Stage 2: tiles from the artifact layer — cached, or
+        restored at the price of one sequential read — else from a
+        cold distribute; either way shipped as they become ready."""
+        hit = self.artifacts.fetch(run.ident)
+        if hit is None:
+            self._distribute_and_ship(run, held)
+            return
+        charge_restore(self.disk, hit.restored_bytes)
+        run.artifact_hit = True
+        run.restore_bytes = hit.restored_bytes
+        run.sweep_on(hit.candidate)
+        self._ship_cached(run, hit.value, held)
+
+    def _acquire_tiles(self, run: "_PartitionedRun", want: int,
+                       held: ExitStack):
+        """Stage 3 opens with the query's one ``"tiles"`` grant (None
+        without a budget), handed back with everything else it holds."""
+        if self.budget is None:
+            return None
+        run.grant = held.enter_context(self.budget.acquire(
+            "tiles", want, minimum=run.n_parts * RECT_BYTES
+        ))
+        return run.grant
+
+    def _ship_cached(self, run: "_PartitionedRun", cached: List[tuple],
+                     held: ExitStack) -> None:
+        """Warm path: the distribute phase is skipped entirely.
+
+        Cached columnar tiles go straight to the pool; the only budget
+        interaction is a ``"tiles"`` grant for the decoded working set
+        the sweeps hold resident (the encoded artifact stays charged
+        under ``"artifacts"``).  When a windowed query reuses the full
+        distribution, workers prune each tile to the window before
+        sweeping (``run.task_window``).
+        """
+        self._acquire_tiles(run, sum(
+            (len(a) + len(a if b is None else b)) * RECT_BYTES
+            for _, a, b in cached
+        ), held)
+        for part_id, tile_a, tile_b in cached:
+            size = len(tile_a) + len(tile_a if tile_b is None else tile_b)
+            run.ship(part_id, tile_a, tile_b, size)
+        run.shipper.flush()
+
+    def _distribute_and_ship(self, run: "_PartitionedRun",
+                             held: ExitStack) -> None:
+        """Cold path: scan, distribute, then stream tasks to the pool.
+
+        One grant for all in-memory tiles, drawn down first come first
+        served by every partition (a per-partition split would spill
+        hot partitions while cold ones waste their share).  Requested
+        at the scan size and extended on demand while the budget has
+        free bytes (boundary replication makes the true footprint
+        unknowable up front), so tiles spill only when the budget is
+        genuinely exhausted — and cached artifacts are evicted first:
+        execution memory outranks cached artifacts.
+        """
+        want = sum(e.stream.data_bytes for e in run.inputs)
+        allowance = None
+        if self.budget is not None:
+            self.artifacts.make_room(want)
+            grant = self._acquire_tiles(run, want, held)
+            allowance = TileAllowance(grant.bytes, grant=grant)
+        parts_a, parts_b = self._scan_into_partitions(run, allowance, held)
+        tiles = self._materialize_and_ship(run, parts_a, parts_b)
+        # Retain the distribution for warm repeats — memory-resident
+        # runs only (a spilled distribution exists precisely because
+        # the budget could not hold it).  put() takes bytes from the
+        # budget's free pool and evicts LRU artifacts, never live
+        # grants.
+        if tiles and run.spilled_rects == 0:
+            self.artifacts.retain(run.ident, [
+                (
+                    i,
+                    a if isinstance(a, ColumnarTile)
+                    else ColumnarTile.from_rects(a),
+                    b if b is None or isinstance(b, ColumnarTile)
+                    else ColumnarTile.from_rects(b),
+                )
+                for i, a, b in tiles
+            ])
+
+    def _scan_into_partitions(self, run: "_PartitionedRun", allowance,
+                              held: ExitStack):
+        """Each input scanned once into its spillable tile partitions
+        (a self-join's single input serves both sides); distribute ops
+        and the write side of the spill are charged here, once."""
+        env = self.disk.env
+        sides = []
+        for entry, side in zip(run.inputs, "ab"):
+            parts = [
+                SpillablePartition(self.disk, f"tiles.{side}{i}",
+                                   allowance=allowance)
+                for i in range(run.n_parts)
+            ]
+            held.callback(_free_partitions, parts)
+            sides.append((entry, parts))
+        ops = scanned = 0
+        distribute_kernel = self.kernel
+        for entry, parts in sides:
+            side_ops = None
+            if distribute_kernel == "numpy":
+                side_ops = _distribute_columnar(
+                    entry, parts, run.grid, run.query.window, allowance
+                )
+            if side_ops is None:
+                distribute_kernel = "python"
+                side_ops = _distribute(entry.stream, parts, run.grid,
+                                       run.query.window)
+            ops += side_ops
+            scanned += len(entry.stream)
+        env.charge("partition", ops)
+        # One op per scanned rectangle, one per copy placed.
+        run.distribute_attrs = {"kernel": distribute_kernel,
+                                "copies": ops - scanned}
+        all_parts = [p for _, parts in sides for p in parts]
+        run.spilled_rects = sum(p.spilled_rects for p in all_parts)
+        run.spill_partitions = sum(1 for p in all_parts if p.spilled)
+        # The write side of the spill, one op per record; the streams
+        # charged the block I/O as they flushed.
+        env.charge("spill", run.spilled_rects)
+        return sides[0][1], sides[-1][1]
+
+    def _materialize_and_ship(self, run: "_PartitionedRun",
+                              parts_a: List[SpillablePartition],
+                              parts_b: List[SpillablePartition],
+                              ) -> List[tuple]:
+        """Every partition that joins, materialized and handed to the
+        shipper the moment it is ready, so worker sweeps overlap the
+        materialization of later partitions.  Returns the tiles worth
+        retaining (none when the artifact cache is off).
+
+        Partitions materialize on this thread: spill re-reads hit the
+        shared simulated disk, whose counters are not thread-safe.
+        Only partitions that actually join are re-read, and their
+        spilled bytes are charged back to the grant: the sweep phase
+        holds them resident again, and the high-water mark must say so
+        rather than pretend the spill kept it flat.  A self-join
+        partition is materialized once and swept against itself —
+        re-reading its spill stream twice would double-charge the
+        one-write-one-reread model the optimizer priced.
+        """
+        self_join = run.self_join
+        ship = self.worker_pool.kind == "process"
+        will_cache = self.artifacts.enabled
+        tiles: List[tuple] = []
+        reread_rects = 0
+        for i in range(run.n_parts):
+            if not (len(parts_a[i]) and len(parts_b[i])):
+                continue
+            active = (
+                (parts_a[i],) if self_join else (parts_a[i], parts_b[i])
+            )
+            reread_rects += sum(p.spilled_rects for p in active)
+            size = len(parts_a[i]) + len(parts_b[i])
+            if ship or any(p.packed is not None for p in active):
+                # Columnar from the start: the same flat tiles serve
+                # the pickle boundary, the batch queue and the artifact
+                # cache (even a small tile may cross the process
+                # boundary, as part of a batch).
+                side_a = parts_a[i].materialize_columnar()
+                side_b = (
+                    None if self_join
+                    else parts_b[i].materialize_columnar()
                 )
             else:
-                (grant, spilled_rects, spill_partitions, parts_to_free,
-                 distribute_attrs) = self._distribute_and_submit(
-                    plan, entries, grid, grid_spec, self_join, collect,
-                    n_parts, akey, shipper,
-                )
-            submitted = shipper.submitted
-            sweep_span = gmeter = None
-            if dmeter is not None:
-                dmeter.__exit__()
-                dmeter.span.attrs.update({
-                    "partitions": n_parts,
-                    "artifact_hit": cached is not None,
-                    "restore_bytes": restore_bytes,
-                    "spilled_rects": spilled_rects,
-                    **distribute_attrs,
-                })
-                # Created before gather so the children land in phase
-                # order; populated below, once the task dicts are back.
-                sweep_span = trace.child("sweep")
-                gmeter = EnvMeter(env, self.machine,
-                                  trace.child("gather"))
-                gmeter.__enter__()
-            outcomes = self._gather(submitted, cancel)
-        finally:
-            for p in parts_to_free:
-                p.free()
-            if grant is not None:
-                grant.release()
-            # Every shipped task has been gathered (or abandoned):
-            # drop the inflight pins so idle segments can be reclaimed.
-            # Pinned cached-artifact tiles keep their segments alive
-            # for the next query's zero-copy re-ship.
-            shipper.release_shm()
-        task_dicts: Optional[List[dict]] = None
-        if shipper.traced:
-            task_dicts = [outcome[1] for outcome in outcomes]
-            outcomes = [outcome[0] for outcome in outcomes]
-
-        parts: List[Sequence] = []
-        n_pairs = 0
-        total_ops = 0
-        duplicates = 0
-        inline_ops = 0
-        shipped_ops: List[int] = []
-        for (fut, shipped, _size, _tiles), outcome in zip(
-            submitted, outcomes
-        ):
-            count, part_pairs, task_ops, dups = outcome
-            n_pairs += count
-            total_ops += task_ops
-            duplicates += dups
-            if shipped:
-                shipped_ops.append(task_ops)
-            else:
-                inline_ops += task_ops
-            if collect:
-                parts.append(part_pairs)
-        pairs = _merge_pairs(parts, self.kernel) if collect else None
-        if gmeter is not None:
-            # Close before charging the sweep ops: the merged op total
-            # belongs to the sweep span, not the gather drain.
-            gmeter.__exit__()
-        env.charge("sweep", total_ops)
-        self._note_plan_ops(akey, total_ops)
-        if fullkey is not None:
-            # Written second, so the bound a new window inherits is
-            # never the entry its own write evicts.
-            self._note_plan_ops(
-                fullkey, max(self._plan_ops.get(fullkey, 0), total_ops)
-            )
-
-        # The simulated critical path: shipped tasks (solo tiles and
-        # whole batches — a batch is one scheduling unit, as on the
-        # real pool) spread over the plan's workers via greedy LPT;
-        # inline tasks are serial on the coordinator, which sweeps
-        # them while the workers run — the slower of the two lanes
-        # bounds the parallel phase.
-        critical = max(
-            inline_ops, _critical_path_ops(shipped_ops, plan.workers)
-        )
-        saved_seconds = (
-            (total_ops - critical) * self.machine.cpu.seconds_per_op
-        )
-        if sweep_span is not None:
-            # Worker-side spans, recorded inside the pool tasks and
-            # shipped back with the results, grafted under one sweep
-            # span.  The span's simulated CPU is the *parallel-phase*
-            # duration (critical path x seconds/op); its wall is the
-            # aggregate worker busy time (tasks overlap — elapsed
-            # coordinator time is on the gather span).
-            spo = self.machine.cpu.seconds_per_op
-            for (_f, shipped, _size, _tiles), tdict in zip(
-                submitted, task_dicts
-            ):
-                tspan = Span.from_task(tdict, spo)
-                tspan.attrs["shipped"] = shipped
-                sweep_span.adopt(tspan)
-            sweep_span.cpu_ops = total_ops
-            sweep_span.sim_cpu_seconds = critical * spo
-            sweep_span.wall_seconds = sum(
-                c.wall_seconds for c in sweep_span.children
-            )
-            sweep_span.attrs.update({
-                "ops_total": total_ops,
-                "ops_critical": critical,
-                "workers": plan.workers,
-                "tasks": len(submitted),
-                "kernel": self.kernel,
-                "shm_tasks": shipper.shm_tasks,
-            })
-        task_sizes = [size for _, _, size, _ in submitted]
-        return JoinResult(
-            algorithm="PBSM-grid",
-            n_pairs=n_pairs,
-            pairs=pairs,
-            max_memory_bytes=max(
-                (s * RECT_BYTES for s in task_sizes), default=0
-            ),
-            detail={
-                "strategy": "pbsm-grid",
-                "estimated_io_seconds": plan.estimate.io_seconds,
-                "workers": plan.workers,
-                "partitions": n_parts,
-                "active_partitions": sum(
-                    tiles for _, _, _, tiles in submitted
-                ),
-                "tiles_per_side": grid.t,
-                "sweep_ops_total": total_ops,
-                "sweep_ops_critical": critical,
-                "parallel_cpu_seconds_saved": saved_seconds,
-                "duplicates_eliminated": duplicates,
-                "self_join": self_join,
-                "tile_grant_bytes": grant.bytes if grant else 0,
-                "spilled_rects": spilled_rects,
-                "spilled_bytes": spilled_rects * RECT_BYTES,
-                "spill_partitions": spill_partitions,
-                "artifact_hit": cached is not None,
-                "artifact_restores": 1 if restore_bytes else 0,
-                "artifact_restore_bytes": restore_bytes,
-                "pool_kind": self.worker_pool.kind,
-                "kernel": self.kernel,
-                "tasks_shipped": sum(
-                    1 for _, shipped, _, _ in submitted if shipped
-                ),
-                "tile_batches": shipper.batches,
-                "batched_tiles": shipper.batched_tiles,
-                "shm_tasks": shipper.shm_tasks,
-                "inlined_by_cost": inline_all,
-            },
-        )
-
-    # -- partitioned internals -------------------------------------------
-
-    def _note_plan_ops(self, key: tuple, ops: int) -> None:
-        """Remember a plan's measured sweep cost, most recent last."""
-        memo = self._plan_ops
-        memo[key] = ops
-        memo.move_to_end(key)
-        while len(memo) > PLAN_MEMO_ENTRIES:
-            memo.popitem(last=False)
-
-    def _partition_token(self, entries: List[CatalogEntry],
-                         self_join: bool, universe: Rect,
-                         n_parts: int, window: Optional[Rect]) -> str:
-        """The sidecar identity of one distribution (content-keyed)."""
-        fps = tuple(
-            (e.name, e.fingerprint)
-            for e in (entries[:1] if self_join else entries)
-        )
-        return partition_token(
-            fps, universe, grid_tiles(self.tiles_per_side, n_parts),
-            n_parts, window,
-        )
+                side_a = parts_a[i].materialize()
+                side_b = None if self_join else parts_b[i].materialize()
+            run.ship(i, side_a, side_b, size)
+            if will_cache:
+                tiles.append((i, side_a, side_b))
+        run.shipper.flush()
+        self.disk.env.charge("spill", reread_rects)
+        if run.grant is not None:
+            run.grant.charge(reread_rects * RECT_BYTES)
+        return tiles
 
     def _gather(self, submitted: List[tuple],
                 cancel: Optional[Callable[[], None]] = None
                 ) -> List[tuple]:
+        """Stage 4: every task's outcome, in submission order."""
         outcomes = []
         for fut, shipped, _size, _tiles in submitted:
             if cancel is not None:
@@ -856,209 +749,165 @@ class Executor:
                 reclaimed += 1
         self.worker_pool.note_cancelled(reclaimed)
 
-    def _submit_cached(
-        self, cached: List[tuple], grid_spec: tuple,
-        self_join: bool, collect: bool, n_parts: int,
-        window: Optional[Rect], shipper: "_TaskShipper",
-    ) -> Optional[object]:
-        """Warm path: the distribute phase is skipped entirely.
-
-        Cached columnar tiles go straight to the pool; the only budget
-        interaction is a ``"tiles"`` grant for the decoded working set
-        the sweeps hold resident (the encoded artifact stays charged
-        under ``"artifacts"``).  ``window`` is set when a windowed
-        query reuses the full distribution: workers prune each tile to
-        the window before sweeping.
-        """
-        grant = None
-        if self.budget is not None:
-            decoded = sum(
-                (len(a) + len(a if b is None else b)) * RECT_BYTES
-                for _, a, b in cached
+    def _account(self, run: "_PartitionedRun",
+                 outcomes: List["TaskOutcome"],
+                 task_dicts: Optional[List[dict]], pairs,
+                 sweep_span: Optional[Span]) -> JoinResult:
+        """Stage 5: ops charged once, the simulated critical path, the
+        plan memo, the ``sweep`` span and the result record."""
+        plan, shipper = run.plan, run.shipper
+        submitted = shipper.submitted
+        n_pairs = total_ops = duplicates = inline_ops = 0
+        shipped_ops: List[int] = []
+        for (_fut, shipped, _size, _tiles), outcome in zip(
+            submitted, outcomes
+        ):
+            count, _pairs, task_ops, dups = outcome
+            n_pairs += count
+            total_ops += task_ops
+            duplicates += dups
+            if shipped:
+                shipped_ops.append(task_ops)
+            else:
+                inline_ops += task_ops
+        self.disk.env.charge("sweep", total_ops)
+        exact, *full = run.ident.candidates
+        self._note_plan_ops(exact.key, total_ops)
+        for cand in full:
+            # Written second, so the bound a new window inherits is
+            # never the entry its own write evicts.
+            self._note_plan_ops(
+                cand.key, max(self._plan_ops.get(cand.key, 0), total_ops)
             )
-            grant = self.budget.acquire(
-                "tiles", decoded, minimum=n_parts * RECT_BYTES
-            )
-        for part_id, tile_a, tile_b in cached:
-            size = len(tile_a) + len(tile_a if tile_b is None else tile_b)
-            payload = (part_id, grid_spec, tile_a, tile_b, self_join,
-                       collect, window, self.kernel)
-            shipper.add(payload, size)
-        shipper.flush()
-        return grant
 
-    def _distribute_and_submit(
-        self, plan: PhysicalPlan, entries: List[CatalogEntry],
-        grid: TileGrid, grid_spec: tuple, self_join: bool,
-        collect: bool, n_parts: int, akey: tuple,
-        shipper: "_TaskShipper",
-    ):
-        """Cold path: scan, distribute, then stream tasks to the pool.
+        # The simulated critical path: shipped tasks (solo tiles and
+        # whole batches — a batch is one scheduling unit, as on the
+        # real pool) spread over the plan's workers via greedy LPT;
+        # inline tasks are serial on the coordinator, which sweeps
+        # them while the workers run — the slower of the two lanes
+        # bounds the parallel phase.
+        critical = max(
+            inline_ops, _critical_path_ops(shipped_ops, plan.workers)
+        )
+        spo = self.machine.cpu.seconds_per_op
+        if sweep_span is not None:
+            # The span's simulated CPU is the *parallel-phase* duration
+            # (critical path x seconds/op); its wall is the aggregate
+            # worker busy time (tasks overlap — elapsed coordinator
+            # time is on the gather span).
+            _adopt_task_spans(sweep_span, submitted, task_dicts, spo)
+            sweep_span.cpu_ops = total_ops
+            sweep_span.sim_cpu_seconds = critical * spo
+            sweep_span.attrs.update({
+                "ops_total": total_ops,
+                "ops_critical": critical,
+                "workers": plan.workers,
+                "tasks": len(submitted),
+                "kernel": self.kernel,
+                "shm_tasks": shipper.shm_tasks,
+            })
+        return JoinResult(
+            algorithm="PBSM-grid",
+            n_pairs=n_pairs,
+            pairs=pairs,
+            max_memory_bytes=max(
+                (size * RECT_BYTES for _, _, size, _ in submitted),
+                default=0,
+            ),
+            detail={
+                "strategy": "pbsm-grid",
+                "estimated_io_seconds": plan.estimate.io_seconds,
+                "workers": plan.workers,
+                "partitions": run.n_parts,
+                "active_partitions": sum(
+                    tiles for _, _, _, tiles in submitted
+                ),
+                "tiles_per_side": run.ident.tiles,
+                "sweep_ops_total": total_ops,
+                "sweep_ops_critical": critical,
+                "parallel_cpu_seconds_saved": (total_ops - critical) * spo,
+                "duplicates_eliminated": duplicates,
+                "self_join": run.self_join,
+                "tile_grant_bytes": run.grant.bytes if run.grant else 0,
+                "spilled_rects": run.spilled_rects,
+                "spilled_bytes": run.spilled_rects * RECT_BYTES,
+                "spill_partitions": run.spill_partitions,
+                "artifact_hit": run.artifact_hit,
+                "artifact_restores": 1 if run.restore_bytes else 0,
+                "artifact_restore_bytes": run.restore_bytes,
+                "pool_kind": self.worker_pool.kind,
+                "kernel": self.kernel,
+                "tasks_shipped": sum(
+                    1 for _, shipped, _, _ in submitted if shipped
+                ),
+                "tile_batches": shipper.batches,
+                "batched_tiles": shipper.batched_tiles,
+                "shm_tasks": shipper.shm_tasks,
+                "inlined_by_cost": run.inline_all,
+            },
+        )
 
-        Partitions are materialized on this thread (spill re-reads hit
-        the shared simulated disk, whose counters are not thread-safe)
-        and each task is submitted the moment its tiles are ready, so
-        worker sweeps overlap the materialization of later partitions.
-        Spill-charge accounting is identical to the pre-streaming
-        executor: distribute ops, spill writes and spill re-reads are
-        each charged once, at the same aggregation points.
-        """
-        env = self.disk.env
-        query = plan.query
-
-        # One grant for all in-memory tiles, drawn down first come
-        # first served by every partition (a per-partition split would
-        # spill hot partitions while cold ones waste their share).
-        # Requested at the scan size and extended on demand while the
-        # budget has free bytes (boundary replication makes the true
-        # footprint unknowable up front), so tiles spill only when the
-        # budget is genuinely exhausted — and cached artifacts are
-        # evicted first: execution memory outranks cached artifacts.
-        grant = allowance = None
-        if self.budget is not None:
-            want = sum(
-                e.stream.data_bytes
-                for e in (entries[:1] if self_join else entries)
-            )
-            if self.artifacts is not None:
-                self.artifacts.make_room(want)
-            grant = self.budget.acquire(
-                "tiles", want, minimum=n_parts * RECT_BYTES
-            )
-            allowance = TileAllowance(grant.bytes, grant=grant)
-
-        parts_a = [
-            SpillablePartition(self.disk, f"tiles.a{i}",
-                               allowance=allowance)
-            for i in range(n_parts)
-        ]
-        parts_b = parts_a
-        parts_to_free = list(parts_a)
-        sides = [(entries[0], parts_a)]
-        if not self_join:
-            parts_b = [
-                SpillablePartition(self.disk, f"tiles.b{i}",
-                                   allowance=allowance)
-                for i in range(n_parts)
-            ]
-            parts_to_free.extend(parts_b)
-            sides.append((entries[1], parts_b))
-        try:
-            ops = scanned = 0
-            distribute_kernel = self.kernel
-            for entry, parts in sides:
-                side_ops = None
-                if distribute_kernel == "numpy":
-                    side_ops = _distribute_columnar(
-                        entry, parts, grid, query.window, allowance
-                    )
-                if side_ops is None:
-                    distribute_kernel = "python"
-                    side_ops = _distribute(entry.stream, parts, grid,
-                                           query.window)
-                ops += side_ops
-                scanned += len(entry.stream)
-            env.charge("partition", ops)
-
-            all_parts = (
-                parts_a if self_join else parts_a + parts_b
-            )
-            spilled_rects = sum(p.spilled_rects for p in all_parts)
-            spill_partitions = sum(1 for p in all_parts if p.spilled)
-            # The write side of the spill, one op per record; the
-            # streams charged the block I/O as they flushed.
-            env.charge("spill", spilled_rects)
-
-            # Only partitions that actually join are re-read, and their
-            # spilled bytes are charged back to the grant: the sweep
-            # phase holds them resident again, and the high-water mark
-            # must say so rather than pretend the spill kept it flat.
-            # A self-join partition is materialized once and swept
-            # against itself — re-reading its spill stream twice would
-            # double-charge the one-write-one-reread model the
-            # optimizer priced.
-            ship = self.worker_pool.kind == "process"
-            will_cache = self._artifacts_enabled()
-            cache_tasks: List[tuple] = []
-            reread_rects = 0
-            for i in range(n_parts):
-                if not (len(parts_a[i]) and len(parts_b[i])):
-                    continue
-                active = (
-                    (parts_a[i],) if self_join
-                    else (parts_a[i], parts_b[i])
-                )
-                reread_rects += sum(p.spilled_rects for p in active)
-                size = len(parts_a[i]) + len(parts_b[i])
-                if ship or any(p.packed is not None for p in active):
-                    # Columnar from the start: the same flat tiles
-                    # serve the pickle boundary, the batch queue and
-                    # the artifact cache (even a small tile may cross
-                    # the process boundary, as part of a batch).
-                    side_a = parts_a[i].materialize_columnar()
-                    side_b = (
-                        None if self_join
-                        else parts_b[i].materialize_columnar()
-                    )
-                else:
-                    side_a = parts_a[i].materialize()
-                    side_b = None if self_join else parts_b[i].materialize()
-                # Cold tiles are already window-filtered by distribute,
-                # so the task carries no window of its own.
-                payload = (i, grid_spec, side_a, side_b, self_join,
-                           collect, None, self.kernel)
-                shipper.add(payload, size)
-                if will_cache:
-                    cache_tasks.append((i, side_a, side_b))
-            shipper.flush()
-            env.charge("spill", reread_rects)
-            if grant is not None:
-                grant.charge(reread_rects * RECT_BYTES)
-        except BaseException:
-            for p in parts_to_free:
-                p.free()
-            if grant is not None:
-                grant.release()
-            raise
-
-        # Retain the distribution for warm repeats — memory-resident
-        # runs only (a spilled distribution exists precisely because
-        # the budget could not hold it).  Encodes any list-form tiles
-        # to columnar; put() takes bytes from the budget's free pool
-        # and evicts LRU artifacts, never live grants.  With a sidecar
-        # store attached, the same columnar tasks persist to disk —
-        # content-keyed, so a restarted engine can restore them.
-        if will_cache and spilled_rects == 0 and cache_tasks:
-            encoded = [
-                (
-                    i,
-                    a if isinstance(a, ColumnarTile)
-                    else ColumnarTile.from_rects(a),
-                    b if b is None or isinstance(b, ColumnarTile)
-                    else ColumnarTile.from_rects(b),
-                )
-                for i, a, b in cache_tasks
-            ]
-            self.artifacts.put(akey, encoded)
-            if self.store is not None:
-                query = plan.query
-                self.store.save(
-                    self._partition_token(
-                        entries, self_join,
-                        Rect(grid_spec[0], grid_spec[1], grid_spec[2],
-                             grid_spec[3], 0),
-                        n_parts, query.window,
-                    ),
-                    PARTITION_KIND, encoded,
-                    [e.name for e in
-                     (entries[:1] if self_join else entries)],
-                )
-        # One op per scanned rectangle, one per copy placed.
-        return (grant, spilled_rects, spill_partitions, parts_to_free,
-                {"kernel": distribute_kernel, "copies": ops - scanned})
+    def _note_plan_ops(self, key: tuple, ops: int) -> None:
+        """Remember a plan's measured sweep cost, most recent last."""
+        memo = self._plan_ops
+        memo[key] = ops
+        memo.move_to_end(key)
+        while len(memo) > PLAN_MEMO_ENTRIES:
+            memo.popitem(last=False)
 
 
 # -- helpers -----------------------------------------------------------------
+
+
+class _PartitionedRun:
+    """What the stages of one partitioned query hand each other."""
+
+    def __init__(self, plan: PhysicalPlan, entries: List[CatalogEntry],
+                 ident: ArtifactIdentity, n_parts: int,
+                 shipper: "_TaskShipper", inline_all: bool,
+                 kernel: str) -> None:
+        self.plan = plan
+        self.query = plan.query
+        self.self_join = plan.query.is_self_join
+        self.collect = plan.query.collect_pairs
+        #: The relations distributed: a self-join's one input serves
+        #: both sides.
+        self.inputs = entries[:1] if self.self_join else entries
+        self.kernel = kernel
+        self.ident = ident
+        self.n_parts = n_parts
+        self.shipper = shipper
+        self.inline_all = inline_all
+        # Filled by the produce stage.
+        self.grant = None
+        self.artifact_hit = False
+        self.restore_bytes = 0
+        self.spilled_rects = self.spill_partitions = 0
+        # Which distribute ran (None: tiles came from the artifact
+        # layer) and how many tile copies it placed, replication
+        # included.
+        self.distribute_attrs: Dict[str, object] = {
+            "kernel": None, "copies": 0,
+        }
+        self.sweep_on(ident.candidates[0])
+
+    def sweep_on(self, cand: Candidate) -> None:
+        """Cut and sweep on ``cand``'s grid: the plan's own, or — a
+        windowed plan reusing the full distribution — the full one,
+        every task pruning its tiles to the window first."""
+        uni = cand.universe
+        self.grid = TileGrid(uni, self.ident.tiles, self.n_parts)
+        self.grid_spec = (uni.xlo, uni.xhi, uni.ylo, uni.yhi,
+                          self.ident.tiles, self.n_parts)
+        self.task_window = cand.prune
+
+    def ship(self, part_id: int, side_a, side_b, size: int) -> None:
+        """One tile to the shipper, as a self-contained payload."""
+        self.shipper.add(
+            (part_id, self.grid_spec, side_a, side_b, self.self_join,
+             self.collect, self.task_window, self.kernel),
+            size,
+        )
 
 
 class _TaskShipper:
@@ -1469,6 +1318,25 @@ def sweep_task_traced(task: tuple) -> Tuple[tuple, dict]:
         "dups": outcome[3],
         "pid": os.getpid(),
     }
+
+
+def _free_partitions(parts: List[SpillablePartition]) -> None:
+    for part in parts:
+        part.free()
+
+
+def _adopt_task_spans(sweep_span: Span, submitted: List[tuple],
+                      task_dicts: List[dict], seconds_per_op: float,
+                      ) -> None:
+    """Graft the worker-side spans — recorded inside the pool tasks
+    and shipped back with the results — under the one sweep span."""
+    for (_f, shipped, _size, _tiles), tdict in zip(submitted, task_dicts):
+        tspan = Span.from_task(tdict, seconds_per_op)
+        tspan.attrs["shipped"] = shipped
+        sweep_span.adopt(tspan)
+    sweep_span.wall_seconds = sum(
+        c.wall_seconds for c in sweep_span.children
+    )
 
 
 def _distribute(stream, parts: List[SpillablePartition], grid: TileGrid,

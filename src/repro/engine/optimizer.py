@@ -40,18 +40,7 @@ from typing import List, Optional, Tuple
 from repro.core.cost_model import WRITE_FACTOR, CostModel, JoinCostEstimate
 from repro.core.histogram import SpatialHistogram
 from repro.core.planner import Relation, candidate_estimates
-from repro.engine.artifacts import (
-    ArtifactStore,
-    partition_token,
-    sorted_run_token,
-)
-from repro.engine.cache import (
-    SORTED_RUN_KIND,
-    ArtifactCache,
-    artifact_key,
-    grid_tiles,
-    sorted_run_key,
-)
+from repro.engine.cache import ArtifactCache
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.query import Query
 from repro.engine.resources import ResourceBudget
@@ -229,8 +218,6 @@ class Optimizer:
         auto_index: bool = True,
         budget: Optional[ResourceBudget] = None,
         artifacts: Optional[ArtifactCache] = None,
-        tiles_per_side: int = 32,
-        store: Optional[ArtifactStore] = None,
     ) -> None:
         self.catalog = catalog
         self.machine = machine
@@ -238,18 +225,18 @@ class Optimizer:
         self.workers = max(1, workers)
         self.auto_index = auto_index
         self.budget = budget
-        # The executor's artifact cache/store and tile resolution: the
-        # cost model probes whether a pbsm-grid plan's distribute phase
-        # or an sssj plan's sorted runs are already warm — in memory
-        # (priced free: the warm pool starts sweeping immediately) or
-        # in the disk sidecar (priced as one sequential restore read).
-        # Plan choice can therefore flip between the partitioned and
-        # sort paths based on what is warm.  ``tiles_per_side`` must
-        # match the executor's (DEFAULT_TILES_PER_SIDE) for probe keys
-        # to align.
-        self.artifacts = artifacts
-        self.tiles_per_side = tiles_per_side
-        self.store = store
+        # The engine's artifact layer: the cost model asks it where a
+        # pbsm-grid plan's distributed tiles or an sssj plan's sorted
+        # runs are warm — in memory (priced free: the warm pool starts
+        # sweeping immediately) or in the disk sidecar (priced as one
+        # sequential restore read) — so plan choice can flip between
+        # the partitioned and sort paths based on what is warm.  The
+        # executor resolves the same identities through the same
+        # object, so what is priced here is what runs.
+        self.artifacts = (
+            artifacts if artifacts is not None
+            else ArtifactCache(max_bytes=0)
+        )
         #: (name, version, universe) -> histogram rebuilt on a common
         #: universe for multiway pricing (see
         #: :meth:`_histograms_on_common_universe`).
@@ -279,69 +266,25 @@ class Optimizer:
     def _budget_total(self) -> int:
         return self.budget.total_bytes if self.budget is not None else 0
 
-    def _artifacts_enabled(self) -> bool:
-        return (self.artifacts is not None
-                and self.artifacts.max_bytes != 0)
+    def _warmth(self, identity, *args) -> Tuple[Optional[str], int]:
+        """Where the artifact layer holds ``identity(*args)``:
+        ``("memory", 0)``, ``("disk", logical_bytes)`` or ``(None,
+        0)``.  A disabled layer holds nothing, and the identity is not
+        even built: this runs once or thrice per compiled query."""
+        if not self.artifacts.enabled:
+            return None, 0
+        return self.artifacts.locate(identity(*args))
 
     def _partition_artifact_state(
         self, entries: List[CatalogEntry],
         regions: List[Optional[Rect]], query: Query,
     ) -> Tuple[Optional[str], int]:
-        """Where this plan's distributed tiles are warm, if anywhere.
-
-        Returns ``("memory", 0)``, ``("disk", logical_bytes)`` or
-        ``(None, 0)``.  Mirrors the executor's probe order: the exact
-        (windowed) key first, then — for windowed queries — the full
-        distribution of the same relations, which the executor can
-        sweep and post-filter with identical results; memory outranks
-        the sidecar.
-        """
-        if not self._artifacts_enabled():
-            return None, 0
-        self_join = query.is_self_join
-        chosen = entries[:1] if self_join else entries
-        versions = tuple((e.name, e.version) for e in chosen)
-        partitions = self.workers * PARTITIONS_PER_WORKER
-        candidates = [(union_mbr(regions[0], regions[1]), query.window)]
-        if query.window is not None:
-            candidates.append((
-                union_mbr(entries[0].universe, entries[-1].universe),
-                None,
-            ))
-        for universe, window in candidates:
-            if self.artifacts.has(artifact_key(
-                versions, universe, self.tiles_per_side, partitions,
-                window,
-            )):
-                return "memory", 0
-        if self.store is not None:
-            fps = tuple((e.name, e.fingerprint) for e in chosen)
-            for universe, window in candidates:
-                meta = self.store.peek(partition_token(
-                    fps, universe,
-                    grid_tiles(self.tiles_per_side, partitions),
-                    partitions, window,
-                ))
-                if meta is not None:
-                    return "disk", int(meta["logical_bytes"])
-        return None, 0
-
-    def _sorted_run_state(
-        self, entry: CatalogEntry,
-    ) -> Tuple[Optional[str], int]:
-        """Where one relation's sorted run is warm, if anywhere."""
-        if not self._artifacts_enabled():
-            return None, 0
-        if self.artifacts.has(sorted_run_key(entry.name, entry.version),
-                              kind=SORTED_RUN_KIND):
-            return "memory", 0
-        if self.store is not None:
-            meta = self.store.peek(
-                sorted_run_token(entry.name, entry.fingerprint)
-            )
-            if meta is not None:
-                return "disk", int(meta["logical_bytes"])
-        return None, 0
+        """Where this plan's distributed tiles are warm, if anywhere."""
+        return self._warmth(
+            self.artifacts.distribution, entries, query.is_self_join,
+            union_mbr(regions[0], regions[1]),
+            self.workers * PARTITIONS_PER_WORKER, query.window,
+        )
 
     def _pbsm_estimate(
         self, model: CostModel, scan_bytes: int, label: str,
@@ -443,7 +386,9 @@ class Optimizer:
         # Sorted-run artifacts make the sort path cheap: re-price the
         # sssj candidate so plan choice can flip toward (or away from)
         # it based on what is warm.
-        run_states = [self._sorted_run_state(e) for e in entries]
+        run_states = [
+            self._warmth(self.artifacts.sorted_run, e) for e in entries
+        ]
         warm_sssj = self._sssj_estimate_with_runs(
             model, rel_a, rel_b, run_states
         )

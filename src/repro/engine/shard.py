@@ -106,18 +106,17 @@ from repro.engine.artifacts import (
     check_store_layout,
     result_token,
 )
-from repro.engine.cache import ResultCache
 from repro.engine.catalog import GeometryMap, rects_fingerprint
 from repro.engine.engine import (
-    MAX_CACHED_PAIRS,
     EngineResult,
     SpatialQueryEngine,
     _copy_result,
+    _ServeShell,
+    cacheable,
     flatten_result_cache_keys,
 )
 from repro.engine.faults import FaultPlan, InjectedFault
 from repro.engine.metrics import LatencyTracker, merge_snapshots
-from repro.engine.obs import SlowQueryLog
 from repro.engine.optimizer import effective_region
 from repro.engine.pool import DeadlineExceeded, WorkerPool
 from repro.engine.query import Query
@@ -167,7 +166,9 @@ PROBE_EVERY = 8
 #: healthier is left).
 HEALTH_FLOOR = 0.5
 
-#: Cap on the exponential retry backoff between failover attempts.
+#: Base of the exponential backoff slept between failover attempts
+#: (doubling per attempt), and its cap.
+RETRY_BACKOFF_SECONDS = 0.01
 MAX_BACKOFF_SECONDS = 0.25
 
 #: Most coordinator threads one scatter fan-out will use; the real
@@ -217,7 +218,7 @@ def gather_pairs(parts: Sequence[Sequence[tuple]], arity: int,
     return (sorted(distinct) if collect else None), len(distinct)
 
 
-class ShardedEngine:
+class ShardedEngine(_ServeShell):
     """N engine shards, one shared worker pool, exact scatter/gather."""
 
     #: ``execute`` tolerates concurrent callers (coordinator state is
@@ -234,16 +235,13 @@ class ShardedEngine:
         workers: int = 1,
         cache_capacity: int = 64,
         memory_bytes: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
         pool_kind: str = "process",
         artifact_cache_bytes: Optional[int] = None,
         trace: bool = False,
-        slow_log_capacity: Optional[int] = None,
         kernel: str = "auto",
         replicas: int = 1,
         artifact_dir: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
-        retry_backoff_seconds: float = 0.01,
         result_store_bytes: Optional[int] = None,
     ) -> None:
         self.shards = max(1, shards)
@@ -251,9 +249,6 @@ class ShardedEngine:
         self.scale = scale
         self.machine = machine
         self.faults = faults
-        #: Base of the exponential backoff slept between failover
-        #: attempts (0 disables sleeping; tests want speed).
-        self.retry_backoff_seconds = max(0.0, retry_backoff_seconds)
         #: One pool for every shard and replica; each engine below
         #: holds a ref-counted client.
         self.pool = WorkerPool(max(1, workers), kind=pool_kind,
@@ -287,7 +282,7 @@ class ShardedEngine:
                 SpatialQueryEngine(
                     scale=scale, machine=machine, workers=workers,
                     cache_capacity=0,
-                    memory_bytes=per_shard, cache_bytes=None,
+                    memory_bytes=per_shard,
                     artifact_cache_bytes=artifact_cache_bytes,
                     artifact_dir=_leaf_dir(k, r),
                     worker_pool=self.pool,
@@ -361,9 +356,6 @@ class ShardedEngine:
         self._next_version = 1
         self._present: Dict[str, List[bool]] = {}
         self._universes: Dict[str, Rect] = {}
-        #: Top-level result cache: a verbatim repeat skips the scatter.
-        self.cache = ResultCache(capacity=cache_capacity,
-                                 max_bytes=cache_bytes)
         # -- serving-level counters -------------------------------------
         self.queries_served = 0
         self.cache_hits = 0
@@ -390,19 +382,13 @@ class ShardedEngine:
         #: one per rectangle); re-registration replaces an entry and
         #: drop removes it, so the gauge tracks the *current* catalog.
         self._replica_counts: Dict[str, int] = {}
-        # Observability: scatter-level per-query latency (one sample
-        # per logical query, hits included — satisfying the same
-        # measured-hit-latency contract the single engine keeps), plus
-        # the scatter-level trace/slow-log pair.
+        # Scatter-level per-query latency (one sample per logical
+        # query, hits included — satisfying the same measured-hit-
+        # latency contract the single engine keeps), plus the
+        # top-level result cache (a verbatim repeat skips the scatter)
+        # and the scatter-level trace/slow-log pair.
         self.latency = LatencyTracker()
-        self.tracing = bool(trace)
-        if slow_log_capacity is None:
-            slow_log_capacity = 8 if self.tracing else 0
-        self.slow_log = (
-            SlowQueryLog(slow_log_capacity)
-            if slow_log_capacity > 0 else None
-        )
-        self.last_trace: Optional[Span] = None
+        self._init_serve_shell(cache_capacity, trace)
 
     @property
     def boundary_replicas(self) -> int:
@@ -640,11 +626,10 @@ class ShardedEngine:
             if attempt > 0:
                 with self._lock:
                     self.retries += 1
-                if self.retry_backoff_seconds > 0.0:
-                    time.sleep(min(
-                        MAX_BACKOFF_SECONDS,
-                        self.retry_backoff_seconds * (2 ** (attempt - 1)),
-                    ))
+                time.sleep(min(
+                    MAX_BACKOFF_SECONDS,
+                    RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1)),
+                ))
             try:
                 if self.faults is not None:
                     rule = self.faults.fire(
@@ -751,25 +736,7 @@ class ShardedEngine:
         with self._lock:
             cached = self.cache.get(key)
         if cached is not None:
-            result = _copy_result(cached)
-            result.detail["cache_hit"] = True
-            wall = time.perf_counter() - t_start
-            with self._lock:
-                self.queries_served += 1
-                self.cache_hits += 1
-                self.pairs_returned += cached.n_pairs
-                self.latency.record(wall)
-            if trace is not None:
-                lookup = trace.child("lookup", hit=True)
-                lookup.wall_seconds = wall
-                trace.wall_seconds = wall
-                trace.attrs["pairs"] = cached.n_pairs
-            self._observe_query(query, wall, 0.0, trace, True)
-            return EngineResult(
-                query=query, result=result, plan=None, from_cache=True,
-                wall_seconds=wall, sim_wall_seconds=0.0,
-                trace=trace,
-            )
+            return self._serve_hit(query, cached, t_start, trace)
 
         participating, pruned = self.plan_shards(query)
         scatter = None
@@ -802,9 +769,8 @@ class ShardedEngine:
             out, replica, attempts, events = self._execute_on_shard(
                 k, sub, analyze, cancel
             )
-            if (token is not None
-                    and out.result.pairs is not None
-                    and len(out.result.pairs) <= MAX_CACHED_PAIRS):
+            if (token is not None and out.result.pairs is not None
+                    and cacheable(out.result)):
                 self.result_stores[k].save(token, out.result)
             return {"shard": k, "out": out, "replica": replica,
                     "attempts": attempts, "events": events}
@@ -968,9 +934,7 @@ class ShardedEngine:
                 "sim_wall_seconds": sim_wall,
             })
         self._observe_query(query, wall, sim_wall, trace, False)
-        # Same rule as the single engine: count-only results (no pair
-        # list) always cache; collected results cache up to the bound.
-        if result.pairs is None or len(result.pairs) <= MAX_CACHED_PAIRS:
+        if cacheable(result):
             with self._lock:
                 self.cache.put(key, _copy_result(result))
         return EngineResult(
@@ -978,15 +942,12 @@ class ShardedEngine:
             wall_seconds=wall, sim_wall_seconds=sim_wall, trace=trace,
         )
 
-    def _observe_query(self, query: Query, wall: float, sim_wall: float,
-                       trace: Optional[Span], from_cache: bool) -> None:
-        if trace is not None:
-            self.last_trace = trace
-        if self.slow_log is not None:
-            self.slow_log.offer(
-                query.describe(), wall, sim_wall,
-                trace=trace, from_cache=from_cache,
-            )
+    def _record_hit(self, n_pairs: int, wall: float) -> None:
+        with self._lock:
+            self.queries_served += 1
+            self.cache_hits += 1
+            self.pairs_returned += n_pairs
+            self.latency.record(wall)
 
     def explain(self, query: Query) -> str:
         """The scatter plan plus every participating shard's plan."""

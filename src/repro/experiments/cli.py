@@ -96,7 +96,7 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
         "--json", action="store_true",
         help="emit the serving report as one JSON object",
     )
-    return parser.parse_args(argv)
+    return _parse_deployment(parser, argv)
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -185,6 +185,21 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _parse_deployment(parser: argparse.ArgumentParser,
+                      argv: List[str]) -> argparse.Namespace:
+    """Parse, refusing a deployment flag the engine built from these
+    arguments would silently drop for want of its prerequisite."""
+    args = parser.parse_args(argv)
+    if args.replicas != 1 and args.shards <= 1:
+        parser.error("--replicas needs --shards > 1")
+    if args.result_store_bytes is not None:
+        if args.shards <= 1:
+            parser.error("--result-store-bytes needs --shards > 1")
+        if not args.artifact_dir:
+            parser.error("--result-store-bytes needs --artifact-dir")
+    return args
+
+
 def _parse_http_args(argv: List[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments serve",
@@ -238,7 +253,7 @@ def _parse_http_args(argv: List[str]) -> argparse.Namespace:
             "disables aging (default: 0.5)"
         ),
     )
-    return parser.parse_args(argv)
+    return _parse_deployment(parser, argv)
 
 
 def _scale(name: str) -> ScaleConfig:
@@ -320,6 +335,7 @@ def _build_engine(args: argparse.Namespace):
             raise SystemExit(f"--faults: {exc}")
     sharded = {}
     if args.shards > 1:
+        # Unsharded, neither is set: _parse_deployment refused them.
         sharded = {"replicas": max(1, args.replicas),
                    "result_store_bytes": args.result_store_bytes}
     return engine_for_dataset(

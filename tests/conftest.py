@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.core.brute import brute_force_pairs
 from repro.engine import executor as executor_mod
+from repro.engine import shard as shard_mod
 from repro.geom.rect import Rect, intersection, mbr_of
 from repro.sim.env import SimEnv
 from repro.sim.machines import ALL_MACHINES, MACHINE_3
@@ -84,6 +85,13 @@ def dispatch(**constants):
         for name, value in constants.items():
             patch.setattr(executor_mod, name, value)
         yield
+
+
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    """Failover retries do not sleep under test: the backoff base is a
+    constant of :mod:`repro.engine.shard` (10 ms in production)."""
+    monkeypatch.setattr(shard_mod, "RETRY_BACKOFF_SECONDS", 0.0)
 
 
 @pytest.fixture
@@ -285,7 +293,6 @@ def assert_same_pairs(ship_every_tile):
                     shards=n_shards, scale=TEST_SCALE, machine=MACHINE_3,
                     workers=workers, pool_kind=kind, cache_capacity=0,
                     replicas=replicas, faults=faults,
-                    retry_backoff_seconds=0.0,
                 )
                 sharded.register("a", rects_a, universe=universe)
                 if not self_join:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -21,7 +22,9 @@ from repro.engine import (
 from repro.geom.rect import Rect, intersection
 from repro.sim.machines import MACHINE_3
 
-from tests.conftest import TEST_SCALE, dispatch
+from repro.engine.pool import DeadlineExceeded
+
+from tests.conftest import TEST_SCALE, brute_reference, dispatch
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -381,9 +384,8 @@ class TestMemoryGovernance:
     def test_cache_bytes_bound_enforced_end_to_end(self):
         # A byte-capped cache admits the small windowed result but
         # refuses to hold the big overlay.
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, cache_bytes=4096,
-        )
+        engine = SpatialQueryEngine(scale=TEST_SCALE, machine=MACHINE_3)
+        engine.cache.max_bytes = 4096
         a = uniform_rects(300, UNIT, 0.02, seed=1)
         b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
         engine.register("a", a, universe=UNIT)
@@ -726,29 +728,6 @@ class TestPartitionArtifacts:
         assert (second.detail["sweep_ops_total"]
                 == first.detail["sweep_ops_total"])
 
-    def test_windowed_query_reuses_full_distribution(self):
-        engine = self._engine()
-        overlay = Query(relations=("a", "b"), force="pbsm-grid")
-        engine.execute(overlay)
-        window = Rect(0.2, 0.5, 0.1, 0.6, 0)
-        wq = Query(relations=("a", "b"), window=window)
-        warm = engine.execute(wq).result
-        assert warm.detail["strategy"] == "pbsm-grid"
-        assert warm.detail["artifact_hit"] is True
-        # Reference: a fresh engine, same window, any strategy.
-        fresh = self._engine()
-        cold = fresh.execute(Query(relations=("a", "b"),
-                                   window=window)).result
-        assert warm.pair_set() == cold.pair_set()
-
-    def test_self_join_artifacts_are_reused(self):
-        engine = self._engine()
-        q = Query(relations=("a", "a"))
-        first = engine.execute(q).result
-        second = engine.execute(q).result
-        assert second.detail["artifact_hit"] is True
-        assert second.pair_set() == first.pair_set()
-
     def test_reregistration_invalidates_artifacts(self):
         engine = self._engine()
         q = Query(relations=("a", "b"), force="pbsm-grid")
@@ -847,16 +826,6 @@ class TestSortedRunArtifacts:
         assert engine.env.bytes_written == before[1]
         assert obs.cpu_ops.get("sort", 0) == before[2]
         assert obs.io_seconds == before[3]
-
-    def test_optimizer_prices_sorted_hit_sort_free(self):
-        engine = self._engine()
-        q = Query(relations=("a", "b"), force="sssj")
-        engine.execute(q)
-        plan = engine.optimizer.compile(Query(relations=("a", "b")))
-        priced = dict(plan.candidates)
-        assert priced["sssj"].io_seconds == 0.0
-        assert plan.strategy == "sssj"
-        assert any("sort-free" in n for n in plan.notes)
 
     def test_sorted_runs_share_budget_with_partitions(self):
         engine = self._engine()
@@ -1046,6 +1015,244 @@ class TestArtifactPersistence:
         monkeypatch.undo()
         assert store.corrupt_drops == 1
         assert store.load("tok") is not None
+
+
+def _prepared_ab_engine(**kw) -> SpatialQueryEngine:
+    """Two workers, no result cache, relations ``a`` and ``b`` built."""
+    kw.setdefault("pool_kind", "serial")
+    engine = SpatialQueryEngine(
+        scale=TEST_SCALE, machine=MACHINE_3, workers=2,
+        cache_capacity=0, **kw,
+    )
+    a = uniform_rects(300, UNIT, 0.02, seed=1)
+    b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
+    engine.register("a", a, universe=UNIT)
+    engine.register("b", b, universe=UNIT)
+    engine.prepare()
+    engine._test_rects = (a, b)
+    return engine
+
+
+_WINDOW = Rect(0.2, 0.5, 0.1, 0.6, 0)
+_FULL, _WIN = "full", "win"
+
+#: name, queries served before a restart (None: no restart), queries
+#: served after it, the probed query, and where its tiles must come
+#: from: the tier that is priced and the candidate that is swept.
+_PRICING_ROWS = (
+    ("cold", [], None, _FULL, (None, "exact")),
+    ("memory-exact", [_FULL], None, _FULL, ("memory", "exact")),
+    # Exact before full, whichever tier they share ...
+    ("memory-exact-beside-full", [_WIN, _FULL], None, _WIN,
+     ("memory", "exact")),
+    ("memory-full-reused-by-a-window", [_FULL], None, _WIN,
+     ("memory", "full")),
+    ("disk-exact", [_FULL], [], _FULL, ("disk", "exact")),
+    ("disk-exact-beside-full", [_WIN, _FULL], [], _WIN,
+     ("disk", "exact")),
+    ("disk-full-reused-by-a-window", [_FULL], [], _WIN,
+     ("disk", "full")),
+    # ... and memory before the sidecar: the full distribution in
+    # memory outranks the exact one on disk.
+    ("memory-full-beside-disk-exact", [_WIN, _FULL], [_FULL], _WIN,
+     ("memory", "full")),
+)
+
+
+class TestPricingMatchesExecution:
+    """What the optimizer priced is what the executor ran: both ask
+    the artifact layer, which owns identity and probe order."""
+
+    def _engine(self, artifact_dir):
+        return _prepared_ab_engine(memory_bytes=10_000_000,
+                                   artifact_dir=str(artifact_dir))
+
+    def _primed(self, tmp_path, before, after, make_query):
+        engine = self._engine(tmp_path)
+        for shape in before:
+            engine.execute(make_query(shape))
+        if after is not None:
+            engine.close()
+            engine = self._engine(tmp_path)
+            for shape in after:
+                engine.execute(make_query(shape))
+        return engine
+
+    @pytest.mark.parametrize("self_join", (False, True),
+                             ids=("pairwise", "self-join"))
+    @pytest.mark.parametrize(
+        "before, after, shape, expect",
+        [row[1:] for row in _PRICING_ROWS],
+        ids=[row[0] for row in _PRICING_ROWS],
+    )
+    def test_partition_tiles(self, tmp_path, before, after, shape,
+                             expect, self_join):
+        relations = ("a", "a") if self_join else ("a", "b")
+
+        def make_query(shape):
+            return Query(relations=relations, force="pbsm-grid",
+                         window=_WINDOW if shape == _WIN else None)
+
+        query = make_query(shape)
+        # The sweep a cold distribute of this very query runs: reusing
+        # the exact candidate repeats it op for op, pruning the full
+        # one to the window sweeps other tiles.
+        cold = self._engine(tmp_path / "cold").execute(query).result
+        engine = self._primed(tmp_path / "warm", before, after,
+                              make_query)
+        tier, candidate = expect
+
+        plan = engine.optimizer.compile(query)
+        priced = dict(plan.candidates)["pbsm-grid"].detail
+        restore = re.search(r"restores (\d+) persisted tile bytes", priced)
+        assert {
+            "memory": "distributed tiles cached" in priced,
+            "disk": restore is not None,
+            None: "1 partition pass" in priced and restore is None
+            and "cached" not in priced,
+        }[tier], priced
+        if not self_join:
+            assert any("partition pass is free" in n
+                       for n in plan.notes) == (tier == "memory")
+            assert any("one restore read" in n
+                       for n in plan.notes) == (tier == "disk")
+
+        events = dict(engine.artifacts.kind_stats.get("partition", {}))
+        result = engine.execute(query).result
+        after_events = engine.artifacts.kind_stats["partition"]
+        assert (after_events["hits"] + after_events["misses"]
+                - events.get("hits", 0) - events.get("misses", 0)) == 1
+        assert after_events["hits"] - events.get("hits", 0) == (
+            1 if tier == "memory" else 0)
+        assert result.detail["artifact_hit"] is (tier is not None)
+        assert result.detail["artifact_restores"] == (
+            1 if tier == "disk" else 0)
+        assert result.detail["artifact_restore_bytes"] == (
+            int(restore.group(1)) if restore else 0)
+        assert result.pair_set() == cold.pair_set() == brute_reference(
+            engine._test_rects[0],
+            None if self_join else engine._test_rects[1],
+            query.window,
+        )
+        assert (result.detail["sweep_ops_total"]
+                == cold.detail["sweep_ops_total"]) == (
+            candidate == "exact")
+        engine.close()
+
+    @pytest.mark.parametrize("restart", (False, True),
+                             ids=("warm", "restored"))
+    def test_sorted_runs(self, tmp_path, restart):
+        forced = Query(relations=("a", "b"), force="sssj")
+        engine = self._primed(tmp_path, [forced],
+                              [] if restart else None,
+                              lambda shape: shape)
+        plan = engine.optimizer.compile(Query(relations=("a", "b")))
+        priced = dict(plan.candidates)["sssj"]
+        label = "sorted run on disk" if restart else "sorted run in memory"
+        assert priced.detail.count(label) == 2
+        assert any("sort-free" in n for n in plan.notes)
+        if not restart:
+            # Both runs in memory: no I/O left to price, sssj wins.
+            assert priced.io_seconds == 0.0
+            assert plan.strategy == "sssj"
+
+        events = dict(engine.artifacts.kind_stats.get("sorted-run", {}))
+        result = engine.execute(forced).result
+        after_events = engine.artifacts.kind_stats["sorted-run"]
+        # One event a side.
+        assert (after_events["hits"] + after_events["misses"]
+                - events.get("hits", 0) - events.get("misses", 0)) == 2
+        assert result.detail["sorted_run_hits"] == (0 if restart else 2)
+        assert result.detail["artifact_restores"] == (2 if restart else 0)
+        assert (result.detail["artifact_restore_bytes"] > 0) is restart
+        assert result.pair_set() == brute_reference(*engine._test_rects)
+        engine.close()
+
+
+class TestStagesReleaseWhatTheyHold:
+    """Whichever stage of a partitioned plan raises, the query's tile
+    grant, spill streams and shm pins all go back."""
+
+    def _assert_nothing_held(self, engine, payloads_before):
+        assert engine.budget.in_use_bytes == 0
+        # No ``tiles.*`` spill block left on the simulated disk.
+        assert len(engine.disk._payloads) == payloads_before
+        assert not [
+            name for name, seg in engine.worker_pool.shm._segments.items()
+            if seg.inflight
+        ]
+
+    def test_distribute_raising(self, monkeypatch):
+        from repro.core.kernels import np_distribute
+
+        # A budget the first side already overflows: by the time the
+        # second side's distribute raises, tiles are granted and
+        # spilled.
+        engine = _prepared_ab_engine(memory_bytes=3000, kernel="numpy")
+        before = len(engine.disk._payloads)
+        real, calls = np_distribute.distribute, []
+
+        def second_side_fails(image, grid, window):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("distribute failed")
+            return real(image, grid, window)
+
+        monkeypatch.setattr(np_distribute, "distribute",
+                            second_side_fails)
+        q = Query(relations=("a", "b"), force="pbsm-grid")
+        with pytest.raises(RuntimeError, match="distribute failed"):
+            engine.execute(q)
+        assert len(calls) == 2
+        self._assert_nothing_held(engine, before)
+        monkeypatch.undo()
+        assert engine.execute(q).result.detail["spilled_rects"] > 0
+        engine.close()
+
+    def test_restore_raising(self, tmp_path, monkeypatch):
+        from repro.engine.artifacts import ArtifactStore
+
+        q = Query(relations=("a", "b"), force="pbsm-grid")
+        first, second = (
+            _prepared_ab_engine(artifact_dir=str(tmp_path))
+            for _ in range(2)
+        )
+        first.execute(q)
+        first.close()
+        before = len(second.disk._payloads)
+
+        def broken_load(self, token):
+            raise OSError("sidecar unreadable")
+
+        monkeypatch.setattr(ArtifactStore, "load", broken_load)
+        with pytest.raises(OSError, match="sidecar unreadable"):
+            second.execute(q)
+        self._assert_nothing_held(second, before)
+        second.close()
+
+    def test_gather_cancelled(self):
+        engine = _prepared_ab_engine(pool_kind="process",
+                                     artifact_cache_bytes=0)
+        before = len(engine.disk._payloads)
+        checkpoints = []
+
+        def cancel():
+            # The engine's entry check passes, the gather's first
+            # checkpoint gives up: every task has shipped.
+            checkpoints.append(1)
+            if len(checkpoints) == 2:
+                raise DeadlineExceeded("caller gave up")
+
+        try:
+            with dispatch(MIN_SHIP_RECTS=0, SHM_MIN_BYTES=0):
+                with pytest.raises(DeadlineExceeded):
+                    engine.execute(Query(relations=("a", "a")),
+                                   cancel=cancel)
+            shm = engine.worker_pool.shm
+            assert shm.snapshot()["segments_created"] > 0
+            self._assert_nothing_held(engine, before)
+        finally:
+            engine.close()
 
 
 class TestTileBatching:

@@ -176,6 +176,25 @@ class TestCLI:
         # All machines price the same run, so raw counters agree.
         assert len({row["page_reads"] for row in rows}) == 1
 
+    @pytest.mark.parametrize("command", ("serve-bench", "serve"))
+    @pytest.mark.parametrize("flags, needs", (
+        (["--replicas", "2"], "--replicas needs --shards > 1"),
+        (["--result-store-bytes", "4096", "--artifact-dir", "x"],
+         "--result-store-bytes needs --shards > 1"),
+        (["--result-store-bytes", "4096", "--shards", "2"],
+         "--result-store-bytes needs --artifact-dir"),
+    ))
+    def test_cli_refuses_a_deployment_flag_it_would_drop(
+            self, command, flags, needs, capsys):
+        # Exit 2 before any engine is built, one line naming the
+        # missing prerequisite; the defaults pass everywhere (every
+        # other CLI test runs without them).
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--scale", "quick", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: {needs}")
+
     def test_cli_serve_bench(self, capsys):
         rc = cli_main(["serve-bench", "--dataset", "NJ", "--scale",
                        "quick", "--queries", "8", "--workers", "2"])

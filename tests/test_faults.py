@@ -74,7 +74,6 @@ def _sharded(faults=None, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("cache_capacity", 0)
     kw.setdefault("pool_kind", "serial")
-    kw.setdefault("retry_backoff_seconds", 0.0)
     a, b = _data()
     engine = ShardedEngine(faults=faults, **kw)
     engine.register("a", a, universe=UNIT)
@@ -608,7 +607,6 @@ class TestShardedDurability:
             machine=MACHINE_3, workers=2, pool_kind=pool_kind,
             cache_capacity=0,
             artifact_dir=str(tmp_path), faults=faults,
-            retry_backoff_seconds=0.0,
         )
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)

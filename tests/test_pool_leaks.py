@@ -139,12 +139,29 @@ def test_workers_hold_a_bounded_number_of_segments(recycle, monkeypatch):
 
 
 def test_a_task_cancelled_mid_flight_gives_up_its_segment():
-    # Two slow tasks hold both workers past the deadline; the gather
-    # gives up with work still queued or running behind them.
+    # Two slow tasks hold both workers; the coordinator then stalls
+    # until the deadline has passed, so the gather's first checkpoint
+    # gives up with both of them still asleep on their segments.
     engine, rects = _shipping_engine(faults=FaultPlan([
         FaultRule(site="pool.task", kind="slow", delay_seconds=0.3,
                   times=2),
     ]))
+    token = CancelToken(time.monotonic() + 0.05)
+    pool = engine.worker_pool.pool
+    shipped = []
+    submit = pool.submit
+
+    def stall_once_both_workers_are_held(fn, payload, units=1):
+        if len(shipped) == 2:
+            # Handed to a worker, a future can no longer be cancelled:
+            # it is done only after the worker's 0.3 s sleep.
+            while not all(fut.running() for fut in shipped):
+                time.sleep(0.001)
+            time.sleep(max(0.0, token.deadline - time.monotonic()))
+        shipped.append(submit(fn, payload, units))
+        return shipped[-1]
+
+    pool.submit = stall_once_both_workers_are_held
     shm = engine.worker_pool.shm
     released = []
     task_done = shm.task_done
@@ -156,8 +173,8 @@ def test_a_task_cancelled_mid_flight_gives_up_its_segment():
     shm.task_done = spy
     try:
         with pytest.raises(DeadlineExceeded):
-            engine.execute(Query(relations=("a", "a")),
-                           cancel=CancelToken(time.monotonic() + 0.05))
+            engine.execute(Query(relations=("a", "a")), cancel=token)
+        assert len(shipped) > 2 and not shipped[0].done()
         abandoned = set().union(*(n for n, gone in released if gone))
         assert abandoned, "no task was still running at the deadline"
         assert not abandoned & set(shm._free)

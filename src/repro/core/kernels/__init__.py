@@ -22,7 +22,9 @@ phase of a partitioned plan, and the PQ join of two indexed inputs
   kernels; only wall-clock changes.
 
 Every numpy entry point returns ``None`` for input outside its model
-and the caller runs the reference instead.  For the indexed join that
+and the caller runs the reference instead.  For the sweep (batched or
+a group of tiles) that is a rectangle with an inverted y-interval or a
+non-finite (NaN or infinite) coordinate.  For the indexed join it
 is: an input that is not an ``RTree``, ``queue_memory_items`` asking
 for the external heap, a non-finite or inverted rectangle, or a tree
 handle whose pages changed shape under it.  Two quirks of the
@@ -46,7 +48,7 @@ Selection is by name:
 construction); workers receive the resolved name inside each task
 payload and obey it.  If a worker cannot honour a ``numpy`` request
 (or the input contains rectangles the vectorized kernel does not
-model, e.g. ``yhi < ylo``), the task falls back to the python kernel
+model, e.g. ``yhi < ylo`` or a NaN), the task falls back to the python kernel
 for that task only — the results are identical by contract, so the
 fallback is invisible except in wall time.
 """

@@ -427,7 +427,7 @@ def _simulate_striped(m: _Merged, lo_strip: np.ndarray,
     event = np.repeat(np.arange(n), width)
     strip = (np.arange(total) - np.repeat(ends - width, width)
              + np.repeat(lo_strip, width))
-    dies = np.searchsorted(m.lo, m.hi, side="right")[event]
+    dies = m.end[event]
     # Structure 1 is A's active set: A events register in it, B probe it.
     side = m.is_a[event].astype(np.int64)
     cell = (side * nstrips + strip) * n1
@@ -527,7 +527,7 @@ def index_join(tree_a, tree_b, env, universe: Optional[Rect],
     m = _Merged(a.cols, b.cols, a.cols[2:4], b.cols[2:4], presorted=True)
     if striped and 2 * nstrips * (m.n + 1) ** 2 >= 2 ** 62:
         return None  # the fused integer keys below would not fit
-    later, earlier = _find_pairs(m.lo, m.hi, m.xlo, m.xhi, m.is_a)
+    later, earlier = _find_pairs(m.end, m.xlo, m.xhi, m.is_a)
     if striped:
         inv_width = nstrips / span
         if nstrips > 1 and later.size:
@@ -543,7 +543,7 @@ def index_join(tree_a, tree_b, env, universe: Optional[Rect],
             _strips_of(m.xhi, universe.xlo, inv_width, nstrips), nstrips,
         )
     else:
-        (ops, max_active), = _simulate_ops(m.is_a, m.lo, m.hi, (0, m.n))
+        (ops, max_active), = _simulate_ops(m.is_a, m.end, (0, m.n))
     pairs = None
     if collect_pairs:
         a_later = m.is_a[later]

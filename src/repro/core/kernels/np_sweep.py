@@ -6,28 +6,32 @@ side.  This module computes the *same* output — same pairs, in the
 same emit order, with the same op accounting — from whole-column numpy
 arithmetic:
 
-* **Merged event order.**  Each side is sorted by ``(ylo, xlo)``
-  (stable, like the python sort); the merge loop takes from A on ties,
-  which is exactly a stable argsort by ``ylo`` over ``[A; B]``.
+* **Merged event order.**  The python sort orders each side by
+  ``(ylo, xlo)``, stable, and its merge loop takes from A on equal
+  ``ylo``: events order by ``(ylo, side, xlo, index within the
+  side)``.  No two events tie on that tuple, so one default argsort of
+  it packed into an int64 of dense ranks is that order exactly (a key
+  too wide for int64 falls back to one lexsort of the same columns).
 * **Pairs.**  At the event of the later rectangle, the earlier one is
   in the opposite active list and pairs iff it is still alive
-  (``earlier.yhi >= later.ylo``) and the x-intervals overlap.  The
-  kernel evaluates that predicate in blocks: each block of events is
-  tested against the (pruned) active arrays and against its own
-  earlier events in two broadcasted masks, preserving the sweep's
-  ``O(events x active)`` shape rather than degrading to all-pairs.
-  The python kernel emits pairs grouped by the later event, in active
-  list (= insertion) order — i.e. sorted by ``(later, earlier)`` event
-  index — so one lexsort reproduces the exact emit order.
+  (``earlier.yhi >= later.ylo``) and the x-intervals overlap.  An
+  event stays alive up to ``end`` — one ``searchsorted`` per call,
+  with sorted needles, shared by everything below — so the candidates
+  of each earlier event are one contiguous range of the other side,
+  enumerated in chunks: the sweep's ``O(events x active)`` shape, not
+  all-pairs.  The python kernel emits pairs grouped by the later
+  event, in active list (= insertion) order — i.e. sorted by
+  ``(later, earlier)`` event index — so one argsort of a fused key
+  reproduces the exact emit order.
 * **Op accounting.**  The python kernel's ops depend on the *raw*
   (live + lazily-dead) active sizes and its amortized compaction
-  schedule.  Both derive from two vectorizable quantities: how many
-  opposite events precede event *i*, and how many of them died before
-  ``y_i`` (every rectangle with ``yhi < y_i`` was inserted before *i*,
-  because ``ylo <= yhi``).  A cheap O(events) integer loop replays the
-  probe/insert/compact schedule on those counts — no rectangle is
-  touched — and lands on bit-identical ``cpu_ops`` and
-  ``max_active_items``.
+  schedule.  Live sizes are prefix counts (inserts before event *i*
+  minus ``end`` values at or before it); a probe leaves the opposite
+  list at its live size, so raw sizes and probe costs are prefix sums
+  over runs of same-side events.  Only compactions — a few hundred in
+  the ~400 K events of a hundred served queries — are found one at a
+  time, each by one vectorized first-exceedance search; no rectangle
+  is touched and ``cpu_ops`` / ``max_active_items`` are bit-identical.
 * **Segments.**  PBSM's tiles are independent sweeps, so *k* of them
   run as one: the sides are concatenated and every y-coordinate is
   replaced by the exact integer key ``tile * R + rank``, ``rank`` being
@@ -40,8 +44,10 @@ arithmetic:
   already such a key.
 
 Inputs with inverted y-intervals (``yhi < ylo``) break the
-"dead implies already inserted" identity; every entry point returns
-``None`` for those, and the caller falls back to the python kernel.
+"dead implies already inserted" identity, and a NaN coordinate has no
+rank in the merge key; every entry point returns ``None`` for an input
+with either (or with an infinite coordinate), and the caller falls back
+to the python kernel.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ from repro.geom.rect import RECT_BYTES, Rect
 CHUNK_CANDIDATES = 4_000_000
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: Every packed merge key (:func:`_merge_order`) must lie below this:
+#: int64 represents it exactly.
+_KEY_BOUND = 2 ** 63
 
 #: ``(xlo, xhi, ylo, yhi, rid)`` arrays of one side.
 Columns = Tuple[np.ndarray, ...]
@@ -102,8 +112,12 @@ def _columns(side) -> Columns:
 
 
 def _valid(cols: Columns) -> bool:
-    """No inverted y-interval: the kernel's model holds for this side."""
-    return bool(np.all(cols[3] >= cols[2]))
+    """Finite coordinates and no inverted y-interval: the kernel's model
+    holds for this side (a NaN would have no rank in the merge key)."""
+    return bool(
+        all(np.isfinite(col).all() for col in cols[:4])
+        and np.all(cols[3] >= cols[2])
+    )
 
 
 def _is_sorted_by_ylo(ylo: np.ndarray) -> bool:
@@ -116,66 +130,104 @@ def _is_sorted_by_ylo(ylo: np.ndarray) -> bool:
 class _Merged:
     """Merged event columns of one sweep (sorted sides, A-first ties).
 
-    ``lo`` / ``hi`` are the sweep keys of each event's y-interval: the
-    raw ``ylo`` / ``yhi`` for a single sweep, the segmented integer
-    keys for a group (:func:`_segment_keys`).  Each side is ordered by
-    ``(lo, xlo)`` unless ``presorted``, then the two runs are merged by
-    ``lo`` with a stable sort; the columns are gathered once, through
-    the composed permutation.  ``cb is ca`` sweeps one side against
-    itself and sorts it once.
+    ``keys_a`` / ``keys_b`` are each side's ``(lo, hi)`` sweep keys of
+    its y-intervals: the raw ``ylo`` / ``yhi`` for a single sweep, the
+    segmented integer keys for a group (:func:`_segment_keys`).  Events
+    are ordered as the python merge takes them (:func:`_merge_order`)
+    and the columns are gathered once, through that permutation; ``hi``
+    is the merged ``hi`` keys (a single sweep's ``yhi``).  ``cb is ca``
+    sweeps one side against itself without a second copy of its
+    columns.
+
+    ``end[c]`` is the first event no longer alive for event *c*
+    (``searchsorted(lo, hi[c], 'right')`` over the merged keys, so
+    ``end[c] >= c + 1``): the one search every consumer — pairs, op
+    replays — shares.
     """
 
-    __slots__ = ("xlo", "xhi", "ylo", "rid", "lo", "hi", "is_a", "n")
+    __slots__ = ("xlo", "xhi", "ylo", "rid", "hi", "end", "is_a", "n")
 
     def __init__(self, ca: Columns, cb: Columns,
                  keys_a: Tuple[np.ndarray, np.ndarray],
                  keys_b: Tuple[np.ndarray, np.ndarray],
                  presorted: bool = False) -> None:
         na = len(ca[0])
-        nb = len(cb[0])
-        self.n = na + nb
-        order_a = _side_order(ca[0], keys_a[0], presorted)
+        self.n = na + len(cb[0])
         if cb is ca:
             # Both runs index the one side: no second copy of it.
-            order_b = order_a
             src = ca + keys_a
+            lo, xlo = (np.concatenate((col, col))
+                       for col in (keys_a[0], ca[0]))
         else:
-            order_b = _side_order(cb[0], keys_b[0], presorted) + na
             src = tuple(
                 np.concatenate(pair) for pair in zip(ca + keys_a,
                                                      cb + keys_b)
             )
-        perm = np.concatenate((order_a, order_b))
-        merge = np.argsort(src[5][perm], kind="stable")
-        perm = perm[merge]
-        self.is_a = merge < na
+            lo, xlo = src[5], src[0]
+        order = _merge_order(lo, None if presorted else xlo, na)
+        self.is_a = order < na
+        perm = order if cb is not ca else np.where(self.is_a, order,
+                                                   order - na)
         self.xlo = src[0][perm]
         self.xhi = src[1][perm]
         self.ylo = src[2][perm]
         self.rid = src[4][perm]
-        self.lo = src[5][perm]
         self.hi = src[6][perm]
+        # Sorted needles search several times faster than unsorted ones.
+        by_hi = np.argsort(self.hi)
+        self.end = np.empty(self.n, dtype=np.int64)
+        self.end[by_hi] = np.searchsorted(lo[order], self.hi[by_hi],
+                                          side="right")
 
 
-def _side_order(xlo: np.ndarray, lo: np.ndarray,
-                presorted: bool) -> np.ndarray:
-    """One side's sort permutation: by ``(lo, xlo)``, stable — the
-    python sort key — or the identity for a presorted side."""
-    if presorted or len(lo) <= 1:
-        return np.arange(len(lo), dtype=np.int64)
-    return np.lexsort((xlo, lo))
+def _merge_order(lo: np.ndarray, xlo: Optional[np.ndarray],
+                 na: int) -> np.ndarray:
+    """The python merge's event order over ``[A; B]`` as a permutation.
+
+    Each side is sorted by ``(lo, xlo)`` (stable, so equal keys keep
+    their index order; ``xlo`` is ``None`` for presorted sides, which
+    keep index order outright) and the merge takes A on equal ``lo``:
+    the order of ``(lo, side, xlo, index within the side)``.  No two
+    events share that tuple, so one default argsort of it packed into
+    one int64 — dense ranks, not coordinates — is exact.  A key that
+    would not fit (about 1.6 M events) is sorted as the four columns.
+    """
+    n = len(lo)
+    side = np.arange(n) >= na
+    index = np.arange(n) - na * side
+    lo_rank, n_lo = _dense_rank(lo)
+    x_rank, n_x = (
+        (np.zeros(n, dtype=np.int64), 1) if xlo is None
+        else _dense_rank(xlo)
+    )
+    width = max(na, n - na, 1)
+    if n_lo * 2 * n_x * width > _KEY_BOUND:
+        return np.lexsort((index, x_rank, side, lo_rank))
+    return np.argsort(((lo_rank * 2 + side) * n_x + x_rank) * width + index)
 
 
-def _find_pairs(lo: np.ndarray, hi: np.ndarray, xlo: np.ndarray,
-                xhi: np.ndarray, is_a: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
+def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Order-preserving dense rank of ``values`` (equal values share
+    one) and the number of distinct values."""
+    order = np.argsort(values)
+    ordered = values[order]
+    step = np.zeros(len(values), dtype=np.int64)
+    step[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(len(values), dtype=np.int64)
+    distinct = np.cumsum(step)
+    rank[order] = distinct
+    return rank, int(distinct[-1]) + 1 if len(values) else 0
+
+
+def _find_pairs(end: np.ndarray, xlo: np.ndarray, xhi: np.ndarray,
+                is_a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """All sweep pairs as ``(later, earlier)`` event indices, emit order.
 
     Because events are sorted by their ``lo`` key, the earlier
     rectangle *c* of a pair is alive at the later event *e* exactly
     when ``lo[e] <= hi[c]`` — i.e. *e* lies in the contiguous index
-    range ``(c, end_c)`` with ``end_c = searchsorted(lo, hi[c],
-    'right')``, which a segmented key keeps inside *c*'s own tile.
+    range ``(c, end[c])`` (:attr:`_Merged.end`), which a segmented key
+    keeps inside *c*'s own tile.
     Candidates are enumerated one direction at a time (A-earlier with
     B-later, then B-earlier with A-later) through each side's compact
     index space, so only opposite-side candidates are ever
@@ -184,11 +236,9 @@ def _find_pairs(lo: np.ndarray, hi: np.ndarray, xlo: np.ndarray,
     x-overlap test.  Enumeration is chunked so peak memory stays
     bounded on pathologically overlapping inputs.
     """
-    n = len(lo)
+    n = len(end)
     if n == 0:
         return _EMPTY_I64, _EMPTY_I64
-    # end[c]: first event index no longer alive for c (end[c] >= c + 1).
-    end = np.searchsorted(lo, hi, side="right")
     # Inclusive per-side prefix counts: cnt_a[i] = #A events <= i.
     cnt_a = np.cumsum(is_a)
     cnt_b = np.arange(1, n + 1, dtype=cnt_a.dtype) - cnt_a
@@ -251,71 +301,134 @@ def _pairs(m: _Merged, bounds: Sequence[int]
     ``bounds`` it was found in (its later event's), in emit order.
     (The later/earlier arrays end with this frame: a hot tile's pair
     columns are what sets a pool worker's peak memory.)"""
-    later, earlier = _find_pairs(m.lo, m.hi, m.xlo, m.xhi, m.is_a)
+    later, earlier = _find_pairs(m.end, m.xlo, m.xhi, m.is_a)
     a_later = m.is_a[later]
     return (np.where(a_later, later, earlier),
             np.where(a_later, earlier, later),
             np.searchsorted(bounds, later, side="right") - 1)
 
 
-def _simulate_ops(is_a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _simulate_ops(is_a: np.ndarray, end: np.ndarray,
                   bounds: Sequence[int]) -> List[Tuple[int, int]]:
     """Replay the probe/insert/compact op schedule on merged events.
 
     Returns one ``(cpu_ops, max_active_items)`` per segment
     ``[bounds[t], bounds[t + 1])``, each bit-identical to
     :func:`~repro.core.sweep.sweep_join_batched` over that segment's
-    events alone.  ``live_x[i]`` is the live size of side x's active
-    list when event *i* probes/compacts: inserts before *i* minus
-    deaths before ``lo[i]`` (validity ``lo <= hi`` guarantees every
-    death happened after its insert).  Both terms are counted over the
-    whole array; a segmented key puts every event of an earlier tile
-    among the inserted *and* the dead, so the difference is the tile's
-    own, and only the replay state restarts per segment.
-    """
-    ins_a = np.cumsum(is_a) - is_a
-    not_a = ~is_a
-    ins_b = np.cumsum(not_a) - not_a
-    deaths_a = np.sort(hi[is_a])
-    deaths_b = np.sort(hi[not_a])
-    live_a = (ins_a - np.searchsorted(deaths_a, lo, side="left")).tolist()
-    live_b = (ins_b - np.searchsorted(deaths_b, lo, side="left")).tolist()
-    side_a = is_a.tolist()
+    events alone, from ``end`` (:attr:`_Merged.end`).
 
-    out: List[Tuple[int, int]] = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        ops = 0
-        raw_a = raw_b = 0
-        compact_at = 64
-        max_active = 0
-        for a_event, la, lb in zip(side_a[start:stop], live_a[start:stop],
-                                   live_b[start:stop]):
-            if a_event:
-                ops += raw_b + 1  # probe the whole raw B list, insert into A
-                raw_b = lb
-                raw_a += 1
-            else:
-                ops += raw_a + 1
-                raw_a = la
-                raw_b += 1
-            total = raw_a + raw_b
-            if total > compact_at:
-                ops += total  # compact() scans both raw lists
-                if a_event:
-                    raw_a = la + 1  # the just-inserted rect is live
-                    raw_b = lb
-                else:
-                    raw_a = la
-                    raw_b = lb + 1
-                total = raw_a + raw_b
-                doubled = 2 * total
-                compact_at = doubled if doubled > 64 else 64
-                if total > max_active:
-                    max_active = total
-            elif total <= 64 and total > max_active:
-                max_active = total
-        out.append((ops, max_active))
-    return out
+    The python sweep keeps a *raw* size per active list (live entries
+    plus lazily-dead ones).  Event *i* probes the opposite list — that
+    costs its raw size, and leaves it at its live size — then inserts
+    into its own.  So a list's raw size is its live size as the last
+    opposite event left it plus the inserts of the current run of
+    same-side events, and everything but the compactions is prefix
+    arithmetic.  A compaction (raw total over ``compact_at``) cuts only
+    the compacting event's own list back to live, and only until its
+    run ends; between compactions the totals are fixed, so each next
+    compaction is one first-exceedance search and the loop is over
+    compactions, not events.
+
+    Live sizes are inserts before *i* minus deaths before *i* (*c* is
+    dead at *i* iff ``end[c] <= i``; validity ``lo <= hi`` puts every
+    death after its insert).  Both are counted over the whole array; a
+    segmented key puts every event of an earlier tile among the
+    inserted *and* the dead, so the difference is the tile's own, and
+    only the schedule restarts per segment.
+    """
+    n = len(is_a)
+    b = np.asarray(bounds, dtype=np.int64)
+    if not n:
+        return [(0, 0)] * (len(b) - 1)
+    events = np.arange(n)
+    ins_a = np.cumsum(is_a) - is_a
+    dead = np.cumsum(np.bincount(end, minlength=n + 1))[:n]
+    dead_a = np.cumsum(np.bincount(end[is_a], minlength=n + 1))[:n]
+    live_a = ins_a - dead_a
+    live_b = events - ins_a - (dead - dead_a)
+    own = np.where(is_a, live_a, live_b)
+    opp = np.where(is_a, live_b, live_a)
+
+    nonempty = b[:-1] < b[1:]
+    starts = b[:-1][nonempty]
+    first = np.zeros(n, dtype=bool)
+    first[starts] = True
+    run = first.copy()
+    run[1:] |= is_a[1:] != is_a[:-1]
+    run_at = np.flatnonzero(run)
+    run_id = np.cumsum(run) - 1
+    run_start = run_at[run_id]
+    # The own list's raw size after event i, were nothing compacted:
+    # the live size the opposite side's last probe left (none at a
+    # segment start), plus the run's inserts so far.
+    base = np.where(first[run_at], 0, opp[run_at - 1])
+    raw = base[run_id] + (events - run_start) + 1
+    uncompacted = raw + opp
+
+    compactions: List[int] = []
+    over = np.flatnonzero(uncompacted > 64)
+    if over.size:
+        run_stop = np.append(run_at[1:], n)
+        seg = np.searchsorted(b, over, side="right") - 1
+        heads = np.flatnonzero(np.diff(seg, prepend=-1))
+        for c, t in zip(over[heads].tolist(), seg[heads].tolist()):
+            stop = int(b[t + 1])
+            while c < stop:
+                compactions.append(c)
+                limit = max(64, 2 * int(own[c] + 1 + opp[c]))
+                # Cut back to live: the rest of c's run sits this lower.
+                cut = int(raw[c] - own[c] - 1)
+                run_end = int(run_stop[run_id[c]])
+                c = _first_above(uncompacted, limit + cut, c + 1, run_end)
+                if c == run_end:
+                    c = _first_above(uncompacted, limit, run_end, stop)
+
+    cut_after = np.zeros(n, dtype=np.int64)
+    comp = np.array(compactions, dtype=np.int64)
+    if comp.size:
+        # Each event's run is cut by its run's latest compaction so far.
+        latest = np.full(n, -1, dtype=np.int64)
+        latest[comp] = np.arange(comp.size)
+        latest = np.maximum.accumulate(latest)
+        cuts = raw[comp] - own[comp] - 1
+        in_run = (latest >= 0) & (comp[latest] >= run_start)
+        cut_after = np.where(in_run, cuts[latest], 0)
+    cut_before = np.zeros(n, dtype=np.int64)
+    cut_before[1:] = cut_after[:-1]
+    cut_before[run] = 0
+    own_raw = raw - cut_after
+    total = raw - cut_before + opp  # both raw lists after i's insert
+
+    # An event costs its probe of the opposite raw list plus its insert.
+    cost = np.ones(n, dtype=np.int64)
+    cost[1:] += np.where(run[1:], own_raw[:-1], opp[:-1])
+    cost[first] = 1
+    cost[comp] += total[comp]  # compact() scans both raw lists
+    peak = np.where(total <= 64, total, 0)
+    peak[comp] = own[comp] + 1 + opp[comp]
+
+    csum = np.concatenate(([0], np.cumsum(cost)))
+    ops = (csum[b[1:]] - csum[b[:-1]]).tolist()
+    peaks = [0] * len(ops)
+    for t, value in zip(np.flatnonzero(nonempty).tolist(),
+                        np.maximum.reduceat(peak, starts).tolist()):
+        peaks[t] = value
+    return list(zip(ops, peaks))
+
+
+def _first_above(values: np.ndarray, limit: int, start: int,
+                 stop: int) -> int:
+    """First index in ``[start, stop)`` whose value exceeds ``limit``,
+    else ``stop``.  Scans in doubling slices, so a search costs about
+    the distance it moves."""
+    size = 256
+    while start < stop:
+        hit = np.flatnonzero(values[start:min(stop, start + size)] > limit)
+        if hit.size:
+            return start + int(hit[0])
+        start += size
+        size *= 2
+    return stop
 
 
 def _sort_ops(n: int) -> int:
@@ -333,7 +446,8 @@ def sweep_pairs_batched(
 
     Accepts Rect lists or columnar tiles on either side.  Returns
     ``None`` when the input is outside the kernel's model (inverted
-    y-intervals) — the caller falls back to the python kernel.
+    y-intervals, non-finite coordinates) — the caller falls back to the
+    python kernel.
     """
     ca = _columns(rects_a)
     cb = ca if rects_b is rects_a else _columns(rects_b)
@@ -350,7 +464,7 @@ def sweep_pairs_batched(
         env.charge("sweep", _sort_ops(len(ca[0]) + len(cb[0])))
     m = _Merged(ca, cb, ca[2:4], cb[2:4], presorted)
     a_idx, b_idx, _ = _pairs(m, (0, m.n))
-    (ops, max_active), = _simulate_ops(m.is_a, m.lo, m.hi, (0, m.n))
+    (ops, max_active), = _simulate_ops(m.is_a, m.end, (0, m.n))
     stats = SweepStats(
         pairs=int(a_idx.size),
         cpu_ops=ops,
@@ -417,7 +531,7 @@ def sweep_tiles(
         _sort_ops(stop - start) + swept
         for start, stop, (swept, _) in zip(
             bounds[:-1], bounds[1:],
-            _simulate_ops(m.is_a, m.lo, m.hi, bounds),
+            _simulate_ops(m.is_a, m.end, bounds),
         )
     ]
     if not a_idx.size:
@@ -473,14 +587,7 @@ def _segment_keys(ca: Columns, tile_a: np.ndarray, cb: Columns,
     tile *t* lies below every key of tile *t + 1*.
     """
     parts = [ca[2], ca[3]] if cb is ca else [ca[2], ca[3], cb[2], cb[3]]
-    values = np.concatenate(parts)
-    order = np.argsort(values)
-    ordered = values[order]
-    step = np.zeros(len(values), dtype=np.int64)
-    step[1:] = ordered[1:] != ordered[:-1]
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.cumsum(step)
-    span = len(values)  # R: above every rank
+    rank, span = _dense_rank(np.concatenate(parts))  # R: above every rank
     na, nb = len(tile_a), len(tile_b)
     keys_a = (tile_a * span + rank[:na], tile_a * span + rank[na:2 * na])
     if cb is ca:

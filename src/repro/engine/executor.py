@@ -159,7 +159,10 @@ from repro.storage.sort import sort_stream_by_ylo
 #: 0.6), a fifth to a quarter of it at 8 192 (2.9 ms; 4.2).  A second
 #: core pays that back from about a millisecond of sweep, and at the
 #: 0.4 µs a rectangle those probes read that is about this many
-#: rectangles.
+#: rectangles.  The kernel has since got cheaper (no per-event replay
+#: loop, no stable sorts: about 0.7x the time on a tile of 3 000
+#: rectangles or more), so that millisecond now takes more rectangles;
+#: re-deriving the constant from the probes is ROADMAP.md item 2(c).
 MIN_SHIP_RECTS = 2048
 
 #: Logical payload (records x ``RECT_BYTES``) at which a batch of small
@@ -191,7 +194,10 @@ SHM_MIN_BYTES = 16 * 1024
 #: roundtrip_us_pickle_n256`` against ``..._inline_n256``), so shipping
 #: a plan this cheap buys nothing.  Simulated accounting is
 #: placement-independent, so this is a wall-clock policy, not a
-#: semantic one; first executions have no measurement and ship.
+#: semantic one; first executions have no measurement and ship.  Those
+#: kernel times predate the vectorized op replay, which made a group's
+#: call cheaper (0.8-0.9x below 3 000 rectangles); re-deriving the
+#: threshold from the probes is ROADMAP.md item 2(c).
 INLINE_PLAN_OPS = 64 * 1024
 
 #: Plans whose measured sweep cost the executor remembers (LRU by last
@@ -1329,10 +1335,14 @@ def _adopt_task_spans(sweep_span: Span, submitted: List[tuple],
                       task_dicts: List[dict], seconds_per_op: float,
                       ) -> None:
     """Graft the worker-side spans — recorded inside the pool tasks
-    and shipped back with the results — under the one sweep span."""
-    for (_f, shipped, _size, _tiles), tdict in zip(submitted, task_dicts):
+    and shipped back with the results — under the one sweep span,
+    each with the rectangles its tiles held (both sides, as the
+    shipper sized the task), so a trace tells a big task from a slow
+    one."""
+    for (_f, shipped, size, _tiles), tdict in zip(submitted, task_dicts):
         tspan = Span.from_task(tdict, seconds_per_op)
         tspan.attrs["shipped"] = shipped
+        tspan.attrs["rects"] = size
         sweep_span.adopt(tspan)
     sweep_span.wall_seconds = sum(
         c.wall_seconds for c in sweep_span.children

@@ -276,7 +276,8 @@ def validate_trace(span: Dict[str, object],
     a ``name`` string, every metric field numeric and non-negative, an
     ``attrs`` dict, and ``children`` recursively valid — and that the
     ``join`` span of a pairwise plan says what it joined
-    (:data:`JOIN_SPAN_COUNTS` and which ``kernel`` ran).
+    (:data:`JOIN_SPAN_COUNTS` and which ``kernel`` ran) and every
+    ``sweep-task`` span how many rectangles it swept (``rects``).
     """
     errors: List[str] = []
     if not isinstance(span, dict):
@@ -296,9 +297,12 @@ def validate_trace(span: Dict[str, object],
         if attrs.get("kernel") not in ("numpy", "python"):
             errors.append(f"{path}: join span names no kernel")
         for key in JOIN_SPAN_COUNTS:
-            v = attrs.get(key)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            if not _is_count(attrs.get(key)):
                 errors.append(f"{path}: join attr {key!r} is not a count")
+    elif span.get("name") == "sweep-task" and not _is_count(
+        attrs.get("rects")
+    ):
+        errors.append(f"{path}: sweep-task attr 'rects' is not a count")
     children = span.get("children")
     if not isinstance(children, list):
         errors.append(f"{path}: children is not a list")
@@ -308,3 +312,7 @@ def validate_trace(span: Dict[str, object],
                 validate_trace(c, path=f"{path}.children[{i}]")
             )
     return errors
+
+
+def _is_count(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0

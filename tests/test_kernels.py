@@ -28,7 +28,11 @@ from repro.core.columnar import (
 from repro.core.join_result import JoinResult
 from repro.core.pbsm import SpillablePartition, TileAllowance, TileGrid
 from repro.core.pq_join import PQConfig
-from repro.core.sweep import forward_sweep_pairs_batched
+from repro.core.sweep import (
+    ForwardSweep,
+    forward_sweep_pairs_batched,
+    sweep_join_batched,
+)
 from repro.data.datasets import DATASET_ORDER, build_dataset
 from repro.engine import (
     Query,
@@ -178,6 +182,36 @@ class TestSweepParity:
         assert _pair_rids(pairs_np) == _pair_rids(pairs_py)
         assert stats_np == stats_py
         assert env_np.cpu_ops == env_py.cpu_ops
+
+    @pytest.mark.parametrize("coord", range(4))
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_non_finite_coordinates_fall_back(self, coord, value):
+        # A NaN x-coordinate used to be swept — same pairs and ops as
+        # the reference, in another order; non-finite input is declined
+        # like an inverted one, by the batched and the grouped entry.
+        from repro.core.kernels import np_sweep
+
+        rng = random.Random(f"{coord}{value}")
+        a = _uniform(rng, 60)
+        b = _uniform(rng, 60, 10_000)
+        odd = list(a[7])
+        odd[coord] = float(value)
+        a[7] = Rect(*odd)
+        env_py, env_np = _OpCounter(), _OpCounter()
+        pairs_py, stats_py = forward_sweep_pairs_batched(a, b, env_py)
+        assert np_sweep.sweep_pairs_batched(a, b, _OpCounter()) is None
+        pairs_np, stats_np = kernels.sweep_pairs_batched(
+            "numpy", a, b, env_np,
+        )
+        assert _pair_rids(pairs_np) == _pair_rids(pairs_py)
+        assert stats_np == stats_py
+        assert env_np.cpu_ops == env_py.cpu_ops
+        tiles = [(0, ColumnarTile.from_rects(a), ColumnarTile.from_rects(b)),
+                 (1, ColumnarTile.from_rects(b), ColumnarTile.from_rects(a))]
+        spec = (0.0, 1.0, 0.0, 1.0, 1, 2)
+        for group in (tiles[:1], tiles):
+            assert np_sweep.sweep_tiles(group, False, spec, None,
+                                        True) is None
 
     def test_columnar_tile_inputs(self):
         rng = random.Random(13)
@@ -1077,6 +1111,63 @@ def _inverted(payload):
     return payload[:2] + (bad,) + payload[3:]
 
 
+def _compacting_segment(rng, n, run, tall, base):
+    """One sweep's ``(A, B)`` rectangles, drawn to make the active lists
+    compact again and again.
+
+    Events come in runs of up to ``run`` same-side rectangles; half of
+    the rectangles (a coin flip each) are short, three grid steps at
+    most, so a long run piles up dead entries on its own side, and the
+    rest reach up to ``tall`` steps.  ``ylo`` climbs a quarter-grid by coin flips and ``xlo`` sits
+    on an eighth-grid: ties inside a side, across sides and in ``xlo``.
+    Each side comes back shuffled.
+    """
+    a, b = [], []
+    on_a = rng.random() < 0.5
+    step = left = 0
+    for i in range(n):
+        if not left:
+            left = rng.randint(1, run)
+            on_a = not on_a
+        left -= 1
+        step += rng.random() < 0.5
+        high = rng.randint(0, tall if rng.random() < 0.5 else 3)
+        xlo = rng.randint(0, 16) / 8
+        (a if on_a else b).append(Rect(
+            xlo, xlo + rng.randint(0, 4) / 8, step / 4,
+            (step + high) / 4, base + i,
+        ))
+    rng.shuffle(a)
+    rng.shuffle(b)
+    return a, b
+
+
+def _reference_compactions(a, b):
+    """The reference sweep of ``a`` against ``b``, logged: the side of
+    every event in merge order (True: A) and the event each compaction
+    followed."""
+    sides, at, lists = [], [], []
+
+    class Logged(ForwardSweep):
+        def insert(self, r):
+            sides.append(self is lists[0])
+            super().insert(r)
+
+        def compact(self, sweep_y):
+            if self is lists[0]:  # once per compaction of the pair
+                at.append(len(sides) - 1)
+            super().compact(sweep_y)
+
+    def make():
+        lists.append(Logged())
+        return lists[-1]
+
+    key = lambda r: (r.ylo, r.xlo)  # noqa: E731
+    sweep_join_batched(iter(sorted(a, key=key)), iter(sorted(b, key=key)),
+                       make, _OpCounter())
+    return sides, at
+
+
 @needs_numpy
 class TestSegmentedSweepParity:
     """``sweep_tiles`` over a group vs the python body tile by tile."""
@@ -1324,7 +1415,101 @@ class TestSegmentedSweepParity:
         for a, b in sides:
             _, stats = forward_sweep_pairs_batched(a, b, _OpCounter())
             expect.append((stats.cpu_ops, stats.max_active_items))
-        assert np_sweep._simulate_ops(m.is_a, m.lo, m.hi, bounds) == expect
+        assert np_sweep._simulate_ops(m.is_a, m.end, bounds) == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(st.integers(0, 1500), st.integers(1, 400),
+                      st.integers(0, 300)),
+            min_size=1, max_size=6,
+        ),
+        shape=st.sampled_from(("join", "self-join", "presorted")),
+        wide_key=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_replay_and_merge_order_property(self, segments, shape,
+                                             wide_key, seed):
+        # Groups that compact often (mid-run, on a run's last event,
+        # after empty segments) against the reference sweep of each
+        # segment alone and python's sort of the merge key; a wide key
+        # forces the lexsort an int64-overflowing key would take.
+        from repro.core.kernels import np_sweep
+
+        presorted = shape == "presorted"
+        rng = random.Random(seed)
+        sides = []
+        for t, (n, run, tall) in enumerate(segments):
+            a, b = _compacting_segment(rng, n, run, tall, 10_000 * t)
+            if shape == "self-join":
+                a = b = a + b
+            elif presorted:  # by ylo alone: equal ylo keep index order
+                a.sort(key=lambda r: r.ylo)
+                b.sort(key=lambda r: r.ylo)
+            sides.append((a, b))
+        expect_ops, expect_pairs = [], []
+        for a, b in sides:
+            pairs, stats = forward_sweep_pairs_batched(
+                a, b, _OpCounter(), presorted=presorted,
+            )
+            expect_ops.append((stats.cpu_ops, stats.max_active_items))
+            expect_pairs.append(_pair_rids(pairs))
+
+        ca, tile_a = np_sweep._gather([a for a, _ in sides], None)
+        cb, tile_b = (
+            (ca, tile_a) if shape == "self-join"
+            else np_sweep._gather([b for _, b in sides], None)
+        )
+        keys = (
+            (ca[2:4], cb[2:4]) if len(sides) == 1
+            else np_sweep._segment_keys(ca, tile_a, cb, tile_b)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            if wide_key:
+                mp.setattr(np_sweep, "_KEY_BOUND", 0)
+            m = np_sweep._Merged(ca, cb, *keys, presorted=presorted)
+        bounds = [0]
+        for a, b in sides:
+            bounds.append(bounds[-1] + len(a) + len(b))
+
+        # Merge order: (tile, ylo, side, xlo, index within the side).
+        events = sorted(
+            (t, r.ylo, side, 0.0 if presorted else r.xlo, i, r.rid)
+            for side, column in enumerate((
+                [(t, r) for t, (a, _) in enumerate(sides) for r in a],
+                [(t, r) for t, (_, b) in enumerate(sides) for r in b],
+            ))
+            for i, (t, r) in enumerate(column)
+        )
+        assert list(zip(m.is_a.tolist(), m.rid.tolist())) == [
+            (e[2] == 0, e[5]) for e in events
+        ]
+        assert np_sweep._simulate_ops(m.is_a, m.end, bounds) == expect_ops
+        a_idx, b_idx, seg = np_sweep._pairs(m, bounds)
+        got = [[] for _ in sides]
+        for t, ra, rb in zip(seg.tolist(), m.rid[a_idx].tolist(),
+                             m.rid[b_idx].tolist()):
+            got[t].append((ra, rb))
+        assert got == expect_pairs
+
+    def test_compacting_segments_compact_where_the_replay_is_hard(self):
+        # The property above is only as strong as its inputs: segments
+        # drawn like its own compact more than once each, some of them
+        # in the middle of a run of one side and some on the last event
+        # of a run longer than one.
+        rng = random.Random(2)
+        mid_run = run_end = 0
+        for run, tall in ((400, 100), (60, 60), (3, 300)):
+            sides, at = _reference_compactions(
+                *_compacting_segment(rng, 1500, run, tall, 0)
+            )
+            assert len(at) >= 2
+            for i in at:
+                last = i + 1 == len(sides) or sides[i + 1] != sides[i]
+                first = i == 0 or sides[i - 1] != sides[i]
+                run_end += last and not first
+                mid_run += not (first or last)
+        assert mid_run > 10 and run_end >= 2
 
     @pytest.mark.parametrize("pool_kind",
                              ("serial", "thread", "process"))

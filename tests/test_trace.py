@@ -246,6 +246,23 @@ def test_grouped_tiles_are_one_span_wherever_they_run(kind):
     assert all(t.attrs["part"] is None for t in tasks)
     assert sum(t.cpu_ops for t in tasks) == detail["sweep_ops_total"]
     assert all(t.cpu_ops > 0 for t in tasks)
+    # Each task says how much it swept: every tile copy distribute
+    # placed is in exactly one task, and the trace stays valid only
+    # while every task span carries the count.
+    assert sum(t.attrs["rects"] for t in tasks) == (
+        out.trace.find("distribute").attrs["copies"]
+    )
+    assert all(114 * t.attrs["tiles"] <= t.attrs["rects"]
+               <= 140 * t.attrs["tiles"] for t in tasks)
+    assert validate_trace(out.trace.to_dict()) == []
+    broken = out.trace.to_dict()
+    spans = [broken]
+    while spans:
+        span = spans.pop()
+        spans.extend(span["children"])
+        if span["name"] == "sweep-task":
+            del span["attrs"]["rects"]
+    assert len(validate_trace(broken)) == len(tasks)
     assert detail["active_partitions"] == 8
     # The pool counts tiles, not calls, on both sides of the split.
     inline = [t.attrs["tiles"] for t in tasks if not t.attrs["shipped"]]

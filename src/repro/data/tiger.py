@@ -10,18 +10,36 @@ sets with the properties that drive the paper's measurements:
   lognormal, and orientations biased toward axis-parallel (street
   grids).  Feature extents scale as ``sqrt(area / n)``: at the paper's
   full cardinalities this gives realistic segment lengths (a few
-  hundred meters in NJ), and under down-scaling it keeps the join
-  selectivity (output pairs / road count, 0.3-0.6 in Table 2) and the
+  hundred meters in NJ), and under down-scaling it keeps the
   square-root rule invariant, because a sweep-line then cuts
-  Theta(sqrt(N)) rectangles at any scale.
+  Theta(sqrt(N)) rectangles at any scale.  It does *not* keep the
+  join selectivity (output pairs / road count, 0.3-0.6 in Table 2)
+  invariant: that drifts with scale, as below.
 * **Hydro** — the small relation (the paper's ratio is roughly 4-8x
   fewer objects).  Rivers are correlated random walks emitting a chain
   of consecutive segment MBRs; lakes are rounder blobs clustered like
   the terrain.  River walks start near city clusters (cities grow on
-  rivers), which keeps road x hydro selectivity in the paper's range
-  (output pairs ~ 0.3-0.6 of the road count).
+  rivers), which correlates road x hydro output with the settlements.
 * **Landuse** — a third relation for multi-way join experiments:
   medium-sized polygon MBRs around the same city centers.
+
+Output pairs per road, measured with PQ (1/1024 and 1/256 are the
+repo's ``quick`` and ``default`` rungs; 1/64 and 1/16 are one-off runs
+recorded in ROADMAP.md, with configurations written for them):
+
+=========  ======  =====  =====  =====
+Dataset    1/1024  1/256  1/64   1/16
+=========  ======  =====  =====  =====
+NJ         0.81    0.29   0.51   0.60
+NY         0.38    0.33   0.74   0.62
+DISK1      0.64    0.58   0.64   0.67
+DISK4-6    0.86    0.63   0.71   0.73
+DISK1-3    0.58    0.70   0.71   0.72
+DISK1-6    0.62    0.66   0.76   0.92
+=========  ======  =====  =====  =====
+
+Whether the generator should hold this steady, or a ladder test should
+carry the drift, is open (ROADMAP.md, item 6(c)/(d)).
 
 Properties the tests verify: the square-root rule (the number of
 rectangles cut by any horizontal sweep-line stays O(sqrt(N)), the
@@ -88,7 +106,8 @@ def make_roads(n: int, region: Rect, seed: int = 1,
     py = np.concatenate([uy, ry])
 
     # Segment lengths: lognormal around the sqrt(area/n) scale that
-    # keeps selectivity and the square-root rule scale-invariant.
+    # keeps the square-root rule scale-invariant (not the selectivity:
+    # see the module docstring).
     base_len = 0.55 * np.sqrt(span_x * span_y / n)
     length = rng.lognormal(np.log(base_len), 0.6, n)
     # Orientation: half axis-parallel (street grids), half free.

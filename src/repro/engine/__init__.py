@@ -13,7 +13,9 @@ the subsystem a production deployment needs:
 * :class:`~repro.engine.executor.Executor` — plan execution, including
   PBSM-style tile-partitioned parallel joins on a worker pool;
 * :class:`~repro.engine.cache.ResultCache` — size-aware LRU result
-  cache keyed by query fingerprint + catalog versions;
+  cache keyed by canonical query + catalog versions, and
+  :class:`~repro.engine.cache.ArtifactCache` — the budget-charged LRU
+  of distributed tiles and sorted runs;
 * :class:`~repro.engine.resources.ResourceBudget` — the enforced
   internal-memory contract shared by every layer (grants, spill,
   admission control, high-water accounting);
@@ -25,9 +27,9 @@ the subsystem a production deployment needs:
   :class:`~repro.engine.pool.WorkerPool`, with R replica engines per
   shard and health-scored failover between them;
 * :class:`~repro.engine.faults.FaultPlan` — deterministic fault
-  injection (worker crashes, task exceptions, slow tasks, corrupt
-  artifacts, pool breakage, admission/deadline faults) threaded
-  through the pool, the stores and the serving front-end;
+  injection (worker crashes, task exceptions, slow tasks, pool
+  breakage, replica outages, admission/deadline faults) threaded
+  through the pool, the scatter layer and the serving front-end;
 * :class:`~repro.engine.serve.ServingFrontend` — the concurrent
   admission layer: per-class budget grants with a bounded parking
   queue, oldest-batch-first load shedding, per-query deadlines with
@@ -45,7 +47,6 @@ Quick start::
     print(out.result.n_pairs, engine.metrics_snapshot())
 """
 
-from repro.engine.artifacts import ArtifactStore, ResultStore
 from repro.engine.cache import (
     ArtifactCache,
     ResultCache,
@@ -95,7 +96,6 @@ from repro.engine.workload import (
 __all__ = [
     "AdmissionError",
     "ArtifactCache",
-    "ArtifactStore",
     "Catalog",
     "CatalogEntry",
     "DeadlineExceeded",
@@ -119,7 +119,6 @@ __all__ = [
     "ResourceBudget",
     "ResourceGrant",
     "ResultCache",
-    "ResultStore",
     "ServeResponse",
     "ServingFrontend",
     "ShardedEngine",

@@ -20,12 +20,10 @@ of every kind share one LRU and are charged to the engine's execution
 :class:`~repro.engine.resources.ResourceBudget` under the
 ``"artifacts"`` category, but only ever occupy *free* budget bytes
 (``grant.try_extend``) and are evicted on demand — cached artifacts can
-never starve a query's tile grant into spilling.  When the engine has
-an :class:`~repro.engine.artifacts.ArtifactStore` attached, evicted or
-restart-lost artifacts can come back from the spill directory; the
-cache counts those ``disk_restores`` separately from memory hits.
+never starve a query's tile grant into spilling.  Both caches live and
+die with the engine process.
 
-Size-aware LRU result cache keyed by query fingerprint + versions.
+Size-aware LRU result cache keyed by canonical query + versions.
 
 A serving engine sees the same heavy joins again and again (dashboards,
 tile servers); the second identical query should cost a dictionary
@@ -52,18 +50,8 @@ result memory is governed here, by ``max_bytes``.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from typing import (
-    Any,
-    Dict,
-    Hashable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Hashable, NamedTuple, Optional, Tuple
 
 from repro.core.columnar import PairColumns
 from repro.geom.rect import RECT_BYTES, union_mbr
@@ -96,7 +84,7 @@ def approx_result_bytes(value: Any) -> int:
 
 
 class ResultCache:
-    """LRU map from query fingerprints to results, bounded by bytes.
+    """LRU map from canonical query keys to results, bounded by bytes.
 
     ``capacity`` bounds the entry count (the pre-budget behaviour);
     ``max_bytes`` additionally bounds the approximate resident bytes.
@@ -256,51 +244,19 @@ def grid_tiles(partitions: int) -> int:
     return tiles
 
 
-def canonical_token(kind: str, fingerprints: Sequence[Tuple[str, int]],
-                    *extra) -> str:
-    """A stable, filename-safe identity for one persistable artifact.
-
-    ``fingerprints`` is the content identity of the artifact's input
-    relations — ``(name, fingerprint)`` pairs.  ``extra`` pins the
-    derivation parameters (grid geometry and window for partition
-    artifacts, the sort axis for sorted runs); floats are rendered via
-    ``repr`` so the token is exact, and the whole string is hashed to
-    keep filenames uniform.
-    """
-    parts: List[str] = [kind]
-    for name, fp in fingerprints:
-        parts.append(f"{name}={fp}")
-    parts.extend(_canon(x) for x in extra)
-    raw = "|".join(parts)
-    return hashlib.sha1(raw.encode("utf-8")).hexdigest()
-
-
-def _canon(obj) -> str:
-    if obj is None:
-        return "~"
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (list, tuple)):
-        return "(" + ",".join(_canon(x) for x in obj) + ")"
-    return str(obj)
-
-
 class Candidate(NamedTuple):
-    """One place an artifact may be found.
+    """One key an artifact may be cached under.
 
-    ``key`` names it in the memory tier — built on catalog versions,
-    which a re-registration bumps, so stale entries are unreachable;
-    the leading ``((name, version), ...)`` tuple is what
-    :meth:`ArtifactCache.invalidate_relation` scans.  ``token`` names
-    it in the sidecar — built on content fingerprints, which survive a
-    restart; ``None`` when no sidecar is attached.  A distribution
+    ``key`` is built on catalog versions, which a re-registration
+    bumps, so stale entries are unreachable; the leading
+    ``((name, version), ...)`` tuple is what
+    :meth:`ArtifactCache.invalidate_relation` scans.  A distribution
     also carries the ``universe`` its grid covers and the window a
     sweep must ``prune`` each tile to when it reuses this candidate
     (``None``: the tiles hold exactly what the query asked for).
     """
 
     key: Tuple
-    token: Optional[str]
     universe: Any = None
     prune: Any = None
 
@@ -310,19 +266,16 @@ class ArtifactIdentity(NamedTuple):
     distribution is cut on (``tiles`` a side; 0 for a sorted run)."""
 
     kind: str
-    relations: Tuple[str, ...]
     candidates: Tuple[Candidate, ...]
     tiles: int = 0
 
 
 class ArtifactHit(NamedTuple):
-    """A :meth:`ArtifactCache.fetch` that found something: the value,
-    the candidate it was found under and — when it came off the
-    sidecar — the logical bytes the caller owes the simulated disk."""
+    """A :meth:`ArtifactCache.fetch` that found something: the value
+    and the candidate it was found under."""
 
     value: Any
     candidate: Candidate
-    restored_bytes: int
 
 
 def artifact_bytes(tasks) -> int:
@@ -376,15 +329,12 @@ class ArtifactCache:
     empty cache would have avoided.  ``max_bytes`` adds an absolute
     cap on top (``0`` disables the cache outright).
 
-    ``store`` attaches the engine's
-    :class:`~repro.engine.artifacts.ArtifactStore`: memory tier and
-    sidecar are then one object, and this class is the one owner of
-    what an artifact is called (:meth:`distribution`,
-    :meth:`sorted_run`) and of the order it is looked for in — exact
-    candidate before the full one, memory before sidecar.  The
+    This class is the one owner of what an artifact is called
+    (:meth:`distribution`, :meth:`sorted_run`) and of the order it is
+    looked for in — the exact candidate before the full one.  The
     optimizer prices a plan from :meth:`locate`, the executor runs it
-    through :meth:`fetch` and :meth:`retain`; neither derives a key or
-    a token, so what was priced is what runs.
+    through :meth:`fetch` and :meth:`retain`; neither derives a key,
+    so what was priced is what runs.
 
     For backward compatibility every lookup/write method defaults to
     the ``"partition"`` kind (the only kind that existed before the
@@ -392,13 +342,11 @@ class ArtifactCache:
     """
 
     def __init__(self, budget=None,
-                 max_bytes: Optional[int] = None,
-                 store=None) -> None:
+                 max_bytes: Optional[int] = None) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("artifact byte budget cannot be negative")
         self.budget = budget
         self.max_bytes = max_bytes
-        self.store = store
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._sizes: Dict[Tuple, int] = {}
         self._grant = None
@@ -409,19 +357,11 @@ class ArtifactCache:
         self.evictions = 0
         self.invalidations = 0
         self.rejections = 0
-        self.disk_restores = 0
-        self.disk_restore_bytes = 0
         self.kind_stats: Dict[str, Dict[str, int]] = {}
 
     @property
     def enabled(self) -> bool:
         return self.max_bytes != 0
-
-    @property
-    def _sidecar(self):
-        """The attached store — none for a disabled cache, which has
-        nothing to restore into or persist."""
-        return self.store if self.enabled else None
 
     # -- identity --------------------------------------------------------
 
@@ -440,19 +380,11 @@ class ArtifactCache:
         """
         inputs = entries[:1] if self_join else entries
         versions = tuple((e.name, e.version) for e in inputs)
-        fingerprints = (
-            tuple((e.name, e.fingerprint) for e in inputs)
-            if self._sidecar is not None else None
-        )
         tiles = grid_tiles(partitions)
 
         def candidate(uni, win, prune) -> Candidate:
             return Candidate(
                 (versions, tuple(uni[:4]), tiles, partitions, win),
-                None if fingerprints is None else canonical_token(
-                    PARTITION_KIND, fingerprints, tuple(uni[:4]), tiles,
-                    partitions, None if win is None else tuple(win[:4]),
-                ),
                 uni, prune,
             )
 
@@ -462,10 +394,7 @@ class ArtifactCache:
                 union_mbr(entries[0].universe, entries[-1].universe),
                 None, window,
             ))
-        return ArtifactIdentity(
-            PARTITION_KIND, tuple(e.name for e in inputs),
-            tuple(candidates), tiles,
-        )
+        return ArtifactIdentity(PARTITION_KIND, tuple(candidates), tiles)
 
     def sorted_run(self, entry, axis: str = "ylo") -> ArtifactIdentity:
         """The identity of one relation in sweep order.
@@ -474,70 +403,31 @@ class ArtifactCache:
         and windows are applied downstream.
         """
         return ArtifactIdentity(
-            SORTED_RUN_KIND, (entry.name,),
-            (Candidate(
-                (((entry.name, entry.version),), axis),
-                canonical_token(
-                    SORTED_RUN_KIND, ((entry.name, entry.fingerprint),),
-                    axis,
-                ) if self._sidecar is not None else None,
-            ),),
+            SORTED_RUN_KIND,
+            (Candidate((((entry.name, entry.version),), axis)),),
         )
 
     # -- lookups ---------------------------------------------------------
 
-    def locate(self, ident: ArtifactIdentity) -> Tuple[Optional[str], int]:
-        """Where :meth:`fetch` would find ``ident``, touching nothing.
-
-        ``("memory", 0)``, ``("disk", logical bytes of the restore
-        read)`` or ``(None, 0)`` — what the optimizer prices.
-        """
-        if not self.enabled:
-            return None, 0
-        for cand in ident.candidates:
-            if self.has(cand.key, ident.kind):
-                return "memory", 0
-        if self.store is not None:
-            for cand in ident.candidates:
-                meta = self.store.peek(cand.token)
-                if meta is not None:
-                    return "disk", int(meta["logical_bytes"])
-        return None, 0
+    def locate(self, ident: ArtifactIdentity) -> bool:
+        """Whether :meth:`fetch` would find ``ident``, touching
+        nothing — what the optimizer prices."""
+        return any(self.has(cand.key, ident.kind)
+                   for cand in ident.candidates)
 
     def fetch(self, ident: ArtifactIdentity) -> Optional[ArtifactHit]:
-        """Look ``ident`` up for execution: one hit-or-miss event.
-
-        Every candidate is tried in memory, then — the miss counted —
-        in the sidecar; a restored artifact is counted
-        (:meth:`note_restore`) and re-inserted best effort: a full
-        budget serves it to this query without retaining it.
-        """
+        """Look ``ident`` up for execution: one hit-or-miss event."""
         kind = ident.kind
         for cand in ident.candidates:
             # has() bumps no counters: the event is the get() below.
             if self.has(cand.key, kind):
-                return ArtifactHit(self.get(cand.key, kind=kind), cand, 0)
+                return ArtifactHit(self.get(cand.key, kind=kind), cand)
         self.get(ident.candidates[0].key, kind=kind)
-        if self._sidecar is not None:
-            for cand in ident.candidates:
-                loaded = self.store.load(cand.token)
-                if loaded is None:
-                    continue
-                _kind, value, logical = loaded
-                self.note_restore(logical)
-                self.put(cand.key, value, kind=kind)
-                return ArtifactHit(value, cand, logical)
         return None
 
     def retain(self, ident: ArtifactIdentity, value) -> None:
-        """Keep a freshly built artifact under its exact candidate, in
-        memory and — content-keyed, so a restarted engine finds it —
-        in the sidecar."""
-        exact = ident.candidates[0]
-        self.put(exact.key, value, kind=ident.kind)
-        if exact.token is not None:
-            self.store.save(exact.token, ident.kind, value,
-                            ident.relations)
+        """Keep a freshly built artifact under its exact candidate."""
+        self.put(ident.candidates[0].key, value, kind=ident.kind)
 
     def get(self, key: Tuple, kind: str = PARTITION_KIND):
         """The cached value, refreshed to MRU; or ``None``."""
@@ -587,11 +477,6 @@ class ArtifactCache:
         stats["bytes"] += nbytes
         stats["entries"] += 1
         return True
-
-    def note_restore(self, nbytes: int) -> None:
-        """Count one artifact restored from the disk sidecar."""
-        self.disk_restores += 1
-        self.disk_restore_bytes += nbytes
 
     def invalidate_relation(self, name: str) -> int:
         """Drop artifacts whose version tuple references ``name``.
@@ -643,8 +528,6 @@ class ArtifactCache:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "rejections": self.rejections,
-            "disk_restores": self.disk_restores,
-            "disk_restore_bytes": self.disk_restore_bytes,
             "kinds": {k: dict(v) for k, v in self.kind_stats.items()},
         }
 

@@ -21,8 +21,6 @@ results (the result cache folds entry versions into its keys).
 
 from __future__ import annotations
 
-import zlib
-from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.histogram import DEFAULT_GRID, SpatialHistogram
@@ -37,20 +35,6 @@ from repro.storage.stream import Stream
 
 #: Geometry payload: object id -> polyline (sequence of (x, y) points).
 GeometryMap = Dict[int, Sequence[Tuple[float, float]]]
-
-
-def rects_fingerprint(rects: Sequence[Rect]) -> int:
-    """Content identity of a rectangle sequence (CRC32 + size).
-
-    The formula behind :attr:`CatalogEntry.fingerprint`, extracted so
-    layers that never build a catalog entry for the *full* relation —
-    the sharded scatter layer keys persisted results by the unsharded
-    input — derive the identical value for identical data.
-    """
-    buf = array("d")
-    for r in rects:
-        buf.extend((r.xlo, r.xhi, r.ylo, r.yhi, float(r.rid)))
-    return (zlib.crc32(buf.tobytes()) << 20) | (len(rects) & 0xFFFFF)
 
 
 class CatalogEntry:
@@ -76,7 +60,6 @@ class CatalogEntry:
         self._tree: Optional[RTree] = None
         self._histogram: Optional[SpatialHistogram] = None
         self._columns = None
-        self._fingerprint: Optional[int] = None
 
     # -- lazy representations -------------------------------------------
 
@@ -127,23 +110,6 @@ class CatalogEntry:
     @property
     def has_tree(self) -> bool:
         return self._tree is not None
-
-    @property
-    def fingerprint(self) -> int:
-        """Content identity of the registered rectangles (CRC32 + size).
-
-        Catalog *versions* are process-local counters — they identify
-        an entry within one engine's lifetime but mean nothing after a
-        restart.  The fingerprint is derived from the data itself
-        (coordinates and ids, in registration order), so a restarted
-        engine that registers the same relation computes the same
-        value; the disk artifact store keys on it.  Computed lazily —
-        only persistence needs it — and cached for the entry's life
-        (entries are immutable; re-registration makes a new entry).
-        """
-        if self._fingerprint is None:
-            self._fingerprint = rects_fingerprint(self.rects)
-        return self._fingerprint
 
     def relation(self, universe: Optional[Rect] = None,
                  with_tree: bool = True) -> Relation:

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.join_result import JoinResult
-from repro.engine.artifacts import ArtifactStore, check_store_layout
 from repro.engine.faults import FaultPlan
 from repro.engine.cache import ArtifactCache, ResultCache
 from repro.engine.catalog import Catalog, GeometryMap
@@ -87,8 +86,6 @@ ARTIFACT_SNAPSHOT_KEYS = {
     "invalidations": "artifact_cache_invalidations",
     "rejections": "artifact_cache_rejections",
     "kinds": "artifact_kinds",
-    "disk_restores": "artifact_disk_restores",
-    "disk_restore_bytes": "artifact_disk_restore_bytes",
 }
 BUDGET_SNAPSHOT_KEYS = {
     "total_bytes": "budget_total_bytes",
@@ -127,9 +124,9 @@ class EngineResult:
 
 
 def cacheable(result: JoinResult) -> bool:
-    """The result-cache put rule, for either engine and the persisted
-    sub-results: count-only results (no pair list) always cache,
-    collected ones up to :data:`MAX_CACHED_PAIRS`."""
+    """The result-cache put rule, for either engine: count-only
+    results (no pair list) always cache, collected ones up to
+    :data:`MAX_CACHED_PAIRS`."""
     return result.pairs is None or len(result.pairs) <= MAX_CACHED_PAIRS
 
 
@@ -208,7 +205,6 @@ class SpatialQueryEngine(_ServeShell):
         memory_bytes: Optional[int] = None,
         pool_kind: str = "process",
         artifact_cache_bytes: Optional[int] = None,
-        artifact_dir: Optional[str] = None,
         worker_pool: Optional[WorkerPool] = None,
         trace: bool = False,
         slow_log_capacity: Optional[int] = None,
@@ -239,10 +235,7 @@ class SpatialQueryEngine(_ServeShell):
         # artifacts (distributed tiles and sorted runs) occupy only
         # free budget bytes and are evicted before they could ever
         # starve a tile grant.  ``artifact_cache_bytes=0`` disables
-        # artifact reuse; ``artifact_dir`` additionally persists
-        # artifacts to a content-keyed sidecar there, so a restarted
-        # engine pointed at the same directory restores its warm state
-        # lazily on first touch.
+        # artifact reuse.
         #
         # ``worker_pool`` shares an externally-owned pool (a sharded
         # catalog runs many engines on one pool); the engine then holds
@@ -254,23 +247,12 @@ class SpatialQueryEngine(_ServeShell):
             worker_pool if worker_pool is not None
             else WorkerPool(self.workers, kind=pool_kind, faults=faults)
         ).client()
+        # A serving front-end built on this engine joins its fault plan.
         self.faults = faults
-        if artifact_dir:
-            # A single engine must not be pointed at the *root* of a
-            # sharded tree (tokens would never match and the files
-            # would interleave); ShardedEngine hands its per-replica
-            # engines leaf subdirectories, which pass this check.
-            check_store_layout(artifact_dir, sharded=False)
-        self.artifact_store = (
-            ArtifactStore(artifact_dir, faults=faults)
-            if artifact_dir else None
-        )
-        # Memory tier and sidecar are one object, shared by the
-        # optimizer (which prices from it) and the executor (which
-        # runs through it).
+        # One artifact cache, shared by the optimizer (which prices
+        # from it) and the executor (which runs through it).
         self.artifacts = ArtifactCache(
             budget=self.budget, max_bytes=artifact_cache_bytes,
-            store=self.artifact_store,
         )
         self.optimizer = Optimizer(
             self.catalog, machine, scale,
@@ -424,12 +406,6 @@ class SpatialQueryEngine(_ServeShell):
             sim_io_seconds=d_io, sim_cpu_seconds=d_cpu,
             sim_wall_seconds=sim_wall, wall_seconds=wall,
             spilled_rects=int(result.detail.get("spilled_rects", 0)),
-            artifact_restores=int(
-                result.detail.get("artifact_restores", 0)
-            ),
-            artifact_restore_bytes=int(
-                result.detail.get("artifact_restore_bytes", 0)
-            ),
         )
         self.metrics.record_estimate(
             strategy, plan.estimate.io_seconds, d_io
@@ -447,12 +423,6 @@ class SpatialQueryEngine(_ServeShell):
                 sim_wall_seconds=sim_wall, wall_seconds=wall,
                 pairs=result.n_pairs,
                 spilled_rects=int(result.detail.get("spilled_rects", 0)),
-                artifact_restores=int(
-                    result.detail.get("artifact_restores", 0)
-                ),
-                artifact_restore_bytes=int(
-                    result.detail.get("artifact_restore_bytes", 0)
-                ),
             )
         if cacheable(result):
             # Cache a private copy: the caller owns the returned object
@@ -550,10 +520,6 @@ class SpatialQueryEngine(_ServeShell):
                      in ARTIFACT_SNAPSHOT_KEYS.items()})
         snap.update({flat: budget[key] for key, flat
                      in BUDGET_SNAPSHOT_KEYS.items()})
-        snap["artifact_store"] = (
-            self.artifact_store.snapshot()
-            if self.artifact_store is not None else None
-        )
         snap.update(flatten_result_cache_keys(self.cache))
         snap.update({
             "buffer_pool_requests": self.pool.requests,

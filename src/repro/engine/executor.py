@@ -27,14 +27,13 @@ goes back once, whichever stage raises:
    identity comes from the artifact layer
    (:meth:`ArtifactCache.distribution
    <repro.engine.cache.ArtifactCache.distribution>` — the optimizer
-   priced the plan from the same object, so neither side derives a key
-   or a token); routing comes from the plan memo: a repeat whose whole
+   priced the plan from the same object, so neither side derives a
+   key); routing comes from the plan memo: a repeat whose whole
    sweep *measured* at or under ``INLINE_PLAN_OPS`` keeps every group
    on the coordinator.
 2. **Produce** (:meth:`~Executor._produce_tiles`, the ``distribute``
    span).  One :meth:`~repro.engine.cache.ArtifactCache.fetch` decides
-   where the tiles come from — cached, restored from the sidecar at
-   the price of one sequential read, or (a miss) distributed cold —
+   where the tiles come from — cached, or (a miss) distributed cold —
    and on which grid they are swept: a windowed plan may reuse the
    full distribution, every task pruning its tiles to the window.
 3. **Grant and ship.**  The query's one ``"tiles"`` grant
@@ -118,7 +117,6 @@ from repro.core.planner import unified_spatial_join
 from repro.core.sssj import sssj_join
 from repro.core.st_join import st_join
 from repro.core.sweep import forward_sweep_pairs_batched
-from repro.engine.artifacts import charge_restore
 from repro.engine.cache import ArtifactCache, ArtifactIdentity, Candidate
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.optimizer import PhysicalPlan
@@ -229,8 +227,8 @@ class Executor:
         # (possibly shared with other engines — the executor only ever
         # sees the client/pool submission surface).
         self.worker_pool = worker_pool or WorkerPool(1, kind="serial")
-        # The engine's artifact layer (memory tier + optional sidecar);
-        # without one, a disabled cache: every lookup is a miss.
+        # The engine's artifact cache; without one, a disabled cache:
+        # every lookup is a miss.
         self.artifacts = (
             artifacts if artifacts is not None
             else ArtifactCache(max_bytes=0)
@@ -353,13 +351,11 @@ class Executor:
         """SSSJ with sorted-run artifact reuse.
 
         Each side's sorted view is resolved independently through the
-        artifact layer (one hit-or-miss event a side): a memory hit
-        sweeps straight out of the cached columnar run (no sort, no
-        I/O at all for that side), a disk hit restores the run from
-        the artifact sidecar (priced as one sequential read of its
-        logical bytes), and a miss runs the external sort as usual —
-        capturing the sorted output as it passes through memory and
-        retaining it as a fresh artifact for the next query.
+        artifact cache (one hit-or-miss event a side): a hit sweeps
+        straight out of the cached columnar run (no sort, no I/O at
+        all for that side), and a miss runs the external sort as
+        usual — capturing the sorted output as it passes through
+        memory and retaining it as a fresh artifact for the next query.
         """
         query = plan.query
         rel_a = entries[0].relation(universe=plan.regions[0],
@@ -370,17 +366,12 @@ class Executor:
 
         runs = []
         owned = []
-        hits = restores = restore_bytes = 0
+        hits = 0
         for idx, entry in enumerate(entries):
             ident = self.artifacts.sorted_run(entry)
             hit = self.artifacts.fetch(ident)
             if hit is not None:
-                if hit.restored_bytes:
-                    charge_restore(self.disk, hit.restored_bytes)
-                    restores += 1
-                    restore_bytes += hit.restored_bytes
-                else:
-                    hits += 1
+                hits += 1
                 runs.append(
                     SortedRunView(hit.value, name=f"{entry.name}.sorted")
                 )
@@ -409,8 +400,6 @@ class Executor:
         result.detail["estimated_io_seconds"] = plan.estimate.io_seconds
         result.detail["machine"] = self.machine.name
         result.detail["sorted_run_hits"] = hits
-        result.detail["artifact_restores"] = restores
-        result.detail["artifact_restore_bytes"] = restore_bytes
         return result
 
     def _execute_multiway(self, plan: PhysicalPlan,
@@ -443,8 +432,8 @@ class Executor:
         # keep their segments for the next query's zero-copy re-ship).
         with ExitStack() as held:
             held.callback(shipper.release_shm)
-            # A disk restore is distribute work: the span runs from the
-            # artifact lookup through scan/partition/spill/submission.
+            # The span runs from the artifact lookup through
+            # scan/partition/spill/submission.
             with span_meter(env, machine, trace, "distribute") as dspan:
                 self._produce_tiles(run, held)
             sweep_span = None
@@ -452,7 +441,6 @@ class Executor:
                 dspan.attrs.update({
                     "partitions": run.n_parts,
                     "artifact_hit": run.artifact_hit,
-                    "restore_bytes": run.restore_bytes,
                     "spilled_rects": run.spilled_rects,
                     **run.distribute_attrs,
                 })
@@ -517,16 +505,13 @@ class Executor:
 
     def _produce_tiles(self, run: "_PartitionedRun",
                        held: ExitStack) -> None:
-        """Stage 2: tiles from the artifact layer — cached, or
-        restored at the price of one sequential read — else from a
-        cold distribute; either way shipped as they become ready."""
+        """Stage 2: tiles from the artifact cache, else from a cold
+        distribute; either way shipped as they become ready."""
         hit = self.artifacts.fetch(run.ident)
         if hit is None:
             self._distribute_and_ship(run, held)
             return
-        charge_restore(self.disk, hit.restored_bytes)
         run.artifact_hit = True
-        run.restore_bytes = hit.restored_bytes
         run.sweep_on(hit.candidate)
         self._ship_cached(run, hit.value, held)
 
@@ -839,8 +824,6 @@ class Executor:
                 "spilled_bytes": run.spilled_rects * RECT_BYTES,
                 "spill_partitions": run.spill_partitions,
                 "artifact_hit": run.artifact_hit,
-                "artifact_restores": 1 if run.restore_bytes else 0,
-                "artifact_restore_bytes": run.restore_bytes,
                 "pool_kind": self.worker_pool.kind,
                 "kernel": self.kernel,
                 "tasks_shipped": sum(
@@ -887,7 +870,6 @@ class _PartitionedRun:
         # Filled by the produce stage.
         self.grant = None
         self.artifact_hit = False
-        self.restore_bytes = 0
         self.spilled_rects = self.spill_partitions = 0
         # Which distribute ran (None: tiles came from the artifact
         # layer) and how many tile copies it placed, replication

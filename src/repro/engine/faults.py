@@ -4,13 +4,12 @@ A replicated sharded engine only earns its availability story if the
 failure paths actually run — and they never run in a healthy test
 environment.  :class:`FaultPlan` makes failure a first-class, *seeded*
 input: a list of :class:`FaultRule` triggers ("the 3rd task on this
-pool raises", "the first artifact load reads a flipped byte") that the
+pool raises", "the first sub-query on shard 1 fails") that the
 :class:`~repro.engine.pool.WorkerPool`,
-:class:`~repro.engine.artifacts.ArtifactStore` and
-:class:`~repro.engine.shard.ShardedEngine` consult at well-defined
-**sites**.  The plan is plain state + an optional seeded RNG, so the
-same plan object replays the same fault schedule — chaos runs are
-reproducible in tests and CI, not flaky.
+:class:`~repro.engine.shard.ShardedEngine` and the serving front-end
+consult at well-defined **sites**.  The plan is plain state + an
+optional seeded RNG, so the same plan object replays the same fault
+schedule — chaos runs are reproducible in tests and CI, not flaky.
 
 Sites and the fault kinds they honour:
 
@@ -33,12 +32,6 @@ Sites and the fault kinds they honour:
     replica runs the sub-query — a whole-replica outage from the
     scatter layer's point of view; ``slow`` sleeps first (tripping the
     replica-timeout health penalty) and then runs normally.
-``artifact.save`` / ``artifact.load``
-    ``corrupt`` flips one payload byte in the just-written / about-to-
-    be-read ``.art`` file, so the store's CRC verification fires and
-    the query degrades to a cold run (never a wrong answer).
-``result.save`` / ``result.load``
-    Same, for persisted result-cache entries.
 ``serve.queue``
     Consulted when the serving front-end admits one query.
     ``exception`` fails the admission (the caller sees an error
@@ -72,15 +65,11 @@ FAULT_SITES = (
     "pool.task",
     "pool.submit",
     "shard.execute",
-    "artifact.save",
-    "artifact.load",
-    "result.save",
-    "result.load",
     "serve.queue",
     "serve.deadline",
 )
 
-FAULT_KINDS = ("exception", "crash", "slow", "break", "corrupt")
+FAULT_KINDS = ("exception", "crash", "slow", "break")
 
 #: Which kinds make sense where; ``FaultPlan`` rejects the rest up
 #: front so a typo'd plan fails at construction, not silently.
@@ -88,10 +77,6 @@ _SITE_KINDS = {
     "pool.task": ("exception", "crash", "slow"),
     "pool.submit": ("break",),
     "shard.execute": ("exception", "slow"),
-    "artifact.save": ("corrupt",),
-    "artifact.load": ("corrupt",),
-    "result.save": ("corrupt",),
-    "result.load": ("corrupt",),
     "serve.queue": ("exception", "slow"),
     "serve.deadline": ("exception", "slow"),
 }
@@ -169,7 +154,7 @@ class FaultPlan:
     Thread-safe: a shared worker pool consults the plan from several
     coordinator threads, and rule counters must not race.  The plan is
     intended to be shared by every component of one deployment (pool,
-    stores, scatter layer), so one plan describes one chaos scenario.
+    scatter layer, front-end), so one plan describes one chaos scenario.
     """
 
     def __init__(self, rules: Sequence[FaultRule] = (),
@@ -253,27 +238,3 @@ class FaultPlan:
                 "rules": [r.snapshot() for r in self.rules],
                 "injected": dict(self.injected),
             }
-
-
-def corrupt_file(path: str) -> bool:
-    """Flip the last byte of ``path`` in place (checksum poison).
-
-    The artifact codec's CRC32 covers the whole body, so flipping any
-    body byte makes the next verified read fail and take the
-    corrupt-drop path.  The *last* byte is always body (the header is
-    line one), so this needs no knowledge of the file layout.  Returns
-    False when the file is missing or empty.
-    """
-    try:
-        with open(path, "r+b") as fh:
-            fh.seek(0, 2)
-            size = fh.tell()
-            if size == 0:
-                return False
-            fh.seek(size - 1)
-            last = fh.read(1)
-            fh.seek(size - 1)
-            fh.write(bytes([last[0] ^ 0xFF]))
-        return True
-    except OSError:
-        return False

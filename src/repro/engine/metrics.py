@@ -104,14 +104,6 @@ class EngineMetrics:
     #: Executed queries that spilled at least one tile.
     spill_queries: int = 0
 
-    #: Artifact-layer disk activity: artifacts (distributions, sorted
-    #: runs) restored from the spill-directory sidecar, and the logical
-    #: bytes those restores read on the simulated disk.  Per-kind
-    #: hit/miss/byte counters live on the cache and are merged into the
-    #: engine snapshot alongside these.
-    artifact_restores: int = 0
-    artifact_restore_bytes: int = 0
-
     #: Availability counters.  A single engine has no replicas to fail
     #: over to, so these stay zero here — they exist so single-engine
     #: and sharded snapshots stay key-compatible, and so
@@ -223,8 +215,6 @@ class EngineMetrics:
         sim_wall_seconds: float,
         wall_seconds: float,
         spilled_rects: int = 0,
-        artifact_restores: int = 0,
-        artifact_restore_bytes: int = 0,
     ) -> None:
         self.queries_served += 1
         self.queries_executed += 1
@@ -233,8 +223,6 @@ class EngineMetrics:
             self.spilled_rects += spilled_rects
             self.spilled_bytes += spilled_rects * RECT_BYTES
             self.spill_queries += 1
-        self.artifact_restores += artifact_restores
-        self.artifact_restore_bytes += artifact_restore_bytes
         self.pages_read += pages_read
         self.pages_written += pages_written
         self.bytes_read += bytes_read
@@ -268,8 +256,6 @@ class EngineMetrics:
             "spilled_rects": self.spilled_rects,
             "spilled_bytes": self.spilled_bytes,
             "spill_queries": self.spill_queries,
-            "artifact_restores": self.artifact_restores,
-            "artifact_restore_bytes": self.artifact_restore_bytes,
             "failovers": self.failovers,
             "retries": self.retries,
             "replica_failures": self.replica_failures,
@@ -322,8 +308,8 @@ def sum_counters(into: Dict, add: Dict) -> Dict:
     """Key-wise sum of numeric dict trees, recursing into sub-dicts.
 
     The one merge semantic for shard aggregation: what
-    :func:`merge_snapshots` does to per-strategy, per-kind, category
-    and sidecar dicts.  Non-numeric leaves keep their first-seen
+    :func:`merge_snapshots` does to per-strategy, per-kind and category
+    dicts.  Non-numeric leaves keep their first-seen
     value.  Returns ``into``.
     """
     for key, value in add.items():

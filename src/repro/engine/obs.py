@@ -14,8 +14,8 @@ operator can actually consume:
   labelled series, per-shard/per-client lists become indexed series.
   A counter added to the snapshot shows up in the scrape without
   touching this module — which is how the availability counters
-  (``failovers``, ``retries``, ``replica_failures``, per-shard
-  ``disk_restores``) reached the exposition without new code here.
+  (``failovers``, ``retries``, ``replica_failures``) reached the
+  exposition without new code here.
 * :func:`validate_prometheus` / :func:`validate_trace` — structural
   validators for the two exported formats (the test suite pins the
   schemas with them; a live deployment is scraped at ``GET /metrics``).

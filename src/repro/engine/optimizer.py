@@ -103,8 +103,6 @@ class PlanActuals:
     wall_seconds: float = 0.0
     pairs: int = 0
     spilled_rects: int = 0
-    artifact_restores: int = 0
-    artifact_restore_bytes: int = 0
 
 
 @dataclass
@@ -197,9 +195,6 @@ class PhysicalPlan:
                 f"{a.pairs:,} pairs"
                 + (f", {a.spilled_rects:,} rects spilled"
                    if a.spilled_rects else "")
-                + (f", {a.artifact_restores} artifact restores "
-                   f"({a.artifact_restore_bytes:,} B)"
-                   if a.artifact_restores else "")
             )
         for note in self.notes:
             lines.append(f"Note    : {note}")
@@ -225,12 +220,11 @@ class Optimizer:
         self.workers = max(1, workers)
         self.auto_index = auto_index
         self.budget = budget
-        # The engine's artifact layer: the cost model asks it where a
+        # The engine's artifact cache: the cost model asks it whether a
         # pbsm-grid plan's distributed tiles or an sssj plan's sorted
-        # runs are warm — in memory (priced free: the warm pool starts
-        # sweeping immediately) or in the disk sidecar (priced as one
-        # sequential restore read) — so plan choice can flip between
-        # the partitioned and sort paths based on what is warm.  The
+        # runs are warm (priced free: the warm pool starts sweeping
+        # immediately), so plan choice can flip between the
+        # partitioned and sort paths based on what is warm.  The
         # executor resolves the same identities through the same
         # object, so what is priced here is what runs.
         self.artifacts = (
@@ -266,21 +260,20 @@ class Optimizer:
     def _budget_total(self) -> int:
         return self.budget.total_bytes if self.budget is not None else 0
 
-    def _warmth(self, identity, *args) -> Tuple[Optional[str], int]:
-        """Where the artifact layer holds ``identity(*args)``:
-        ``("memory", 0)``, ``("disk", logical_bytes)`` or ``(None,
-        0)``.  A disabled layer holds nothing, and the identity is not
-        even built: this runs once or thrice per compiled query."""
-        if not self.artifacts.enabled:
-            return None, 0
-        return self.artifacts.locate(identity(*args))
+    def _warm(self, identity, *args) -> bool:
+        """Whether the artifact cache holds ``identity(*args)``.  A
+        disabled cache holds nothing, and the identity is not even
+        built: this runs once or thrice per compiled query."""
+        return self.artifacts.enabled and self.artifacts.locate(
+            identity(*args)
+        )
 
-    def _partition_artifact_state(
+    def _tiles_warm(
         self, entries: List[CatalogEntry],
         regions: List[Optional[Rect]], query: Query,
-    ) -> Tuple[Optional[str], int]:
-        """Where this plan's distributed tiles are warm, if anywhere."""
-        return self._warmth(
+    ) -> bool:
+        """Whether this plan's distributed tiles are cached."""
+        return self._warm(
             self.artifacts.distribution, entries, query.is_self_join,
             union_mbr(regions[0], regions[1]),
             self.workers * PARTITIONS_PER_WORKER, query.window,
@@ -288,7 +281,7 @@ class Optimizer:
 
     def _pbsm_estimate(
         self, model: CostModel, scan_bytes: int, label: str,
-        artifact_state: Optional[str] = None, restore_bytes: int = 0,
+        cached: bool = False,
     ) -> Tuple[JoinCostEstimate, int]:
         """Price the partitioned path, including any spill overflow.
 
@@ -298,23 +291,14 @@ class Optimizer:
         the paper's 1.5x write factor plus one re-read.  Returns the
         estimate and the expected spilled bytes.
 
-        ``artifact_state`` folds in the artifact layer: a ``"memory"``
-        hit replaces the whole scan + distribute + spill phase with a
-        cache lookup (no I/O at all — the persistent pool starts
-        sweeping cached tiles immediately); a ``"disk"`` hit replaces
-        it with one sequential restore read of the persisted tiles.
+        ``cached`` tiles replace the whole scan + distribute + spill
+        phase with a cache lookup (no I/O at all — the persistent pool
+        starts sweeping cached tiles immediately).
         """
-        if artifact_state == "memory":
+        if cached:
             return JoinCostEstimate(
                 "pbsm-grid", 0.0,
                 f"{label}, distributed tiles cached (artifact layer)",
-            ), 0
-        if artifact_state == "disk":
-            return JoinCostEstimate(
-                "pbsm-grid",
-                model.sequential_read_seconds(restore_bytes),
-                f"{label}, restores {restore_bytes} persisted tile "
-                f"bytes (artifact sidecar)",
             ), 0
         secs = model.sequential_read_seconds(scan_bytes)
         spill = 0
@@ -333,34 +317,30 @@ class Optimizer:
 
     def _sssj_estimate_with_runs(
         self, model: CostModel, rel_a: Relation, rel_b: Relation,
-        states: List[Tuple[Optional[str], int]],
+        warm: List[bool],
     ) -> Optional[JoinCostEstimate]:
         """Re-price ``sssj`` when sorted-run artifacts are warm.
 
-        A side whose run is cached in memory contributes nothing — no
-        sort, and the sweep scans it straight out of the cache.  A
-        side restorable from the sidecar costs one sequential read of
-        its persisted run.  Only cold sides pay the full sort-path
-        passes.  Returns ``None`` when nothing is warm (the standard
-        estimate stands).
+        A side whose run is cached contributes nothing — no sort, and
+        the sweep scans it straight out of the cache.  Only cold sides
+        pay the full sort-path passes.  Returns ``None`` when nothing
+        is warm (the standard estimate stands).
         """
-        if not any(state for state, _ in states):
+        if not any(warm):
             return None
         cold = 0
-        secs = 0.0
         labels = []
-        for rel, (state, nbytes) in zip((rel_a, rel_b), states):
-            if state == "memory":
+        for rel, cached in zip((rel_a, rel_b), warm):
+            if cached:
                 labels.append(f"{rel.name}: sorted run in memory")
-            elif state == "disk":
-                secs += model.sequential_read_seconds(nbytes)
-                labels.append(f"{rel.name}: sorted run on disk")
             else:
                 cold += rel.data_bytes
         if cold:
             labels.append(f"{cold} bytes sorted cold")
-        secs += model.estimate_sssj(cold, 0).io_seconds
-        return JoinCostEstimate("SSSJ", secs, "; ".join(labels))
+        return JoinCostEstimate(
+            "SSSJ", model.estimate_sssj(cold, 0).io_seconds,
+            "; ".join(labels),
+        )
 
     def _effective_region(self, entry: CatalogEntry,
                           window: Optional[Rect]) -> Optional[Rect]:
@@ -386,11 +366,9 @@ class Optimizer:
         # Sorted-run artifacts make the sort path cheap: re-price the
         # sssj candidate so plan choice can flip toward (or away from)
         # it based on what is warm.
-        run_states = [
-            self._warmth(self.artifacts.sorted_run, e) for e in entries
-        ]
         warm_sssj = self._sssj_estimate_with_runs(
-            model, rel_a, rel_b, run_states
+            model, rel_a, rel_b,
+            [self._warm(self.artifacts.sorted_run, e) for e in entries],
         )
         if warm_sssj is not None:
             candidates = [
@@ -413,31 +391,23 @@ class Optimizer:
             ))
         tile_bytes = rel_a.data_bytes + rel_b.data_bytes
         spill_bytes = 0
-        artifact_state, restore_bytes = self._partition_artifact_state(
-            entries, regions, query
-        )
+        tiles_cached = self._tiles_warm(entries, regions, query)
         if self.workers > 1:
             est, spill_bytes = self._pbsm_estimate(
                 model, tile_bytes,
                 f"1 partition pass over {tile_bytes} bytes "
                 f"x{self.workers} workers",
-                artifact_state=artifact_state,
-                restore_bytes=restore_bytes,
+                cached=tiles_cached,
             )
             candidates.append(("pbsm-grid", est))
             notes.append(
                 f"partitioned execution available "
                 f"({self.workers}-worker pool stays warm across queries)"
             )
-            if artifact_state == "memory":
+            if tiles_cached:
                 notes.append(
                     "distributed tiles cached by a previous run — the "
                     "partition pass is free"
-                )
-            elif artifact_state == "disk":
-                notes.append(
-                    "distributed tiles persisted by a previous run — "
-                    "the partition pass is one restore read"
                 )
 
         fractions = [
@@ -464,8 +434,7 @@ class Optimizer:
                     est, spill_bytes = self._pbsm_estimate(
                         model, tile_bytes,
                         f"1 partition pass over {tile_bytes} bytes",
-                        artifact_state=artifact_state,
-                        restore_bytes=restore_bytes,
+                        cached=tiles_cached,
                     )
                     priced["pbsm-grid"] = est
             estimate = priced.get(
@@ -521,14 +490,10 @@ class Optimizer:
         entry = entries[0]
         model = CostModel(self.machine, self.scale)
         tile_bytes = entry.stream.data_bytes
-        artifact_state, restore_bytes = self._partition_artifact_state(
-            entries, regions, query
-        )
         estimate, spill_bytes = self._pbsm_estimate(
             model, tile_bytes,
             f"self-join: 1 partition pass over {tile_bytes} bytes",
-            artifact_state=artifact_state,
-            restore_bytes=restore_bytes,
+            cached=self._tiles_warm(entries, regions, query),
         )
         return PhysicalPlan(
             query=query,

@@ -72,26 +72,11 @@ a participating shard does.  Unhealthy replicas are re-probed every
 Semantic errors (:class:`~repro.engine.resources.AdmissionError`,
 unknown relations) are deterministic across replicas and re-raise
 immediately — failing over would just repeat them R times.
-
-**Durability.**  With ``artifact_dir`` set, every replica engine gets
-its own keyed leaf (``root/shard-XX/replica-YY``) of one artifact
-tree, so a restarted sharded engine rewarms each shard from disk
-exactly like a restarted single engine — lazily, on first touch.
-Result-cache entries persist **per shard**
-(``root/shard-XX/results``, shared by the shard's replicas and
-content-addressed by the shard slice's fingerprints + the canonical
-sub-query): the scatter still runs after a restart, but every
-participating shard serves its sub-result straight from disk instead
-of re-executing, so the per-shard
-``disk_restores`` counters show the whole deployment rewarming, and a
-replica that was down when a result was first computed can still
-serve it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -101,12 +86,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.columnar import PairColumns
 from repro.core.histogram import DEFAULT_GRID, SpatialHistogram
 from repro.core.join_result import JoinResult
-from repro.engine.artifacts import (
-    ResultStore,
-    check_store_layout,
-    result_token,
-)
-from repro.engine.catalog import GeometryMap, rects_fingerprint
+from repro.engine.catalog import GeometryMap
 from repro.engine.engine import (
     EngineResult,
     SpatialQueryEngine,
@@ -206,7 +186,7 @@ def gather_pairs(parts: Sequence[Sequence[tuple]], arity: int,
     The tuples come back in ascending order — which makes collected
     gathers deterministic — or as ``None`` for a count-only query,
     which needs just the deduplicated cardinality.  ``parts`` may mix
-    lists (index strategies, restored results) and columns.  The set
+    lists (the tuple-building strategies) and columns.  The set
     union is the path of engines without numpy and the reference.
     """
     if kernel == "numpy":
@@ -240,9 +220,7 @@ class ShardedEngine(_ServeShell):
         trace: bool = False,
         kernel: str = "auto",
         replicas: int = 1,
-        artifact_dir: Optional[str] = None,
         faults: Optional[FaultPlan] = None,
-        result_store_bytes: Optional[int] = None,
     ) -> None:
         self.shards = max(1, shards)
         self.replicas = max(1, replicas)
@@ -257,20 +235,6 @@ class ShardedEngine(_ServeShell):
             max(1, memory_bytes // self.shards)
             if memory_bytes is not None else None
         )
-        self.artifact_dir = artifact_dir
-        if artifact_dir:
-            check_store_layout(artifact_dir, sharded=True)
-
-        def _leaf_dir(k: int, r: int) -> Optional[str]:
-            # One keyed leaf per replica engine: two live ArtifactStores
-            # must never share a manifest, and a replica's warm state
-            # is its own (replicas model separate boxes).
-            if not artifact_dir:
-                return None
-            return os.path.join(
-                artifact_dir, f"shard-{k:02d}", f"replica-{r:02d}"
-            )
-
         # Result caching happens once, at the scatter level (below):
         # verbatim repeats hit the top-level cache before any shard is
         # touched, so per-shard result caches would only store the
@@ -284,10 +248,8 @@ class ShardedEngine(_ServeShell):
                     cache_capacity=0,
                     memory_bytes=per_shard,
                     artifact_cache_bytes=artifact_cache_bytes,
-                    artifact_dir=_leaf_dir(k, r),
                     worker_pool=self.pool,
                     kernel=kernel,
-                    faults=faults,
                     # Shard engines trace (their span trees become
                     # shard subtrees of the scatter trace) but never
                     # keep their own slow logs — slowness is a
@@ -295,31 +257,13 @@ class ShardedEngine(_ServeShell):
                     trace=trace,
                     slow_log_capacity=0,
                 )
-                for r in range(self.replicas)
+                for _ in range(self.replicas)
             ]
-            for k in range(self.shards)
+            for _ in range(self.shards)
         ]
         #: Back-compat view: shard k's *primary* replica, the engine
         #: pre-replica callers indexed as ``engines[k]``.
         self.engines = [group[0] for group in self._replica_engines]
-        #: Persisted result-cache entries, one store per *shard*
-        #: (replicas of a shard share it — any of them can save or
-        #: serve a sub-result, so durability survives replica death).
-        self.result_stores: Optional[List[ResultStore]] = (
-            [
-                ResultStore(
-                    os.path.join(artifact_dir, f"shard-{k:02d}",
-                                 "results"),
-                    faults=faults,
-                    max_bytes=result_store_bytes,
-                )
-                for k in range(self.shards)
-            ]
-            if artifact_dir else None
-        )
-        #: Per-relation, per-shard slice fingerprints (result tokens
-        #: are content-addressed by the shard's own subset).
-        self._fingerprints: Dict[str, List[Optional[int]]] = {}
         # -- replica health ---------------------------------------------
         #: Health score per (shard, replica) in [0, 1]: 1.0 healthy,
         #: zeroed on failure, earned back in 0.5 steps by successful
@@ -374,10 +318,6 @@ class ShardedEngine(_ServeShell):
         self.replica_failures = 0
         #: Unhealthy replicas that earned their health back via probes.
         self.replica_recoveries = 0
-        #: Shard sub-results served from the persisted result stores
-        #: (total, plus the per-shard breakdown the snapshot reports).
-        self.result_disk_restores = 0
-        self._shard_result_restores = [0] * self.shards
         #: Per-relation boundary-replica counts (extra copies beyond
         #: one per rectangle); re-registration replaces an entry and
         #: drop removes it, so the gauge tracks the *current* catalog.
@@ -459,7 +399,6 @@ class ShardedEngine(_ServeShell):
             )
         was_present = self._present.get(name, [False] * self.shards)
         present = [False] * self.shards
-        fingerprints: List[Optional[int]] = [None] * self.shards
         replicas = -len(rect_list)
         for k, group in enumerate(self._replica_engines):
             lo, hi = self.strip_of(k)
@@ -468,8 +407,6 @@ class ShardedEngine(_ServeShell):
             # replicas: R copies of one strip are availability, not
             # extra boundary replication.
             replicas += len(subset)
-            if subset and self.result_stores is not None:
-                fingerprints[k] = rects_fingerprint(subset)
             if subset:
                 sub_geoms = (
                     {r.rid: geometries[r.rid] for r in subset
@@ -488,8 +425,6 @@ class ShardedEngine(_ServeShell):
         self._universes[name] = uni
         self._versions[name] = self._next_version
         self._next_version += 1
-        if self.result_stores is not None:
-            self._fingerprints[name] = fingerprints
         self.cache.invalidate_relation(name)
 
     def drop(self, name: str) -> None:
@@ -502,7 +437,6 @@ class ShardedEngine(_ServeShell):
         del self._universes[name]
         del self._versions[name]
         del self._replica_counts[name]
-        self._fingerprints.pop(name, None)
         self.cache.invalidate_relation(name)
 
     def universe_of(self, name: str) -> Rect:
@@ -661,25 +595,6 @@ class ShardedEngine(_ServeShell):
         assert last_exc is not None
         raise last_exc
 
-    def _shard_result_token(self, k: int, sub: Query) -> Optional[str]:
-        """Durable identity of shard ``k``'s sub-result for ``sub``.
-
-        Content-addressed by the shard's *slice* fingerprints plus the
-        canonical sub-query, so a restarted engine registering the
-        same data derives the same token while any data change makes
-        old entries unreachable — and every replica of the shard
-        derives it identically (they hold the same slice).
-        """
-        if self.result_stores is None:
-            return None
-        fps = []
-        for n in sub.relations:
-            fp = self._fingerprints.get(n, [None] * self.shards)[k]
-            if fp is None:
-                return None
-            fps.append((n, fp))
-        return result_token(tuple(fps), sub.canonical())
-
     # -- serving ----------------------------------------------------------
 
     @property
@@ -755,23 +670,9 @@ class ShardedEngine(_ServeShell):
         def run_shard(k: int) -> Dict[str, object]:
             if cancel is not None:
                 cancel()
-            # A persisted sub-result serves the shard's share straight
-            # from disk — no replica executes, which is how a restarted
-            # deployment rewarms every shard without recomputing.
-            token = self._shard_result_token(k, sub)
-            if token is not None:
-                restored = self.result_stores[k].load(token)
-                if restored is not None:
-                    with self._lock:
-                        self.result_disk_restores += 1
-                        self._shard_result_restores[k] += 1
-                    return {"shard": k, "restored": restored}
             out, replica, attempts, events = self._execute_on_shard(
                 k, sub, analyze, cancel
             )
-            if (token is not None and out.result.pairs is not None
-                    and cacheable(out.result)):
-                self.result_stores[k].save(token, out.result)
             return {"shard": k, "out": out, "replica": replica,
                     "attempts": attempts, "events": events}
 
@@ -812,7 +713,6 @@ class ShardedEngine(_ServeShell):
         shard_strategies: Dict[int, str] = {}
         shard_replicas: Dict[int, int] = {}
         shard_plans: Dict[int, str] = {}
-        restored_shards: List[int] = []
         degraded = False
         # The logical query's memory high-water is the worst shard's:
         # shards run concurrently but each replica enforces its own
@@ -820,22 +720,6 @@ class ShardedEngine(_ServeShell):
         mem_high = 0
         for oc in outcomes:
             k = oc["shard"]
-            if "restored" in oc:
-                restored = oc["restored"]
-                restored_shards.append(k)
-                mem_high = max(mem_high, restored.max_memory_bytes)
-                raw_pairs += restored.n_pairs
-                shard_pairs[k] = restored.n_pairs
-                shard_strategies[k] = str(
-                    restored.detail.get("strategy", "?")
-                )
-                parts.append(restored.pairs or ())
-                if scatter is not None:
-                    scatter.child(
-                        "restore", shard=k, disk=True,
-                        pairs=restored.n_pairs,
-                    )
-                continue
             out = oc["out"]
             if scatter is not None:
                 for ev in oc["events"]:
@@ -866,8 +750,7 @@ class ShardedEngine(_ServeShell):
         # The scatter critical path: shards ran concurrently on the
         # shared pool, so the query's simulated cost is the LPT
         # makespan of the shard walls over the pool's lanes, not their
-        # sum.  Restored shards cost no simulated execution (as
-        # before).
+        # sum.
         sim_wall = lpt_makespan(shard_walls, self.scatter_lanes)
         if degraded:
             with self._lock:
@@ -899,8 +782,6 @@ class ShardedEngine(_ServeShell):
                 "shard_replicas": shard_replicas,
             },
         )
-        if restored_shards:
-            result.detail["shard_disk_restores"] = restored_shards
         if degraded:
             # Served, but only after replica failover — the serving
             # front-end surfaces this as a degraded (not failed) reply.
@@ -986,8 +867,8 @@ class ShardedEngine(_ServeShell):
         this level — the one read path of a sharded deployment.
 
         Physical counters (pages, bytes, CPU ops, simulated seconds,
-        spills, artifact-cache and budget gauges, the per-replica disk
-        sidecars) sum across engines — ``budget_high_water_bytes``
+        spills, artifact-cache and budget gauges) sum across engines —
+        ``budget_high_water_bytes``
         too, so it stays comparable to the summed total and bounds the
         true momentary peak from above.  Serving counters are
         overridden with the scatter layer's own — one logical query is
@@ -1042,11 +923,6 @@ class ShardedEngine(_ServeShell):
                 self.failovers / self.queries_executed
                 if self.queries_executed else 0.0
             ),
-            "result_disk_restores": self.result_disk_restores,
-            "result_store": (
-                merge_snapshots(s.snapshot() for s in self.result_stores)
-                if self.result_stores is not None else None
-            ),
             "worker_pool": self.pool.snapshot(),
             "per_shard": [
                 {
@@ -1068,13 +944,6 @@ class ShardedEngine(_ServeShell):
                     "tiles_inline": sum(
                         e.worker_pool.tiles_inline for e in group
                     ),
-                    # Everything this shard pulled back from disk:
-                    # artifact restores on any replica plus persisted
-                    # sub-results served for the whole shard.
-                    "disk_restores": sum(
-                        e.artifacts.disk_restores for e in group
-                    ) + self._shard_result_restores[i],
-                    "result_restores": self._shard_result_restores[i],
                     "replica_health": list(self._health[i]),
                     "relations": [
                         n for n in self.names() if self._present[n][i]

@@ -23,9 +23,7 @@ A sharded query wraps the same shape: the scatter span adopts each
 shard engine's whole ``query`` tree as a ``shard`` subtree (tagged
 with the replica that served it), and degradations appear as extra
 scatter children — a ``failover`` span per failed replica attempt
-(shard, replica, error type, attempt number) and a ``restore`` span
-when a shard's sub-result was served from the persisted result store
-instead of executing.
+(shard, replica, error type, attempt number).
 
 Every span carries **wall seconds** (host clock) and the **simulated**
 story of the same stretch — io/cpu seconds on the engine's machine plus

@@ -130,7 +130,7 @@ def run_workload(engine: ServingEngine,
     artifacts = {key: after[flat]
                  for key, flat in ARTIFACT_SNAPSHOT_KEYS.items()}
     for key in ("hits", "misses", "puts", "evictions", "invalidations",
-                "rejections", "disk_restores", "disk_restore_bytes"):
+                "rejections"):
         artifacts[key] -= before[ARTIFACT_SNAPSHOT_KEYS[key]]
     probes = artifacts["hits"] + artifacts["misses"]
     artifacts["hit_rate"] = artifacts["hits"] / probes if probes else 0.0

@@ -138,24 +138,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--artifact-dir", default=None,
-        help=(
-            "persist artifacts to this directory (content-keyed "
-            "sidecar); a restart pointed at the same directory "
-            "restores its warm state lazily; with --shards the root "
-            "holds per-shard/per-replica subdirectories plus a shared "
-            "result store"
-        ),
-    )
-    parser.add_argument(
-        "--result-store-bytes", type=int, default=None,
-        help=(
-            "byte cap per shard result store (with --shards and "
-            "--artifact-dir); oldest entries evict LRU past it "
-            "(default: unbounded)"
-        ),
-    )
-    parser.add_argument(
         "--memory-bytes", type=int, default=None,
         help=(
             "engine memory budget in bytes (default: the scaled paper "
@@ -192,11 +174,6 @@ def _parse_deployment(parser: argparse.ArgumentParser,
     args = parser.parse_args(argv)
     if args.replicas != 1 and args.shards <= 1:
         parser.error("--replicas needs --shards > 1")
-    if args.result_store_bytes is not None:
-        if args.shards <= 1:
-            parser.error("--result-store-bytes needs --shards > 1")
-        if not args.artifact_dir:
-            parser.error("--result-store-bytes needs --artifact-dir")
     return args
 
 
@@ -333,16 +310,15 @@ def _build_engine(args: argparse.Namespace):
             faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
-    sharded = {}
-    if args.shards > 1:
-        # Unsharded, neither is set: _parse_deployment refused them.
-        sharded = {"replicas": max(1, args.replicas),
-                   "result_store_bytes": args.result_store_bytes}
+    # ``replicas`` is a ShardedEngine parameter; unsharded,
+    # _parse_deployment refused any value but the default.
+    sharded = ({"replicas": max(1, args.replicas)}
+               if args.shards > 1 else {})
     return engine_for_dataset(
         args.dataset, _scale(args.scale), shards=args.shards,
         workers=max(1, args.workers), pool_kind=args.pool_kind,
-        artifact_dir=args.artifact_dir, faults=faults,
-        memory_bytes=args.memory_bytes, trace=args.trace, **sharded,
+        faults=faults, memory_bytes=args.memory_bytes, trace=args.trace,
+        **sharded,
     )
 
 
@@ -386,8 +362,7 @@ def serve_bench(args: argparse.Namespace) -> int:
         ["artifact cache", (
             f"{report['artifacts']['hits']} hits, "
             f"{report['artifacts']['entries']} entries, "
-            f"{report['artifacts']['bytes']} B, "
-            f"{report['artifacts']['disk_restores']} disk restores"
+            f"{report['artifacts']['bytes']} B"
         )],
         ["strategies", ", ".join(
             f"{k}x{v}" for k, v in sorted(m["per_strategy"].items())
@@ -405,12 +380,6 @@ def serve_bench(args: argparse.Namespace) -> int:
             f"{m['retries']} retries, "
             f"{m['unhealthy_replicas']} unhealthy"
         )])
-        if m.get("result_store") is not None:
-            rows.append(["result store", (
-                f"{m['result_disk_restores']} disk restores, "
-                f"{m['result_store']['saves']} saves, "
-                f"{m['result_store']['corrupt_drops']} corrupt dropped"
-            )])
     budget = report["budget"]
     rows += [
         ["budget total bytes", budget["total_bytes"]],

@@ -110,6 +110,14 @@ class ScaleConfig:
 DEFAULT_SCALE = ScaleConfig()
 
 #: A quick configuration for smoke tests and CI-speed benchmark runs.
+#:
+#: Its ST pool lacks the 25 % allowance ``DEFAULT_SCALE`` has, so here
+#: the NY indexes (51 pages) overflow the 44-page pool — the one place
+#: the regime boundary above does not hold
+#: (``tests/test_datasets.py::TestScaleRegimes`` pins it).  It stays:
+#: 44 x 1.25 = 55 pages would hold NY, but would also move the NY ST
+#: rows of the quick-scale golden; deriving both configurations by one
+#: rule is an open ROADMAP item.
 QUICK_SCALE = ScaleConfig(
     scale=1024,
     index_page_bytes=512,

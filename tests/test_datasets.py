@@ -1,5 +1,7 @@
 """TIGER-like data: determinism, statistical properties, Table 2 shape."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,12 @@ from repro.data.generator import (
 )
 from repro.data.tiger import make_hydro, make_landuse, make_roads
 from repro.geom.rect import Rect, contains
-from repro.sim.scale import QUICK_SCALE, ScaleConfig
+from repro.rtree.bulk_load import bulk_load
+from repro.rtree.node import node_capacity
+from repro.sim.env import SimEnv
+from repro.sim.scale import DEFAULT_SCALE, QUICK_SCALE, ScaleConfig
+from repro.storage.disk import Disk
+from repro.storage.pages import PageStore
 
 NJ = DATASET_SPECS["NJ"].region
 
@@ -170,3 +177,46 @@ class TestNamedDatasets:
         ds = build_dataset("NJ", QUICK_SCALE)
         assert ds.road_bytes == len(ds.roads) * 20
         assert ds.hydro_bytes == len(ds.hydro) * 20
+
+
+class TestScaleRegimes:
+    """The regime boundaries ``sim/scale.py`` promises, on all six
+    datasets at both named rungs: the ST pool holds the NJ and NY
+    indexes and not the DISK* ones, and NJ sorts in memory while the
+    DISK* datasets do not."""
+
+    @staticmethod
+    def _index_pages(name, scale):
+        ds = build_dataset(name, scale)
+        store = PageStore(Disk(SimEnv(scale=scale)), scale.index_page_bytes)
+        return sum(bulk_load(store, rects, name=rel).page_count
+                   for rel, rects in (("roads", ds.roads),
+                                      ("hydro", ds.hydro)))
+
+    @pytest.mark.parametrize("scale", (DEFAULT_SCALE, QUICK_SCALE),
+                             ids=("default", "quick"))
+    def test_pool_and_sort_regimes(self, scale):
+        pool = scale.buffer_pool_pages
+        pages = {name: self._index_pages(name, scale)
+                 for name in ("NJ", "NY")}
+        assert pages["NJ"] <= pool
+        if scale is QUICK_SCALE:
+            # The one exception: QUICK_SCALE's pool lacks the 25 %
+            # allowance (51 pages against 44; 55 would hold them).
+            assert pages["NY"] > pool
+            assert pages["NY"] <= pool * 5 // 4
+        else:
+            assert pages["NY"] <= pool
+        cap = node_capacity(scale.index_page_bytes)
+        for name in DATASET_ORDER:
+            spec = DATASET_SPECS[name]
+            roads = scale.scaled_count(spec.paper_roads)
+            hydro = scale.scaled_count(spec.paper_hydro)
+            if name == "NJ":
+                assert max(roads, hydro) <= scale.memory_rects
+            elif name.startswith("DISK"):
+                assert roads > scale.memory_rects, name
+                # A node holds at most ``cap`` entries, so even fully
+                # packed leaves alone overflow the pool.
+                leaves = math.ceil(roads / cap) + math.ceil(hydro / cap)
+                assert leaves > pool, name

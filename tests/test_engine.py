@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import re
-import threading
-
 import pytest
 
 from repro.core.brute import brute_force_pairs
@@ -855,168 +851,6 @@ class TestSortedRunArtifacts:
         assert len(engine.artifacts) == 0
 
 
-class TestArtifactPersistence:
-    """Artifacts survive engine restarts through the sidecar store."""
-
-    def _rects(self):
-        a = uniform_rects(300, UNIT, 0.02, seed=1)
-        b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
-        return a, b
-
-    def _engine(self, artifact_dir, a, b, **kw):
-        kw.setdefault("memory_bytes", 10_000_000)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            artifact_dir=str(artifact_dir), **kw,
-        )
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        engine.prepare()
-        return engine
-
-    def test_restart_restores_partitions_and_sorted_runs(self, tmp_path):
-        a, b = self._rects()
-        pq = Query(relations=("a", "b"), force="pbsm-grid")
-        sq = Query(relations=("a", "b"), force="sssj")
-        first = self._engine(tmp_path, a, b)
-        p1 = first.execute(pq).result
-        s1 = first.execute(sq).result
-        assert first.artifact_store.saves == 3  # 1 distribution + 2 runs
-        first.close()
-        # A manifest as written before restores went lazy-only: every
-        # entry carries the retired "heat" rank.  It must still load.
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        for rank, meta in enumerate(manifest["artifacts"].values()):
-            meta["heat"] = rank
-        manifest_path.write_text(json.dumps(manifest))
-
-        second = self._engine(tmp_path, a, b)  # registers and prepares
-        # Nothing is read ahead of the first touch, on no thread.
-        assert not [t for t in threading.enumerate()
-                    if t.name == "artifact-prewarm"]
-        assert second.artifact_store.restores == 0
-        bytes_before = second.env.bytes_read
-        p2 = second.execute(pq).result
-        assert p2.detail["artifact_hit"] is True
-        assert p2.detail["artifact_restores"] == 1
-        assert p2.pair_set() == p1.pair_set()
-        # The restore is priced: one sequential read of the tiles.
-        assert second.env.bytes_read > bytes_before
-        s2 = second.execute(sq).result
-        assert s2.detail["artifact_restores"] == 2
-        assert s2.pair_set() == s1.pair_set()
-        snap = second.metrics_snapshot()
-        assert snap["artifact_disk_restores"] == 3
-        assert snap["artifact_restores"] == 3  # EngineMetrics counter
-        assert snap["artifact_disk_restore_bytes"] > 0
-        second.close()
-
-    def test_restart_with_changed_data_stays_cold(self, tmp_path):
-        a, b = self._rects()
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        first = self._engine(tmp_path, a, b)
-        first.execute(q)
-        first.close()
-        # Same names, different content: fingerprints differ, so the
-        # persisted artifacts must not match.
-        a2 = uniform_rects(300, UNIT, 0.02, seed=77)
-        second = self._engine(tmp_path, a2, b)
-        out = second.execute(q).result
-        assert out.detail["artifact_hit"] is False
-        assert second.metrics_snapshot()["artifact_disk_restores"] == 0
-        second.close()
-
-    def test_corrupt_artifact_degrades_to_cold_run(self, tmp_path):
-        import json
-        import os
-
-        a, b = self._rects()
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        first = self._engine(tmp_path, a, b)
-        reference = first.execute(q).result
-        first.close()
-        # Flip bytes in every payload file.
-        for name in os.listdir(tmp_path):
-            if name.endswith(".art"):
-                path = tmp_path / name
-                blob = bytearray(path.read_bytes())
-                blob[-1] ^= 0xFF
-                path.write_bytes(bytes(blob))
-        second = self._engine(tmp_path, a, b)
-        out = second.execute(q).result
-        assert out.detail["artifact_hit"] is False
-        assert out.pair_set() == reference.pair_set()
-        assert second.artifact_store.corrupt_drops == 1
-        # Self-healing: the cold run re-persisted a fresh artifact
-        # under the same token, and it now verifies.
-        assert second.artifact_store.saves == 1
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert len(manifest["artifacts"]) == 1
-        third = self._engine(tmp_path, a, b)
-        healed = third.execute(q).result
-        assert healed.detail["artifact_hit"] is True
-        assert healed.pair_set() == reference.pair_set()
-        third.close()
-
-    def test_store_roundtrip_is_exact(self, tmp_path):
-        from repro.engine.artifacts import ArtifactStore
-        from repro.engine.cache import PARTITION_KIND
-
-        rects_a = uniform_rects(100, UNIT, 0.03, seed=5)
-        rects_b = uniform_rects(60, UNIT, 0.04, seed=6, id_base=10_000)
-        tasks = [
-            (0, ColumnarTile.from_rects(rects_a),
-             ColumnarTile.from_rects(rects_b)),
-            (3, ColumnarTile.from_rects(rects_b), None),
-        ]
-        store = ArtifactStore(str(tmp_path))
-        assert store.save("tok", PARTITION_KIND, tasks, ["a", "b"])
-        fresh = ArtifactStore(str(tmp_path))  # re-read the manifest
-        kind, value, logical = fresh.load("tok")
-        assert kind == PARTITION_KIND
-        assert logical == 220 * 20  # 100 + 60 + 60 rects x RECT_BYTES
-        assert [(p, x.decode(), None if y is None else y.decode())
-                for p, x, y in value] == [
-            (0, rects_a, rects_b), (3, rects_b, None),
-        ]
-
-    def test_late_damage_report_spares_the_healed_artifact(
-            self, tmp_path, monkeypatch):
-        # Two readers see the same damaged file; one drops it, runs
-        # cold and re-saves under the token before the other gets to
-        # report.  The late report must not take the fresh artifact
-        # down with it.
-        import zlib
-
-        from repro.engine.artifacts import ArtifactStore
-        from repro.engine.cache import PARTITION_KIND
-        from repro.engine.faults import corrupt_file
-
-        tasks = [(0, ColumnarTile.from_rects(
-            uniform_rects(50, UNIT, 0.03, seed=5)), None)]
-        store = ArtifactStore(str(tmp_path))
-        assert store.save("tok", PARTITION_KIND, tasks, ["a"])
-        corrupt_file(str(tmp_path / "tok.art"))
-        real_crc32 = zlib.crc32
-        healed = []
-
-        def crc32_while_the_other_reader_heals(body):
-            out = real_crc32(body)
-            if not healed:
-                healed.append(True)
-                assert store.load("tok") is None
-                assert store.save("tok", PARTITION_KIND, tasks, ["a"])
-            return out
-
-        monkeypatch.setattr(zlib, "crc32", crc32_while_the_other_reader_heals)
-        assert store.load("tok") is None  # the late reader's own miss
-        monkeypatch.undo()
-        assert store.corrupt_drops == 1
-        assert store.load("tok") is not None
-
-
 def _prepared_ab_engine(**kw) -> SpatialQueryEngine:
     """Two workers, no result cache, relations ``a`` and ``b`` built."""
     kw.setdefault("pool_kind", "serial")
@@ -1036,57 +870,33 @@ def _prepared_ab_engine(**kw) -> SpatialQueryEngine:
 _WINDOW = Rect(0.2, 0.5, 0.1, 0.6, 0)
 _FULL, _WIN = "full", "win"
 
-#: name, queries served before a restart (None: no restart), queries
-#: served after it, the probed query, and where its tiles must come
-#: from: the tier that is priced and the candidate that is swept.
+#: name, queries served first, the probed query, and the cached
+#: candidate its tiles must be swept from (None: a cold distribute).
 _PRICING_ROWS = (
-    ("cold", [], None, _FULL, (None, "exact")),
-    ("memory-exact", [_FULL], None, _FULL, ("memory", "exact")),
-    # Exact before full, whichever tier they share ...
-    ("memory-exact-beside-full", [_WIN, _FULL], None, _WIN,
-     ("memory", "exact")),
-    ("memory-full-reused-by-a-window", [_FULL], None, _WIN,
-     ("memory", "full")),
-    ("disk-exact", [_FULL], [], _FULL, ("disk", "exact")),
-    ("disk-exact-beside-full", [_WIN, _FULL], [], _WIN,
-     ("disk", "exact")),
-    ("disk-full-reused-by-a-window", [_FULL], [], _WIN,
-     ("disk", "full")),
-    # ... and memory before the sidecar: the full distribution in
-    # memory outranks the exact one on disk.
-    ("memory-full-beside-disk-exact", [_WIN, _FULL], [_FULL], _WIN,
-     ("memory", "full")),
+    ("cold", [], _FULL, None),
+    ("memory-exact", [_FULL], _FULL, "exact"),
+    # Exact before full ...
+    ("memory-exact-beside-full", [_WIN, _FULL], _WIN, "exact"),
+    # ... and the full distribution reused, pruned, by a window.
+    ("memory-full-reused-by-a-window", [_FULL], _WIN, "full"),
 )
 
 
 class TestPricingMatchesExecution:
     """What the optimizer priced is what the executor ran: both ask
-    the artifact layer, which owns identity and probe order."""
+    the artifact cache, which owns identity and probe order."""
 
-    def _engine(self, artifact_dir):
-        return _prepared_ab_engine(memory_bytes=10_000_000,
-                                   artifact_dir=str(artifact_dir))
-
-    def _primed(self, tmp_path, before, after, make_query):
-        engine = self._engine(tmp_path)
-        for shape in before:
-            engine.execute(make_query(shape))
-        if after is not None:
-            engine.close()
-            engine = self._engine(tmp_path)
-            for shape in after:
-                engine.execute(make_query(shape))
-        return engine
+    def _engine(self):
+        return _prepared_ab_engine(memory_bytes=10_000_000)
 
     @pytest.mark.parametrize("self_join", (False, True),
                              ids=("pairwise", "self-join"))
     @pytest.mark.parametrize(
-        "before, after, shape, expect",
+        "before, shape, candidate",
         [row[1:] for row in _PRICING_ROWS],
         ids=[row[0] for row in _PRICING_ROWS],
     )
-    def test_partition_tiles(self, tmp_path, before, after, shape,
-                             expect, self_join):
+    def test_partition_tiles(self, before, shape, candidate, self_join):
         relations = ("a", "a") if self_join else ("a", "b")
 
         def make_query(shape):
@@ -1097,38 +907,30 @@ class TestPricingMatchesExecution:
         # The sweep a cold distribute of this very query runs: reusing
         # the exact candidate repeats it op for op, pruning the full
         # one to the window sweeps other tiles.
-        cold = self._engine(tmp_path / "cold").execute(query).result
-        engine = self._primed(tmp_path / "warm", before, after,
-                              make_query)
-        tier, candidate = expect
+        cold = self._engine().execute(query).result
+        engine = self._engine()
+        for earlier in before:
+            engine.execute(make_query(earlier))
+        cached = candidate is not None
 
         plan = engine.optimizer.compile(query)
         priced = dict(plan.candidates)["pbsm-grid"].detail
-        restore = re.search(r"restores (\d+) persisted tile bytes", priced)
-        assert {
-            "memory": "distributed tiles cached" in priced,
-            "disk": restore is not None,
-            None: "1 partition pass" in priced and restore is None
-            and "cached" not in priced,
-        }[tier], priced
+        if cached:
+            assert "distributed tiles cached" in priced, priced
+        else:
+            assert "1 partition pass" in priced, priced
+            assert "cached" not in priced, priced
         if not self_join:
             assert any("partition pass is free" in n
-                       for n in plan.notes) == (tier == "memory")
-            assert any("one restore read" in n
-                       for n in plan.notes) == (tier == "disk")
+                       for n in plan.notes) == cached
 
         events = dict(engine.artifacts.kind_stats.get("partition", {}))
         result = engine.execute(query).result
         after_events = engine.artifacts.kind_stats["partition"]
         assert (after_events["hits"] + after_events["misses"]
                 - events.get("hits", 0) - events.get("misses", 0)) == 1
-        assert after_events["hits"] - events.get("hits", 0) == (
-            1 if tier == "memory" else 0)
-        assert result.detail["artifact_hit"] is (tier is not None)
-        assert result.detail["artifact_restores"] == (
-            1 if tier == "disk" else 0)
-        assert result.detail["artifact_restore_bytes"] == (
-            int(restore.group(1)) if restore else 0)
+        assert after_events["hits"] - events.get("hits", 0) == int(cached)
+        assert result.detail["artifact_hit"] is cached
         assert result.pair_set() == cold.pair_set() == brute_reference(
             engine._test_rects[0],
             None if self_join else engine._test_rects[1],
@@ -1136,25 +938,20 @@ class TestPricingMatchesExecution:
         )
         assert (result.detail["sweep_ops_total"]
                 == cold.detail["sweep_ops_total"]) == (
-            candidate == "exact")
+            candidate in (None, "exact"))
         engine.close()
 
-    @pytest.mark.parametrize("restart", (False, True),
-                             ids=("warm", "restored"))
-    def test_sorted_runs(self, tmp_path, restart):
+    def test_sorted_runs(self):
         forced = Query(relations=("a", "b"), force="sssj")
-        engine = self._primed(tmp_path, [forced],
-                              [] if restart else None,
-                              lambda shape: shape)
+        engine = self._engine()
+        engine.execute(forced)
         plan = engine.optimizer.compile(Query(relations=("a", "b")))
         priced = dict(plan.candidates)["sssj"]
-        label = "sorted run on disk" if restart else "sorted run in memory"
-        assert priced.detail.count(label) == 2
+        assert priced.detail.count("sorted run in memory") == 2
         assert any("sort-free" in n for n in plan.notes)
-        if not restart:
-            # Both runs in memory: no I/O left to price, sssj wins.
-            assert priced.io_seconds == 0.0
-            assert plan.strategy == "sssj"
+        # Both runs in memory: no I/O left to price, sssj wins.
+        assert priced.io_seconds == 0.0
+        assert plan.strategy == "sssj"
 
         events = dict(engine.artifacts.kind_stats.get("sorted-run", {}))
         result = engine.execute(forced).result
@@ -1162,9 +959,7 @@ class TestPricingMatchesExecution:
         # One event a side.
         assert (after_events["hits"] + after_events["misses"]
                 - events.get("hits", 0) - events.get("misses", 0)) == 2
-        assert result.detail["sorted_run_hits"] == (0 if restart else 2)
-        assert result.detail["artifact_restores"] == (2 if restart else 0)
-        assert (result.detail["artifact_restore_bytes"] > 0) is restart
+        assert result.detail["sorted_run_hits"] == 2
         assert result.pair_set() == brute_reference(*engine._test_rects)
         engine.close()
 
@@ -1208,27 +1003,6 @@ class TestStagesReleaseWhatTheyHold:
         monkeypatch.undo()
         assert engine.execute(q).result.detail["spilled_rects"] > 0
         engine.close()
-
-    def test_restore_raising(self, tmp_path, monkeypatch):
-        from repro.engine.artifacts import ArtifactStore
-
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        first, second = (
-            _prepared_ab_engine(artifact_dir=str(tmp_path))
-            for _ in range(2)
-        )
-        first.execute(q)
-        first.close()
-        before = len(second.disk._payloads)
-
-        def broken_load(self, token):
-            raise OSError("sidecar unreadable")
-
-        monkeypatch.setattr(ArtifactStore, "load", broken_load)
-        with pytest.raises(OSError, match="sidecar unreadable"):
-            second.execute(q)
-        self._assert_nothing_held(second, before)
-        second.close()
 
     def test_gather_cancelled(self):
         engine = _prepared_ab_engine(pool_kind="process",

@@ -179,10 +179,6 @@ class TestCLI:
     @pytest.mark.parametrize("command", ("serve-bench", "serve"))
     @pytest.mark.parametrize("flags, needs", (
         (["--replicas", "2"], "--replicas needs --shards > 1"),
-        (["--result-store-bytes", "4096", "--artifact-dir", "x"],
-         "--result-store-bytes needs --shards > 1"),
-        (["--result-store-bytes", "4096", "--shards", "2"],
-         "--result-store-bytes needs --artifact-dir"),
     ))
     def test_cli_refuses_a_deployment_flag_it_would_drop(
             self, command, flags, needs, capsys):

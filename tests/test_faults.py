@@ -1,28 +1,21 @@
-"""Fault injection, replica failover, and the durable sharded layer.
+"""Fault injection and replica failover.
 
 Chaos contract: under any injected fault — a worker crash mid-sweep, a
-replica dying mid-scatter, a flipped byte in a persisted artifact or
-result file, a broken pool — a replicated deployment must keep
-returning pair sets bit-identical to brute force, never raise to the
-caller while a survivor remains, and record every degradation in its
-counters and trace spans.  The :class:`FaultPlan` harness itself is
+replica dying mid-scatter, a broken pool — a replicated deployment must
+keep returning pair sets bit-identical to brute force, never raise to
+the caller while a survivor remains, and record every degradation in
+its counters and trace spans.  The :class:`FaultPlan` harness itself is
 pinned first (deterministic, seeded, site-validated), then each
-injection site, then the end-to-end differentials and the
-restart-rewarm story (per-shard ``disk_restores`` > 0 on every shard).
+injection site, then the end-to-end differentials.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
-import zlib
 
 import pytest
 
-from repro.core import kernels
-from repro.core.columnar import PairColumns
-from repro.core.join_result import JoinResult
 from repro.engine import (
     FaultPlan,
     FaultRule,
@@ -34,8 +27,6 @@ from repro.engine import (
     WorkerPool,
     merge_snapshots,
 )
-from repro.engine.artifacts import ResultStore, check_store_layout
-from repro.engine.faults import corrupt_file
 from repro.engine.shard import HEALTH_FLOOR, PROBE_EVERY
 from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
@@ -67,14 +58,15 @@ def _single(faults=None, **kw):
     return engine, a, b
 
 
-def _sharded(faults=None, **kw):
+def _sharded(faults=None, a=None, b=None, **kw):
     kw.setdefault("shards", 2)
     kw.setdefault("scale", TEST_SCALE)
     kw.setdefault("machine", MACHINE_3)
     kw.setdefault("workers", 2)
     kw.setdefault("cache_capacity", 0)
     kw.setdefault("pool_kind", "serial")
-    a, b = _data()
+    if a is None:
+        a, b = _data()
     engine = ShardedEngine(faults=faults, **kw)
     engine.register("a", a, universe=UNIT)
     engine.register("b", b, universe=UNIT)
@@ -85,10 +77,16 @@ class TestFaultRuleValidation:
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultRule(site="pool.tsak", kind="crash")
+        # A site that existed once is as unknown as a typo.
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultRule(site="artifact.load", kind="corrupt")
 
     def test_kind_invalid_at_site_rejected(self):
         with pytest.raises(ValueError, match="not valid at"):
-            FaultRule(site="artifact.load", kind="crash")
+            FaultRule(site="pool.submit", kind="crash")
+        # ``corrupt`` is not a kind any site accepts.
+        with pytest.raises(ValueError, match="not valid at"):
+            FaultRule(site="pool.task", kind="corrupt")
 
     def test_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -147,12 +145,12 @@ class TestFaultPlan:
     def test_from_json_round_trip(self):
         plan = FaultPlan.from_json(json.dumps([
             {"site": "pool.task", "kind": "crash", "times": 2},
-            {"site": "artifact.load", "kind": "corrupt",
-             "match": "tok"},
+            {"site": "shard.execute", "kind": "exception",
+             "match": "shard=1"},
         ]), seed=3)
         assert len(plan.rules) == 2
         assert plan.rules[0].times == 2
-        assert plan.rules[1].match == "tok"
+        assert plan.rules[1].match == "shard=1"
         assert plan.seed == 3
 
     def test_from_json_rejects_garbage(self):
@@ -170,20 +168,6 @@ class TestFaultPlan:
         assert snap["rules"][0]["seen"] == 2
         assert snap["rules"][0]["fired"] == 1
         assert snap["injected"] == {"pool.task:slow": 1}
-
-
-class TestCorruptFile:
-    def test_flips_last_byte(self, tmp_path):
-        p = tmp_path / "x.bin"
-        p.write_bytes(b"hello")
-        assert corrupt_file(str(p)) is True
-        assert p.read_bytes() == b"hell" + bytes([ord("o") ^ 0xFF])
-
-    def test_missing_and_empty_report_false(self, tmp_path):
-        assert corrupt_file(str(tmp_path / "absent")) is False
-        p = tmp_path / "empty"
-        p.write_bytes(b"")
-        assert corrupt_file(str(p)) is False
 
 
 class TestPoolFaults:
@@ -378,6 +362,33 @@ class TestReplicaFailover:
         assert plan.total_injected == 1
         engine.close()
 
+    def test_two_fault_sites_at_once_on_a_live_deployment(self):
+        # Each site is covered alone above; a chaos run meets them
+        # together.  On a live 2 x 2 deployment on a process pool, one
+        # primary is dead, so its cold replica ships tiles, and a
+        # worker crashes under them.
+        a, b = _data(seed=18, n_a=150, n_b=100)
+        overlay = Query(relations=("a", "b"), force="pbsm-grid")
+        windowed = Query(relations=("a", "b"), force="pbsm-grid",
+                         window=Rect(0.1, 0.9, 0.2, 0.8, 0))
+        plan = FaultPlan([
+            FaultRule(site="pool.task", kind="crash"),
+            FaultRule(site="shard.execute", kind="exception"),
+        ], seed=7)
+        engine, a, b = _sharded(faults=plan, replicas=2,
+                                pool_kind="process", a=a, b=b)
+        for q in (overlay, windowed, overlay):
+            assert sorted(engine.execute(q).result.pairs) == sorted(
+                brute_reference(a, b, q.window))
+        assert plan.injected == {
+            "pool.task:crash": 1, "shard.execute:exception": 1,
+        }
+        snap = engine.metrics_snapshot()
+        assert snap["failovers"] > 0
+        assert snap["retries"] >= snap["failovers"]
+        assert snap["worker_pool"]["demotions"] == 1
+        engine.close()
+
 
 class TestDifferentialUnderFaults:
     """The assert_same_pairs harness under seeded chaos."""
@@ -423,357 +434,6 @@ class TestDifferentialUnderFaults:
         )
 
 
-class TestArtifactFaults:
-    def _engine(self, tmp_path, a, b, faults=None):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            memory_bytes=10_000_000,
-            artifact_dir=str(tmp_path), faults=faults,
-        )
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        return engine
-
-    def test_corrupt_on_save_degrades_next_restart(self, tmp_path):
-        a, b = _data(seed=9, n_a=120, n_b=80)
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        plan = FaultPlan([
-            FaultRule(site="artifact.save", kind="corrupt", times=1),
-        ])
-        first = self._engine(tmp_path, a, b, faults=plan)
-        ref = first.execute(q).result
-        assert plan.total_injected == 1
-        first.close()
-        second = self._engine(tmp_path, a, b)
-        out = second.execute(q).result
-        assert out.pair_set() == ref.pair_set()
-        assert second.artifact_store.corrupt_drops >= 1
-        second.close()
-
-    def test_corrupt_on_load_degrades_to_cold_run(self, tmp_path):
-        a, b = _data(seed=10, n_a=120, n_b=80)
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        first = self._engine(tmp_path, a, b)
-        ref = first.execute(q).result
-        first.close()
-        plan = FaultPlan([
-            FaultRule(site="artifact.load", kind="corrupt",
-                      times=None),
-        ])
-        second = self._engine(tmp_path, a, b, faults=plan)
-        out = second.execute(q).result
-        assert out.pair_set() == ref.pair_set()
-        assert out.detail["artifact_hit"] is False
-        assert second.artifact_store.corrupt_drops >= 1
-        second.close()
-
-
-class TestResultStore:
-    def _result(self):
-        return JoinResult(
-            algorithm="scatter-gather", n_pairs=2,
-            pairs=[(1, 5), (2, 7)],
-            detail={"strategy": "sssj", "shard_pairs": {0: 2}},
-        )
-
-    def test_round_trip_pairs_exact(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        assert store.save("tok", self._result()) is True
-        out = store.load("tok")
-        assert out.pairs == [(1, 5), (2, 7)]
-        assert out.n_pairs == 2
-        assert out.algorithm == "scatter-gather"
-        assert store.snapshot()["restores"] == 1
-
-    def test_save_idempotent(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        store.save("tok", self._result())
-        store.save("tok", self._result())
-        assert store.saves == 1 and len(store) == 1
-
-    def test_count_only_round_trip(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        store.save("tok", JoinResult(
-            algorithm="x", n_pairs=9, pairs=None, detail={},
-        ))
-        out = store.load("tok")
-        assert out.pairs is None and out.n_pairs == 9
-
-    def test_corrupt_entry_dropped(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        store.save("tok", self._result())
-        corrupt_file(store._path("tok"))
-        assert store.load("tok") is None
-        assert store.corrupt_drops == 1
-        assert len(store) == 0  # dropped on detection
-
-    def test_injected_corrupt_on_load(self, tmp_path):
-        plan = FaultPlan([
-            FaultRule(site="result.load", kind="corrupt"),
-        ])
-        store = ResultStore(str(tmp_path), faults=plan)
-        store.save("tok", self._result())
-        assert store.load("tok") is None
-        assert store.corrupt_drops == 1
-
-    @pytest.mark.skipif(not kernels.numpy_available(),
-                        reason="numpy not importable")
-    def test_columnar_pairs_write_the_list_file(self, tmp_path):
-        # Same bytes on disk whichever representation was saved, so
-        # version, CRC and every older file stay valid.
-        triples = [(3, 20, 100), (1, 20, 99), (-4, 0, 2**40)]
-        for name, pairs, arity in (
-            ("pairs", [(1, 5), (2, 7)], 2), ("triples", triples, 3),
-            ("none", [], 2),
-        ):
-            stores = {}
-            for kind, value in (
-                ("list", list(pairs)),
-                ("columns", PairColumns.from_pairs(pairs, arity)),
-            ):
-                store = ResultStore(str(tmp_path / name / kind))
-                result = self._result()
-                result.pairs, result.n_pairs = value, len(pairs)
-                assert store.save("tok", result) is True
-                stores[kind] = store
-            files = {
-                kind: open(store._path("tok"), "rb").read()
-                for kind, store in stores.items()
-            }
-            assert files["columns"] == files["list"]
-            out = stores["columns"].load("tok")
-            assert type(out.pairs) is list and out.pairs == pairs
-
-    def test_file_written_before_columnar_pairs_still_loads(
-            self, tmp_path):
-        # A result file exactly as the list-only ``save`` wrote it.
-        payload = json.dumps({
-            "algorithm": "PBSM-grid", "n_pairs": 2,
-            "pairs": [[1, 5], [2, 7]], "detail": {"strategy": "x"},
-        }, sort_keys=True)
-        store = ResultStore(str(tmp_path))
-        with open(store._path("old"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "version": 1,
-                "crc32": zlib.crc32(payload.encode("utf-8")),
-                "result": payload,
-            }))
-        out = store.load("old")
-        assert out.pairs == [(1, 5), (2, 7)] and out.n_pairs == 2
-
-    def test_unserializable_detail_never_fails(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        bad = JoinResult(
-            algorithm="x", n_pairs=0, pairs=[],
-            detail={"oops": object()},
-        )
-        assert store.save("tok", bad) is False
-        assert len(store) == 0
-
-
-class TestStoreLayoutGuard:
-    def test_single_engine_rejects_sharded_root(self, tmp_path):
-        (tmp_path / "shard-00").mkdir()
-        with pytest.raises(ValueError, match="sharded store"):
-            check_store_layout(str(tmp_path), sharded=False)
-        with pytest.raises(ValueError, match="sharded store"):
-            SpatialQueryEngine(
-                scale=TEST_SCALE, artifact_dir=str(tmp_path),
-            )
-
-    def test_sharded_rejects_single_engine_root(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{}")
-        with pytest.raises(ValueError, match="single-engine store"):
-            check_store_layout(str(tmp_path), sharded=True)
-        with pytest.raises(ValueError, match="single-engine store"):
-            ShardedEngine(
-                shards=2, scale=TEST_SCALE,
-                artifact_dir=str(tmp_path),
-            )
-
-    def test_empty_and_matching_roots_pass(self, tmp_path):
-        check_store_layout(str(tmp_path), sharded=True)
-        check_store_layout(str(tmp_path), sharded=False)
-        (tmp_path / "shard-00").mkdir()
-        check_store_layout(str(tmp_path), sharded=True)
-
-
-class TestShardedDurability:
-    def _engine(self, tmp_path, a, b, faults=None, replicas=2,
-                pool_kind="serial"):
-        engine = ShardedEngine(
-            shards=2, replicas=replicas, scale=TEST_SCALE,
-            machine=MACHINE_3, workers=2, pool_kind=pool_kind,
-            cache_capacity=0,
-            artifact_dir=str(tmp_path), faults=faults,
-        )
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        return engine
-
-    def test_restart_rewarms_every_shard(self, tmp_path):
-        a, b = _data(seed=12, n_a=150, n_b=100)
-        q = Query(relations=("a", "b"))
-        first = self._engine(tmp_path, a, b)
-        ref = sorted(first.execute(q).result.pairs)
-        assert first.metrics_snapshot()["result_store"]["saves"] == 2
-        first.close()
-
-        second = self._engine(tmp_path, a, b)
-        out = second.execute(q).result
-        assert sorted(out.pairs) == ref
-        assert out.detail["shard_disk_restores"] == [0, 1]
-        snap = second.metrics_snapshot()
-        assert snap["result_disk_restores"] == 2
-        for shard in snap["per_shard"]:
-            assert shard["disk_restores"] > 0
-        second.close()
-
-    @pytest.mark.skipif(not kernels.numpy_available(),
-                        reason="numpy not importable")
-    def test_restored_list_merges_with_live_columns(self, tmp_path):
-        # After a restart one shard's sub-result comes back from disk
-        # (a list) while the other executes (columns): one gather.
-        import glob
-        a, b = _data(seed=17, n_a=260, n_b=200)
-        # Straddle the cut so the two representations share pairs.
-        a += [Rect(0.0, 1.0, 0.1 * i, 0.1 * i + 0.01, 5000 + i)
-              for i in range(8)]
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        ref = sorted(brute_reference(a, b))
-
-        def engine():
-            engine = ShardedEngine(
-                shards=2, scale=TEST_SCALE, machine=MACHINE_3,
-                workers=2, pool_kind="serial", cache_capacity=0,
-                artifact_dir=str(tmp_path), kernel="numpy",
-            )
-            engine.register("a", a, universe=UNIT)
-            engine.register("b", b, universe=UNIT)
-            return engine
-
-        first = engine()
-        cold = first.execute(q).result
-        assert isinstance(cold.pairs, PairColumns)
-        assert list(cold.pairs) == ref
-        assert cold.detail["cross_shard_duplicates"] > 0
-        assert first.metrics_snapshot()["result_store"]["saves"] == 2
-        first.close()
-        for victim in glob.glob(
-            str(tmp_path / "shard-01" / "results" / "*.res.json")
-        ):
-            os.remove(victim)
-
-        second = engine()
-        warm = second.execute(q).result
-        assert warm.detail["shard_disk_restores"] == [0]
-        assert isinstance(warm.pairs, PairColumns)
-        assert list(warm.pairs) == ref
-        for key in ("cross_shard_duplicates", "shard_pairs"):
-            assert warm.detail[key] == cold.detail[key]
-        second.close()
-
-    def test_restored_results_identical_across_replicas(self, tmp_path):
-        # The result store is per *shard*: a sub-result computed by
-        # replica 0 is served after restart even when replica 0 is
-        # dead and replica 1 would have executed.
-        a, b = _data(seed=13, n_a=150, n_b=100)
-        q = Query(relations=("a", "b"))
-        first = self._engine(tmp_path, a, b)
-        ref = sorted(first.execute(q).result.pairs)
-        first.close()
-        plan = FaultPlan([
-            FaultRule(site="shard.execute", kind="exception",
-                      times=None),
-        ])
-        # Every replica of every shard is dead — yet the restored
-        # sub-results serve the query without executing anything.
-        second = self._engine(tmp_path, a, b, faults=plan)
-        out = second.execute(q).result
-        assert sorted(out.pairs) == ref
-        assert plan.total_injected == 0
-        second.close()
-
-    def test_corrupt_result_file_re_executes(self, tmp_path):
-        import glob
-        a, b = _data(seed=14, n_a=150, n_b=100)
-        q = Query(relations=("a", "b"))
-        first = self._engine(tmp_path, a, b)
-        ref = sorted(first.execute(q).result.pairs)
-        first.close()
-        victims = glob.glob(
-            str(tmp_path / "shard-*" / "results" / "*.res.json")
-        )
-        assert victims
-        corrupt_file(sorted(victims)[0])
-        second = self._engine(tmp_path, a, b)
-        out = second.execute(q).result
-        assert sorted(out.pairs) == ref
-        snap = second.metrics_snapshot()
-        assert snap["result_store"]["corrupt_drops"] == 1
-        assert snap["result_disk_restores"] >= 1
-        second.close()
-
-    def test_four_fault_sites_at_once_on_a_restart(self, tmp_path):
-        # Each site is covered alone above; a chaos run meets them
-        # together: a restart-warm 2 x 2 deployment on a process pool
-        # reads a corrupt result file, so shard 0 re-executes; its
-        # primary is dead, so the cold replica ships tiles; a worker
-        # crashes under them; and the window that follows finds shard
-        # 1's persisted artifact corrupt.
-        a, b = _data(seed=18, n_a=150, n_b=100)
-        overlay = Query(relations=("a", "b"), force="pbsm-grid")
-        windowed = Query(relations=("a", "b"), force="pbsm-grid",
-                         window=Rect(0.1, 0.9, 0.2, 0.8, 0))
-        first = self._engine(tmp_path, a, b, pool_kind="process")
-        first.execute(overlay)
-        first.close()
-        plan = FaultPlan([
-            FaultRule(site="pool.task", kind="crash"),
-            FaultRule(site="result.load", kind="corrupt"),
-            FaultRule(site="shard.execute", kind="exception"),
-            FaultRule(site="artifact.load", kind="corrupt"),
-        ], seed=7)
-        second = self._engine(tmp_path, a, b, faults=plan,
-                              pool_kind="process")
-        for q in (overlay, windowed, overlay):
-            assert sorted(second.execute(q).result.pairs) == sorted(
-                brute_reference(a, b, q.window))
-        assert plan.injected == {
-            "pool.task:crash": 1, "result.load:corrupt": 1,
-            "shard.execute:exception": 1, "artifact.load:corrupt": 1,
-        }
-        snap = second.metrics_snapshot()
-        assert snap["failovers"] > 0
-        assert snap["retries"] >= snap["failovers"]
-        assert snap["result_store"]["corrupt_drops"] > 0
-        assert snap["worker_pool"]["demotions"] == 1
-        second.close()
-
-    def test_changed_data_stays_cold(self, tmp_path):
-        a, b = _data(seed=15, n_a=150, n_b=100)
-        q = Query(relations=("a", "b"))
-        first = self._engine(tmp_path, a, b)
-        first.execute(q)
-        first.close()
-        a2, _ = _data(seed=99, n_a=150, n_b=100)
-        second = self._engine(tmp_path, a2, b)
-        out = second.execute(q).result
-        assert sorted(out.pairs) == sorted(brute_reference(a2, b))
-        assert second.result_disk_restores == 0
-        second.close()
-
-    def test_replicas_do_not_share_artifact_leaves(self, tmp_path):
-        a, b = _data(seed=16)
-        engine = self._engine(tmp_path, a, b)
-        roots = {
-            e.artifact_store.root for e in engine.all_engines
-        }
-        assert len(roots) == len(engine.all_engines)
-        engine.close()
-
-
 class TestFailoverMetrics:
     def test_merge_snapshots_sums_and_recomputes_rate(self):
         merged = merge_snapshots([
@@ -810,7 +470,7 @@ class TestFailoverMetrics:
         assert validate_prometheus(text) == []
         assert "repro_engine_failovers 1" in text
         assert "repro_engine_replica_failures 1" in text
-        assert 'repro_engine_per_shard_disk_restores{shard="0"}' in text
+        assert 'repro_engine_per_shard_queries_served{shard="0"}' in text
         engine.close()
 
     def test_run_workload_surfaces_failovers(self):

@@ -8,33 +8,30 @@ The serving layer's contract has three legs, each tested here:
   sheds itself rather than evicting interactive work.
 * **Deadlines are cooperative, not corrupting** — expiry fires at
   queue and scatter checkpoints only, so an expired query frees its
-  admission grant and leaves every shared structure (caches, budget,
-  result stores) consistent; the chaos differential run asserts zero
+  admission grant and leaves every shared structure (caches, budget)
+  consistent; the chaos differential run asserts zero
   budget leak after a thousand mixed-fate queries.
 * **Accounting** — the LPT critical-path sim model
-  (:func:`lpt_makespan`), the latency-weighted replica ordering and
-  the LRU-capped :class:`ResultStore` are pinned with exact numbers.
+  (:func:`lpt_makespan`) and the replica ordering are pinned with
+  exact numbers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import random
 import threading
 import time
 
 import pytest
 
-from repro.core.join_result import JoinResult
 from repro.engine import (
     DeadlineExceeded,
     FaultPlan,
     FaultRule,
     Query,
     ResourceBudget,
-    ResultStore,
     ServingFrontend,
     ShardedEngine,
     SpatialQueryEngine,
@@ -52,8 +49,6 @@ from repro.sim.scale import QUICK_SCALE
 from tests.conftest import TEST_SCALE, _uniform
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
-
-KiB = 1024
 
 
 def _make_sharded(shards: int = 2, **kw) -> ShardedEngine:
@@ -209,98 +204,6 @@ class TestReplicaSelection:
         first, second = replay(), replay()
         assert first[0] and first[0] == second[0]
         assert first[1] > 0 and first[1] == second[1]
-
-
-# -- ResultStore LRU cap -----------------------------------------------------
-
-
-def _result(tag: int, n_pairs: int = 40) -> JoinResult:
-    pairs = [(tag * 10_000 + i, tag * 10_000 + i + 1)
-             for i in range(n_pairs)]
-    return JoinResult(algorithm="t", n_pairs=len(pairs), pairs=pairs,
-                      detail={"strategy": "t"})
-
-
-class TestResultStoreCap:
-    def test_lru_eviction_keeps_store_under_cap(self, tmp_path):
-        store = ResultStore(str(tmp_path), max_bytes=4 * KiB)
-        for i in range(8):
-            assert store.save(f"t{i}", _result(i))
-        assert store.bytes <= 4 * KiB
-        assert store.evictions > 0
-        assert store.evicted_bytes > 0
-        # The newest entries survive; the oldest were evicted.
-        assert store.load("t7") is not None
-        assert store.load("t0") is None
-
-    def test_restore_counts_as_recent_use(self, tmp_path):
-        store = ResultStore(str(tmp_path), max_bytes=3 * KiB)
-        store.save("old", _result(1))
-        store.save("mid", _result(2))
-        assert store.load("old") is not None  # bump recency
-        # Fill past the cap: "mid" (least recently used) must go
-        # before "old".
-        store.save("new1", _result(3))
-        store.save("new2", _result(4))
-        assert store.load("mid") is None
-        assert store.load("old") is not None or store.evictions >= 2
-
-    def test_oversized_entry_rejected_not_thrashed(self, tmp_path):
-        store = ResultStore(str(tmp_path), max_bytes=512)
-        store.save("small", _result(1, n_pairs=2))
-        assert not store.save("huge", _result(2, n_pairs=400))
-        assert store.rejections == 1
-        assert store.load("small") is not None, (
-            "an oversized save must not evict the resident entries"
-        )
-
-    def test_mtime_order_survives_restart(self, tmp_path):
-        store = ResultStore(str(tmp_path), max_bytes=64 * KiB)
-        for i in range(4):
-            store.save(f"t{i}", _result(i))
-        assert store.load("t0") is not None  # freshest by mtime now
-        reopened = ResultStore(str(tmp_path), max_bytes=64 * KiB)
-        assert next(iter(reopened._index)) != "t0", (
-            "the restart scan must rebuild LRU order from mtimes"
-        )
-        snap = reopened.snapshot()
-        assert snap["bytes"] == store.bytes
-        assert snap["max_bytes"] == 64 * KiB
-
-    def test_unbounded_store_never_evicts(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        for i in range(10):
-            store.save(f"t{i}", _result(i))
-        assert store.evictions == 0
-        assert len(store) == 10
-
-    def test_concurrent_duplicate_saves_count_bytes_once(self, tmp_path):
-        import threading
-
-        store = ResultStore(str(tmp_path), max_bytes=64 * KiB)
-        barrier = threading.Barrier(4)
-
-        def save():
-            barrier.wait()
-            store.save("dup", _result(1))
-
-        threads = [threading.Thread(target=save) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # However many writers raced past the exists check, the index
-        # holds one entry and _total_bytes matches it exactly — an
-        # overcount here would trigger premature evictions forever.
-        assert list(store._index) == ["dup"]
-        assert store.bytes == store._index["dup"]
-        assert store.load("dup") is not None, (
-            "racing writers must never publish a corrupt file"
-        )
-        assert store.corrupt_drops == 0
-        leftovers = [f for f in os.listdir(store.root)
-                     if f.endswith(".tmp")]
-        assert not leftovers
 
 
 # -- front-end fates ---------------------------------------------------------
@@ -572,6 +475,23 @@ class TestServeFaultSites:
             assert ok.ok, "the fault fires once, service resumes"
             assert fe.errors == 1
             assert fe.admission.in_use_bytes == 0
+        assert plan.injected["serve.queue:exception"] == 1
+        engine.close()
+
+    def test_single_engine_front_end_joins_the_engines_plan(self):
+        # ``repro serve --faults`` on an unsharded deployment builds the
+        # front-end with no ``faults=``: it must take the engine's plan.
+        plan = FaultPlan([
+            FaultRule(site="serve.queue", kind="exception", times=1),
+        ])
+        engine = _registered_single(faults=plan)
+        with _frontend(engine) as fe:
+            assert fe.faults is plan
+            bad = asyncio.run(fe.submit(Query(relations=("a", "b"))))
+            ok = asyncio.run(fe.submit(Query(relations=("a", "b"))))
+            assert bad.status == "error"
+            assert "injected" in bad.error
+            assert ok.ok
         assert plan.injected["serve.queue:exception"] == 1
         engine.close()
 

@@ -86,10 +86,11 @@ def test_sharded_signature_tracks_the_single_engine():
     deleted = {"min_ship_rects", "tile_batch_bytes", "shm_min_bytes",
                "inline_plan_ops", "histogram_grid", "scatter_threads",
                "replica_timeout_seconds", "slow_threshold_seconds",
-               "cache_bytes", "retry_backoff_seconds"}
+               "cache_bytes", "retry_backoff_seconds", "artifact_dir",
+               "result_store_bytes"}
     assert not deleted & (set(single) | set(sharded))
     assert "slow_log_capacity" not in sharded
-    assert (len(single) - 1, len(sharded) - 1) == (14, 14)
+    assert (len(single) - 1, len(sharded) - 1) == (13, 12)
     # Admission grants are the static per-class table.
     assert "adaptive_grants" not in inspect.signature(
         ServingFrontend.__init__).parameters

@@ -37,9 +37,9 @@ SSSJ_WRITE_PASSES = 2
 
 @dataclass(frozen=True)
 class JoinCostEstimate:
-    """Estimated I/O seconds for one strategy on one machine."""
+    """Estimated I/O seconds for one strategy on one machine (the
+    strategy's name lives in the plan or the candidate list)."""
 
-    strategy: str
     io_seconds: float
     detail: str = ""
 
@@ -87,8 +87,7 @@ class CostModel:
         passes = SSSJ_READ_PASSES + SSSJ_WRITE_PASSES * WRITE_FACTOR
         secs = passes * self.sequential_read_seconds(total)
         return JoinCostEstimate(
-            "SSSJ", secs,
-            detail=f"{passes:.1f} passes over {total} bytes",
+            secs, f"{passes:.1f} passes over {total} bytes"
         )
 
     def estimate_pq_indexed(
@@ -102,7 +101,7 @@ class CostModel:
         pages = pages_a * fraction_a + pages_b * fraction_b
         secs = pages * self.random_page_read_seconds()
         return JoinCostEstimate(
-            "PQ(index)", secs,
+            secs,
             detail=(
                 f"{pages:.0f} random page reads "
                 f"(fractions {fraction_a:.2f}/{fraction_b:.2f})"
@@ -122,7 +121,7 @@ class CostModel:
         passes = SSSJ_READ_PASSES + SSSJ_WRITE_PASSES * WRITE_FACTOR
         sort_secs = passes * self.sequential_read_seconds(bytes_sorted)
         return JoinCostEstimate(
-            "PQ(mixed)", index_secs + sort_secs,
+            index_secs + sort_secs,
             detail=(
                 f"{pages_indexed * fraction:.0f} random pages + sorting "
                 f"{bytes_sorted} bytes"
@@ -152,6 +151,5 @@ class CostModel:
             sequential_share * seq + (1.0 - sequential_share) * rand
         )
         return JoinCostEstimate(
-            "ST", secs,
-            detail=f"{pages:.0f} requests, {sequential_share:.0%} sequential",
+            secs, f"{pages:.0f} requests, {sequential_share:.0%} sequential"
         )

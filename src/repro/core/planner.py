@@ -9,25 +9,28 @@ most cases."  This module is that missing decision layer:
 * :class:`Relation` describes one join input as a catalog would — the
   base stream, an optional index, the universe, and an optional
   histogram;
-* :func:`choose_method` prices the candidate strategies with the
-  :class:`~repro.core.cost_model.CostModel` (fractions from histograms)
-  and picks the cheapest;
-* :func:`unified_spatial_join` executes the choice: PQ over indexes
-  (pruned to the other input's window), PQ mixed, or pure sort-based
-  SSSJ, falling back gracefully when a representation is missing.
+* :data:`STRATEGIES` holds one :class:`JoinStrategy` row per pairwise
+  strategy — the side it reads as an index, its cost-model price, its
+  run — for this module and the engine's optimizer and executor alike;
+* :func:`choose_method` prices the feasible rows (fractions from
+  histograms) and picks the cheapest;
+* :func:`unified_spatial_join` runs the chosen (or forced) row: PQ over
+  indexes (pruned to the other input's window), PQ mixed, or pure
+  sort-based SSSJ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cost_model import CostModel, JoinCostEstimate
 from repro.core.histogram import SpatialHistogram
 from repro.core.join_result import JoinResult
 from repro.core.pq_join import PQConfig, pq_join
-from repro.core.sssj import SSSJConfig, sssj_join
-from repro.geom.rect import Rect, intersection, union_mbr
+from repro.core.sssj import sssj_join
+from repro.core.st_join import st_join
+from repro.geom.rect import RECT_BYTES, Rect, area, intersection, union_mbr
 from repro.rtree.rtree import RTree
 from repro.sim.machines import MACHINE_3, MachineSpec
 from repro.storage.disk import Disk
@@ -56,8 +59,6 @@ class Relation:
     def data_bytes(self) -> int:
         if self.stream is not None:
             return self.stream.data_bytes
-        from repro.geom.rect import RECT_BYTES
-
         return self.tree.num_objects * RECT_BYTES
 
     def fraction_in(self, window: Optional[Rect]) -> float:
@@ -72,10 +73,110 @@ class Relation:
         inter = intersection(self.universe, window)
         if inter is None:
             return 0.0
-        from repro.geom.rect import area
-
         denom = area(self.universe)
         return min(1.0, area(inter) / denom) if denom > 0 else 1.0
+
+
+@dataclass(frozen=True)
+class JoinStrategy:
+    """One pairwise join strategy: what it reads, costs and runs.
+
+    ``indexed`` says which side (a, b) it reads as an R-tree; the other
+    side is read as its base stream.  ``price(model, rel_a, rel_b)`` is
+    the Section 6.3 estimate; ``run(in_a, in_b, rel_a, rel_b, disk,
+    collect, kernel, pool)`` joins the inputs ``indexed`` picked
+    (``pool``: the buffer pool ``st`` shares with an engine, or
+    ``None`` for a fresh one).  Only an engine offers non-``planner``
+    rows: ``st`` pays off on a warm pool.
+    """
+
+    name: str
+    indexed: Tuple[bool, bool]
+    price: Callable[[CostModel, Relation, Relation], JoinCostEstimate]
+    run: Callable[..., JoinResult]
+    planner: bool = True
+
+    def __post_init__(self) -> None:
+        if not (callable(self.price) and callable(self.run)):
+            raise TypeError(
+                f"join strategy {self.name!r} needs a price and a run"
+            )
+
+    def inputs(self, rel_a: Relation, rel_b: Relation) -> tuple:
+        """The representation of each side this strategy reads (``None``
+        where the relation lacks it)."""
+        return tuple(
+            rel.tree if tree else rel.stream
+            for rel, tree in zip((rel_a, rel_b), self.indexed)
+        )
+
+    def feasible(self, rel_a: Relation, rel_b: Relation) -> bool:
+        return all(x is not None for x in self.inputs(rel_a, rel_b))
+
+    def join(self, rel_a: Relation, rel_b: Relation, disk: Disk, *,
+             collect_pairs: bool = False, kernel: str = "auto",
+             pool=None) -> JoinResult:
+        return self.run(*self.inputs(rel_a, rel_b), rel_a, rel_b, disk,
+                        collect_pairs, kernel, pool)
+
+
+def _run_pq(in_a, in_b, rel_a, rel_b, disk, collect, kernel, pool):
+    # pq_join derives the sweep's universe from the two windows.
+    return pq_join(in_a, in_b, disk, config=PQConfig(prune=True),
+                   collect_pairs=collect, window_a=rel_a.universe,
+                   window_b=rel_b.universe, kernel=kernel)
+
+
+def _run_sssj(in_a, in_b, rel_a, rel_b, disk, collect, kernel, pool):
+    universe = None
+    if rel_a.universe is not None and rel_b.universe is not None:
+        universe = union_mbr(rel_a.universe, rel_b.universe)
+    return sssj_join(in_a, in_b, disk, universe=universe,
+                     collect_pairs=collect)
+
+
+def _run_st(in_a, in_b, rel_a, rel_b, disk, collect, kernel, pool):
+    return st_join(in_a, in_b, collect_pairs=collect, pool=pool)
+
+
+def _price_pq_mixed(model: CostModel, indexed: Relation,
+                    streamed: Relation) -> JoinCostEstimate:
+    return model.estimate_pq_mixed(
+        indexed.tree.page_count, indexed.fraction_in(streamed.universe),
+        streamed.data_bytes,
+    )
+
+
+#: The pairwise join strategies by name, in candidate order: callers
+#: taking the minimum resolve ties toward the index paths listed first.
+STRATEGIES: Dict[str, JoinStrategy] = {s.name: s for s in (
+    JoinStrategy(
+        "pq-index", (True, True),
+        lambda model, a, b: model.estimate_pq_indexed(
+            a.tree.page_count, b.tree.page_count,
+            fraction_a=a.fraction_in(b.universe),
+            fraction_b=b.fraction_in(a.universe),
+        ),
+        _run_pq,
+    ),
+    JoinStrategy("pq-mixed-a", (True, False), _price_pq_mixed, _run_pq),
+    JoinStrategy(
+        "pq-mixed-b", (False, True),
+        lambda model, a, b: _price_pq_mixed(model, b, a), _run_pq,
+    ),
+    JoinStrategy(
+        "sssj", (False, False),
+        lambda model, a, b: model.estimate_sssj(a.data_bytes, b.data_bytes),
+        _run_sssj,
+    ),
+    JoinStrategy(
+        "st", (True, True),
+        lambda model, a, b: model.estimate_st(
+            a.tree.page_count, b.tree.page_count
+        ),
+        _run_st, planner=False,
+    ),
+)}
 
 
 def candidate_estimates(
@@ -83,45 +184,21 @@ def candidate_estimates(
     rel_b: Relation,
     machine: MachineSpec,
     scale,
+    engine: bool = False,
 ) -> List[Tuple[str, JoinCostEstimate]]:
-    """Price every feasible strategy; returns [(strategy, estimate), ...].
+    """Price every feasible row of :data:`STRATEGIES`; returns
+    [(strategy, estimate), ...] in table order.
 
-    Strategies considered (feasibility depends on which representations
-    exist): ``"pq-index"`` (both indexed, pruned traversal),
-    ``"pq-mixed"`` (one indexed), ``"sssj"`` (sort both streams).
-    Candidates appear in that fixed order, so callers taking the
-    minimum resolve ties toward the index-based paths.
+    A row is feasible when each relation has the representation it
+    reads there.  ``engine`` also offers the rows the one-shot planner
+    does not (``st``).
     """
     model = CostModel(machine, scale)
-    window_a = rel_a.universe
-    window_b = rel_b.universe
-    candidates: List[Tuple[str, JoinCostEstimate]] = []
-    if rel_a.tree is not None and rel_b.tree is not None:
-        est = model.estimate_pq_indexed(
-            rel_a.tree.page_count,
-            rel_b.tree.page_count,
-            fraction_a=rel_a.fraction_in(window_b),
-            fraction_b=rel_b.fraction_in(window_a),
-        )
-        candidates.append(("pq-index", est))
-    if rel_a.tree is not None and rel_b.stream is not None:
-        est = model.estimate_pq_mixed(
-            rel_a.tree.page_count,
-            rel_a.fraction_in(window_b),
-            rel_b.data_bytes,
-        )
-        candidates.append(("pq-mixed-a", est))
-    if rel_b.tree is not None and rel_a.stream is not None:
-        est = model.estimate_pq_mixed(
-            rel_b.tree.page_count,
-            rel_b.fraction_in(window_a),
-            rel_a.data_bytes,
-        )
-        candidates.append(("pq-mixed-b", est))
-    if rel_a.stream is not None and rel_b.stream is not None:
-        est = model.estimate_sssj(rel_a.data_bytes, rel_b.data_bytes)
-        candidates.append(("sssj", est))
-    return candidates
+    return [
+        (s.name, s.price(model, rel_a, rel_b))
+        for s in STRATEGIES.values()
+        if (s.planner or engine) and s.feasible(rel_a, rel_b)
+    ]
 
 
 def choose_method(
@@ -136,10 +213,8 @@ def choose_method(
     the index paths before ``sssj`` — when the model cannot separate
     two strategies, the one touching fewer raw bytes wins.
     """
-    candidates = candidate_estimates(rel_a, rel_b, machine, scale)
-    if not candidates:
-        raise ValueError("no feasible join strategy for these relations")
-    return min(candidates, key=lambda c: c[1].io_seconds)
+    return min(candidate_estimates(rel_a, rel_b, machine, scale),
+               key=lambda c: c[1].io_seconds)
 
 
 def unified_spatial_join(
@@ -153,61 +228,27 @@ def unified_spatial_join(
 ) -> JoinResult:
     """Join two relations, choosing the strategy with the cost model.
 
-    ``force`` overrides the decision ("pq-index", "pq-mixed-a",
-    "pq-mixed-b", "sssj") — the ablation benches use it.  The chosen
-    strategy and its estimate land in the result's ``detail``.
+    ``force`` names the :data:`STRATEGIES` row to run instead — the
+    ablation benches use it; an unknown name, or a row these relations
+    lack a representation for, raises ``ValueError`` before any I/O.
+    The strategy and its estimate land in the result's ``detail``.
     ``kernel`` is :func:`~repro.core.pq_join.pq_join`'s.
     """
-    env = disk.env
     if force is None:
-        strategy, estimate = choose_method(rel_a, rel_b, machine, env.scale)
+        name, estimate = choose_method(rel_a, rel_b, machine, disk.env.scale)
+        strategy = STRATEGIES[name]
     else:
-        # Price the forced strategy with the real model so ablation
-        # benches report estimates comparable with the planner's choice;
-        # a strategy the relations cannot support stays unpriced (its
-        # execution below fails anyway unless it is a known name).
-        strategy = force
-        priced = dict(
-            candidate_estimates(rel_a, rel_b, machine, env.scale)
-        )
-        estimate = priced.get(
-            force, JoinCostEstimate(force, float("nan"), "forced")
-        )
-
-    universe = None
-    if rel_a.universe is not None and rel_b.universe is not None:
-        universe = union_mbr(rel_a.universe, rel_b.universe)
-
-    if strategy == "pq-index":
-        result = pq_join(
-            rel_a.tree, rel_b.tree, disk, universe=universe,
-            config=PQConfig(prune=True), collect_pairs=collect_pairs,
-            window_a=rel_a.universe, window_b=rel_b.universe,
-            kernel=kernel,
-        )
-    elif strategy == "pq-mixed-a":
-        result = pq_join(
-            rel_a.tree, rel_b.stream, disk, universe=universe,
-            config=PQConfig(prune=True), collect_pairs=collect_pairs,
-            window_a=rel_a.universe, window_b=rel_b.universe,
-            kernel=kernel,
-        )
-    elif strategy == "pq-mixed-b":
-        result = pq_join(
-            rel_a.stream, rel_b.tree, disk, universe=universe,
-            config=PQConfig(prune=True), collect_pairs=collect_pairs,
-            window_a=rel_a.universe, window_b=rel_b.universe,
-            kernel=kernel,
-        )
-    elif strategy == "sssj":
-        result = sssj_join(
-            rel_a.stream, rel_b.stream, disk, universe=universe,
-            collect_pairs=collect_pairs,
-        )
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    result.detail["strategy"] = strategy
-    result.detail["estimated_io_seconds"] = estimate.io_seconds
-    result.detail["machine"] = machine.name
+        strategy = STRATEGIES.get(force)
+        if strategy is None or not strategy.feasible(rel_a, rel_b):
+            feasible = [s.name for s in STRATEGIES.values()
+                        if s.feasible(rel_a, rel_b)]
+            raise ValueError(f"strategy {force!r} cannot join these "
+                             f"relations; feasible: {', '.join(feasible)}")
+        estimate = strategy.price(CostModel(machine, disk.env.scale),
+                                  rel_a, rel_b)
+    result = strategy.join(rel_a, rel_b, disk, collect_pairs=collect_pairs,
+                           kernel=kernel)
+    result.detail.update(strategy=strategy.name,
+                         estimated_io_seconds=estimate.io_seconds,
+                         machine=machine.name)
     return result

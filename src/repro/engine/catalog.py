@@ -111,19 +111,18 @@ class CatalogEntry:
     def has_tree(self) -> bool:
         return self._tree is not None
 
-    def relation(self, universe: Optional[Rect] = None,
-                 with_tree: bool = True) -> Relation:
-        """A planner view of this entry.
+    def relation(self, universe: Optional[Rect] = None) -> Relation:
+        """A planner view of this entry, with both representations.
 
         ``universe`` overrides the relation's extent (the optimizer
         passes the window-clipped region so selectivity fractions see
-        the restricted query).  ``with_tree=False`` prices/executes the
-        stream-only paths without triggering a lazy index build.
+        the restricted query).  The first view bulk-loads the R-tree;
+        a strategy's row decides which representation a join reads.
         """
         return Relation(
             name=self.name,
             stream=self.stream,
-            tree=self.tree if (with_tree or self.has_tree) else None,
+            tree=self.tree,
             universe=universe if universe is not None else self.universe,
             histogram=self.histogram,
         )

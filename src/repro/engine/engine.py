@@ -201,7 +201,6 @@ class SpatialQueryEngine(_ServeShell):
         machine: MachineSpec = MACHINE_3,
         workers: int = 1,
         cache_capacity: int = 64,
-        auto_index: bool = True,
         memory_bytes: Optional[int] = None,
         pool_kind: str = "process",
         artifact_cache_bytes: Optional[int] = None,
@@ -256,7 +255,7 @@ class SpatialQueryEngine(_ServeShell):
         )
         self.optimizer = Optimizer(
             self.catalog, machine, scale,
-            workers=self.workers, auto_index=auto_index,
+            workers=self.workers,
             budget=self.budget, artifacts=self.artifacts,
         )
         # ``kernel`` selects the sweep implementation ("auto" resolves

@@ -1,9 +1,11 @@
 """Physical plan execution, including partitioned parallel joins.
 
-Direct plans delegate to the algorithms the repo already trusts
-(:func:`unified_spatial_join`, :func:`st_join`, :func:`multiway_join`);
-the resolved kernel goes down with them, so a ``pq-index`` plan on a
-numpy engine runs :mod:`repro.core.kernels.np_index` and hands back
+A pairwise plan runs its strategy's row of
+:data:`repro.core.planner.STRATEGIES` and reports the estimate the plan
+carries; a multiway plan runs :func:`multiway_join` over the streams
+it was priced on.  The resolved kernel goes down with them, so a
+``pq-index`` plan on a numpy engine runs
+:mod:`repro.core.kernels.np_index` and hands back
 :class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``, ``st``,
 ``sssj``, multiway and :func:`_refine_pairs` still build tuple lists.
 An ``sssj`` plan resolves each side's sorted run through the artifact
@@ -113,9 +115,8 @@ from repro.core.pbsm import (
     TileAllowance,
     TileGrid,
 )
-from repro.core.planner import unified_spatial_join
+from repro.core.planner import STRATEGIES
 from repro.core.sssj import sssj_join
-from repro.core.st_join import st_join
 from repro.core.sweep import forward_sweep_pairs_batched
 from repro.engine.cache import ArtifactCache, ArtifactIdentity, Candidate
 from repro.engine.catalog import Catalog, CatalogEntry
@@ -316,33 +317,22 @@ class Executor:
 
     def _execute_pairwise(self, plan: PhysicalPlan,
                           entries: List[CatalogEntry]) -> JoinResult:
-        query = plan.query
         if plan.strategy == "sssj" and self.artifacts.enabled:
             return self._execute_sssj(plan, entries)
-        if plan.strategy == "st":
-            result = st_join(
-                entries[0].tree, entries[1].tree,
-                collect_pairs=query.collect_pairs, pool=self.pool,
-            )
-            result.detail["strategy"] = "st"
-            result.detail["estimated_io_seconds"] = plan.estimate.io_seconds
-            return result
-        # Materialize only the representations the chosen strategy
-        # touches: a plan that priced the stream paths (auto_index off,
-        # or sssj simply winning) must not trigger lazy index builds.
-        rel_a = entries[0].relation(
-            universe=plan.regions[0],
-            with_tree=plan.strategy in ("pq-index", "pq-mixed-a"),
+        rel_a, rel_b = (e.relation(universe=region)
+                        for e, region in zip(entries, plan.regions))
+        result = STRATEGIES[plan.strategy].join(
+            rel_a, rel_b, self.disk, collect_pairs=plan.query.collect_pairs,
+            kernel=self.kernel, pool=self.pool,
         )
-        rel_b = entries[1].relation(
-            universe=plan.regions[1],
-            with_tree=plan.strategy in ("pq-index", "pq-mixed-b"),
-        )
-        return unified_spatial_join(
-            rel_a, rel_b, self.disk, self.machine,
-            collect_pairs=query.collect_pairs, force=plan.strategy,
-            kernel=self.kernel,
-        )
+        return self._stamp(result, plan)
+
+    def _stamp(self, result: JoinResult, plan: PhysicalPlan) -> JoinResult:
+        """Report the strategy that ran and the estimate it was planned by."""
+        result.detail.update(strategy=plan.strategy,
+                             estimated_io_seconds=plan.estimate.io_seconds,
+                             machine=self.machine.name)
+        return result
 
     # -- sorted-run artifact path ----------------------------------------
 
@@ -358,11 +348,7 @@ class Executor:
         memory and retaining it as a fresh artifact for the next query.
         """
         query = plan.query
-        rel_a = entries[0].relation(universe=plan.regions[0],
-                                    with_tree=False)
-        rel_b = entries[1].relation(universe=plan.regions[1],
-                                    with_tree=False)
-        universe = union_mbr(rel_a.universe, rel_b.universe)
+        universe = union_mbr(plan.regions[0], plan.regions[1])
 
         runs = []
         owned = []
@@ -396,19 +382,15 @@ class Executor:
         finally:
             for s in owned:
                 s.free()
-        result.detail["strategy"] = "sssj"
-        result.detail["estimated_io_seconds"] = plan.estimate.io_seconds
-        result.detail["machine"] = self.machine.name
-        result.detail["sorted_run_hits"] = hits
+        self._stamp(result, plan).detail["sorted_run_hits"] = hits
         return result
 
     def _execute_multiway(self, plan: PhysicalPlan,
                           entries: List[CatalogEntry]) -> JoinResult:
-        inputs = [
-            e.tree if e.has_tree else e.stream for e in entries
-        ]
+        # The streams the plan priced (a sort cascade), whatever else
+        # the catalog happens to have built.
         return multiway_join(
-            inputs, self.disk,
+            [e.stream for e in entries], self.disk,
             collect_tuples=plan.query.collect_pairs,
         )
 

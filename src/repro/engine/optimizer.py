@@ -1,20 +1,22 @@
 """Query -> physical plan, with the paper's cost model in the middle.
 
 The optimizer is the engine-level generalization of
-:func:`repro.core.planner.choose_method`: it prices every feasible
-strategy for the queried relations (index traversal, mixed, sort-based,
-synchronized tree traversal) on the engine's machine, folds the query
-window into the selectivity fractions, and emits an explainable
-:class:`PhysicalPlan`.  Two strategies exist only at the engine level:
+:func:`repro.core.planner.choose_method`: it prices every feasible row
+of :data:`repro.core.planner.STRATEGIES` on the engine's machine, folds
+the query window into the selectivity fractions, and emits an
+explainable :class:`PhysicalPlan`.  Two candidates exist only here:
 
-* ``"st"`` — synchronized R-tree traversal through the engine's shared
-  LRU buffer pool (priced with :meth:`CostModel.estimate_st`); a warm
-  pool across queries is precisely what the one-shot planner cannot
+* ``"st"`` — the table's engine-only row, offered for whole-relation
+  joins: synchronized R-tree traversal through the engine's shared LRU
+  buffer pool, whose warmth across queries the one-shot planner cannot
   exploit;
-* ``"pbsm-grid"`` — PBSM-style tile partitioning fanned out over the
-  executor's worker pool; considered only when the engine runs more
-  than one worker, and priced as the single sequential partition pass
-  it costs (tiles stay in memory).
+* ``"pbsm-grid"`` — a plan mode, not a row: PBSM-style tile
+  partitioning fanned out over the executor's worker pool, offered when
+  the engine runs more than one worker and priced as the single
+  sequential partition pass it costs (tiles stay in memory).
+
+A plan is priced once, here — a forced strategy from its candidate
+entry, else from its row — and the executor reports that estimate.
 
 Plans are priced against the engine's shared
 :class:`~repro.engine.resources.ResourceBudget`: the ``pbsm-grid``
@@ -39,7 +41,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.cost_model import WRITE_FACTOR, CostModel, JoinCostEstimate
 from repro.core.histogram import SpatialHistogram
-from repro.core.planner import Relation, candidate_estimates
+from repro.core.planner import STRATEGIES, Relation, candidate_estimates
 from repro.engine.cache import ArtifactCache
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.query import Query
@@ -180,12 +182,9 @@ class PhysicalPlan:
         if self.actuals is not None:
             a = self.actuals
             est = self.estimate.io_seconds
-            err = (
-                f"{a.sim_io_seconds - est:+.4f}s vs estimate"
-                if est == est else "no estimate (forced)"
-            )
             lines.append(
-                f"Actual  : {a.sim_io_seconds:.4f}s I/O ({err}), "
+                f"Actual  : {a.sim_io_seconds:.4f}s I/O "
+                f"({a.sim_io_seconds - est:+.4f}s vs estimate), "
                 f"{a.sim_cpu_seconds:.4f}s CPU, "
                 f"{a.sim_wall_seconds:.4f}s simulated wall"
             )
@@ -210,7 +209,6 @@ class Optimizer:
         machine: MachineSpec,
         scale: ScaleConfig,
         workers: int = 1,
-        auto_index: bool = True,
         budget: Optional[ResourceBudget] = None,
         artifacts: Optional[ArtifactCache] = None,
     ) -> None:
@@ -218,7 +216,6 @@ class Optimizer:
         self.machine = machine
         self.scale = scale
         self.workers = max(1, workers)
-        self.auto_index = auto_index
         self.budget = budget
         # The engine's artifact cache: the cost model asks it whether a
         # pbsm-grid plan's distributed tiles or an sssj plan's sorted
@@ -240,11 +237,12 @@ class Optimizer:
 
     def compile(self, query: Query) -> PhysicalPlan:
         entries = [self.catalog.get(n) for n in query.relations]
-        regions = [self._effective_region(e, query.window) for e in entries]
+        regions = [effective_region(e.universe, query.window)
+                   for e in entries]
         if any(r is None for r in regions):
             return PhysicalPlan(
                 query=query, mode="empty", strategy="empty",
-                estimate=JoinCostEstimate("empty", 0.0, "window misses data"),
+                estimate=JoinCostEstimate(0.0, "window misses data"),
                 regions=regions, machine=self.machine.name,
                 notes=["query window does not intersect every relation"],
                 memory_bytes=self._budget_total(),
@@ -297,8 +295,7 @@ class Optimizer:
         """
         if cached:
             return JoinCostEstimate(
-                "pbsm-grid", 0.0,
-                f"{label}, distributed tiles cached (artifact layer)",
+                0.0, f"{label}, distributed tiles cached (artifact layer)",
             ), 0
         secs = model.sequential_read_seconds(scan_bytes)
         spill = 0
@@ -313,7 +310,7 @@ class Optimizer:
             )
         else:
             detail = f"{label}, tiles fit the memory budget"
-        return JoinCostEstimate("pbsm-grid", secs, detail), spill
+        return JoinCostEstimate(secs, detail), spill
 
     def _sssj_estimate_with_runs(
         self, model: CostModel, rel_a: Relation, rel_b: Relation,
@@ -338,16 +335,8 @@ class Optimizer:
         if cold:
             labels.append(f"{cold} bytes sorted cold")
         return JoinCostEstimate(
-            "SSSJ", model.estimate_sssj(cold, 0).io_seconds,
-            "; ".join(labels),
+            model.estimate_sssj(cold, 0).io_seconds, "; ".join(labels),
         )
-
-    def _effective_region(self, entry: CatalogEntry,
-                          window: Optional[Rect]) -> Optional[Rect]:
-        return effective_region(entry.universe, window)
-
-    def _view(self, entry: CatalogEntry, region: Rect) -> Relation:
-        return entry.relation(universe=region, with_tree=self.auto_index)
 
     def _compile_pairwise(
         self,
@@ -355,11 +344,14 @@ class Optimizer:
         entries: List[CatalogEntry],
         regions: List[Optional[Rect]],
     ) -> PhysicalPlan:
-        rel_a = self._view(entries[0], regions[0])
-        rel_b = self._view(entries[1], regions[1])
+        rel_a = entries[0].relation(universe=regions[0])
+        rel_b = entries[1].relation(universe=regions[1])
         model = CostModel(self.machine, self.scale)
+        # Whole-relation joins can also ride the engine's warm buffer
+        # pool through the synchronized traversal (the ``st`` row).
         candidates = candidate_estimates(
-            rel_a, rel_b, self.machine, self.scale
+            rel_a, rel_b, self.machine, self.scale,
+            engine=query.window is None,
         )
         notes: List[str] = []
 
@@ -380,26 +372,16 @@ class Optimizer:
                 f"({warm_sssj.detail})"
             )
 
-        if (rel_a.tree is not None and rel_b.tree is not None
-                and query.window is None):
-            # Whole-relation joins can ride the engine's warm buffer
-            # pool through the synchronized traversal.
-            candidates.append((
-                "st",
-                model.estimate_st(rel_a.tree.page_count,
-                                  rel_b.tree.page_count),
-            ))
         tile_bytes = rel_a.data_bytes + rel_b.data_bytes
-        spill_bytes = 0
         tiles_cached = self._tiles_warm(entries, regions, query)
+        pbsm, spill_bytes = self._pbsm_estimate(
+            model, tile_bytes,
+            f"1 partition pass over {tile_bytes} bytes"
+            + (f" x{self.workers} workers" if self.workers > 1 else ""),
+            cached=tiles_cached,
+        )
         if self.workers > 1:
-            est, spill_bytes = self._pbsm_estimate(
-                model, tile_bytes,
-                f"1 partition pass over {tile_bytes} bytes "
-                f"x{self.workers} workers",
-                cached=tiles_cached,
-            )
-            candidates.append(("pbsm-grid", est))
+            candidates.append(("pbsm-grid", pbsm))
             notes.append(
                 f"partitioned execution available "
                 f"({self.workers}-worker pool stays warm across queries)"
@@ -414,32 +396,17 @@ class Optimizer:
             rel_a.fraction_in(regions[1]),
             rel_b.fraction_in(regions[0]),
         ]
-        if not candidates:
-            raise ValueError(
-                f"no feasible strategy for {query.describe()!r}"
-            )
         if query.force is not None:
+            # Query admits only forceable names; one not offered here
+            # (st under a window, pbsm-grid at one worker) is priced
+            # by its row, or above.
             strategy = query.force
-            priced = dict(candidates)
-            if strategy not in priced:
-                # Engine strategies excluded from the candidate list
-                # (st under a window, pbsm-grid at 1 worker) are still
-                # forceable; price them so detail never carries NaN.
-                if strategy == "st":
-                    priced["st"] = model.estimate_st(
-                        entries[0].tree.page_count,
-                        entries[1].tree.page_count,
-                    )
-                elif strategy == "pbsm-grid":
-                    est, spill_bytes = self._pbsm_estimate(
-                        model, tile_bytes,
-                        f"1 partition pass over {tile_bytes} bytes",
-                        cached=tiles_cached,
-                    )
-                    priced["pbsm-grid"] = est
-            estimate = priced.get(
-                strategy, JoinCostEstimate(strategy, float("nan"), "forced")
-            )
+            estimate = dict(candidates).get(strategy)
+            if estimate is None:
+                estimate = (
+                    pbsm if strategy == "pbsm-grid"
+                    else STRATEGIES[strategy].price(model, rel_a, rel_b)
+                )
             notes.append("strategy forced by query")
         else:
             strategy, estimate = min(
@@ -480,13 +447,8 @@ class Optimizer:
         representative per unordered pair (``rid_a < rid_b``), the
         "dedupe the symmetric pair once" rule.  The index and
         sort-based pairwise paths are not defined for identical inputs
-        here, so forcing any other strategy is an error.
+        here, so :class:`Query` refuses any other forced strategy.
         """
-        if query.force not in (None, "pbsm-grid"):
-            raise ValueError(
-                f"self-joins execute via pbsm-grid only "
-                f"(force={query.force!r} is not supported)"
-            )
         entry = entries[0]
         model = CostModel(self.machine, self.scale)
         tile_bytes = entry.stream.data_bytes
@@ -549,7 +511,7 @@ class Optimizer:
             )
             cardinalities.append(card)
         estimate = JoinCostEstimate(
-            "pq-multiway", total_io,
+            total_io,
             f"cascaded pairwise cost over {len(entries)} inputs, "
             f"histogram intermediates ~"
             + " -> ".join(f"{c:.0f}" for c in cardinalities),

@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.planner import STRATEGIES
 from repro.geom.rect import Rect
+
+#: What ``Query.force`` accepts: the strategy table's rows, and the
+#: partitioned plan (a plan mode, not a row).
+FORCEABLE = (*STRATEGIES, "pbsm-grid")
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,9 @@ class Query:
         Keep the id pairs in the result (required for windowed or
         refined queries, where the engine must post-filter).
     force:
-        Optional strategy override ("pq-index", "sssj", ...) for
-        ablations; ``None`` lets the optimizer decide.
+        Optional strategy override for ablations, one of
+        :data:`FORCEABLE` (a self-join takes ``"pbsm-grid"`` only);
+        ``None`` lets the optimizer decide.
     """
 
     relations: Tuple[str, ...]
@@ -72,6 +78,16 @@ class Query:
             raise ValueError(
                 "forced strategies apply to pairwise queries only "
                 "(multiway joins always cascade PQ)"
+            )
+        if self.force is not None and self.force not in FORCEABLE:
+            raise ValueError(
+                f"unknown strategy {self.force!r}; accepted: "
+                f"{', '.join(FORCEABLE)}"
+            )
+        if self.is_self_join and self.force not in (None, "pbsm-grid"):
+            raise ValueError(
+                f"self-joins execute via pbsm-grid only (force="
+                f"{self.force!r} is not supported; accepted: pbsm-grid)"
             )
         if (self.window is not None or self.refine) and not self.collect_pairs:
             raise ValueError(

@@ -91,10 +91,10 @@ class TestEstimates:
         assert 0 < st.io_seconds < pq.io_seconds
 
     def test_estimates_ordered_by_lt(self):
-        a = JoinCostEstimate("x", 1.0)
-        b = JoinCostEstimate("y", 2.0)
+        a = JoinCostEstimate(1.0, "x")
+        b = JoinCostEstimate(2.0, "y")
         assert a < b
-        assert min([b, a]).strategy == "x"
+        assert min([b, a]).io_seconds == 1.0
 
     def test_machine_sensitivity(self):
         # The same workload is cheaper on the Cheetah than the Medalist.

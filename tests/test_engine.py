@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.brute import brute_force_pairs
@@ -19,6 +21,7 @@ from repro.geom.rect import Rect, intersection
 from repro.sim.machines import MACHINE_3
 
 from repro.engine.pool import DeadlineExceeded
+from repro.engine.query import FORCEABLE
 
 from tests.conftest import TEST_SCALE, brute_reference, dispatch
 
@@ -102,6 +105,21 @@ class TestQueryValidation:
     def test_multiway_force_rejected(self):
         with pytest.raises(ValueError, match="pairwise"):
             Query(relations=("a", "b", "c"), force="sssj")
+
+    def test_unknown_force_rejected_at_construction(self):
+        # Refused before any engine (or shard replica) sees it, with
+        # the names that would have been accepted.
+        with pytest.raises(ValueError, match="nested-loop") as err:
+            Query(relations=("a", "b"), force="nested-loop")
+        assert all(name in str(err.value) for name in FORCEABLE)
+
+    @pytest.mark.parametrize(
+        "force", [f for f in FORCEABLE if f != "pbsm-grid"]
+    )
+    def test_self_join_force_rejected_at_construction(self, force):
+        with pytest.raises(ValueError, match="accepted: pbsm-grid"):
+            Query(relations=("a", "a"), force=force)
+        assert Query(relations=("a", "a"), force="pbsm-grid").is_self_join
 
 
 class TestExecution:
@@ -189,21 +207,7 @@ class TestExecution:
             first.result.detail["disk_reads"]
         )
 
-    def test_auto_index_off_never_builds_trees(self):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, auto_index=False,
-        )
-        a = uniform_rects(200, UNIT, 0.02, seed=5)
-        b = uniform_rects(80, UNIT, 0.03, seed=6, id_base=100_000)
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        out = engine.execute(Query(relations=("a", "b")))
-        assert out.result.detail["strategy"] == "sssj"
-        assert engine.catalog.indexes_built == 0
-
     def test_forced_engine_strategy_priced(self):
-        import math
-
         engine = make_engine()
         engine.prepare()
         window = Rect(0.1, 0.6, 0.1, 0.6, 0)
@@ -218,6 +222,53 @@ class TestExecution:
         assert math.isfinite(
             out.result.detail["estimated_io_seconds"]
         )
+
+    @pytest.mark.parametrize(
+        "window", [None, Rect(0.1, 0.6, 0.1, 0.6, 0)],
+        ids=["whole", "window"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("force", FORCEABLE)
+    def test_forced_plan_reports_the_estimate_it_was_priced_by(
+            self, force, workers, window):
+        # The plan is priced once; the result reports that price.
+        engine = make_engine(workers=workers)
+        out = engine.execute(
+            Query(relations=("a", "b"), window=window, force=force)
+        )
+        estimate = out.plan.estimate.io_seconds
+        assert math.isfinite(estimate)
+        assert out.result.detail["estimated_io_seconds"] == estimate
+        assert out.result.detail["strategy"] == force
+        engine.close()
+
+    def test_multiway_accounting_ignores_built_indexes(self):
+        # The cascade is priced on the streams and runs on them, so a
+        # prepared engine (trees built) is charged what a fresh one is.
+        # Simulated seconds are not compared: the index builds leave
+        # the disk head elsewhere, which moves the first seek.
+        def run(prepare):
+            engine = make_engine(cache_capacity=0)
+            engine.register("c", uniform_rects(80, UNIT, 0.05, seed=3,
+                                               id_base=200_000),
+                            universe=UNIT)
+            if prepare:
+                engine.prepare()
+            # Build what the plan reads on both engines up front, so
+            # the deltas below are the join's alone.
+            for name in ("a", "b", "c"):
+                entry = engine.catalog.get(name)
+                entry.stream, entry.histogram  # noqa: B018
+            env = engine.env
+            before = (env.page_reads, env.page_writes, env.cpu_ops)
+            out = engine.execute(Query(relations=("a", "b", "c")))
+            engine.close()
+            deltas = (env.page_reads - before[0],
+                      env.page_writes - before[1],
+                      env.cpu_ops - before[2])
+            return deltas, sorted(map(tuple, out.result.pairs))
+
+        assert run(prepare=False) == run(prepare=True)
 
     def test_lazy_builds_charged_to_first_query(self):
         # No prepare(): the first query triggers stream/index/histogram

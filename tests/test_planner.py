@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.brute import brute_force_pairs
 from repro.core.histogram import SpatialHistogram
+from repro.core.cost_model import JoinCostEstimate
 from repro.core.planner import (
+    STRATEGIES,
+    JoinStrategy,
     Relation,
     candidate_estimates,
     choose_method,
@@ -23,6 +26,11 @@ from repro.storage.stream import Stream
 from tests.conftest import TEST_SCALE, make_env
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
+
+#: What the one-shot planner offers, and of that what reads an index.
+PLANNER = [s.name for s in STRATEGIES.values() if s.planner]
+INDEXED = [s.name for s in STRATEGIES.values()
+           if s.planner and any(s.indexed)]
 
 
 def build_world(n_a=400, n_b=150, region_a=UNIT, region_b=UNIT,
@@ -118,7 +126,7 @@ class TestChooseMethod:
             n_a=3000, n_b=40, region_a=wide, region_b=sliver, seed=6,
         )
         strategy, est = choose_method(rel_a, rel_b, MACHINE_3, TEST_SCALE)
-        assert strategy in ("pq-index", "pq-mixed-a", "pq-mixed-b")
+        assert strategy in INDEXED
 
     def test_no_indexes_forces_sssj(self):
         _, _, _, _, rel_a, rel_b = build_world(index_a=False,
@@ -136,14 +144,18 @@ class TestChooseMethod:
         names = [n for n, _ in candidate_estimates(
             rel_a, rel_b, MACHINE_3, TEST_SCALE
         )]
-        assert names == ["pq-index", "pq-mixed-a", "pq-mixed-b", "sssj"]
+        assert names == PLANNER
+        engine = [n for n, _ in candidate_estimates(
+            rel_a, rel_b, MACHINE_3, TEST_SCALE, engine=True
+        )]
+        assert engine == list(STRATEGIES)
 
     def test_tie_break_prefers_earlier_candidate(self, monkeypatch):
         # Equal estimates everywhere: min() is stable, so the first
         # candidate — the indexed path — must win the tie.
-        from repro.core.cost_model import CostModel, JoinCostEstimate
+        from repro.core.cost_model import CostModel
 
-        flat = JoinCostEstimate("flat", 1.0, "forced tie")
+        flat = JoinCostEstimate(1.0, "forced tie")
         monkeypatch.setattr(
             CostModel, "estimate_pq_indexed",
             lambda self, *a, **k: flat,
@@ -168,12 +180,9 @@ class TestUnifiedJoin:
         res = unified_spatial_join(rel_a, rel_b, disk, MACHINE_3,
                                    collect_pairs=True)
         assert res.pair_set() == brute_force_pairs(a, b)
-        assert res.detail["strategy"] in (
-            "pq-index", "pq-mixed-a", "pq-mixed-b", "sssj",
-        )
+        assert res.detail["strategy"] in PLANNER
 
-    @pytest.mark.parametrize("force", ["pq-index", "pq-mixed-a",
-                                       "pq-mixed-b", "sssj"])
+    @pytest.mark.parametrize("force", PLANNER)
     def test_every_forced_strategy_correct(self, force):
         env, disk, a, b, rel_a, rel_b = build_world(seed=10)
         res = unified_spatial_join(rel_a, rel_b, disk, MACHINE_3,
@@ -183,9 +192,30 @@ class TestUnifiedJoin:
 
     def test_unknown_strategy_rejected(self):
         env, disk, a, b, rel_a, rel_b = build_world(seed=11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feasible: pq-index"):
             unified_spatial_join(rel_a, rel_b, disk, MACHINE_3,
                                  force="nested-loop")
+        assert env.page_reads == env.page_writes == 0
+
+    @pytest.mark.parametrize("force", INDEXED)
+    def test_infeasible_force_rejected_before_io(self, force):
+        # Forcing an index path onto a side without an index used to
+        # price NaN and then fail inside the join.
+        env, disk, a, b, rel_a, rel_b = build_world(
+            index_a=False, index_b=False, seed=25,
+        )
+        with pytest.raises(ValueError, match="feasible: sssj$"):
+            unified_spatial_join(rel_a, rel_b, disk, MACHINE_3,
+                                 force=force)
+        assert env.page_reads == env.page_writes == 0
+
+    def test_st_runs_on_a_fresh_pool_when_forced(self):
+        env, disk, a, b, rel_a, rel_b = build_world(seed=26)
+        res = unified_spatial_join(rel_a, rel_b, disk, MACHINE_3,
+                                   collect_pairs=True, force="st")
+        assert res.pair_set() == brute_force_pairs(a, b)
+        assert res.detail["strategy"] == "st"
+        assert math.isfinite(res.detail["estimated_io_seconds"])
 
     def test_localized_join_prunes_io(self):
         # The Section 6.3 scenario end-to-end: Minnesota-style hydro
@@ -213,8 +243,7 @@ class TestUnifiedJoin:
         assert res.detail["machine"] == MACHINE_3.name
         assert "estimated_io_seconds" in res.detail
 
-    @pytest.mark.parametrize("force", ["pq-index", "pq-mixed-a",
-                                       "pq-mixed-b", "sssj"])
+    @pytest.mark.parametrize("force", PLANNER)
     def test_forced_strategy_priced_with_real_model(self, force):
         # A forced run must carry the cost model's estimate for that
         # strategy (not NaN), so ablation tables stay comparable.
@@ -228,3 +257,30 @@ class TestUnifiedJoin:
         assert res.detail["estimated_io_seconds"] == pytest.approx(
             expected.io_seconds
         )
+
+
+class TestStrategyTable:
+    def test_rows_are_the_named_strategies(self):
+        assert list(STRATEGIES) == [
+            "pq-index", "pq-mixed-a", "pq-mixed-b", "sssj", "st",
+        ]
+        assert all(name == s.name for name, s in STRATEGIES.items())
+        assert [n for n, s in STRATEGIES.items() if not s.planner] == ["st"]
+
+    @pytest.mark.parametrize("price", [None, "estimate_sssj"])
+    def test_row_without_a_price_fails_at_construction(self, price):
+        # Rows are built when the module is imported, so a row that
+        # cannot be priced stops the import, never a query.
+        run = STRATEGIES["sssj"].run
+        with pytest.raises(TypeError, match="price"):
+            JoinStrategy("x", (False, False), price, run)
+        with pytest.raises(TypeError):
+            JoinStrategy("x", (False, False), run=run)
+
+    def test_feasibility_follows_the_indexed_sides(self):
+        _, _, _, _, rel_a, rel_b = build_world(index_b=False, seed=27)
+        feasible = [n for n, s in STRATEGIES.items()
+                    if s.feasible(rel_a, rel_b)]
+        assert feasible == ["pq-mixed-a", "sssj"]
+        row = STRATEGIES["pq-mixed-a"]
+        assert row.inputs(rel_a, rel_b) == (rel_a.tree, rel_b.stream)

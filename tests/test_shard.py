@@ -32,6 +32,7 @@ from repro.engine import (
     make_workload,
     run_workload,
 )
+from repro.engine.query import FORCEABLE
 from repro.engine.shard import balanced_cuts, gather_pairs
 from repro.geom.rect import Rect, intersection
 from repro.sim.machines import MACHINE_3
@@ -87,10 +88,10 @@ def test_sharded_signature_tracks_the_single_engine():
                "inline_plan_ops", "histogram_grid", "scatter_threads",
                "replica_timeout_seconds", "slow_threshold_seconds",
                "cache_bytes", "retry_backoff_seconds", "artifact_dir",
-               "result_store_bytes"}
+               "result_store_bytes", "auto_index"}
     assert not deleted & (set(single) | set(sharded))
     assert "slow_log_capacity" not in sharded
-    assert (len(single) - 1, len(sharded) - 1) == (13, 12)
+    assert (len(single) - 1, len(sharded) - 1) == (12, 12)
     # Admission grants are the static per-class table.
     assert "adaptive_grants" not in inspect.signature(
         ServingFrontend.__init__).parameters
@@ -176,13 +177,30 @@ class TestDifferential:
         ref = assert_same_pairs(_clustered(rng, 200))
         assert all(x < y for x, y in ref)
 
-    def test_forced_strategies(self, assert_same_pairs):
+    @pytest.mark.parametrize("force", FORCEABLE)
+    def test_forced_strategies(self, assert_same_pairs, force):
         rng = random.Random(10)
         a = _uniform(rng, 200)
         b = _uniform(rng, 100, 10_000)
-        for force in ("sssj", "pq-index", "pbsm-grid"):
-            assert_same_pairs(a, b, force=force, shard_counts=(2, 3),
-                              pool_kinds=("serial",))
+        assert_same_pairs(a, b, force=force, shard_counts=(2, 3),
+                          pool_kinds=("serial",))
+
+    @pytest.mark.parametrize("relations, force", [
+        (("a", "b"), "nested-loop"), (("a", "a"), "sssj"),
+    ])
+    def test_bad_force_never_reaches_a_replica(self, relations, force):
+        # A malformed request is the caller's error, not a replica
+        # failure: it must not cost retries, backoff or health.
+        rng = random.Random(14)
+        sharded = _make_sharded(2, replicas=2)
+        sharded.register("a", _uniform(rng, 80), universe=UNIT)
+        sharded.register("b", _uniform(rng, 60, 10_000), universe=UNIT)
+        with pytest.raises(ValueError, match="accepted"):
+            sharded.execute(Query(relations=relations, force=force))
+        snap = sharded.metrics_snapshot()
+        assert (snap["replica_failures"], snap["retries"]) == (0, 0)
+        assert snap["replica_health"] == [[1.0, 1.0], [1.0, 1.0]]
+        sharded.close()
 
     def test_multiway_join(self):
         rng = random.Random(11)

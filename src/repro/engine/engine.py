@@ -31,6 +31,7 @@ refused up front (:class:`~repro.engine.resources.AdmissionError`).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
@@ -187,13 +188,13 @@ class _ServeShell:
 
 
 class SpatialQueryEngine(_ServeShell):
-    """A persistent spatial-join serving layer over the repro stack."""
+    """A persistent spatial-join serving layer over the repro stack.
 
-    #: ``execute`` is not reentrant: the env page counter, metrics and
-    #: result cache are mutated without locks.  Concurrent deployments
-    #: must serialize calls (the serving front-end does) or shard
-    #: (``ShardedEngine`` holds one lock per replica engine).
-    execute_thread_safe = False
+    ``execute`` serializes itself: the env page counters it deltas, the
+    metrics and the result cache are one query's at a time, so
+    concurrent callers (a serving front-end's threads, a sharded
+    deployment's scatter threads) queue on the engine's own lock.
+    """
 
     def __init__(
         self,
@@ -268,6 +269,7 @@ class SpatialQueryEngine(_ServeShell):
         )
         self.kernel = self.executor.kernel
         self.metrics = EngineMetrics()
+        self._lock = threading.Lock()
         self._init_serve_shell(cache_capacity, trace, slow_log_capacity)
 
     # -- catalog management ----------------------------------------------
@@ -328,12 +330,19 @@ class SpatialQueryEngine(_ServeShell):
                 cancel: Optional[Callable[[], None]] = None,
                 ) -> EngineResult:
         # ``cancel`` is a cooperative cancellation checkpoint (see
-        # ShardedEngine.execute), honoured at entry and forwarded into
-        # the executor, whose partitioned path checks it per gathered
-        # task — and ships a CancelToken inside every pool payload so
-        # workers stop at tile boundaries too.
-        if cancel is not None:
-            cancel()
+        # ShardedEngine.execute), honoured once the engine's lock is
+        # held — time spent waiting for it counts against a deadline —
+        # and forwarded into the executor, whose partitioned path checks
+        # it per gathered task and ships a CancelToken inside every pool
+        # payload so workers stop at tile boundaries too.
+        with self._lock:
+            if cancel is not None:
+                cancel()
+            return self._execute_locked(query, analyze, cancel)
+
+    def _execute_locked(self, query: Query, analyze: bool,
+                        cancel: Optional[Callable[[], None]],
+                        ) -> EngineResult:
         t_start = time.perf_counter()
         trace = (
             Span("query", query=query.describe(), engine="single")

@@ -30,12 +30,10 @@ LATENCY_RESERVOIR = 512
 class LatencyTracker:
     """Latency aggregates plus a bounded reservoir for percentiles.
 
-    Extracted from :class:`EngineMetrics` so serving layers that are
-    not an engine — the sharded scatter loop logs its *logical* query
-    latencies, not the sum of its shards' — can track latency with the
-    same semantics: running count/total/max, classic reservoir sampling
-    (every served query equally likely to be represented, however long
-    the process lives), and index-based percentile reads.
+    :class:`EngineMetrics`' latency ledger: running count/total/max,
+    classic reservoir sampling (every served query equally likely to be
+    represented, however long the process lives), and index-based
+    percentile reads.
     """
 
     __slots__ = ("count", "total_seconds", "max_seconds",
@@ -104,11 +102,9 @@ class EngineMetrics:
     #: Executed queries that spilled at least one tile.
     spill_queries: int = 0
 
-    #: Availability counters.  A single engine has no replicas to fail
-    #: over to, so these stay zero here — they exist so single-engine
-    #: and sharded snapshots stay key-compatible, and so
-    #: :func:`merge_snapshots` sums them like any physical counter.
-    #: ``replica_failures`` counts individual replica sub-query
+    #: Availability counters, kept by a sharded deployment's own ledger;
+    #: a single engine has no replicas to fail over to, so its stay
+    #: zero.  ``replica_failures`` counts individual replica sub-query
     #: failures, ``retries`` the re-attempts those failures triggered,
     #: ``failovers`` the logical queries ultimately served by a
     #: non-first-choice replica.
@@ -173,13 +169,7 @@ class EngineMetrics:
 
     def record_estimate(self, strategy: str, estimated_io_seconds: float,
                         actual_io_seconds: float) -> None:
-        """Fold one executed query's estimate-vs-actual I/O gap.
-
-        Forced strategies are planned without pricing (NaN estimate)
-        and are skipped — there is no estimate to be wrong about.
-        """
-        if estimated_io_seconds != estimated_io_seconds:  # NaN
-            return
+        """Fold one executed query's estimate-vs-actual I/O gap."""
         err = self.estimate_errors.setdefault(strategy, {
             "queries": 0,
             "estimated_io_seconds": 0.0,
@@ -201,6 +191,17 @@ class EngineMetrics:
         """An execution abandoned at a deadline checkpoint."""
         self.queries_cancelled += 1
 
+    def record_served(self, n_pairs: int, sim_wall_seconds: float,
+                      wall_seconds: float) -> None:
+        """One executed query as its caller saw it: a serve, its pairs,
+        its simulated and its measured latency.  A sharded deployment's
+        ledger records only this; its shard engines record the rest."""
+        self.queries_served += 1
+        self.queries_executed += 1
+        self.pairs_returned += n_pairs
+        self.sim_wall_seconds += sim_wall_seconds
+        self.record_latency(wall_seconds)
+
     def record_execution(
         self,
         strategy: str,
@@ -216,9 +217,7 @@ class EngineMetrics:
         wall_seconds: float,
         spilled_rects: int = 0,
     ) -> None:
-        self.queries_served += 1
-        self.queries_executed += 1
-        self.pairs_returned += n_pairs
+        self.record_served(n_pairs, sim_wall_seconds, wall_seconds)
         if spilled_rects > 0:
             self.spilled_rects += spilled_rects
             self.spilled_bytes += spilled_rects * RECT_BYTES
@@ -230,10 +229,8 @@ class EngineMetrics:
         self.cpu_ops += cpu_ops
         self.sim_io_seconds += sim_io_seconds
         self.sim_cpu_seconds += sim_cpu_seconds
-        self.sim_wall_seconds += sim_wall_seconds
         self.wall_seconds += wall_seconds
         self.per_strategy[strategy] = self.per_strategy.get(strategy, 0) + 1
-        self.record_latency(wall_seconds)
 
     # -- reading ---------------------------------------------------------
 
@@ -288,6 +285,18 @@ _MERGE_MAX_KEYS = frozenset({
     "latency_max_seconds", "latency_p50_seconds", "latency_p95_seconds",
 })
 
+#: The snapshot keys a serving layer over several engines takes from
+#: its own ledger rather than from their merge: one logical query is
+#: one serve, one latency sample and one simulated critical path however
+#: many shards ran it, and only that layer fails over between replicas.
+SERVING_KEYS = (
+    "queries_served", "cache_hits", "cache_hit_rate", "queries_executed",
+    "pairs_returned", "failovers", "retries", "replica_failures",
+    "failover_rate", "sim_wall_seconds",
+    "latency_count", "latency_total_seconds", "latency_avg_seconds",
+    "latency_max_seconds", "latency_p50_seconds", "latency_p95_seconds",
+)
+
 #: Derived-rate keys recomputed after merging: ``(rate key, numerator
 #: key, denominator keys)``.  A mean of per-shard ratios is not the
 #: ratio of the sums, so every rate whose numerator/denominator
@@ -334,8 +343,9 @@ def merge_snapshots(snaps) -> Dict[str, object]:
     Rate keys are recomputed from the merged counts they derive from
     (a mean of ratios is not the ratio of the sums).  Serving-level
     counters (queries served, cache hits) also sum here — the caller
-    overrides them when, as in :class:`ShardedEngine`, one logical
-    query fans out to several shard executions.
+    overrides the :data:`SERVING_KEYS` when, as in
+    :class:`ShardedEngine`, one logical query fans out to several shard
+    executions.
     """
     merged: Dict[str, object] = {}
     for snap in snaps:

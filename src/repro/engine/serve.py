@@ -69,7 +69,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -184,15 +183,12 @@ class ServingFrontend:
     how many queries may *hold grants* at once, the thread pool decides
     how many actually execute.
 
-    Engines advertise concurrent execution with an
-    ``execute_thread_safe`` attribute (``ShardedEngine`` sets it: its
-    coordinator state is lock-guarded and each replica serializes its
-    own sub-queries).  An engine without it — a bare
-    ``SpatialQueryEngine``, whose ``execute`` is not reentrant — has
-    its calls serialized under a front-end lock: concurrency still
-    helps (admission, queueing and deadlines overlap), but only one
-    query touches the engine at a time, so the env counters, metrics
-    and result cache never race.
+    The front-end calls either engine the same way and takes no engine
+    lock of its own: a ``SpatialQueryEngine`` serializes its ``execute``
+    on its own lock (concurrency still overlaps admission, queueing and
+    deadlines, and the lock wait counts against a query's deadline),
+    and a ``ShardedEngine`` overlaps queries wherever they land on
+    different replica engines, each of which serializes itself.
     """
 
     def __init__(self, engine, *,
@@ -227,12 +223,6 @@ class ServingFrontend:
             faults = getattr(engine, "faults", None)
         self.faults = faults
         self._queue: list = []  # FIFO of _Waiter (small; O(n) ops fine)
-        #: Engines that do not declare ``execute_thread_safe`` get
-        #: their blocking calls serialized here (see class docstring).
-        self._engine_lock = (
-            None if getattr(engine, "execute_thread_safe", False)
-            else threading.Lock()
-        )
         self._executor = ThreadPoolExecutor(
             max_workers=max_concurrency, thread_name_prefix="serve"
         )
@@ -491,18 +481,10 @@ class ServingFrontend:
             self.in_flight_high_water = max(
                 self.in_flight_high_water, self.in_flight
             )
-            def call() -> EngineResult:
-                if self._engine_lock is None:
-                    return self.engine.execute(query, cancel=token)
-                with self._engine_lock:
-                    # The wait for the engine counts against the
-                    # deadline like any other checkpoint.
-                    token()
-                    return self.engine.execute(query, cancel=token)
-
             try:
                 out = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, call,
+                    self._executor,
+                    lambda: self.engine.execute(query, cancel=token),
                 )
             finally:
                 self.in_flight -= 1

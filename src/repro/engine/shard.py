@@ -54,9 +54,18 @@ invalidates every shard holding it, but never a *sibling engine's*
 unrelated artifacts) and its own metrics.  The deployment is read
 through one path, :meth:`ShardedEngine.metrics_snapshot`, which merges
 every replica engine's snapshot with
-:func:`~repro.engine.metrics.merge_snapshots` and overrides the
-serving-level counters (one logical query is one serve, however many
-shards it scattered to).
+:func:`~repro.engine.metrics.merge_snapshots` and lays the scatter's
+own :class:`~repro.engine.metrics.EngineMetrics` serving keys over it
+(one logical query is one serve, however many shards it scattered to).
+
+**Serving.**  ``execute`` is a pipeline of four stages: *lookup* (the
+top-level result cache), *scatter* (participating shards run
+concurrently, each with replica failover), *gather* (dedup into one
+result) and *account* (the serving ledger, the LPT critical path, the
+trace and the cache fill).  Concurrent callers share the coordinator
+state under one short lock; each replica engine serializes its own
+sub-queries, so two queries overlap wherever they land on different
+replicas.
 
 **Availability.**  ``replicas=R`` backs every strip with R identical
 engines (same slice, same budget — replicas model separate boxes) on
@@ -81,7 +90,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.columnar import PairColumns
 from repro.core.histogram import DEFAULT_GRID, SpatialHistogram
@@ -96,7 +105,11 @@ from repro.engine.engine import (
     flatten_result_cache_keys,
 )
 from repro.engine.faults import FaultPlan, InjectedFault
-from repro.engine.metrics import LatencyTracker, merge_snapshots
+from repro.engine.metrics import (
+    SERVING_KEYS,
+    EngineMetrics,
+    merge_snapshots,
+)
 from repro.engine.optimizer import effective_region
 from repro.engine.pool import DeadlineExceeded, WorkerPool
 from repro.engine.query import Query
@@ -198,14 +211,28 @@ def gather_pairs(parts: Sequence[Sequence[tuple]], arity: int,
     return (sorted(distinct) if collect else None), len(distinct)
 
 
-class ShardedEngine(_ServeShell):
-    """N engine shards, one shared worker pool, exact scatter/gather."""
+class _ShardOutcome(NamedTuple):
+    """One participating shard's sub-query as the scatter returns it:
+    the replica that served it, after how many attempts, and the
+    failed attempts as plain events (turned into ``failover`` spans in
+    shard order once every shard is back, so the trace shape stays
+    deterministic while shards run concurrently)."""
 
-    #: ``execute`` tolerates concurrent callers (coordinator state is
-    #: lock-guarded, replica engines serialize their own sub-queries).
-    #: The serving front-end reads this to decide whether it must
-    #: serialize engine calls itself.
-    execute_thread_safe = True
+    shard: int
+    out: EngineResult
+    replica: int
+    attempts: int
+    failures: List[Dict[str, object]]
+
+
+class ShardedEngine(_ServeShell):
+    """N engine shards, one shared worker pool, exact scatter/gather.
+
+    ``execute`` takes concurrent callers: the coordinator state they
+    share (replica health, the serving ledger, the result cache) is
+    guarded by one lock never held across a shard's execution, and
+    every replica engine serializes its own sub-queries.
+    """
 
     def __init__(
         self,
@@ -231,40 +258,27 @@ class ShardedEngine(_ServeShell):
         #: holds a ref-counted client.
         self.pool = WorkerPool(max(1, workers), kind=pool_kind,
                                faults=faults)
-        per_shard = (
-            max(1, memory_bytes // self.shards)
-            if memory_bytes is not None else None
+        # Shard engines run with no result cache (verbatim repeats hit
+        # the scatter-level one before any shard is touched, so theirs
+        # would store the same answers twice) but their own artifact
+        # caches (those serve *overlapping* queries).  They trace —
+        # their span trees become shard subtrees of the scatter trace —
+        # but keep no slow logs: slowness is a scatter-level property.
+        replica = dict(
+            scale=scale, machine=machine, workers=workers,
+            cache_capacity=0, artifact_cache_bytes=artifact_cache_bytes,
+            memory_bytes=(None if memory_bytes is None
+                          else max(1, memory_bytes // self.shards)),
+            worker_pool=self.pool, kernel=kernel, trace=trace,
+            slow_log_capacity=0,
         )
-        # Result caching happens once, at the scatter level (below):
-        # verbatim repeats hit the top-level cache before any shard is
-        # touched, so per-shard result caches would only store the
-        # same answers a second time — shard engines run with theirs
-        # disabled.  Artifact caches stay per-shard: they serve
-        # *overlapping* (not just verbatim) queries.
         self._replica_engines: List[List[SpatialQueryEngine]] = [
-            [
-                SpatialQueryEngine(
-                    scale=scale, machine=machine, workers=workers,
-                    cache_capacity=0,
-                    memory_bytes=per_shard,
-                    artifact_cache_bytes=artifact_cache_bytes,
-                    worker_pool=self.pool,
-                    kernel=kernel,
-                    # Shard engines trace (their span trees become
-                    # shard subtrees of the scatter trace) but never
-                    # keep their own slow logs — slowness is a
-                    # scatter-level property.
-                    trace=trace,
-                    slow_log_capacity=0,
-                )
-                for _ in range(self.replicas)
-            ]
+            [SpatialQueryEngine(**replica) for _ in range(self.replicas)]
             for _ in range(self.shards)
         ]
         #: Back-compat view: shard k's *primary* replica, the engine
         #: pre-replica callers indexed as ``engines[k]``.
         self.engines = [group[0] for group in self._replica_engines]
-        # -- replica health ---------------------------------------------
         #: Health score per (shard, replica) in [0, 1]: 1.0 healthy,
         #: zeroed on failure, earned back in 0.5 steps by successful
         #: probes (below HEALTH_FLOOR a replica is only probed).
@@ -272,62 +286,32 @@ class ShardedEngine(_ServeShell):
             [1.0] * self.replicas for _ in range(self.shards)
         ]
         self._probe_tick = [0] * self.shards
-        # -- concurrency ------------------------------------------------
-        #: Guards every piece of coordinator state that concurrent
-        #: scatters (and concurrent callers of ``execute``) share:
-        #: replica health, serving counters, the top-level
-        #: result cache and latency tracker, and the sim critical-path
-        #: accumulator.  Never held across a shard engine's execution.
+        #: Guards what concurrent scatters share (replica health, the
+        #: ledger and counters below, the result cache); never held
+        #: across a shard engine's execution.
         self._lock = threading.Lock()
-        #: One lock per replica engine: ``SpatialQueryEngine.execute``
-        #: is not reentrant, so two concurrent logical queries landing
-        #: on the same replica serialize there (distinct replicas and
-        #: distinct shards overlap freely).
-        self._engine_locks: List[List[threading.Lock]] = [
-            [threading.Lock() for _ in range(self.replicas)]
-            for _ in range(self.shards)
-        ]
-        #: Coordinator-side threads that overlap the per-shard scatter;
-        #: lazily created on the first multi-shard query.
+        #: Scatter threads, created on the first multi-shard query.
         self._scatter_threads = min(self.shards, MAX_SCATTER_THREADS)
         self._scatter_pool: Optional[ThreadPoolExecutor] = None
-        #: Accumulated scatter critical path (LPT makespan per query)
-        #: — the deployment's simulated serving clock.
-        self.sim_wall_total = 0.0
         self.kernel = self.engines[0].kernel
         self._cuts: Optional[List[float]] = None
         self._versions: Dict[str, int] = {}
         self._next_version = 1
         self._present: Dict[str, List[bool]] = {}
         self._universes: Dict[str, Rect] = {}
-        # -- serving-level counters -------------------------------------
-        self.queries_served = 0
-        self.cache_hits = 0
-        self.queries_executed = 0
-        self.pairs_returned = 0
+        #: The serving ledger: one logical query is one serve, one
+        #: latency sample and one LPT critical path, and failovers
+        #: happen only here; shard engines keep the physical counters.
+        self._metrics = EngineMetrics()
+        #: Rid pairs the gather dropped, shards the scatter skipped, and
+        #: unhealthy replicas that earned their health back via probes.
         self.duplicates_eliminated = 0
         self.shards_pruned_total = 0
-        # -- availability counters --------------------------------------
-        #: Logical queries in which at least one shard was served by a
-        #: non-first-choice replica (the query degraded but survived).
-        self.failovers = 0
-        #: Sub-query re-attempts launched after a replica failure.
-        self.retries = 0
-        #: Individual replica sub-query failures (each also zeroes the
-        #: replica's health score).
-        self.replica_failures = 0
-        #: Unhealthy replicas that earned their health back via probes.
         self.replica_recoveries = 0
         #: Per-relation boundary-replica counts (extra copies beyond
         #: one per rectangle); re-registration replaces an entry and
         #: drop removes it, so the gauge tracks the *current* catalog.
         self._replica_counts: Dict[str, int] = {}
-        # Scatter-level per-query latency (one sample per logical
-        # query, hits included — satisfying the same measured-hit-
-        # latency contract the single engine keeps), plus the
-        # top-level result cache (a verbatim repeat skips the scatter)
-        # and the scatter-level trace/slow-log pair.
-        self.latency = LatencyTracker()
         self._init_serve_shell(cache_capacity, trace)
 
     @property
@@ -525,7 +509,7 @@ class ShardedEngine(_ServeShell):
     def _mark_failure(self, k: int, r: int) -> None:
         with self._lock:
             self._health[k][r] = 0.0
-            self.replica_failures += 1
+            self._metrics.replica_failures += 1
 
     def _mark_success(self, k: int, r: int) -> None:
         with self._lock:
@@ -535,10 +519,10 @@ class ShardedEngine(_ServeShell):
                 self.replica_recoveries += 1
 
     def _execute_on_shard(self, k: int, sub: Query, analyze: bool,
-                          cancel: Optional[Callable[[], None]] = None):
+                          cancel: Optional[Callable[[], None]] = None,
+                          ) -> _ShardOutcome:
         """One shard's sub-query with replica failover.
 
-        Returns ``(EngineResult, replica, attempts, failover_events)``.
         Semantic errors — admission rejections, unknown relations —
         are deterministic across replicas and re-raise immediately, as
         does deadline cancellation (a cancelled query must not burn
@@ -546,20 +530,17 @@ class ShardedEngine(_ServeShell):
         anything else marks the replica unhealthy, records the
         degradation and retries the next candidate after an
         exponential backoff.  Only when every replica has failed does
-        the query see an error.  Failovers are returned as plain
-        events (not spans): shards execute concurrently, and the
-        coordinator turns events into ``failover`` spans in shard
-        order so trace shape stays deterministic.
+        the query see an error.
         """
         with self._lock:
             order = self._replica_order(k)
-        events: List[Dict[str, object]] = []
+        failures: List[Dict[str, object]] = []
         last_exc: Optional[BaseException] = None
         for attempt, r in enumerate(order):
             engine = self._replica_engines[k][r]
             if attempt > 0:
                 with self._lock:
-                    self.retries += 1
+                    self._metrics.retries += 1
                 time.sleep(min(
                     MAX_BACKOFF_SECONDS,
                     RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1)),
@@ -577,21 +558,19 @@ class ShardedEngine(_ServeShell):
                                 f"injected replica failure "
                                 f"(shard {k} replica {r})"
                             )
-                with self._engine_locks[k][r]:
-                    out = engine.execute(sub, analyze=analyze,
-                                         cancel=cancel)
+                out = engine.execute(sub, analyze=analyze, cancel=cancel)
             except (AdmissionError, KeyError, DeadlineExceeded):
                 raise
             except Exception as exc:
                 last_exc = exc
                 self._mark_failure(k, r)
-                events.append({
+                failures.append({
                     "shard": k, "replica": r,
                     "error": type(exc).__name__, "attempt": attempt,
                 })
                 continue
             self._mark_success(k, r)
-            return out, r, attempt + 1, events
+            return _ShardOutcome(k, out, r, attempt + 1, failures)
         assert last_exc is not None
         raise last_exc
 
@@ -623,15 +602,12 @@ class ShardedEngine(_ServeShell):
     def execute(self, query: Query, analyze: bool = False,
                 cancel: Optional[Callable[[], None]] = None,
                 ) -> EngineResult:
-        """Serve one logical query (cache -> scatter -> gather).
+        """Serve one logical query: lookup -> scatter -> gather -> account.
 
-        Thread-safe: many callers (a concurrent serving front-end's
-        in-flight queries) may execute at once; coordinator state is
-        lock-guarded and each replica engine serializes its own
-        sub-queries.  ``cancel`` is a cooperative cancellation
-        checkpoint — called on entry, before each shard dispatch and
-        at gather, and forwarded into every replica engine, whose
-        partitioned executor re-checks it per gathered pool task (a
+        ``cancel`` is a cooperative cancellation checkpoint — called on
+        entry, before each shard dispatch and at gather, and forwarded
+        into every replica engine, whose partitioned executor re-checks
+        it per gathered pool task (a
         :class:`~repro.engine.pool.CancelToken` additionally rides
         inside worker payloads for tile-boundary checks); raising from
         it (e.g. :class:`~repro.engine.serve.DeadlineExceeded`)
@@ -644,171 +620,168 @@ class ShardedEngine(_ServeShell):
             Span("query", query=query.describe(), engine="sharded")
             if self.tracing else None
         )
-        for name in set(query.relations):
-            self._check_known(name)
-        key = (query.canonical(),
-               tuple((n, self._versions[n]) for n in query.relations))
-        with self._lock:
-            cached = self.cache.get(key)
+        key, cached = self._lookup(query)
         if cached is not None:
             return self._serve_hit(query, cached, t_start, trace)
-
         participating, pruned = self.plan_shards(query)
         scatter = None
         if trace is not None:
             lookup = trace.child("lookup", hit=False)
             lookup.wall_seconds = time.perf_counter() - t_start
-            scatter = trace.child(
-                "scatter", shards=list(participating),
-                pruned=list(pruned),
+            scatter = trace.child("scatter", shards=list(participating),
+                                  pruned=list(pruned))
+        t_scatter = time.perf_counter()
+        outcomes = self._scatter(query, participating, analyze, cancel)
+        if scatter is not None:
+            self._adopt(trace, scatter, outcomes, t_scatter)
+        if cancel is not None:
+            cancel()
+        t_gather = time.perf_counter()
+        result = self._gather(query, outcomes, pruned, analyze)
+        if trace is not None:
+            duplicates = result.detail["cross_shard_duplicates"]
+            gather = trace.child(
+                "gather", raw_pairs=result.n_pairs + duplicates,
+                pairs=result.n_pairs, duplicates=duplicates,
             )
-        # The gather phase deduplicates by rid, so sub-queries always
-        # collect pairs even when the caller only wants a count.
+            gather.wall_seconds = time.perf_counter() - t_gather
+        return self._account(query, key, result, outcomes, t_start, trace)
+
+    def _lookup(self, query: Query) -> Tuple[tuple, Optional[JoinResult]]:
+        """``query``'s result-cache key and its cached result, if any."""
+        for name in set(query.relations):
+            self._check_known(name)
+        key = (query.canonical(),
+               tuple((n, self._versions[n]) for n in query.relations))
+        with self._lock:
+            return key, self.cache.get(key)
+
+    def _scatter(self, query: Query, participating: Sequence[int],
+                 analyze: bool, cancel: Optional[Callable[[], None]],
+                 ) -> List[_ShardOutcome]:
+        """Every participating shard's sub-query, outcomes in shard order.
+
+        With more than one shard all sub-queries dispatch at once onto
+        the scatter threads (and from there the shared pool); the first
+        failure cancels what has not started, waits out what has, and
+        re-raises.
+        """
+        # The gather deduplicates by rid, so sub-queries always collect
+        # pairs even when the caller only wants a count.
         sub = (query if query.collect_pairs
                else _replace(query, collect_pairs=True))
 
-        def run_shard(k: int) -> Dict[str, object]:
+        def run_shard(k: int) -> _ShardOutcome:
             if cancel is not None:
                 cancel()
-            out, replica, attempts, events = self._execute_on_shard(
-                k, sub, analyze, cancel
-            )
-            return {"shard": k, "out": out, "replica": replica,
-                    "attempts": attempts, "events": events}
+            return self._execute_on_shard(k, sub, analyze, cancel)
 
-        t_scatter = time.perf_counter()
         executor = (
             self._scatter_executor() if len(participating) > 1 else None
         )
         if executor is None:
-            outcomes = [run_shard(k) for k in participating]
-        else:
-            # Overlapped scatter: all participating shards dispatch at
-            # once onto the shared pool; results are gathered in shard
-            # order so merge and trace adoption stay deterministic.
-            futures = [executor.submit(run_shard, k)
-                       for k in participating]
-            outcomes = []
-            first_exc: Optional[BaseException] = None
-            for f in futures:
+            return [run_shard(k) for k in participating]
+        futures = [executor.submit(run_shard, k) for k in participating]
+        outcomes: List[_ShardOutcome] = []
+        first_exc: Optional[BaseException] = None
+        for f in futures:
+            try:
+                outcomes.append(f.result())
+            except BaseException as exc:
                 if first_exc is None:
-                    try:
-                        outcomes.append(f.result())
-                    except BaseException as exc:
-                        first_exc = exc
-                        for g in futures:
-                            g.cancel()
-                else:
-                    try:  # drain so no worker still runs on re-raise
-                        f.result()
-                    except BaseException:
-                        pass
-            if first_exc is not None:
-                raise first_exc
+                    first_exc = exc
+                    for g in futures:
+                        g.cancel()
+        if first_exc is not None:
+            raise first_exc
+        return outcomes
 
-        parts: List[Sequence[tuple]] = []
-        raw_pairs = 0
-        shard_walls: List[float] = []
-        shard_pairs: Dict[int, int] = {}
-        shard_strategies: Dict[int, str] = {}
-        shard_replicas: Dict[int, int] = {}
-        shard_plans: Dict[int, str] = {}
-        degraded = False
+    @staticmethod
+    def _adopt(trace: Span, scatter: Span,
+               outcomes: Sequence[_ShardOutcome], t_scatter: float) -> None:
+        """Each shard's failed attempts and whole query trace become
+        children of the scatter span, in shard order; the scatter span
+        and the root carry their sums."""
+        for oc in outcomes:
+            for failure in oc.failures:
+                scatter.child("failover", **failure)
+            if oc.out.trace is not None:
+                sp = scatter.adopt(oc.out.trace)
+                sp.name = "shard"
+                sp.attrs["shard"] = oc.shard
+                sp.attrs["replica"] = oc.replica
+        scatter.wall_seconds = time.perf_counter() - t_scatter
+        for f in SPAN_METRIC_FIELDS:
+            if f != "wall_seconds":
+                total = sum(getattr(c, f) for c in scatter.children)
+                setattr(scatter, f, total)
+                setattr(trace, f, total)
+
+    def _gather(self, query: Query, outcomes: Sequence[_ShardOutcome],
+                pruned: Sequence[int], analyze: bool) -> JoinResult:
+        """The shards' answers deduplicated into one result, with the
+        per-shard attribution in its ``detail``."""
+        results = [oc.out.result for oc in outcomes]
+        raw_pairs = sum(r.n_pairs for r in results)
+        pairs, n_pairs = gather_pairs(
+            [r.pairs for r in results], len(query.relations),
+            self.kernel, query.collect_pairs,
+        )
+        detail: Dict[str, object] = {
+            "strategy": "scatter-gather",
+            "shards": self.shards,
+            "shards_queried": [oc.shard for oc in outcomes],
+            "shards_pruned": list(pruned),
+            "cross_shard_duplicates": raw_pairs - n_pairs,
+            "shard_pairs": {oc.shard: oc.out.result.n_pairs
+                            for oc in outcomes},
+            "shard_strategies": {
+                oc.shard: str(oc.out.result.detail.get("strategy", "?"))
+                for oc in outcomes
+            },
+            "shard_replicas": {oc.shard: oc.replica for oc in outcomes},
+        }
+        if any(oc.attempts > 1 for oc in outcomes):
+            # Served, but only after replica failover — the serving
+            # front-end surfaces this as a degraded (not failed) reply.
+            detail["degraded"] = True
+        if analyze:
+            detail["shard_plans"] = {
+                oc.shard: oc.out.plan.explain()
+                for oc in outcomes if oc.out.plan is not None
+            }
         # The logical query's memory high-water is the worst shard's:
         # shards run concurrently but each replica enforces its own
         # budget.
-        mem_high = 0
-        for oc in outcomes:
-            k = oc["shard"]
-            out = oc["out"]
-            if scatter is not None:
-                for ev in oc["events"]:
-                    scatter.child("failover", **ev)
-            if oc["attempts"] > 1:
-                degraded = True
-            shard_walls.append(out.sim_wall_seconds)
-            mem_high = max(mem_high, out.result.max_memory_bytes)
-            raw_pairs += out.result.n_pairs
-            shard_pairs[k] = out.result.n_pairs
-            shard_replicas[k] = oc["replica"]
-            shard_strategies[k] = str(
-                out.result.detail.get("strategy", "?")
-            )
-            parts.append(out.result.pairs)
-            if analyze and out.plan is not None:
-                shard_plans[k] = out.plan.explain()
-            if scatter is not None and out.trace is not None:
-                # The shard engine's whole query trace becomes one
-                # "shard" subtree of the scatter span.
-                sp = out.trace
-                sp.name = "shard"
-                sp.attrs["shard"] = k
-                sp.attrs["replica"] = oc["replica"]
-                scatter.adopt(sp)
-        if cancel is not None:
-            cancel()
-        # The scatter critical path: shards ran concurrently on the
-        # shared pool, so the query's simulated cost is the LPT
-        # makespan of the shard walls over the pool's lanes, not their
-        # sum.
-        sim_wall = lpt_makespan(shard_walls, self.scatter_lanes)
-        if degraded:
-            with self._lock:
-                self.failovers += 1
-        if scatter is not None:
-            scatter.wall_seconds = time.perf_counter() - t_scatter
-            for f in SPAN_METRIC_FIELDS:
-                if f == "wall_seconds":
-                    continue
-                setattr(scatter, f,
-                        sum(getattr(c, f) for c in scatter.children))
-        t_gather = time.perf_counter()
-        pairs, n_pairs = gather_pairs(
-            parts, len(query.relations), self.kernel, query.collect_pairs
+        return JoinResult(
+            algorithm="scatter-gather", n_pairs=n_pairs, pairs=pairs,
+            max_memory_bytes=max((r.max_memory_bytes for r in results),
+                                 default=0),
+            detail=detail,
         )
-        result = JoinResult(
-            algorithm="scatter-gather",
-            n_pairs=n_pairs,
-            pairs=pairs,
-            max_memory_bytes=mem_high,
-            detail={
-                "strategy": "scatter-gather",
-                "shards": self.shards,
-                "shards_queried": list(participating),
-                "shards_pruned": list(pruned),
-                "cross_shard_duplicates": raw_pairs - n_pairs,
-                "shard_pairs": shard_pairs,
-                "shard_strategies": shard_strategies,
-                "shard_replicas": shard_replicas,
-            },
+
+    def _account(self, query: Query, key: tuple, result: JoinResult,
+                 outcomes: Sequence[_ShardOutcome], t_start: float,
+                 trace: Optional[Span]) -> EngineResult:
+        """Count the serve, charge its critical path, finish its trace
+        and fill the result cache."""
+        # Shards ran concurrently on the shared pool, so the query's
+        # simulated cost is the LPT makespan of the shard walls over the
+        # pool's lanes, not their sum.
+        sim_wall = lpt_makespan(
+            [oc.out.sim_wall_seconds for oc in outcomes], self.scatter_lanes
         )
-        if degraded:
-            # Served, but only after replica failover — the serving
-            # front-end surfaces this as a degraded (not failed) reply.
-            result.detail["degraded"] = True
-        if analyze:
-            result.detail["shard_plans"] = shard_plans
-        if trace is not None:
-            gather = trace.child(
-                "gather", raw_pairs=raw_pairs, pairs=n_pairs,
-                duplicates=raw_pairs - n_pairs,
-            )
-            gather.wall_seconds = time.perf_counter() - t_gather
         wall = time.perf_counter() - t_start
         with self._lock:
-            self.queries_served += 1
-            self.queries_executed += 1
-            self.pairs_returned += result.n_pairs
-            self.duplicates_eliminated += raw_pairs - result.n_pairs
-            self.shards_pruned_total += len(pruned)
-            self.sim_wall_total += sim_wall
-            self.latency.record(wall)
+            self._metrics.record_served(result.n_pairs, sim_wall, wall)
+            if result.detail.get("degraded"):
+                self._metrics.failovers += 1
+            self.duplicates_eliminated += (
+                result.detail["cross_shard_duplicates"]
+            )
+            self.shards_pruned_total += len(result.detail["shards_pruned"])
         if trace is not None:
             trace.wall_seconds = wall
-            for f in SPAN_METRIC_FIELDS:
-                if f == "wall_seconds":
-                    continue
-                setattr(trace, f, getattr(scatter, f))
             trace.attrs.update({
                 "strategy": "scatter-gather",
                 "pairs": result.n_pairs,
@@ -816,8 +789,12 @@ class ShardedEngine(_ServeShell):
             })
         self._observe_query(query, wall, sim_wall, trace, False)
         if cacheable(result):
+            cached = _copy_result(result)
+            # ``degraded`` describes one serve, like ``cache_hit``: a
+            # later hit on this answer failed nothing over.
+            cached.detail.pop("degraded", None)
             with self._lock:
-                self.cache.put(key, _copy_result(result))
+                self.cache.put(key, cached)
         return EngineResult(
             query=query, result=result, plan=None, from_cache=False,
             wall_seconds=wall, sim_wall_seconds=sim_wall, trace=trace,
@@ -825,10 +802,7 @@ class ShardedEngine(_ServeShell):
 
     def _record_hit(self, n_pairs: int, wall: float) -> None:
         with self._lock:
-            self.queries_served += 1
-            self.cache_hits += 1
-            self.pairs_returned += n_pairs
-            self.latency.record(wall)
+            self._metrics.record_hit(n_pairs, wall)
 
     def explain(self, query: Query) -> str:
         """The scatter plan plus every participating shard's plan."""
@@ -870,12 +844,12 @@ class ShardedEngine(_ServeShell):
         spills, artifact-cache and budget gauges) sum across engines —
         ``budget_high_water_bytes``
         too, so it stays comparable to the summed total and bounds the
-        true momentary peak from above.  Serving counters are
-        overridden with the scatter layer's own — one logical query is
-        one serve, even when it executed on four shards.  ``per_shard``
-        keeps the attribution story: each shard's serve/pair/dispatch
-        counts, whose dispatch totals sum to the shared pool's by
-        construction.
+        true momentary peak from above.  The
+        :data:`~repro.engine.metrics.SERVING_KEYS` come from the scatter
+        layer's own ledger — one logical query is one serve, even when
+        it executed on four shards.  ``per_shard`` keeps the attribution
+        story: each shard's serve/pair/dispatch counts, whose dispatch
+        totals sum to the shared pool's by construction.
         """
         snap = merge_snapshots(
             [e.metrics_snapshot() for e in self.all_engines]
@@ -886,22 +860,12 @@ class ShardedEngine(_ServeShell):
         snap["sim_wall_shard_sum_seconds"] = snap.get(
             "sim_wall_seconds", 0.0
         )
+        with self._lock:
+            own = self._metrics.snapshot()
+        snap.update({k: own[k] for k in SERVING_KEYS})
         snap.update({
-            "sim_wall_seconds": self.sim_wall_total,
             "scatter_lanes": self.scatter_lanes,
-            "queries_served": self.queries_served,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": (
-                self.cache_hits / self.queries_served
-                if self.queries_served else 0.0
-            ),
-            "queries_executed": self.queries_executed,
-            "pairs_returned": self.pairs_returned,
             "duplicates_eliminated": self.duplicates_eliminated,
-            # Latency is a per-logical-query distribution: the shard
-            # engines' merged samples would count one scatter as N
-            # queries, so the scatter layer's own tracker overrides.
-            **self.latency.snapshot(),
             "slow_query_log": (
                 self.slow_log.snapshot()
                 if self.slow_log is not None else None
@@ -910,47 +874,12 @@ class ShardedEngine(_ServeShell):
             "shard_cuts": list(self._cuts or []),
             "shards_pruned_total": self.shards_pruned_total,
             "boundary_replicas": self.boundary_replicas,
-            # Availability: the scatter layer owns these (shard-engine
-            # snapshots carry them as zeros for key compatibility).
             "replicas": self.replicas,
-            "failovers": self.failovers,
-            "retries": self.retries,
-            "replica_failures": self.replica_failures,
             "replica_recoveries": self.replica_recoveries,
             "unhealthy_replicas": self.unhealthy_replicas,
             "replica_health": self.replica_health(),
-            "failover_rate": (
-                self.failovers / self.queries_executed
-                if self.queries_executed else 0.0
-            ),
             "worker_pool": self.pool.snapshot(),
-            "per_shard": [
-                {
-                    "queries_served": sum(
-                        e.metrics.queries_served for e in group
-                    ),
-                    "pairs_returned": sum(
-                        e.metrics.pairs_returned for e in group
-                    ),
-                    "tasks_dispatched": sum(
-                        e.worker_pool.tasks_dispatched for e in group
-                    ),
-                    "tasks_inline": sum(
-                        e.worker_pool.tasks_inline for e in group
-                    ),
-                    "tiles_dispatched": sum(
-                        e.worker_pool.tiles_dispatched for e in group
-                    ),
-                    "tiles_inline": sum(
-                        e.worker_pool.tiles_inline for e in group
-                    ),
-                    "replica_health": list(self._health[i]),
-                    "relations": [
-                        n for n in self.names() if self._present[n][i]
-                    ],
-                }
-                for i, group in enumerate(self._replica_engines)
-            ],
+            "per_shard": [self._shard_row(k) for k in range(self.shards)],
             # Result-cache gauges are the scatter-level cache's own:
             # it is the only result cache in a sharded deployment
             # (shard engines run with theirs disabled).
@@ -965,3 +894,18 @@ class ShardedEngine(_ServeShell):
             "relations": self.names(),
         })
         return snap
+
+    def _shard_row(self, k: int) -> Dict[str, object]:
+        """Shard ``k``'s ``per_shard`` row, its replicas summed."""
+        group = self._replica_engines[k]
+        row: Dict[str, object] = {
+            "queries_served": sum(e.metrics.queries_served for e in group),
+            "pairs_returned": sum(e.metrics.pairs_returned for e in group),
+        }
+        for counter in ("tasks_dispatched", "tasks_inline",
+                        "tiles_dispatched", "tiles_inline"):
+            row[counter] = sum(getattr(e.worker_pool, counter)
+                               for e in group)
+        row["replica_health"] = list(self._health[k])
+        row["relations"] = [n for n in self.names() if self._present[n][k]]
+        return row

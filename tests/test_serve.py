@@ -18,11 +18,14 @@ The serving layer's contract has three legs, each tested here:
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import json
 import random
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.engine import (
     engine_for_dataset,
     lpt_makespan,
     make_workload,
+    render_prometheus,
     run_workload,
     serve_http,
 )
@@ -46,7 +50,7 @@ from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
 from repro.sim.scale import QUICK_SCALE
 
-from tests.conftest import TEST_SCALE, _uniform
+from tests.conftest import TEST_SCALE, _uniform, brute_reference
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -155,8 +159,8 @@ class TestLptMakespan:
         assert out.sim_wall_seconds < sum(walls), (
             "the critical path must be cheaper than the serial sum"
         )
-        assert engine.sim_wall_total == pytest.approx(
-            out.sim_wall_seconds
+        assert engine.metrics_snapshot()["sim_wall_seconds"] == (
+            pytest.approx(out.sim_wall_seconds)
         )
         engine.close()
 
@@ -507,7 +511,7 @@ class TestServeFaultSites:
             assert fe.admission.in_use_bytes == 0, (
                 "the forced expiry must release its grant"
             )
-            assert engine.queries_served == 0, (
+            assert engine.metrics_snapshot()["queries_served"] == 0, (
                 "the query must never reach the engine"
             )
         engine.close()
@@ -696,62 +700,49 @@ class TestConcurrentWorkloadDriver:
 # -- single-engine serialization ---------------------------------------------
 
 
+def _record_lock_order(engine) -> list:
+    """The queries in the order ``engine``'s own lock granted them.
+
+    Every query passes ``cache.get`` inside the lock, so that is where
+    the order is read; a wrapper around ``execute`` would see arrival
+    order instead.
+    """
+    granted = []
+    current = threading.local()
+    execute, get = engine.execute, engine.cache.get
+
+    def recording_execute(query, **kw):
+        current.query = query
+        return execute(query, **kw)
+
+    def recording_get(key):
+        granted.append(current.query)
+        return get(key)
+
+    engine.execute = recording_execute
+    engine.cache.get = recording_get
+    return granted
+
+
 class TestSingleEngineSerialization:
-    def test_lock_present_only_for_non_thread_safe_engines(self):
-        single = _registered_single()
-        sharded = _registered()
-        fe_single = _frontend(single)
-        fe_sharded = _frontend(sharded)
-        try:
-            assert fe_single._engine_lock is not None, (
-                "SpatialQueryEngine.execute is not reentrant; the "
-                "front-end must serialize calls to it"
-            )
-            assert fe_sharded._engine_lock is None, (
-                "ShardedEngine declares execute_thread_safe; "
-                "serializing it would defeat the concurrent scatter"
-            )
-        finally:
-            fe_single.close()
-            fe_sharded.close()
-            single.close()
-            sharded.close()
+    QUERIES = [
+        Query(relations=("a", "b"), window=q.window)
+        for q in make_workload(UNIT, 24, seed=7)
+    ]
 
-    def test_concurrent_single_engine_matches_serial_accounting(self):
-        queries = [
-            Query(relations=("a", "b"), window=q.window)
-            for q in make_workload(UNIT, 24, seed=7)
-        ]
-        engine = _registered_single(n=150)
-        execute = engine.execute
-        granted = []
-
-        def recording(query, **kw):
-            granted.append(query)
-            return execute(query, **kw)
-
-        engine.execute = recording
-        before = engine.metrics_snapshot()
-        with _frontend(engine, admission_bytes=8 << 20,
-                       max_concurrency=8) as fe:
-            responses = _serve_concurrently(fe, queries, clients=8)
-            errors = fe.snapshot()["errors"]
-        after = engine.metrics_snapshot()
-        engine.close()
+    def _assert_serial_replay(self, granted, pairs, before, after):
         # Eight threads take the engine lock in no fixed order, and a
         # query's cost depends on what ran before it (buffer-pool LRU
         # state): the serial baseline replays the order the lock
         # granted.
-        assert sorted(map(id, granted)) == sorted(map(id, queries))
+        assert sorted(map(id, granted)) == sorted(map(id, self.QUERIES))
         engine = _registered_single(n=150)
         serial = run_workload(engine, granted)
         engine.close()
-        assert len(responses) == 24 and all(r.ok for r in responses)
-        assert errors == 0
         # With execute serialized the env page counter deltas and
         # metrics cannot interleave: totals match the serial run bit
         # for bit (a race here shows up as corrupted sums).
-        assert sum(r.pairs for r in responses) == serial["pairs_returned"]
+        assert pairs == serial["pairs_returned"]
         assert after["pages_read"] - before["pages_read"] == (
             serial["metrics"]["pages_read"]
         )
@@ -759,6 +750,148 @@ class TestSingleEngineSerialization:
             pytest.approx(serial["sim_wall_seconds"])
         )
 
+    def test_bare_engine_serializes_eight_threads(self):
+        rng = random.Random(3)
+        a, b = _uniform(rng, 150), _uniform(rng, 150, 10_000)
+        engine = _registered_single(n=150)
+        granted = _record_lock_order(engine)
+        before = engine.metrics_snapshot()
+        outs = [None] * len(self.QUERIES)
+        start = threading.Barrier(8)
+
+        def client(i: int) -> None:
+            start.wait()
+            for j in range(i, len(self.QUERIES), 8):
+                outs[j] = engine.execute(self.QUERIES[j])
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(8)]
+        # A short switch interval makes the eight threads interleave
+        # inside any unguarded read-modify-write.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        after = engine.metrics_snapshot()
+        engine.close()
+        for query, out in zip(self.QUERIES, outs):
+            assert set(out.result.pairs) == brute_reference(
+                a, b, query.window
+            )
+        self._assert_serial_replay(
+            granted, sum(out.result.n_pairs for out in outs), before, after
+        )
+
+    def test_concurrent_single_engine_matches_serial_accounting(self):
+        engine = _registered_single(n=150)
+        granted = _record_lock_order(engine)
+        before = engine.metrics_snapshot()
+        with _frontend(engine, admission_bytes=8 << 20,
+                       max_concurrency=8) as fe:
+            responses = _serve_concurrently(fe, self.QUERIES, clients=8)
+            errors = fe.snapshot()["errors"]
+        after = engine.metrics_snapshot()
+        engine.close()
+        assert len(responses) == 24 and all(r.ok for r in responses)
+        assert errors == 0
+        self._assert_serial_replay(
+            granted, sum(r.pairs for r in responses), before, after
+        )
+
+
+# -- what the serving layer reports ------------------------------------------
+
+
+def test_a_cache_hit_replays_no_failover():
+    # ``degraded`` describes one serve: the failed-over answer is
+    # cached, but a later hit on it failed nothing over.
+    plan = FaultPlan([
+        FaultRule("shard.execute", "exception", match="replica=0"),
+    ])
+    engine = _registered(faults=plan, replicas=2, cache_capacity=64)
+    query = Query(relations=("a", "b"))
+    with _frontend(engine) as fe:
+        first = asyncio.run(fe.submit(query))
+        second = asyncio.run(fe.submit(query))
+        served = fe.snapshot()
+    snap = engine.metrics_snapshot()
+    engine.close()
+    assert first.ok and first.degraded
+    assert first.to_dict()["degraded"] is True
+    assert second.ok and second.result.from_cache
+    assert not second.degraded and "degraded" not in second.to_dict()
+    assert second.pairs == first.pairs
+    assert served["served_degraded"] == snap["failovers"] == 1
+
+
+def _harness_series():
+    """The series ``benchmarks/e2e/run.py::counted_metrics`` scrapes:
+    ``(plain names, labelled names)``, without the ``repro_engine_``
+    prefix."""
+    run_py = Path(__file__).resolve().parents[1] / "benchmarks/e2e/run.py"
+    tree = ast.parse(run_py.read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "counted_metrics")
+    plain, labelled = set(), set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and isinstance(node.args[-1], ast.Constant)):
+            if node.func.id == "d":
+                plain.add(node.args[-1].value)
+            elif node.func.id == "labelled":
+                labelled.add(node.args[-1].value)
+        elif (isinstance(node, ast.BinOp)
+              and isinstance(node.left, ast.Name) and node.left.id == "p"
+              and isinstance(node.right, ast.Constant)):
+            plain.add(node.right.value)
+    return plain, labelled
+
+
+#: Read by the harness, served by no deployment of this tree (it reads
+#: them as 0): the scatter-only series on a single engine, and a
+#: replica-choice counter that went with the latency EWMA.
+_UNSERVED = {
+    "single": {"per_shard_queries_served", "shards_pruned_total",
+               "duplicates_eliminated", "weighted_reroutes"},
+    "sharded": {"weighted_reroutes"},
+}
+
+
+@pytest.mark.parametrize("deployment", ["single", "sharded"])
+def test_prometheus_carries_every_series_the_harness_scrapes(deployment):
+    plain, labelled = _harness_series()
+    assert {"serve_submitted", "pairs_returned", "failovers", "retries",
+            "sim_wall_seconds", "cpu_ops", "worker_pool_fallbacks",
+            "result_cache_hits", "artifact_cache_bytes",
+            "budget_high_water_bytes"} <= plain
+    assert labelled == {"per_strategy", "per_shard_queries_served"}
+    engine = (_registered_single(cache_capacity=8)
+              if deployment == "single"
+              else _registered(replicas=2, cache_capacity=8))
+    with _frontend(engine) as fe:
+        for query in (Query(relations=("a", "b")),
+                      Query(relations=("a", "b")),
+                      Query(relations=("a", "b"),
+                            window=Rect(0.0, 0.3, 0.0, 0.3, 0)),
+                      Query(relations=("a", "b"), collect_pairs=False)):
+            assert asyncio.run(fe.submit(query)).ok
+        text = render_prometheus(fe.metrics_snapshot())
+    engine.close()
+    samples = [line.rsplit(" ", 1)[0] for line in text.splitlines()
+               if not line.startswith("#")]
+    served = {s[len("repro_engine_"):] for s in samples if "{" not in s}
+    served_labelled = {s[len("repro_engine_"):s.index("{")]
+                       for s in samples if "{" in s}
+    unserved = _UNSERVED[deployment]
+    assert plain - served == unserved - labelled
+    assert labelled - served_labelled == unserved & labelled
 
 # -- HTTP endpoint -----------------------------------------------------------
 

@@ -19,6 +19,7 @@ The load-bearing invariants:
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from repro.engine import (
     validate_trace,
 )
 from repro.engine.metrics import EngineMetrics
+from repro.engine.query import FORCEABLE
 from repro.engine.trace import SPAN_METRIC_FIELDS
 from repro.geom.rect import RECT_BYTES, Rect
 from repro.sim.machines import MACHINE_3
@@ -336,7 +338,8 @@ def test_plain_execute_attaches_no_actuals():
         assert "Actual" not in out.plan.explain()
 
 
-def test_estimate_error_accumulator():
+@pytest.mark.parametrize("force", FORCEABLE)
+def test_estimate_error_accumulator(force):
     with _engine() as engine:
         engine.execute(QUERY)
         errs = engine.metrics_snapshot()["estimate_errors"]
@@ -347,11 +350,14 @@ def test_estimate_error_accumulator():
         assert err["actual_io_seconds"] == (
             engine.metrics.sim_io_seconds
         )
-        # A second strategy accumulates under its own key.
-        engine.execute(Query(relations=("a", "b"), force="sssj"))
+        # Every forced strategy is priced, so it lands under its own
+        # key with a finite estimate — beside the first query's, or on
+        # top of it when the optimizer chose the same strategy.
+        engine.execute(Query(relations=("a", "b"), force=force))
         errs = engine.metrics_snapshot()["estimate_errors"]
-        assert errs["sssj"]["queries"] == 1
-        assert errs[strategy]["queries"] == 1
+        assert errs[force]["queries"] == 1 + (force == strategy)
+        assert errs[strategy]["queries"] == 1 + (force == strategy)
+        assert math.isfinite(errs[force]["estimated_io_seconds"])
 
 
 # -- metrics satellites -------------------------------------------------------

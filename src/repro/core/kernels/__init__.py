@@ -1,17 +1,18 @@
 """Runtime-selected kernels.
 
 Three pieces of the join stack exist in two implementations: the
-batched forward sweep
+forward sweep that collects its pairs
 (:func:`repro.core.sweep.forward_sweep_pairs_batched`), the distribute
 phase of a partitioned plan, and the PQ join of two indexed inputs
 (:func:`repro.core.pq_join.pq_join` over two R-trees).
 
-* ``python`` — the pure-python code the repo has always used: the
-  :class:`~repro.core.sweep.ForwardSweep` list-scan, the per-rectangle
-  distribute, and :class:`~repro.core.sources.IndexSource` generators
-  feeding :func:`~repro.core.sweep.sweep_join` over
-  :class:`~repro.core.sweep.StripedSweep`.  Always available; the
-  reference for correctness *and* accounting.
+* ``python`` — the pure-python code the repo has always used:
+  :mod:`repro.core.sweep`'s one merge loop (every sweep entry point is
+  an adapter over it) probing a :class:`~repro.core.sweep.ForwardSweep`
+  list-scan or a :class:`~repro.core.sweep.StripedSweep`, the
+  per-rectangle :func:`~repro.core.pbsm.distribute`, and
+  :class:`~repro.core.sources.IndexSource` generators feeding that loop.
+  Always available; the reference for correctness *and* accounting.
 * ``numpy`` — vectorized kernels (:mod:`~repro.core.kernels.np_sweep`,
   :mod:`~repro.core.kernels.np_distribute`,
   :mod:`~repro.core.kernels.np_index`) that work on whole columns.

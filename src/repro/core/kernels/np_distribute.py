@@ -1,6 +1,6 @@
 """Vectorized cold path: tile distribution and the window post-filter.
 
-The python distribute (:func:`repro.engine.executor._distribute`) walks
+The python distribute (:func:`repro.core.pbsm.distribute`) walks
 a base stream one ``Rect`` at a time: window test, tile range,
 partition set, one ``append`` per copy.  This module computes the same
 placement — the same copies, in the same order, for the same op

@@ -507,8 +507,6 @@ def index_join(tree_a, tree_b, env, universe: Optional[Rect],
     is sized from the sampled average width as the reference does.
     """
     striped = structure == "striped" and universe is not None
-    if not striped and structure not in ("striped", "forward"):
-        return None
     if striped:
         span = universe.xhi - universe.xlo
         if not math.isfinite(span):

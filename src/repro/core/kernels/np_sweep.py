@@ -313,9 +313,10 @@ def _simulate_ops(is_a: np.ndarray, end: np.ndarray,
     """Replay the probe/insert/compact op schedule on merged events.
 
     Returns one ``(cpu_ops, max_active_items)`` per segment
-    ``[bounds[t], bounds[t + 1])``, each bit-identical to
-    :func:`~repro.core.sweep.sweep_join_batched` over that segment's
-    events alone, from ``end`` (:attr:`_Merged.end`).
+    ``[bounds[t], bounds[t + 1])``, each bit-identical to the python
+    merge loop (:func:`~repro.core.sweep.sweep_join_batched`, no
+    memory limit) over that segment's events alone, from ``end``
+    (:attr:`_Merged.end`).
 
     The python sweep keeps a *raw* size per active list (live entries
     plus lazily-dead ones).  Event *i* probes the opposite list — that

@@ -24,12 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.join_result import JoinResult
 from repro.core.pq_join import JoinInput, PQConfig, _as_source, _bounding_box
 from repro.core.sources import JoinSource, SortedSource
-from repro.core.sweep import (
-    DEFAULT_STRIPS,
-    ForwardSweep,
-    StripedSweep,
-    sweep_join_iter,
-)
+from repro.core.sweep import structure_factory, sweep_join_iter
 from repro.geom.rect import Rect, union_mbr
 from repro.storage.disk import Disk
 
@@ -58,12 +53,7 @@ def multiway_join(
                 acc = union_mbr(acc, b)
             universe = acc
 
-    nstrips = config.nstrips if config.nstrips is not None else DEFAULT_STRIPS
-
-    def factory():
-        if config.structure == "striped" and universe is not None:
-            return StripedSweep(universe.xlo, universe.xhi, nstrips)
-        return ForwardSweep()
+    factory = structure_factory(config.structure, config.nstrips, universe)
 
     # Intersection rectangles flowing between stages carry synthetic
     # ids; this table maps them back to the tuple of original ids.

@@ -73,8 +73,11 @@ def pbsm_join(
     # writes to the 2p partition streams).
     parts_a = [Stream(disk, name=f"pbsm.a{i}") for i in range(p)]
     parts_b = [Stream(disk, name=f"pbsm.b{i}") for i in range(p)]
-    replicated_a = _distribute(stream_a, parts_a, grid, env)
-    replicated_b = _distribute(stream_b, parts_b, grid, env)
+    # One op per rectangle scanned, one per copy placed.
+    ops_a = distribute(stream_a, parts_a, grid)
+    env.charge("partition", ops_a)
+    ops_b = distribute(stream_b, parts_b, grid)
+    env.charge("partition", ops_b)
     for s in parts_a:
         s.close()
     for s in parts_b:
@@ -116,8 +119,8 @@ def pbsm_join(
         detail={
             "partitions": p,
             "tiles_per_side": tiles,
-            "replicated_a": replicated_a,
-            "replicated_b": replicated_b,
+            "replicated_a": ops_a - len(stream_a),
+            "replicated_b": ops_b - len(stream_b),
             "max_partition_bytes": max_partition_bytes,
             "overfull_partitions": overfull,
             "memory_bytes": memory_bytes,
@@ -397,20 +400,25 @@ def ref_point(ra: Rect, rb: Rect) -> Tuple[float, float]:
     )
 
 
-def _distribute(source: Stream, parts: List[Stream], grid: TileGrid,
-                env) -> int:
-    """Scan ``source`` and replicate each rectangle to its partitions.
+def distribute(source: Stream, parts: List, grid: TileGrid,
+               window: Optional[Rect] = None) -> int:
+    """Scan ``source`` and append each rectangle to every partition its
+    tiles map to; returns the ops, uncharged.
 
-    Returns the total number of copies written (the replication factor
-    numerator for ``detail``).
+    ``parts`` are ``pbsm_join``'s partition streams or the engine's
+    :class:`SpillablePartition` tiles.  A rectangle costs one op plus
+    one per copy; with a ``window``, one outside it is skipped for one
+    op.  This is the reference the numpy kernel
+    (:func:`repro.core.kernels.np_distribute.distribute`) is tested
+    against.
     """
-    copies = 0
     ops = 0
     for r in source.scan():
+        if window is not None and not r.intersects(window):
+            ops += 1
+            continue
         targets = grid.partitions_of(r)
         ops += 1 + len(targets)
         for t in targets:
             parts[t].append(r)
-        copies += len(targets)
-    env.charge("partition", ops)
-    return copies
+    return ops

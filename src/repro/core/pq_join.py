@@ -45,10 +45,9 @@ from repro.core.sources import (
     StreamSource,
 )
 from repro.core.sweep import (
-    DEFAULT_STRIPS,
-    ForwardSweep,
-    StripedSweep,
     auto_strips,
+    check_structure,
+    structure_factory,
     sweep_join,
 )
 from repro.geom.rect import Rect, union_mbr
@@ -68,7 +67,7 @@ SAMPLE_RECTS = 512
 class PQConfig:
     """PQ knobs; defaults follow Section 4's implementation notes."""
 
-    structure: str = "striped"  # "striped" or "forward"
+    structure: str = "striped"  # one of sweep.SWEEP_STRUCTURES
     nstrips: Optional[int] = None
     """Strip count for Striped-Sweep; ``None`` sizes strips from the
     average rectangle width sampled from the inputs (as in [4])."""
@@ -83,6 +82,9 @@ class PQConfig:
     overflow mechanism).  ``None`` (the default, and what the paper
     measures) keeps the queues fully in memory — Table 3 shows they
     stay tiny on real data."""
+
+    def __post_init__(self) -> None:
+        check_structure(self.structure)
 
 
 def pq_join(
@@ -160,7 +162,7 @@ def pq_join(
     stats = sweep_join(
         iter(source_a),
         iter(source_b),
-        _structure_factory(config, universe, nstrips),
+        structure_factory(config.structure, nstrips, universe),
         env,
         on_pair=sink if pairs is not None else None,
     )
@@ -218,16 +220,6 @@ def _bounding_box(inp: JoinInput) -> Optional[Rect]:
     if isinstance(inp, RTree):
         return inp.root_mbr()
     return None
-
-
-def _structure_factory(config: PQConfig, universe: Optional[Rect],
-                       nstrips: Optional[int]):
-    if config.structure == "forward" or universe is None:
-        return ForwardSweep
-    if config.structure == "striped":
-        n = nstrips if nstrips is not None else DEFAULT_STRIPS
-        return lambda: StripedSweep(universe.xlo, universe.xhi, n)
-    raise ValueError(f"unknown sweep structure {config.structure!r}")
 
 
 def _sample_avg_width(input_a: JoinInput, input_b: JoinInput,

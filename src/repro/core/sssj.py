@@ -24,15 +24,14 @@ triggering, exactly as in the paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.join_result import JoinResult
 from repro.core.sweep import (
-    DEFAULT_STRIPS,
-    ForwardSweep,
-    StripedSweep,
     auto_strips,
+    check_structure,
+    structure_factory,
     sweep_join,
 )
 from repro.geom.rect import Rect
@@ -53,11 +52,14 @@ _MAX_DEPTH = 3
 class SSSJConfig:
     """Knobs for SSSJ; defaults follow the paper's implementation."""
 
-    structure: str = "striped"  # "striped" or "forward"
+    structure: str = "striped"  # one of sweep.SWEEP_STRUCTURES
     nstrips: Optional[int] = None
     """Strip count for Striped-Sweep; ``None`` sizes strips from the
     average rectangle width sampled from the inputs (as in [4])."""
     memory_items: Optional[int] = None  # None = scale config budget
+
+    def __post_init__(self) -> None:
+        check_structure(self.structure)
 
 
 def sssj_join(
@@ -101,10 +103,7 @@ def sssj_join(
             universe.xhi - universe.xlo,
             _sample_avg_width(stream_a, stream_b),
         )
-        config = SSSJConfig(
-            structure=config.structure, nstrips=nstrips,
-            memory_items=config.memory_items,
-        )
+        config = replace(config, nstrips=nstrips)
 
     presorted = sum(1 for s in (sorted_a, sorted_b) if s is not None)
     run_a = (sorted_a if sorted_a is not None
@@ -182,7 +181,8 @@ def _join_slab(
     stats = sweep_join(
         sorted_a.scan(),
         sorted_b.scan(),
-        _structure_factory(config, xlo, xhi, config.nstrips),
+        structure_factory(config.structure, config.nstrips,
+                          universe._replace(xlo=xlo, xhi=xhi)),
         env,
         on_pair=sink,
         memory_items=limit,
@@ -220,16 +220,6 @@ def _join_slab(
         )
         sub_a.free()
         sub_b.free()
-
-
-def _structure_factory(config: SSSJConfig, xlo: float, xhi: float,
-                       nstrips: Optional[int]):
-    if config.structure == "forward":
-        return ForwardSweep
-    if config.structure == "striped":
-        n = nstrips if nstrips is not None else DEFAULT_STRIPS
-        return lambda: StripedSweep(xlo, xhi, n)
-    raise ValueError(f"unknown sweep structure {config.structure!r}")
 
 
 def _sample_avg_width(stream_a: Stream, stream_b: Stream,

@@ -17,15 +17,33 @@ Arge et al. [4]:
   ablation bench reproduces that factor via the kernel's operation
   counts.
 
-Both structures count their comparisons locally and flush them to the
-environment in one call per join, keeping the accounting off the inner
-loop.  They also track their maximum resident size in bytes — the
-"Sweep Structure" row of Table 3.
+:func:`structure_factory` picks one of them for PQ, SSSJ and the
+multiway cascade.  Both count their comparisons locally and flush them
+to the environment in one call per join, keeping the accounting off the
+inner loop.  They also track their resident size — the "Sweep
+Structure" row of Table 3.
+
+One merge loop (:func:`_sweep`) runs every sweep: it merges the two
+y-sorted heads, refuses an input out of ``ylo`` order, compacts the
+lazily expired entries on an amortized schedule (sampling the live
+high-water mark there), raises SSSJ's overflow flag, and charges the
+comparisons once at the end.  A probe appends the event's pairs to one
+list, and the loop hands them out one of three ways:
+
+* to a per-pair callback, or only counted (:func:`sweep_join`);
+* kept in that list, which is returned (:func:`sweep_join_batched`);
+* yielded as the sweep advances (:func:`sweep_join_iter`).
+
+The streaming form never compacts.  It reports no stats, so it has no
+high-water mark to sample, and its charge — which the multiway cascade
+pays — stays the probes' and inserts' alone; the probes still evict
+every dead entry they meet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.geom.rect import RECT_BYTES, Rect
@@ -39,7 +57,11 @@ DEFAULT_STRIPS = 256
 #: and replication dominate any probe savings).
 MAX_AUTO_STRIPS = 2048
 
+#: The active-set structures a join config may name.
+SWEEP_STRUCTURES = ("striped", "forward")
+
 PairSink = Callable[[Rect, Rect], None]
+Pairs = List[Tuple[Rect, Rect]]
 
 
 def auto_strips(universe_xspan: float, avg_width: float,
@@ -73,65 +95,30 @@ class ForwardSweep:
         self.size_items += 1
         self.ops += 1
 
-    def probe(self, r: Rect, sweep_y: float, emit: PairSink,
+    def probe(self, r: Rect, sweep_y: float, out: Pairs,
               probe_is_left: bool) -> None:
-        """Emit pairs with every live x-overlapping entry; evict dead ones.
+        """Append ``r``'s pair with every live x-overlapping entry to
+        ``out``, evicting dead entries; one op per entry scanned.
 
-        ``probe_is_left`` fixes the output orientation: pairs are always
-        emitted as (left-input rect, right-input rect).
+        ``probe_is_left`` fixes the orientation: pairs are always
+        (left-input rect, right-input rect).
         """
         items = self.items
         write = 0
-        ops = 0
         rxlo = r.xlo
         rxhi = r.xhi
         for cand in items:
-            ops += 1
             if cand.yhi < sweep_y:
                 continue
             items[write] = cand
             write += 1
             if cand.xlo <= rxhi and rxlo <= cand.xhi:
-                if probe_is_left:
-                    emit(r, cand)
-                else:
-                    emit(cand, r)
-        removed = len(items) - write
-        if removed:
+                out.append((r, cand) if probe_is_left else (cand, r))
+        scanned = len(items)
+        self.ops += scanned
+        if write < scanned:
             del items[write:]
-            self.size_items -= removed
-        self.ops += ops
-
-    def probe_batch(self, r: Rect, sweep_y: float,
-                    out: List[Tuple[Rect, Rect]],
-                    probe_is_left: bool) -> None:
-        """Batched :meth:`probe`: append oriented pairs straight to ``out``.
-
-        The zero-callback twin of :meth:`probe` — no ``PairSink``
-        invocation per pair, just a C-level ``list.append`` — with
-        bit-identical comparison counting and lazy expiry.  Consumers
-        (the partitioned executor's workers) post-filter the batch in
-        one tight loop instead of paying a Python closure per pair.
-        """
-        items = self.items
-        write = 0
-        ops = 0
-        rxlo = r.xlo
-        rxhi = r.xhi
-        append = out.append
-        for cand in items:
-            ops += 1
-            if cand.yhi < sweep_y:
-                continue
-            items[write] = cand
-            write += 1
-            if cand.xlo <= rxhi and rxlo <= cand.xhi:
-                append((r, cand) if probe_is_left else (cand, r))
-        removed = len(items) - write
-        if removed:
-            del items[write:]
-            self.size_items -= removed
-        self.ops += ops
+            self.size_items -= scanned - write
 
     def compact(self, sweep_y: float) -> None:
         """Evict every entry dead at ``sweep_y`` (pre-overflow GC)."""
@@ -193,18 +180,16 @@ class StripedSweep:
         self.size_items += n
         self.ops += n
 
-    def probe(self, r: Rect, sweep_y: float, emit: PairSink,
+    def probe(self, r: Rect, sweep_y: float, out: Pairs,
               probe_is_left: bool) -> None:
-        lo = self._strip_of(r.xlo)
-        hi = self._strip_of(r.xhi)
-        ops = 0
+        """:meth:`ForwardSweep.probe` over the strips ``r`` spans."""
         rxlo = r.xlo
         rxhi = r.xhi
-        for s in range(lo, hi + 1):
+        ops = 0
+        for s in range(self._strip_of(rxlo), self._strip_of(rxhi) + 1):
             strip = self.strips[s]
             write = 0
             for cand in strip:
-                ops += 1
                 if cand.yhi < sweep_y:
                     continue
                 strip[write] = cand
@@ -214,48 +199,12 @@ class StripedSweep:
                     # contains the left edge of the x-overlap.
                     edge = rxlo if rxlo >= cand.xlo else cand.xlo
                     if self._strip_of(edge) == s:
-                        if probe_is_left:
-                            emit(r, cand)
-                        else:
-                            emit(cand, r)
-            removed = len(strip) - write
-            if removed:
+                        out.append((r, cand) if probe_is_left else (cand, r))
+            scanned = len(strip)
+            ops += scanned
+            if write < scanned:
                 del strip[write:]
-                self.size_items -= removed
-        self.ops += ops
-
-    def probe_batch(self, r: Rect, sweep_y: float,
-                    out: List[Tuple[Rect, Rect]],
-                    probe_is_left: bool) -> None:
-        """Batched :meth:`probe` (see :meth:`ForwardSweep.probe_batch`).
-
-        The cross-strip dedup (emit only in the strip holding the left
-        edge of the x-overlap) is applied inline, so the batch carries
-        exactly the pairs the callback mode would have emitted.
-        """
-        lo = self._strip_of(r.xlo)
-        hi = self._strip_of(r.xhi)
-        ops = 0
-        rxlo = r.xlo
-        rxhi = r.xhi
-        append = out.append
-        for s in range(lo, hi + 1):
-            strip = self.strips[s]
-            write = 0
-            for cand in strip:
-                ops += 1
-                if cand.yhi < sweep_y:
-                    continue
-                strip[write] = cand
-                write += 1
-                if cand.xlo <= rxhi and rxlo <= cand.xhi:
-                    edge = rxlo if rxlo >= cand.xlo else cand.xlo
-                    if self._strip_of(edge) == s:
-                        append((r, cand) if probe_is_left else (cand, r))
-            removed = len(strip) - write
-            if removed:
-                del strip[write:]
-                self.size_items -= removed
+                self.size_items -= scanned - write
         self.ops += ops
 
     def compact(self, sweep_y: float) -> None:
@@ -285,6 +234,28 @@ class StripedSweep:
 SweepStructureFactory = Callable[[], object]
 
 
+def check_structure(structure: str) -> None:
+    """Refuse a sweep-structure name outside :data:`SWEEP_STRUCTURES`."""
+    if structure not in SWEEP_STRUCTURES:
+        raise ValueError(f"unknown sweep structure {structure!r}; "
+                         f"expected one of {SWEEP_STRUCTURES}")
+
+
+def structure_factory(structure: str, nstrips: Optional[int],
+                      bounds: Optional[Rect]) -> SweepStructureFactory:
+    """The active-set factory of a PQ, SSSJ or multiway sweep.
+
+    Striped-Sweep places its strips over ``bounds``' x-range
+    (``DEFAULT_STRIPS`` of them when ``nstrips`` is unset); with no
+    bounds known it cannot, and Forward-Sweep runs instead.
+    """
+    check_structure(structure)
+    if structure == "forward" or bounds is None:
+        return ForwardSweep
+    n = DEFAULT_STRIPS if nstrips is None else nstrips
+    return lambda: StripedSweep(bounds.xlo, bounds.xhi, n)
+
+
 @dataclass
 class SweepStats:
     """Kernel-level outcome of one sweep join."""
@@ -294,6 +265,97 @@ class SweepStats:
     max_active_items: int = 0
     max_active_bytes: int = 0
     overflowed: bool = False
+
+
+# How the merge loop hands out each event's pairs (module docstring).
+_CALLBACK, _COLLECT, _STREAM = "callback", "collect", "stream"
+
+
+def _sweep(source_a: Iterator[Rect], source_b: Iterator[Rect],
+           make_structure: SweepStructureFactory, env, way: str,
+           on_pair: Optional[PairSink] = None,
+           memory_items: Optional[int] = None):
+    """The merge loop behind every sweep entry point.
+
+    A generator that yields pairs only when ``way`` is ``_STREAM``; the
+    eager ways run to their end in one step (:func:`_run`) and return
+    ``(pairs kept, SweepStats)``.
+    """
+    active_a = make_structure()
+    active_b = make_structure()
+    out: Pairs = []
+    drain = way != _COLLECT
+    stream = way == _STREAM
+    compact_at = math.inf if stream else 64
+    pairs = high_water = 0
+    overflowed = False
+    head_a = next(source_a, None)
+    head_b = next(source_b, None)
+    last_y = -math.inf
+    while head_a is not None or head_b is not None:
+        if head_b is None or (head_a is not None
+                              and head_a.ylo <= head_b.ylo):
+            r = head_a
+            head_a = next(source_a, None)
+            if r.ylo < last_y:
+                raise ValueError("source A is not sorted by ylo")
+            last_y = r.ylo
+            active_b.probe(r, last_y, out, True)
+            active_a.insert(r)
+        else:
+            r = head_b
+            head_b = next(source_b, None)
+            if r.ylo < last_y:
+                raise ValueError("source B is not sorted by ylo")
+            last_y = r.ylo
+            active_a.probe(r, last_y, out, False)
+            active_b.insert(r)
+        if out and drain:
+            if stream:
+                yield from out
+            elif on_pair is not None:
+                for ra, rb in out:
+                    on_pair(ra, rb)
+            pairs += len(out)
+            out.clear()
+        total = active_a.size_items + active_b.size_items
+        # Lazily-expired garbage inflates the raw count.  Compact (an
+        # amortized-O(1) GC: whenever the raw count doubles since the
+        # last collection, or first passes the memory limit) and record
+        # the high-water mark over *live* sizes sampled at compaction
+        # points — dead entries are an implementation artifact, not
+        # memory the algorithm needs.  Live size between samples is
+        # bounded by 2x the last sample.
+        over_limit = (memory_items is not None and not overflowed
+                      and total > memory_items)
+        if total > compact_at or over_limit:
+            active_a.compact(last_y)
+            active_b.compact(last_y)
+            total = active_a.size_items + active_b.size_items
+            compact_at = max(64, 2 * total)
+            if memory_items is not None and total > memory_items:
+                overflowed = True
+            if total > high_water:
+                high_water = total
+        elif total <= 64 and total > high_water:
+            # Below the first compaction threshold the raw count is
+            # (nearly) exact; record it so tiny joins report a size.
+            high_water = total
+
+    ops = active_a.ops + active_b.ops
+    env.charge("sweep", ops)
+    return out, SweepStats(pairs + len(out), ops, high_water,
+                           high_water * RECT_BYTES, overflowed)
+
+
+def _run(loop) -> Tuple[Pairs, SweepStats]:
+    """An eager :func:`_sweep` to its end: it never yields, so the
+    first step is the last."""
+    try:
+        next(loop)
+    except StopIteration as end:
+        return end.value
+    raise AssertionError("an eager sweep yielded")
 
 
 def sweep_join(
@@ -317,74 +379,8 @@ def sweep_join(
     as the sweep advances, because feeding an unsorted stream silently
     produces garbage results otherwise.
     """
-    active_a = make_structure()
-    active_b = make_structure()
-    stats = SweepStats()
-
-    if on_pair is None:
-        def emit(ra: Rect, rb: Rect) -> None:
-            stats.pairs += 1
-    else:
-        inner = on_pair
-
-        def emit(ra: Rect, rb: Rect) -> None:
-            stats.pairs += 1
-            inner(ra, rb)
-
-    head_a = next(source_a, None)
-    head_b = next(source_b, None)
-    last_y = float("-inf")
-    compact_at = 64
-    while head_a is not None or head_b is not None:
-        take_a = head_b is None or (
-            head_a is not None and head_a.ylo <= head_b.ylo
-        )
-        if take_a:
-            r = head_a
-            head_a = next(source_a, None)
-            if r.ylo < last_y:
-                raise ValueError("source A is not sorted by ylo")
-            last_y = r.ylo
-            active_b.probe(r, r.ylo, emit, probe_is_left=True)
-            active_a.insert(r)
-        else:
-            r = head_b
-            head_b = next(source_b, None)
-            if r.ylo < last_y:
-                raise ValueError("source B is not sorted by ylo")
-            last_y = r.ylo
-            active_a.probe(r, r.ylo, emit, probe_is_left=False)
-            active_b.insert(r)
-        total_items = active_a.size_items + active_b.size_items
-        # Lazily-expired garbage inflates the raw count.  Compact (an
-        # amortized-O(1) GC: whenever the raw count doubles since the
-        # last collection) and record the high-water mark over *live*
-        # sizes sampled at compaction points — dead entries are an
-        # implementation artifact, not memory the algorithm needs.
-        # Live size between samples is bounded by 2x the last sample.
-        over_limit = (
-            memory_items is not None
-            and not stats.overflowed
-            and total_items > memory_items
-        )
-        if total_items > compact_at or over_limit:
-            active_a.compact(last_y)
-            active_b.compact(last_y)
-            total_items = active_a.size_items + active_b.size_items
-            compact_at = max(64, 2 * total_items)
-            if memory_items is not None and total_items > memory_items:
-                stats.overflowed = True
-            if total_items > stats.max_active_items:
-                stats.max_active_items = total_items
-        elif total_items <= 64 and total_items > stats.max_active_items:
-            # Below the first compaction threshold the raw count is
-            # (nearly) exact; record it so tiny joins report a size.
-            stats.max_active_items = total_items
-
-    stats.cpu_ops = active_a.ops + active_b.ops
-    stats.max_active_bytes = stats.max_active_items * RECT_BYTES
-    env.charge("sweep", stats.cpu_ops)
-    return stats
+    return _run(_sweep(source_a, source_b, make_structure, env, _CALLBACK,
+                       on_pair, memory_items))[1]
 
 
 def sweep_join_batched(
@@ -392,64 +388,12 @@ def sweep_join_batched(
     source_b: Iterator[Rect],
     make_structure: SweepStructureFactory,
     env,
-) -> Tuple[List[Tuple[Rect, Rect]], SweepStats]:
-    """Zero-callback :func:`sweep_join`: collect pairs, don't call sinks.
-
-    Identical merge loop, compaction schedule and accounting as
-    :func:`sweep_join` — comparisons are counted by the structures,
-    flushed to ``env`` in one ``charge`` call, and the live high-water
-    mark is sampled at the same points — but intersecting pairs are
-    appended to a local batch via :meth:`probe_batch` instead of
-    invoking a ``PairSink`` per pair.  Returns the oriented
-    ``(a-rect, b-rect)`` batch (in emit order) alongside the stats; the
-    caller applies any per-pair policy (reference-point ownership,
-    self-join dedup) in its own tight loop.
-    """
-    active_a = make_structure()
-    active_b = make_structure()
-    stats = SweepStats()
-    out: List[Tuple[Rect, Rect]] = []
-
-    head_a = next(source_a, None)
-    head_b = next(source_b, None)
-    last_y = float("-inf")
-    compact_at = 64
-    while head_a is not None or head_b is not None:
-        take_a = head_b is None or (
-            head_a is not None and head_a.ylo <= head_b.ylo
-        )
-        if take_a:
-            r = head_a
-            head_a = next(source_a, None)
-            if r.ylo < last_y:
-                raise ValueError("source A is not sorted by ylo")
-            last_y = r.ylo
-            active_b.probe_batch(r, r.ylo, out, probe_is_left=True)
-            active_a.insert(r)
-        else:
-            r = head_b
-            head_b = next(source_b, None)
-            if r.ylo < last_y:
-                raise ValueError("source B is not sorted by ylo")
-            last_y = r.ylo
-            active_a.probe_batch(r, r.ylo, out, probe_is_left=False)
-            active_b.insert(r)
-        total_items = active_a.size_items + active_b.size_items
-        if total_items > compact_at:
-            active_a.compact(last_y)
-            active_b.compact(last_y)
-            total_items = active_a.size_items + active_b.size_items
-            compact_at = max(64, 2 * total_items)
-            if total_items > stats.max_active_items:
-                stats.max_active_items = total_items
-        elif total_items <= 64 and total_items > stats.max_active_items:
-            stats.max_active_items = total_items
-
-    stats.pairs = len(out)
-    stats.cpu_ops = active_a.ops + active_b.ops
-    stats.max_active_bytes = stats.max_active_items * RECT_BYTES
-    env.charge("sweep", stats.cpu_ops)
-    return out, stats
+) -> Tuple[Pairs, SweepStats]:
+    """:func:`sweep_join` that returns the oriented ``(a-rect,
+    b-rect)`` pairs in emit order instead of calling a sink; the caller
+    applies any per-pair policy (reference-point ownership, self-join
+    dedup) in its own tight loop."""
+    return _run(_sweep(source_a, source_b, make_structure, env, _COLLECT))
 
 
 def sweep_join_iter(
@@ -465,42 +409,10 @@ def sweep_join_iter(
     position — so the *intersection rectangles* of the output are
     themselves sorted by ``ylo``.  That property is what lets Section 4
     feed the output of a two-way join straight into another join
-    (:class:`repro.core.sources.JoinSource`).
+    (:class:`repro.core.sources.JoinSource`).  The comparisons are
+    charged when the generator is exhausted.
     """
-    active_a = make_structure()
-    active_b = make_structure()
-    buf: List[Tuple[Rect, Rect]] = []
-
-    def emit(ra: Rect, rb: Rect) -> None:
-        buf.append((ra, rb))
-
-    head_a = next(source_a, None)
-    head_b = next(source_b, None)
-    last_y = float("-inf")
-    while head_a is not None or head_b is not None:
-        take_a = head_b is None or (
-            head_a is not None and head_a.ylo <= head_b.ylo
-        )
-        if take_a:
-            r = head_a
-            head_a = next(source_a, None)
-            if r.ylo < last_y:
-                raise ValueError("source A is not sorted by ylo")
-            last_y = r.ylo
-            active_b.probe(r, r.ylo, emit, probe_is_left=True)
-            active_a.insert(r)
-        else:
-            r = head_b
-            head_b = next(source_b, None)
-            if r.ylo < last_y:
-                raise ValueError("source B is not sorted by ylo")
-            last_y = r.ylo
-            active_a.probe(r, r.ylo, emit, probe_is_left=False)
-            active_b.insert(r)
-        if buf:
-            yield from buf
-            buf.clear()
-    env.charge("sweep", active_a.ops + active_b.ops)
+    return _sweep(source_a, source_b, make_structure, env, _STREAM)
 
 
 def _sorted_inputs_charged(
@@ -508,14 +420,12 @@ def _sorted_inputs_charged(
     rects_b: Iterable[Rect],
     env,
     presorted: bool,
-) -> Tuple[List[Rect], List[Rect]]:
+) -> Tuple[Iterator[Rect], Iterator[Rect]]:
     """Copy-and-sort both inputs by ``(ylo, xlo)``, charging the sort.
 
     Shared by the callback and batched forward sweeps so their op
     accounting can never desynchronize: one formula, one place.
     """
-    import math
-
     list_a = list(rects_a)
     list_b = list(rects_b)
     if not presorted:
@@ -524,7 +434,7 @@ def _sorted_inputs_charged(
         n = len(list_a) + len(list_b)
         if n > 1:
             env.charge("sweep", int(n * math.log2(n)))
-    return list_a, list_b
+    return iter(list_a), iter(list_b)
 
 
 def forward_sweep_pairs(
@@ -539,11 +449,9 @@ def forward_sweep_pairs(
     Sorting cost (when needed) is charged under ``sweep``; the paper's
     tree join sorts each node's surviving entries before sweeping.
     """
-    list_a, list_b = _sorted_inputs_charged(rects_a, rects_b, env,
+    iter_a, iter_b = _sorted_inputs_charged(rects_a, rects_b, env,
                                             presorted)
-    return sweep_join(
-        iter(list_a), iter(list_b), ForwardSweep, env, on_pair=on_pair
-    )
+    return sweep_join(iter_a, iter_b, ForwardSweep, env, on_pair=on_pair)
 
 
 def forward_sweep_pairs_batched(
@@ -551,18 +459,12 @@ def forward_sweep_pairs_batched(
     rects_b: Iterable[Rect],
     env,
     presorted: bool = False,
-) -> Tuple[List[Tuple[Rect, Rect]], SweepStats]:
-    """Batched :func:`forward_sweep_pairs`: same accounting, no sinks.
-
-    Sort cost (when sorting is needed) is charged under ``sweep`` via
-    the same shared preamble as the callback path, so op totals are
-    bit-identical between the two modes; only the pair-delivery
-    mechanism differs.
-    """
-    list_a, list_b = _sorted_inputs_charged(rects_a, rects_b, env,
+) -> Tuple[Pairs, SweepStats]:
+    """:func:`forward_sweep_pairs` returning the pairs as
+    :func:`sweep_join_batched` does, with the same charges."""
+    iter_a, iter_b = _sorted_inputs_charged(rects_a, rects_b, env,
                                             presorted)
-    return sweep_join_batched(iter(list_a), iter(list_b), ForwardSweep,
-                              env)
+    return sweep_join_batched(iter_a, iter_b, ForwardSweep, env)
 
 
 def _ylo_key(r: Rect) -> Tuple[float, float]:

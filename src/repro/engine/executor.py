@@ -52,7 +52,8 @@ goes back once, whichever stage raises:
    distribution).  Under the numpy kernel tiles are placed from the
    catalog entry's column image (:func:`_distribute_columnar`) and
    the overflow spilled as image rows (:func:`_spill_run`) — no
-   ``Rect`` is built; the per-rectangle :func:`_distribute` is the
+   ``Rect`` is built; the per-rectangle
+   :func:`~repro.core.pbsm.distribute` is the
    no-numpy path and the reference, identical down to the order of
    the disk's ``allocate`` / write / read calls.  Each tile goes to
    the :class:`_TaskShipper` the moment it is ready, so workers sweep
@@ -114,6 +115,7 @@ from repro.core.pbsm import (
     SpillablePartition,
     TileAllowance,
     TileGrid,
+    distribute,
 )
 from repro.core.planner import STRATEGIES
 from repro.core.sssj import sssj_join
@@ -591,8 +593,8 @@ class Executor:
                 )
             if side_ops is None:
                 distribute_kernel = "python"
-                side_ops = _distribute(entry.stream, parts, run.grid,
-                                       run.query.window)
+                side_ops = distribute(entry.stream, parts, run.grid,
+                                      run.query.window)
             ops += side_ops
             scanned += len(entry.stream)
         env.charge("partition", ops)
@@ -1141,12 +1143,13 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
     below is the python kernel and the reference — ``kernel="python"``
     engines, workers without numpy, and any tile the vectorized kernel
     declines land here, with bit-identical results.  It decodes the
-    tile, runs the zero-callback batched sweep (which sorts), then
-    applies reference-point ownership and self-join dedup in one tight
-    loop over the batch, so no Python callback fires per candidate
-    pair.  For self-joins the sweep emits every pair in both
-    orientations plus each rectangle against itself, and the filter
-    keeps exactly the ``rid_a < rid_b`` representative.
+    tile, runs the forward sweep that collects its pairs in a list
+    (which sorts), then applies reference-point ownership and
+    self-join dedup in one tight loop over that list, so no Python
+    callback fires per candidate pair.  For self-joins the sweep emits
+    every pair in both orientations plus each rectangle against
+    itself, and the filter keeps exactly the ``rid_a < rid_b``
+    representative.
 
     Returns ``(owned pair count, owned pairs or None, cpu ops,
     duplicates suppressed by the reference-point test and self-join
@@ -1313,36 +1316,13 @@ def _adopt_task_spans(sweep_span: Span, submitted: List[tuple],
     )
 
 
-def _distribute(stream, parts: List[SpillablePartition], grid: TileGrid,
-                window: Optional[Rect]) -> int:
-    """Scan a base stream into tile partitions (spillable).
-
-    The scan charges one sequential read pass on the shared disk (the
-    partition pass the optimizer priced); partitions hold tiles in
-    memory up to their allowance and overflow to disk streams beyond
-    it.  Returns abstract partitioning ops.
-
-    The path of engines without numpy, and the reference
-    :func:`_distribute_columnar` is tested against.
-    """
-    ops = 0
-    for r in stream.scan():
-        if window is not None and not r.intersects(window):
-            ops += 1
-            continue
-        targets = grid.partitions_of(r)
-        ops += 1 + len(targets)
-        for t in targets:
-            parts[t].append(r)
-    return ops
-
-
 def _distribute_columnar(entry: CatalogEntry,
                          parts: List[SpillablePartition], grid: TileGrid,
                          window: Optional[Rect],
                          allowance: Optional[TileAllowance],
                          ) -> Optional[int]:
-    """:func:`_distribute` from the entry's column image.
+    """:func:`~repro.core.pbsm.distribute` from the entry's column
+    image.
 
     The numpy kernel decides where every copy goes; this step places
     them.  The allowance is drawn in bulk, the copies it covers are
@@ -1351,7 +1331,7 @@ def _distribute_columnar(entry: CatalogEntry,
     each block once, with the spill writes of the copies it holds
     between the same two reads as in the python loop
     (:func:`_spill_run`) — so tiles, op charges, grant size and the
-    simulated disk's ledger all match :func:`_distribute`, and no
+    simulated disk's ledger all match the python distribute, and no
     ``Rect`` is built on the way.  Returns ``None``, having touched
     nothing, when the kernel declines the input.
     """

@@ -4,6 +4,7 @@ dedup, ST pooling, PQ optimality and input mixes."""
 import pytest
 
 from repro.core.brute import brute_force_pairs
+from repro.core.multiway import multiway_join
 from repro.core.pbsm import PBSMConfig, pbsm_join
 from repro.core.pq_join import PQConfig, pq_join
 from repro.core.sources import ListSource
@@ -48,6 +49,27 @@ def setup_trees(n=300, seed=1, builder=None):
     tb = bulk_load(store, b, name="b")
     env.reset_counters()
     return env, disk, store, a, b, ta, tb
+
+
+def test_misspelled_sweep_structure_is_refused_before_any_work():
+    # A name outside sweep.SWEEP_STRUCTURES used to run Forward-Sweep
+    # (PQ and multiway with no universe known) or to fail only after
+    # SSSJ's two external sorts had been charged.
+    env, disk, a, b, sa, sb = setup_streams(seed=11)
+    counters = (env.cpu_ops, env.page_reads, env.page_writes,
+                env.bytes_read, env.bytes_written)
+    joins = (
+        lambda: pq_join(sa, sb, disk, config=PQConfig(structure="strpied")),
+        lambda: multiway_join([sa, sb, sa], disk,
+                              config=PQConfig(structure="strpied")),
+        lambda: sssj_join(sa, sb, disk,
+                          config=SSSJConfig(structure="strpied")),
+    )
+    for join in joins:
+        with pytest.raises(ValueError, match="unknown sweep structure"):
+            join()
+    assert (env.cpu_ops, env.page_reads, env.page_writes,
+            env.bytes_read, env.bytes_written) == counters
 
 
 class TestSSSJ:

@@ -1,4 +1,4 @@
-"""The columnar tile codec and the batched (zero-callback) sweep."""
+"""The columnar tile codec and the sweep that collects its pairs."""
 
 from __future__ import annotations
 
@@ -253,7 +253,8 @@ class TestSpillablePartitionColumnar:
 
 
 class TestBatchedSweepEquivalence:
-    """The zero-callback kernel must be bit-identical in accounting."""
+    """Collecting the pairs instead of calling a sink changes no
+    accounting."""
 
     def _sides(self, n_a=300, n_b=200):
         a = uniform_rects(n_a, UNIT, 0.03, seed=21)
@@ -286,7 +287,7 @@ class TestBatchedSweepEquivalence:
         assert batch == collected
         assert env_batch.cpu_ops == env_cb.cpu_ops
 
-    def test_striped_probe_batch_matches_probe(self):
+    def test_striped_collect_matches_callback(self):
         a, b = self._sides(250, 250)
         env_cb, env_batch = make_env(), make_env()
         make = lambda: StripedSweep(0.0, 1.0, nstrips=16)  # noqa: E731
@@ -302,20 +303,37 @@ class TestBatchedSweepEquivalence:
         assert stats_batch.cpu_ops == stats_cb.cpu_ops
         assert env_batch.cpu_ops == env_cb.cpu_ops
 
-    def test_forward_structure_probe_batch_direct(self):
-        # Structure-level check: probe and probe_batch agree on output,
-        # lazy expiry and op counting for both orientations.
+    def test_structure_probe_direct(self):
+        # Structure-level check of the list-out probe, both structures,
+        # both orientations: the pairs are the brute-force x-overlaps
+        # of the live entries, every probed entry costs one op, and a
+        # dead one is evicted when (and only where) a probe meets it.
         a, b = self._sides(60, 1)
-        sweep_cb, sweep_batch = ForwardSweep(), ForwardSweep()
-        for r in a:
-            sweep_cb.insert(r)
-            sweep_batch.insert(r)
         probe = b[0]._replace(ylo=0.4, yhi=0.9)
-        emitted = []
-        sweep_cb.probe(probe, 0.4, lambda x, y: emitted.append((x, y)),
-                       probe_is_left=False)
-        batch = []
-        sweep_batch.probe_batch(probe, 0.4, batch, probe_is_left=False)
-        assert batch == emitted
-        assert sweep_batch.ops == sweep_cb.ops
-        assert sweep_batch.size_items == sweep_cb.size_items
+        overlap = [r for r in a if r.yhi >= 0.4
+                   and r.xlo <= probe.xhi and probe.xlo <= r.xhi]
+        for make in (ForwardSweep, lambda: StripedSweep(0.0, 1.0, 16)):
+            for probe_is_left in (True, False):
+                sweep = make()
+                for r in a:
+                    sweep.insert(r)
+                forward = isinstance(sweep, ForwardSweep)
+                lists = [sweep.items] if forward else sweep.strips
+                probed = range(1) if forward else range(
+                    sweep._strip_of(probe.xlo), sweep._strip_of(probe.xhi) + 1
+                )
+                before = [list(entries) for entries in lists]
+                ops = sweep.ops
+                out = []
+                sweep.probe(probe, 0.4, out, probe_is_left)
+                want = [(probe, r) if probe_is_left else (r, probe)
+                        for r in overlap]
+                assert sorted(out) == sorted(want)
+                assert not forward or out == want  # insertion order
+                assert sweep.ops - ops == sum(len(before[i]) for i in probed)
+                assert lists == [
+                    [r for r in entries if r.yhi >= 0.4] if i in probed
+                    else entries
+                    for i, entries in enumerate(before)
+                ]
+                assert sweep.size_items == sum(map(len, lists))

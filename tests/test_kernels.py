@@ -26,7 +26,12 @@ from repro.core.columnar import (
     PairColumns,
 )
 from repro.core.join_result import JoinResult
-from repro.core.pbsm import SpillablePartition, TileAllowance, TileGrid
+from repro.core.pbsm import (
+    SpillablePartition,
+    TileAllowance,
+    TileGrid,
+    distribute,
+)
 from repro.core.pq_join import PQConfig
 from repro.core.sweep import (
     ForwardSweep,
@@ -481,9 +486,7 @@ def _place(kernel, relations, grid, window, budget_of, scale=TEST_SCALE):
             )
             assert side_ops is not None
         else:
-            side_ops = executor_mod._distribute(
-                entry.stream, parts, grid, window
-            )
+            side_ops = distribute(entry.stream, parts, grid, window)
         ops += side_ops
         sides.append(parts)
     flat = [part for parts in sides for part in parts]
@@ -532,7 +535,7 @@ def _engine_outcome(kernel, a, b, window, workers, memory_bytes):
 
 @needs_numpy
 class TestDistributeParity:
-    """python ``_distribute`` vs the numpy kernel, bit for bit."""
+    """python ``pbsm.distribute`` vs the numpy kernel, bit for bit."""
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     @pytest.mark.parametrize("window", sorted(WINDOWS))
@@ -1935,7 +1938,7 @@ class TestIndexKernelServing:
 
         monkeypatch.setattr(IndexSource, "__iter__", boxed)
         monkeypatch.setattr(sweep_mod.StripedSweep, "probe", boxed)
-        monkeypatch.setattr(sweep_mod.StripedSweep, "probe_batch", boxed)
+        monkeypatch.setattr(sweep_mod, "_sweep", boxed)
         monkeypatch.setattr(sweep_mod, "sweep_join", boxed)
         monkeypatch.setattr(pq_join_mod, "sweep_join", boxed)
         rng = random.Random(47)

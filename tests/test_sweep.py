@@ -1,8 +1,12 @@
-"""Plane-sweep kernel: structures, driver, generator form, dedup rules."""
+"""Plane-sweep kernel: structures, the merge loop's three ways out,
+dedup rules."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import sweep as sweep_mod
 from repro.core.brute import brute_force_pairs
 from repro.core.sweep import (
     ForwardSweep,
@@ -69,14 +73,20 @@ class TestForwardSweep:
         assert pairs == {(1, 2)}
 
     def test_expiry_evicts_dead_rects(self):
-        s = ForwardSweep()
-        s.insert(Rect(0, 1, 0.0, 0.1, 1))
-        s.insert(Rect(0, 1, 0.0, 5.0, 2))
-        out = []
-        s.probe(Rect(0, 1, 1.0, 2.0, 3), 1.0,
-                lambda a, b: out.append((a.rid, b.rid)), True)
-        assert s.size_items == 1  # rect 1 expired at sweep_y=1.0
-        assert out == [(3, 2)]
+        for probe_is_left in (True, False):
+            s = ForwardSweep()
+            s.insert(Rect(0, 1, 0.0, 0.1, 1))
+            s.insert(Rect(0, 1, 0.0, 5.0, 2))
+            s.insert(Rect(2, 3, 0.0, 5.0, 4))  # live, no x-overlap
+            out = []
+            probe = Rect(0, 1, 1.0, 2.0, 3)
+            s.probe(probe, 1.0, out, probe_is_left)
+            # Rect 1 expired at sweep_y=1.0; every entry cost one op.
+            assert [r.rid for r in s.items] == [2, 4]
+            assert s.size_items == 2 and s.ops == 3 + 3
+            assert [(x.rid, y.rid) for x, y in out] == (
+                [(3, 2)] if probe_is_left else [(2, 3)]
+            )
 
     def test_empty_inputs(self):
         stats, pairs, _ = run_sweep([], [], ForwardSweep)
@@ -222,6 +232,92 @@ class TestSweepJoinIter:
             inter = intersection(x, y)
             assert inter.ylo >= last
             last = inter.ylo
+
+
+def _rects(rng, n, id_base):
+    out = []
+    for i in range(n):
+        x, y = rng.random(), rng.random()
+        out.append(Rect(x, x + 0.1 * rng.random(), y, y + 0.4 * rng.random(),
+                        id_base + i))
+    return out
+
+
+def _three_ways(a, b, make, memory_items):
+    """The merge loop over one input, handing its pairs out by callback,
+    kept in a list, and streamed: ``(pairs, stats, env cpu ops)`` per
+    way (the stream reports no stats)."""
+    env_cb, env_kept, env_stream = null_env(), null_env(), null_env()
+    called = []
+    stats_cb = sweep_join(
+        sorted_by_y(a), sorted_by_y(b), make, env_cb,
+        on_pair=lambda ra, rb: called.append((ra, rb)),
+        memory_items=memory_items,
+    )
+    kept, stats_kept = sweep_mod._run(sweep_mod._sweep(
+        sorted_by_y(a), sorted_by_y(b), make, env_kept, sweep_mod._COLLECT,
+        memory_items=memory_items,
+    ))
+    streamed = list(sweep_join_iter(sorted_by_y(a), sorted_by_y(b), make,
+                                    env_stream))
+    return (
+        (called, stats_cb, env_cb.cpu_ops),
+        (kept, stats_kept, env_kept.cpu_ops),
+        (streamed, None, env_stream.cpu_ops),
+    )
+
+
+STRUCTURES = {
+    "forward": ForwardSweep,
+    "striped": lambda: StripedSweep(0.0, 1.1, 8),
+}
+
+
+class TestDeliveryParity:
+    """One merge loop, three ways out: same pairs, same accounting."""
+
+    @pytest.mark.parametrize("structure", sorted(STRUCTURES))
+    @pytest.mark.parametrize("limit", (None, 16))
+    def test_random_inputs_agree(self, structure, limit):
+        make = STRUCTURES[structure]
+        for seed in range(8):
+            rng = random.Random(seed)
+            a = _rects(rng, rng.randint(50, 250), 0)
+            b = _rects(rng, rng.randint(50, 250), 10_000)
+            callback, kept, stream = _three_ways(a, b, make, limit)
+            assert kept[0] == callback[0] == stream[0]  # order included
+            assert kept[1] == callback[1]
+            assert kept[2] == callback[2] == callback[1].cpu_ops
+            assert callback[1].pairs == len(callback[0])
+            assert callback[1].overflowed == (limit is not None)
+
+    # The accounting of this input before the three loops became one:
+    # (pairs, cpu ops, max active items, overflowed) of the callback
+    # form without and with a limit of 48, and the streamed charge.  An
+    # extra or a missing compaction moves the ops.
+    PINNED = {
+        "forward": ((2819, 32151, 131, False), (2819, 32103, 99, True),
+                    31955),
+        "striped": ((2819, 8329, 127, False), (2819, 8503, 175, True),
+                    8138),
+    }
+
+    @pytest.mark.parametrize("structure", sorted(STRUCTURES))
+    def test_fixed_input_accounting_is_pinned(self, structure):
+        rng = random.Random(29)
+        a = _rects(rng, 300, 0)
+        b = _rects(rng, 300, 10_000)
+        unlimited, limited, stream_ops = self.PINNED[structure]
+        for limit, want in ((None, unlimited), (48, limited)):
+            callback, kept, stream = _three_ways(
+                a, b, STRUCTURES[structure], limit
+            )
+            for stats in (callback[1], kept[1]):
+                assert (stats.pairs, stats.cpu_ops, stats.max_active_items,
+                        stats.overflowed) == want
+            # The stream never compacts, whatever the limit.
+            assert stream[2] == stream_ops
+            assert kept[0] == callback[0] == stream[0]
 
 
 class TestForwardSweepPairs:

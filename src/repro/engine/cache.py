@@ -117,6 +117,10 @@ class ResultCache:
         self.misses += 1
         return None
 
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached value or None, counting and refreshing nothing."""
+        return self._entries.get(key)
+
     def put(self, key: Hashable, value: Any,
             nbytes: Optional[int] = None) -> None:
         if self.capacity == 0 or self.max_bytes == 0:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.join_result import JoinResult
 from repro.engine.faults import FaultPlan
@@ -133,9 +133,13 @@ def cacheable(result: JoinResult) -> bool:
 
 class _ServeShell:
     """What serving a query looks like around either engine's own
-    execution: the result cache and its hit path, the slow-query log
-    and the last trace.  The engine supplies ``_record_hit(n_pairs,
-    wall)`` (its counters, under its own locking)."""
+    execution: the result cache and its one hit path, the slow-query
+    log and the last trace.  The engine supplies ``_lock`` (the lock
+    that guards its result cache), ``_result_key(query)``,
+    ``_record_hit(n_pairs, wall)`` (its counters, called under
+    ``_lock``) and ``_TRACE_ENGINE`` (its root spans' ``engine``)."""
+
+    _TRACE_ENGINE = "single"
 
     def _init_serve_shell(self, cache_capacity: int, trace: bool,
                           slow_log_capacity: Optional[int] = None,
@@ -157,14 +161,57 @@ class _ServeShell:
         )
         self.last_trace: Optional[Span] = None
 
+    def cached_reply(self, query: Query,
+                     cancel: Optional[Callable[[], None]] = None,
+                     ) -> Optional[EngineResult]:
+        """``query``'s reply from the result cache, taken without waiting.
+
+        None when the lock guarding the cache is busy, the cache is off
+        or it holds no answer for ``query``; a None counts nothing, so
+        the caller goes on to ``execute``, which counts the miss.
+        ``cancel`` is checked once the lock is held, as ``execute``
+        checks it.  A serving front-end calls this on its event loop,
+        which must never wait on an engine lock.
+        """
+        if not self.cache.capacity or not self._lock.acquire(blocking=False):
+            return None
+        try:
+            t_start = time.perf_counter()
+            if cancel is not None:
+                cancel()
+            return self._lookup_locked(query, t_start, count_miss=False)[1]
+        finally:
+            self._lock.release()
+
+    def _lookup_locked(self, query: Query, t_start: float,
+                       count_miss: bool,
+                       ) -> Tuple[tuple, Optional[EngineResult]]:
+        """``query``'s result-cache key and, on a hit, its reply; called
+        under ``_lock``.  A hit is always counted, a miss only when
+        ``count_miss``."""
+        key = self._result_key(query)
+        if count_miss or self.cache.peek(key) is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return key, self._serve_hit(query, cached, t_start)
+        return key, None
+
+    def _query_span(self, query: Query) -> Optional[Span]:
+        """A root ``query`` span when tracing, else None."""
+        if not self.tracing:
+            return None
+        return Span("query", query=query.describe(),
+                    engine=self._TRACE_ENGINE)
+
     def _serve_hit(self, query: Query, cached: JoinResult,
-                   t_start: float, trace: Optional[Span]) -> EngineResult:
+                   t_start: float) -> EngineResult:
         """The reply to a result-cache hit: a copy the caller may
         vandalize, counted, traced and offered to the slow log."""
         result = _copy_result(cached)
         result.detail["cache_hit"] = True
         wall = time.perf_counter() - t_start
         self._record_hit(cached.n_pairs, wall)
+        trace = self._query_span(query)
         if trace is not None:
             lookup = trace.child("lookup", hit=True)
             lookup.wall_seconds = wall
@@ -281,17 +328,23 @@ class SpatialQueryEngine(_ServeShell):
         universe: Optional[Rect] = None,
         geometries: Optional[GeometryMap] = None,
     ) -> None:
-        """(Re-)register a relation and invalidate its cached results."""
-        self.catalog.register(
-            name, rects, universe=universe, geometries=geometries
-        )
-        self.cache.invalidate_relation(name)
-        self.artifacts.invalidate_relation(name)
+        """(Re-)register a relation and invalidate its cached results.
+
+        Waits for the engine's lock, like ``execute``: a query never
+        sees the catalog or the caches half updated.
+        """
+        with self._lock:
+            self.catalog.register(
+                name, rects, universe=universe, geometries=geometries
+            )
+            self.cache.invalidate_relation(name)
+            self.artifacts.invalidate_relation(name)
 
     def drop(self, name: str) -> None:
-        self.catalog.drop(name)
-        self.cache.invalidate_relation(name)
-        self.artifacts.invalidate_relation(name)
+        with self._lock:
+            self.catalog.drop(name)
+            self.cache.invalidate_relation(name)
+            self.artifacts.invalidate_relation(name)
 
     def universe_of(self, name: str) -> Rect:
         """A relation's registered universe (shared with ShardedEngine)."""
@@ -340,19 +393,18 @@ class SpatialQueryEngine(_ServeShell):
                 cancel()
             return self._execute_locked(query, analyze, cancel)
 
+    def _result_key(self, query: Query) -> tuple:
+        return (query.canonical(),
+                self.catalog.versions_of(query.relations))
+
     def _execute_locked(self, query: Query, analyze: bool,
                         cancel: Optional[Callable[[], None]],
                         ) -> EngineResult:
         t_start = time.perf_counter()
-        trace = (
-            Span("query", query=query.describe(), engine="single")
-            if self.tracing else None
-        )
-        key = (query.canonical(),
-               self.catalog.versions_of(query.relations))
-        cached = self.cache.get(key)
-        if cached is not None:
-            return self._serve_hit(query, cached, t_start, trace)
+        key, hit = self._lookup_locked(query, t_start, count_miss=True)
+        if hit is not None:
+            return hit
+        trace = self._query_span(query)
 
         # Snapshot counters before compiling: plan-time lazy builds
         # (streams, indexes, histograms) are charged to the query that
@@ -471,9 +523,8 @@ class SpatialQueryEngine(_ServeShell):
         annotate) but still filled, so EXPLAIN ANALYZE warms the cache
         like any served query.
         """
-        key = (query.canonical(),
-               self.catalog.versions_of(query.relations))
-        self.cache.pop(key)
+        with self._lock:
+            self.cache.pop(self._result_key(query))
         out = self.execute(query, analyze=True)
         assert out.plan is not None
         return out.plan.explain()

@@ -49,6 +49,13 @@ or running (its own timeout, a disconnect, shutdown) counts as
 ``expired``, takes its waiter or its grant with it and flags the
 query's token, so nothing is granted to, or run for, nobody.
 
+**Cache hits on the loop.**  A query that may block (a miss, or a hit
+behind a busy engine lock) runs on a serve thread.  A result-cache hit
+does not block, so once a query is admitted and past its dispatch
+deadline check the loop asks the engine for a cached reply
+(``cached_reply``, which acquires the engine's lock only without
+waiting) and answers it on the spot; ``served_on_loop`` counts those.
+
 The fault plan participates: ``serve.queue`` rules fire at admission
 (``exception`` fails the admission, ``slow`` delays the grant attempt)
 and ``serve.deadline`` rules fire at dispatch (``exception`` forces the
@@ -106,7 +113,8 @@ DEFAULT_ADMISSION_BYTES = 8 << 20
 
 DEFAULT_QUEUE_DEPTH = 64
 
-#: Threads executing blocking engine calls (the true in-flight cap).
+#: Threads executing engine calls that may block (the true in-flight
+#: cap; a cache hit answered on the event loop takes none).
 DEFAULT_MAX_CONCURRENCY = 8
 
 #: A batch waiter parked at least this long is promoted to
@@ -178,10 +186,12 @@ class ServingFrontend:
 
     All queue and counter state is owned by the event loop — `submit`
     is a coroutine and every mutation happens between awaits, so no
-    lock is needed.  Blocking engine calls run on a dedicated thread
-    pool of ``max_concurrency`` workers; the admission budget decides
-    how many queries may *hold grants* at once, the thread pool decides
-    how many actually execute.
+    lock is needed.  A result-cache hit is answered on the loop when
+    the engine's lock is free (``engine.cached_reply``, which never
+    waits); every other query runs on a dedicated thread pool of
+    ``max_concurrency`` workers.  The admission budget decides how many
+    queries may *hold grants* at once, the thread pool how many
+    execute.
 
     The front-end calls either engine the same way and takes no engine
     lock of its own: a ``SpatialQueryEngine`` serializes its ``execute``
@@ -231,6 +241,9 @@ class ServingFrontend:
         self.submitted = 0
         self.served_ok = 0
         self.served_degraded = 0
+        #: Replies answered from the result cache on the event loop,
+        #: without a serve thread (a subset of ``served_ok``).
+        self.served_on_loop = 0
         self.queued_total = 0
         self.shed = 0
         self.expired = 0
@@ -477,17 +490,23 @@ class ServingFrontend:
                     "deadline passed before dispatch"
                 )
 
-            self.in_flight += 1
-            self.in_flight_high_water = max(
-                self.in_flight_high_water, self.in_flight
-            )
-            try:
-                out = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    lambda: self.engine.execute(query, cancel=token),
+            # A result-cache hit never blocks: it is answered here, on
+            # the loop, unless the engine's lock is busy.
+            out = self.engine.cached_reply(query, token)
+            if out is not None:
+                self.served_on_loop += 1
+            else:
+                self.in_flight += 1
+                self.in_flight_high_water = max(
+                    self.in_flight_high_water, self.in_flight
                 )
-            finally:
-                self.in_flight -= 1
+                try:
+                    out = await asyncio.get_running_loop().run_in_executor(
+                        self._executor,
+                        lambda: self.engine.execute(query, cancel=token),
+                    )
+                finally:
+                    self.in_flight -= 1
             degraded = bool(out.result.detail.get("degraded"))
             self.served_ok += 1
             if degraded:
@@ -525,6 +544,7 @@ class ServingFrontend:
             "submitted": self.submitted,
             "served_ok": self.served_ok,
             "served_degraded": self.served_degraded,
+            "served_on_loop": self.served_on_loop,
             "queued_total": self.queued_total,
             "queue_length": len(self._queue),
             "queue_depth": self.queue_depth,

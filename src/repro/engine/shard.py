@@ -229,10 +229,13 @@ class ShardedEngine(_ServeShell):
     """N engine shards, one shared worker pool, exact scatter/gather.
 
     ``execute`` takes concurrent callers: the coordinator state they
-    share (replica health, the serving ledger, the result cache) is
-    guarded by one lock never held across a shard's execution, and
-    every replica engine serializes its own sub-queries.
+    share (replica health, the serving ledger, the result cache and the
+    relation versions its keys carry) is guarded by one lock never held
+    across a shard's execution, and every replica engine serializes its
+    own sub-queries.
     """
+
+    _TRACE_ENGINE = "sharded"
 
     def __init__(
         self,
@@ -407,9 +410,10 @@ class ShardedEngine(_ServeShell):
         self._replica_counts[name] = replicas
         self._present[name] = present
         self._universes[name] = uni
-        self._versions[name] = self._next_version
-        self._next_version += 1
-        self.cache.invalidate_relation(name)
+        with self._lock:
+            self._versions[name] = self._next_version
+            self._next_version += 1
+            self.cache.invalidate_relation(name)
 
     def drop(self, name: str) -> None:
         self._check_known(name)
@@ -419,9 +423,10 @@ class ShardedEngine(_ServeShell):
                     engine.drop(name)
         del self._present[name]
         del self._universes[name]
-        del self._versions[name]
         del self._replica_counts[name]
-        self.cache.invalidate_relation(name)
+        with self._lock:
+            del self._versions[name]
+            self.cache.invalidate_relation(name)
 
     def universe_of(self, name: str) -> Rect:
         self._check_known(name)
@@ -616,13 +621,11 @@ class ShardedEngine(_ServeShell):
         t_start = time.perf_counter()
         if cancel is not None:
             cancel()
-        trace = (
-            Span("query", query=query.describe(), engine="sharded")
-            if self.tracing else None
-        )
-        key, cached = self._lookup(query)
-        if cached is not None:
-            return self._serve_hit(query, cached, t_start, trace)
+        with self._lock:
+            key, hit = self._lookup_locked(query, t_start, count_miss=True)
+        if hit is not None:
+            return hit
+        trace = self._query_span(query)
         participating, pruned = self.plan_shards(query)
         scatter = None
         if trace is not None:
@@ -647,14 +650,11 @@ class ShardedEngine(_ServeShell):
             gather.wall_seconds = time.perf_counter() - t_gather
         return self._account(query, key, result, outcomes, t_start, trace)
 
-    def _lookup(self, query: Query) -> Tuple[tuple, Optional[JoinResult]]:
-        """``query``'s result-cache key and its cached result, if any."""
+    def _result_key(self, query: Query) -> tuple:
         for name in set(query.relations):
             self._check_known(name)
-        key = (query.canonical(),
-               tuple((n, self._versions[n]) for n in query.relations))
-        with self._lock:
-            return key, self.cache.get(key)
+        return (query.canonical(),
+                tuple((n, self._versions[n]) for n in query.relations))
 
     def _scatter(self, query: Query, participating: Sequence[int],
                  analyze: bool, cancel: Optional[Callable[[], None]],
@@ -801,8 +801,7 @@ class ShardedEngine(_ServeShell):
         )
 
     def _record_hit(self, n_pairs: int, wall: float) -> None:
-        with self._lock:
-            self._metrics.record_hit(n_pairs, wall)
+        self._metrics.record_hit(n_pairs, wall)
 
     def explain(self, query: Query) -> str:
         """The scatter plan plus every participating shard's plan."""

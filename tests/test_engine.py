@@ -341,6 +341,15 @@ class TestResultCache:
         assert cache.get("k1") == 1 and cache.get("k3") == 3
         assert cache.evictions == 1
 
+    def test_peek_counts_and_refreshes_nothing(self):
+        cache = ResultCache(capacity=2)
+        cache.put("k1", 1)
+        cache.put("k2", 2)
+        assert cache.peek("k1") == 1 and cache.peek("k9") is None
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.put("k3", 3)  # k1 is still the least recently used
+        assert cache.peek("k1") is None and cache.peek("k2") == 2
+
     def test_zero_capacity_never_caches(self):
         engine = make_engine(cache_capacity=0)
         q = Query(relations=("a", "b"))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import functools
 import json
 import random
 import sys
@@ -45,6 +46,7 @@ from repro.engine import (
     run_workload,
     serve_http,
 )
+from repro.engine.obs import SlowQueryLog
 from repro.engine.serve import parse_query_body
 from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
@@ -828,6 +830,210 @@ def test_a_cache_hit_replays_no_failover():
     assert not second.degraded and "degraded" not in second.to_dict()
     assert second.pairs == first.pairs
     assert served["served_degraded"] == snap["failovers"] == 1
+
+
+# -- result-cache hits on the event loop -------------------------------------
+
+
+_ENGINES = {
+    "single": _registered_single,
+    "sharded": functools.partial(_registered, replicas=2),
+}
+
+#: The counters a served query leaves, engine side and front-end side.
+_HIT_COUNTERS = ("result_cache_hits", "result_cache_misses", "cache_hits",
+                 "queries_served", "queries_executed", "pairs_returned",
+                 "latency_count")
+
+
+def _counters(fe) -> dict:
+    snap = fe.metrics_snapshot()
+    serve = snap["serve"]
+    log = snap["slow_query_log"]
+    return {
+        **{k: snap[k] for k in _HIT_COUNTERS},
+        "served_ok": serve["served_ok"],
+        "per_class": serve["per_class"],
+        "slow_log": (log["offered"], log["admitted"]),
+    }
+
+
+class _WatchedLock:
+    """A lock that records which threads wait for it."""
+
+    def __init__(self, lock) -> None:
+        self.lock = lock
+        self.waiting = threading.Event()
+        self.waiters: list = []
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        if blocking:
+            self.waiters.append(threading.current_thread())
+            self.waiting.set()
+        return self.lock.acquire(blocking, timeout)
+
+    def release(self) -> None:
+        self.lock.release()
+
+    def __enter__(self) -> "_WatchedLock":
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+class TestHitsOnTheLoop:
+    QUERY = Query(relations=("a", "b"))
+
+    @pytest.mark.parametrize("deployment", sorted(_ENGINES))
+    def test_a_hit_needs_no_serve_thread(self, deployment):
+        engine = _ENGINES[deployment](cache_capacity=8)
+
+        async def scenario(fe):
+            first = await fe.submit(self.QUERY)
+            # From here on the thread pool refuses every query.
+            fe._executor.shutdown(wait=True)
+            return (first, await fe.submit(self.QUERY),
+                    await fe.submit(Query(relations=("b", "a"))))
+
+        with _frontend(engine) as fe:
+            first, warm, cold = asyncio.run(scenario(fe))
+            snap = fe.snapshot()
+        engine.close()
+        assert first.ok and not first.result.from_cache
+        assert warm.ok and warm.result.from_cache
+        assert warm.pairs == first.pairs
+        assert cold.status == "error"
+        assert (snap["served_ok"], snap["served_on_loop"]) == (2, 1)
+        assert snap["in_flight_high_water"] == 1
+
+    @pytest.mark.parametrize("deployment", sorted(_ENGINES))
+    def test_a_hit_counts_what_the_thread_path_counts(self, deployment):
+        def serve(loop_path: bool):
+            engine = _ENGINES[deployment](cache_capacity=8)
+            engine.slow_log = SlowQueryLog(4)
+            if not loop_path:
+                engine.cached_reply = lambda query, cancel=None: None
+            with _frontend(engine) as fe:
+                replies = [asyncio.run(fe.submit(self.QUERY, cls))
+                           for cls in ("interactive", "batch", "batch")]
+                counters = _counters(fe)
+                on_loop = fe.served_on_loop
+            engine.close()
+            return replies, counters, on_loop
+
+        loop_replies, on_loop, served_on_loop = serve(True)
+        thread_replies, on_thread, served_on_thread = serve(False)
+        assert (served_on_loop, served_on_thread) == (2, 0)
+        assert on_loop == on_thread
+        assert on_loop["result_cache_hits"] == 2
+        assert on_loop["per_class"]["batch"]["ok"] == 2
+        assert [r.result.from_cache for r in loop_replies] == [
+            r.result.from_cache for r in thread_replies
+        ] == [False, True, True]
+        assert [r.pairs for r in loop_replies] == [
+            r.pairs for r in thread_replies
+        ]
+
+    @pytest.mark.parametrize("deployment", sorted(_ENGINES))
+    def test_an_expired_token_on_a_hit_counts_no_hit(self, deployment):
+        engine = _ENGINES[deployment](cache_capacity=8)
+        lookup = engine.cached_reply
+
+        def expire_then_look(query, cancel):
+            # The deadline passes between the dispatch check and the
+            # lookup: the engine checks the token before counting.
+            cancel.cancel()
+            return lookup(query, cancel)
+
+        with _frontend(engine) as fe:
+            assert asyncio.run(fe.submit(self.QUERY)).ok
+            engine.cached_reply = expire_then_look
+            late = asyncio.run(fe.submit(self.QUERY))
+            snap = fe.metrics_snapshot()
+        engine.close()
+        assert late.status == "expired"
+        assert snap["result_cache_hits"] == snap["cache_hits"] == 0
+        assert snap["result_cache_misses"] == 1
+        serve = snap["serve"]
+        assert (serve["expired"], serve["served_on_loop"]) == (1, 0)
+        assert serve["admission"]["in_use_bytes"] == 0
+
+    def test_a_hit_behind_a_held_lock_waits_on_a_thread(self):
+        engine = _registered_single(cache_capacity=8)
+        watched = engine._lock = _WatchedLock(engine._lock)
+
+        async def scenario(fe):
+            assert (await fe.submit(self.QUERY)).ok
+            server = await serve_http(fe, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            watched.lock.acquire()
+            try:
+                task = asyncio.ensure_future(fe.submit(self.QUERY))
+                while fe.in_flight == 0:
+                    await asyncio.sleep(0.001)
+                # The query waits for the lock on a serve thread; the
+                # loop goes on answering.
+                health = await _http(port, "GET", "/healthz")
+                assert not task.done()
+            finally:
+                watched.lock.release()
+            reply = await task
+            server.close()
+            await server.wait_closed()
+            return health, reply
+
+        with _frontend(engine) as fe:
+            health, reply = asyncio.run(scenario(fe))
+            snap = fe.metrics_snapshot()
+        engine.close()
+        assert health[0] == 200
+        assert reply.ok and reply.result.from_cache
+        assert snap["result_cache_hits"] == 1
+        assert snap["serve"]["served_on_loop"] == 0
+        # Only serve threads ever waited: the loop (this thread) tried
+        # the lock without blocking.
+        assert watched.waiters
+        assert threading.current_thread() not in watched.waiters
+
+    @pytest.mark.parametrize("deployment", sorted(_ENGINES))
+    def test_no_cache_never_takes_the_loop_path(self, deployment):
+        engine = _ENGINES[deployment](cache_capacity=0)
+        with _frontend(engine) as fe:
+            replies = [asyncio.run(fe.submit(self.QUERY)) for _ in range(3)]
+            snap = fe.metrics_snapshot()
+        engine.close()
+        assert all(r.ok and not r.result.from_cache for r in replies)
+        assert snap["serve"]["served_on_loop"] == 0
+        assert snap["result_cache_misses"] == 3
+        assert snap["result_cache_hits"] == 0
+
+
+@pytest.mark.parametrize("deployment", sorted(_ENGINES))
+def test_register_waits_for_the_lock_that_guards_the_cache(deployment):
+    # The cache's lookups hold the lock; so must its invalidation, or a
+    # re-registration mutates the cache under a concurrent lookup.
+    engine = _ENGINES[deployment](cache_capacity=8)
+    query = Query(relations=("a", "b"))
+    engine.execute(query)
+    stale = engine._result_key(query)
+    watched = engine._lock = _WatchedLock(engine._lock)
+    rects = _uniform(random.Random(5), 60, 20_000)
+    register = threading.Thread(
+        target=engine.register, args=("a", rects), kwargs={"universe": UNIT}
+    )
+    with watched.lock:
+        register.start()
+        assert watched.waiting.wait(timeout=30)
+        assert engine.cache.peek(stale) is not None
+        assert engine._result_key(query) == stale
+    register.join(timeout=30)
+    assert not register.is_alive()
+    assert len(engine.cache) == 0
+    assert engine._result_key(query) != stale
+    assert not engine.execute(query).from_cache
+    engine.close()
 
 
 def _harness_series():

@@ -18,9 +18,12 @@ the same order — the property the partitioned executor's pair-set
 equality with serial execution rests on.
 
 The same format backs the engine's partition-artifact cache: a cached
-distribution retained as columnar tiles costs ~40 bytes per rectangle
-(plus replication) instead of the several hundred a boxed ``Rect`` list
-would, and re-shipping it to a process worker needs no re-encode.
+distribution is retained as one :class:`TileImage` a side — every
+tile's columns back to back, the tiles zero-copy views into them — at
+~40 bytes per rectangle (plus replication) instead of the several
+hundred a boxed ``Rect`` list would; re-shipping it to a process
+worker needs no re-encode, and a window prunes all of its tiles with
+one pass over the image.
 
 Results travel the other way in the same spirit: :class:`PairColumns`
 holds the id pairs (or multiway tuples) a numpy engine reports as one
@@ -73,6 +76,20 @@ class ColumnarTile:
     def from_rects(cls, rects: Iterable[Rect]) -> "ColumnarTile":
         tile = cls()
         tile.extend(rects)
+        return tile
+
+    @classmethod
+    def wrap(cls, xlo, xhi, ylo, yhi, rid) -> "ColumnarTile":
+        """A read-only tile over five column views, copying nothing.
+
+        The views (float64 x4 + int64 memoryviews of equal length)
+        keep their buffers alive; like a :meth:`view_over` tile it is
+        never appended to.
+        """
+        tile = cls.__new__(cls)
+        tile.xlo, tile.xhi, tile.ylo, tile.yhi, tile.rid = (
+            xlo, xhi, ylo, yhi, rid
+        )
         return tile
 
     @classmethod
@@ -179,12 +196,13 @@ class ColumnarTile:
         return tile
 
     # Pickle via __reduce__ keeps the arrays as raw buffers and stays
-    # independent of __slots__ defaults.  A shm *view* tile pickles by
-    # copying its columns back into real arrays — crossing a pickle
-    # boundary forfeits zero-copy, never correctness.
+    # independent of __slots__ defaults.  A *view* tile (shm or column
+    # image) pickles by copying its columns back into real arrays, one
+    # memcpy each — crossing a pickle boundary forfeits zero-copy,
+    # never correctness.
     def __reduce__(self):
         return (_rebuild_tile, tuple(
-            col if isinstance(col, array) else array(code, col)
+            col if isinstance(col, array) else _array_of(code, col)
             for col, code in (
                 (self.xlo, "d"), (self.xhi, "d"), (self.ylo, "d"),
                 (self.yhi, "d"), (self.rid, "q"),
@@ -192,14 +210,90 @@ class ColumnarTile:
         ))
 
 
+def _array_of(code: str, view) -> array:
+    out = array(code)
+    out.frombytes(memoryview(view).cast("B"))
+    return out
+
+
 def _rebuild_tile(xlo, xhi, ylo, yhi, rid) -> ColumnarTile:
-    tile = ColumnarTile.__new__(ColumnarTile)
-    tile.xlo = xlo
-    tile.xhi = xhi
-    tile.ylo = ylo
-    tile.yhi = yhi
-    tile.rid = rid
-    return tile
+    return ColumnarTile.wrap(xlo, xhi, ylo, yhi, rid)
+
+
+class TileImage:
+    """Many tiles of one side as a single column image.
+
+    ``columns`` are five contiguous buffers (``xlo``, ``xhi``, ``ylo``,
+    ``yhi`` float64 and ``rid`` int64 — ``array`` or numpy) holding
+    every tile's rows back to back; tile *i* is rows
+    ``offsets[i]:offsets[i + 1]``.  ``tiles`` are zero-copy
+    :class:`ColumnarTile` views of those runs, made once, so a tile
+    keeps its identity for as long as the image lives (the pool's
+    shared-memory manager re-ships a tile it packed before by
+    reference).  One column pass over the image — a window mask —
+    covers every tile at once.
+    """
+
+    __slots__ = ("columns", "offsets", "tiles")
+
+    def __init__(self, columns: Sequence, offsets: Sequence[int]) -> None:
+        self.columns = tuple(columns)
+        self.offsets = list(offsets)
+        views = [memoryview(col) for col in self.columns]
+        self.tiles = [
+            ColumnarTile.wrap(*(view[lo:hi] for view in views))
+            for lo, hi in zip(self.offsets, self.offsets[1:])
+        ]
+
+    @classmethod
+    def concat(cls, tiles: Iterable[ColumnarTile]) -> "TileImage":
+        """``tiles`` copied into one image, in order (one memcpy per
+        column a tile)."""
+        image = ColumnarTile()
+        offsets = [0]
+        for tile in tiles:
+            image.extend_columns(tile.xlo, tile.xhi, tile.ylo, tile.yhi,
+                                 tile.rid)
+            offsets.append(len(image))
+        return cls((image.xlo, image.xhi, image.ylo, image.yhi,
+                    image.rid), offsets)
+
+    def __len__(self) -> int:
+        return self.offsets[-1]
+
+
+class DistributionImage:
+    """A retained distribution: one :class:`TileImage` a side.
+
+    Reads as the task list it was built from — ``(part_id, tile_a,
+    tile_b)`` per partition, ``tile_b`` ``None`` for a self-join — with
+    every tile a view into its side's image, so the distribution is
+    held once, in ``images`` (one for a self-join, two otherwise).
+    """
+
+    __slots__ = ("parts", "images", "tasks")
+
+    def __init__(self, tasks: Iterable[tuple]) -> None:
+        tasks = list(tasks)
+        self.parts = [part for part, _, _ in tasks]
+        self_join = any(b is None for _, _, b in tasks)
+        self.images = tuple(
+            TileImage.concat(task[side] for task in tasks)
+            for side in ((1,) if self_join else (1, 2))
+        )
+        self.tasks = self.cut([image.tiles for image in self.images])
+
+    def cut(self, sides: Sequence[Sequence]) -> List[tuple]:
+        """Tasks from one sequence of tiles per image, in partition
+        order; one side is a self-join's."""
+        side_b = sides[1] if len(sides) > 1 else [None] * len(self.parts)
+        return list(zip(self.parts, sides[0], side_b))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.tasks)
+
+    def __len__(self) -> int:
+        return len(self.tasks)
 
 
 class SortedRunView:

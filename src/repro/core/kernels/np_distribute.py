@@ -24,6 +24,11 @@ second in-memory representation of the relation's base stream (as
   partition yields every partition's tile in scan order, gathered from
   the image and packed with one memcpy per column.
 
+The warm path has one step here too: a windowed query that reuses a
+cached full distribution prunes its column image to the window
+(:func:`prune_image`, the same mask) before any tile is grouped or
+shipped.
+
 The kernel decides placement only.  Budget draws, block-read charges
 and spill writes stay with the executor, which walks the simulated
 disk exactly as the python path does.
@@ -42,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarTile, PairColumns
+from repro.core.columnar import ColumnarTile, PairColumns, TileImage
 from repro.core.kernels.np_sweep import window_mask
 from repro.geom.rect import Rect
 
@@ -220,6 +225,23 @@ def _multi_tile_keys(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray,
         out.append(keys[distinct])
         start = stop
     return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def prune_image(image: TileImage, window: Rect) -> TileImage:
+    """The rows of ``image`` that meet ``window``, still grouped by tile.
+
+    One :func:`~repro.core.kernels.np_sweep.window_mask` over the whole
+    image and one gather a column; the survivors' tile offsets are one
+    ``searchsorted`` of the image's.  An image the window covers whole
+    comes back as itself, its tiles (and their identity) untouched.
+    """
+    cols = [np.frombuffer(col, dtype=np.float64) for col in image.columns[:4]]
+    keep = np.flatnonzero(window_mask(*cols, window))
+    if len(keep) == len(image):
+        return image
+    cols.append(np.frombuffer(image.columns[4], dtype=np.int64))
+    return TileImage([col[keep] for col in cols],
+                     np.searchsorted(keep, image.offsets).tolist())
 
 
 def filter_window(images: Sequence[ColumnImage],

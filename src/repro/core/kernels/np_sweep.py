@@ -484,21 +484,23 @@ def sweep_pairs_batched(
 
 
 def sweep_tiles(
-    tiles: Sequence[tuple], self_join: bool, grid_spec: tuple, window,
+    tiles: Sequence[tuple], self_join: bool, grid_spec: tuple,
     collect: bool,
 ) -> Optional[Tuple[List[int], Optional[PairColumns], List[int],
                     List[int]]]:
     """*k* whole tile tasks in one pass: sweep + ownership + dedup.
 
     ``tiles`` holds one ``(part_id, side_a, side_b)`` per tile of one
-    query (so ``self_join``, the grid, the window and ``collect`` are
-    shared; ``side_b`` is ``None`` when a tile sweeps against itself).
+    query (so ``self_join``, the grid and ``collect`` are shared;
+    ``side_b`` is ``None`` when a tile sweeps against itself).  A
+    windowed query's tiles arrive already pruned to its window (the
+    executor cuts a cached distribution down on the coordinator).
     Mirrors the python body of
-    :func:`repro.engine.executor.sweep_tile_task` tile by tile — window
-    pruning, the batched sweep (sort charge included), reference-point
-    ownership against the PBSM grid and each pair's own partition,
-    self-join dedup — without boxing a single ``Rect`` or id pair, and
-    without a pair ever crossing from one tile into the next.  Returns
+    :func:`repro.engine.executor.sweep_tile_task` tile by tile — the
+    batched sweep (sort charge included), reference-point ownership
+    against the PBSM grid and each pair's own partition, self-join
+    dedup — without boxing a single ``Rect`` or id pair, and without a
+    pair ever crossing from one tile into the next.  Returns
     ``(counts, owned pairs or None, cpu_ops, dups)`` with one entry
     per tile in the three lists and the pairs of all tiles as one
     :class:`~repro.core.columnar.PairColumns`, tile after tile in the
@@ -506,15 +508,11 @@ def sweep_tiles(
     the kernel's model, and then for the whole group.
     """
     k = len(tiles)
-    ca, tile_a = _gather([a for _, a, _ in tiles], window)
-    if (self_join and window is not None) or all(
-        b is None or b is a for _, a, b in tiles
-    ):
+    ca, tile_a = _gather([a for _, a, _ in tiles])
+    if all(b is None or b is a for _, a, b in tiles):
         cb, tile_b = ca, tile_a
     else:
-        cb, tile_b = _gather(
-            [a if b is None else b for _, a, b in tiles], window
-        )
+        cb, tile_b = _gather([a if b is None else b for _, a, b in tiles])
     if not (_valid(ca) and (cb is ca or _valid(cb))):
         return None
     sizes = np.bincount(tile_a, minlength=k) + np.bincount(
@@ -561,20 +559,15 @@ def sweep_tiles(
     return (owned.tolist(), pairs, ops, dups.tolist())
 
 
-def _gather(sides: list, window) -> Tuple[Columns, np.ndarray]:
-    """One side of a group: the tiles' columns end to end, pruned to
-    ``window``, and the tile index of every row."""
+def _gather(sides: list) -> Tuple[Columns, np.ndarray]:
+    """One side of a group: the tiles' columns end to end, and the
+    tile index of every row."""
     per_tile = [_columns(side) for side in sides]
     cols = tuple(np.concatenate(col) for col in zip(*per_tile))
     tile = np.repeat(
         np.arange(len(sides), dtype=np.int64),
         [len(c[0]) for c in per_tile],
     )
-    if window is not None:
-        keep = window_mask(*cols[:4], window)
-        if not bool(np.all(keep)):
-            cols = tuple(col[keep] for col in cols)
-            tile = tile[keep]
     return cols, tile
 
 

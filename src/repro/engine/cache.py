@@ -5,11 +5,13 @@ Two caches live here.  :class:`ResultCache` is a size-aware LRU over
 :class:`ArtifactCache` is an LRU over *reusable execution
 intermediates*, in several kinds:
 
-* ``"partition"`` — the columnar per-partition tiles the partitioned
-  executor produced for a relation pair, so a warm repeated (or
-  overlapping, e.g. the same relations under a different predicate or
-  with the result cache disabled) query skips the whole distribute
-  phase and goes straight to the sweeps;
+* ``"partition"`` — the per-partition tiles the partitioned executor
+  produced for a relation pair, held as one column image a side
+  (:class:`~repro.core.columnar.DistributionImage`), so a warm
+  repeated (or overlapping, e.g. the same relations under a different
+  predicate, a window inside the full distribution, or with the result
+  cache disabled) query skips the whole distribute phase and goes
+  straight to the sweeps;
 * ``"sorted-run"`` — the output of an external sort (one relation in
   sweep order, as a single columnar tile), so a warm sort-based plan
   (``sssj``) skips both external sorts and sweeps straight out of
@@ -255,9 +257,11 @@ class Candidate(NamedTuple):
     bumps, so stale entries are unreachable; the leading
     ``((name, version), ...)`` tuple is what
     :meth:`ArtifactCache.invalidate_relation` scans.  A distribution
-    also carries the ``universe`` its grid covers and the window a
-    sweep must ``prune`` each tile to when it reuses this candidate
-    (``None``: the tiles hold exactly what the query asked for).
+    also carries the ``universe`` its grid covers and the window the
+    executor must ``prune`` it to when a query reuses this candidate
+    (``None``: the tiles hold exactly what the query asked for) — once,
+    on the coordinator, over the cached column image, before any tile
+    is grouped or shipped.
     """
 
     key: Tuple
@@ -285,10 +289,13 @@ class ArtifactHit(NamedTuple):
 def artifact_bytes(tasks) -> int:
     """Approximate resident bytes of one partition artifact's tiles.
 
-    Each tile is charged its flat columns plus its logical size at
-    the repo's ``RECT_BYTES`` convention — headroom for what a sweep
-    materializes from it.  Eviction points, and with them the
-    simulated I/O of cached workloads, move with this number.
+    ``tasks`` iterates ``(part_id, tile_a, tile_b or None)`` (a
+    :class:`~repro.core.columnar.DistributionImage` does, its tiles
+    views into the image, so the image is charged once).  Each tile is
+    charged its flat columns plus its logical size at the repo's
+    ``RECT_BYTES`` convention — headroom for what a sweep materializes
+    from it.  Eviction points, and with them the simulated I/O of
+    cached workloads, move with this number.
     """
     total = _ARTIFACT_ENTRY_BYTES
     for _part_id, tile_a, tile_b in tasks:
@@ -313,12 +320,15 @@ def _artifact_nbytes(kind: str, value) -> int:
 class ArtifactCache:
     """One LRU over every artifact kind, charged to the budget.
 
-    ``"partition"`` values are the executor's ready-to-ship task
-    lists: ``[(part_id, tile_a, tile_b_or_None), ...]`` with tiles in
-    :class:`~repro.core.columnar.ColumnarTile` form (``tile_b is
-    None`` marks a self-join, whose single side sweeps against
-    itself).  A hit replaces the scan + distribute + spill phases of
-    partitioned execution with decode-and-sweep.  ``"sorted-run"``
+    ``"partition"`` values are the executor's ready-to-ship
+    distributions: a :class:`~repro.core.columnar.DistributionImage`
+    reads as ``[(part_id, tile_a, tile_b_or_None), ...]`` with every
+    tile a :class:`~repro.core.columnar.ColumnarTile` view into one
+    column image a side (``tile_b is None`` marks a self-join, whose
+    single side sweeps against itself).  A hit replaces the scan +
+    distribute + spill phases of partitioned execution with
+    decode-and-sweep, after one prune of the images when a window
+    reuses the full distribution.  ``"sorted-run"``
     values are single columnar tiles holding one relation in sweep
     order; a hit replaces an external sort with an in-memory scan.
     Kinds share one LRU chain and one byte ledger — a burst of sorted
@@ -377,10 +387,12 @@ class ArtifactCache:
         the union of its window-clipped regions.  The exact candidate
         is that universe cut on the effective grid for ``partitions``
         and filtered by ``window``; a windowed plan may also reuse the
-        *full* distribution of the same relations, swept whole with
-        every tile pruned to the window first — identical results,
-        because the distribute-phase filter is only a pruning step
-        and windowed queries always run the window post-filter.
+        *full* distribution of the same relations, on the full grid,
+        which the executor prunes to the window first — one mask over
+        each side's cached column image, so only the surviving rows
+        are grouped, routed and swept.  The results are identical,
+        because the distribute-phase filter is only a pruning step and
+        windowed queries always run the window post-filter.
         """
         inputs = entries[:1] if self_join else entries
         versions = tuple((e.name, e.version) for e in inputs)

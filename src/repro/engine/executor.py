@@ -37,10 +37,12 @@ goes back once, whichever stage raises:
    span).  One :meth:`~repro.engine.cache.ArtifactCache.fetch` decides
    where the tiles come from — cached, or (a miss) distributed cold —
    and on which grid they are swept: a windowed plan may reuse the
-   full distribution, every task pruning its tiles to the window.
+   full distribution, which is then pruned to the window here, once,
+   on the coordinator (:func:`_prune_window`: one mask a side over the
+   cached column image), so tasks carry only surviving rows.
 3. **Grant and ship.**  The query's one ``"tiles"`` grant
    (:meth:`~Executor._acquire_tiles`) is sized by what stage 2 found:
-   the decoded working set of cached tiles
+   the decoded working set of the cached tiles that survive the prune
    (:meth:`~Executor._ship_cached`), or the scan size — cached
    artifacts evicted first, extended on demand, overflowing into
    disk-backed :class:`~repro.core.pbsm.SpillablePartition` streams —
@@ -49,7 +51,8 @@ goes back once, whichever stage raises:
    :meth:`~Executor._materialize_and_ship`, then
    :meth:`ArtifactCache.retain
    <repro.engine.cache.ArtifactCache.retain>` for an unspilled
-   distribution).  Under the numpy kernel tiles are placed from the
+   distribution, kept as one column image a side whose tiles are
+   views).  Under the numpy kernel tiles are placed from the
    catalog entry's column image (:func:`_distribute_columnar`) and
    the overflow spilled as image rows (:func:`_spill_run`) — no
    ``Rect`` is built; the per-rectangle
@@ -107,7 +110,12 @@ from contextlib import ExitStack
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.columnar import ColumnarTile, PairColumns, SortedRunView
+from repro.core.columnar import (
+    ColumnarTile,
+    DistributionImage,
+    PairColumns,
+    SortedRunView,
+)
 from repro.core.join_result import JoinResult
 from repro.core.kernels import resolve_kernel
 from repro.core.multiway import multiway_join
@@ -497,36 +505,47 @@ class Executor:
             return
         run.artifact_hit = True
         run.sweep_on(hit.candidate)
-        self._ship_cached(run, hit.value, held)
+        self._ship_cached(run, hit.value, hit.candidate.prune, held)
 
     def _acquire_tiles(self, run: "_PartitionedRun", want: int,
-                       held: ExitStack):
+                       minimum: int, held: ExitStack):
         """Stage 3 opens with the query's one ``"tiles"`` grant (None
         without a budget), handed back with everything else it holds."""
         if self.budget is None:
             return None
         run.grant = held.enter_context(self.budget.acquire(
-            "tiles", want, minimum=run.n_parts * RECT_BYTES
+            "tiles", want, minimum=minimum
         ))
         return run.grant
 
-    def _ship_cached(self, run: "_PartitionedRun", cached: List[tuple],
+    def _ship_cached(self, run: "_PartitionedRun",
+                     cached: DistributionImage, window: Optional[Rect],
                      held: ExitStack) -> None:
         """Warm path: the distribute phase is skipped entirely.
 
-        Cached columnar tiles go straight to the pool; the only budget
+        Cached tiles go straight to the shipper; the only budget
         interaction is a ``"tiles"`` grant for the decoded working set
         the sweeps hold resident (the encoded artifact stays charged
-        under ``"artifacts"``).  When a windowed query reuses the full
-        distribution, workers prune each tile to the window before
-        sweeping (``run.task_window``).
+        under ``"artifacts"``).  A windowed query that reuses the full
+        distribution (``window``: the candidate's ``prune``) first cuts
+        it down here, once, to the rectangles that meet the window
+        (:func:`_prune_window`: one mask a side over the column image),
+        so the grant, the grouping and the routing all follow what
+        survives, and only that is shipped.  An unwindowed hit ships
+        the cached tiles themselves, which a process pool re-ships
+        from shared memory by reference.
         """
-        self._acquire_tiles(run, sum(
-            (len(a) + len(a if b is None else b)) * RECT_BYTES
-            for _, a, b in cached
-        ), held)
-        for part_id, tile_a, tile_b in cached:
-            size = len(tile_a) + len(tile_a if tile_b is None else tile_b)
+        tasks = (
+            cached if window is None
+            else _prune_window(cached, window, self.kernel)
+        )
+        sizes = [len(a) + len(a if b is None else b) for _, a, b in tasks]
+        want = sum(sizes) * RECT_BYTES
+        # Never more than the sweeps hold: a window that keeps less
+        # than a rectangle a partition is not an overcommit.
+        self._acquire_tiles(run, want,
+                            min(want, run.n_parts * RECT_BYTES), held)
+        for (part_id, tile_a, tile_b), size in zip(tasks, sizes):
             run.ship(part_id, tile_a, tile_b, size)
         run.shipper.flush()
 
@@ -547,17 +566,18 @@ class Executor:
         allowance = None
         if self.budget is not None:
             self.artifacts.make_room(want)
-            grant = self._acquire_tiles(run, want, held)
+            grant = self._acquire_tiles(run, want,
+                                        run.n_parts * RECT_BYTES, held)
             allowance = TileAllowance(grant.bytes, grant=grant)
         parts_a, parts_b = self._scan_into_partitions(run, allowance, held)
         tiles = self._materialize_and_ship(run, parts_a, parts_b)
         # Retain the distribution for warm repeats — memory-resident
         # runs only (a spilled distribution exists precisely because
-        # the budget could not hold it).  put() takes bytes from the
-        # budget's free pool and evicts LRU artifacts, never live
-        # grants.
+        # the budget could not hold it) — as one column image a side.
+        # put() takes bytes from the budget's free pool and evicts LRU
+        # artifacts, never live grants.
         if tiles and run.spilled_rects == 0:
-            self.artifacts.retain(run.ident, [
+            self.artifacts.retain(run.ident, DistributionImage(
                 (
                     i,
                     a if isinstance(a, ColumnarTile)
@@ -566,7 +586,7 @@ class Executor:
                     else ColumnarTile.from_rects(b),
                 )
                 for i, a, b in tiles
-            ])
+            ))
 
     def _scan_into_partitions(self, run: "_PartitionedRun", allowance,
                               held: ExitStack):
@@ -866,18 +886,19 @@ class _PartitionedRun:
     def sweep_on(self, cand: Candidate) -> None:
         """Cut and sweep on ``cand``'s grid: the plan's own, or — a
         windowed plan reusing the full distribution — the full one,
-        every task pruning its tiles to the window first."""
+        whose tiles the produce stage prunes to the window before any
+        is shipped (:meth:`Executor._ship_cached`)."""
         uni = cand.universe
         self.grid = TileGrid(uni, self.ident.tiles, self.n_parts)
         self.grid_spec = (uni.xlo, uni.xhi, uni.ylo, uni.yhi,
                           self.ident.tiles, self.n_parts)
-        self.task_window = cand.prune
 
     def ship(self, part_id: int, side_a, side_b, size: int) -> None:
-        """One tile to the shipper, as a self-contained payload."""
+        """One tile to the shipper, as a self-contained payload (slot
+        6 is always ``None``: tiles arrive pruned)."""
         self.shipper.add(
             (part_id, self.grid_spec, side_a, side_b, self.self_join,
-             self.collect, self.task_window, self.kernel),
+             self.collect, None, self.kernel),
             size,
         )
 
@@ -1087,13 +1108,20 @@ def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
     """The tiles of ``payloads`` through one vectorized kernel call.
 
     All payloads belong to one query, so the first one speaks for the
-    grid, the self-join and collect flags, the window, the kernel and
-    the cancel token — which is checked once, before the call: a group
-    is the unit a deadline can stop.  ``None`` hands the tiles to the
-    python body: the payloads name the python kernel, this process
-    cannot import numpy, or the kernel declined the input (then for
-    the whole group; the caller retries tile by tile).
+    grid, the self-join and collect flags, the kernel and the cancel
+    token — which is checked once, before the call: a group is the
+    unit a deadline can stop.  ``None`` hands the tiles to the python
+    body: the payloads name the python kernel, this process cannot
+    import numpy, or the kernel declined the input (then for the whole
+    group; the caller retries tile by tile).  Every task entry point
+    passes here first, so this is where a payload that still carries
+    a window (slot 6) is refused: tiles are pruned before they ship.
     """
+    if any(p[6] is not None for p in payloads):
+        raise ValueError(
+            "tile payloads carry no window (slot 6 must be None): "
+            "a windowed query's tiles are pruned before they ship"
+        )
     first = payloads[0]
     if len(first) <= 7 or first[7] != "numpy":
         return None
@@ -1101,10 +1129,10 @@ def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
     if mod is None:
         return None
     _check_cancel(first)
-    _, grid_spec, _, _, self_join, collect, window = first[:7]
+    _, grid_spec, _, _, self_join, collect = first[:6]
     out = mod.sweep_tiles(
         [(p[0], _resolved(p[2]), _resolved(p[3])) for p in payloads],
-        self_join, grid_spec, window, collect,
+        self_join, grid_spec, collect,
     )
     if out is None:
         return None
@@ -1132,7 +1160,10 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
     :class:`ColumnarTile` columns, :class:`ShmTileRef` handles to them,
     or ready ``Rect`` lists (inline/thread dispatch); ``side_b is
     None`` marks a self-join, whose single side sweeps against itself.
-    The payload's optional eighth element names the sweep kernel
+    The seventh element is always ``None`` (a windowed query's tiles
+    were pruned before they shipped; anything else raises
+    ``ValueError``).  The payload's optional eighth element names the
+    sweep kernel
     (``"python"`` when absent — old payloads stay valid); the optional
     ninth is the query's :class:`~repro.engine.pool.CancelToken`,
     checked before the sweep so a deadline-doomed task stops at the
@@ -1158,9 +1189,7 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
     out = _sweep_group((payload,))
     if out is not None:
         return out
-    part_id, grid_spec, side_a, side_b, self_join, collect, window = (
-        payload[:7]
-    )
+    part_id, grid_spec, side_a, side_b, self_join, collect = payload[:6]
     _check_cancel(payload)
     side_a = _resolved(side_a)
     if isinstance(side_a, ColumnarTile):
@@ -1171,14 +1200,6 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
         side_b = _resolved(side_b)
         if isinstance(side_b, ColumnarTile):
             side_b = side_b.decode()
-    if window is not None:
-        # Windowed reuse of a full distribution: prune to the window
-        # exactly as the distribute phase would have.
-        side_a = [r for r in side_a if r.intersects(window)]
-        side_b = (
-            side_a if self_join
-            else [r for r in side_b if r.intersects(window)]
-        )
 
     local = _OpCounter()
     batch, _stats = forward_sweep_pairs_batched(side_a, side_b, local)
@@ -1407,6 +1428,37 @@ def _critical_path_ops(part_ops: List[int], workers: int) -> int:
     for w in sorted(part_ops, reverse=True):
         loads[loads.index(min(loads))] += w
     return max(loads)
+
+
+def _prune_window(cached: DistributionImage, window: Rect,
+                  kernel: str = "python") -> List[tuple]:
+    """A cached distribution's tasks cut down to ``window``.
+
+    Every tile side keeps its rectangles that meet the window, in
+    order.  A task left empty on both sides is dropped (its sweep
+    would charge nothing); one empty on a single side is kept, because
+    sweeping the other side still charges its sort and inserts.
+    ``kernel="numpy"`` masks each side's column image in one pass and
+    cuts the survivors, still grouped, into per-partition views
+    (:func:`~repro.core.kernels.np_distribute.prune_image`); the python
+    body, one ``intersects`` test a decoded rectangle, is the
+    reference.
+    """
+    if kernel == "numpy":
+        from repro.core.kernels import np_distribute
+
+        sides = [np_distribute.prune_image(image, window).tiles
+                 for image in cached.images]
+    else:
+        sides = [
+            [[r for r in tile.decode() if r.intersects(window)]
+             for tile in image.tiles]
+            for image in cached.images
+        ]
+    return [
+        (part, a, b) for part, a, b in cached.cut(sides)
+        if len(a) or (b is not None and len(b))
+    ]
 
 
 def _filter_window(result: JoinResult, entries: List[CatalogEntry],

@@ -332,3 +332,53 @@ def assert_same_pairs(ship_every_tile):
         return ref
 
     return check
+
+
+def windowed_hit_reference(engine, window: Rect):
+    """What a windowed query served from ``engine``'s one cached full
+    distribution must return, from the reference prune.
+
+    Every cached tile side is cut to the rectangles that meet
+    ``window`` one ``intersects`` test at a time; a tile left empty on
+    both sides is skipped, one empty on a single side is still swept;
+    each tile goes through the python task body on the full grid, in
+    partition order, and the window post-filter keeps a pair when the
+    rectangles' common intersection meets the window.  Returns ``(kept
+    pairs in emit order, sweep ops, tiles left one-sided)``.
+    """
+    (key, cached), = [
+        (key, value)
+        for (kind, key), value in engine.artifacts._entries.items()
+        if kind == "partition" and key[-1] is None
+    ]
+    spec = (*key[1], key[2], key[3])
+
+    def prune(tile):
+        return [r for r in tile.decode() if r.intersects(window)]
+
+    pairs: List[Tuple[int, int]] = []
+    ops = one_sided = 0
+    by_a: Dict[int, Rect] = {}
+    by_b: Dict[int, Rect] = {}
+    for part, tile_a, tile_b in cached:
+        side_a = prune(tile_a)
+        side_b = None if tile_b is None else prune(tile_b)
+        if not side_a and not side_b:
+            continue
+        one_sided += side_b is not None and not (side_a and side_b)
+        by_a.update((r.rid, r) for r in side_a)
+        by_b.update((r.rid, r) for r in (
+            side_a if side_b is None else side_b
+        ))
+        _, got, task_ops, _ = executor_mod.sweep_tile_task(
+            (part, spec, side_a, side_b, side_b is None, True, None,
+             "python")
+        )
+        pairs += got
+        ops += task_ops
+    kept = []
+    for ida, idb in pairs:
+        inter = intersection(by_a[ida], by_b[idb])
+        if inter is not None and inter.intersects(window):
+            kept.append((ida, idb))
+    return kept, ops, one_sided

@@ -6,8 +6,9 @@ import math
 
 import pytest
 
+from repro.core import kernels
 from repro.core.brute import brute_force_pairs
-from repro.core.columnar import ColumnarTile, PairColumns
+from repro.core.columnar import ColumnarTile, DistributionImage, PairColumns
 from repro.data.generator import uniform_rects
 from repro.engine import (
     AdmissionError,
@@ -23,7 +24,14 @@ from repro.sim.machines import MACHINE_3
 from repro.engine.pool import DeadlineExceeded
 from repro.engine.query import FORCEABLE
 
-from tests.conftest import TEST_SCALE, brute_reference, dispatch
+from repro.engine.cache import artifact_bytes
+
+from tests.conftest import (
+    TEST_SCALE,
+    brute_reference,
+    dispatch,
+    windowed_hit_reference,
+)
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -848,6 +856,139 @@ class TestPartitionArtifacts:
         assert snap["artifact_cache_hits"] == 1
         assert snap["artifact_cache_bytes"] > 0
         assert snap["worker_pool"]["workers"] == 2
+
+
+#: A square the windowed-reuse data leaves empty.
+_HOLE = Rect(0.40, 0.46, 0.40, 0.46, 0)
+
+#: Windows that reuse the full distribution (a 32 x 32 tile grid over
+#: the unit square), each a shape the prune must get exactly right.
+REUSE_WINDOWS = {
+    "nothing": Rect(0.41, 0.45, 0.41, 0.45, 0),    # inside the hole
+    "everything": Rect(-1.0, 2.0, -1.0, 2.0, 0),
+    "point": Rect(0.3, 0.3, 0.6, 0.6, 0),          # zero area
+    "segment": Rect(0.1, 0.9, 0.55, 0.55, 0),      # zero area
+    "tile-edges": Rect(8 / 32, 20 / 32, 4 / 32, 16 / 32, 0),
+    "interior": Rect(0.31, 0.74, 0.22, 0.58, 0),
+}
+
+_KERNELS = ("python", pytest.param("numpy", marks=pytest.mark.skipif(
+    not kernels.numpy_available(), reason="numpy not importable")))
+
+
+def _reuse_data():
+    """Two uniform relations with nothing in ``_HOLE``."""
+    a = uniform_rects(400, UNIT, 0.02, seed=61)
+    b = uniform_rects(200, UNIT, 0.03, seed=62, id_base=100_000)
+    return ([r for r in a if not r.intersects(_HOLE)],
+            [r for r in b if not r.intersects(_HOLE)])
+
+
+class TestWindowedReuse:
+    """A window served from the cached full distribution is pruned on
+    the coordinator, once, and sweeps exactly what the row-by-row
+    reference prune leaves."""
+
+    def _engine(self, **kw):
+        kw.setdefault("pool_kind", "serial")
+        engine = SpatialQueryEngine(
+            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
+            cache_capacity=0, memory_bytes=10_000_000, **kw,
+        )
+        a, b = _reuse_data()
+        engine.register("a", a, universe=UNIT)
+        engine.register("b", b, universe=UNIT)
+        engine._test_rects = (a, b)
+        return engine
+
+    @pytest.mark.parametrize("self_join", (False, True),
+                             ids=("pairwise", "self-join"))
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    def test_matches_the_reference_prune(self, kernel, self_join):
+        engine = self._engine(kernel=kernel)
+        a, b = engine._test_rects
+        relations = ("a", "a") if self_join else ("a", "b")
+        engine.execute(Query(relations=relations, force="pbsm-grid"))
+        one_sided = 0
+        for name, window in REUSE_WINDOWS.items():
+            before = engine.env.cpu_ops
+            result = engine.execute(Query(
+                relations=relations, window=window, force="pbsm-grid",
+            )).result
+            pairs, ops, sided = windowed_hit_reference(engine, window)
+            assert result.detail["artifact_hit"] is True, name
+            # Same pairs in the same order, same ops, charged once.
+            assert list(result.pairs) == pairs, name
+            assert result.detail["sweep_ops_total"] == ops, name
+            assert engine.env.cpu_ops - before == ops, name
+            assert set(pairs) == brute_reference(
+                a, None if self_join else b, window
+            ), name
+            one_sided += sided
+        assert self_join or one_sided, "vacuous: no tile left one-sided"
+        engine.close()
+
+    def test_small_window_ships_nothing(self):
+        # Full tiles of 60-odd rectangles ship on their own; what a
+        # small window leaves of all of them is one group, run here.
+        engine = self._engine(pool_kind="process")
+        window = Rect(0.3, 0.38, 0.6, 0.68, 0)
+        with dispatch(MIN_SHIP_RECTS=32):
+            full = engine.execute(Query(relations=("a", "b"),
+                                        force="pbsm-grid")).result
+            assert full.detail["tasks_shipped"] > 0
+            engine.executor._plan_ops.clear()
+            out = engine.execute(Query(
+                relations=("a", "b"), window=window, force="pbsm-grid",
+            )).result
+        assert out.detail["artifact_hit"] is True
+        assert out.detail["inlined_by_cost"] is False
+        assert out.detail["tasks_shipped"] == 0
+        assert out.n_pairs > 0
+        assert out.pair_set() == brute_reference(*engine._test_rects,
+                                                 window)
+        engine.close()
+
+    def test_unwindowed_repeat_reships_by_reference(self):
+        engine = self._engine(pool_kind="process")
+        shm = engine.worker_pool.shm
+        q = Query(relations=("a", "b"), force="pbsm-grid")
+        with dispatch(MIN_SHIP_RECTS=0, SHM_MIN_BYTES=0,
+                      INLINE_PLAN_OPS=0):
+            engine.execute(q)
+            first = engine.execute(q).result  # packs the cached tiles
+            reused = shm.tile_refs_reused
+            segments = {key: ref.segment
+                        for key, (ref, _) in shm._tile_refs.items()}
+            again = engine.execute(q).result
+        assert again.detail["artifact_hit"] is True
+        assert again.detail["shm_tasks"] > 0
+        (cached,) = engine.artifacts._entries.values()
+        assert shm.tile_refs_reused - reused == 2 * len(cached)
+        assert {key: ref.segment for key, (ref, _)
+                in shm._tile_refs.items()} == segments
+        assert again.pairs == first.pairs
+        engine.close()
+
+    @pytest.mark.parametrize("self_join", (False, True),
+                             ids=("pairwise", "self-join"))
+    def test_image_is_charged_as_its_tiles(self, self_join):
+        engine = self._engine()
+        relations = ("a", "a") if self_join else ("a", "b")
+        engine.execute(Query(relations=relations, force="pbsm-grid"))
+        (cached,) = engine.artifacts._entries.values()
+        assert isinstance(cached, DistributionImage)
+
+        def copy(tile):
+            return None if tile is None else ColumnarTile.from_columns(
+                tile.xlo, tile.xhi, tile.ylo, tile.yhi, tile.rid)
+
+        # The same tiles as a list of their own arrays, as they were
+        # cached before the image: same bytes, charged the same.
+        tasks = [(part, copy(a), copy(b)) for part, a, b in cached]
+        assert artifact_bytes(tasks) == artifact_bytes(cached)
+        assert engine.artifacts.bytes_used == artifact_bytes(tasks)
+        engine.close()
 
 
 class TestSortedRunArtifacts:

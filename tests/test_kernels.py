@@ -23,6 +23,7 @@ from repro.core import kernels
 from repro.core.columnar import (
     COLUMN_BYTES_PER_RECT,
     ColumnarTile,
+    DistributionImage,
     PairColumns,
 )
 from repro.core.join_result import JoinResult
@@ -215,8 +216,7 @@ class TestSweepParity:
                  (1, ColumnarTile.from_rects(b), ColumnarTile.from_rects(a))]
         spec = (0.0, 1.0, 0.0, 1.0, 1, 2)
         for group in (tiles[:1], tiles):
-            assert np_sweep.sweep_tiles(group, False, spec, None,
-                                        True) is None
+            assert np_sweep.sweep_tiles(group, False, spec, True) is None
 
     def test_columnar_tile_inputs(self):
         rng = random.Random(13)
@@ -242,12 +242,21 @@ class TestTileTaskParity:
     GRID_SPEC = (0.0, 1.0, 0.0, 1.0, 2, 4)  # 2x2 tiles, 4 partitions
 
     def _run(self, side_a, side_b, self_join, window=None):
-        """Both kernels over every partition; identical 4-tuples."""
+        """Both kernels over every partition; identical 4-tuples.  A
+        window prunes the tile first, each kernel with its own body."""
+        sides = {}
+        for kernel in ("python", "numpy"):
+            sides[kernel] = (side_a, side_b)
+            if window is not None:
+                (_, *sides[kernel]), = executor_mod._prune_window(
+                    DistributionImage([(0, side_a, side_b)]), window,
+                    kernel,
+                )
         for part_id in range(self.GRID_SPEC[5]):
             out = {}
             for kernel in ("python", "numpy"):
-                payload = (part_id, self.GRID_SPEC, side_a, side_b,
-                           self_join, True, window, kernel)
+                payload = (part_id, self.GRID_SPEC, *sides[kernel],
+                           self_join, True, None, kernel)
                 out[kernel] = sweep_tile_task(payload)
             assert out["numpy"] == out["python"], (
                 f"kernel divergence on partition {part_id}"
@@ -949,10 +958,26 @@ class TestDistributeParity:
         assert grid_copies == attrs["numpy"] > len(a) + len(b)
 
 
+def _window_pruned(payloads, window, kernel="numpy"):
+    """``payloads`` as a windowed query reusing their distribution
+    ships them: the executor's coordinator-side prune to ``window``
+    (``None``: untouched)."""
+    if window is None:
+        return list(payloads)
+    first = payloads[0]
+    cached = DistributionImage((p[0], p[2], p[3]) for p in payloads)
+    return [
+        (part, first[1], a, b) + first[4:]
+        for part, a, b in executor_mod._prune_window(cached, window,
+                                                     kernel)
+    ]
+
+
 def _tile_payloads(a, b, p, win):
     """Task payloads (no kernel yet) for the partitions of a 32 x 32
-    grid over ``UNIT`` in which both sides hold something; ``b=None``
-    is a self-join."""
+    grid over ``UNIT`` in which both sides hold something — pruned to
+    ``win``, if given, as a windowed query reusing that full
+    distribution ships them; ``b=None`` is a self-join."""
     grid = TileGrid(UNIT, 32, p)
     spec = (UNIT.xlo, UNIT.xhi, UNIT.ylo, UNIT.yhi, grid.t, p)
 
@@ -965,11 +990,100 @@ def _tile_payloads(a, b, p, win):
 
     tiles_a = tiles(a)
     tiles_b = tiles(b) if b is not None else [None] * p
-    return [
-        (i, spec, tiles_a[i], tiles_b[i], b is None, True, win)
+    return _window_pruned([
+        (i, spec, tiles_a[i], tiles_b[i], b is None, True, None)
         for i in range(p)
         if len(tiles_a[i]) and (b is None or len(tiles_b[i]))
+    ], win)
+
+
+# -- warm path: a cached distribution pruned to a window --------------------
+
+
+def _decoded(tasks):
+    """Pruned tasks with every side as a ``Rect`` list."""
+    return [
+        (part, list(a) if isinstance(a, list) else a.decode(),
+         b if b is None or isinstance(b, list) else b.decode())
+        for part, a, b in tasks
     ]
+
+
+@needs_numpy
+class TestPruneParity:
+    """``_prune_window``: the image mask vs the row-by-row reference."""
+
+    #: ``WINDOWS`` plus zero-area ones and one on tile edges (the
+    #: grid of ``_tile_payloads`` is 32 x 32 over the unit square).
+    EXTRA = {
+        "point": Rect(0.3, 0.3, 0.6, 0.6, 0),
+        "segment": Rect(0.1, 0.9, 0.55, 0.55, 0),
+        "tile-edges": Rect(8 / 32, 20 / 32, 4 / 32, 16 / 32, 0),
+        "everything": Rect(-1.0, 2.0, -1.0, 2.0, 0),
+    }
+
+    @pytest.mark.parametrize("window", sorted(set(WINDOWS) - {"full"})
+                             + sorted(EXTRA))
+    @pytest.mark.parametrize("kind", ("uniform", "clustered",
+                                      "degenerate"))
+    def test_bodies_agree(self, kind, window):
+        payloads = TestPairColumnsParity()._payloads(kind, "full")
+        cached = DistributionImage((p[0], p[2], p[3]) for p in payloads)
+        win = WINDOWS.get(window) or self.EXTRA[window]
+        ref = executor_mod._prune_window(cached, win, "python")
+        got = executor_mod._prune_window(cached, win, "numpy")
+        assert all(type(side) is list for task in ref for side in task[1:]
+                   if side is not None)
+        assert _decoded(got) == ref
+        if window == "everything":
+            # Nothing pruned: the cached tiles themselves, which keep
+            # their shared-memory packing.
+            assert got == list(cached)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tiles=st.lists(
+            st.tuples(*[st.lists(
+                st.tuples(st.integers(0, 8), st.integers(0, 2),
+                          st.integers(0, 8), st.integers(0, 2)),
+                max_size=12,
+            )] * 2),
+            min_size=1, max_size=5,
+        ),
+        corners=st.tuples(st.integers(0, 8), st.integers(0, 3),
+                          st.integers(0, 8), st.integers(0, 3)),
+        self_join=st.booleans(),
+    )
+    def test_random_images(self, tiles, corners, self_join):
+        # An eighth-grid, so windows share edges with rectangles and
+        # have zero width or height; tiles are empty or one-sided.
+        def rects(cells, base):
+            return ColumnarTile.from_rects(
+                Rect(x / 8, (x + w) / 8, y / 8, (y + h) / 8, base + i)
+                for i, (x, w, y, h) in enumerate(cells)
+            )
+
+        x, w, y, h = corners
+        window = Rect(x / 8, (x + w) / 8, y / 8, (y + h) / 8, 0)
+        cached = DistributionImage(
+            (t, rects(a, 100 * t), None if self_join else rects(b, 50))
+            for t, (a, b) in enumerate(tiles)
+        )
+        ref = executor_mod._prune_window(cached, window, "python")
+        assert _decoded(executor_mod._prune_window(
+            cached, window, "numpy")) == ref
+        for part, a, b in ref:
+            assert a or b, "a task left empty on both sides is dropped"
+
+    @pytest.mark.parametrize("kernel", ("python", "numpy"))
+    def test_a_window_in_the_payload_is_refused(self, kernel):
+        tile = ColumnarTile.from_rects(_uniform(random.Random(4), 40))
+        payload = (0, (0.0, 1.0, 0.0, 1.0, 1, 1), tile, None, True, True,
+                   Rect(0.2, 0.6, 0.2, 0.6, 0), kernel)
+        with pytest.raises(ValueError, match="slot 6"):
+            sweep_tile_task(payload)
+        with pytest.raises(ValueError, match="slot 6"):
+            sweep_tile_batch_task((payload[:6] + (None, kernel), payload))
 
 
 # -- columnar pairs: the kernel's output format ------------------------------
@@ -1183,7 +1297,7 @@ class TestSegmentedSweepParity:
         first = payloads[0]
         refs = [sweep_tile_task(p + ("python",)) for p in payloads]
         tiles = [(p[0], p[2], p[3]) for p in payloads]
-        got = np_sweep.sweep_tiles(tiles, first[4], first[1], first[6], True)
+        got = np_sweep.sweep_tiles(tiles, first[4], first[1], True)
         assert got is not None, "the kernel declined a valid group"
         counts, pairs, ops, dups = got
         assert [counts, ops, dups] == [
@@ -1192,7 +1306,7 @@ class TestSegmentedSweepParity:
         assert isinstance(pairs, PairColumns)
         assert list(pairs) == [pair for ref in refs for pair in ref[1]]
         assert np_sweep.sweep_tiles(
-            tiles, first[4], first[1], first[6], False
+            tiles, first[4], first[1], False
         ) == (counts, None, ops, dups)
         assert sweep_tile_batch_task(
             tuple(p + ("numpy",) for p in payloads)
@@ -1208,7 +1322,7 @@ class TestSegmentedSweepParity:
                                       "degenerate"))
     def test_pair_columns_datasets(self, kind, window):
         # Self-joins (uniform, clustered), a join (degenerate) and, with
-        # a window in the payload, windowed reuse of a full distribution.
+        # a window, windowed reuse of a full distribution (pruned first).
         payloads = TestPairColumnsParity()._payloads(kind, window)
         assert len(payloads) > 1
         refs = self._check(payloads)
@@ -1223,7 +1337,14 @@ class TestSegmentedSweepParity:
         a = GENERATORS[kind](rng, 240)
         b = (GENERATORS["skewed"](rng, 200, 10_000)
              if kind == "degenerate" else None)
-        self._check(_tile_payloads(a, b, p, WINDOWS[window]))
+        win = WINDOWS[window]
+        payloads = _tile_payloads(a, b, p, win)
+        if not payloads:
+            # The prune left nothing to ship: the window meets none of
+            # the rectangles.
+            assert not any(r.intersects(win) for r in a + (b or []))
+            return
+        self._check(payloads)
 
     def test_side_forms(self):
         # Columns, shared-memory refs to them and Rect lists, mixed in
@@ -1293,14 +1414,21 @@ class TestSegmentedSweepParity:
             (1, tile([wide_a] + tied(40, 100)), tile([wide_b])),
             (2, tile([wide_a]), tile([wide_b] + tied(40, 10_100))),
         ]
-        for window in (None, Rect(0.1, 0.45, 0.1, 0.45, 0)):
-            refs = self._check([
-                (part, spec, a, b, False, True, window)
-                for part, a, b in group
-            ])
-            assert [ref[0] for ref in refs[1:4]] == [0, 0, 0]
-            owners = [ref[1].count((500, 10_500)) for ref in refs]
-            assert owners == [1, 0, 0, 0, 0, 0]  # its reference point
+        payloads = [(part, spec, a, b, False, True, None)
+                    for part, a, b in group]
+        refs = self._check(payloads)
+        assert [ref[0] for ref in refs[1:4]] == [0, 0, 0]
+        owners = [ref[1].count((500, 10_500)) for ref in refs]
+        assert owners == [1, 0, 0, 0, 0, 0]  # its reference point
+        # Pruned to a window first: the empty tile is dropped, the
+        # one-sided ones still sweep (and charge their sorts).
+        pruned = _window_pruned(payloads, Rect(0.1, 0.45, 0.1, 0.45, 0))
+        assert [p[0] for p in pruned] == [0, 2, 3, 1, 2]
+        refs = self._check(pruned)
+        assert [ref[0] for ref in refs[1:3]] == [0, 0]
+        assert refs[1][2] > 0 and refs[2][2] > 0
+        owners = [ref[1].count((500, 10_500)) for ref in refs]
+        assert owners == [1, 0, 0, 0, 0]
         # The same tiles against themselves, and a group of nothing.
         self._check([
             (part, spec, a, None, True, True, None) for part, a, _ in group
@@ -1343,13 +1471,15 @@ class TestSegmentedSweepParity:
         first = payloads[0]
         assert np_sweep.sweep_tiles(
             [(p[0], p[2], p[3]) for p in payloads],
-            first[4], first[1], first[6], True,
+            first[4], first[1], True,
         ) is None
         # (``test_batch_of_mixed_python_and_numpy_tiles`` holds the
-        # tile-by-tile fallback to the python batch.)  Outside the
-        # window the rectangle never reaches either sweep.
-        away = Rect(0.0, 0.3, 0.7, 1.0, 0)
-        self._check([p[:6] + (away,) for p in payloads])
+        # tile-by-tile fallback to the python batch.)  A window over
+        # the data (x from 0.7 up) but not the rectangle (x 0.4-0.5)
+        # prunes it before either sweep, and the group sweeps again.
+        away = Rect(0.6, 1.0, 0.0, 1.0, 0)
+        refs = self._check(_window_pruned(payloads, away))
+        assert sum(ref[0] for ref in refs), "vacuous: no pair owned"
 
     @pytest.mark.parametrize("entry", ("task", "batched", "segmented"))
     def test_ids_above_2_53_survive_a_rect_list(self, entry):
@@ -1398,16 +1528,18 @@ class TestSegmentedSweepParity:
         ]
         spec = (0.0, 1.375, 0.0, 1.375, 2, 4)
         window = Rect(0.25, 0.8, 0.1, 0.9, 0) if windowed else None
-        self._check([
+        payloads = _window_pruned([
             (part, spec, ColumnarTile.from_rects(a),
              None if self_join else ColumnarTile.from_rects(b),
-             self_join, True, window)
+             self_join, True, None)
             for part, (a, b) in zip(parts, sides)
-        ])
+        ], window)
+        if payloads:  # (a window may prune every tile away)
+            self._check(payloads)
         # The replay alone, against the python sweep's own stats (the
         # tile tasks never report ``max_active_items``).
-        ca, tile_a = np_sweep._gather([a for a, _ in sides], None)
-        cb, tile_b = np_sweep._gather([b for _, b in sides], None)
+        ca, tile_a = np_sweep._gather([a for a, _ in sides])
+        cb, tile_b = np_sweep._gather([b for _, b in sides])
         m = np_sweep._Merged(
             ca, cb, *np_sweep._segment_keys(ca, tile_a, cb, tile_b)
         )
@@ -1458,10 +1590,10 @@ class TestSegmentedSweepParity:
             expect_ops.append((stats.cpu_ops, stats.max_active_items))
             expect_pairs.append(_pair_rids(pairs))
 
-        ca, tile_a = np_sweep._gather([a for a, _ in sides], None)
+        ca, tile_a = np_sweep._gather([a for a, _ in sides])
         cb, tile_b = (
             (ca, tile_a) if shape == "self-join"
-            else np_sweep._gather([b for _, b in sides], None)
+            else np_sweep._gather([b for _, b in sides])
         )
         keys = (
             (ca[2:4], cb[2:4]) if len(sides) == 1

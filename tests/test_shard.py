@@ -47,6 +47,7 @@ from tests.conftest import (
     brute_reference,
     dispatch,
     force_strategies,
+    windowed_hit_reference,
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
@@ -436,6 +437,64 @@ class TestShardCountInvariance:
         rng = random.Random(29)
         assert_same_pairs(_skewed(rng, 140), _skewed(rng, 110, 10_000),
                           pool_kinds=("serial", "thread"))
+
+
+class TestWindowedReuse:
+    """Each shard serves a window from its own cached full
+    distribution, pruned on its coordinator exactly as the row-by-row
+    reference prune does."""
+
+    HOLE = Rect(0.40, 0.46, 0.40, 0.46, 0)
+
+    @pytest.mark.parametrize("self_join", (False, True),
+                             ids=("pairwise", "self-join"))
+    @pytest.mark.parametrize("kernel", (
+        "python",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not kernels.numpy_available(),
+            reason="numpy not importable")),
+    ))
+    def test_matches_the_reference_prune(self, kernel, self_join):
+        rng = random.Random(37)
+        a, b = ([r for r in rects if not r.intersects(self.HOLE)]
+                for rects in (_uniform(rng, 300), _uniform(rng, 200,
+                                                           10_000)))
+        sharded = _make_sharded(2, kernel=kernel,
+                                memory_bytes=20_000_000)
+        sharded.register("a", a, universe=UNIT)
+        sharded.register("b", b, universe=UNIT)
+        relations = ("a", "a") if self_join else ("a", "b")
+        sharded.execute(Query(relations=relations, force="pbsm-grid"))
+        cut = sharded.strip_of(0)[1]
+        windows = {
+            "nothing": Rect(0.41, 0.45, 0.41, 0.45, 0),
+            "everything": Rect(-1.0, 2.0, -1.0, 2.0, 0),
+            "on-the-cut": Rect(cut, cut, 0.1, 0.9, 0),     # zero area
+            "straddles-the-cut": Rect(cut - 0.1, cut + 0.1, 0.2, 0.7, 0),
+            "tile-edges": Rect(8 / 32, 20 / 32, 4 / 32, 16 / 32, 0),
+            "one-strip": Rect(cut + 0.05, cut + 0.3, 0.3, 0.5, 0),
+        }
+        engines = sharded.engines
+        for name, window in windows.items():
+            before = [e.env.cpu_ops for e in engines]
+            hits = [e.artifacts.hits for e in engines]
+            result = sharded.execute(Query(
+                relations=relations, window=window, force="pbsm-grid",
+            )).result
+            want, ops = set(), 0
+            for k in result.detail["shards_queried"]:
+                assert engines[k].artifacts.hits == hits[k] + 1, name
+                pairs, shard_ops, _ = windowed_hit_reference(engines[k],
+                                                             window)
+                want.update(pairs)
+                ops += shard_ops
+            assert list(result.pairs) == sorted(want), name
+            assert sum(e.env.cpu_ops for e in engines) - sum(before) == ops
+            assert want == brute_reference(
+                a, None if self_join else b, window
+            ), name
+        assert result.detail["shards_pruned"], "one-strip pruned none"
+        sharded.close()
 
 
 # -- shared pool lifecycle ---------------------------------------------------

@@ -160,13 +160,14 @@ from repro.storage.sort import sort_stream_by_ylo
 
 #: A tile of at least this many rectangles (both sides) ships as a pool
 #: task of its own; smaller ones coalesce into groups, and a trailing
-#: group still under it runs inline.  ``pool.probe.roundtrip_us_pickle``
-#: against ``..._inline`` (``BENCH_e2e.json`` record 3; in brackets
-#: record 4, taken on a host half again as slow): a round-trip adds
-#: 0.5–0.6 ms (1.1–1.7) to the inline kernel call at 512 and at 8 192
-#: rectangles — two to three times the whole call at 512 (0.2 ms;
-#: 0.6), a fifth to a quarter of it at 8 192 (2.9 ms; 4.2).  A second
-#: core pays that back from about a millisecond of sweep, and at the
+#: group still under it runs inline.  What a round trip adds to the
+#: inline kernel call is ``pool.probe.roundtrip_us_pickle`` minus
+#: ``..._inline``: over the pool's pipes, 0.45 ms at 512 rectangles and
+#: 0.74 ms at 8 192 (medians of five probe runs; ``BENCH_e2e.json``
+#: record 16 read 0.66 and 1.15), against an inline call of 0.6 and
+#: 4.4 ms on the same host.  The constant was sized when a trip added
+#: 0.5-0.6 ms and the call at 512 took 0.2 ms (record 3): a second core
+#: pays a trip back from about a millisecond of sweep, and at the
 #: 0.4 µs a rectangle those probes read that is about this many
 #: rectangles.  The kernel has since got cheaper (no per-event replay
 #: loop, no stable sorts: about 0.7x the time on a tile of 3 000
@@ -185,23 +186,23 @@ TILE_BATCH_BYTES = 64 * 1024
 #: Shipped tasks at least this large (logical bytes) travel as
 #: shared-memory refs when the pool is process-based and shared memory
 #: works; smaller ones pickle.  Since segments are recycled instead of
-#: created and unlinked per task, a fresh pack ties pickling at 512
-#: rectangles and beats it above (``pool.probe.roundtrip_us_shm``
-#: against ``..._pickle``, medians of five probe runs: -4 % at n256,
-#: -8 % at n4096, -7 % at n65536; it used to lose by 1-13 %), and
-#: re-shipping cached tiles by reference
-#: (``pool.shm_refs_reused_per_query``) comes on top; the floor only
-#: keeps sub-page payloads from costing a segment.
+#: created and unlinked per task, a fresh pack beats pickling at every
+#: probed size (``pool.probe.roundtrip_us_shm`` against
+#: ``..._pickle``, the median of five probe runs' ratios: -13 % at
+#: n256, -4 % at n4096, -10 % at n65536), and re-shipping cached tiles
+#: by reference (``pool.shm_refs_reused_per_query``) comes on top; the
+#: floor only keeps sub-page payloads from costing a segment.
 SHM_MIN_BYTES = 16 * 1024
 
 #: A repeat plan whose *measured* sweep came in at or under this many
 #: simulated ops keeps every group on the coordinator.  ``cold_scan``'s
 #: windows average 100 K ops and their inline group is one 1.5–1.8 ms
 #: kernel call (``executor.phase.sweep_ms_p50``), so a plan at the
-#: threshold is about a millisecond of kernel time; a round-trip costs
-#: 0.5 ms or more on top of the sweep it moves (``pool.probe.
-#: roundtrip_us_pickle_n256`` against ``..._inline_n256``), so shipping
-#: a plan this cheap buys nothing.  Simulated accounting is
+#: threshold is about a millisecond of kernel time; a round trip costs
+#: about half a millisecond on top of the sweep it moves (``pool.probe.
+#: roundtrip_us_pickle_n256`` against ``..._inline_n256``: 0.45 ms, the
+#: median of five probe runs over the pool's pipes), so shipping a plan
+#: this cheap buys nothing.  Simulated accounting is
 #: placement-independent, so this is a wall-clock policy, not a
 #: semantic one; first executions have no measurement and ship.  Those
 #: kernel times predate the vectorized op replay, which made a group's

@@ -19,12 +19,19 @@ Tasks must therefore be shipped, not shared: the executor encodes tiles
 as :class:`~repro.core.columnar.ColumnarTile` columns and workers
 return plain ``(rid_a, rid_b)`` lists (see
 :func:`repro.engine.executor.sweep_tile_task`).  Shipping has a real
-cost — pickle both ways plus scheduling — so the pool degrades
-gracefully: single-worker pools run inline, a broken process pool
-(sandboxes without working semaphores, forks that die) falls back to
-threads once and re-runs the lost task inline, and callers are expected
-to keep tiny tasks on the coordinator (the executor's dispatch
+cost — pickle both ways plus a pipe write and read — so the pool
+degrades gracefully: single-worker pools run inline, a broken process
+pool (sandboxes without working semaphores, forks that die) falls back
+to threads once and re-runs the lost task inline, and callers are
+expected to keep tiny tasks on the coordinator (the executor's dispatch
 policy does).
+
+The process transport starts no thread in the coordinator.  Each forked
+worker owns one duplex pipe; the thread that submits a task writes it
+into a worker's pipe, and a thread waiting on a result reads the pipes
+itself (:class:`_PipePool`).  A coordinator thread that ran only to
+move tasks and results would compete for the GIL with the thread that
+materializes the next partition.
 
 Submission is streaming: :meth:`submit` hands one task to the pool the
 moment its partition is materialized, so coordinator-side
@@ -49,14 +56,19 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import signal
 import threading
 import time
 import weakref
-from collections import OrderedDict
-from concurrent.futures import BrokenExecutor
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from collections import OrderedDict, deque
+from concurrent.futures import BrokenExecutor, Future, InvalidStateError
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as _wait_readable
+from typing import (
+    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple, Union,
+)
 
 from repro.core.columnar import ColumnarTile
 from repro.engine.faults import FaultPlan, InjectedCrash, InjectedFault
@@ -637,6 +649,340 @@ def _faulted_task(wrapped):
     raise InjectedFault("injected task exception")
 
 
+#: Tasks written to one worker's pipe at a time: the one it runs and one
+#: queued behind it, so a worker that finishes starts its next task
+#: without waiting for the coordinator to read the result and write
+#: again.  A deeper queue only binds tasks to a worker early, where a
+#: task behind a long sweep waits for it while another worker may idle;
+#: every further task waits on the coordinator (:class:`_PipePool`'s
+#: FIFO) for the first slot a result frees.
+TASKS_PER_WORKER = 2
+
+#: A pickled task larger than this is written only to a worker with
+#: nothing in its pipe.  A busy worker may be blocked writing a result
+#: nobody reads yet: a write that fits the socket buffer (208 KiB on
+#: Linux, and at most one task queues in it) completes without the
+#: worker's help, a larger one would wait on it for ever.  Only tiles
+#: pickled by value (no shared memory) come this large.
+PIPE_WRITE_BYTES = 64 * 1024
+
+
+def _serve_tasks(conn, inherited) -> None:
+    """A pool worker's loop: read a task, run it, write its outcome.
+
+    ``inherited`` are the coordinator's ends of this pool's pipes, the
+    worker's own included, which the fork copied; closing them lets the
+    worker see end-of-file when the coordinator goes.  An empty message
+    is the stop signal.  SIGINT is the coordinator's to handle: a ^C at
+    ``serve`` drains the pool instead of killing its workers mid-task.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            data = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        if not data:
+            return
+        try:
+            fn, payload = pickle.loads(data)
+            reply = (True, fn(payload))
+        except BaseException as exc:  # re-raised at result()
+            reply = (False, exc)
+        try:
+            out = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            failure = exc if reply[0] else reply[1]
+            out = pickle.dumps((False, RuntimeError(
+                f"{type(failure).__name__}: {failure} (did not pickle)"
+            )), pickle.HIGHEST_PROTOCOL)
+        try:
+            conn.send_bytes(out)
+        except OSError:
+            return
+
+
+class _Worker:
+    """One forked worker and the coordinator's end of its pipe."""
+
+    __slots__ = ("proc", "conn", "written")
+
+    def __init__(self, proc, conn) -> None:
+        self.proc = proc
+        self.conn = conn
+        #: Futures whose tasks are in the pipe or running, oldest
+        #: first: the worker answers in this order.
+        self.written: Deque[Future] = deque()
+
+
+class _PipeFuture(Future):
+    """A :class:`concurrent.futures.Future` whose waiter does the reading.
+
+    ``result`` / ``exception`` drive the transport until this future
+    is done; ``done``, ``cancel`` and ``add_done_callback`` are the
+    stock ones.  (``concurrent.futures.wait`` does not drive it: a
+    future of this pool completes only while some thread waits in
+    ``result`` or ``exception``.)
+    """
+
+    def __init__(self, transport: "_PipePool") -> None:
+        super().__init__()
+        self._transport = transport
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        self._transport.wait_for(self.done, timeout)
+        return super().result(timeout=0)
+
+    def exception(self, timeout: Optional[float] = None):
+        self._transport.wait_for(self.done, timeout)
+        return super().exception(timeout=0)
+
+    def cancel(self) -> bool:
+        # A thread parked on the transport may be waiting for this one.
+        if not super().cancel():
+            return False
+        self._transport.wake()
+        return True
+
+
+class _PipePool:
+    """Forked workers, one duplex pipe each, and no coordinator thread.
+
+    ``submit`` pickles the task and writes it to the least loaded worker
+    holding fewer than :data:`TASKS_PER_WORKER` (a task over
+    :data:`PIPE_WRITE_BYTES` waits for an idle one); any other task
+    waits in one FIFO.  There is no reader thread: a thread in
+    ``result()`` takes the reader role if it is free, waits on every
+    worker's pipe, completes whichever futures arrive and writes queued
+    tasks to the slots they free; the other waiters park on one
+    condition, notified at every completion and when the reader gives
+    the role up.  End-of-file on a pipe (a worker died) fails every
+    unresolved future with ``BrokenProcessPool``.
+    """
+
+    def __init__(self, workers: int, ctx) -> None:
+        # Reentrant: futures are failed under it, and a done-callback
+        # may submit (and be refused) on the same thread.
+        self._cond = threading.Condition(threading.RLock())
+        self._workers: List[_Worker] = []
+        #: Tasks no worker has room for yet, oldest first.
+        self._queued: Deque[Tuple[Future, bytes]] = deque()
+        self._reading = False
+        self._closed = False
+        self._broken: Optional[str] = None
+        try:
+            for _ in range(workers):
+                ours, theirs = ctx.Pipe(duplex=True)
+                ends = [w.conn for w in self._workers] + [ours]
+                proc = ctx.Process(target=_serve_tasks,
+                                   args=(theirs, ends), daemon=True)
+                try:
+                    proc.start()
+                except BaseException:
+                    ours.close()
+                    raise
+                finally:
+                    theirs.close()
+                self._workers.append(_Worker(proc, ours))
+        except BaseException:
+            self._broken = "the pool did not start"
+            self.shutdown(wait=False)
+            raise
+
+    # -- submission -------------------------------------------------------
+
+    def submit(self, fn: Callable[[Any], Any], payload: Any) -> Future:
+        fut = _PipeFuture(self)
+        try:
+            data = pickle.dumps((fn, payload), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            # Failed in the future, not raised: the caller's per-task
+            # bookkeeping (shm pins) is released at its gather.
+            fut.set_exception(exc)
+            return fut
+        with self._cond:
+            if self._closed:
+                raise RuntimeError(
+                    "cannot schedule new futures after shutdown"
+                )
+            if self._broken is not None:
+                raise BrokenProcessPool(self._broken)
+            self._queued.append((fut, data))
+            self._feed_locked()
+        return fut
+
+    def _feed_locked(self) -> None:
+        """Write queued tasks to free slots, oldest first."""
+        while self._queued:
+            fut, data = self._queued[0]
+            if fut.cancelled():
+                self._queued.popleft()
+                continue
+            worker = self._slot_for(len(data))
+            if worker is None:
+                return
+            self._queued.popleft()
+            if not fut.set_running_or_notify_cancel():
+                continue
+            worker.written.append(fut)
+            try:
+                worker.conn.send_bytes(data)
+            except OSError as exc:
+                self._break_locked(f"a worker's pipe broke: {exc!r}")
+                return
+
+    def _slot_for(self, nbytes: int) -> Optional[_Worker]:
+        best = None
+        for worker in self._workers:
+            held = len(worker.written)
+            if held >= TASKS_PER_WORKER or (held and
+                                            nbytes > PIPE_WRITE_BYTES):
+                continue
+            if best is None or held < len(best.written):
+                best = worker
+        return best
+
+    # -- reading ----------------------------------------------------------
+
+    def wait_for(self, ready: Callable[[], bool],
+                 timeout: Optional[float] = None) -> None:
+        """Return once ``ready()`` holds or ``timeout`` passes, reading
+        the pipes whenever no other thread is."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not ready():
+            with self._cond:
+                if self._reading:
+                    if ready():
+                        return
+                    if deadline is None:
+                        self._cond.wait()
+                    elif not self._cond.wait(deadline - time.monotonic()):
+                        return
+                    continue
+                self._reading = True
+            try:
+                self._read(ready, deadline)
+            finally:
+                with self._cond:
+                    self._reading = False
+                    self._cond.notify_all()
+            if deadline is not None and time.monotonic() >= deadline:
+                return
+
+    def wake(self) -> None:
+        with self._cond:
+            self._cond.notify_all()
+
+    def _read(self, ready: Callable[[], bool],
+              deadline: Optional[float]) -> None:
+        """The reader role: complete arriving futures until ``ready()``."""
+        while not ready():
+            with self._cond:
+                by_conn = {w.conn: w for w in self._workers}
+            if not by_conn:
+                return  # shut down or broken: every future is settled
+            timeout = (None if deadline is None
+                       else max(0.0, deadline - time.monotonic()))
+            arrived = _wait_readable(list(by_conn), timeout)
+            if not arrived:
+                return
+            done: List[Tuple[Future, bytes]] = []
+            for conn in arrived:
+                worker = by_conn[conn]
+                try:
+                    data = conn.recv_bytes()
+                except (EOFError, OSError) as exc:
+                    with self._cond:
+                        self._break_locked(
+                            f"a worker exited (pid {worker.proc.pid}): "
+                            f"{exc!r}"
+                        )
+                    break
+                with self._cond:
+                    if not worker.written:
+                        # Broken meanwhile (its futures are failed), or
+                        # an answer to no task: either way, dead.
+                        self._break_locked("a worker answered no task")
+                        break
+                    fut = worker.written.popleft()
+                    self._feed_locked()
+                done.append((fut, data))
+            for fut, data in done:
+                try:
+                    ok, value = pickle.loads(data)
+                except Exception as exc:
+                    ok, value = False, exc
+                if ok:
+                    fut.set_result(value)
+                else:
+                    fut.set_exception(value)
+            with self._cond:
+                self._cond.notify_all()
+
+    # -- failure and shutdown ---------------------------------------------
+
+    def _break_locked(self, cause: str) -> None:
+        """The pool is dead: fail every unresolved future with
+        ``BrokenProcessPool`` and write no task any more."""
+        if self._broken is None:
+            self._broken = cause
+        self._fail_unresolved_locked(BrokenProcessPool(self._broken))
+
+    def _fail_unresolved_locked(self, error: BaseException) -> None:
+        stranded = [fut for w in self._workers for fut in w.written]
+        stranded += [fut for fut, _data in self._queued]
+        for worker in self._workers:
+            worker.written.clear()
+        self._queued.clear()
+        for fut in stranded:
+            try:
+                fut.set_exception(error)
+            except InvalidStateError:
+                pass  # cancelled while queued
+        self._cond.notify_all()
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the workers (idempotent; ``submit`` raises afterwards).
+
+        ``wait`` lets every written or queued task finish first;
+        without it, or on a broken pool, workers are terminated where
+        they stand and unresolved futures fail.  Either way no future
+        is left pending, no worker alive and no pipe open.
+        """
+        with self._cond:
+            self._closed = True
+        if wait:
+            self.wait_for(lambda: not self._queued and not any(
+                w.written for w in self._workers
+            ))
+        with self._cond:
+            self._fail_unresolved_locked(BrokenProcessPool(
+                self._broken or "the pool was shut down"
+            ))
+            workers, self._workers = self._workers, []
+            stop = not wait or self._broken is not None
+        for worker in workers:
+            try:
+                worker.conn.send_bytes(b"")
+            except OSError:
+                pass
+            worker.conn.close()
+            if stop:
+                worker.proc.terminate()
+        for worker in workers:
+            worker.proc.join(5)
+            if worker.proc.exitcode is None:
+                worker.proc.kill()
+                worker.proc.join()
+            worker.proc.close()
+
+
+#: What a started pool submits to: forked workers over pipes, or threads.
+_Transport = Union[_PipePool, ThreadPoolExecutor]
+
+
 class WorkerPool:
     """A long-lived process/thread pool shareable by several engines."""
 
@@ -654,7 +1000,7 @@ class WorkerPool:
         #: The requested kind; single-worker pools execute inline
         #: regardless (a pool of one only adds shipping overhead).
         self.kind = kind if self.workers > 1 else "serial"
-        self._executor: Optional[_FuturesExecutor] = None
+        self._executor: Optional[_Transport] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._lock = threading.Lock()
         #: Live client handles (see :meth:`client`); the pool's executor
@@ -706,35 +1052,22 @@ class WorkerPool:
     def prestart(self) -> None:
         """Boot the workers now, off the serving path (idempotent).
 
-        A process pool forks lazily — executor on first submit, one
-        worker per queued task — which lands the whole startup cost
-        (fork x workers, pipe setup) on the first partitioned query.
-        Serving engines call this from ``prepare()`` so measured
-        traffic starts against a running pool.  One short sleep per
-        worker occupies every slot, forcing the executor to its full
-        size; failures here are ignored — a pool that cannot start
-        will demote itself on the first real submit, as before.
+        A process pool forks all its workers when it is created, which
+        is otherwise at the first shipped task: the whole startup cost
+        (fork x workers, pipe setup) would land on the first
+        partitioned query.  Serving engines call this from
+        ``prepare()`` so measured traffic starts against a running
+        pool.  A pool that cannot start demotes itself here, as it
+        would at a first submit.
         """
-        if self.kind == "serial":
-            return
-        executor = self._ensure_executor()
-        if executor is None or self.kind != "process":
-            return
-        try:
-            futures = [
-                executor.submit(time.sleep, 0.005)
-                for _ in range(self.workers)
-            ]
-            for fut in futures:
-                fut.result(timeout=30)
-        except Exception:
-            pass
+        if self.kind != "serial":
+            self._ensure_executor()
 
-    def _ensure_executor(self) -> Optional[_FuturesExecutor]:
+    def _ensure_executor(self) -> Optional[_Transport]:
         with self._lock:
             return self._ensure_executor_locked()
 
-    def _ensure_executor_locked(self) -> Optional[_FuturesExecutor]:
+    def _ensure_executor_locked(self) -> Optional[_Transport]:
         if self._executor is not None or self.kind == "serial":
             return self._executor
         if self.kind == "process":
@@ -742,13 +1075,10 @@ class WorkerPool:
                 # Fork keeps startup off the hot path on POSIX; workers
                 # inherit the imported modules instead of re-importing.
                 methods = multiprocessing.get_all_start_methods()
-                ctx = (
-                    multiprocessing.get_context("fork")
-                    if "fork" in methods else None
+                ctx = multiprocessing.get_context(
+                    "fork" if "fork" in methods else None
                 )
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=ctx
-                )
+                self._executor = _PipePool(self.workers, ctx)
             except (OSError, PermissionError, ValueError):
                 # No working process support here (restricted sandbox):
                 # degrade to threads for the life of the pool.
@@ -874,9 +1204,11 @@ class WorkerPool:
     def recover(self, fn: Callable[[Any], Any], payload: Any) -> Any:
         """Re-run a task whose pool died; future queries use threads.
 
-        ``BrokenProcessPool`` poisons the whole executor, so the pool is
-        torn down, the kind demoted to ``thread``, and the lost task
-        recomputed inline — correctness over parallelism.  On a shared
+        A worker that dies (end-of-file on its pipe) fails every
+        unresolved future of the pool with ``BrokenProcessPool``, each
+        caller lands here, and the first tears the workers down: the
+        kind is demoted to ``thread`` and each lost task recomputed
+        inline — correctness over parallelism.  On a shared
         pool the demotion is deliberately global: every client's next
         query runs on threads rather than re-discovering the same
         broken process support one shard at a time.
@@ -1064,8 +1396,7 @@ class PoolClient:
         return snap
 
 
-def _abandon_pool(executor: _FuturesExecutor,
-                  shm: ShmSegments) -> None:
+def _abandon_pool(executor: _Transport, shm: ShmSegments) -> None:
     # A pool nobody shut down (collected, or alive at interpreter
     # exit): stop the workers and unlink the segments, the idle ones
     # on the free list included.  Module-level, and handed the

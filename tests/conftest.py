@@ -8,7 +8,10 @@ import contextlib
 import dataclasses
 import os
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import threading
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 import pytest
 
@@ -99,6 +102,30 @@ def ship_every_tile():
     """Every tile ships to the pool as a task of its own."""
     with dispatch(MIN_SHIP_RECTS=0):
         yield
+
+
+_T = TypeVar("_T")
+
+
+def within(seconds: float, fn: Callable[[], _T]) -> _T:
+    """``fn()`` on a daemon thread; the test fails if it is still
+    running after ``seconds``, so a hang is a failure rather than a
+    suite that never ends."""
+    box: Dict[str, object] = {}
+
+    def run() -> None:
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
 
 
 def force_strategies(engines, forces) -> None:

@@ -12,7 +12,14 @@ injection site, then the end-to-end differentials.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import random
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -27,11 +34,23 @@ from repro.engine import (
     WorkerPool,
     merge_snapshots,
 )
+from repro.engine.pool import (
+    PIPE_WRITE_BYTES,
+    TASKS_PER_WORKER,
+    CancelToken,
+    DeadlineExceeded,
+)
 from repro.engine.shard import HEALTH_FLOOR, PROBE_EVERY
 from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
 
-from tests.conftest import TEST_SCALE, _uniform, brute_reference
+from tests.conftest import (
+    TEST_SCALE,
+    _uniform,
+    brute_reference,
+    dispatch,
+    within,
+)
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -246,6 +265,284 @@ class TestPoolFaults:
         assert pool.snapshot()["faults"]["rules"][0]["kind"] == "slow"
         clean = WorkerPool(1, kind="serial")
         assert clean.snapshot()["faults"] is None
+
+
+def _sleep_then(arg):
+    """A pool task (module-level, so it pickles): sleep, then answer."""
+    seconds, value = arg
+    time.sleep(seconds)
+    return value
+
+
+def _echo(value):
+    return value
+
+
+def _worker_pids(pool):
+    return [worker.proc.pid for worker in pool._executor._workers]
+
+
+def _spy_submits(pool):
+    """Every future the pool hands out, in submission order."""
+    shipped = []
+    submit = pool.submit
+
+    def spy(fn, payload, units=1):
+        shipped.append(submit(fn, payload, units))
+        return shipped[-1]
+
+    pool.submit = spy
+    return shipped
+
+
+def _hot(rng, n, id_base):
+    """Four dense blobs: few tiles, each thousands of rectangles with
+    thousands of pairs."""
+    corners = ((0.1, 0.1), (0.1, 0.6), (0.6, 0.1), (0.6, 0.6))
+    out = []
+    for i in range(n):
+        cx, cy = corners[i % 4]
+        x, y = cx + rng.random() * 0.05, cy + rng.random() * 0.05
+        out.append(Rect(x, x + rng.random() * 0.01,
+                        y, y + rng.random() * 0.01, id_base + i))
+    return out
+
+
+class TestProcessTransport:
+    """The process pool's pipes: two callers on one pool, a worker
+    killed from outside, payloads and results larger than a pipe
+    buffer, and cancellation before and after a task is written.
+
+    Each waits, and shuts its pool down, under a timeout: a transport
+    that hangs fails here instead of stalling the suite."""
+
+    def test_two_threads_share_one_pool_each_waiting_for_its_own(self):
+        # The slow caller holds the reader role while the fast one's
+        # tasks come back: the reader completes them for it, and the
+        # two callers are the only threads the pool's use adds.
+        before = set(threading.enumerate())
+        pool = WorkerPool(2, kind="process")
+        pool.prestart()
+        got = {"slow": [], "fast": []}
+        finished = {}
+        threads_seen = []
+
+        def slow_caller():
+            for i in range(2):
+                got["slow"].append(
+                    pool.submit(_sleep_then, (0.6, f"slow{i}")).result()
+                )
+            finished["slow"] = time.monotonic()
+
+        def fast_caller():
+            for i in range(10):
+                got["fast"].append(
+                    pool.submit(_sleep_then, (0.01, i)).result()
+                )
+                threads_seen.append(
+                    len(set(threading.enumerate()) - before)
+                )
+            finished["fast"] = time.monotonic()
+
+        def both():
+            slow = threading.Thread(target=slow_caller)
+            slow.start()
+            time.sleep(0.1)  # the slow caller is reading by now
+            fast = threading.Thread(target=fast_caller)
+            fast.start()
+            fast.join()
+            slow.join()
+
+        try:
+            within(30, both)
+        finally:
+            within(30, pool.shutdown)
+        assert got == {"slow": ["slow0", "slow1"], "fast": list(range(10))}
+        assert finished["fast"] < finished["slow"]
+        # The test's runner thread and the two callers; no pool thread.
+        assert max(threads_seen) == 3
+
+    def test_many_callers_on_more_workers_than_cores_each_get_theirs(self):
+        # Six threads submit in bursts and wait in turns, with the
+        # interpreter switching threads every 10 us: the reader role
+        # changes hands constantly.  A completion lost in a hand-over
+        # hangs a caller; a future completed with another task's
+        # answer shows in the values.
+        workers = (os.cpu_count() or 1) + 1
+        pool = WorkerPool(workers, kind="process")
+        pool.prestart()
+        rounds, burst = 15, 3
+        got = {}
+
+        def caller(c):
+            mine = []
+            for r in range(rounds):
+                futures = [pool.submit(_sleep_then, (0.0, (c, r, i)))
+                           for i in range(burst)]
+                mine += [f.result() for f in futures]
+            got[c] = mine
+
+        def run_all():
+            threads = [threading.Thread(target=caller, args=(c,))
+                       for c in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            within(60, run_all)
+        finally:
+            sys.setswitchinterval(interval)
+            within(30, pool.shutdown)
+        assert got == {
+            c: [(c, r, i) for r in range(rounds) for i in range(burst)]
+            for c in range(6)
+        }
+        assert pool.tasks_dispatched == 6 * rounds * burst
+        assert pool.fallbacks == 0
+
+    def test_a_worker_killed_mid_task_breaks_every_outstanding_future(self):
+        pool = WorkerPool(2, kind="process")
+        pool.prestart()
+        try:
+            futures = [pool.submit(_sleep_then, (0.5, i)) for i in range(6)]
+            os.kill(_worker_pids(pool)[0], signal.SIGKILL)
+            errors = within(30, lambda: [f.exception() for f in futures])
+            assert all(isinstance(e, BrokenExecutor) for e in errors), errors
+            # The next submit finds the pool broken: it demotes and the
+            # task runs, inline.
+            assert pool.submit(len, (1, 2)).result() == 2
+            assert (pool.kind, pool.demotions) == ("thread", 1)
+        finally:
+            within(30, pool.shutdown)
+
+    def test_a_worker_killed_mid_query_still_returns_exact_pairs(self):
+        plan = FaultPlan([FaultRule(site="pool.task", kind="slow",
+                                    delay_seconds=0.2, times=None)])
+        engine, a, b = _single(faults=plan, pool_kind="process")
+        pool = engine.worker_pool.pool
+        shipped = _spy_submits(pool)
+        submit = pool.submit
+
+        def kill_at_the_second(fn, payload, units=1):
+            fut = submit(fn, payload, units)
+            if len(shipped) == 2:
+                os.kill(_worker_pids(pool)[0], signal.SIGKILL)
+            return fut
+
+        pool.submit = kill_at_the_second
+        try:
+            out = within(60, lambda: engine.execute(
+                Query(relations=("a", "b"), force="pbsm-grid")
+            ))
+            assert sorted(out.result.pairs) == sorted(brute_reference(a, b))
+            assert len(shipped) > 2
+            assert isinstance(shipped[0].exception(), BrokenExecutor)
+            snap = engine.worker_pool.snapshot()
+            assert (snap["kind"], snap["demotions"]) == ("thread", 1)
+        finally:
+            within(30, engine.close)
+
+    def test_hot_tiles_pickled_by_value_complete_on_a_process_pool(self):
+        # Shared memory off: the tiles travel in the pipe, larger than
+        # a busy worker may be sent, and the pairs come back larger
+        # than a socket buffer.
+        rng = random.Random(5)
+        a, b = _hot(rng, 4000, 0), _hot(rng, 4000, 100_000)
+        query = Query(relations=("a", "b"), force="pbsm-grid")
+        results = {}
+        for kind in ("serial", "process"):
+            engine = SpatialQueryEngine(
+                scale=TEST_SCALE, workers=2, pool_kind=kind,
+                cache_capacity=0, artifact_cache_bytes=0,
+            )
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            pool = engine.worker_pool.pool
+            shipped = _spy_submits(pool)
+            try:
+                with dispatch(SHM_MIN_BYTES=float("inf")):
+                    results[kind] = within(
+                        60, lambda: engine.execute(query).result.pairs
+                    )
+                snap = engine.worker_pool.snapshot()
+            finally:
+                within(30, engine.close)
+        assert (snap["kind"], snap["fallbacks"]) == ("process", 0)
+        assert snap["shm"]["bytes_packed"] == 0
+        sizes = [len(pickle.dumps((f._repro_fn, f._repro_payload)))
+                 for f in shipped]
+        assert len(sizes) >= 2 and max(sizes) > 2 * PIPE_WRITE_BYTES
+        assert sorted(results["process"]) == sorted(results["serial"])
+        assert len(results["process"]) > 100_000
+
+    def test_payloads_and_results_beyond_a_pipe_buffer_never_deadlock(self):
+        # Six echoes of half a megabyte on two workers: each worker
+        # blocks writing its answer until it is read, so a third task
+        # written to a busy worker would block the writer for ever.
+        blob = bytes(range(256)) * 2048
+        assert len(blob) > 2 * PIPE_WRITE_BYTES
+        pool = WorkerPool(2, kind="process")
+        pool.prestart()
+        try:
+            echoed = within(30, lambda: [
+                f.result() for f in
+                [pool.submit(_echo, blob if i % 3 else b"small")
+                 for i in range(9)]
+            ])
+            assert echoed == [blob if i % 3 else b"small" for i in range(9)]
+            assert pool.fallbacks == 0
+        finally:
+            within(30, pool.shutdown)
+
+    def test_a_queued_task_cancels_and_a_written_one_does_not(self):
+        pool = WorkerPool(2, kind="process")
+        pool.prestart()
+        try:
+            written = 2 * TASKS_PER_WORKER
+            futures = [pool.submit(_sleep_then, (0.3, i))
+                       for i in range(written + 2)]
+            assert all(f.running() for f in futures[:written])
+            assert [f.cancel() for f in futures] == (
+                [False] * written + [True] * 2
+            )
+            assert within(30, lambda: [
+                f.result() for f in futures[:written]
+            ]) == list(range(written))
+        finally:
+            within(30, pool.shutdown)
+
+    def test_a_deadline_counts_what_it_cancelled(self):
+        # Every task sleeps past the deadline.  The first one gathered
+        # observes the token in its worker; the tasks behind it that
+        # were never written are cancelled, the written ones are not
+        # (nor one that finished alongside the first, its freed slot
+        # taking a queued task): pool.tasks_cancelled counts the first
+        # and the cancelled.
+        plan = FaultPlan([FaultRule(site="pool.task", kind="slow",
+                                    delay_seconds=0.3, times=None)])
+        engine, _a, _b = _single(faults=plan, pool_kind="process")
+        shipped = _spy_submits(engine.worker_pool.pool)
+        token = CancelToken(time.monotonic() + 0.15)
+        try:
+            with pytest.raises(DeadlineExceeded):
+                within(30, lambda: engine.execute(
+                    Query(relations=("a", "b"), force="pbsm-grid"),
+                    cancel=token,
+                ))
+            running = [f for f in shipped if f.running()]
+            cancelled = [f for f in shipped if f.cancelled()]
+            finished = [f for f in shipped if f.done() and not f.cancelled()]
+            assert isinstance(shipped[0].exception(), DeadlineExceeded)
+            assert len(running) <= 2 * TASKS_PER_WORKER and cancelled
+            assert len(finished + running + cancelled) == len(shipped)
+            snap = engine.worker_pool.snapshot()
+            assert snap["pool_tasks_cancelled"] == len(cancelled) + 1
+        finally:
+            within(30, engine.close)
 
 
 class TestReplicaFailover:

@@ -37,6 +37,7 @@ from tests.conftest import (
     brute_reference,
     child_env,
     dispatch,
+    within,
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
@@ -331,6 +332,80 @@ def test_concurrent_packs_never_share_an_idle_segment():
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
+    assert shm.open_segments == shm.mapped_segments == 0
+    assert not _shm_files()
+
+
+def test_a_started_process_pool_adds_no_thread():
+    # Submitting writes a worker's pipe and waiting reads it, on the
+    # caller's own thread: no coordinator thread moves tasks.
+    before = set(threading.enumerate())
+    pool = WorkerPool(2, kind="process")
+    pool.prestart()
+    try:
+        assert pool.started and pool.kind == "process"
+        futures = [pool.submit(len, (0,) * i) for i in range(8)]
+        assert [f.result() for f in futures] == list(range(8))
+        assert set(threading.enumerate()) <= before
+    finally:
+        pool.shutdown()
+
+
+@needs_proc
+def test_shutdown_leaves_no_worker_and_no_descriptor():
+    before = len(os.listdir("/proc/self/fd"))
+    pool = WorkerPool(2, kind="process")
+    pool.prestart()
+    transport = pool._executor
+    pids = [worker.proc.pid for worker in transport._workers]
+    futures = [pool.submit(_worker_ledger, 0.05) for _ in range(6)]
+    within(30, pool.shutdown)
+    # Shutdown drains what was written or queued; nothing is pending.
+    assert all(f.done() and not f.cancelled() for f in futures)
+    for pid in pids:
+        assert not os.path.exists(f"/proc/{pid}"), f"worker {pid} lives"
+    assert len(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(RuntimeError):
+        transport.submit(len, ())
+
+
+def test_an_unpicklable_payload_fails_its_future_and_releases_its_pins():
+    engine, rects = _shipping_engine()
+    pool = engine.worker_pool.pool
+    submit = pool.submit
+    futures = []
+
+    def poison_the_first(fn, payload, units=1):
+        if not futures:
+            payload = (payload, threading.Lock())
+        futures.append(submit(fn, payload, units))
+        return futures[-1]
+
+    pool.submit = poison_the_first
+    shm = pool.shm
+    try:
+        with pytest.raises(TypeError, match="pickle"):
+            engine.execute(Query(relations=("a", "a")))
+        # Failed in its future (at the gather), not raised at submit:
+        # later tasks shipped, and the shipper released the pins.
+        assert len(futures) > 1
+        assert isinstance(futures[0].exception(), TypeError)
+        names = futures[0]._repro_shm
+        assert names and all(
+            shm._segments[n].inflight == 0 and not shm._segments[n].unlinked
+            for n in names
+        ), "its in-flight pins were kept, or its segment given up"
+        # The raised error's traceback holds the query's tiles; with it
+        # gone, the segment goes idle for the next pack.
+        futures.clear()
+        gc.collect()
+        assert set(names) <= set(shm._free)
+        pool.submit = submit
+        out = engine.execute(Query(relations=("a", "a")))
+        assert set(out.result.pairs) == brute_reference(rects)
+        assert (pool.kind, pool.fallbacks) == ("process", 0)
+    finally:
+        engine.close()
     assert shm.open_segments == shm.mapped_segments == 0
     assert not _shm_files()
 

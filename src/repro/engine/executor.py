@@ -1159,8 +1159,8 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
 
     The payload is self-contained and picklable: tiles arrive as
     :class:`ColumnarTile` columns, :class:`ShmTileRef` handles to them,
-    or ready ``Rect`` lists (inline/thread dispatch); ``side_b is
-    None`` marks a self-join, whose single side sweeps against itself.
+    or ready ``Rect`` lists (inline runs); ``side_b is None`` marks a
+    self-join, whose single side sweeps against itself.
     The seventh element is always ``None`` (a windowed query's tiles
     were pruned before they shipped; anything else raises
     ``ValueError``).  The payload's optional eighth element names the

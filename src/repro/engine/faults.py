@@ -19,13 +19,14 @@ Sites and the fault kinds they honour:
     caller like any worker bug — a replicated scatter fails over);
     ``crash`` kills the worker process (``os._exit``) on a real
     process pool, or raises :class:`InjectedCrash` — a
-    ``BrokenExecutor`` — on thread/serial pools, exercising the
-    broken-pool demotion path either way; ``slow`` sleeps
-    ``delay_seconds`` before running the task unchanged.
+    ``BrokenExecutor`` — when the task runs on the coordinator (a
+    serial or demoted pool), exercising the broken-pool recovery path
+    either way; ``slow`` sleeps ``delay_seconds`` before running the
+    task unchanged.
 ``pool.submit``
     ``break`` makes the submission behave as if the executor were
-    found broken: the pool demotes its kind, tears the executor down
-    and recomputes the task inline (the exact degraded path a dead
+    found broken: the pool demotes itself to ``serial``, stops its
+    workers and recomputes the task inline (the exact degraded path a dead
     worker triggers at submit time).
 ``shard.execute``
     ``exception`` raises :class:`InjectedFault` *before* the chosen

@@ -12,19 +12,22 @@ both decisions:
   size);
 * **process-based by default** (``kind="process"``), so partition
   sweeps run on separate interpreters and genuinely use the cores;
-  ``kind="thread"`` keeps the shared-memory fallback and
-  ``kind="serial"`` executes inline on the coordinator.
+  ``kind="serial"`` executes inline on the coordinator.  There is no
+  thread kind: the sweeps hold the GIL, so threads lose to running
+  inline.
 
 Tasks must therefore be shipped, not shared: the executor encodes tiles
 as :class:`~repro.core.columnar.ColumnarTile` columns and workers
 return plain ``(rid_a, rid_b)`` lists (see
 :func:`repro.engine.executor.sweep_tile_task`).  Shipping has a real
 cost — pickle both ways plus a pipe write and read — so the pool
-degrades gracefully: single-worker pools run inline, a broken process
-pool (sandboxes without working semaphores, forks that die) falls back
-to threads once and re-runs the lost task inline, and callers are
+degrades gracefully: single-worker pools run inline, and callers are
 expected to keep tiny tasks on the coordinator (the executor's dispatch
-policy does).
+policy does).  A process pool that cannot start, breaks at submit or
+loses a worker (sandboxes without fork, OOM-killed children) is
+demoted to ``serial`` once, in :meth:`WorkerPool._demote`: the lost
+task is re-run inline, every later task runs on the coordinator, and
+no pool is started again.
 
 The process transport starts no thread in the coordinator.  Each forked
 worker owns one duplex pipe; the thread that submits a task writes it
@@ -63,11 +66,10 @@ import time
 import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import BrokenExecutor, Future, InvalidStateError
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as _wait_readable
 from typing import (
-    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple, Union,
+    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.core.columnar import ColumnarTile
@@ -79,7 +81,7 @@ except ImportError:  # pragma: no cover
     shared_memory = None
     resource_tracker = None
 
-POOL_KINDS = ("process", "thread", "serial")
+POOL_KINDS = ("process", "serial")
 
 
 class DeadlineExceeded(RuntimeError):
@@ -225,10 +227,17 @@ class ShmSegments:
 
     Any ``OSError`` at segment creation (no ``/dev/shm``, rlimit)
     disables the manager for the pool's lifetime — shipping falls back
-    to pickling, which is always correct.
+    to pickling, which is always correct — and so does the pool's
+    demotion to serial.  A disabled manager packs nothing and lets
+    every segment go as its last task is gathered.
     """
 
     def __init__(self) -> None:
+        #: The process that owns the segments.  A forked worker inherits
+        #: a copy of this manager, and of its lock in whatever state the
+        #: fork found it (held by another coordinator thread, for ever),
+        #: so only this process ever consults it.
+        self.pid = os.getpid()
         # Reentrant: a tile finalizer (``_unpin``) can fire on this
         # thread mid-allocation while the lock is already held.
         self._lock = threading.RLock()
@@ -390,7 +399,7 @@ class ShmSegments:
         go when it lost its name or the list is full."""
         if seg.idle or seg.pins > 0 or seg.inflight > 0:
             return
-        if seg.unlinked:
+        if seg.unlinked or not self.enabled:
             self._release_locked(name, seg)
             return
         seg.idle = True
@@ -457,7 +466,7 @@ class ShmSegments:
                     continue
                 self._release_locked(name, seg)
 
-    # -- resolution (same-process: inline recovery, thread dispatch) -----
+    # -- resolution (same process: inline runs and recovery) ------------
 
     def buffer_of(self, name: str):
         with self._lock:
@@ -468,15 +477,12 @@ class ShmSegments:
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
-            open_segments = sum(
-                1 for s in self._segments.values() if not s.unlinked
-            )
             return {
                 "enabled": self.enabled,
                 "segments_created": self.segments_created,
                 "segments_recycled": self.segments_recycled,
                 "segments_released": self.segments_released,
-                "segments_open": open_segments,
+                "segments_open": self.open_segments,
                 "bytes_packed": self.bytes_packed,
                 "tile_refs_reused": self.tile_refs_reused,
                 "disabled_errors": self.disabled_errors,
@@ -498,10 +504,10 @@ _WORKER_UNCLOSED: List[object] = []
 _WORKER_VIEWS: "OrderedDict[ShmTileRef, ColumnarTile]" = OrderedDict()
 _WORKER_VIEW_CAP = 512
 _WORKER_PID = -1
-#: The pool whose manager serves same-process resolution (coordinator
-#: inline runs, thread workers).  Weakly referenced; set at manager
-#: creation.  Multiple pools in one process each register; resolution
-#: walks them.
+#: The pools' managers, for same-process resolution (coordinator inline
+#: runs and recovery).  Weakly referenced; set at manager creation.
+#: Multiple pools in one process each register; resolution walks the
+#: ones this process created (a forked worker's copies are not its own).
 _LOCAL_MANAGERS: "weakref.WeakSet[ShmSegments]" = weakref.WeakSet()
 
 
@@ -539,8 +545,8 @@ def resolve_shm_tile(ref: ShmTileRef) -> ColumnarTile:
     """Materialize a zero-copy tile view for ``ref``.
 
     Runs on pool workers (attach by name, cached per process) and on
-    the coordinator (inline recovery, thread pools — resolved straight
-    from the owning manager's mapping, no second attach).  Raises
+    the coordinator (inline runs and recovery — resolved straight from
+    the owning manager's mapping, no second attach).  Raises
     ``FileNotFoundError`` if the segment is gone, which only happens
     after the owning pool was reset or the task's query abandoned it —
     by then nobody waits for the result.
@@ -563,9 +569,10 @@ def resolve_shm_tile(ref: ShmTileRef) -> ColumnarTile:
         return tile
     buf = None
     for manager in list(_LOCAL_MANAGERS):
-        buf = manager.buffer_of(ref.segment)
-        if buf is not None:
-            break
+        if manager.pid == pid:
+            buf = manager.buffer_of(ref.segment)
+            if buf is not None:
+                break
     if buf is None:
         shm = _WORKER_SEGMENTS.get(ref.segment)
         if shm is not None:
@@ -634,8 +641,8 @@ def _faulted_task(wrapped):
     real pool worker — the coordinator then observes a genuine
     ``BrokenProcessPool`` — and raises :class:`InjectedCrash` (a
     ``BrokenExecutor``) when the task runs on the coordinator itself
-    (thread/serial pools, inline futures), which the executor's gather
-    handles through the same broken-pool recovery path.
+    (a serial or demoted pool's inline future), which the executor's
+    gather handles through the same broken-pool recovery path.
     """
     kind, delay, coordinator_pid, fn, payload = wrapped
     if kind == "slow":
@@ -979,12 +986,15 @@ class _PipePool:
             worker.proc.close()
 
 
-#: What a started pool submits to: forked workers over pipes, or threads.
-_Transport = Union[_PipePool, ThreadPoolExecutor]
+def _fork_context():
+    # Fork keeps startup off the hot path on POSIX; workers inherit the
+    # imported modules instead of re-importing.
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 class WorkerPool:
-    """A long-lived process/thread pool shareable by several engines."""
+    """A long-lived process pool shareable by several engines."""
 
     def __init__(self, workers: int = 1, kind: str = "process",
                  faults: Optional[FaultPlan] = None) -> None:
@@ -1000,7 +1010,7 @@ class WorkerPool:
         #: The requested kind; single-worker pools execute inline
         #: regardless (a pool of one only adds shipping overhead).
         self.kind = kind if self.workers > 1 else "serial"
-        self._executor: Optional[_Transport] = None
+        self._executor: Optional[_PipePool] = None
         self._finalizer: Optional[weakref.finalize] = None
         self._lock = threading.Lock()
         #: Live client handles (see :meth:`client`); the pool's executor
@@ -1013,7 +1023,7 @@ class WorkerPool:
         self.tiles_inline = 0
         self.pools_created = 0
         self.fallbacks = 0
-        #: process->thread kind demotions (a subset of ``fallbacks``:
+        #: process->serial kind demotions (a subset of ``fallbacks``:
         #: only the fallbacks that permanently changed the pool kind).
         self.demotions = 0
         #: Shipped tasks reclaimed by deadline cancellation: futures
@@ -1027,7 +1037,7 @@ class WorkerPool:
         self._client_seq = 0
         #: Shared-memory segment manager for zero-copy tile shipping.
         #: Shared by every client on this pool; registered for
-        #: same-process ref resolution (inline recovery, threads).
+        #: same-process ref resolution (inline runs and recovery).
         self.shm = ShmSegments()
         _LOCAL_MANAGERS.add(self.shm)
 
@@ -1060,39 +1070,25 @@ class WorkerPool:
         pool.  A pool that cannot start demotes itself here, as it
         would at a first submit.
         """
-        if self.kind != "serial":
-            self._ensure_executor()
+        self._ensure_executor()
 
-    def _ensure_executor(self) -> Optional[_Transport]:
+    def _ensure_executor(self) -> Optional[_PipePool]:
         with self._lock:
-            return self._ensure_executor_locked()
-
-    def _ensure_executor_locked(self) -> Optional[_Transport]:
-        if self._executor is not None or self.kind == "serial":
-            return self._executor
-        if self.kind == "process":
+            if self._executor is not None or self.kind == "serial":
+                return self._executor
             try:
-                # Fork keeps startup off the hot path on POSIX; workers
-                # inherit the imported modules instead of re-importing.
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None
+                self._executor = _PipePool(self.workers, _fork_context())
+            except (OSError, ValueError):
+                # No working process support here (restricted sandbox).
+                pass
+            else:
+                self.pools_created += 1
+                self._finalizer = weakref.finalize(
+                    self, _abandon_pool, self._executor, self.shm
                 )
-                self._executor = _PipePool(self.workers, ctx)
-            except (OSError, PermissionError, ValueError):
-                # No working process support here (restricted sandbox):
-                # degrade to threads for the life of the pool.
-                self.kind = "thread"
-                self.fallbacks += 1
-                self.demotions += 1
-        if self._executor is None and self.kind == "thread":
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        if self._executor is not None:
-            self.pools_created += 1
-            self._finalizer = weakref.finalize(
-                self, _abandon_pool, self._executor, self.shm
-            )
-        return self._executor
+                return self._executor
+        self._demote()
+        return None
 
     def shutdown(self) -> None:
         """Stop the pool (idempotent); the next submit recreates it.
@@ -1133,16 +1129,9 @@ class WorkerPool:
             )
             if rule is not None and rule.kind == "break":
                 # Behave exactly like a broken executor discovered at
-                # submit time: demote, tear down, recompute inline.
-                with self._lock:
-                    self.tasks_inline += 1
-                    self.tiles_inline += units
-                    self.fallbacks += 1
-                    if self.kind == "process":
-                        self.kind = "thread"
-                        self.demotions += 1
-                self.shutdown()
-                return _InlineFuture(fn, payload)
+                # submit time.
+                self._demote()
+                return self.run_inline(fn, payload, units)
             rule = self.faults.fire(
                 "pool.task", fn=getattr(fn, "__name__", str(fn))
             )
@@ -1155,39 +1144,23 @@ class WorkerPool:
                 fn = _faulted_task
         executor = self._ensure_executor()
         if executor is None:
-            with self._lock:
-                self.tasks_inline += 1
-                self.tiles_inline += units
-            return _InlineFuture(fn, payload)
+            return self.run_inline(fn, payload, units)
         try:
             fut = executor.submit(fn, payload)
         except BrokenExecutor:
             # Dead workers discovered at submit time (OOM-killed child,
-            # failed fork): demote the kind and stop the broken
-            # executor — recover()'s machinery — but defer the inline
-            # recomputation into the future, so a task-body exception
-            # surfaces at result() like on every other path.
-            with self._lock:
-                self.tasks_inline += 1
-                self.tiles_inline += units
-                self.fallbacks += 1
-                if self.kind == "process":
-                    self.kind = "thread"
-                    self.demotions += 1
-            self.shutdown()
-            return _InlineFuture(fn, payload)
+            # failed fork).  The inline run is deferred into the
+            # future, so a task-body exception surfaces at result()
+            # like on every other path.
+            self._demote()
+            return self.run_inline(fn, payload, units)
         except RuntimeError:
-            # The executor could not take the task — stopped between
-            # the fetch above and the submit (a sibling engine's
-            # recover()/release() on a shared pool), or resource
-            # exhaustion.  The task still runs — inline, counted as
-            # inline and as a fallback so the degradation is visible —
-            # instead of crashing the unlucky coordinator.
-            with self._lock:
-                self.tasks_inline += 1
-                self.tiles_inline += units
-                self.fallbacks += 1
-            return _InlineFuture(fn, payload)
+            # Stopped between the fetch above and the submit (a sibling
+            # engine's recover()/release() on a shared pool).  The task
+            # still runs, inline, counted as a fallback so the
+            # degradation is visible, and the pool keeps its kind.
+            self._demote(broken=False)
+            return self.run_inline(fn, payload, units)
         with self._lock:
             self.tasks_dispatched += 1
             self.tiles_dispatched += units
@@ -1202,24 +1175,36 @@ class WorkerPool:
         return _InlineFuture(fn, payload)
 
     def recover(self, fn: Callable[[Any], Any], payload: Any) -> Any:
-        """Re-run a task whose pool died; future queries use threads.
+        """Re-run a task whose pool died; later tasks run inline.
 
         A worker that dies (end-of-file on its pipe) fails every
         unresolved future of the pool with ``BrokenProcessPool``, each
-        caller lands here, and the first tears the workers down: the
-        kind is demoted to ``thread`` and each lost task recomputed
-        inline — correctness over parallelism.  On a shared
-        pool the demotion is deliberately global: every client's next
-        query runs on threads rather than re-discovering the same
-        broken process support one shard at a time.
+        caller lands here, and the first demotes the pool: each lost
+        task is recomputed inline — correctness over parallelism.  On
+        a shared pool the demotion is deliberately global: every
+        client's next query runs on the coordinator rather than
+        re-discovering the same broken process support one shard at a
+        time.
+        """
+        self._demote()
+        return fn(payload)
+
+    def _demote(self, broken: bool = True) -> None:
+        """Count one fallback; a ``broken`` pool turns serial for good.
+
+        The one place a pool's kind changes.  The first demotion stops
+        the workers and gives up the shared memory (a serial pool
+        ships nothing); tasks submitted from then on run inline, and
+        no pool is started again.
         """
         with self._lock:
             self.fallbacks += 1
-            if self.kind == "process":
-                self.kind = "thread"
-                self.demotions += 1
+            if not broken or self.kind == "serial":
+                return
+            self.kind = "serial"
+            self.demotions += 1
+            self.shm.enabled = False
         self.shutdown()
-        return fn(payload)
 
     def note_cancelled(self, n: int = 1) -> None:
         """Count ``n`` shipped tasks reclaimed by cancellation."""
@@ -1396,7 +1381,7 @@ class PoolClient:
         return snap
 
 
-def _abandon_pool(executor: _Transport, shm: ShmSegments) -> None:
+def _abandon_pool(executor: _PipePool, shm: ShmSegments) -> None:
     # A pool nobody shut down (collected, or alive at interpreter
     # exit): stop the workers and unlink the segments, the idle ones
     # on the free list included.  Module-level, and handed the

@@ -130,11 +130,12 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--pool-kind", choices=("process", "thread", "serial"),
+        "--pool-kind", choices=("process", "serial"),
         default="process",
         help=(
-            "worker pool flavour for partitioned plans (default: "
-            "process — a persistent process pool shared by all queries)"
+            "where partitioned plans sweep their tiles: process (the "
+            "default), a persistent process pool shared by all "
+            "queries, or serial, on the coordinator"
         ),
     )
     parser.add_argument(

@@ -283,7 +283,7 @@ def assert_same_pairs(ship_every_tile):
         window: Optional[Rect] = None,
         universe: Optional[Rect] = None,
         shard_counts: Sequence[int] = (1, 2, 4),
-        pool_kinds: Sequence[str] = ("serial", "thread"),
+        pool_kinds: Sequence[str] = ("serial", "process"),
         workers: int = 2,
         force: Optional[str] = None,
         replicas: int = 1,

@@ -14,7 +14,9 @@ from repro.engine import (
     AdmissionError,
     Query,
     ResultCache,
+    ShardedEngine,
     SpatialQueryEngine,
+    WorkerPool,
     make_workload,
     run_workload,
 )
@@ -651,17 +653,6 @@ class TestMetricsAndWorkload:
 class TestParallelPool:
     """Persistent worker pool: equality, shipping, fallback, accounting."""
 
-    def _engines(self, **kw):
-        serial = make_engine(workers=3, cache_capacity=0)
-        other = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-            cache_capacity=0, **kw,
-        )
-        a, b = serial._test_rects
-        other.register("a", a, universe=UNIT)
-        other.register("b", b, universe=UNIT)
-        return serial, other
-
     def test_process_pool_matches_serial_random_workloads(
             self, ship_every_tile):
         rng_seeds = [(31, 32), (41, 42)]
@@ -712,14 +703,17 @@ class TestParallelPool:
         assert rp.detail["tasks_shipped"] > 0
         proc.close()
 
-    def test_thread_pool_matches_serial(self, ship_every_tile):
-        serial, threaded = self._engines(pool_kind="thread")
-        q = Query(relations=("a", "b"), force="pbsm-grid")
-        rs = serial.execute(q).result
-        rt = threaded.execute(q).result
-        assert rt.pair_set() == rs.pair_set()
-        assert threaded.worker_pool.kind == "thread"
-        threaded.close()
+    def test_a_thread_pool_is_refused(self):
+        # The sweeps hold the GIL, so a thread pool lost to running
+        # inline: a pool is forked processes or the coordinator.
+        with pytest.raises(ValueError, match="pool kind"):
+            WorkerPool(2, kind="thread")
+        with pytest.raises(ValueError, match="pool kind"):
+            SpatialQueryEngine(scale=TEST_SCALE, workers=2,
+                               pool_kind="thread")
+        with pytest.raises(ValueError, match="pool kind"):
+            ShardedEngine(shards=2, scale=TEST_SCALE, workers=2,
+                          pool_kind="thread")
 
     def test_small_tasks_stay_inline(self):
         engine = SpatialQueryEngine(
@@ -738,7 +732,7 @@ class TestParallelPool:
     def test_pool_is_persistent_across_queries(self, ship_every_tile):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="thread",
+            cache_capacity=0, pool_kind="process",
         )
         a, b = make_engine()._test_rects
         engine.register("a", a, universe=UNIT)
@@ -748,7 +742,8 @@ class TestParallelPool:
         engine.execute(Query(relations=("a", "a")))
         assert engine.worker_pool.pools_created == 1
         assert engine.worker_pool.tasks_dispatched > 0
-        assert engine.metrics_snapshot()["worker_pool"]["kind"] == "thread"
+        snap = engine.metrics_snapshot()["worker_pool"]
+        assert snap["kind"] == "process"
         engine.close()
 
     def test_close_is_idempotent_and_context_manager(self):
@@ -1279,24 +1274,23 @@ class TestTileBatching:
         q = Query(relations=("a", "b"), force="pbsm-grid")
         serial = self._engine(a, b, "serial")
         ref = serial.execute(q).result
-        for kind in ("thread", "process"):
-            engine = self._engine(a, b, kind)
-            out = engine.execute(q).result
-            # Identical pair sets and bit-identical op accounting,
-            # whether tiles shipped solo, batched or inline.
-            assert out.pair_set() == ref.pair_set()
-            assert (out.detail["sweep_ops_total"]
-                    == ref.detail["sweep_ops_total"])
-            assert engine.env.cpu_ops == serial.env.cpu_ops
-            assert out.detail["tile_batches"] > 0
-            assert out.detail["batched_tiles"] > 1
-            engine.close()
+        engine = self._engine(a, b, "process")
+        out = engine.execute(q).result
+        # Identical pair sets and bit-identical op accounting, whether
+        # tiles shipped solo, batched or inline.
+        assert out.pair_set() == ref.pair_set()
+        assert (out.detail["sweep_ops_total"]
+                == ref.detail["sweep_ops_total"])
+        assert engine.env.cpu_ops == serial.env.cpu_ops
+        assert out.detail["tile_batches"] > 0
+        assert out.detail["batched_tiles"] > 1
+        engine.close()
         serial.close()
 
     def test_batch_is_one_pool_task(self):
         a, b = self._skewed()
         q = Query(relations=("a", "b"), force="pbsm-grid")
-        engine = self._engine(a, b, "thread")
+        engine = self._engine(a, b, "process")
         out = engine.execute(q).result
         pool = engine.worker_pool.snapshot()
         # Tiles outnumber dispatched tasks: batches amortize round-trips.
@@ -1329,7 +1323,7 @@ class TestCostAwareDispatch:
     def _engine(self):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-            cache_capacity=0, pool_kind="thread",
+            cache_capacity=0, pool_kind="process",
         )
         a = uniform_rects(400, UNIT, 0.02, seed=31)
         b = uniform_rects(200, UNIT, 0.03, seed=32, id_base=100_000)

@@ -191,6 +191,15 @@ class TestCLI:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             f"error: {needs}")
 
+    @pytest.mark.parametrize("command", ("serve-bench", "serve"))
+    def test_cli_refuses_a_thread_pool(self, command, capsys):
+        # A pool is forked processes or the coordinator.
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--scale", "quick",
+                      "--pool-kind", "thread"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_cli_serve_bench(self, capsys):
         rc = cli_main(["serve-bench", "--dataset", "NJ", "--scale",
                        "quick", "--queries", "8", "--workers", "2"])

@@ -51,6 +51,7 @@ from tests.conftest import (
     dispatch,
     within,
 )
+from tests.test_pool_leaks import _shm_files
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -69,7 +70,7 @@ def _single(faults=None, **kw):
     kw.setdefault("machine", MACHINE_3)
     kw.setdefault("workers", 2)
     kw.setdefault("cache_capacity", 0)
-    kw.setdefault("pool_kind", "thread")
+    kw.setdefault("pool_kind", "process")
     a, b = _data()
     engine = SpatialQueryEngine(faults=faults, **kw)
     engine.register("a", a, universe=UNIT)
@@ -196,16 +197,17 @@ class TestPoolFaults:
         plan = FaultPlan([
             FaultRule(site="pool.task", kind="exception"),
         ])
-        pool = WorkerPool(1, kind="thread", faults=plan)
+        pool = WorkerPool(2, kind="process", faults=plan)
         fut = pool.submit(len, (1, 2, 3))
         with pytest.raises(InjectedFault):
             fut.result()
         assert pool.submit(len, (1, 2, 3)).result() == 3
         pool.shutdown()
 
-    def test_task_crash_on_thread_pool_is_broken_executor(self):
+    def test_task_crash_on_serial_pool_is_broken_executor(self):
+        # No worker to kill: the crash is raised on the coordinator.
         plan = FaultPlan([FaultRule(site="pool.task", kind="crash")])
-        pool = WorkerPool(1, kind="thread", faults=plan)
+        pool = WorkerPool(2, kind="serial", faults=plan)
         fut = pool.submit(len, (1,))
         with pytest.raises(InjectedCrash):
             fut.result()
@@ -216,7 +218,7 @@ class TestPoolFaults:
             FaultRule(site="pool.task", kind="slow",
                       delay_seconds=0.01),
         ])
-        pool = WorkerPool(1, kind="thread", faults=plan)
+        pool = WorkerPool(2, kind="process", faults=plan)
         assert pool.submit(len, (1, 2)).result() == 2
         assert plan.total_injected == 1
         pool.shutdown()
@@ -236,16 +238,15 @@ class TestPoolFaults:
 
     def test_process_worker_crash_demotes_and_recovers(self):
         # A real fork actually dies (os._exit) — genuine
-        # BrokenProcessPool, global demotion to threads, inline replay.
+        # BrokenProcessPool, global demotion to serial, inline replay.
         plan = FaultPlan([FaultRule(site="pool.task", kind="crash")])
-        engine, a, b = _single(faults=plan, pool_kind="process")
+        engine, a, b = _single(faults=plan)
         out = engine.execute(
             Query(relations=("a", "b"), force="pbsm-grid")
         ).result
         assert sorted(out.pairs) == sorted(brute_reference(a, b))
         snap = engine.worker_pool.snapshot()
-        assert snap["kind"] == "thread"
-        assert snap["demotions"] >= 1
+        assert (snap["kind"], snap["demotions"]) == ("serial", 1)
         engine.close()
 
     def test_submit_break_runs_inline(self):
@@ -292,6 +293,22 @@ def _spy_submits(pool):
         return shipped[-1]
 
     pool.submit = spy
+    return shipped
+
+
+def _kill_a_worker_at_the_second_submit(pool):
+    """Like :func:`_spy_submits`, and a worker is SIGKILLed right after
+    the second submission."""
+    shipped = _spy_submits(pool)
+    submit = pool.submit
+
+    def kill_at_the_second(fn, payload, units=1):
+        fut = submit(fn, payload, units)
+        if len(shipped) == 2:
+            os.kill(_worker_pids(pool)[0], signal.SIGKILL)
+        return fut
+
+    pool.submit = kill_at_the_second
     return shipped
 
 
@@ -415,25 +432,16 @@ class TestProcessTransport:
             # The next submit finds the pool broken: it demotes and the
             # task runs, inline.
             assert pool.submit(len, (1, 2)).result() == 2
-            assert (pool.kind, pool.demotions) == ("thread", 1)
+            assert (pool.kind, pool.demotions) == ("serial", 1)
         finally:
             within(30, pool.shutdown)
 
     def test_a_worker_killed_mid_query_still_returns_exact_pairs(self):
         plan = FaultPlan([FaultRule(site="pool.task", kind="slow",
                                     delay_seconds=0.2, times=None)])
-        engine, a, b = _single(faults=plan, pool_kind="process")
-        pool = engine.worker_pool.pool
-        shipped = _spy_submits(pool)
-        submit = pool.submit
-
-        def kill_at_the_second(fn, payload, units=1):
-            fut = submit(fn, payload, units)
-            if len(shipped) == 2:
-                os.kill(_worker_pids(pool)[0], signal.SIGKILL)
-            return fut
-
-        pool.submit = kill_at_the_second
+        engine, a, b = _single(faults=plan)
+        shipped = _kill_a_worker_at_the_second_submit(
+            engine.worker_pool.pool)
         try:
             out = within(60, lambda: engine.execute(
                 Query(relations=("a", "b"), force="pbsm-grid")
@@ -442,7 +450,7 @@ class TestProcessTransport:
             assert len(shipped) > 2
             assert isinstance(shipped[0].exception(), BrokenExecutor)
             snap = engine.worker_pool.snapshot()
-            assert (snap["kind"], snap["demotions"]) == ("thread", 1)
+            assert (snap["kind"], snap["demotions"]) == ("serial", 1)
         finally:
             within(30, engine.close)
 
@@ -524,7 +532,7 @@ class TestProcessTransport:
         # and the cancelled.
         plan = FaultPlan([FaultRule(site="pool.task", kind="slow",
                                     delay_seconds=0.3, times=None)])
-        engine, _a, _b = _single(faults=plan, pool_kind="process")
+        engine, _a, _b = _single(faults=plan)
         shipped = _spy_submits(engine.worker_pool.pool)
         token = CancelToken(time.monotonic() + 0.15)
         try:
@@ -541,6 +549,83 @@ class TestProcessTransport:
             assert len(finished + running + cancelled) == len(shipped)
             snap = engine.worker_pool.snapshot()
             assert snap["pool_tasks_cancelled"] == len(cancelled) + 1
+        finally:
+            within(30, engine.close)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs Linux /proc")
+class TestDemotion:
+    """A process pool that breaks — it cannot start, a submit finds it
+    broken, or a worker dies under a query — is demoted to serial once.
+    The query still returns exact pairs, every later task runs on the
+    coordinator, no pool is started again, and the broken pool leaves
+    no worker, descriptor or shared-memory segment behind."""
+
+    QUERY = Query(relations=("a", "b"), force="pbsm-grid")
+
+    @pytest.mark.parametrize("where", (
+        "at_start", "injected_at_submit", "broken_at_submit",
+        "worker_killed_mid_query",
+    ))
+    def test_a_broken_pool_turns_serial_once_and_leaves_nothing(
+            self, where, monkeypatch):
+        from multiprocessing import resource_tracker
+
+        from repro.engine import pool as pool_mod
+
+        resource_tracker.ensure_running()
+        fds = _open_fds()
+        plan = None
+        if where == "at_start":
+            def no_fork():
+                raise OSError("no fork here")
+
+            monkeypatch.setattr(pool_mod, "_fork_context", no_fork)
+        elif where == "injected_at_submit":
+            plan = FaultPlan([FaultRule(site="pool.submit", kind="break")])
+        elif where == "worker_killed_mid_query":
+            plan = FaultPlan([FaultRule(site="pool.task", kind="slow",
+                                        delay_seconds=0.2, times=None)])
+        engine, a, b = _single(faults=plan)
+        pool = engine.worker_pool.pool
+        try:
+            engine.prepare()
+            workers = [] if where == "at_start" else _worker_pids(pool)
+            if where == "broken_at_submit":
+                for worker in pool._executor._workers:
+                    os.kill(worker.proc.pid, signal.SIGKILL)
+                    worker.proc.join(30)
+                # The pool learns it is broken from a task's pipe.
+                probe = pool.submit(_echo, 0)
+                assert isinstance(within(30, probe.exception),
+                                  BrokenExecutor)
+            elif where == "worker_killed_mid_query":
+                _kill_a_worker_at_the_second_submit(pool)
+            ref = sorted(brute_reference(a, b))
+            # Every shipped tile travels in a shared-memory segment.
+            with dispatch(SHM_MIN_BYTES=0):
+                first = within(60, lambda: engine.execute(self.QUERY))
+                assert sorted(first.result.pairs) == ref
+                created = pool.pools_created
+                assert created == (0 if where == "at_start" else 1)
+                for _ in range(3):
+                    out = engine.execute(self.QUERY)
+                    assert sorted(out.result.pairs) == ref
+            snap = pool.snapshot()
+            assert (snap["kind"], snap["demotions"]) == ("serial", 1)
+            assert (snap["pools_created"], snap["started"]) == (
+                created, False)
+            assert (snap["shm"]["segments_created"] > 0) == (
+                where != "at_start")
+            assert not [pid for pid in workers
+                        if os.path.exists(f"/proc/{pid}")]
+            assert _open_fds() == fds
+            assert not _shm_files()
         finally:
             within(30, engine.close)
 
@@ -651,7 +736,7 @@ class TestReplicaFailover:
         # succeeds — the replicated answer never changes either way.
         plan = FaultPlan([FaultRule(site="pool.task", kind="crash")])
         engine, a, b = _sharded(
-            faults=plan, replicas=2, pool_kind="thread",
+            faults=plan, replicas=2, pool_kind="process",
         )
         ref = sorted(brute_reference(a, b))
         for _ in range(3):
@@ -718,7 +803,7 @@ class TestDifferentialUnderFaults:
     def test_worker_crash_with_replicas(self, assert_same_pairs):
         a, b = _data(seed=7)
         assert_same_pairs(
-            a, b, replicas=2, pool_kinds=("thread",),
+            a, b, replicas=2, pool_kinds=("process",),
             plan_factory=lambda: FaultPlan([
                 FaultRule(site="pool.task", kind="crash", times=1),
             ]),

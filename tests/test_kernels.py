@@ -3,7 +3,7 @@
 The contract under test: the numpy kernel is *bit-identical* to the
 pure-python reference — same pairs, same emit order, same ``cpu_ops``
 and ``max_active_items`` accounting — at every level it plugs in
-(batched sweep, tile task, whole engine over serial/thread/process
+(batched sweep, tile task, whole engine over serial and process
 pools).  Alongside parity, the suite pins kernel resolution semantics
 (``auto``/``REPRO_KERNEL``/explicit) and the hygiene of shared-memory
 tile shipping: segments are reference-counted, survive worker crashes,
@@ -301,8 +301,7 @@ class TestEngineParity:
             engine.register("b", rects_b, universe=UNIT)
         return engine
 
-    @pytest.mark.parametrize("pool_kind",
-                             ("serial", "thread", "process"))
+    @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_pairs_and_accounting_match(self, pool_kind):
         rng = random.Random(17)
         a = GENERATORS["clustered"](rng, 300)
@@ -698,8 +697,7 @@ class TestDistributeParity:
         assert got == _engine_outcome("python", a, b, None, 4, 2_600)
         assert set(got["pairs"]) == brute_reference(a, b)
 
-    @pytest.mark.parametrize("pool_kind",
-                             ("serial", "thread", "process"))
+    @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_numpy_spill_never_boxes_a_rectangle(self, pool_kind,
                                                  monkeypatch):
         # A quarter of the data as budget: tiles spill and are re-read,
@@ -1174,8 +1172,7 @@ class TestPairColumnsParity:
         assert type(out[1]) is list and len(out[1]) == out[0] > 0
         assert executor_mod._merge_pairs([out[1]], "numpy") == out[1]
 
-    @pytest.mark.parametrize("pool_kind",
-                             ("serial", "thread", "process"))
+    @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_engine_returns_columns_in_the_python_order(self, pool_kind):
         rng = random.Random(31)
         a = GENERATORS["clustered"](rng, 900)
@@ -1353,7 +1350,7 @@ class TestSegmentedSweepParity:
         ref = sweep_tile_batch_task(
             tuple(p + ("python",) for p in payloads)
         )
-        pool = WorkerPool(2, kind="thread")
+        pool = WorkerPool(2, kind="process")
         try:
             shm = pool.shm.refs_for(
                 [side for p in payloads for side in p[2:4]]
@@ -1646,8 +1643,7 @@ class TestSegmentedSweepParity:
                 mid_run += not (first or last)
         assert mid_run > 10 and run_end >= 2
 
-    @pytest.mark.parametrize("pool_kind",
-                             ("serial", "thread", "process"))
+    @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_numpy_path_never_runs_the_python_sweep(self, pool_kind,
                                                     monkeypatch):
         # Solo tiles, shipped groups and the inline remainder all go

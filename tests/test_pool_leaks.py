@@ -15,6 +15,7 @@ import gc
 import glob
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -349,6 +350,46 @@ def test_a_started_process_pool_adds_no_thread():
         assert set(threading.enumerate()) <= before
     finally:
         pool.shutdown()
+
+
+def _rows_behind(ref):
+    """A pool task: how many rows the shared-memory tile ``ref`` holds."""
+    return len(pool_mod.resolve_shm_tile(ref))
+
+
+def test_a_worker_forked_under_a_held_segment_lock_resolves_its_tiles():
+    # A pool forks lazily, maybe while a sibling shard packs tiles or a
+    # tile finalizer runs: the fork copies the segment lock as held, and
+    # no thread in the worker will ever release that copy.  The worker
+    # must attach the segment by name, never wait on the copy.
+    pool = WorkerPool(2, kind="process")
+    tile = ColumnarTile.from_rects(_uniform(random.Random(4), 50))
+    (ref,) = pool.shm.refs_for([tile])
+    held, release = threading.Event(), threading.Event()
+
+    def hold_the_lock():
+        with pool.shm._lock:
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold_the_lock)
+    holder.start()
+    held.wait()
+    try:
+        pool.prestart()
+    finally:
+        release.set()
+        holder.join()
+    fut = pool.submit(_rows_behind, ref)
+    try:
+        assert within(30, lambda: fut.result(timeout=5)) == 50
+    finally:
+        if not fut.done():
+            # Hung on the lock: a stuck worker would hold shutdown too.
+            for worker in pool._executor._workers:
+                os.kill(worker.proc.pid, signal.SIGKILL)
+        within(30, pool.shutdown)
+    assert not _shm_files()
 
 
 @needs_proc

@@ -1210,7 +1210,7 @@ class TestHttpEndpoint:
         a = _uniform(rng, 700)
         b = _uniform(rng, 500, 10_000)
         window = Rect(0.2, 0.7, 0.1, 0.6, 0)
-        engine = _make_sharded(2, pool_kind="thread", kernel="numpy",
+        engine = _make_sharded(2, pool_kind="process", kernel="numpy",
                                cache_capacity=8)
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)
@@ -1247,6 +1247,10 @@ class TestHttpEndpoint:
             await server.wait_closed()
             return replies
 
+        # Fork the workers before the listener opens, as ``serve``
+        # does: a worker forked mid-request would hold the connection
+        # open, and a Connection: close reply would never end.
+        engine.prepare()
         with dispatch(MIN_SHIP_RECTS=0), _frontend(engine) as fe:
             replies = asyncio.run(scenario(fe))
         assert [status for status, _ in replies] == [200, 200, 200]
@@ -1612,11 +1616,11 @@ class TestPoolDeadlinePropagation:
         engine budget bytes."""
         from repro.engine.pool import CancelToken  # noqa: F401
 
-        # Worker-side slow faults pin both pool threads for 50 ms per
+        # Worker-side slow faults pin both pool workers for 50 ms per
         # task, so a 20 ms deadline reliably expires while tasks are
         # in flight and others are still queued behind them.
         engine = _registered_single(
-            n=400, pool_kind="thread", workers=2,
+            n=400, pool_kind="process", workers=2,
             faults=FaultPlan([
                 FaultRule(site="pool.task", kind="slow",
                           delay_seconds=0.05, times=2),

@@ -328,8 +328,7 @@ class TestGatherParity:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("pool_kind",
-                             ("serial", "thread", "process"))
+    @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     @pytest.mark.parametrize("shards", (1, 2, 4))
     def test_every_query_shape(self, shards, pool_kind):
         served = self._serve(shards, pool_kind, "numpy")
@@ -432,11 +431,11 @@ class TestShardCountInvariance:
                           pool_kinds=("serial",))
 
     def test_invariance_across_pool_kinds(self, assert_same_pairs):
-        # One cross-product sweep with real thread pools: shard count
-        # x pool kind must not change a single pair.
+        # One cross-product sweep with real process pools: shard
+        # count x pool kind must not change a single pair.
         rng = random.Random(29)
         assert_same_pairs(_skewed(rng, 140), _skewed(rng, 110, 10_000),
-                          pool_kinds=("serial", "thread"))
+                          pool_kinds=("serial", "process"))
 
 
 class TestWindowedReuse:
@@ -504,12 +503,12 @@ class TestSharedPoolLifecycle:
     def _registered(self, pool, seed, name="a", **kw):
         rng = random.Random(seed)
         rects = _uniform(rng, 200, seed * 1000)
-        engine = _make_single(pool=pool, pool_kind="thread", **kw)
+        engine = _make_single(pool=pool, **kw)
         engine.register(name, rects, universe=UNIT)
         return engine, rects
 
     def test_close_releases_ref_without_stopping_shared_pool(self):
-        pool = WorkerPool(2, kind="thread")
+        pool = WorkerPool(2, kind="process")
         e1, r1 = self._registered(pool, 1)
         e2, r2 = self._registered(pool, 2)
         assert pool.refs == 2
@@ -530,7 +529,7 @@ class TestSharedPoolLifecycle:
         assert not pool.started, "the last release stops the pool"
 
     def test_client_counters_sum_to_pool_totals(self):
-        pool = WorkerPool(2, kind="thread")
+        pool = WorkerPool(2, kind="process")
         e1, _ = self._registered(pool, 3)
         e2, _ = self._registered(pool, 4)
         q = Query(relations=("a", "a"))
@@ -561,9 +560,9 @@ class TestSharedPoolLifecycle:
         # Simulate a broken process pool observed by e1's executor.
         recovered = e1.worker_pool.recover(len, (1, 2, 3))
         assert recovered == 3, "the lost task is recomputed inline"
-        assert pool.kind == "thread", "demotion is pool-wide"
+        assert pool.kind == "serial", "demotion is pool-wide"
         assert pool.fallbacks == 1
-        # Both engines keep serving bit-correct results on threads.
+        # Both engines keep serving bit-correct results, inline.
         q = Query(relations=("a", "a"))
         assert set(e1.execute(q).result.pairs) == brute_reference(r1)
         assert set(e2.execute(q).result.pairs) == brute_reference(r2)
@@ -573,9 +572,9 @@ class TestSharedPoolLifecycle:
     def test_close_query_close_stops_recreated_executor(self):
         # A drained engine that serves again re-takes its pool ref, so
         # the lazily recreated executor is stopped by the next close
-        # instead of leaking worker threads/processes.  Cost-aware
-        # dispatch off: the repeat must ship to restart the pool.
-        engine = _make_single(pool_kind="thread")
+        # instead of leaking worker processes.  Cost-aware dispatch
+        # off: the repeat must ship to restart the pool.
+        engine = _make_single(pool_kind="process")
         engine.register("a", _uniform(random.Random(71), 200),
                         universe=UNIT)
         q = Query(relations=("a", "a"))
@@ -593,7 +592,7 @@ class TestSharedPoolLifecycle:
         # A sibling's recover()/release() can stop the executor between
         # another coordinator's fetch and submit; the task must run
         # inline, counted as inline, instead of crashing the query.
-        pool = WorkerPool(2, kind="thread")
+        pool = WorkerPool(2, kind="process")
         fut = pool.submit(len, (1, 2))
         assert fut.result() == 2 and pool.tasks_dispatched == 1
         pool._executor.shutdown(wait=True)  # rug-pull, pool unaware
@@ -604,7 +603,7 @@ class TestSharedPoolLifecycle:
 
     def test_broken_executor_at_submit_triggers_demotion(self):
         # BrokenExecutor is a RuntimeError subclass; a pool whose
-        # workers died must hit the recover path (demote to threads,
+        # workers died must hit the recover path (demote to serial,
         # count the fallback), not the quiet rug-pull fallback.
         from concurrent.futures import BrokenExecutor
 
@@ -619,12 +618,15 @@ class TestSharedPoolLifecycle:
         pool._executor = _BrokenStub()
         fut = pool.submit(len, (1, 2, 3))
         assert fut.result() == 3, "the lost task is recomputed inline"
-        assert pool.kind == "thread", "dead workers must demote the pool"
-        assert pool.fallbacks == 1
+        assert pool.kind == "serial", "dead workers must demote the pool"
+        assert (pool.fallbacks, pool.demotions) == (1, 1)
         assert pool.tasks_inline == 1 and pool.tasks_dispatched == 0
-        # The demoted pool keeps dispatching — on threads now.
+        # The demoted pool runs every later task inline and starts no
+        # pool.
         fut = pool.submit(len, (1, 2))
-        assert fut.result() == 2 and pool.tasks_dispatched == 1
+        assert fut.result() == 2 and pool.tasks_inline == 2
+        assert pool.tasks_dispatched == pool.pools_created == 0
+        assert not pool.started
         pool.shutdown()
 
     def test_rug_pulled_executor_recovers_through_shipping_path(self):
@@ -633,7 +635,7 @@ class TestSharedPoolLifecycle:
         # whose executor vanished mid-flight still returns exact pairs.
         rng = random.Random(73)
         rects = _uniform(rng, 220)
-        engine = _make_single(pool_kind="thread")
+        engine = _make_single(pool_kind="process")
         engine.register("a", rects, universe=UNIT)
         q = Query(relations=("a", "a"))
         engine.execute(q)  # creates the executor
@@ -645,7 +647,7 @@ class TestSharedPoolLifecycle:
         engine.close()
 
     def test_sharded_close_is_idempotent(self):
-        sharded = _make_sharded(3, pool_kind="thread")
+        sharded = _make_sharded(3, pool_kind="process")
         sharded.register("a", _uniform(random.Random(7), 150),
                          universe=UNIT)
         sharded.execute(Query(relations=("a", "a")))
@@ -658,7 +660,7 @@ class TestSharedPoolLifecycle:
 
 
 class TestSharedPoolIsolation:
-    def _pair(self, pool_kind="thread"):
+    def _pair(self, pool_kind="process"):
         pool = WorkerPool(2, kind=pool_kind)
         rng = random.Random(31)
         r1 = _clustered(rng, 180)
@@ -735,7 +737,7 @@ class TestSharedPoolIsolation:
         # Shard 0's executor observes a broken pool mid-query; the
         # demotion is shared, but shard 1's results must stay exact.
         sharded.engines[0].worker_pool.recover(len, ())
-        assert sharded.pool.kind == "thread"
+        assert sharded.pool.kind == "serial"
         out = sharded.execute(Query(relations=("a", "a")))
         assert set(out.result.pairs) == brute_reference(rects)
         sharded.close()
@@ -845,7 +847,7 @@ class TestShardedServing:
         )
 
     def test_metrics_snapshot_aggregates_consistently(self):
-        sharded = _make_sharded(4, pool_kind="thread")
+        sharded = _make_sharded(4)
         rng = random.Random(59)
         sharded.register("a", _uniform(rng, 250), universe=UNIT)
         sharded.register("b", _uniform(rng, 180, 10_000), universe=UNIT)

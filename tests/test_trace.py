@@ -214,7 +214,7 @@ def test_sweep_span_reconciles_task_ops():
 # -- shape invariance across pool kinds ---------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["thread", "process"])
+@pytest.mark.parametrize("kind", ["process"])
 def test_span_shape_matches_serial(kind, ship_every_tile):
     with _engine(trace=True, pool_kind="serial") as serial:
         base = serial.execute(QUERY)
@@ -230,7 +230,7 @@ def test_span_shape_matches_serial(kind, ship_every_tile):
             assert task.attrs["pid"] > 0
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+@pytest.mark.parametrize("kind", ["serial", "process"])
 def test_grouped_tiles_are_one_span_wherever_they_run(kind):
     # The eight tiles hold 114-140 rectangles: three fill a group, the
     # last two are the remainder too small to ship.  The same groups
@@ -406,7 +406,7 @@ def test_latency_tracker_snapshot_keys():
 
 
 def test_pool_snapshot_exposes_demotions_and_clients():
-    pool = WorkerPool(2, kind="thread")
+    pool = WorkerPool(2, kind="serial")
     c1, c2 = pool.client(), pool.client()
 
     def _double(x):

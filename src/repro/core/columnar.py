@@ -40,12 +40,9 @@ from itertools import chain
 from math import prod
 from typing import Iterable, Iterator, List, Tuple
 
-from repro.geom.rect import RECT_BYTES, Rect
+import numpy as np
 
-try:
-    import numpy as np
-except ImportError:  # only numpy engines ever build a PairColumns
-    np = None
+from repro.geom.rect import RECT_BYTES, Rect
 
 #: Per-rectangle payload of the columnar format: four float64 corner
 #: coordinates plus one int64 identifier.

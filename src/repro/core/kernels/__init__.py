@@ -37,27 +37,24 @@ rectangles of different open leaves leave in push order; see
 
 Selection is by name:
 
-* ``"auto"`` — numpy if importable, python otherwise.  The
+* ``"auto"`` — numpy (a dependency of the package).  The
   ``REPRO_KERNEL`` environment variable overrides auto-resolution
-  (``REPRO_KERNEL=python`` forces the fallback without touching call
-  sites — the CI leg that keeps the fallback from rotting), but never
-  an explicit kernel choice.
-* ``"numpy"`` — explicit; raises if numpy is not importable.
-* ``"python"`` — explicit fallback.
+  (``REPRO_KERNEL=python`` forces the reference without touching call
+  sites — the CI leg that keeps it from rotting), but never an
+  explicit kernel choice.
+* ``"numpy"`` / ``"python"`` — explicit.
 
 ``resolve_kernel`` happens once, on the coordinator (engine/executor
 construction); workers receive the resolved name inside each task
-payload and obey it.  If a worker cannot honour a ``numpy`` request
-(or the input contains rectangles the vectorized kernel does not
-model, e.g. ``yhi < ylo`` or a NaN), the task falls back to the python kernel
-for that task only — the results are identical by contract, so the
-fallback is invisible except in wall time.
+payload and obey it.  If the input contains rectangles the vectorized
+kernel does not model (``yhi < ylo`` or a NaN), the task falls back to
+the python kernel for that task only — the results are identical by
+contract, so the fallback is invisible except in wall time.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 #: Every acceptable kernel *request*; resolution maps "auto" onto one
 #: of the two implementations.
@@ -66,30 +63,11 @@ KERNEL_NAMES = ("auto", "numpy", "python")
 #: Environment override for ``"auto"`` resolution only.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-_numpy_available: Optional[bool] = None
-
-
-def numpy_available() -> bool:
-    """True when the numpy kernel is importable (memoized)."""
-    global _numpy_available
-    if _numpy_available is None:
-        try:
-            import numpy  # noqa: F401
-
-            _numpy_available = True
-        except ImportError:
-            _numpy_available = False
-    return _numpy_available
-
-
 def resolve_kernel(name: str) -> str:
     """Map a kernel request onto ``"numpy"`` or ``"python"``.
 
-    ``"auto"`` resolves to numpy when importable, honouring
-    ``REPRO_KERNEL`` (a forced ``numpy`` that is unavailable is
-    ignored rather than fatal — the env var is a preference, not an
-    API).  An explicit ``"numpy"`` request with no numpy raises: the
-    caller asked for something this interpreter cannot provide.
+    ``"auto"`` resolves to numpy unless ``REPRO_KERNEL`` says
+    ``python``; an explicit request is returned as it is.
     """
     if name not in KERNEL_NAMES:
         raise ValueError(
@@ -97,16 +75,7 @@ def resolve_kernel(name: str) -> str:
         )
     if name == "auto":
         forced = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-        if forced == "python":
-            return "python"
-        if forced == "numpy" and numpy_available():
-            return "numpy"
-        return "numpy" if numpy_available() else "python"
-    if name == "numpy" and not numpy_available():
-        raise ValueError(
-            "kernel='numpy' requested but numpy is not importable; "
-            "use kernel='auto' to fall back silently"
-        )
+        return "python" if forced == "python" else "numpy"
     return name
 
 

@@ -284,12 +284,11 @@ class SpatialQueryEngine(_ServeShell):
         # starve a tile grant.  ``artifact_cache_bytes=0`` disables
         # artifact reuse.
         #
-        # ``worker_pool`` shares an externally-owned pool (a sharded
-        # catalog runs many engines on one pool); the engine then holds
-        # a ref-counted client handle, so ``close()`` releases its ref
-        # rather than tearing down a pool a sibling engine still uses.
-        # When a pool is shared, ``pool_kind`` is ignored (the pool
-        # already has a kind).
+        # ``worker_pool`` shares a pool its creator owns (a sharded
+        # catalog runs many engines on one pool): ``close()`` stops only
+        # a pool this engine created.  When a pool is shared,
+        # ``pool_kind`` is ignored (the pool already has a kind).
+        self._owns_pool = worker_pool is None
         self.worker_pool = (
             worker_pool if worker_pool is not None
             else WorkerPool(self.workers, kind=pool_kind, faults=faults)
@@ -307,8 +306,8 @@ class SpatialQueryEngine(_ServeShell):
             budget=self.budget, artifacts=self.artifacts,
         )
         # ``kernel`` selects the sweep implementation ("auto" resolves
-        # to numpy when importable; results are bit-identical either
-        # way).
+        # to numpy unless REPRO_KERNEL=python; results are bit-identical
+        # either way).
         self.executor = Executor(
             self.disk, machine, pool=self.pool, budget=self.budget,
             worker_pool=self.worker_pool, artifacts=self.artifacts,
@@ -544,18 +543,18 @@ class SpatialQueryEngine(_ServeShell):
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Release this engine's worker-pool ref; it stays queryable.
+        """Stop the pool if this engine created it; the engine stays
+        queryable.
 
-        The engine holds a ref-counted client on its pool: closing
-        releases that ref, and the pool's executor stops only when the
-        last client lets go — so closing one engine never tears a
-        *shared* pool out from under a sibling shard.  The executor is
-        recreated lazily if another partitioned query arrives, so
-        ``close`` is safe to call eagerly (tests, short scripts);
-        long-lived servers call it on drain.  Also usable as a context
-        manager.
+        A pool passed in as ``worker_pool=`` belongs to whoever made it
+        and keeps running, so closing one shard never stops its
+        siblings' pool.  The next shipped task starts a stopped pool
+        again and the next ``close`` stops it, so ``close`` is safe to
+        call eagerly (tests, short scripts); long-lived servers call it
+        on drain.  Also usable as a context manager.
         """
-        self.worker_pool.release()
+        if self._owns_pool:
+            self.worker_pool.pool.shutdown()
 
     def __enter__(self) -> "SpatialQueryEngine":
         return self

@@ -57,7 +57,7 @@ goes back once, whichever stage raises:
    the overflow spilled as image rows (:func:`_spill_run`) — no
    ``Rect`` is built; the per-rectangle
    :func:`~repro.core.pbsm.distribute` is the
-   no-numpy path and the reference, identical down to the order of
+   python kernel's path and the reference, identical down to the order of
    the disk's ``allocate`` / write / read calls.  Each tile goes to
    the :class:`_TaskShipper` the moment it is ready, so workers sweep
    early partitions while the coordinator re-reads later ones.
@@ -117,7 +117,7 @@ from repro.core.columnar import (
     SortedRunView,
 )
 from repro.core.join_result import JoinResult
-from repro.core.kernels import resolve_kernel
+from repro.core.kernels import np_sweep, resolve_kernel
 from repro.core.multiway import multiway_join
 from repro.core.pbsm import (
     SpillablePartition,
@@ -251,11 +251,6 @@ class Executor:
         # ops, keyed by artifact key), written after every execution;
         # the PLAN_MEMO_ENTRIES most recently executed plans are kept.
         self._plan_ops: OrderedDict[tuple, int] = OrderedDict()
-        if self.kernel == "numpy":
-            # Import the vectorized kernel on the coordinator now so
-            # fork-started pool workers inherit the loaded module
-            # instead of each importing it on their first task.
-            _np_sweep()
 
     # -- public ----------------------------------------------------------
 
@@ -712,8 +707,8 @@ class Executor:
                     # real origin (there is no pool to recover here).
                     raise
                 # The pool died under this task (sandboxed fork,
-                # killed worker).  Recompute inline and demote the
-                # pool so the remaining queries keep flowing.  Task-body
+                # killed worker) and demoted itself: recompute inline so
+                # the remaining queries keep flowing.  Task-body
                 # exceptions are not caught: they propagate with their
                 # real origin.
                 outcomes.append(
@@ -1089,22 +1084,6 @@ class _OpCounter:
 #: from the python body and :class:`PairColumns` from the numpy kernel.
 TaskOutcome = Tuple[int, Optional[Sequence[Tuple[int, int]]], int, int]
 
-_np_sweep_mod = False  # False = not probed yet; None = unavailable
-
-
-def _np_sweep():
-    """The vectorized kernel module, or None (memoized per process)."""
-    global _np_sweep_mod
-    if _np_sweep_mod is False:
-        try:
-            from repro.core.kernels import np_sweep as mod
-
-            _np_sweep_mod = mod
-        except ImportError:
-            _np_sweep_mod = None
-    return _np_sweep_mod
-
-
 def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
     """The tiles of ``payloads`` through one vectorized kernel call.
 
@@ -1112,9 +1091,9 @@ def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
     grid, the self-join and collect flags, the kernel and the cancel
     token — which is checked once, before the call: a group is the
     unit a deadline can stop.  ``None`` hands the tiles to the python
-    body: the payloads name the python kernel, this process cannot
-    import numpy, or the kernel declined the input (then for the whole
-    group; the caller retries tile by tile).  Every task entry point
+    body: the payloads name the python kernel, or the kernel declined
+    the input (then for the whole group; the caller retries tile by
+    tile).  Every task entry point
     passes here first, so this is where a payload that still carries
     a window (slot 6) is refused: tiles are pruned before they ship.
     """
@@ -1126,12 +1105,9 @@ def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
     first = payloads[0]
     if len(first) <= 7 or first[7] != "numpy":
         return None
-    mod = _np_sweep()
-    if mod is None:
-        return None
     _check_cancel(first)
     _, grid_spec, _, _, self_join, collect = first[:6]
-    out = mod.sweep_tiles(
+    out = np_sweep.sweep_tiles(
         [(p[0], _resolved(p[2]), _resolved(p[3])) for p in payloads],
         self_join, grid_spec, collect,
     )
@@ -1173,8 +1149,7 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
     Under the numpy kernel a solo tile is a group of one
     (:func:`_sweep_group`): the whole task runs vectorized.  The body
     below is the python kernel and the reference — ``kernel="python"``
-    engines, workers without numpy, and any tile the vectorized kernel
-    declines land here, with bit-identical results.  It decodes the
+    engines and any tile the vectorized kernel declines land here, with bit-identical results.  It decodes the
     tile, runs the forward sweep that collects its pairs in a list
     (which sorts), then applies reference-point ownership and
     self-join dedup in one tight loop over that list, so no Python
@@ -1259,13 +1234,10 @@ def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
         if pairs is not None:
             parts.append(pairs)
     # payload[5] is the collect flag, payload[7] the kernel; all tiles
-    # of one query share both.  A worker that cannot import numpy swept
-    # every tile with the python body and merges the same way.
+    # of one query share both.
     merged = None
     if payloads[0][5]:
         kernel = payloads[0][7] if len(payloads[0]) > 7 else "python"
-        if _np_sweep() is None:
-            kernel = "python"
         merged = _merge_pairs(parts, kernel)
     return (count, merged, ops, dups)
 

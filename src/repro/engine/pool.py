@@ -25,16 +25,16 @@ degrades gracefully: single-worker pools run inline, and callers are
 expected to keep tiny tasks on the coordinator (the executor's dispatch
 policy does).  A process pool that cannot start, breaks at submit or
 loses a worker (sandboxes without fork, OOM-killed children) is
-demoted to ``serial`` once, in :meth:`WorkerPool._demote`: the lost
-task is re-run inline, every later task runs on the coordinator, and
+demoted to ``serial`` once, where the break is seen: the lost task
+is re-run inline, every later task runs on the coordinator, and
 no pool is started again.
 
 The process transport starts no thread in the coordinator.  Each forked
 worker owns one duplex pipe; the thread that submits a task writes it
 into a worker's pipe, and a thread waiting on a result reads the pipes
-itself (:class:`_PipePool`).  A coordinator thread that ran only to
-move tasks and results would compete for the GIL with the thread that
-materializes the next partition.
+itself.  A coordinator thread that ran only to move tasks and results
+would compete for the GIL with the thread that materializes the next
+partition.
 
 Submission is streaming: :meth:`submit` hands one task to the pool the
 moment its partition is materialized, so coordinator-side
@@ -45,13 +45,13 @@ amortization factor (tiles per dispatched task) a skewed grid enjoys.
 
 Since the sharded catalog, one pool may serve **several engines**.
 Each engine talks to the pool through a :class:`PoolClient` — a
-ref-counted handle with its own dispatch counters, so per-shard
-activity stays attributable while the pool keeps the shared totals
-(the invariant the differential tests assert: client counters sum to
-the pool's).  The pool's OS resources are released when the *last*
-client releases its handle; an engine closing its own handle can
-therefore never tear the pool out from under a sibling shard.  Shared
-counters are lock-guarded: two engines may submit from two coordinator
+handle with its own dispatch counters, so per-shard activity stays
+attributable while the pool keeps the shared totals (the invariant
+the differential tests assert: client counters sum to the pool's).
+Whoever constructs a pool stops it: an engine stops a pool it created
+when it closes, never one it was handed, and a sharded engine stops
+the pool its shards share.  One lock guards the pool's workers, pipes,
+queue, kind and counters: two engines may submit from two coordinator
 threads at once.
 """
 
@@ -61,11 +61,12 @@ import multiprocessing
 import os
 import pickle
 import signal
+import stat
 import threading
 import time
 import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import BrokenExecutor, Future, InvalidStateError
+from concurrent.futures import Future, InvalidStateError
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as _wait_readable
 from typing import (
@@ -608,9 +609,9 @@ class _InlineFuture:
 
     The recovery slots exist because the executor's task shipper tags
     every *submitted* future with its function/payload for broken-pool
-    replay — and submit() itself returns an ``_InlineFuture`` on the
-    broken-executor and shutdown-race fallback paths, so it must accept
-    the same tags as a real future.
+    replay — and submit() itself returns an ``_InlineFuture`` on a
+    demoted pool and on the injected-break path, so it must accept the
+    same tags as a real future.
     """
 
     __slots__ = ("_value", "_error", "_repro_fn", "_repro_payload",
@@ -661,8 +662,8 @@ def _faulted_task(wrapped):
 #: without waiting for the coordinator to read the result and write
 #: again.  A deeper queue only binds tasks to a worker early, where a
 #: task behind a long sweep waits for it while another worker may idle;
-#: every further task waits on the coordinator (:class:`_PipePool`'s
-#: FIFO) for the first slot a result frees.
+#: every further task waits on the coordinator (the pool's FIFO) for
+#: the first slot a result frees.
 TASKS_PER_WORKER = 2
 
 #: A pickled task larger than this is written only to a worker with
@@ -674,18 +675,42 @@ TASKS_PER_WORKER = 2
 PIPE_WRITE_BYTES = 64 * 1024
 
 
-def _serve_tasks(conn, inherited) -> None:
+def _drop_inherited_sockets(keep: int) -> None:
+    """Close every socket the fork copied into this worker but ``keep``.
+
+    A pool forked while the coordinator serves copies its listening
+    and accepted sockets: a ``Connection: close`` reply would not reach
+    end-of-file while the worker lives.  The other workers' pipe ends,
+    and the coordinator's end of this worker's own, are sockets too;
+    without them the worker sees end-of-file when the coordinator goes.
+    Sockets only: the other descriptors (pipes, shared-memory segments)
+    are not the coordinator's conversations.  Each socket is replaced
+    by ``/dev/null`` rather than closed, so its number stays taken and
+    an inherited object that closes it later never closes a reused one.
+    """
+    fds = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir(fds):
+            fd = int(name)
+            try:
+                if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                pass  # the listing's own descriptor, closed by now
+    finally:
+        os.close(null)
+
+
+def _serve_tasks(conn) -> None:
     """A pool worker's loop: read a task, run it, write its outcome.
 
-    ``inherited`` are the coordinator's ends of this pool's pipes, the
-    worker's own included, which the fork copied; closing them lets the
-    worker see end-of-file when the coordinator goes.  An empty message
-    is the stop signal.  SIGINT is the coordinator's to handle: a ^C at
-    ``serve`` drains the pool instead of killing its workers mid-task.
+    An empty message is the stop signal.  SIGINT is the coordinator's
+    to handle: a ^C at ``serve`` drains the pool instead of killing its
+    workers mid-task.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in inherited:
-        end.close()
+    _drop_inherited_sockets(conn.fileno())
     while True:
         try:
             data = conn.recv_bytes()
@@ -724,67 +749,161 @@ class _Worker:
         self.written: Deque[Future] = deque()
 
 
+def _stop_workers(procs: List[_Worker], terminate: bool) -> None:
+    """Stop ``procs`` (terminated where they stand if ``terminate``),
+    reap them and close their pipes."""
+    for worker in procs:
+        try:
+            worker.conn.send_bytes(b"")
+        except OSError:
+            pass
+        if terminate:
+            worker.proc.terminate()
+    for worker in procs:
+        worker.proc.join(5)
+        if worker.proc.exitcode is None:
+            worker.proc.kill()
+            worker.proc.join()
+        worker.proc.close()
+        worker.conn.close()
+
+
 class _PipeFuture(Future):
     """A :class:`concurrent.futures.Future` whose waiter does the reading.
 
-    ``result`` / ``exception`` drive the transport until this future
-    is done; ``done``, ``cancel`` and ``add_done_callback`` are the
-    stock ones.  (``concurrent.futures.wait`` does not drive it: a
-    future of this pool completes only while some thread waits in
-    ``result`` or ``exception``.)
+    ``result`` / ``exception`` drive the pool until this future is
+    done; ``done``, ``cancel`` and ``add_done_callback`` are the stock
+    ones.  (``concurrent.futures.wait`` does not drive it: a future of
+    this pool completes only while some thread waits in ``result`` or
+    ``exception``.)
     """
 
-    def __init__(self, transport: "_PipePool") -> None:
+    def __init__(self, pool: "WorkerPool") -> None:
         super().__init__()
-        self._transport = transport
+        self._pool = pool
 
     def result(self, timeout: Optional[float] = None) -> Any:
-        self._transport.wait_for(self.done, timeout)
+        self._pool._wait_for(self.done, timeout)
         return super().result(timeout=0)
 
     def exception(self, timeout: Optional[float] = None):
-        self._transport.wait_for(self.done, timeout)
+        self._pool._wait_for(self.done, timeout)
         return super().exception(timeout=0)
 
     def cancel(self) -> bool:
-        # A thread parked on the transport may be waiting for this one.
+        # A thread parked on the pool may be waiting for this one.
         if not super().cancel():
             return False
-        self._transport.wake()
+        with self._pool._cond:
+            self._pool._cond.notify_all()
         return True
 
 
-class _PipePool:
-    """Forked workers, one duplex pipe each, and no coordinator thread.
+def _fork_context():
+    # Fork keeps startup off the hot path on POSIX; workers inherit the
+    # imported modules instead of re-importing.
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
-    ``submit`` pickles the task and writes it to the least loaded worker
-    holding fewer than :data:`TASKS_PER_WORKER` (a task over
+
+class WorkerPool:
+    """A long-lived process pool shareable by several engines.
+
+    Forked workers, one duplex pipe each, and no coordinator thread.
+    ``submit`` pickles the task and writes it to the least loaded
+    worker holding fewer than :data:`TASKS_PER_WORKER` (a task over
     :data:`PIPE_WRITE_BYTES` waits for an idle one); any other task
-    waits in one FIFO.  There is no reader thread: a thread in
-    ``result()`` takes the reader role if it is free, waits on every
-    worker's pipe, completes whichever futures arrive and writes queued
-    tasks to the slots they free; the other waiters park on one
-    condition, notified at every completion and when the reader gives
-    the role up.  End-of-file on a pipe (a worker died) fails every
+    waits in one FIFO.  A thread in ``result()`` takes the reader role
+    if it is free, waits on every worker's pipe, completes whichever
+    futures arrive and writes queued tasks to the slots they free; the
+    other waiters park on the pool's condition, notified at every
+    completion and when the reader gives the role up.
+
+    One lock, that condition's, guards the workers, pipes, FIFO and
+    reader role, and with them the kind, the counters and whether the
+    pool runs.  End-of-file or a write error on a pipe (a worker died)
+    demotes the pool to ``serial`` where it is seen, failing every
     unresolved future with ``BrokenProcessPool``.
     """
 
-    def __init__(self, workers: int, ctx) -> None:
+    def __init__(self, workers: int = 1, kind: str = "process",
+                 faults: Optional[FaultPlan] = None) -> None:
+        if kind not in POOL_KINDS:
+            raise ValueError(
+                f"pool kind must be one of {POOL_KINDS}, got {kind!r}"
+            )
+        #: Optional chaos schedule consulted at ``pool.submit`` /
+        #: ``pool.task`` (see :mod:`repro.engine.faults`); None in
+        #: production.
+        self.faults = faults
+        self.workers = max(1, workers)
+        #: The requested kind; single-worker pools execute inline
+        #: regardless (a pool of one only adds shipping overhead).
+        self.kind = kind if self.workers > 1 else "serial"
         # Reentrant: futures are failed under it, and a done-callback
-        # may submit (and be refused) on the same thread.
+        # may submit on the same thread.
         self._cond = threading.Condition(threading.RLock())
-        self._workers: List[_Worker] = []
+        #: The running workers; empty while the pool is stopped.
+        self._procs: List[_Worker] = []
         #: Tasks no worker has room for yet, oldest first.
         self._queued: Deque[Tuple[Future, bytes]] = deque()
         self._reading = False
-        self._closed = False
-        self._broken: Optional[str] = None
+        # -- stats (surfaced via snapshot / engine metrics) -------------
+        self.tasks_dispatched = 0
+        self.tasks_inline = 0
+        self.tiles_dispatched = 0
+        self.tiles_inline = 0
+        self.pools_created = 0
+        self.fallbacks = 0
+        #: process->serial kind demotions (never more than one).
+        self.demotions = 0
+        #: Shipped tasks reclaimed by deadline cancellation: futures
+        #: cancelled before a worker picked them up plus in-flight
+        #: tasks that observed the token at a tile boundary.
+        self.pool_tasks_cancelled = 0
+        #: Every client ever made, weakly held, so the snapshot can
+        #: report per-client dispatch splits without the pool keeping
+        #: dead engines alive.
+        self._clients: "weakref.WeakSet[PoolClient]" = weakref.WeakSet()
+        self._client_seq = 0
+        #: Shared-memory segment manager for zero-copy tile shipping.
+        #: Shared by every client on this pool; registered for
+        #: same-process ref resolution (inline runs and recovery).
+        self.shm = ShmSegments()
+        _LOCAL_MANAGERS.add(self.shm)
+        # A pool nobody shut down is stopped when collected or at exit.
+        # The finalizer holds the worker list and the segment manager,
+        # never the pool.
+        weakref.finalize(self, _abandon_pool, self._procs, self.shm)
+
+    # -- lifecycle -------------------------------------------------------
+
+    def client(self) -> "PoolClient":
+        """A counting handle for one engine; see :class:`PoolClient`."""
+        return PoolClient(self)
+
+    def prestart(self) -> None:
+        """Boot the workers now, off the serving path (idempotent).
+
+        A process pool forks all its workers at its first shipped task
+        otherwise: the whole startup cost (fork x workers, pipe setup)
+        would land on the first partitioned query.  Serving engines
+        call this from ``prepare()`` so measured traffic starts against
+        a running pool.  A pool that cannot start demotes itself here,
+        as it would at a first submit.
+        """
+        with self._cond:
+            self._start_locked()
+
+    def _start_locked(self) -> None:
+        if self._procs or self.kind == "serial":
+            return
         try:
-            for _ in range(workers):
+            ctx = _fork_context()
+            for _ in range(self.workers):
                 ours, theirs = ctx.Pipe(duplex=True)
-                ends = [w.conn for w in self._workers] + [ours]
-                proc = ctx.Process(target=_serve_tasks,
-                                   args=(theirs, ends), daemon=True)
+                proc = ctx.Process(target=_serve_tasks, args=(theirs,),
+                                   daemon=True)
                 try:
                     proc.start()
                 except BaseException:
@@ -792,15 +911,101 @@ class _PipePool:
                     raise
                 finally:
                     theirs.close()
-                self._workers.append(_Worker(proc, ours))
-        except BaseException:
-            self._broken = "the pool did not start"
-            self.shutdown(wait=False)
-            raise
+                self._procs.append(_Worker(proc, ours))
+        except BaseException as exc:
+            # No working process support here (restricted sandbox).
+            self.fallbacks += 1
+            self._demote_locked(f"the pool did not start: {exc!r}")
+            if not isinstance(exc, (OSError, ValueError)):
+                raise
+            return
+        self.pools_created += 1
 
-    # -- submission -------------------------------------------------------
+    def shutdown(self) -> None:
+        """Stop the pool (idempotent); the next submit starts it again.
 
-    def submit(self, fn: Callable[[Any], Any], payload: Any) -> Future:
+        Called by the pool's owner: the engine or sharded engine that
+        created it.  Every task written or queued, those other threads
+        submit meanwhile included, finishes first, so no future is
+        failed and none is left pending; then the workers exit, every
+        pipe is closed and the shared-memory segments are unlinked.
+        """
+        while True:
+            self._wait_for(self._drained)
+            with self._cond:
+                if self._drained():
+                    self._stop_locked()
+                    return
+
+    def _drained(self) -> bool:
+        return not self._queued and not any(w.written for w in self._procs)
+
+    def _stop_locked(self, broken: Optional[str] = None) -> None:
+        """Stop the workers and reset the segments; a ``broken`` pool
+        first fails every unresolved future and its workers are
+        terminated where they stand."""
+        if broken is not None:
+            stranded = [fut for w in self._procs for fut in w.written]
+            stranded += [fut for fut, _data in self._queued]
+            self._queued.clear()
+            for fut in stranded:
+                try:
+                    fut.set_exception(BrokenProcessPool(broken))
+                except InvalidStateError:
+                    pass  # cancelled while queued
+        _stop_workers(self._procs, terminate=broken is not None)
+        self._procs.clear()
+        # Shared-memory hygiene rides every stop, so a dead worker can
+        # never leave a named segment behind.
+        self.shm.reset()
+        self._cond.notify_all()
+
+    def _demote_locked(self, cause: str) -> None:
+        """Turn the pool serial for good (idempotent).
+
+        The one place a kind changes.  The workers stop, every
+        unresolved future fails with ``BrokenProcessPool`` (its caller
+        re-runs it through :meth:`recover`) and the shared memory is
+        given up (a serial pool ships nothing); tasks submitted from
+        then on run inline, and no pool is started again.
+        """
+        if self.kind == "serial":
+            return
+        self.kind = "serial"
+        self.demotions += 1
+        self.shm.enabled = False
+        self._stop_locked(broken=cause)
+
+    # -- submission ------------------------------------------------------
+
+    def submit(self, fn: Callable[[Any], Any], payload: Any,
+               units: int = 1):
+        """Schedule ``fn(payload)``; returns a future-like object.
+
+        Serial pools compute inline at submit time.  ``fn`` must be a
+        module-level callable and ``payload`` picklable when the pool
+        is process-based.  ``units`` is how many tiles the task
+        carries (1 for solo tasks, the batch length for batch tasks).
+        """
+        if self.faults is not None:
+            name = getattr(fn, "__name__", str(fn))
+            rule = self.faults.fire("pool.submit", fn=name)
+            if rule is not None and rule.kind == "break":
+                # Behave exactly like a pool found broken at submit.
+                with self._cond:
+                    self.fallbacks += 1
+                    self._demote_locked("an injected break at submit")
+                return self.run_inline(fn, payload, units)
+            rule = self.faults.fire("pool.task", fn=name)
+            if rule is not None:
+                # The wrapper travels to the worker; the executor's
+                # recovery tags keep the *caller's* fn/payload, so an
+                # inline replay of a crashed task is fault-free.
+                payload = (rule.kind, rule.delay_seconds, os.getpid(),
+                           fn, payload)
+                fn = _faulted_task
+        if self.kind == "serial":
+            return self.run_inline(fn, payload, units)
         fut = _PipeFuture(self)
         try:
             data = pickle.dumps((fn, payload), pickle.HIGHEST_PROTOCOL)
@@ -808,17 +1013,18 @@ class _PipePool:
             # Failed in the future, not raised: the caller's per-task
             # bookkeeping (shm pins) is released at its gather.
             fut.set_exception(exc)
-            return fut
+            data = None
         with self._cond:
-            if self._closed:
-                raise RuntimeError(
-                    "cannot schedule new futures after shutdown"
-                )
-            if self._broken is not None:
-                raise BrokenProcessPool(self._broken)
-            self._queued.append((fut, data))
-            self._feed_locked()
-        return fut
+            self._start_locked()
+            if self.kind != "serial":
+                self.tasks_dispatched += 1
+                self.tiles_dispatched += units
+                if data is not None:
+                    self._queued.append((fut, data))
+                    self._feed_locked()
+                return fut
+        # The pool did not start, or was demoted since the check above.
+        return self.run_inline(fn, payload, units)
 
     def _feed_locked(self) -> None:
         """Write queued tasks to free slots, oldest first."""
@@ -837,12 +1043,12 @@ class _PipePool:
             try:
                 worker.conn.send_bytes(data)
             except OSError as exc:
-                self._break_locked(f"a worker's pipe broke: {exc!r}")
+                self._demote_locked(f"a worker's pipe broke: {exc!r}")
                 return
 
     def _slot_for(self, nbytes: int) -> Optional[_Worker]:
         best = None
-        for worker in self._workers:
+        for worker in self._procs:
             held = len(worker.written)
             if held >= TASKS_PER_WORKER or (held and
                                             nbytes > PIPE_WRITE_BYTES):
@@ -851,10 +1057,42 @@ class _PipePool:
                 best = worker
         return best
 
+    def run_inline(self, fn: Callable[[Any], Any], payload: Any,
+                   units: int = 1):
+        """Execute on the coordinator, counted separately from dispatch."""
+        with self._cond:
+            self.tasks_inline += 1
+            self.tiles_inline += units
+        return _InlineFuture(fn, payload)
+
+    def recover(self, fn: Callable[[Any], Any], payload: Any) -> Any:
+        """Re-run a task whose pool died, inline; counts a fallback.
+
+        A worker that dies (end-of-file on its pipe) demotes the pool
+        and fails every unresolved future with ``BrokenProcessPool``;
+        each caller lands here and recomputes its lost task inline —
+        correctness over parallelism.  On a shared pool the demotion
+        is deliberately global: every client's next query runs on the
+        coordinator rather than re-discovering the same broken process
+        support one shard at a time.  A pool not yet demoted is demoted
+        here.
+        """
+        with self._cond:
+            self.fallbacks += 1
+            self._demote_locked("a task was lost")
+        return fn(payload)
+
+    def note_cancelled(self, n: int = 1) -> None:
+        """Count ``n`` shipped tasks reclaimed by cancellation."""
+        if n <= 0:
+            return
+        with self._cond:
+            self.pool_tasks_cancelled += n
+
     # -- reading ----------------------------------------------------------
 
-    def wait_for(self, ready: Callable[[], bool],
-                 timeout: Optional[float] = None) -> None:
+    def _wait_for(self, ready: Callable[[], bool],
+                  timeout: Optional[float] = None) -> None:
         """Return once ``ready()`` holds or ``timeout`` passes, reading
         the pipes whenever no other thread is."""
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -878,21 +1116,20 @@ class _PipePool:
             if deadline is not None and time.monotonic() >= deadline:
                 return
 
-    def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
     def _read(self, ready: Callable[[], bool],
               deadline: Optional[float]) -> None:
         """The reader role: complete arriving futures until ``ready()``."""
         while not ready():
             with self._cond:
-                by_conn = {w.conn: w for w in self._workers}
+                by_conn = {w.conn: w for w in self._procs}
             if not by_conn:
-                return  # shut down or broken: every future is settled
+                return  # stopped or demoted: every future is settled
             timeout = (None if deadline is None
                        else max(0.0, deadline - time.monotonic()))
-            arrived = _wait_readable(list(by_conn), timeout)
+            try:
+                arrived = _wait_readable(list(by_conn), timeout)
+            except OSError:
+                continue  # a pipe closed under the wait: look again
             if not arrived:
                 return
             done: List[Tuple[Future, bytes]] = []
@@ -901,17 +1138,14 @@ class _PipePool:
                 try:
                     data = conn.recv_bytes()
                 except (EOFError, OSError) as exc:
-                    with self._cond:
-                        self._break_locked(
-                            f"a worker exited (pid {worker.proc.pid}): "
-                            f"{exc!r}"
-                        )
-                    break
+                    data = exc
                 with self._cond:
-                    if not worker.written:
-                        # Broken meanwhile (its futures are failed), or
-                        # an answer to no task: either way, dead.
-                        self._break_locked("a worker answered no task")
+                    if worker not in self._procs:
+                        break  # stopped meanwhile: its futures settled
+                    if isinstance(data, Exception) or not worker.written:
+                        # Dead, or an answer to no task: dead either way.
+                        self._demote_locked(
+                            f"worker {worker.proc.pid} failed: {data!r:.80}")
                         break
                     fut = worker.written.popleft()
                     self._feed_locked()
@@ -928,333 +1162,47 @@ class _PipePool:
             with self._cond:
                 self._cond.notify_all()
 
-    # -- failure and shutdown ---------------------------------------------
-
-    def _break_locked(self, cause: str) -> None:
-        """The pool is dead: fail every unresolved future with
-        ``BrokenProcessPool`` and write no task any more."""
-        if self._broken is None:
-            self._broken = cause
-        self._fail_unresolved_locked(BrokenProcessPool(self._broken))
-
-    def _fail_unresolved_locked(self, error: BaseException) -> None:
-        stranded = [fut for w in self._workers for fut in w.written]
-        stranded += [fut for fut, _data in self._queued]
-        for worker in self._workers:
-            worker.written.clear()
-        self._queued.clear()
-        for fut in stranded:
-            try:
-                fut.set_exception(error)
-            except InvalidStateError:
-                pass  # cancelled while queued
-        self._cond.notify_all()
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers (idempotent; ``submit`` raises afterwards).
-
-        ``wait`` lets every written or queued task finish first;
-        without it, or on a broken pool, workers are terminated where
-        they stand and unresolved futures fail.  Either way no future
-        is left pending, no worker alive and no pipe open.
-        """
-        with self._cond:
-            self._closed = True
-        if wait:
-            self.wait_for(lambda: not self._queued and not any(
-                w.written for w in self._workers
-            ))
-        with self._cond:
-            self._fail_unresolved_locked(BrokenProcessPool(
-                self._broken or "the pool was shut down"
-            ))
-            workers, self._workers = self._workers, []
-            stop = not wait or self._broken is not None
-        for worker in workers:
-            try:
-                worker.conn.send_bytes(b"")
-            except OSError:
-                pass
-            worker.conn.close()
-            if stop:
-                worker.proc.terminate()
-        for worker in workers:
-            worker.proc.join(5)
-            if worker.proc.exitcode is None:
-                worker.proc.kill()
-                worker.proc.join()
-            worker.proc.close()
-
-
-def _fork_context():
-    # Fork keeps startup off the hot path on POSIX; workers inherit the
-    # imported modules instead of re-importing.
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-class WorkerPool:
-    """A long-lived process pool shareable by several engines."""
-
-    def __init__(self, workers: int = 1, kind: str = "process",
-                 faults: Optional[FaultPlan] = None) -> None:
-        if kind not in POOL_KINDS:
-            raise ValueError(
-                f"pool kind must be one of {POOL_KINDS}, got {kind!r}"
-            )
-        #: Optional chaos schedule consulted at ``pool.submit`` /
-        #: ``pool.task`` (see :mod:`repro.engine.faults`); None in
-        #: production.
-        self.faults = faults
-        self.workers = max(1, workers)
-        #: The requested kind; single-worker pools execute inline
-        #: regardless (a pool of one only adds shipping overhead).
-        self.kind = kind if self.workers > 1 else "serial"
-        self._executor: Optional[_PipePool] = None
-        self._finalizer: Optional[weakref.finalize] = None
-        self._lock = threading.Lock()
-        #: Live client handles (see :meth:`client`); the pool's executor
-        #: is torn down when the count returns to zero.
-        self.refs = 0
-        # -- stats (surfaced via snapshot / engine metrics) -------------
-        self.tasks_dispatched = 0
-        self.tasks_inline = 0
-        self.tiles_dispatched = 0
-        self.tiles_inline = 0
-        self.pools_created = 0
-        self.fallbacks = 0
-        #: process->serial kind demotions (a subset of ``fallbacks``:
-        #: only the fallbacks that permanently changed the pool kind).
-        self.demotions = 0
-        #: Shipped tasks reclaimed by deadline cancellation: futures
-        #: cancelled before a worker picked them up plus in-flight
-        #: tasks that observed the token at a tile boundary.
-        self.pool_tasks_cancelled = 0
-        #: Every client ever attached, weakly held, so the snapshot can
-        #: report per-client dispatch splits without the pool keeping
-        #: dead engines alive.
-        self._clients: "weakref.WeakSet[PoolClient]" = weakref.WeakSet()
-        self._client_seq = 0
-        #: Shared-memory segment manager for zero-copy tile shipping.
-        #: Shared by every client on this pool; registered for
-        #: same-process ref resolution (inline runs and recovery).
-        self.shm = ShmSegments()
-        _LOCAL_MANAGERS.add(self.shm)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def client(self) -> "PoolClient":
-        """A ref-counted handle for one engine; see :class:`PoolClient`."""
-        return PoolClient(self)
-
-    def _attach(self) -> None:
-        with self._lock:
-            self.refs += 1
-
-    def _detach(self) -> None:
-        """Drop one client ref; the last one out stops the executor."""
-        with self._lock:
-            self.refs = max(0, self.refs - 1)
-            last = self.refs == 0
-        if last:
-            self.shutdown()
-
-    def prestart(self) -> None:
-        """Boot the workers now, off the serving path (idempotent).
-
-        A process pool forks all its workers when it is created, which
-        is otherwise at the first shipped task: the whole startup cost
-        (fork x workers, pipe setup) would land on the first
-        partitioned query.  Serving engines call this from
-        ``prepare()`` so measured traffic starts against a running
-        pool.  A pool that cannot start demotes itself here, as it
-        would at a first submit.
-        """
-        self._ensure_executor()
-
-    def _ensure_executor(self) -> Optional[_PipePool]:
-        with self._lock:
-            if self._executor is not None or self.kind == "serial":
-                return self._executor
-            try:
-                self._executor = _PipePool(self.workers, _fork_context())
-            except (OSError, ValueError):
-                # No working process support here (restricted sandbox).
-                pass
-            else:
-                self.pools_created += 1
-                self._finalizer = weakref.finalize(
-                    self, _abandon_pool, self._executor, self.shm
-                )
-                return self._executor
-        self._demote()
-        return None
-
-    def shutdown(self) -> None:
-        """Stop the pool (idempotent); the next submit recreates it.
-
-        The executor handoff happens under the lock so a shutdown
-        racing a sibling's lazy creation always sees (and stops) the
-        executor that creation stored, never a half-initialized one;
-        the potentially slow OS teardown runs outside the lock.
-        """
-        with self._lock:
-            executor = self._executor
-            self._executor = None
-            finalizer = self._finalizer
-            self._finalizer = None
-        if finalizer is not None:
-            finalizer.detach()
-        if executor is not None:
-            executor.shutdown(wait=True)
-        # Shared-memory hygiene rides every shutdown path — normal
-        # close, broken-pool demotion, submit-time fallback — so a
-        # dead worker can never leave a named segment behind.
-        self.shm.reset()
-
-    # -- submission ------------------------------------------------------
-
-    def submit(self, fn: Callable[[Any], Any], payload: Any,
-               units: int = 1):
-        """Schedule ``fn(payload)``; returns a future-like object.
-
-        Serial pools compute inline at submit time.  ``fn`` must be a
-        module-level callable and ``payload`` picklable when the pool
-        is process-based.  ``units`` is how many tiles the task
-        carries (1 for solo tasks, the batch length for batch tasks).
-        """
-        if self.faults is not None:
-            rule = self.faults.fire(
-                "pool.submit", fn=getattr(fn, "__name__", str(fn))
-            )
-            if rule is not None and rule.kind == "break":
-                # Behave exactly like a broken executor discovered at
-                # submit time.
-                self._demote()
-                return self.run_inline(fn, payload, units)
-            rule = self.faults.fire(
-                "pool.task", fn=getattr(fn, "__name__", str(fn))
-            )
-            if rule is not None:
-                # The wrapper travels to the worker; the executor's
-                # recovery tags keep the *caller's* fn/payload, so an
-                # inline replay of a crashed task is fault-free.
-                payload = (rule.kind, rule.delay_seconds, os.getpid(),
-                           fn, payload)
-                fn = _faulted_task
-        executor = self._ensure_executor()
-        if executor is None:
-            return self.run_inline(fn, payload, units)
-        try:
-            fut = executor.submit(fn, payload)
-        except BrokenExecutor:
-            # Dead workers discovered at submit time (OOM-killed child,
-            # failed fork).  The inline run is deferred into the
-            # future, so a task-body exception surfaces at result()
-            # like on every other path.
-            self._demote()
-            return self.run_inline(fn, payload, units)
-        except RuntimeError:
-            # Stopped between the fetch above and the submit (a sibling
-            # engine's recover()/release() on a shared pool).  The task
-            # still runs, inline, counted as a fallback so the
-            # degradation is visible, and the pool keeps its kind.
-            self._demote(broken=False)
-            return self.run_inline(fn, payload, units)
-        with self._lock:
-            self.tasks_dispatched += 1
-            self.tiles_dispatched += units
-        return fut
-
-    def run_inline(self, fn: Callable[[Any], Any], payload: Any,
-                   units: int = 1):
-        """Execute on the coordinator, counted separately from dispatch."""
-        with self._lock:
-            self.tasks_inline += 1
-            self.tiles_inline += units
-        return _InlineFuture(fn, payload)
-
-    def recover(self, fn: Callable[[Any], Any], payload: Any) -> Any:
-        """Re-run a task whose pool died; later tasks run inline.
-
-        A worker that dies (end-of-file on its pipe) fails every
-        unresolved future of the pool with ``BrokenProcessPool``, each
-        caller lands here, and the first demotes the pool: each lost
-        task is recomputed inline — correctness over parallelism.  On
-        a shared pool the demotion is deliberately global: every
-        client's next query runs on the coordinator rather than
-        re-discovering the same broken process support one shard at a
-        time.
-        """
-        self._demote()
-        return fn(payload)
-
-    def _demote(self, broken: bool = True) -> None:
-        """Count one fallback; a ``broken`` pool turns serial for good.
-
-        The one place a pool's kind changes.  The first demotion stops
-        the workers and gives up the shared memory (a serial pool
-        ships nothing); tasks submitted from then on run inline, and
-        no pool is started again.
-        """
-        with self._lock:
-            self.fallbacks += 1
-            if not broken or self.kind == "serial":
-                return
-            self.kind = "serial"
-            self.demotions += 1
-            self.shm.enabled = False
-        self.shutdown()
-
-    def note_cancelled(self, n: int = 1) -> None:
-        """Count ``n`` shipped tasks reclaimed by cancellation."""
-        if n <= 0:
-            return
-        with self._lock:
-            self.pool_tasks_cancelled += n
-
     # -- observability ---------------------------------------------------
 
     @property
     def started(self) -> bool:
-        return self._executor is not None
+        return bool(self._procs)
 
     def snapshot(self) -> Dict[str, object]:
-        with self._lock:
+        with self._cond:
             clients = sorted(self._clients, key=lambda c: c.client_id)
-        return {
-            "kind": self.kind,
-            "workers": self.workers,
-            "started": self.started,
-            "refs": self.refs,
-            "tasks_dispatched": self.tasks_dispatched,
-            "tasks_inline": self.tasks_inline,
-            "tiles_dispatched": self.tiles_dispatched,
-            "tiles_inline": self.tiles_inline,
-            "pools_created": self.pools_created,
-            "fallbacks": self.fallbacks,
-            "demotions": self.demotions,
-            "pool_tasks_cancelled": self.pool_tasks_cancelled,
-            "faults": (
-                self.faults.snapshot()
-                if self.faults is not None else None
-            ),
-            "shm": self.shm.snapshot(),
-            "per_client": [
-                {
-                    "client_id": c.client_id,
-                    "tasks_dispatched": c.tasks_dispatched,
-                    "tasks_inline": c.tasks_inline,
-                    "tiles_dispatched": c.tiles_dispatched,
-                    "tiles_inline": c.tiles_inline,
-                }
-                for c in clients
-            ],
-        }
+            return {
+                "kind": self.kind,
+                "workers": self.workers,
+                "started": self.started,
+                "tasks_dispatched": self.tasks_dispatched,
+                "tasks_inline": self.tasks_inline,
+                "tiles_dispatched": self.tiles_dispatched,
+                "tiles_inline": self.tiles_inline,
+                "pools_created": self.pools_created,
+                "fallbacks": self.fallbacks,
+                "demotions": self.demotions,
+                "pool_tasks_cancelled": self.pool_tasks_cancelled,
+                "faults": (
+                    self.faults.snapshot()
+                    if self.faults is not None else None
+                ),
+                "shm": self.shm.snapshot(),
+                "per_client": [
+                    {
+                        "client_id": c.client_id,
+                        "tasks_dispatched": c.tasks_dispatched,
+                        "tasks_inline": c.tasks_inline,
+                        "tiles_dispatched": c.tiles_dispatched,
+                        "tiles_inline": c.tiles_inline,
+                    }
+                    for c in clients
+                ],
+            }
 
 
 class PoolClient:
-    """One engine's ref-counted handle on a (possibly shared) pool.
+    """One engine's counting handle on a (possibly shared) pool.
 
     The client forwards every submission to the underlying
     :class:`WorkerPool` and mirrors its accounting locally, so a
@@ -1262,21 +1210,12 @@ class PoolClient:
     the pool keeps the totals (``sum(client counters) == pool
     counters`` whenever every submitter goes through a client).
     Gauges — kind, worker count, creation/fallback counts — are reads
-    of the shared pool.
-
-    :meth:`release` drops this client's ref; the pool's executor is
-    stopped only when the last client lets go, which is what makes
-    ``engine.close()`` safe on a pool the engine does not own.  A
-    released client stays usable — the next submission quietly
-    re-takes its ref (so a close -> query -> close drain cycle stops
-    the lazily recreated executor again instead of leaking it) —
-    preserving the engine contract that ``close()`` keeps the engine
-    queryable.
+    of the shared pool.  A client owns nothing: whoever constructed
+    the pool stops it.
     """
 
     __slots__ = ("pool", "client_id", "tasks_dispatched", "tasks_inline",
-                 "tiles_dispatched", "tiles_inline", "_released",
-                 "__weakref__")
+                 "tiles_dispatched", "tiles_inline", "__weakref__")
 
     def __init__(self, pool: WorkerPool) -> None:
         self.pool = pool
@@ -1284,9 +1223,7 @@ class PoolClient:
         self.tasks_inline = 0
         self.tiles_dispatched = 0
         self.tiles_inline = 0
-        self._released = False
-        pool._attach()
-        with pool._lock:
+        with pool._cond:
             self.client_id = pool._client_seq
             pool._client_seq += 1
             pool._clients.add(self)
@@ -1324,10 +1261,9 @@ class PoolClient:
 
     def submit(self, fn: Callable[[Any], Any], payload: Any,
                units: int = 1):
-        self._reattach()
         fut = self.pool.submit(fn, payload, units)
         # Mirror the pool's own inline-vs-dispatch verdict (an inline
-        # future means the pool had no executor for this task).
+        # future means the pool had no workers for this task).
         if isinstance(fut, _InlineFuture):
             self.tasks_inline += 1
             self.tiles_inline += units
@@ -1338,7 +1274,6 @@ class PoolClient:
 
     def run_inline(self, fn: Callable[[Any], Any], payload: Any,
                    units: int = 1):
-        self._reattach()
         self.tasks_inline += 1
         self.tiles_inline += units
         return self.pool.run_inline(fn, payload, units)
@@ -1348,23 +1283,6 @@ class PoolClient:
 
     def note_cancelled(self, n: int = 1) -> None:
         self.pool.note_cancelled(n)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def _reattach(self) -> None:
-        # A submission on a released client re-takes the ref, so the
-        # executor this submission may lazily create is stopped by the
-        # next release rather than leaked.
-        if self._released:
-            self._released = False
-            self.pool._attach()
-
-    def release(self) -> None:
-        """Drop this client's ref (idempotent); last one stops the pool."""
-        if self._released:
-            return
-        self._released = True
-        self.pool._detach()
 
     # -- observability ---------------------------------------------------
 
@@ -1381,11 +1299,12 @@ class PoolClient:
         return snap
 
 
-def _abandon_pool(executor: _PipePool, shm: ShmSegments) -> None:
+def _abandon_pool(procs: List[_Worker], shm: ShmSegments) -> None:
     # A pool nobody shut down (collected, or alive at interpreter
     # exit): stop the workers and unlink the segments, the idle ones
-    # on the free list included.  Module-level, and handed the
-    # segment manager rather than the pool, so the finalizer holds no
-    # reference to the pool.
-    executor.shutdown(wait=False)
+    # on the free list included.  Module-level, and handed the pool's
+    # worker list and segment manager rather than the pool, so the
+    # finalizer holds no reference to the pool.
+    _stop_workers(procs, terminate=True)
+    procs.clear()
     shm.reset()

@@ -6,9 +6,10 @@ one budget and one simulated disk — the single-box deployment.
 partitioned across N engine shards by **spatial region**, every shard
 runs the full catalog → optimizer → executor stack over its slice, and
 one shared :class:`~repro.engine.pool.WorkerPool` serves all of their
-partitioned sweeps (each engine holds a ref-counted
+partitioned sweeps (each engine holds a counting
 :class:`~repro.engine.pool.PoolClient`, so per-shard dispatch stays
-attributable and closing one shard never stops the others' pool).
+attributable; the sharded engine created the pool, so it alone stops
+it).
 
 **Sharding rule.**  The first registered relation fixes N-1 vertical
 cut lines, placed so the relation's spatial histogram mass splits
@@ -200,7 +201,7 @@ def gather_pairs(parts: Sequence[Sequence[tuple]], arity: int,
     gathers deterministic — or as ``None`` for a count-only query,
     which needs just the deduplicated cardinality.  ``parts`` may mix
     lists (the tuple-building strategies) and columns.  The set
-    union is the path of engines without numpy and the reference.
+    union is the python kernel's path and the reference.
     """
     if kernel == "numpy":
         merged = PairColumns.concat(parts, arity).sorted_unique()
@@ -257,8 +258,8 @@ class ShardedEngine(_ServeShell):
         self.scale = scale
         self.machine = machine
         self.faults = faults
-        #: One pool for every shard and replica; each engine below
-        #: holds a ref-counted client.
+        #: One pool for every shard and replica, stopped by
+        #: :meth:`close`; each engine below holds a counting client.
         self.pool = WorkerPool(max(1, workers), kind=pool_kind,
                                faults=faults)
         # Shard engines run with no result cache (verbatim repeats hit
@@ -820,12 +821,16 @@ class ShardedEngine(_ServeShell):
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Release every replica's pool ref; the last one stops the pool."""
+        """Stop the shared pool and the scatter threads; the engine
+        stays queryable (the next shipped task starts the pool again).
+
+        The replica engines did not create the pool, so their own
+        ``close()`` leaves it running.
+        """
         if self._scatter_pool is not None:
             self._scatter_pool.shutdown(wait=True)
             self._scatter_pool = None
-        for engine in self.all_engines:
-            engine.close()
+        self.pool.shutdown()
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -27,13 +27,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.geom.rect import RECT_BYTES, Rect
 from repro.storage.disk import Disk
-
-try:
-    import numpy as np
-except ImportError:  # only numpy engines feed a stream rows
-    np = None
 
 #: Contiguous blocks reserved per extent when a stream grows (the
 #: filesystem-extent analogue; keeps one stream sequential while

@@ -355,7 +355,7 @@ def assert_same_pairs(ship_every_tile):
                     )
                     assert snap["retries"] >= snap["failovers"]
                 sharded.close()
-                assert sharded.pool.refs == 0
+                assert not sharded.pool.started
         return ref
 
     return check

@@ -8,7 +8,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core import kernels
 from repro.core.columnar import (
     COLUMN_BYTES_PER_RECT,
     ColumnarTile,
@@ -88,8 +87,6 @@ def _len_and_back(pairs):
     return len(pairs), pairs
 
 
-@pytest.mark.skipif(not kernels.numpy_available(),
-                    reason="numpy not importable")
 class TestPairColumns:
     """Protocol parity with the list of tuples it replaces."""
 

@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.core.kernels import (
-    numpy_available,
     resolve_kernel,
     sweep_pairs_batched,
 )
@@ -127,8 +126,6 @@ def test_index_window_stays_in_class_and_under_its_coefficients(ladder,
                                                                 kernel):
     # Both kernels, not just this leg's: the parity shapes are small,
     # and a replay that is exact there must not leave the class here.
-    if kernel == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable")
     sizes, ops, reads = SIZES[:4], [], []
     for n in sizes:
         with SpatialQueryEngine(scale=TEST_SCALE, workers=2,

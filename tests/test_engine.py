@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.core import kernels
 from repro.core.brute import brute_force_pairs
 from repro.core.columnar import ColumnarTile, DistributionImage, PairColumns
 from repro.data.generator import uniform_rects
@@ -867,8 +866,7 @@ REUSE_WINDOWS = {
     "interior": Rect(0.31, 0.74, 0.22, 0.58, 0),
 }
 
-_KERNELS = ("python", pytest.param("numpy", marks=pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy not importable")))
+_KERNELS = ("python", "numpy")
 
 
 def _reuse_data():

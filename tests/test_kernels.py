@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,11 +76,6 @@ from tests.conftest import (
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
-needs_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy not importable"
-)
-
-
 def _pair_rids(pairs):
     return [(a.rid, b.rid) for a, b in pairs]
 
@@ -95,7 +91,6 @@ class TestResolveKernel:
         with pytest.raises(ValueError, match="kernel must be one of"):
             kernels.resolve_kernel("fortran")
 
-    @needs_numpy
     def test_auto_prefers_numpy(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
         assert kernels.resolve_kernel("auto") == "numpy"
@@ -104,18 +99,7 @@ class TestResolveKernel:
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "python")
         assert kernels.resolve_kernel("auto") == "python"
         # ...but never overrides an explicit request.
-        if kernels.numpy_available():
-            assert kernels.resolve_kernel("numpy") == "numpy"
-
-    def test_auto_without_numpy_falls_back(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        monkeypatch.setattr(kernels, "_numpy_available", False)
-        assert kernels.resolve_kernel("auto") == "python"
-
-    def test_explicit_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy_available", False)
-        with pytest.raises(ValueError, match="not importable"):
-            kernels.resolve_kernel("numpy")
+        assert kernels.resolve_kernel("numpy") == "numpy"
 
     def test_engine_surfaces_resolved_kernel(self):
         engine = SpatialQueryEngine(
@@ -132,7 +116,6 @@ class TestResolveKernel:
 # -- batched-sweep parity ----------------------------------------------------
 
 
-@needs_numpy
 class TestSweepParity:
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_join_matches_python_exactly(self, name):
@@ -237,7 +220,6 @@ class TestSweepParity:
 # -- tile-task parity --------------------------------------------------------
 
 
-@needs_numpy
 class TestTileTaskParity:
     GRID_SPEC = (0.0, 1.0, 0.0, 1.0, 2, 4)  # 2x2 tiles, 4 partitions
 
@@ -289,7 +271,6 @@ class TestTileTaskParity:
 # -- engine-level parity across pool kinds -----------------------------------
 
 
-@needs_numpy
 class TestEngineParity:
     def _engine(self, kernel, pool_kind, rects_a, rects_b):
         engine = SpatialQueryEngine(
@@ -379,27 +360,26 @@ class TestShmShipping:
         assert results["shm"] == sorted(brute_reference(rects))
 
     def test_worker_crash_leaks_nothing(self):
-        from concurrent.futures import BrokenExecutor
-
-        class _BrokenStub:
-            def submit(self, fn, payload):
-                raise BrokenExecutor("workers died")
-
-            def shutdown(self, wait=True):
-                pass
-
         query = Query(relations=("a", "a"))
         engine, rects = self._shm_engine()
         ref = sorted(brute_reference(rects))
+        pool = engine.worker_pool.pool
         try:
             out = engine.execute(query)
             assert sorted(out.result.pairs) == ref
-            # Rug-pull: the pool dies with shm-shipped tasks pending.
-            # Recovery must re-run them inline against the coordinator's
-            # own segments, then demote without leaking a single one.
-            engine.worker_pool.pool._executor = _BrokenStub()
-            out = engine.execute(query)
+            assert pool.shm.segments_created > 0
+            # The workers die between queries: the next query's shm
+            # tasks find the pipes dead, and recovery re-runs them
+            # inline against the coordinator's own segments, after a
+            # demotion that must not leak a single one.
+            for worker in list(pool._procs):
+                os.kill(worker.proc.pid, signal.SIGKILL)
+                worker.proc.join(30)
+            with dispatch(INLINE_PLAN_OPS=0):
+                out = engine.execute(query)
             assert sorted(out.result.pairs) == ref
+            assert (pool.kind, pool.demotions) == ("serial", 1)
+            assert pool.fallbacks >= 1
         finally:
             engine.close()
         shm = engine.worker_pool.shm
@@ -541,7 +521,6 @@ def _engine_outcome(kernel, a, b, window, workers, memory_bytes):
         engine.close()
 
 
-@needs_numpy
 class TestDistributeParity:
     """python ``pbsm.distribute`` vs the numpy kernel, bit for bit."""
 
@@ -1007,7 +986,6 @@ def _decoded(tasks):
     ]
 
 
-@needs_numpy
 class TestPruneParity:
     """``_prune_window``: the image mask vs the row-by-row reference."""
 
@@ -1087,7 +1065,6 @@ class TestPruneParity:
 # -- columnar pairs: the kernel's output format ------------------------------
 
 
-@needs_numpy
 class TestPairColumnsParity:
     """``sweep_tile`` columns vs the python body's tuples, in order."""
 
@@ -1159,18 +1136,6 @@ class TestPairColumnsParity:
             assert type(collected[1]) is kind
             assert len(collected[1]) == collected[0] == counted[0]
         assert sweep_tile_batch_task(()) == (0, None, 0, 0)
-
-    def test_worker_without_numpy_returns_a_list(self, monkeypatch):
-        # The coordinator resolved numpy, the worker cannot import it:
-        # the task takes the python body and the batch stays a list,
-        # which the coordinator converts on the way in.
-        monkeypatch.setattr(executor_mod, "_np_sweep", lambda: None)
-        tile = ColumnarTile.from_rects(_uniform(random.Random(2), 700))
-        payload = (0, (0.0, 1.0, 0.0, 1.0, 1, 1), tile, None, True, True,
-                   None, "numpy")
-        out = sweep_tile_batch_task((payload, payload))
-        assert type(out[1]) is list and len(out[1]) == out[0] > 0
-        assert executor_mod._merge_pairs([out[1]], "numpy") == out[1]
 
     @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_engine_returns_columns_in_the_python_order(self, pool_kind):
@@ -1282,7 +1247,6 @@ def _reference_compactions(a, b):
     return sides, at
 
 
-@needs_numpy
 class TestSegmentedSweepParity:
     """``sweep_tiles`` over a group vs the python body tile by tile."""
 
@@ -1819,7 +1783,6 @@ SWEEP_STRUCTURES = (
 )
 
 
-@needs_numpy
 class TestIndexSourceParity:
     """python ``IndexSource`` + ``sweep_join`` vs ``np_index``, exactly."""
 
@@ -2042,7 +2005,6 @@ class TestIndexSourceParity:
                     universe=UNIT, config=PQConfig(structure="radial"))])
 
 
-@needs_numpy
 class TestIndexKernelServing:
     """The kernel where queries reach it: under the engine."""
 

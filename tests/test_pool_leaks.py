@@ -386,7 +386,7 @@ def test_a_worker_forked_under_a_held_segment_lock_resolves_its_tiles():
     finally:
         if not fut.done():
             # Hung on the lock: a stuck worker would hold shutdown too.
-            for worker in pool._executor._workers:
+            for worker in pool._procs:
                 os.kill(worker.proc.pid, signal.SIGKILL)
         within(30, pool.shutdown)
     assert not _shm_files()
@@ -397,8 +397,7 @@ def test_shutdown_leaves_no_worker_and_no_descriptor():
     before = len(os.listdir("/proc/self/fd"))
     pool = WorkerPool(2, kind="process")
     pool.prestart()
-    transport = pool._executor
-    pids = [worker.proc.pid for worker in transport._workers]
+    pids = [worker.proc.pid for worker in pool._procs]
     futures = [pool.submit(_worker_ledger, 0.05) for _ in range(6)]
     within(30, pool.shutdown)
     # Shutdown drains what was written or queued; nothing is pending.
@@ -406,8 +405,78 @@ def test_shutdown_leaves_no_worker_and_no_descriptor():
     for pid in pids:
         assert not os.path.exists(f"/proc/{pid}"), f"worker {pid} lives"
     assert len(os.listdir("/proc/self/fd")) == before
-    with pytest.raises(RuntimeError):
-        transport.submit(len, ())
+    # A stopped pool is not a broken one: the next task starts it again.
+    assert pool.submit(len, (1, 2)).result() == 2
+    assert (pool.kind, pool.pools_created, pool.fallbacks) == (
+        "process", 2, 0)
+    within(30, pool.shutdown)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _pid_and(value):
+    """A pool task: ``(the pid that ran it, value)``."""
+    return os.getpid(), value
+
+
+@needs_proc
+def test_a_shutdown_amid_two_submitting_threads_loses_no_task():
+    # Submit and shutdown take one lock: a shutdown lands between two
+    # writes, never between a submit's look at the pool and its write.
+    # Each drains what was written, so no task is lost; a burst after
+    # one (the callers pause between bursts) starts the pool again, and
+    # the owner's last shutdown stops that one too.
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    before = len(os.listdir("/proc/self/fd"))
+    pool = WorkerPool((os.cpu_count() or 1) + 1, kind="process")
+    pool.prestart()
+    pids = {w.proc.pid for w in pool._procs}
+    halfway = threading.Event()
+    got = {}
+
+    def submitter(c):
+        got[c] = []
+        for burst in range(20):
+            futures = [(i, pool.submit(_pid_and, (c, i)))
+                       for i in range(10 * burst, 10 * burst + 10)]
+            if burst == 10:
+                halfway.set()
+            got[c] += [(i, f.result()) for i, f in futures]
+            time.sleep(0.005)
+
+    def stopper():
+        halfway.wait()
+        for _ in range(20):
+            pids.update(w.proc.pid for w in list(pool._procs))
+            pool.shutdown()
+            time.sleep(0.005)
+
+    def run_all():
+        threads = [threading.Thread(target=submitter, args=(c,))
+                   for c in range(2)] + [threading.Thread(target=stopper)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        within(60, run_all)
+    finally:
+        sys.setswitchinterval(interval)
+        within(30, pool.shutdown)
+    for c in range(2):
+        assert [i for i, _ in got[c]] == list(range(200))
+        for i, (pid, value) in got[c]:
+            assert value == (c, i)
+            pids.add(pid)
+    assert (pool.kind, pool.fallbacks, pool.tasks_dispatched) == (
+        "process", 0, 400)
+    assert not pool.started and os.getpid() not in pids
+    assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_an_unpicklable_payload_fails_its_future_and_releases_its_pins():

@@ -1247,10 +1247,6 @@ class TestHttpEndpoint:
             await server.wait_closed()
             return replies
 
-        # Fork the workers before the listener opens, as ``serve``
-        # does: a worker forked mid-request would hold the connection
-        # open, and a Connection: close reply would never end.
-        engine.prepare()
         with dispatch(MIN_SHIP_RECTS=0), _frontend(engine) as fe:
             replies = asyncio.run(scenario(fe))
         assert [status for status, _ in replies] == [200, 200, 200]
@@ -1270,6 +1266,44 @@ class TestHttpEndpoint:
             "per_strategy"
         ]
         engine.close()
+
+    def test_a_pool_forked_mid_request_lets_the_reply_end(self):
+        # Never prepare()d, the engine forks its pool inside the first
+        # query, on a serve thread, while the client's socket is open.
+        # A worker that kept its copy of that socket would hold the
+        # connection open, and a Connection: close reply would not end.
+        from tests.conftest import dispatch, force_strategies, within
+
+        rng = random.Random(29)
+        a, b = _uniform(rng, 600), _uniform(rng, 400, 10_000)
+        engine = SpatialQueryEngine(scale=TEST_SCALE, machine=MACHINE_3,
+                                    workers=2, pool_kind="process",
+                                    cache_capacity=0)
+        engine.register("a", a, universe=UNIT)
+        engine.register("b", b, universe=UNIT)
+        force_strategies([engine], ["pbsm-grid"])
+
+        async def scenario(fe):
+            server = await serve_http(fe, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await _http(port, "POST", "/query", json.dumps(
+                    {"relations": ["a", "b"]}).encode())
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        try:
+            with dispatch(MIN_SHIP_RECTS=0, INLINE_PLAN_OPS=0), \
+                    _frontend(engine) as fe:
+                assert not engine.worker_pool.started
+                status, body = within(20, lambda: asyncio.run(scenario(fe)))
+            assert status == 200
+            assert json.loads(body)["pairs"] == len(brute_reference(a, b))
+            assert engine.worker_pool.pools_created == 1
+            assert engine.worker_pool.tasks_dispatched > 0
+        finally:
+            engine.close()
 
     def test_hostile_content_length_gets_a_response(self):
         engine = _registered()

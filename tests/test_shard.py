@@ -20,7 +20,6 @@ import threading
 
 import pytest
 
-from repro.core import kernels
 from repro.core.columnar import PairColumns
 from repro.engine import (
     AdmissionError,
@@ -278,8 +277,6 @@ def _multiway_reference(a, b, c):
     return ref
 
 
-@pytest.mark.skipif(not kernels.numpy_available(),
-                    reason="numpy not importable")
 class TestGatherParity:
     """The numpy gather against brute force and the set-union gather.
 
@@ -447,12 +444,7 @@ class TestWindowedReuse:
 
     @pytest.mark.parametrize("self_join", (False, True),
                              ids=("pairwise", "self-join"))
-    @pytest.mark.parametrize("kernel", (
-        "python",
-        pytest.param("numpy", marks=pytest.mark.skipif(
-            not kernels.numpy_available(),
-            reason="numpy not importable")),
-    ))
+    @pytest.mark.parametrize("kernel", ("python", "numpy"))
     def test_matches_the_reference_prune(self, kernel, self_join):
         rng = random.Random(37)
         a, b = ([r for r in rects if not r.intersects(self.HOLE)]
@@ -507,26 +499,27 @@ class TestSharedPoolLifecycle:
         engine.register(name, rects, universe=UNIT)
         return engine, rects
 
-    def test_close_releases_ref_without_stopping_shared_pool(self):
+    def test_a_borrowing_engines_close_leaves_the_pool_started(self):
         pool = WorkerPool(2, kind="process")
         e1, r1 = self._registered(pool, 1)
         e2, r2 = self._registered(pool, 2)
-        assert pool.refs == 2
         q = Query(relations=("a", "a"))
         e1.execute(q)
         e2.execute(q)
         assert pool.started
         e1.close()
-        assert pool.refs == 1
-        assert pool.started, "a sibling's pool must survive one close"
-        # The surviving engine keeps serving correct answers.
-        out = e2.execute(Query(relations=("a", "a"),
-                               window=Rect(0.1, 0.9, 0.1, 0.9, 0)))
-        ref = brute_reference(r2, window=Rect(0.1, 0.9, 0.1, 0.9, 0))
-        assert set(out.result.pairs) == ref
         e2.close()
-        assert pool.refs == 0
-        assert not pool.started, "the last release stops the pool"
+        assert pool.started, "only the pool's creator stops it"
+        # Both engines keep serving correct answers on it.
+        window = Rect(0.1, 0.9, 0.1, 0.9, 0)
+        for engine, rects in ((e1, r1), (e2, r2)):
+            out = engine.execute(Query(relations=("a", "a"),
+                                       window=window))
+            assert set(out.result.pairs) == brute_reference(
+                rects, window=window)
+        assert pool.pools_created == 1
+        pool.shutdown()
+        assert not pool.started
 
     def test_client_counters_sum_to_pool_totals(self):
         pool = WorkerPool(2, kind="process")
@@ -550,8 +543,7 @@ class TestSharedPoolLifecycle:
         assert e2.worker_pool.tasks_dispatched > (
             e1.worker_pool.tasks_dispatched
         ), "per-client counters must attribute traffic, not mirror it"
-        e1.close()
-        e2.close()
+        pool.shutdown()
 
     def test_broken_pool_demotion_is_shared_but_loses_no_query(self):
         pool = WorkerPool(2, kind="process")
@@ -566,14 +558,14 @@ class TestSharedPoolLifecycle:
         q = Query(relations=("a", "a"))
         assert set(e1.execute(q).result.pairs) == brute_reference(r1)
         assert set(e2.execute(q).result.pairs) == brute_reference(r2)
-        e1.close()
-        e2.close()
+        pool.shutdown()
 
     def test_close_query_close_stops_recreated_executor(self):
-        # A drained engine that serves again re-takes its pool ref, so
-        # the lazily recreated executor is stopped by the next close
-        # instead of leaking worker processes.  Cost-aware dispatch
-        # off: the repeat must ship to restart the pool.
+        # The engine created its pool, so its close stops it; a drained
+        # engine that serves again starts the pool again, and the next
+        # close stops that one instead of leaking worker processes.
+        # Cost-aware dispatch off: the repeat must ship to restart the
+        # pool.
         engine = _make_single(pool_kind="process")
         engine.register("a", _uniform(random.Random(71), 200),
                         universe=UNIT)
@@ -583,77 +575,25 @@ class TestSharedPoolLifecycle:
         engine.close()
         assert not engine.worker_pool.started
         with dispatch(INLINE_PLAN_OPS=0):
-            engine.execute(q)  # recreates the executor lazily
+            engine.execute(q)  # starts the pool again
         assert engine.worker_pool.started
+        assert engine.worker_pool.pools_created == 2
         engine.close()
         assert not engine.worker_pool.started
-
-    def test_submit_after_rug_pulled_executor_runs_inline(self):
-        # A sibling's recover()/release() can stop the executor between
-        # another coordinator's fetch and submit; the task must run
-        # inline, counted as inline, instead of crashing the query.
-        pool = WorkerPool(2, kind="process")
-        fut = pool.submit(len, (1, 2))
-        assert fut.result() == 2 and pool.tasks_dispatched == 1
-        pool._executor.shutdown(wait=True)  # rug-pull, pool unaware
-        fut = pool.submit(len, (1, 2, 3))
-        assert fut.result() == 3
-        assert pool.tasks_dispatched == 1 and pool.tasks_inline == 1
-        pool.shutdown()
-
-    def test_broken_executor_at_submit_triggers_demotion(self):
-        # BrokenExecutor is a RuntimeError subclass; a pool whose
-        # workers died must hit the recover path (demote to serial,
-        # count the fallback), not the quiet rug-pull fallback.
-        from concurrent.futures import BrokenExecutor
-
-        class _BrokenStub:
-            def submit(self, fn, payload):
-                raise BrokenExecutor("workers died")
-
-            def shutdown(self, wait=True):
-                pass
-
-        pool = WorkerPool(2, kind="process")
-        pool._executor = _BrokenStub()
-        fut = pool.submit(len, (1, 2, 3))
-        assert fut.result() == 3, "the lost task is recomputed inline"
-        assert pool.kind == "serial", "dead workers must demote the pool"
-        assert (pool.fallbacks, pool.demotions) == (1, 1)
-        assert pool.tasks_inline == 1 and pool.tasks_dispatched == 0
-        # The demoted pool runs every later task inline and starts no
-        # pool.
-        fut = pool.submit(len, (1, 2))
-        assert fut.result() == 2 and pool.tasks_inline == 2
-        assert pool.tasks_dispatched == pool.pools_created == 0
-        assert not pool.started
-        pool.shutdown()
-
-    def test_rug_pulled_executor_recovers_through_shipping_path(self):
-        # End to end through _TaskShipper: the fallback future must
-        # accept the shipper's recovery tags (fn/payload), so a query
-        # whose executor vanished mid-flight still returns exact pairs.
-        rng = random.Random(73)
-        rects = _uniform(rng, 220)
-        engine = _make_single(pool_kind="process")
-        engine.register("a", rects, universe=UNIT)
-        q = Query(relations=("a", "a"))
-        engine.execute(q)  # creates the executor
-        pool = engine.worker_pool.pool
-        assert pool.started
-        pool._executor.shutdown(wait=True)  # rug-pull, pool unaware
-        out = engine.execute(q)
-        assert set(out.result.pairs) == brute_reference(rects)
-        engine.close()
 
     def test_sharded_close_is_idempotent(self):
         sharded = _make_sharded(3, pool_kind="process")
         sharded.register("a", _uniform(random.Random(7), 150),
                          universe=UNIT)
         sharded.execute(Query(relations=("a", "a")))
+        assert sharded.pool.started
+        # A replica's close leaves the shared pool to its owner.
+        sharded.engines[0].close()
+        assert sharded.pool.started
         sharded.close()
+        assert not sharded.pool.started
         sharded.close()  # second close must be a no-op
-        assert sharded.pool.refs == 0
+        assert not sharded.pool.started
 
 
 # -- cross-engine isolation on one pool --------------------------------------
@@ -695,8 +635,7 @@ class TestSharedPoolIsolation:
         assert e2.artifacts.invalidations == 0
         assert len(e2.artifacts) == e2_entries
         assert set(e2.execute(q).result.pairs) == ref2
-        e1.close()
-        e2.close()
+        pool.shutdown()
 
     def test_concurrent_submission_is_correct(self):
         pool, e1, e2, r1, r2 = self._pair()
@@ -726,8 +665,7 @@ class TestSharedPoolIsolation:
                 == pool.tasks_dispatched)
         assert (e1.worker_pool.tasks_inline
                 + e2.worker_pool.tasks_inline == pool.tasks_inline)
-        e1.close()
-        e2.close()
+        pool.shutdown()
 
     def test_shard_fallback_does_not_poison_sibling_results(self):
         sharded = _make_sharded(2, pool_kind="process")
@@ -887,7 +825,7 @@ class TestShardedServing:
             assert sum(row[counter] for row in per_shard) == (
                 snap["worker_pool"][counter]
             ), counter
-        assert snap["worker_pool"]["refs"] == 4
+        assert len(snap["worker_pool"]["per_client"]) == 4
         sharded.close()
 
     def test_explain_shows_scatter_plan(self):

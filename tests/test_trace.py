@@ -426,8 +426,6 @@ def test_pool_snapshot_exposes_demotions_and_clients():
         row["tasks_inline"] for row in snap["per_client"]
     ) == snap["tasks_inline"]
     assert c1.snapshot()["client_id"] == c1.client_id
-    c1.release()
-    c2.release()
 
 
 def test_engine_snapshot_surfaces_pool_clients():

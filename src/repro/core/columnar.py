@@ -28,8 +28,8 @@ one pass over the image.
 Results travel the other way in the same spirit: :class:`PairColumns`
 holds the id pairs (or multiway tuples) a numpy engine reports as one
 ``(n, arity)`` int64 array that reads like the list of tuples it
-replaces, so pairs are concatenated, filtered, deduplicated, pickled
-and cached as arrays, and boxed only when a caller iterates them.
+replaces, so pairs are concatenated, filtered, pickled and cached
+as arrays, and boxed only when a caller iterates them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from itertools import chain
-from math import prod
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -374,39 +373,6 @@ class PairColumns(Sequence):
             return cls(arrays[0])
         return cls(np.concatenate(arrays))
 
-    def sorted_unique(self) -> "PairColumns":
-        """The distinct tuples in ascending order — ``sorted(set(self))``.
-
-        Rows are fused into one mixed-radix int64 key per tuple when
-        the id ranges allow (sort, drop adjacent repeats, decode);
-        ids too spread out for a key take a lexsort over the columns.
-        """
-        ids = self.ids
-        n, arity = ids.shape
-        if n <= 1:
-            return self
-        lows = ids.min(axis=0).tolist()
-        spans = [hi - lo + 1 for hi, lo in zip(ids.max(axis=0).tolist(), lows)]
-        if prod(spans) < 2 ** 63:
-            key = ids[:, 0] - lows[0]
-            for j in range(1, arity):
-                key *= spans[j]
-                key += ids[:, j] - lows[j]
-            # Not np.unique: ~15x slower than sort + mask on 60 K keys
-            # (numpy 2.4), and this is the sharded gather's hot line.
-            key.sort()
-            key = key[_first_of_runs(key[1:] != key[:-1])]
-            out = np.empty((len(key), arity), dtype=np.int64)
-            for j in range(arity - 1, 0, -1):
-                key, out[:, j] = np.divmod(key, spans[j])
-                out[:, j] += lows[j]
-            out[:, 0] = key + lows[0]
-            return PairColumns(out)
-        rows = ids[np.lexsort(ids.T[::-1])]
-        return PairColumns(rows[_first_of_runs(
-            np.any(rows[1:] != rows[:-1], axis=1)
-        )])
-
     @property
     def nbytes(self) -> int:
         return self.ids.nbytes
@@ -437,10 +403,3 @@ class PairColumns(Sequence):
     def __reduce__(self):
         return (PairColumns, (self.ids,))
 
-
-def _first_of_runs(differs: "np.ndarray") -> "np.ndarray":
-    """Mask of rows starting a run, from ``row[i + 1] != row[i]``."""
-    keep = np.empty(len(differs) + 1, dtype=bool)
-    keep[0] = True
-    keep[1:] = differs
-    return keep

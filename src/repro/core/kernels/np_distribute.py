@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.columnar import ColumnarTile, PairColumns, TileImage
-from repro.core.kernels.np_sweep import window_mask
+from repro.core.kernels.np_sweep import strip_mask, window_mask
 from repro.geom.rect import Rect
 
 #: Upper bound on (rectangle, tile) candidates expanded at once when
@@ -245,21 +245,26 @@ def prune_image(image: TileImage, window: Rect) -> TileImage:
 
 
 def filter_window(images: Sequence[ColumnImage],
-                  pairs: Sequence[tuple],
-                  window: Rect) -> Optional[PairColumns]:
-    """The pairs/tuples whose common intersection meets ``window``.
+                  pairs: Sequence[tuple], window: Rect,
+                  strip: Sequence[float] = (),
+                  ) -> Optional[Tuple[PairColumns, int]]:
+    """The pairs/tuples whose common intersection meets ``window``,
+    and how many of those a shard's ``strip`` left to another shard.
 
     ``images[i]`` resolves the *i*-th id of every tuple (arity >= 2).
     The common intersection is max-of-lows / min-of-highs over the
     tuple's rectangles; it is empty when a low exceeds its high.
     Kept tuples come back as columns, in the same order; ``pairs``
-    that already are columns are masked as they stand.
+    that already are columns are masked as they stand.  With a
+    ``strip`` ``(lo, hi)`` a tuple is kept only when its reference x,
+    the intersection's low x clipped to the window, lies in
+    ``[lo, hi)`` (:func:`~repro.core.kernels.np_sweep.strip_mask`).
     """
     if not all(math.isfinite(b) for im in images for b in im.bounds):
         return None
     columns = PairColumns.from_pairs(pairs, len(images))
     if not len(columns):
-        return columns
+        return columns, 0
     ids = columns.ids
     rows = images[0].rows_of(ids[:, 0])
     xlo, xhi = images[0].xlo[rows], images[0].xhi[rows]
@@ -275,4 +280,23 @@ def filter_window(images: Sequence[ColumnImage],
         (xlo <= xhi) & (ylo <= yhi)
         & window_mask(xlo, xhi, ylo, yhi, window)
     )
-    return PairColumns(ids[keep])
+    if not strip:
+        return PairColumns(ids[keep]), 0
+    found = int(np.count_nonzero(keep))
+    keep &= strip_mask(np.maximum(xlo, window.xlo, out=xlo), strip)
+    kept = PairColumns(ids[keep])
+    return kept, found - len(kept)
+
+
+def filter_strip(images: Sequence[ColumnImage], pairs: Sequence[tuple],
+                 strip: Sequence[float], floor: float) -> PairColumns:
+    """The pairs/tuples a shard owning ``strip`` keeps, as columns in
+    the same order: those whose reference x — the largest low x of
+    their rectangles, and at least ``floor`` — lies in the strip
+    (:func:`~repro.core.kernels.np_sweep.strip_mask`).  ``images[i]``
+    resolves the *i*-th id of every tuple."""
+    columns = PairColumns.from_pairs(pairs, len(images))
+    ref_x = np.full(len(columns), floor)
+    for i, im in enumerate(images):
+        np.maximum(ref_x, im.xlo[im.rows_of(columns.ids[:, i])], out=ref_x)
+    return PairColumns(columns.ids[strip_mask(ref_x, strip)])

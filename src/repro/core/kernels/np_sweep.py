@@ -487,7 +487,7 @@ def sweep_tiles(
     tiles: Sequence[tuple], self_join: bool, grid_spec: tuple,
     collect: bool,
 ) -> Optional[Tuple[List[int], Optional[PairColumns], List[int],
-                    List[int]]]:
+                    List[int], List[int]]]:
     """*k* whole tile tasks in one pass: sweep + ownership + dedup.
 
     ``tiles`` holds one ``(part_id, side_a, side_b)`` per tile of one
@@ -500,9 +500,14 @@ def sweep_tiles(
     batched sweep (sort charge included), reference-point ownership
     against the PBSM grid and each pair's own partition, self-join
     dedup — without boxing a single ``Rect`` or id pair, and without a
-    pair ever crossing from one tile into the next.  Returns
-    ``(counts, owned pairs or None, cpu_ops, dups)`` with one entry
-    per tile in the three lists and the pairs of all tiles as one
+    pair ever crossing from one tile into the next.  ``grid_spec`` is
+    the grid's six numbers, optionally followed by a shard's strip
+    ``(lo, hi)``: a pair is then kept only if its reference x lies in
+    ``[lo, hi)`` too (:func:`strip_mask`).  Returns ``(counts, owned
+    pairs or None, cpu_ops, dups, unowned)`` with one entry per tile
+    in the four lists — ``dups`` what the partition test and self-join
+    dedup dropped, ``unowned`` what the strip test dropped after them
+    — and the pairs of all tiles as one
     :class:`~repro.core.columnar.PairColumns`, tile after tile in the
     python body's emit order — or ``None`` when the input is outside
     the kernel's model, and then for the whole group.
@@ -535,28 +540,47 @@ def sweep_tiles(
     ]
     if not a_idx.size:
         return ([0] * k, PairColumns.empty() if collect else None, ops,
-                [0] * k)
+                [0] * k, [0] * k)
 
     # Owned: the reference point lies in the pair's own partition.
     # (Its coordinates are dropped before the ids are gathered: on a
     # hot tile these pair-length columns are the task's peak memory.)
+    ref_x = np.maximum(m.xlo[a_idx], m.xlo[b_idx])
     own = _partition_of_points(
-        np.maximum(m.xlo[a_idx], m.xlo[b_idx]),
-        np.maximum(m.ylo[a_idx], m.ylo[b_idx]), grid_spec,
+        ref_x, np.maximum(m.ylo[a_idx], m.ylo[b_idx]), grid_spec[:6],
     ) == np.array([part_id for part_id, _, _ in tiles], np.int64)[seg]
+    strip = grid_spec[6:]
+    in_strip = strip_mask(ref_x, strip) if strip else None
+    del ref_x
     rid_a = m.rid[a_idx]
     rid_b = m.rid[b_idx]
     if self_join:
         own &= rid_a < rid_b
-    owned = np.bincount(seg[own], minlength=k)
-    dups = np.bincount(seg, minlength=k) - owned
+    found = owned = np.bincount(seg[own], minlength=k)
+    dups = np.bincount(seg, minlength=k) - found
+    if in_strip is not None:
+        own &= in_strip
+        owned = np.bincount(seg[own], minlength=k)
     pairs: Optional[PairColumns] = None
     if collect:
         ids = np.empty((int(owned.sum()), 2), dtype=np.int64)
         ids[:, 0] = rid_a[own]
         ids[:, 1] = rid_b[own]
         pairs = PairColumns(ids)
-    return (owned.tolist(), pairs, ops, dups.tolist())
+    return (owned.tolist(), pairs, ops, dups.tolist(),
+            (found - owned).tolist())
+
+
+def strip_mask(x: np.ndarray, strip: Sequence[float]) -> np.ndarray:
+    """``lo <= x < hi`` over a column of reference x-coordinates: the
+    results a shard owning the strip ``(lo, hi)`` keeps.  An infinite
+    ``hi`` is no bound, so the last strip owns an infinite x too."""
+    lo, hi = strip
+    if hi == math.inf:
+        return x >= lo
+    if lo == -math.inf:
+        return x < hi
+    return (x >= lo) & (x < hi)
 
 
 def _gather(sides: list) -> Tuple[Columns, np.ndarray]:

@@ -11,7 +11,10 @@ it was priced on.  The resolved kernel goes down with them, so a
 An ``sssj`` plan resolves each side's sorted run through the artifact
 layer first (:meth:`Executor._execute_sssj`).  Window and refinement
 predicates are post-filters on the collected pairs
-(:func:`_filter_window`, :func:`_refine_pairs`).
+(:func:`_filter_window`, :func:`_refine_pairs`).  On a shard of a
+:class:`~repro.engine.shard.ShardedEngine` the executor also keeps only
+the results whose reference point lies in the shard's strip
+(:attr:`Executor.strip`; where that test runs is :func:`_strip_stage`).
 
 The engine-only path is **partitioned execution**
 (:meth:`Executor._execute_partitioned`): both inputs are cut into
@@ -102,11 +105,13 @@ this module at dispatch time (the end-to-end bench rebinds them).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
 from contextlib import ExitStack
+from dataclasses import replace
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -251,6 +256,10 @@ class Executor:
         # ops, keyed by artifact key), written after every execution;
         # the PLAN_MEMO_ENTRIES most recently executed plans are kept.
         self._plan_ops: OrderedDict[tuple, int] = OrderedDict()
+        #: The x-interval ``(lo, hi)`` whose results this engine keeps:
+        #: set by :class:`~repro.engine.shard.ShardedEngine` on each
+        #: shard's engines; ``()`` (a plain engine) keeps everything.
+        self.strip: Tuple[float, ...] = ()
 
     # -- public ----------------------------------------------------------
 
@@ -267,10 +276,15 @@ class Executor:
         query = plan.query
         env = self.disk.env
         entries = [catalog.get(n) for n in query.relations]
+        strip = self.strip
+        stage = _strip_stage(plan) if strip else None
+        if stage == "post" and not query.collect_pairs:
+            # The post-filter looks ids up: collect them, drop them after.
+            plan = replace(plan, query=replace(query, collect_pairs=True))
         if plan.mode == "empty":
             result = JoinResult(
                 algorithm="empty", n_pairs=0,
-                pairs=[] if query.collect_pairs else None,
+                pairs=[] if plan.query.collect_pairs else None,
                 detail={"strategy": "empty"},
             )
         elif plan.mode == "multiway":
@@ -278,8 +292,10 @@ class Executor:
                             strategy="multiway"):
                 result = self._execute_multiway(plan, entries)
         elif plan.mode == "partitioned":
-            result = self._execute_partitioned(plan, entries, trace,
-                                               cancel)
+            result = self._execute_partitioned(
+                plan, entries, trace, cancel,
+                strip if stage == "kernel" else (),
+            )
         else:
             reads_before = env.page_reads
             with span_meter(env, self.machine, trace, "join",
@@ -302,8 +318,10 @@ class Executor:
         if query.window is not None and result.pairs is not None:
             with span_meter(env, self.machine, trace,
                             "window-filter") as wspan:
-                result = _filter_window(result, entries, query.window,
-                                        self.kernel)
+                result = _filter_window(
+                    result, entries, query.window, self.kernel,
+                    strip if stage == "window" else (),
+                )
                 if wspan is not None:
                     wspan.attrs["filtered"] = result.detail[
                         "window_filtered"
@@ -316,6 +334,11 @@ class Executor:
                     rspan.attrs["refined_out"] = result.detail[
                         "refined_out"
                     ]
+        if stage == "post":
+            result = _own_results(result, entries, strip, query.window,
+                                  self.kernel)
+            if not query.collect_pairs:
+                result.pairs = None
         result.detail.setdefault("strategy", plan.strategy)
         return result
 
@@ -406,12 +429,15 @@ class Executor:
         self, plan: PhysicalPlan, entries: List[CatalogEntry],
         trace: Optional[Span] = None,
         cancel: Optional[Callable[[], None]] = None,
+        strip: Tuple[float, ...] = (),
     ) -> JoinResult:
         """The partitioned pipeline: plan, produce + ship, gather,
         account — one stage a method, each span opened by the stage
-        it measures."""
+        it measures.  A ``strip`` rides in every task's grid spec: the
+        tile kernels then keep only the pairs whose reference x lies
+        in it."""
         env, machine = self.disk.env, self.machine
-        run = self._plan_partitioned(plan, entries, trace, cancel)
+        run = self._plan_partitioned(plan, entries, trace, cancel, strip)
         shipper = run.shipper
         # What the query comes to hold goes back here, once and newest
         # first, whichever stage raises: spill streams, the tile grant,
@@ -454,6 +480,7 @@ class Executor:
         self, plan: PhysicalPlan, entries: List[CatalogEntry],
         trace: Optional[Span],
         cancel: Optional[Callable[[], None]],
+        strip: Tuple[float, ...],
     ) -> "_PartitionedRun":
         """Stage 1: the tiles' identity, and where their sweeps run."""
         query = plan.query
@@ -489,7 +516,7 @@ class Executor:
                                traced=trace is not None,
                                inline_all=inline_all, cancel=token)
         return _PartitionedRun(plan, entries, ident, n_parts, shipper,
-                               inline_all, self.kernel)
+                               inline_all, self.kernel, strip)
 
     def _produce_tiles(self, run: "_PartitionedRun",
                        held: ExitStack) -> None:
@@ -748,15 +775,16 @@ class Executor:
         plan memo, the ``sweep`` span and the result record."""
         plan, shipper = run.plan, run.shipper
         submitted = shipper.submitted
-        n_pairs = total_ops = duplicates = inline_ops = 0
+        n_pairs = total_ops = duplicates = unowned = inline_ops = 0
         shipped_ops: List[int] = []
         for (_fut, shipped, _size, _tiles), outcome in zip(
             submitted, outcomes
         ):
-            count, _pairs, task_ops, dups = outcome
+            count, _pairs, task_ops, dups, left = outcome
             n_pairs += count
             total_ops += task_ops
             duplicates += dups
+            unowned += left
             if shipped:
                 shipped_ops.append(task_ops)
             else:
@@ -797,7 +825,7 @@ class Executor:
                 "kernel": self.kernel,
                 "shm_tasks": shipper.shm_tasks,
             })
-        return JoinResult(
+        result = JoinResult(
             algorithm="PBSM-grid",
             n_pairs=n_pairs,
             pairs=pairs,
@@ -835,6 +863,9 @@ class Executor:
                 "inlined_by_cost": run.inline_all,
             },
         )
+        if run.strip:
+            result.detail["cross_shard_duplicates"] = unowned
+        return result
 
     def _note_plan_ops(self, key: tuple, ops: int) -> None:
         """Remember a plan's measured sweep cost, most recent last."""
@@ -854,7 +885,7 @@ class _PartitionedRun:
     def __init__(self, plan: PhysicalPlan, entries: List[CatalogEntry],
                  ident: ArtifactIdentity, n_parts: int,
                  shipper: "_TaskShipper", inline_all: bool,
-                 kernel: str) -> None:
+                 kernel: str, strip: Tuple[float, ...]) -> None:
         self.plan = plan
         self.query = plan.query
         self.self_join = plan.query.is_self_join
@@ -867,6 +898,8 @@ class _PartitionedRun:
         self.n_parts = n_parts
         self.shipper = shipper
         self.inline_all = inline_all
+        #: The shard's strip, carried in every grid spec this run builds.
+        self.strip = strip
         # Filled by the produce stage.
         self.grant = None
         self.artifact_hit = False
@@ -883,11 +916,12 @@ class _PartitionedRun:
         """Cut and sweep on ``cand``'s grid: the plan's own, or — a
         windowed plan reusing the full distribution — the full one,
         whose tiles the produce stage prunes to the window before any
-        is shipped (:meth:`Executor._ship_cached`)."""
+        is shipped (:meth:`Executor._ship_cached`).  The grid spec
+        ends with the shard's strip, if any, on either grid."""
         uni = cand.universe
         self.grid = TileGrid(uni, self.ident.tiles, self.n_parts)
         self.grid_spec = (uni.xlo, uni.xhi, uni.ylo, uni.yhi,
-                          self.ident.tiles, self.n_parts)
+                          self.ident.tiles, self.n_parts, *self.strip)
 
     def ship(self, part_id: int, side_a, side_b, size: int) -> None:
         """One tile to the shipper, as a self-contained payload (slot
@@ -1080,9 +1114,11 @@ class _OpCounter:
 
 
 #: What a tile task returns: ``(owned pair count, owned pairs or None,
-#: cpu ops, duplicates suppressed)``.  The pairs are a list of tuples
-#: from the python body and :class:`PairColumns` from the numpy kernel.
-TaskOutcome = Tuple[int, Optional[Sequence[Tuple[int, int]]], int, int]
+#: cpu ops, duplicates suppressed, pairs left to another shard)``.  The
+#: pairs are a list of tuples from the python body and
+#: :class:`PairColumns` from the numpy kernel.
+TaskOutcome = Tuple[int, Optional[Sequence[Tuple[int, int]]], int, int,
+                    int]
 
 def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
     """The tiles of ``payloads`` through one vectorized kernel call.
@@ -1113,8 +1149,8 @@ def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
     )
     if out is None:
         return None
-    counts, pairs, ops, dups = out
-    return (sum(counts), pairs, sum(ops), sum(dups))
+    counts, pairs, ops, dups, unowned = out
+    return (sum(counts), pairs, sum(ops), sum(dups), sum(unowned))
 
 
 def _check_cancel(payload: tuple) -> None:
@@ -1156,11 +1192,14 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
     callback fires per candidate pair.  For self-joins the sweep emits
     every pair in both orientations plus each rectangle against
     itself, and the filter keeps exactly the ``rid_a < rid_b``
-    representative.
+    representative.  The grid spec is six numbers, or eight when a
+    shard's strip ``(lo, hi)`` follows them: a pair its partition owns
+    is then kept only if its reference x lies in ``[lo, hi)`` too.
 
     Returns ``(owned pair count, owned pairs or None, cpu ops,
     duplicates suppressed by the reference-point test and self-join
-    dedup)`` — op counts bit-identical to the per-pair-callback path.
+    dedup, pairs the strip test left to another shard)`` — op counts
+    bit-identical to the per-pair-callback path.
     """
     out = _sweep_group((payload,))
     if out is not None:
@@ -1185,20 +1224,24 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
         grid_spec[4], grid_spec[5],
     )
     part_of = grid.partition_of_point
+    strip = grid_spec[6:]
     owned: List[Tuple[int, int]] = []
     append = owned.append
-    dups = 0
+    dups = unowned = 0
     for ra, rb in batch:
         if self_join and not ra.rid < rb.rid:
             dups += 1
             continue
         x = ra.xlo if ra.xlo >= rb.xlo else rb.xlo
         y = ra.ylo if ra.ylo >= rb.ylo else rb.ylo
-        if part_of(x, y) == part_id:
-            append((ra.rid, rb.rid))
-        else:
+        if part_of(x, y) != part_id:
             dups += 1
-    return (len(owned), owned if collect else None, local.cpu_ops, dups)
+        elif strip and not _in_strip(x, strip):
+            unowned += 1
+        else:
+            append((ra.rid, rb.rid))
+    return (len(owned), owned if collect else None, local.cpu_ops, dups,
+            unowned)
 
 
 def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
@@ -1218,19 +1261,18 @@ def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
     results are concatenated (:func:`_merge_pairs`).
     """
     if not payloads:
-        return (0, None, 0, 0)
+        return (0, None, 0, 0, 0)
     out = _sweep_group(payloads)
     if out is not None:
         return out
-    count = 0
-    ops = 0
-    dups = 0
+    count = ops = dups = unowned = 0
     parts: List[Sequence] = []
     for payload in payloads:
-        c, pairs, o, d = sweep_tile_task(payload)
+        c, pairs, o, d, u = sweep_tile_task(payload)
         count += c
         ops += o
         dups += d
+        unowned += u
         if pairs is not None:
             parts.append(pairs)
     # payload[5] is the collect flag, payload[7] the kernel; all tiles
@@ -1239,7 +1281,7 @@ def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
     if payloads[0][5]:
         kernel = payloads[0][7] if len(payloads[0]) > 7 else "python"
         merged = _merge_pairs(parts, kernel)
-    return (count, merged, ops, dups)
+    return (count, merged, ops, dups, unowned)
 
 
 def _merge_pairs(parts: List[Sequence], kernel: str) -> Sequence:
@@ -1434,25 +1476,49 @@ def _prune_window(cached: DistributionImage, window: Rect,
     ]
 
 
+def _strip_stage(plan: PhysicalPlan) -> str:
+    """Where a shard's strip test runs for ``plan``.
+
+    A shard keeps a result only when its reference point lies in the
+    shard's strip.  The window filter tests it (``"window"``), or
+    without a window the tile kernels do (``"kernel"``), next to the
+    computations that already produce that point.  Any other answer,
+    and any that refinement may still shrink, takes one post-filter
+    that looks its ids up again (``"post"``), so that a shard never
+    counts a result left to another shard that refinement drops.
+    """
+    query = plan.query
+    if query.refine:
+        return "post"
+    if query.window is not None:
+        return "window"
+    return "kernel" if plan.mode == "partitioned" else "post"
+
+
 def _filter_window(result: JoinResult, entries: List[CatalogEntry],
-                   window: Rect, kernel: str = "python") -> JoinResult:
+                   window: Rect, kernel: str = "python",
+                   strip: Tuple[float, ...] = ()) -> JoinResult:
     """Keep pairs/tuples whose common MBR intersection meets the window.
 
     ``kernel="numpy"`` tests all pairs at once against the entries'
     column images and keeps them as columns (a partitioned or
     ``pq-index`` plan hands columns in; the list of a ``pq-mixed-*``,
     ``st``, ``sssj`` or multiway plan is converted once); the python
-    loop is the fallback and the reference.
+    loop is the fallback and the reference.  With a shard's ``strip``
+    a kept tuple must also have its reference x — the intersection's
+    low x, clipped to the window — in ``[lo, hi)``; the rest count as
+    ``cross_shard_duplicates``.
     """
-    kept = None
+    out = None
     if kernel == "numpy":
         from repro.core.kernels import np_distribute
 
-        kept = np_distribute.filter_window(
-            [e.columns for e in entries], result.pairs, window
+        out = np_distribute.filter_window(
+            [e.columns for e in entries], result.pairs, window, strip
         )
-    if kept is None:
-        kept = []
+    if out is None:
+        kept: List[tuple] = []
+        unowned = 0
         for ids in result.pairs:
             rects = [entries[i].by_id[rid] for i, rid in enumerate(ids)]
             acc: Optional[Rect] = rects[0]
@@ -1460,12 +1526,61 @@ def _filter_window(result: JoinResult, entries: List[CatalogEntry],
                 acc = intersection(acc, r)
                 if acc is None:
                     break
-            if acc is not None and acc.intersects(window):
+            if acc is None or not acc.intersects(window):
+                continue
+            if strip and not _in_strip(max(acc.xlo, window.xlo), strip):
+                unowned += 1
+            else:
                 kept.append(ids)
-    result.detail["window_filtered"] = result.n_pairs - len(kept)
+        out = kept, unowned
+    kept, unowned = out
+    result.detail["window_filtered"] = result.n_pairs - len(kept) - unowned
+    if strip:
+        result.detail["cross_shard_duplicates"] = unowned
     result.pairs = kept
     result.n_pairs = len(kept)
     return result
+
+
+def _own_results(result: JoinResult, entries: List[CatalogEntry],
+                 strip: Tuple[float, ...], window: Optional[Rect],
+                 kernel: str) -> JoinResult:
+    """Keep the results whose reference x lies in a shard's ``strip``.
+
+    The post-filter for the answers no earlier stage tested (see
+    :func:`_strip_stage`): the reference x is the largest low x of a
+    tuple's rectangles, clipped to the window if there is one.  Every
+    id is looked up again — a column gather a relation under
+    ``kernel="numpy"``, ``by_id`` in the python loop — so this is
+    correct for any strategy but slower than the tests fused into the
+    window filter and the tile kernels.  What it drops counts as
+    ``cross_shard_duplicates``.
+    """
+    n = result.n_pairs
+    floor = -math.inf if window is None else window.xlo
+    if kernel == "numpy":
+        from repro.core.kernels import np_distribute
+
+        kept: Sequence = np_distribute.filter_strip(
+            [e.columns for e in entries], result.pairs, strip, floor
+        )
+    else:
+        kept = [
+            ids for ids in result.pairs
+            if _in_strip(max(floor, *(entries[i].by_id[rid].xlo
+                                      for i, rid in enumerate(ids))),
+                         strip)
+        ]
+    result.detail["cross_shard_duplicates"] = n - len(kept)
+    result.pairs = kept
+    result.n_pairs = len(kept)
+    return result
+
+
+def _in_strip(x: float, strip: Tuple[float, ...]) -> bool:
+    """:func:`~repro.core.kernels.np_sweep.strip_mask` for one x."""
+    lo, hi = strip
+    return lo <= x and (x < hi or hi == math.inf)
 
 
 def _refine_pairs(result: JoinResult,

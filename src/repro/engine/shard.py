@@ -14,29 +14,37 @@ it).
 **Sharding rule.**  The first registered relation fixes N-1 vertical
 cut lines, placed so the relation's spatial histogram mass splits
 evenly (the same histogram the optimizer already trusts for
-selectivity).  Shard k owns the strip between cut k-1 and cut k (the
-outer strips extend to ±infinity, so later relations can never fall
-outside every shard); a rectangle is registered with **every** shard
-whose strip it touches.  This boundary replication is what makes
-scatter/gather exact:
+selectivity).  Shard k owns the half-open strip ``[cut k-1, cut k)``
+(the outer strips extend to ±infinity, so later relations can never
+fall outside every shard); a rectangle is registered with **every**
+shard whose closed strip it touches.  This boundary replication is
+what makes scatter/gather exact without a dedup:
 
 * every pair a shard reports is genuine — both rectangles are real,
   the shard's engine checked the real intersection/window/refinement
   predicates — so the gathered union never over-reports;
-* every genuine result pair is reported by at least one shard — the
-  pair's reference point (the upper-left corner of the common
-  intersection, PBSM's duplicate-elimination point) lies inside both
-  rectangles, so the strip that contains it holds *both* via
-  replication, and for windowed queries a point of
-  ``intersection ∩ window`` works the same way.  The argument extends
-  verbatim to multiway tuples, whose results have a common N-way
-  intersection.
+* every genuine result pair has a reference point, PBSM's
+  duplicate-elimination point: x is the largest low x of its
+  rectangles (for a windowed query, clipped up to the window's low
+  x), a corner of the common intersection (of ``intersection ∩
+  window``).  That x lies in exactly one half-open strip, and the
+  shard owning it holds *every* rectangle of the pair via
+  replication (each has ``xlo <= x <= xhi``), so that shard finds the
+  pair; ``plan_shards`` never prunes it, because the window reaches
+  its strip at x.  The argument extends verbatim to multiway tuples,
+  whose results have a common N-way intersection.
 
-A rectangle pair straddling a cut is therefore found by up to two
-shards; the gather phase deduplicates by rid pair and counts what it
-dropped (:func:`gather_pairs`: on a numpy engine one concatenate,
-sort and adjacent-unique over the shards' id columns, otherwise a set
-union — the same ascending, duplicate-free order either way).
+So each shard keeps only the results whose reference x lies in its
+own strip (the engine's ``executor.strip``, set when the first
+``register`` fixes the cuts) and the shards' answers are disjoint:
+:func:`gather_pairs` concatenates them in shard order, and a count-only
+gather is a sum.  A pair straddling a cut is still *found* by up to
+two shards; what the strip test dropped is counted per shard and
+summed into ``cross_shard_duplicates``.  The test runs where the
+reference point is already computed — in the window filter, or in the
+tile kernels next to PBSM's own partition test — and only the other
+answers (an unwindowed ``pq-*``, ``sssj``, ``st`` or multiway plan,
+or a refined one) take a post-filter that looks their ids up again.
 
 **Scatter planning.**  A query touches only the shards that (a) hold
 data for every referenced relation and (b) — for windowed queries —
@@ -61,12 +69,12 @@ own :class:`~repro.engine.metrics.EngineMetrics` serving keys over it
 
 **Serving.**  ``execute`` is a pipeline of four stages: *lookup* (the
 top-level result cache), *scatter* (participating shards run
-concurrently, each with replica failover), *gather* (dedup into one
-result) and *account* (the serving ledger, the LPT critical path, the
-trace and the cache fill).  Concurrent callers share the coordinator
-state under one short lock; each replica engine serializes its own
-sub-queries, so two queries overlap wherever they land on different
-replicas.
+concurrently, each with replica failover), *gather* (the disjoint
+answers concatenated into one result) and *account* (the serving
+ledger, the LPT critical path, the trace and the cache fill).
+Concurrent callers share the coordinator state under one short lock;
+each replica engine serializes its own sub-queries, so two queries
+overlap wherever they land on different replicas.
 
 **Availability.**  ``replicas=R`` backs every strip with R identical
 engines (same slice, same budget — replicas model separate boxes) on
@@ -90,7 +98,6 @@ import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace as _replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.columnar import PairColumns
@@ -193,23 +200,28 @@ def lpt_makespan(walls: Sequence[float], lanes: int) -> float:
     return max(loads)
 
 
-def gather_pairs(parts: Sequence[Sequence[tuple]], arity: int,
+def gather_pairs(results: Sequence[JoinResult], arity: int,
                  kernel: str, collect: bool):
-    """Shard sub-results merged: ``(distinct tuples, how many)``.
+    """Shard sub-results merged: ``(tuples or None, how many)``.
 
-    The tuples come back in ascending order — which makes collected
-    gathers deterministic — or as ``None`` for a count-only query,
-    which needs just the deduplicated cardinality.  ``parts`` may mix
-    lists (the tuple-building strategies) and columns.  The set
-    union is the python kernel's path and the reference.
+    Each shard kept only the results it owns, so the sub-results are
+    disjoint: the count is their sum, and a collected gather is their
+    tuples back to back, in the order of ``results`` (shard order) and
+    each shard's own order inside — ``None`` for a count-only query,
+    whose shards collected nothing.  Collected sub-results may mix
+    lists (the tuple-building strategies) and columns; the numpy
+    kernel concatenates them into columns, the python kernel into a
+    list.
     """
+    n_pairs = sum(r.n_pairs for r in results)
+    if not collect:
+        return None, n_pairs
     if kernel == "numpy":
-        merged = PairColumns.concat(parts, arity).sorted_unique()
-        return (merged if collect else None), len(merged)
-    distinct: set = set()
-    for part in parts:
-        distinct.update(part)
-    return (sorted(distinct) if collect else None), len(distinct)
+        return PairColumns.concat([r.pairs for r in results], arity), n_pairs
+    merged: List[tuple] = []
+    for r in results:
+        merged.extend(r.pairs)
+    return merged, n_pairs
 
 
 class _ShardOutcome(NamedTuple):
@@ -307,8 +319,9 @@ class ShardedEngine(_ServeShell):
         #: latency sample and one LPT critical path, and failovers
         #: happen only here; shard engines keep the physical counters.
         self._metrics = EngineMetrics()
-        #: Rid pairs the gather dropped, shards the scatter skipped, and
-        #: unhealthy replicas that earned their health back via probes.
+        #: Pairs the shards left to their owners, shards the scatter
+        #: skipped, and unhealthy replicas that earned their health back
+        #: via probes.
         self.duplicates_eliminated = 0
         self.shards_pruned_total = 0
         self.replica_recoveries = 0
@@ -385,6 +398,11 @@ class ShardedEngine(_ServeShell):
             self._cuts = balanced_cuts(
                 rect_list, uni, self.shards, DEFAULT_GRID
             )
+            if self.shards > 1:
+                # From now on each shard keeps only what it owns.
+                for k, group in enumerate(self._replica_engines):
+                    for engine in group:
+                        engine.executor.strip = self.strip_of(k)
         was_present = self._present.get(name, [False] * self.shards)
         present = [False] * self.shards
         replicas = -len(rect_list)
@@ -667,15 +685,12 @@ class ShardedEngine(_ServeShell):
         failure cancels what has not started, waits out what has, and
         re-raises.
         """
-        # The gather deduplicates by rid, so sub-queries always collect
-        # pairs even when the caller only wants a count.
-        sub = (query if query.collect_pairs
-               else _replace(query, collect_pairs=True))
-
+        # Every shard answers only for its own strip, so a count-only
+        # query stays count-only on the shards: their counts add up.
         def run_shard(k: int) -> _ShardOutcome:
             if cancel is not None:
                 cancel()
-            return self._execute_on_shard(k, sub, analyze, cancel)
+            return self._execute_on_shard(k, query, analyze, cancel)
 
         executor = (
             self._scatter_executor() if len(participating) > 1 else None
@@ -720,20 +735,22 @@ class ShardedEngine(_ServeShell):
 
     def _gather(self, query: Query, outcomes: Sequence[_ShardOutcome],
                 pruned: Sequence[int], analyze: bool) -> JoinResult:
-        """The shards' answers deduplicated into one result, with the
+        """The shards' disjoint answers as one result, with the
         per-shard attribution in its ``detail``."""
         results = [oc.out.result for oc in outcomes]
-        raw_pairs = sum(r.n_pairs for r in results)
         pairs, n_pairs = gather_pairs(
-            [r.pairs for r in results], len(query.relations),
-            self.kernel, query.collect_pairs,
+            results, len(query.relations), self.kernel,
+            query.collect_pairs,
         )
         detail: Dict[str, object] = {
             "strategy": "scatter-gather",
             "shards": self.shards,
             "shards_queried": [oc.shard for oc in outcomes],
             "shards_pruned": list(pruned),
-            "cross_shard_duplicates": raw_pairs - n_pairs,
+            # Pairs a shard found but left to the shard owning them.
+            "cross_shard_duplicates": sum(
+                r.detail.get("cross_shard_duplicates", 0) for r in results
+            ),
             "shard_pairs": {oc.shard: oc.out.result.n_pairs
                             for oc in outcomes},
             "shard_strategies": {

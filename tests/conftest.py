@@ -397,7 +397,7 @@ def windowed_hit_reference(engine, window: Rect):
         by_b.update((r.rid, r) for r in (
             side_a if side_b is None else side_b
         ))
-        _, got, task_ops, _ = executor_mod.sweep_tile_task(
+        _, got, task_ops, _, _ = executor_mod.sweep_tile_task(
             (part, spec, side_a, side_b, side_b is None, True, None,
              "python")
         )

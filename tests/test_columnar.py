@@ -179,26 +179,6 @@ class TestPairColumns:
             [PAIR_LISTS["arity3"][:1], PAIR_LISTS["arity3"][1:]], 3
         ) == PAIR_LISTS["arity3"]
 
-    @pytest.mark.parametrize("name", sorted(PAIR_LISTS))
-    def test_sorted_unique_is_sorted_set(self, name):
-        ref, cols = self._columns(name)
-        assert cols.sorted_unique() == sorted(set(ref))
-
-    def test_sorted_unique_on_ids_too_spread_for_a_key(self):
-        # Both paths, against the same oracle: ids spanning the whole
-        # int64 range cannot be fused into one key and take the
-        # lexsort; negatives and repeats ride along.
-        rng = random.Random(5)
-        near = [(rng.randrange(-50, 50), rng.randrange(10**6, 10**6 + 40))
-                for _ in range(3000)]
-        far = near + [(-2**63, 2**63 - 1), (2**63 - 1, -2**63),
-                      (2**63 - 1, -2**63), (0, 0)]
-        wide3 = [(rng.randrange(-2**40, 2**40), rng.randrange(2**40),
-                  rng.randrange(-3, 3)) for _ in range(500)] * 2
-        for ref, arity in ((near, 2), (far, 2), (wide3, 3)):
-            got = PairColumns.from_pairs(ref, arity).sorted_unique()
-            assert got == sorted(set(ref))
-
 
 class TestSortedRunView:
     def test_scan_yields_sorted_rects_and_free_is_noop(self):

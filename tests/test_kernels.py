@@ -13,6 +13,7 @@ and never outlive the engine.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import random
 import signal
@@ -1135,7 +1136,7 @@ class TestPairColumnsParity:
             ))
             assert type(collected[1]) is kind
             assert len(collected[1]) == collected[0] == counted[0]
-        assert sweep_tile_batch_task(()) == (0, None, 0, 0)
+        assert sweep_tile_batch_task(()) == (0, None, 0, 0, 0)
 
     @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_engine_returns_columns_in_the_python_order(self, pool_kind):
@@ -1260,22 +1261,22 @@ class TestSegmentedSweepParity:
         tiles = [(p[0], p[2], p[3]) for p in payloads]
         got = np_sweep.sweep_tiles(tiles, first[4], first[1], True)
         assert got is not None, "the kernel declined a valid group"
-        counts, pairs, ops, dups = got
-        assert [counts, ops, dups] == [
-            [ref[i] for ref in refs] for i in (0, 2, 3)
+        counts, pairs, ops, dups, unowned = got
+        assert [counts, ops, dups, unowned] == [
+            [ref[i] for ref in refs] for i in (0, 2, 3, 4)
         ]
         assert isinstance(pairs, PairColumns)
         assert list(pairs) == [pair for ref in refs for pair in ref[1]]
         assert np_sweep.sweep_tiles(
             tiles, first[4], first[1], False
-        ) == (counts, None, ops, dups)
+        ) == (counts, None, ops, dups, unowned)
         assert sweep_tile_batch_task(
             tuple(p + ("numpy",) for p in payloads)
-        ) == (sum(counts), pairs, sum(ops), sum(dups))
+        ) == (sum(counts), pairs, sum(ops), sum(dups), sum(unowned))
         for payload, ref in zip(payloads, refs):  # k = 1, same kernel
             solo = sweep_tile_task(payload + ("numpy",))
             assert isinstance(solo[1], PairColumns)
-            assert (solo[0], list(solo[1]), solo[2], solo[3]) == ref
+            assert (solo[0], list(solo[1]), *solo[2:]) == ref
         return refs
 
     @pytest.mark.parametrize("window", sorted(WINDOWS))
@@ -1307,6 +1308,34 @@ class TestSegmentedSweepParity:
             return
         self._check(payloads)
 
+    @pytest.mark.parametrize("kind", ("uniform", "clustered",
+                                      "degenerate"))
+    def test_a_strip_keeps_what_its_shard_owns(self, kind):
+        # A shard's strip after the grid's six numbers: both kernels
+        # keep the pairs whose reference x lies in [lo, hi), in the
+        # order they had, and count the rest apart from the partition
+        # duplicates; two strips meeting at a cut split every tile.
+        payloads = TestPairColumnsParity()._payloads(kind, "full")
+        whole = [sweep_tile_task(p + ("python",)) for p in payloads]
+        assert all(out[4] == 0 for out in whole)
+        xs = sorted(r.xlo for p in payloads for r in p[2].decode())
+        cut = xs[len(xs) // 2]
+        kept = {}
+        for strip in ((-math.inf, cut), (cut, math.inf)):
+            kept[strip] = self._check(
+                [(p[0], (*p[1], *strip)) + p[2:] for p in payloads]
+            )
+        left, right = kept.values()
+        for full, a, b in zip(whole, left, right):
+            assert a[3] == b[3] == full[3]
+            assert a[0] + a[4] == b[0] + b[4] == full[0]
+            assert a[0] + b[0] == full[0]
+            assert sorted(a[1] + b[1]) == sorted(full[1])
+            assert [p for p in full[1] if p in set(a[1])] == a[1]
+        assert sum(a[4] for a in left) and sum(b[4] for b in right), (
+            "vacuous: the cut split nothing"
+        )
+
     def test_side_forms(self):
         # Columns, shared-memory refs to them and Rect lists, mixed in
         # one group, are one input to the kernel.
@@ -1337,7 +1366,7 @@ class TestSegmentedSweepParity:
                     tuple(p + ("numpy",) for p in group)
                 )
                 assert isinstance(got[1], PairColumns), form
-                assert (got[0], list(got[1]), got[2], got[3]) == ref, form
+                assert (got[0], list(got[1]), *got[2:]) == ref, form
         finally:
             pool.shutdown()
 

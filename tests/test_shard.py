@@ -19,8 +19,11 @@ import random
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.columnar import PairColumns
+from repro.core.histogram import DEFAULT_GRID
+from repro.core.join_result import JoinResult
 from repro.engine import (
     AdmissionError,
     Query,
@@ -264,7 +267,7 @@ class TestDifferential:
             sharded.close()
 
 
-def _multiway_reference(a, b, c):
+def _multiway_reference(a, b, c, window=None):
     ref = set()
     for ra in a:
         for rb in b:
@@ -272,19 +275,24 @@ def _multiway_reference(a, b, c):
             if i1 is None:
                 continue
             for rc in c:
-                if intersection(i1, rc) is not None:
+                i2 = intersection(i1, rc)
+                if i2 is not None and (window is None
+                                       or i2.intersects(window)):
                     ref.add((ra.rid, rb.rid, rc.rid))
     return ref
 
 
 class TestGatherParity:
-    """The numpy gather against brute force and the set-union gather.
+    """The numpy gather against brute force and the python gather.
 
-    Collected results are compared as sequences, not sets: the gather
-    promises ascending, duplicate-free order, whichever path built it.
+    Every shard keeps only the pairs it owns, so a collected gather is
+    the shards' answers back to back: its pairs are compared as sets
+    with brute force, checked free of duplicates, and compared as
+    sequences across kernels, which concatenate in the same order.
     """
 
     WINDOW = Rect(0.2, 0.55, 0.15, 0.6, 0)
+    RIGHT = Rect(0.6, 0.95, 0.15, 0.6, 0)
 
     @staticmethod
     def _data():
@@ -307,6 +315,10 @@ class TestGatherParity:
             (Query(relations=("a", "a")), brute_reference(a)),
             (Query(relations=("a", "b"), window=self.WINDOW),
              brute_reference(a, b, self.WINDOW)),
+            # Refined: the strip test runs after refinement, on the
+            # reference x clipped to a window right of the first cut.
+            (Query(relations=("a", "b"), window=self.RIGHT, refine=True),
+             brute_reference(a, b, self.RIGHT)),
             (Query(relations=("a", "b"), collect_pairs=False),
              brute_reference(a, b)),
             (Query(relations=("a", "b", "c")),
@@ -339,9 +351,9 @@ class TestGatherParity:
             assert result.pairs.ids.shape == (
                 len(ref), len(query.relations)
             ), what
-            assert list(result.pairs) == sorted(ref), what
+            assert set(result.pairs) == ref, what
         dups = served[0][2].detail["cross_shard_duplicates"]
-        assert (dups > 0) == (shards > 1), "straddlers must be deduped"
+        assert (dups > 0) == (shards > 1), "straddlers must be counted"
         # The forced-python leg: plain lists, the same answers and the
         # same duplicate accounting.
         for (query, ref, result), (_, _, want) in zip(
@@ -353,11 +365,11 @@ class TestGatherParity:
                 assert want.detail[key] == result.detail[key], key
             if query.collect_pairs:
                 assert type(want.pairs) is list
-                assert want.pairs == sorted(ref) == list(result.pairs)
+                assert want.pairs == list(result.pairs)
 
     def test_shards_answering_with_different_strategies(self):
         data = self._data()
-        ref = sorted(brute_reference(data["a"], data["b"]))
+        ref = brute_reference(data["a"], data["b"])
         for forced in (("pq-index", "pbsm-grid"), ("pbsm-grid", "sssj")):
             engine = _make_sharded(2)
             try:
@@ -368,28 +380,195 @@ class TestGatherParity:
                 assert [
                     result.detail["shard_strategies"][k] for k in (0, 1)
                 ] == list(forced)
-                assert list(result.pairs) == ref
+                assert len(result.pairs) == len(ref)
+                assert set(result.pairs) == ref
                 assert result.detail["cross_shard_duplicates"] > 0
             finally:
                 engine.close()
 
     @pytest.mark.parametrize("collect", (True, False))
     def test_gather_pairs_mixes_lists_and_columns(self, collect):
+        # Disjoint parts, as shards that keep only what they own hand
+        # in: concatenated in order, counted by summing.
         rng = random.Random(3)
         triples = [(rng.randrange(40), rng.randrange(-9, 9),
                     rng.randrange(10**6, 10**6 + 5)) for _ in range(900)]
-        parts = [triples[:300], PairColumns.from_pairs(triples[250:600], 3),
-                 [], PairColumns.empty(3), triples[500:]]
-        want = sorted(set(triples))
-        for kernel in ("python", "numpy"):
-            pairs, n = gather_pairs(parts, 3, kernel, collect)
-            assert n == len(want)
+        parts = [triples[:300], PairColumns.from_pairs(triples[300:600], 3),
+                 [], PairColumns.empty(3), triples[600:]]
+        results = [
+            JoinResult(algorithm="shard", n_pairs=len(part),
+                       pairs=part if collect else None)
+            for part in parts
+        ]
+        for kernel, kind in (("python", list), ("numpy", PairColumns)):
+            pairs, n = gather_pairs(results, 3, kernel, collect)
+            assert n == len(triples)
             if collect:
-                assert pairs == want
+                assert type(pairs) is kind
+                assert pairs == triples
             else:
                 assert pairs is None
         assert gather_pairs([], 2, "numpy", True) == ([], 0)
         assert gather_pairs([], 2, "python", True) == ([], 0)
+        assert gather_pairs([], 2, "numpy", False) == (None, 0)
+
+
+# -- ownership: each shard keeps what its strip owns ------------------------
+
+#: Coordinates on a 1/64 lattice: every other line is one
+#: ``balanced_cuts`` can put a cut on (it cuts on the histogram grid).
+LATTICE = 64
+assert LATTICE % DEFAULT_GRID == 0
+
+
+def _on_lattice(cells, id_base: int):
+    return [
+        Rect(x / LATTICE, min(LATTICE, x + w) / LATTICE,
+             y / LATTICE, min(LATTICE, y + h) / LATTICE, id_base + i)
+        for i, (x, w, y, h) in enumerate(cells)
+    ]
+
+
+def _cell(x_lo: int = 0, x_hi: int = LATTICE):
+    """One lattice rectangle's ``(x, width, y, height)``; width 0 is a
+    zero-width rectangle on a lattice line."""
+    return st.tuples(st.integers(x_lo, x_hi), st.integers(0, 12),
+                     st.integers(0, LATTICE), st.integers(0, 12))
+
+
+class TestOwnership:
+    """A shard keeps a result only when its reference point lies in the
+    shard's own strip, so the shards' answers are disjoint."""
+
+    @pytest.mark.parametrize("force", (None, "pq-index"))
+    @pytest.mark.parametrize("shards", (2, 4))
+    def test_count_only_shards_collect_nothing(self, shards, force):
+        # The partitioned plan counts in its kernels; a pq-index shard
+        # collects for its post-filter and drops the ids after it.
+        data = TestGatherParity._data()
+        a, b = data["a"], data["b"]
+        engine = _make_sharded(shards)
+        seen = []
+        try:
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            for shard in engine.engines:
+                def execute(query, *args, _run=shard.execute, **kwargs):
+                    out = _run(query, *args, **kwargs)
+                    seen.append((query.collect_pairs, out.result.pairs))
+                    return out
+                shard.execute = execute
+            counted = engine.execute(Query(
+                relations=("a", "b"), collect_pairs=False, force=force,
+            )).result
+            assert len(seen) == shards
+            assert all(not collect and pairs is None
+                       for collect, pairs in seen)
+            assert counted.pairs is None
+            assert counted.n_pairs == len(brute_reference(a, b))
+            collected = engine.execute(Query(
+                relations=("a", "b"), force=force,
+            )).result
+            assert set(collected.pairs) == brute_reference(a, b)
+            for key in ("cross_shard_duplicates", "shard_pairs"):
+                assert counted.detail[key] == collected.detail[key], key
+            assert counted.detail["cross_shard_duplicates"] > 0
+        finally:
+            engine.close()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+    ])
+    @given(data=st.data())
+    def test_edge_of_cut_differential(self, data):
+        draw = data.draw
+        shards = draw(st.sampled_from((2, 4)), label="shards")
+        kernel = draw(st.sampled_from(("python", "numpy")), label="kernel")
+        shape = draw(st.sampled_from(("pairwise", "self", "multiway")),
+                     label="shape")
+        # A relation crowded into one histogram column collapses the
+        # cuts: strips of zero width that own nothing.
+        crowded = draw(st.booleans(), label="crowded")
+        a = _on_lattice(draw(st.lists(
+            _cell(40, 41) if crowded else _cell(), min_size=1, max_size=14,
+        ), label="a"), 0)
+        cuts = balanced_cuts(a, UNIT, shards, DEFAULT_GRID)
+
+        def snapped(id_base):
+            # Rectangles and zero-width rectangles put on the cuts.
+            rects = _on_lattice(draw(st.lists(_cell(), min_size=1,
+                                              max_size=12)), id_base)
+            for cut in draw(st.lists(st.sampled_from(cuts), max_size=4)):
+                y = draw(st.integers(0, LATTICE)) / LATTICE
+                width = draw(st.sampled_from((0.0, 1 / LATTICE)))
+                rects.append(Rect(cut, min(1.0, cut + width), y,
+                                  min(1.0, y + 4 / LATTICE),
+                                  id_base + len(rects)))
+            return rects
+
+        b = snapped(10_000)
+        c = snapped(20_000)
+        window = None
+        if draw(st.booleans(), label="windowed"):
+            x, w, y, h = draw(_cell(), label="window")
+            xlo, xhi = x / LATTICE, min(LATTICE, x + 2 * w) / LATTICE
+            edge = draw(st.sampled_from(("none", "xlo", "xhi")))
+            cut = draw(st.sampled_from(cuts))
+            if edge == "xlo":
+                xlo, xhi = cut, max(cut, xhi)
+            elif edge == "xhi":
+                xlo, xhi = min(xlo, cut), cut
+            window = Rect(xlo, xhi, y / LATTICE,
+                          min(LATTICE, y + 2 * h) / LATTICE, 0)
+        forces = (None, "pq-index", "sssj", "pbsm-grid")
+        if shape == "self":
+            relations, inputs = ("a", "a"), (a,)
+            ref = brute_reference(a, None, window)
+            forces = (None, "pbsm-grid")
+        elif shape == "pairwise":
+            relations, inputs = ("a", "b"), (a, b)
+            ref = brute_reference(a, b, window)
+        else:
+            relations, inputs = ("a", "b", "c"), (a, b, c)
+            ref = _multiway_reference(a, b, c, window)
+            forces = (None,)
+        refine = shape == "pairwise" and draw(st.booleans(), label="refine")
+        collect = (window is not None or refine
+                   or draw(st.booleans(), label="collect"))
+        query = Query(relations=relations, window=window, refine=refine,
+                      collect_pairs=collect)
+
+        engine = _make_sharded(shards, kernel=kernel)
+        try:
+            for name, rects in zip("abc", (a, b, c)):
+                engine.register(name, rects, universe=UNIT)
+            assert engine._cuts == cuts
+            force_strategies(engine.engines, [
+                draw(st.sampled_from(forces)) for _ in range(shards)
+            ])
+            result = engine.execute(query).result
+            participating, _ = engine.plan_shards(query)
+        finally:
+            engine.close()
+
+        assert result.n_pairs == len(ref)
+        if collect:
+            assert len(result.pairs) == len(ref)
+            assert set(result.pairs) == ref
+        else:
+            assert result.pairs is None
+        assert sum(result.detail["shard_pairs"].values()) == result.n_pairs
+        # Every participating shard that holds all of a result's
+        # rectangles finds it; all but the owner's copy are the
+        # cross-shard duplicates.
+        by_id = {r.rid: r for rects in inputs for r in rects}
+        strips = [engine.strip_of(k) for k in participating]
+        raw = sum(
+            all(by_id[rid].xhi >= lo and by_id[rid].xlo <= hi
+                for rid in ids)
+            for ids in ref for lo, hi in strips
+        )
+        assert result.detail["cross_shard_duplicates"] == raw - len(ref)
 
 
 # -- randomized property tests (the test-archetype headline) -----------------
@@ -479,7 +658,8 @@ class TestWindowedReuse:
                                                              window)
                 want.update(pairs)
                 ops += shard_ops
-            assert list(result.pairs) == sorted(want), name
+            assert len(result.pairs) == len(want), name
+            assert set(result.pairs) == want, name
             assert sum(e.env.cpu_ops for e in engines) - sum(before) == ops
             assert want == brute_reference(
                 a, None if self_join else b, window

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.geom.rect import RECT_BYTES, Rect
+from repro.geom.rect import Rect
 
 #: Per-rectangle payload of the columnar format: four float64 corner
 #: coordinates plus one int64 identifier.
@@ -290,39 +290,6 @@ class DistributionImage:
 
     def __len__(self) -> int:
         return len(self.tasks)
-
-
-class SortedRunView:
-    """A memory-resident sorted relation behind a stream-like ``scan()``.
-
-    The engine's artifact layer retains the *output* of an external
-    sort (a relation in ``(ylo, xlo, ...)`` order) as one columnar
-    tile; this view makes that tile consumable by everything that
-    expects a :class:`~repro.storage.stream.Stream` — the SSSJ sweep,
-    its slab fallback — without touching the simulated disk at all.
-    ``scan()`` decodes the run, which is stored in sorted order, and
-    ``free()`` is a no-op: the artifact cache owns the tile's lifetime.
-    """
-
-    __slots__ = ("tile", "name")
-
-    def __init__(self, tile: ColumnarTile, name: str = "") -> None:
-        self.tile = tile
-        self.name = name
-
-    def scan(self) -> Iterator[Rect]:
-        return iter(self.tile.decode())
-
-    def free(self) -> None:
-        """Nothing to release — the backing tile is cache-owned."""
-
-    def __len__(self) -> int:
-        return len(self.tile)
-
-    @property
-    def data_bytes(self) -> int:
-        """Logical payload at the repo's 20-byte record convention."""
-        return len(self.tile) * RECT_BYTES
 
 
 class PairColumns(Sequence):

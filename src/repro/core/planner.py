@@ -86,8 +86,8 @@ class JoinStrategy:
     the Section 6.3 estimate; ``run(in_a, in_b, rel_a, rel_b, disk,
     collect, kernel, pool)`` joins the inputs ``indexed`` picked
     (``pool``: the buffer pool ``st`` shares with an engine, or
-    ``None`` for a fresh one).  Only an engine offers non-``planner``
-    rows: ``st`` pays off on a warm pool.
+    ``None`` for a fresh one).  A non-``planner`` row (``st``) is never
+    chosen, only forced.
     """
 
     name: str
@@ -184,20 +184,18 @@ def candidate_estimates(
     rel_b: Relation,
     machine: MachineSpec,
     scale,
-    engine: bool = False,
 ) -> List[Tuple[str, JoinCostEstimate]]:
-    """Price every feasible row of :data:`STRATEGIES`; returns
-    [(strategy, estimate), ...] in table order.
+    """Price every feasible ``planner`` row of :data:`STRATEGIES`;
+    returns [(strategy, estimate), ...] in table order.
 
     A row is feasible when each relation has the representation it
-    reads there.  ``engine`` also offers the rows the one-shot planner
-    does not (``st``).
+    reads there.
     """
     model = CostModel(machine, scale)
     return [
         (s.name, s.price(model, rel_a, rel_b))
         for s in STRATEGIES.values()
-        if (s.planner or engine) and s.feasible(rel_a, rel_b)
+        if s.planner and s.feasible(rel_a, rel_b)
     ]
 
 

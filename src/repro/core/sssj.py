@@ -69,25 +69,13 @@ def sssj_join(
     universe: Optional[Rect] = None,
     config: SSSJConfig = SSSJConfig(),
     collect_pairs: bool = False,
-    sorted_a=None,
-    sorted_b=None,
 ) -> JoinResult:
     """Join two (unsorted, closed) rectangle streams.
 
     ``universe`` bounds the x-range for Striped-Sweep and the fallback
     slabs; callers that know their dataset pass it (it is catalog
-    metadata), otherwise it is derived with an uncharged scan.
-
-    ``sorted_a``/``sorted_b`` are optional pre-sorted views of the
-    corresponding input (any object whose ``scan()`` yields the
-    relation in ascending ``ylo`` order — a sorted
-    :class:`~repro.storage.stream.Stream`, or the engine's
-    memory-resident
-    :class:`~repro.core.columnar.SortedRunView`).  A provided side
-    skips its external sort entirely — the warm path of the engine's
-    sorted-run artifacts — and stays owned by the caller (it is not
-    freed here).  The sweep asserts sortedness as it consumes the
-    view, so a wrong order fails loudly rather than corrupting output.
+    metadata), otherwise it is derived with an uncharged scan.  Both
+    inputs are externally sorted here, every call.
     """
     env = disk.env
     if universe is None:
@@ -105,11 +93,8 @@ def sssj_join(
         )
         config = replace(config, nstrips=nstrips)
 
-    presorted = sum(1 for s in (sorted_a, sorted_b) if s is not None)
-    run_a = (sorted_a if sorted_a is not None
-             else sort_stream_by_ylo(stream_a, disk, name="sssj.a"))
-    run_b = (sorted_b if sorted_b is not None
-             else sort_stream_by_ylo(stream_b, disk, name="sssj.b"))
+    run_a = sort_stream_by_ylo(stream_a, disk, name="sssj.a")
+    run_b = sort_stream_by_ylo(stream_b, disk, name="sssj.b")
 
     pairs: Optional[List[Tuple[int, int]]] = [] if collect_pairs else None
     state = _State(pairs=pairs)
@@ -118,10 +103,8 @@ def sssj_join(
         config, memory_items, state, depth=0,
         accept=lambda ref_x: True,
     )
-    if sorted_a is None and run_a is not stream_a:
-        run_a.free()
-    if sorted_b is None and run_b is not stream_b:
-        run_b.free()
+    run_a.free()
+    run_b.free()
     return JoinResult(
         algorithm="SSSJ",
         n_pairs=state.n_pairs,
@@ -130,7 +113,6 @@ def sssj_join(
         detail={
             "fallback_depth": state.deepest,
             "memory_items": memory_items,
-            "presorted_inputs": presorted,
         },
     )
 

@@ -15,7 +15,7 @@ the subsystem a production deployment needs:
 * :class:`~repro.engine.cache.ResultCache` — size-aware LRU result
   cache keyed by canonical query + catalog versions, and
   :class:`~repro.engine.cache.ArtifactCache` — the budget-charged LRU
-  of distributed tiles and sorted runs;
+  of distributed tiles;
 * :class:`~repro.engine.resources.ResourceBudget` — the enforced
   internal-memory contract shared by every layer (grants, spill,
   admission control, high-water accounting);

@@ -3,22 +3,16 @@
 Two caches live here.  :class:`ResultCache` is a size-aware LRU over
 *answers* — the second identical query costs a dictionary lookup.
 :class:`ArtifactCache` is an LRU over *reusable execution
-intermediates*, in several kinds:
-
-* ``"partition"`` — the per-partition tiles the partitioned executor
-  produced for a relation pair, held as one column image a side
-  (:class:`~repro.core.columnar.DistributionImage`), so a warm
-  repeated (or overlapping, e.g. the same relations under a different
-  predicate, a window inside the full distribution, or with the result
-  cache disabled) query skips the whole distribute phase and goes
-  straight to the sweeps;
-* ``"sorted-run"`` — the output of an external sort (one relation in
-  sweep order, as a single columnar tile), so a warm sort-based plan
-  (``sssj``) skips both external sorts and sweeps straight out of
-  memory.
+intermediates*: the per-partition tiles the partitioned executor
+produced for a relation pair, held as one column image a side
+(:class:`~repro.core.columnar.DistributionImage`), so a warm repeated
+(or overlapping, e.g. the same relations under a different predicate,
+a window inside the full distribution, or with the result cache
+disabled) query skips the whole distribute phase and goes straight to
+the sweeps.
 
 Result-cache entries are governed by their own byte ledger; artifacts
-of every kind share one LRU and are charged to the engine's execution
+share one LRU and are charged to the engine's execution
 :class:`~repro.engine.resources.ResourceBudget` under the
 ``"artifacts"`` category, but only ever occupy *free* budget bytes
 (``grant.try_extend``) and are evicted on demand — cached artifacts can
@@ -226,11 +220,6 @@ def _mentions(key: Hashable, name: str) -> bool:
 
 # -- execution artifacts -----------------------------------------------------
 
-#: The artifact kinds the engine currently retains.
-PARTITION_KIND = "partition"
-SORTED_RUN_KIND = "sorted-run"
-ARTIFACT_KINDS = (PARTITION_KIND, SORTED_RUN_KIND)
-
 #: Fixed per-artifact overhead (key, entry object, task tuples).
 _ARTIFACT_ENTRY_BYTES = 512
 #: Per-partition overhead within an artifact (tuple + list slots).
@@ -271,11 +260,10 @@ class Candidate(NamedTuple):
 
 class ArtifactIdentity(NamedTuple):
     """What one plan looks for, best candidate first, and the grid a
-    distribution is cut on (``tiles`` a side; 0 for a sorted run)."""
+    distribution is cut on (``tiles`` a side)."""
 
-    kind: str
     candidates: Tuple[Candidate, ...]
-    tiles: int = 0
+    tiles: int
 
 
 class ArtifactHit(NamedTuple):
@@ -306,34 +294,18 @@ def artifact_bytes(tasks) -> int:
     return total
 
 
-def sorted_run_bytes(tile) -> int:
-    """Approximate resident bytes of one cached sorted run."""
-    return _ARTIFACT_ENTRY_BYTES + tile.nbytes + len(tile) * RECT_BYTES
-
-
-def _artifact_nbytes(kind: str, value) -> int:
-    if kind == SORTED_RUN_KIND:
-        return sorted_run_bytes(value)
-    return artifact_bytes(value)
-
-
 class ArtifactCache:
-    """One LRU over every artifact kind, charged to the budget.
+    """One LRU over distributed tile sets, charged to the budget.
 
-    ``"partition"`` values are the executor's ready-to-ship
-    distributions: a :class:`~repro.core.columnar.DistributionImage`
-    reads as ``[(part_id, tile_a, tile_b_or_None), ...]`` with every
-    tile a :class:`~repro.core.columnar.ColumnarTile` view into one
-    column image a side (``tile_b is None`` marks a self-join, whose
-    single side sweeps against itself).  A hit replaces the scan +
-    distribute + spill phases of partitioned execution with
-    decode-and-sweep, after one prune of the images when a window
-    reuses the full distribution.  ``"sorted-run"``
-    values are single columnar tiles holding one relation in sweep
-    order; a hit replaces an external sort with an in-memory scan.
-    Kinds share one LRU chain and one byte ledger — a burst of sorted
-    runs can evict stale distributions and vice versa — with per-kind
-    counters kept for observability.
+    Values are the executor's ready-to-ship distributions: a
+    :class:`~repro.core.columnar.DistributionImage` reads as
+    ``[(part_id, tile_a, tile_b_or_None), ...]`` with every tile a
+    :class:`~repro.core.columnar.ColumnarTile` view into one column
+    image a side (``tile_b is None`` marks a self-join, whose single
+    side sweeps against itself).  A hit replaces the scan + distribute
+    + spill phases of partitioned execution with decode-and-sweep,
+    after one prune of the images when a window reuses the full
+    distribution.
 
     Memory comes from the engine's execution budget under the
     ``"artifacts"`` category, taken only while free
@@ -344,15 +316,11 @@ class ArtifactCache:
     cap on top (``0`` disables the cache outright).
 
     This class is the one owner of what an artifact is called
-    (:meth:`distribution`, :meth:`sorted_run`) and of the order it is
-    looked for in — the exact candidate before the full one.  The
-    optimizer prices a plan from :meth:`locate`, the executor runs it
-    through :meth:`fetch` and :meth:`retain`; neither derives a key,
-    so what was priced is what runs.
-
-    For backward compatibility every lookup/write method defaults to
-    the ``"partition"`` kind (the only kind that existed before the
-    artifact layer was generalized).
+    (:meth:`distribution`) and of the order it is looked for in — the
+    exact candidate before the full one.  The optimizer prices a plan
+    from :meth:`locate`, the executor runs it through :meth:`fetch`
+    and :meth:`retain`; neither derives a key, so what was priced is
+    what runs.
     """
 
     def __init__(self, budget=None,
@@ -371,7 +339,6 @@ class ArtifactCache:
         self.evictions = 0
         self.invalidations = 0
         self.rejections = 0
-        self.kind_stats: Dict[str, Dict[str, int]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -410,74 +377,54 @@ class ArtifactCache:
                 union_mbr(entries[0].universe, entries[-1].universe),
                 None, window,
             ))
-        return ArtifactIdentity(PARTITION_KIND, tuple(candidates), tiles)
-
-    def sorted_run(self, entry, axis: str = "ylo") -> ArtifactIdentity:
-        """The identity of one relation in sweep order.
-
-        Window-independent: the sort consumes the whole base stream
-        and windows are applied downstream.
-        """
-        return ArtifactIdentity(
-            SORTED_RUN_KIND,
-            (Candidate((((entry.name, entry.version),), axis)),),
-        )
+        return ArtifactIdentity(tuple(candidates), tiles)
 
     # -- lookups ---------------------------------------------------------
 
     def locate(self, ident: ArtifactIdentity) -> bool:
         """Whether :meth:`fetch` would find ``ident``, touching
         nothing — what the optimizer prices."""
-        return any(self.has(cand.key, ident.kind)
-                   for cand in ident.candidates)
+        return any(self.has(cand.key) for cand in ident.candidates)
 
     def fetch(self, ident: ArtifactIdentity) -> Optional[ArtifactHit]:
         """Look ``ident`` up for execution: one hit-or-miss event."""
-        kind = ident.kind
         for cand in ident.candidates:
             # has() bumps no counters: the event is the get() below.
-            if self.has(cand.key, kind):
-                return ArtifactHit(self.get(cand.key, kind=kind), cand)
-        self.get(ident.candidates[0].key, kind=kind)
+            if self.has(cand.key):
+                return ArtifactHit(self.get(cand.key), cand)
+        self.get(ident.candidates[0].key)
         return None
 
     def retain(self, ident: ArtifactIdentity, value) -> None:
         """Keep a freshly built artifact under its exact candidate."""
-        self.put(ident.candidates[0].key, value, kind=ident.kind)
+        self.put(ident.candidates[0].key, value)
 
-    def get(self, key: Tuple, kind: str = PARTITION_KIND):
+    def get(self, key: Tuple):
         """The cached value, refreshed to MRU; or ``None``."""
-        full = (kind, key)
-        stats = self._kind(kind)
-        if full in self._entries:
+        if key in self._entries:
             self.hits += 1
-            stats["hits"] += 1
-            self._entries.move_to_end(full)
-            return self._entries[full]
+            self._entries.move_to_end(key)
+            return self._entries[key]
         self.misses += 1
-        stats["misses"] += 1
         return None
 
-    def has(self, key: Tuple, kind: str = PARTITION_KIND) -> bool:
+    def has(self, key: Tuple) -> bool:
         """Presence probe; bumps no hit/miss counters."""
-        return (kind, key) in self._entries
+        return key in self._entries
 
     # -- writes ----------------------------------------------------------
 
-    def put(self, key: Tuple, value, nbytes: Optional[int] = None,
-            kind: str = PARTITION_KIND) -> bool:
+    def put(self, key: Tuple, value, nbytes: Optional[int] = None) -> bool:
         """Retain one artifact; returns False when it cannot fit."""
         if self.max_bytes == 0:
             return False
         if nbytes is None:
-            nbytes = _artifact_nbytes(kind, value)
-        stats = self._kind(kind)
+            nbytes = artifact_bytes(value)
         if self.max_bytes is not None and nbytes > self.max_bytes:
             self.rejections += 1
             return False
-        full = (kind, key)
-        if full in self._entries:
-            self._forget(full)
+        if key in self._entries:
+            self._forget(key)
         if self.max_bytes is not None:
             while (self._entries
                    and self.bytes_used + nbytes > self.max_bytes):
@@ -485,24 +432,18 @@ class ArtifactCache:
         if not self._reserve(nbytes):
             self.rejections += 1
             return False
-        self._entries[full] = value
-        self._sizes[full] = nbytes
+        self._entries[key] = value
+        self._sizes[key] = nbytes
         self.bytes_used += nbytes
         self.puts += 1
-        stats["puts"] += 1
-        stats["bytes"] += nbytes
-        stats["entries"] += 1
         return True
 
     def invalidate_relation(self, name: str) -> int:
-        """Drop artifacts whose version tuple references ``name``.
-
-        Every kind keys on a leading ``((name, version), ...)`` tuple,
-        so one scan covers distributions and sorted runs alike.
-        """
+        """Drop artifacts whose version tuple references ``name``:
+        every key leads with ``((name, version), ...)``."""
         stale = [
             k for k in self._entries
-            if any(v[0] == name for v in k[1][0])
+            if any(v[0] == name for v in k[0])
         ]
         for k in stale:
             self._forget(k)
@@ -544,19 +485,9 @@ class ArtifactCache:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "rejections": self.rejections,
-            "kinds": {k: dict(v) for k, v in self.kind_stats.items()},
         }
 
     # -- internals -------------------------------------------------------
-
-    def _kind(self, kind: str) -> Dict[str, int]:
-        stats = self.kind_stats.get(kind)
-        if stats is None:
-            stats = self.kind_stats[kind] = {
-                "hits": 0, "misses": 0, "puts": 0, "evictions": 0,
-                "bytes": 0, "entries": 0,
-            }
-        return stats
 
     def _reserve(self, nbytes: int) -> bool:
         """Charge ``nbytes`` to the budget, evicting LRU to make space."""
@@ -571,20 +502,16 @@ class ArtifactCache:
         return True
 
     def _evict_lru(self) -> None:
-        full, _ = self._entries.popitem(last=False)
-        self._release_size(full)
+        key, _ = self._entries.popitem(last=False)
+        self._release_size(key)
         self.evictions += 1
-        self._kind(full[0])["evictions"] += 1
 
-    def _forget(self, full: Tuple) -> None:
-        del self._entries[full]
-        self._release_size(full)
+    def _forget(self, key: Tuple) -> None:
+        del self._entries[key]
+        self._release_size(key)
 
-    def _release_size(self, full: Tuple) -> None:
-        nbytes = self._sizes.pop(full, 0)
+    def _release_size(self, key: Tuple) -> None:
+        nbytes = self._sizes.pop(key, 0)
         self.bytes_used -= nbytes
-        stats = self._kind(full[0])
-        stats["bytes"] -= nbytes
-        stats["entries"] -= 1
         if self._grant is not None and nbytes > 0:
             self._grant.release(nbytes)

@@ -86,7 +86,6 @@ ARTIFACT_SNAPSHOT_KEYS = {
     "evictions": "artifact_cache_evictions",
     "invalidations": "artifact_cache_invalidations",
     "rejections": "artifact_cache_rejections",
-    "kinds": "artifact_kinds",
 }
 BUDGET_SNAPSHOT_KEYS = {
     "total_bytes": "budget_total_bytes",
@@ -279,9 +278,8 @@ class SpatialQueryEngine(_ServeShell):
         # The persistent worker pool (process-based by default) and the
         # artifact cache are engine-lived: the pool is created lazily
         # on the first shipped task and reused by every query;
-        # artifacts (distributed tiles and sorted runs) occupy only
-        # free budget bytes and are evicted before they could ever
-        # starve a tile grant.  ``artifact_cache_bytes=0`` disables
+        # artifacts (distributed tiles) occupy only free budget bytes
+        # and are evicted before they could ever starve a tile grant.  ``artifact_cache_bytes=0`` disables
         # artifact reuse.
         #
         # ``worker_pool`` shares a pool its creator owns (a sharded

@@ -1,17 +1,16 @@
 """Physical plan execution, including partitioned parallel joins.
 
 A pairwise plan runs its strategy's row of
-:data:`repro.core.planner.STRATEGIES` and reports the estimate the plan
-carries; a multiway plan runs :func:`multiway_join` over the streams
-it was priced on.  The resolved kernel goes down with them, so a
+:data:`repro.core.planner.STRATEGIES` — one call, whatever the row —
+and reports the estimate the plan carries; a multiway plan runs
+:func:`multiway_join` over the streams it was priced on.  Neither
+retains an artifact.  The resolved kernel goes down with them, so a
 ``pq-index`` plan on a numpy engine runs
 :mod:`repro.core.kernels.np_index` and hands back
 :class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``, ``st``,
 ``sssj``, multiway and :func:`_refine_pairs` still build tuple lists.
-An ``sssj`` plan resolves each side's sorted run through the artifact
-layer first (:meth:`Executor._execute_sssj`).  Window and refinement
-predicates are post-filters on the collected pairs
-(:func:`_filter_window`, :func:`_refine_pairs`).  On a shard of a
+Window and refinement predicates are post-filters on the collected
+pairs (:func:`_filter_window`, :func:`_refine_pairs`).  On a shard of a
 :class:`~repro.engine.shard.ShardedEngine` the executor also keeps only
 the results whose reference point lies in the shard's strip
 (:attr:`Executor.strip`; where that test runs is :func:`_strip_stage`).
@@ -119,7 +118,6 @@ from repro.core.columnar import (
     ColumnarTile,
     DistributionImage,
     PairColumns,
-    SortedRunView,
 )
 from repro.core.join_result import JoinResult
 from repro.core.kernels import np_sweep, resolve_kernel
@@ -131,7 +129,6 @@ from repro.core.pbsm import (
     distribute,
 )
 from repro.core.planner import STRATEGIES
-from repro.core.sssj import sssj_join
 from repro.core.sweep import forward_sweep_pairs_batched
 from repro.engine.cache import ArtifactCache, ArtifactIdentity, Candidate
 from repro.engine.catalog import Catalog, CatalogEntry
@@ -151,7 +148,6 @@ from repro.geom.refine import polylines_intersect
 from repro.sim.machines import MachineSpec
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import Disk
-from repro.storage.sort import sort_stream_by_ylo
 
 # -- dispatch policy ---------------------------------------------------
 #
@@ -346,72 +342,16 @@ class Executor:
 
     def _execute_pairwise(self, plan: PhysicalPlan,
                           entries: List[CatalogEntry]) -> JoinResult:
-        if plan.strategy == "sssj" and self.artifacts.enabled:
-            return self._execute_sssj(plan, entries)
         rel_a, rel_b = (e.relation(universe=region)
                         for e, region in zip(entries, plan.regions))
         result = STRATEGIES[plan.strategy].join(
             rel_a, rel_b, self.disk, collect_pairs=plan.query.collect_pairs,
             kernel=self.kernel, pool=self.pool,
         )
-        return self._stamp(result, plan)
-
-    def _stamp(self, result: JoinResult, plan: PhysicalPlan) -> JoinResult:
-        """Report the strategy that ran and the estimate it was planned by."""
+        # The strategy that ran and the estimate it was planned by.
         result.detail.update(strategy=plan.strategy,
                              estimated_io_seconds=plan.estimate.io_seconds,
                              machine=self.machine.name)
-        return result
-
-    # -- sorted-run artifact path ----------------------------------------
-
-    def _execute_sssj(self, plan: PhysicalPlan,
-                      entries: List[CatalogEntry]) -> JoinResult:
-        """SSSJ with sorted-run artifact reuse.
-
-        Each side's sorted view is resolved independently through the
-        artifact cache (one hit-or-miss event a side): a hit sweeps
-        straight out of the cached columnar run (no sort, no I/O at
-        all for that side), and a miss runs the external sort as
-        usual — capturing the sorted output as it passes through
-        memory and retaining it as a fresh artifact for the next query.
-        """
-        query = plan.query
-        universe = union_mbr(plan.regions[0], plan.regions[1])
-
-        runs = []
-        owned = []
-        hits = 0
-        for idx, entry in enumerate(entries):
-            ident = self.artifacts.sorted_run(entry)
-            hit = self.artifacts.fetch(ident)
-            if hit is not None:
-                hits += 1
-                runs.append(
-                    SortedRunView(hit.value, name=f"{entry.name}.sorted")
-                )
-                continue
-            captured: List[Rect] = []
-            sorted_stream = sort_stream_by_ylo(
-                entry.stream, self.disk, name=f"sssj.{'ab'[idx]}",
-                on_record=captured.append,
-            )
-            if captured:
-                self.artifacts.retain(
-                    ident, ColumnarTile.from_rects(captured)
-                )
-            runs.append(sorted_stream)
-            owned.append(sorted_stream)
-        try:
-            result = sssj_join(
-                entries[0].stream, entries[1].stream, self.disk,
-                universe=universe, collect_pairs=query.collect_pairs,
-                sorted_a=runs[0], sorted_b=runs[1],
-            )
-        finally:
-            for s in owned:
-                s.free()
-        self._stamp(result, plan).detail["sorted_run_hits"] = hits
         return result
 
     def _execute_multiway(self, plan: PhysicalPlan,

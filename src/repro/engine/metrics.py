@@ -317,7 +317,7 @@ def sum_counters(into: Dict, add: Dict) -> Dict:
     """Key-wise sum of numeric dict trees, recursing into sub-dicts.
 
     The one merge semantic for shard aggregation: what
-    :func:`merge_snapshots` does to per-strategy, per-kind and category
+    :func:`merge_snapshots` does to per-strategy and per-category
     dicts.  Non-numeric leaves keep their first-seen
     value.  Returns ``into``.
     """

@@ -10,7 +10,7 @@ operator can actually consume:
 * :func:`render_prometheus` — any engine/sharded metrics snapshot as
   Prometheus text exposition format.  The renderer is generic over the
   snapshot's shape: numeric leaves become gauges, well-known dicts
-  (per-strategy counts, artifact kinds, budget categories) become
+  (per-strategy counts, budget categories) become
   labelled series, per-shard/per-client lists become indexed series.
   A counter added to the snapshot shows up in the scrape without
   touching this module — which is how the availability counters
@@ -36,8 +36,6 @@ from repro.engine.trace import SPAN_METRIC_FIELDS, Span
 _LABELLED_DICTS = {
     "per_strategy": "strategy",
     "estimate_errors": "strategy",
-    "kinds": "kind",
-    "artifact_kinds": "kind",
     "high_water_by_category": "category",
     "budget_high_water_by_category": "category",
     "shard_pairs": "shard",

@@ -1,19 +1,20 @@
 """Query -> physical plan, with the paper's cost model in the middle.
 
 The optimizer is the engine-level generalization of
-:func:`repro.core.planner.choose_method`: it prices every feasible row
-of :data:`repro.core.planner.STRATEGIES` on the engine's machine, folds
-the query window into the selectivity fractions, and emits an
-explainable :class:`PhysicalPlan`.  Two candidates exist only here:
+:func:`repro.core.planner.choose_method`: it folds the query window
+into the selectivity fractions, prices the candidates on the engine's
+machine, and emits an explainable :class:`PhysicalPlan`.  An unforced
+pairwise plan has two candidates, at every worker count:
 
-* ``"st"`` — the table's engine-only row, offered for whole-relation
-  joins: synchronized R-tree traversal through the engine's shared LRU
-  buffer pool, whose warmth across queries the one-shot planner cannot
-  exploit;
+* ``"pq-index"`` — the :data:`repro.core.planner.STRATEGIES` row that
+  joins the two R-trees, when both exist;
 * ``"pbsm-grid"`` — a plan mode, not a row: PBSM-style tile
-  partitioning fanned out over the executor's worker pool, offered when
-  the engine runs more than one worker and priced as the single
+  partitioning fanned out over the executor's worker pool (inline on
+  the coordinator when the pool is serial), priced as the single
   sequential partition pass it costs (tiles stay in memory).
+
+The other rows (``pq-mixed-*``, ``sssj``, ``st``) stay forceable as
+ablations and are priced by their own row when forced.
 
 A plan is priced once, here — a forced strategy from its candidate
 entry, else from its row — and the executor reports that estimate.
@@ -41,7 +42,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.cost_model import WRITE_FACTOR, CostModel, JoinCostEstimate
 from repro.core.histogram import SpatialHistogram
-from repro.core.planner import STRATEGIES, Relation, candidate_estimates
+from repro.core.planner import STRATEGIES
 from repro.engine.cache import ArtifactCache
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.query import Query
@@ -218,12 +219,10 @@ class Optimizer:
         self.workers = max(1, workers)
         self.budget = budget
         # The engine's artifact cache: the cost model asks it whether a
-        # pbsm-grid plan's distributed tiles or an sssj plan's sorted
-        # runs are warm (priced free: the warm pool starts sweeping
-        # immediately), so plan choice can flip between the
-        # partitioned and sort paths based on what is warm.  The
-        # executor resolves the same identities through the same
-        # object, so what is priced here is what runs.
+        # pbsm-grid plan's distributed tiles are warm (priced free: the
+        # warm pool starts sweeping immediately).  The executor
+        # resolves the same identity through the same object, so what
+        # is priced here is what runs.
         self.artifacts = (
             artifacts if artifacts is not None
             else ArtifactCache(max_bytes=0)
@@ -258,23 +257,19 @@ class Optimizer:
     def _budget_total(self) -> int:
         return self.budget.total_bytes if self.budget is not None else 0
 
-    def _warm(self, identity, *args) -> bool:
-        """Whether the artifact cache holds ``identity(*args)``.  A
-        disabled cache holds nothing, and the identity is not even
-        built: this runs once or thrice per compiled query."""
-        return self.artifacts.enabled and self.artifacts.locate(
-            identity(*args)
-        )
-
     def _tiles_warm(
         self, entries: List[CatalogEntry],
         regions: List[Optional[Rect]], query: Query,
     ) -> bool:
-        """Whether this plan's distributed tiles are cached."""
-        return self._warm(
-            self.artifacts.distribution, entries, query.is_self_join,
-            union_mbr(regions[0], regions[1]),
-            self.workers * PARTITIONS_PER_WORKER, query.window,
+        """Whether this plan's distributed tiles are cached.  A
+        disabled cache holds nothing, and the identity is not even
+        built."""
+        return self.artifacts.enabled and self.artifacts.locate(
+            self.artifacts.distribution(
+                entries, query.is_self_join,
+                union_mbr(regions[0], regions[1]),
+                self.workers * PARTITIONS_PER_WORKER, query.window,
+            )
         )
 
     def _pbsm_estimate(
@@ -312,32 +307,6 @@ class Optimizer:
             detail = f"{label}, tiles fit the memory budget"
         return JoinCostEstimate(secs, detail), spill
 
-    def _sssj_estimate_with_runs(
-        self, model: CostModel, rel_a: Relation, rel_b: Relation,
-        warm: List[bool],
-    ) -> Optional[JoinCostEstimate]:
-        """Re-price ``sssj`` when sorted-run artifacts are warm.
-
-        A side whose run is cached contributes nothing — no sort, and
-        the sweep scans it straight out of the cache.  Only cold sides
-        pay the full sort-path passes.  Returns ``None`` when nothing
-        is warm (the standard estimate stands).
-        """
-        if not any(warm):
-            return None
-        cold = 0
-        labels = []
-        for rel, cached in zip((rel_a, rel_b), warm):
-            if cached:
-                labels.append(f"{rel.name}: sorted run in memory")
-            else:
-                cold += rel.data_bytes
-        if cold:
-            labels.append(f"{cold} bytes sorted cold")
-        return JoinCostEstimate(
-            model.estimate_sssj(cold, 0).io_seconds, "; ".join(labels),
-        )
-
     def _compile_pairwise(
         self,
         query: Query,
@@ -347,31 +316,6 @@ class Optimizer:
         rel_a = entries[0].relation(universe=regions[0])
         rel_b = entries[1].relation(universe=regions[1])
         model = CostModel(self.machine, self.scale)
-        # Whole-relation joins can also ride the engine's warm buffer
-        # pool through the synchronized traversal (the ``st`` row).
-        candidates = candidate_estimates(
-            rel_a, rel_b, self.machine, self.scale,
-            engine=query.window is None,
-        )
-        notes: List[str] = []
-
-        # Sorted-run artifacts make the sort path cheap: re-price the
-        # sssj candidate so plan choice can flip toward (or away from)
-        # it based on what is warm.
-        warm_sssj = self._sssj_estimate_with_runs(
-            model, rel_a, rel_b,
-            [self._warm(self.artifacts.sorted_run, e) for e in entries],
-        )
-        if warm_sssj is not None:
-            candidates = [
-                (name, warm_sssj if name == "sssj" else est)
-                for name, est in candidates
-            ]
-            notes.append(
-                "sorted-run artifacts warm — sssj priced sort-free "
-                f"({warm_sssj.detail})"
-            )
-
         tile_bytes = rel_a.data_bytes + rel_b.data_bytes
         tiles_cached = self._tiles_warm(entries, regions, query)
         pbsm, spill_bytes = self._pbsm_estimate(
@@ -380,33 +324,32 @@ class Optimizer:
             + (f" x{self.workers} workers" if self.workers > 1 else ""),
             cached=tiles_cached,
         )
-        if self.workers > 1:
-            candidates.append(("pbsm-grid", pbsm))
-            notes.append(
-                f"partitioned execution available "
-                f"({self.workers}-worker pool stays warm across queries)"
+        # The index join first: min() keeps it on a tie.
+        candidates: List[Tuple[str, JoinCostEstimate]] = []
+        index_row = STRATEGIES["pq-index"]
+        if index_row.feasible(rel_a, rel_b):
+            candidates.append(
+                ("pq-index", index_row.price(model, rel_a, rel_b))
             )
-            if tiles_cached:
-                notes.append(
-                    "distributed tiles cached by a previous run — the "
-                    "partition pass is free"
-                )
+        candidates.append(("pbsm-grid", pbsm))
+        notes: List[str] = []
+        if tiles_cached:
+            notes.append(
+                "distributed tiles cached by a previous run — the "
+                "partition pass is free"
+            )
 
         fractions = [
             rel_a.fraction_in(regions[1]),
             rel_b.fraction_in(regions[0]),
         ]
         if query.force is not None:
-            # Query admits only forceable names; one not offered here
-            # (st under a window, pbsm-grid at one worker) is priced
-            # by its row, or above.
+            # Query admits only forceable names; a row not offered
+            # here is priced by its row.
             strategy = query.force
             estimate = dict(candidates).get(strategy)
             if estimate is None:
-                estimate = (
-                    pbsm if strategy == "pbsm-grid"
-                    else STRATEGIES[strategy].price(model, rel_a, rel_b)
-                )
+                estimate = STRATEGIES[strategy].price(model, rel_a, rel_b)
             notes.append("strategy forced by query")
         else:
             strategy, estimate = min(

@@ -51,7 +51,6 @@ def external_sort(
     key: Callable[[Rect], tuple],
     memory_rects: Optional[int] = None,
     name: str = "sorted",
-    on_record: Optional[Callable[[Rect], None]] = None,
 ) -> Stream:
     """Sort ``source`` by ``key`` into a new closed stream.
 
@@ -62,12 +61,6 @@ def external_sort(
     a grant for its working set and shrinks ``memory_rects`` to what
     was actually granted — under memory pressure the sort forms more,
     smaller runs instead of silently exceeding the budget.
-
-    ``on_record`` observes every record of the sorted output, in
-    order, as it passes through memory anyway (the merge's heap pops,
-    or the resident chunk of a single-run sort) — the engine's
-    artifact layer uses it to retain sorted runs without re-reading
-    the output stream.  The callback adds no I/O and no charges.
     """
     env = disk.env
     if memory_rects is None:
@@ -87,15 +80,8 @@ def external_sort(
     try:
         runs = _form_runs(source, disk, key, memory_rects, name)
         if len(runs) == 1:
-            if on_record is not None:
-                # The single chunk was memory-resident moments ago;
-                # feeding the observer from the written blocks is an
-                # uncharged replay, not an extra pass.
-                for offset in runs[0]._block_offsets:
-                    for rect in disk.read_silent(offset):
-                        on_record(rect)
             return runs[0]
-        out = _merge_runs(runs, disk, key, name, on_record=on_record)
+        out = _merge_runs(runs, disk, key, name)
         for run in runs:
             run.free()
         return out
@@ -105,16 +91,13 @@ def external_sort(
 
 
 def sort_stream_by_ylo(source: Stream, disk: Disk,
-                       name: str = "sorted-y",
-                       on_record: Optional[Callable[[Rect], None]] = None,
-                       ) -> Stream:
+                       name: str = "sorted-y") -> Stream:
     """Sort by lower y-coordinate — the order every sweep consumes.
 
     Ties broken by the remaining coordinates and the id so the order is
     total and runs are deterministic across algorithms.
     """
-    return external_sort(source, disk, key=_ylo_key, name=name,
-                         on_record=on_record)
+    return external_sort(source, disk, key=_ylo_key, name=name)
 
 
 def _ylo_key(r: Rect) -> tuple:
@@ -149,7 +132,7 @@ def _form_runs(source: Stream, disk: Disk, key, memory_rects: int,
 
 
 def _merge_runs(runs: List[Stream], disk: Disk, key,
-                name: str, on_record=None) -> Stream:
+                name: str) -> Stream:
     env = disk.env
     k = len(runs)
     out = Stream(disk, name=name)
@@ -167,8 +150,6 @@ def _merge_runs(runs: List[Stream], disk: Disk, key,
     while heap:
         _, idx, rect = heapq.heappop(heap)
         out.append(rect)
-        if on_record is not None:
-            on_record(rect)
         merged += 1
         nxt = next(iters[idx], None)
         if nxt is not None:

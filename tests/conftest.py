@@ -375,8 +375,8 @@ def windowed_hit_reference(engine, window: Rect):
     """
     (key, cached), = [
         (key, value)
-        for (kind, key), value in engine.artifacts._entries.items()
-        if kind == "partition" and key[-1] is None
+        for key, value in engine.artifacts._entries.items()
+        if key[-1] is None
     ]
     spec = (*key[1], key[2], key[3])
 

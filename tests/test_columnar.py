@@ -12,7 +12,6 @@ from repro.core.columnar import (
     COLUMN_BYTES_PER_RECT,
     ColumnarTile,
     PairColumns,
-    SortedRunView,
 )
 from repro.core.pbsm import SpillablePartition, TileAllowance
 from repro.core.sweep import (
@@ -178,20 +177,6 @@ class TestPairColumns:
         assert PairColumns.concat(
             [PAIR_LISTS["arity3"][:1], PAIR_LISTS["arity3"][1:]], 3
         ) == PAIR_LISTS["arity3"]
-
-
-class TestSortedRunView:
-    def test_scan_yields_sorted_rects_and_free_is_noop(self):
-        rects = uniform_rects(120, UNIT, 0.03, seed=13)
-        ordered = sorted(
-            rects, key=lambda r: (r.ylo, r.xlo, r.xhi, r.yhi, r.rid)
-        )
-        view = SortedRunView(ColumnarTile.from_rects(ordered), name="v")
-        assert list(view.scan()) == _ylo_sorted(rects)
-        assert len(view) == len(rects)
-        assert view.data_bytes == len(rects) * RECT_BYTES
-        view.free()  # cache-owned: a no-op
-        assert list(view.scan()) == _ylo_sorted(rects)
 
 
 class TestSpillablePartitionColumnar:

@@ -26,6 +26,8 @@ from repro.engine.pool import DeadlineExceeded
 from repro.engine.query import FORCEABLE
 
 from repro.engine.cache import artifact_bytes
+from repro.core.cost_model import CostModel
+from repro.core.planner import STRATEGIES
 
 from tests.conftest import (
     TEST_SCALE,
@@ -367,7 +369,9 @@ class TestResultCache:
 
     def test_caller_mutation_cannot_corrupt_cache(self):
         engine = make_engine()
-        q = Query(relations=("a", "b"))
+        # A plan that hands back a tuple list on either kernel: columns
+        # (a numpy pbsm-grid or pq-index answer) cannot be mutated.
+        q = Query(relations=("a", "b"), force="sssj")
         first = engine.execute(q)
         n = first.result.n_pairs
         first.result.pairs.clear()          # caller abuses its copy
@@ -448,9 +452,11 @@ class TestMemoryGovernance:
 
     def test_cache_bytes_bound_enforced_end_to_end(self):
         # A byte-capped cache admits the small windowed result but
-        # refuses to hold the big overlay.
+        # refuses to hold the big overlay: 2 pairs against 85, which
+        # is 544 against 1 872 bytes as columns, 768 against 11 392 as
+        # a tuple list.
         engine = SpatialQueryEngine(scale=TEST_SCALE, machine=MACHINE_3)
-        engine.cache.max_bytes = 4096
+        engine.cache.max_bytes = 1024
         a = uniform_rects(300, UNIT, 0.02, seed=1)
         b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
         engine.register("a", a, universe=UNIT)
@@ -461,7 +467,7 @@ class TestMemoryGovernance:
         engine.execute(big)
         engine.execute(small)
         assert engine.cache.oversized_rejections >= 1
-        assert engine.cache.bytes_used <= 4096
+        assert engine.cache.bytes_used <= 1024
         assert engine.execute(small).from_cache
         assert not engine.execute(big).from_cache
 
@@ -606,7 +612,9 @@ class TestMetricsAndWorkload:
         text = engine.explain(Query(relations=("a", "b")))
         assert "Candidates:" in text
         assert "Chosen" in text
-        assert "sssj" in text
+        # The two serving candidates, and only those.
+        assert "pq-index" in text and "pbsm-grid" in text
+        assert "sssj" not in text and "pq-mixed" not in text
 
     def test_workload_runs_and_reports(self):
         queries = make_workload(UNIT, 12, seed=3)
@@ -616,20 +624,24 @@ class TestMetricsAndWorkload:
         assert report["metrics"]["queries_served"] == 12
         # The serving layer's reason to exist, on the simulated clock:
         # the same workload takes longer on one worker with no result
-        # cache than with either of them, and answers the same.
+        # cache than with either of them, and answers the same.  Both
+        # worker counts plan pbsm-grid, so the second worker pays only
+        # where tasks ship: on 3 000 x 1 200 rectangles they do, on the
+        # 300 x 120 above nothing reaches MIN_SHIP_RECTS and two
+        # workers' eight partitions only add replication.
         cold_1, cold_k, warm_1 = reports = [
-            self._replay(queries, workers, capacity)
+            self._replay(queries, workers, capacity, n_a=3000, n_b=1200)
             for workers, capacity in ((1, 0), (2, 0), (1, 32))
         ]
         assert cold_k["sim_wall_seconds"] < cold_1["sim_wall_seconds"]
         assert warm_1["sim_wall_seconds"] < cold_1["sim_wall_seconds"]
         assert warm_1["metrics"]["cache_hits"] > 0
-        assert {r["pairs_returned"] for r in reports} == {
-            report["pairs_returned"]}
+        assert len({r["pairs_returned"] for r in reports}) == 1
 
     @staticmethod
-    def _replay(queries, workers, cache_capacity):
-        engine = make_engine(workers=workers, cache_capacity=cache_capacity)
+    def _replay(queries, workers, cache_capacity, **data):
+        engine = make_engine(workers=workers, cache_capacity=cache_capacity,
+                             **data)
         # make_workload targets relations named roads/hydro.
         engine.register("roads", engine._test_rects[0], universe=UNIT)
         engine.register("hydro", engine._test_rects[1], universe=UNIT)
@@ -984,73 +996,13 @@ class TestWindowedReuse:
         engine.close()
 
 
-class TestSortedRunArtifacts:
-    """Warm sort-based plans skip the external sort entirely."""
-
-    def _engine(self, **kw):
-        kw.setdefault("memory_bytes", 10_000_000)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3,
-            cache_capacity=0, **kw,
-        )
-        a = uniform_rects(300, UNIT, 0.02, seed=1)
-        b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        engine.prepare()
-        return engine
-
-    def test_warm_sssj_charges_zero_sort_and_zero_io(self):
-        engine = self._engine()
-        q = Query(relations=("a", "b"), force="sssj")
-        cold = engine.execute(q).result
-        obs = engine.env.observer_for(MACHINE_3)
-        before = (engine.env.bytes_read, engine.env.bytes_written,
-                  obs.cpu_ops.get("sort", 0), obs.io_seconds)
-        warm = engine.execute(q).result
-        assert warm.detail["sorted_run_hits"] == 2
-        assert warm.pair_set() == cold.pair_set()
-        # Zero sort CPU, zero I/O of any kind: the warm run sweeps
-        # straight out of the cached columnar runs.
-        assert engine.env.bytes_read == before[0]
-        assert engine.env.bytes_written == before[1]
-        assert obs.cpu_ops.get("sort", 0) == before[2]
-        assert obs.io_seconds == before[3]
-
-    def test_sorted_runs_share_budget_with_partitions(self):
-        engine = self._engine()
-        engine.execute(Query(relations=("a", "b"), force="sssj"))
-        snap = engine.artifacts.snapshot()
-        assert snap["kinds"]["sorted-run"]["entries"] == 2
-        assert snap["kinds"]["sorted-run"]["bytes"] > 0
-        assert engine.budget.used_by("artifacts") == snap["bytes"]
-
-    def test_reregistration_invalidates_sorted_runs(self):
-        engine = self._engine()
-        q = Query(relations=("a", "b"), force="sssj")
-        engine.execute(q)
-        assert len(engine.artifacts) == 2
-        engine.register("a", uniform_rects(300, UNIT, 0.02, seed=1),
-                        universe=UNIT)
-        # Only b's run survives; a re-run re-sorts side a.
-        assert len(engine.artifacts) == 1
-        warm = engine.execute(q).result
-        assert warm.detail["sorted_run_hits"] == 1
-
-    def test_disabled_cache_skips_sorted_run_path(self):
-        engine = self._engine(artifact_cache_bytes=0)
-        q = Query(relations=("a", "b"), force="sssj")
-        out = engine.execute(q).result
-        assert "sorted_run_hits" not in out.detail
-        assert len(engine.artifacts) == 0
-
-
 def _prepared_ab_engine(**kw) -> SpatialQueryEngine:
-    """Two workers, no result cache, relations ``a`` and ``b`` built."""
+    """Two workers unless told otherwise, no result cache, relations
+    ``a`` and ``b`` built."""
     kw.setdefault("pool_kind", "serial")
+    kw.setdefault("workers", 2)
     engine = SpatialQueryEngine(
-        scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-        cache_capacity=0, **kw,
+        scale=TEST_SCALE, machine=MACHINE_3, cache_capacity=0, **kw,
     )
     a = uniform_rects(300, UNIT, 0.02, seed=1)
     b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
@@ -1118,12 +1070,11 @@ class TestPricingMatchesExecution:
             assert any("partition pass is free" in n
                        for n in plan.notes) == cached
 
-        events = dict(engine.artifacts.kind_stats.get("partition", {}))
+        hits, misses = engine.artifacts.hits, engine.artifacts.misses
         result = engine.execute(query).result
-        after_events = engine.artifacts.kind_stats["partition"]
-        assert (after_events["hits"] + after_events["misses"]
-                - events.get("hits", 0) - events.get("misses", 0)) == 1
-        assert after_events["hits"] - events.get("hits", 0) == int(cached)
+        assert (engine.artifacts.hits + engine.artifacts.misses
+                - hits - misses) == 1
+        assert engine.artifacts.hits - hits == int(cached)
         assert result.detail["artifact_hit"] is cached
         assert result.pair_set() == cold.pair_set() == brute_reference(
             engine._test_rects[0],
@@ -1135,26 +1086,64 @@ class TestPricingMatchesExecution:
             candidate in (None, "exact"))
         engine.close()
 
-    def test_sorted_runs(self):
-        forced = Query(relations=("a", "b"), force="sssj")
-        engine = self._engine()
-        engine.execute(forced)
-        plan = engine.optimizer.compile(Query(relations=("a", "b")))
-        priced = dict(plan.candidates)["sssj"]
-        assert priced.detail.count("sorted run in memory") == 2
-        assert any("sort-free" in n for n in plan.notes)
-        # Both runs in memory: no I/O left to price, sssj wins.
-        assert priced.io_seconds == 0.0
-        assert plan.strategy == "sssj"
 
-        events = dict(engine.artifacts.kind_stats.get("sorted-run", {}))
-        result = engine.execute(forced).result
-        after_events = engine.artifacts.kind_stats["sorted-run"]
-        # One event a side.
-        assert (after_events["hits"] + after_events["misses"]
-                - events.get("hits", 0) - events.get("misses", 0)) == 2
-        assert result.detail["sorted_run_hits"] == 2
-        assert result.pair_set() == brute_reference(*engine._test_rects)
+class TestServingCandidates:
+    """An unforced pairwise plan chooses between pq-index and pbsm-grid
+    only, at every worker count; the other rows run when forced, priced
+    by their row, and leave nothing behind."""
+
+    @pytest.mark.parametrize("windowed", (False, True),
+                             ids=("overlay", "window"))
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_unforced_candidates_are_the_feasible_two(self, workers,
+                                                      windowed):
+        engine = _prepared_ab_engine(workers=workers)
+        query = Query(relations=("a", "b"),
+                      window=_WINDOW if windowed else None)
+        entries = [engine.catalog.get(n) for n in query.relations]
+        rels = [e.relation() for e in entries]
+        feasible = [
+            name for name in ("pq-index", "pbsm-grid")
+            if name == "pbsm-grid" or STRATEGIES[name].feasible(*rels)
+        ]
+        plan = engine.optimizer.compile(query)
+        assert [name for name, _ in plan.candidates] == feasible
+        assert plan.strategy in feasible
+        result = engine.execute(query).result
+        assert result.pair_set() == brute_reference(
+            *engine._test_rects, query.window)
+        engine.close()
+
+    @pytest.mark.parametrize("forced",
+                             ("sssj", "st", "pq-mixed-a", "pq-mixed-b"))
+    def test_a_forced_ablation_does_not_stick(self, forced):
+        # A forced sssj used to retain both sides' sorted runs, which
+        # then priced sssj at 0 s, tied a cached distribution and won
+        # the tie by table order: every later overlay ran sssj.
+        engine = _prepared_ab_engine(memory_bytes=10_000_000)
+        overlay = Query(relations=("a", "b"))
+        expected = brute_reference(*engine._test_rects)
+        first = engine.execute(overlay)
+        assert first.plan.strategy == "pbsm-grid"
+        assert first.result.pair_set() == expected
+        retained = list(engine.artifacts._entries)
+
+        ablation = engine.execute(
+            Query(relations=("a", "b"), force=forced))
+        assert ablation.result.detail["strategy"] == forced
+        assert ablation.plan.estimate.io_seconds == (
+            STRATEGIES[forced].price(
+                CostModel(MACHINE_3, TEST_SCALE),
+                *(e.relation() for e in
+                  (engine.catalog.get("a"), engine.catalog.get("b"))),
+            ).io_seconds
+        )
+        assert ablation.result.pair_set() == expected
+        assert list(engine.artifacts._entries) == retained
+
+        again = engine.execute(overlay)
+        assert again.plan.strategy == "pbsm-grid"
+        assert again.result.pair_set() == expected
         engine.close()
 
 

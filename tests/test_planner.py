@@ -16,6 +16,7 @@ from repro.core.planner import (
     unified_spatial_join,
 )
 from repro.data.generator import uniform_rects
+from repro.engine import Query, SpatialQueryEngine
 from repro.geom.rect import Rect
 from repro.rtree.bulk_load import bulk_load
 from repro.sim.machines import MACHINE_3
@@ -23,7 +24,7 @@ from repro.storage.disk import Disk
 from repro.storage.pages import PageStore
 from repro.storage.stream import Stream
 
-from tests.conftest import TEST_SCALE, make_env
+from tests.conftest import TEST_SCALE, brute_reference, make_env
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -145,10 +146,34 @@ class TestChooseMethod:
             rel_a, rel_b, MACHINE_3, TEST_SCALE
         )]
         assert names == PLANNER
-        engine = [n for n, _ in candidate_estimates(
-            rel_a, rel_b, MACHINE_3, TEST_SCALE, engine=True
-        )]
-        assert engine == list(STRATEGIES)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_st_is_never_an_unforced_candidate_and_stays_forceable(
+        self, workers,
+    ):
+        # Not offered by the one-shot planner, nor by the engine's
+        # optimizer with or without a window; a forced st still runs,
+        # priced by its row.
+        assert "st" not in PLANNER
+        _, _, a, b, _, _ = build_world(seed=23)
+        engine = SpatialQueryEngine(
+            scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
+            pool_kind="serial", cache_capacity=0,
+        )
+        engine.register("a", a, universe=UNIT)
+        engine.register("b", b, universe=UNIT)
+        for window in (None, Rect(0.2, 0.6, 0.1, 0.5, 0)):
+            plan = engine.optimizer.compile(
+                Query(relations=("a", "b"), window=window))
+            assert "st" not in dict(plan.candidates)
+            forced = engine.execute(
+                Query(relations=("a", "b"), window=window, force="st"))
+            assert forced.plan.strategy == "st"
+            assert forced.result.detail["strategy"] == "st"
+            assert math.isfinite(forced.plan.estimate.io_seconds)
+            assert forced.result.pair_set() == brute_reference(
+                a, b, window)
+        engine.close()
 
     def test_tie_break_prefers_earlier_candidate(self, monkeypatch):
         # Equal estimates everywhere: min() is stable, so the first

@@ -52,43 +52,6 @@ class TestCorrectness:
         out = sort_stream_by_ylo(s, disk)
         assert list(out.scan()) == []
 
-    def test_on_record_observes_sorted_output_multirun(self, disk):
-        # Capture during the merge: the observer sees exactly the
-        # sorted output, in order, and the capture charges nothing.
-        s = shuffled_stream(disk, 300, seed=5)
-        captured = []
-        env = disk.env
-        out = external_sort(s, disk, key=lambda r: (r.ylo,),
-                            memory_rects=32, on_record=captured.append)
-        bytes_before = env.bytes_read
-        assert captured == list(out.scan())
-        # The reference scan above is the only read since the sort.
-        assert env.bytes_read > bytes_before
-
-    def test_on_record_observes_sorted_output_single_run(self, disk):
-        # The degenerate in-memory case replays the one run silently.
-        s = shuffled_stream(disk, 40, seed=6)
-        captured = []
-        env = disk.env
-        out = external_sort(s, disk, key=lambda r: (r.ylo,),
-                            memory_rects=100, on_record=captured.append)
-        bytes_before = env.bytes_read
-        assert captured == list(out.scan())
-        assert env.bytes_read > bytes_before
-
-    def test_on_record_charges_no_extra_io(self, disk):
-        s = shuffled_stream(disk, 200, seed=7)
-        env = disk.env
-        before = (env.bytes_read, env.bytes_written)
-        sort_stream_by_ylo(s, disk)
-        plain = (env.bytes_read - before[0],
-                 env.bytes_written - before[1])
-        before = (env.bytes_read, env.bytes_written)
-        sort_stream_by_ylo(s, disk, on_record=lambda r: None)
-        observed = (env.bytes_read - before[0],
-                    env.bytes_written - before[1])
-        assert observed == plain
-
     def test_single_element(self, disk):
         s = Stream.from_rects(disk, [rect_with_y(5.0, 1)])
         out = sort_stream_by_ylo(s, disk)

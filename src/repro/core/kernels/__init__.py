@@ -22,34 +22,37 @@ phase of a partitioned plan, and the PQ join of two indexed inputs
   the same order), so simulated numbers stay comparable across
   kernels; only wall-clock changes.
 
-Every numpy entry point returns ``None`` for input outside its model
-and the caller runs the reference instead.  For the sweep (batched or
-a group of tiles) that is a rectangle with an inverted y-interval or a
-non-finite (NaN or infinite) coordinate.  For the indexed join it
-is: an input that is not an ``RTree``, ``queue_memory_items`` asking
-for the external heap, a non-finite or inverted rectangle, or a tree
-handle whose pages changed shape under it.  Two quirks of the
-reference's queues are contract there, not bugs to fix — on equal
-``ylo`` a queued rectangle goes before a queued node iff its push
-sequence number is ``<=`` the node's page id, and equal-``ylo``
-rectangles of different open leaves leave in push order; see
-:mod:`~repro.core.kernels.np_index`.
+Every numpy entry point returns ``None`` for input outside its model.
+For the sweep (batched or a group of tiles) that is a rectangle with an
+inverted y-interval or a non-finite (NaN or infinite) coordinate.  For
+the indexed join it is: an input that is not an ``RTree``,
+``queue_memory_items`` asking for the external heap, a non-finite or
+inverted rectangle, or a tree handle whose pages changed shape under
+it.  Two quirks of the reference's queues are contract there, not bugs
+to fix — on equal ``ylo`` a queued rectangle goes before a queued node
+iff its push sequence number is ``<=`` the node's page id, and
+equal-``ylo`` rectangles of different open leaves leave in push order;
+see :mod:`~repro.core.kernels.np_index`.
 
-Selection is by name:
+Where the python code still runs:
 
-* ``"auto"`` — numpy (a dependency of the package).  The
-  ``REPRO_KERNEL`` environment variable overrides auto-resolution
-  (``REPRO_KERNEL=python`` forces the reference without touching call
-  sites — the CI leg that keeps it from rotting), but never an
-  explicit kernel choice.
-* ``"numpy"`` / ``"python"`` — explicit.
-
-``resolve_kernel`` happens once, on the coordinator (engine/executor
-construction); workers receive the resolved name inside each task
-payload and obey it.  If the input contains rectangles the vectorized
-kernel does not model (``yhi < ylo`` or a NaN), the task falls back to
-the python kernel for that task only — the results are identical by
-contract, so the fallback is invisible except in wall time.
+* The core entry points take a kernel name —
+  :func:`sweep_pairs_batched`, :func:`~repro.core.pq_join.pq_join`,
+  the :data:`~repro.core.planner.STRATEGIES` rows and through them the
+  paper runner.  ``"numpy"`` / ``"python"`` are explicit; ``"auto"`` is
+  numpy unless the ``REPRO_KERNEL`` environment variable says
+  ``python``, which never overrides an explicit choice.  Under
+  ``"numpy"`` an input the kernel declines runs the reference, with
+  identical results.
+* The serving engine (:mod:`repro.engine`) has no kernel choice: it
+  always runs numpy, passing ``kernel="numpy"`` to a strategy row, so
+  ``REPRO_KERNEL`` does not reach it.  Its catalog refuses the input
+  the kernels decline at ``register`` (non-finite or inverted
+  rectangles), and a tile kernel that declines anyway raises instead
+  of falling back.  The python bodies of its tile sweep
+  (:func:`repro.core.pbsm.sweep_tile`) and distribute
+  (:func:`repro.core.pbsm.distribute`) are the references the tests
+  hold it to.
 """
 
 from __future__ import annotations

@@ -495,8 +495,8 @@ def sweep_tiles(
     ``side_b`` is ``None`` when a tile sweeps against itself).  A
     windowed query's tiles arrive already pruned to its window (the
     executor cuts a cached distribution down on the coordinator).
-    Mirrors the python body of
-    :func:`repro.engine.executor.sweep_tile_task` tile by tile — the
+    Mirrors :func:`repro.core.pbsm.sweep_tile`, the reference, tile
+    by tile — the
     batched sweep (sort charge included), reference-point ownership
     against the PBSM grid and each pair's own partition, self-join
     dedup — without boxing a single ``Rect`` or id pair, and without a

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.columnar import ColumnarTile
 from repro.core.join_result import JoinResult
-from repro.core.sweep import forward_sweep_pairs
+from repro.core.sweep import forward_sweep_pairs, forward_sweep_pairs_batched
 from repro.geom.rect import RECT_BYTES, Rect
 from repro.storage.disk import Disk
 from repro.storage.stream import Stream
@@ -422,3 +422,78 @@ def distribute(source: Stream, parts: List, grid: TileGrid,
         for t in targets:
             parts[t].append(r)
     return ops
+
+
+class _OpCounter:
+    """Minimal env stand-in for a tile's own sweep: counts CPU ops."""
+
+    def __init__(self) -> None:
+        self.cpu_ops = 0
+
+    def charge(self, category: str, ops: int) -> None:
+        if ops > 0:
+            self.cpu_ops += ops
+
+
+def _in_strip(x: float, strip: Tuple[float, ...]) -> bool:
+    """:func:`~repro.core.kernels.np_sweep.strip_mask` for one x."""
+    lo, hi = strip
+    return lo <= x and (x < hi or hi == math.inf)
+
+
+def sweep_tile(payload: tuple) -> tuple:
+    """One partition tile swept, owned and deduplicated: the reference
+    for :func:`repro.core.kernels.np_sweep.sweep_tiles`.
+
+    ``payload`` is the engine's tile task,
+    ``(part_id, grid_spec, side_a, side_b, self_join, collect, ...)``;
+    a side is a :class:`~repro.core.columnar.ColumnarTile` or a
+    ``Rect`` list, and ``side_b is None`` marks a self-join, whose
+    single side sweeps against itself.  The forward sweep collects the
+    tile's pairs in a list (which sorts), then reference-point
+    ownership and self-join dedup run in one loop over that list.  For
+    self-joins the sweep emits every pair in both orientations plus
+    each rectangle against itself, and the filter keeps exactly the
+    ``rid_a < rid_b`` representative.  The grid spec is six numbers,
+    or eight when a shard's strip ``(lo, hi)`` follows them: a pair
+    its partition owns is then kept only if its reference x lies in
+    ``[lo, hi)`` too.
+
+    Returns ``(owned pair count, owned pairs as a list or None, cpu
+    ops, duplicates suppressed by the reference-point test and
+    self-join dedup, pairs the strip test left to another shard)``.
+    """
+    part_id, grid_spec, side_a, side_b, self_join, collect = payload[:6]
+    if isinstance(side_a, ColumnarTile):
+        side_a = side_a.decode()
+    if side_b is None:
+        side_b = side_a
+    elif isinstance(side_b, ColumnarTile):
+        side_b = side_b.decode()
+
+    local = _OpCounter()
+    batch, _stats = forward_sweep_pairs_batched(side_a, side_b, local)
+
+    grid = TileGrid(
+        Rect(grid_spec[0], grid_spec[1], grid_spec[2], grid_spec[3], 0),
+        grid_spec[4], grid_spec[5],
+    )
+    part_of = grid.partition_of_point
+    strip = grid_spec[6:]
+    owned: List[Tuple[int, int]] = []
+    append = owned.append
+    dups = unowned = 0
+    for ra, rb in batch:
+        if self_join and not ra.rid < rb.rid:
+            dups += 1
+            continue
+        x = ra.xlo if ra.xlo >= rb.xlo else rb.xlo
+        y = ra.ylo if ra.ylo >= rb.ylo else rb.ylo
+        if part_of(x, y) != part_id:
+            dups += 1
+        elif strip and not _in_strip(x, strip):
+            unowned += 1
+        else:
+            append((ra.rid, rb.rid))
+    return (len(owned), owned if collect else None, local.cpu_ops, dups,
+            unowned)

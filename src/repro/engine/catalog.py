@@ -11,16 +11,23 @@ representations lazily, on first use, and keeps them:
   index file via :mod:`repro.rtree.persist`);
 * the grid :class:`~repro.core.histogram.SpatialHistogram` feeding the
   optimizer's selectivity fractions;
-* the :class:`~repro.core.kernels.np_distribute.ColumnImage` the numpy
-  cold path distributes and post-filters from (numpy engines only).
+* the :class:`~repro.core.kernels.np_distribute.ColumnImage` the cold
+  path distributes and post-filters from.
 
 Every entry carries a monotonically increasing ``version``;
 re-registering a name bumps it, which is what invalidates cached query
 results (the result cache folds entry versions into its keys).
+
+Registration admits only what every join path models — finite
+rectangles with ``lo <= hi`` on both axes, inside a finite universe
+(:func:`check_rects`) — so no kernel meets an input it declines and
+no R-tree bulk load meets a non-finite coordinate.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.histogram import DEFAULT_GRID, SpatialHistogram
@@ -35,6 +42,21 @@ from repro.storage.stream import Stream
 
 #: Geometry payload: object id -> polyline (sequence of (x, y) points).
 GeometryMap = Dict[int, Sequence[Tuple[float, float]]]
+
+
+def check_rects(name: str, rects: Sequence[Rect],
+                universe: Optional[Rect] = None) -> None:
+    """Raise ``ValueError`` naming relation ``name`` and its first bad
+    rectangle unless every one, and ``universe`` if given, is finite
+    with ``lo <= hi`` on both axes (one chained comparison an axis:
+    false for NaN, infinities and inverted intervals alike)."""
+    inf = math.inf
+    for r in chain(rects, () if universe is None else (universe,)):
+        xlo, xhi, ylo, yhi, rid = r
+        if not (-inf < xlo <= xhi < inf and -inf < ylo <= yhi < inf):
+            what = "universe" if r is universe else f"rectangle rid={rid}"
+            raise ValueError(f"relation {name!r}: {what} {tuple(r[:4])} "
+                             "is not finite with lo <= hi on both axes")
 
 
 class CatalogEntry:
@@ -92,7 +114,7 @@ class CatalogEntry:
 
     @property
     def columns(self):
-        """The base stream as a column image (requires numpy).
+        """The base stream as a column image.
 
         Same rectangles, same order as :attr:`stream`; ~56 bytes per
         rectangle with the id index.  Like ``rects`` and ``by_id`` it
@@ -154,10 +176,14 @@ class Catalog:
 
         Re-registering an existing name replaces the entry under a new
         version, so previously cached results for it become unreachable.
+        An empty relation, a non-finite or inverted rectangle and a
+        non-finite universe are refused (:func:`check_rects`) before
+        anything changes.
         """
         rect_list = list(rects)
         if not rect_list:
             raise ValueError(f"relation {name!r} has no rectangles")
+        check_rects(name, rect_list, universe)
         entry = CatalogEntry(
             self, name, rect_list, universe, geometries, self._next_version
         )

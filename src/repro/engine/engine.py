@@ -27,6 +27,11 @@ partitioned executor's tile grants (with disk spill beyond them).
 Result memory is governed separately by the size-aware cache's own
 byte bound.  Queries whose minimum grant exceeds the whole budget are
 refused up front (:class:`~repro.engine.resources.AdmissionError`).
+
+Execution has one implementation: the executor always runs the numpy
+kernels of :mod:`repro.core.kernels`, and ``register`` refuses the
+rectangles they do not model (non-finite or inverted), so a bad
+relation fails where it is registered, not at its first query.
 """
 
 from __future__ import annotations
@@ -254,7 +259,6 @@ class SpatialQueryEngine(_ServeShell):
         worker_pool: Optional[WorkerPool] = None,
         trace: bool = False,
         slow_log_capacity: Optional[int] = None,
-        kernel: str = "auto",
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.scale = scale
@@ -303,15 +307,10 @@ class SpatialQueryEngine(_ServeShell):
             workers=self.workers,
             budget=self.budget, artifacts=self.artifacts,
         )
-        # ``kernel`` selects the sweep implementation ("auto" resolves
-        # to numpy unless REPRO_KERNEL=python; results are bit-identical
-        # either way).
         self.executor = Executor(
             self.disk, machine, pool=self.pool, budget=self.budget,
             worker_pool=self.worker_pool, artifacts=self.artifacts,
-            kernel=kernel,
         )
-        self.kernel = self.executor.kernel
         self.metrics = EngineMetrics()
         self._lock = threading.Lock()
         self._init_serve_shell(cache_capacity, trace, slow_log_capacity)
@@ -328,7 +327,8 @@ class SpatialQueryEngine(_ServeShell):
         """(Re-)register a relation and invalidate its cached results.
 
         Waits for the engine's lock, like ``execute``: a query never
-        sees the catalog or the caches half updated.
+        sees the catalog or the caches half updated.  What
+        :func:`~repro.engine.catalog.check_rects` refuses changes nothing.
         """
         with self._lock:
             self.catalog.register(
@@ -348,8 +348,8 @@ class SpatialQueryEngine(_ServeShell):
         return self.catalog.get(name).universe
 
     def prepare(self, *names: str) -> None:
-        """Force-build streams, indexes, histograms and (numpy
-        kernel) column images and leaf columns now.
+        """Force-build streams, indexes, histograms, column images and
+        leaf columns now.
 
         The catalog builds lazily, which charges the build to the first
         query that needs it; benchmark-style callers prepare up front so
@@ -360,19 +360,17 @@ class SpatialQueryEngine(_ServeShell):
                    for name in (names or self.catalog.names())]
         for entry in entries:
             entry.stream, entry.tree, entry.histogram  # noqa: B018
-            if self.kernel == "numpy":
-                entry.columns  # noqa: B018
+            entry.columns  # noqa: B018
         # Boot the worker pool alongside the data structures: forking
         # the workers belongs to the build phase, not to whichever
         # query happens to be the first partitioned one.
         self.worker_pool.prestart()
-        if self.kernel == "numpy":
-            # After every index is built — a page written to the shared
-            # store makes a tree rebuild its leaf columns — and after
-            # the fork: index plans run on the coordinator, and what a
-            # worker inherits it keeps resident (+2.3 MB each, measured).
-            for entry in entries:
-                entry.tree.leaf_columns()
+        # After every index is built — a page written to the shared
+        # store makes a tree rebuild its leaf columns — and after the
+        # fork: index plans run on the coordinator, and what a worker
+        # inherits it keeps resident (+2.3 MB each, measured).
+        for entry in entries:
+            entry.tree.leaf_columns()
 
     # -- serving ---------------------------------------------------------
 
@@ -565,7 +563,6 @@ class SpatialQueryEngine(_ServeShell):
     def metrics_snapshot(self) -> dict:
         """Engine + cache + buffer-pool + budget counters in one dict."""
         snap = self.metrics.snapshot()
-        snap["kernel"] = self.kernel
         snap["worker_pool"] = self.worker_pool.snapshot()
         snap["slow_query_log"] = (
             self.slow_log.snapshot()

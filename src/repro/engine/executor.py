@@ -4,11 +4,11 @@ A pairwise plan runs its strategy's row of
 :data:`repro.core.planner.STRATEGIES` — one call, whatever the row —
 and reports the estimate the plan carries; a multiway plan runs
 :func:`multiway_join` over the streams it was priced on.  Neither
-retains an artifact.  The resolved kernel goes down with them, so a
-``pq-index`` plan on a numpy engine runs
-:mod:`repro.core.kernels.np_index` and hands back
-:class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``, ``st``,
-``sssj``, multiway and :func:`_refine_pairs` still build tuple lists.
+retains an artifact.  The row runs with ``kernel="numpy"``, so a
+``pq-index`` plan runs :mod:`repro.core.kernels.np_index` and hands
+back :class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``,
+``st``, ``sssj``, multiway and :func:`_refine_pairs` still build tuple
+lists.
 Window and refinement predicates are post-filters on the collected
 pairs (:func:`_filter_window`, :func:`_refine_pairs`).  On a shard of a
 :class:`~repro.engine.shard.ShardedEngine` the executor also keeps only
@@ -54,20 +54,19 @@ goes back once, whichever stage raises:
    :meth:`ArtifactCache.retain
    <repro.engine.cache.ArtifactCache.retain>` for an unspilled
    distribution, kept as one column image a side whose tiles are
-   views).  Under the numpy kernel tiles are placed from the
-   catalog entry's column image (:func:`_distribute_columnar`) and
-   the overflow spilled as image rows (:func:`_spill_run`) — no
-   ``Rect`` is built; the per-rectangle
-   :func:`~repro.core.pbsm.distribute` is the
-   python kernel's path and the reference, identical down to the order of
-   the disk's ``allocate`` / write / read calls.  Each tile goes to
+   views).  Tiles are placed from the catalog entry's column image
+   (:func:`_distribute_columnar`) and the overflow spilled as image
+   rows (:func:`_spill_run`) — no ``Rect`` is built; the
+   per-rectangle :func:`~repro.core.pbsm.distribute` is the
+   reference, identical down to the order of the disk's ``allocate``
+   / write / read calls.  Each tile goes to
    the :class:`_TaskShipper` the moment it is ready, so workers sweep
    early partitions while the coordinator re-reads later ones.
 4. **Gather** (:meth:`~Executor._gather`, the ``gather`` span).
    Outcomes in submission order, the ``cancel`` checkpoint before
    each; a broken pool is recovered inline, a deadline reclaims the
-   unfinished tail.  Then the release, then one merge of the per-task
-   pair sets (arrays under the numpy kernel).
+   unfinished tail.  Then the release, then one concatenation of the
+   per-task pair columns.
 5. **Account** (:meth:`~Executor._account`).  The merged op total is
    charged once; the *critical path* — shipped tasks spread over the
    plan's workers by greedy LPT against the coordinator's inline lane
@@ -89,17 +88,17 @@ wall clock only.
 
 **Tasks** (:func:`sweep_tile_task`, :func:`sweep_tile_batch_task`) touch
 no shared simulation state: each sweeps its own tiles and counts its
-own ops.  Under the numpy kernel a task is one
-:func:`~repro.core.kernels.np_sweep.sweep_tiles` call however many
-tiles it holds (:func:`_sweep_group`) and its pairs come back as
-:class:`~repro.core.columnar.PairColumns`; the python body
-(:func:`~repro.core.sweep.forward_sweep_pairs_batched`, then one tight
-ownership/dedup loop) is the reference and the fallback for a group the
-kernel declines — pairs, order, counts, ops and dups bit-identical tile
-by tile.  Self-joins ride the same path: the single input is
-distributed once, each partition swept against itself, and only
-``rid_a < rid_b`` survives.  Both functions are resolved as globals of
-this module at dispatch time (the end-to-end bench rebinds them).
+own ops.  A task is one :func:`~repro.core.kernels.np_sweep.sweep_tiles`
+call however many tiles it holds (:func:`_sweep_group`) and its pairs
+come back as :class:`~repro.core.columnar.PairColumns`;
+:func:`repro.core.pbsm.sweep_tile` is the reference — pairs, order,
+counts, ops and dups bit-identical tile by tile.  Self-joins ride the
+same path: the single input is distributed once, each partition swept
+against itself, and only ``rid_a < rid_b`` survives.  Both functions
+are resolved as globals of this module at dispatch time (the
+end-to-end bench rebinds them; so does the tests' reference executor).
+A kernel that declines its input — the catalog admits none it
+declines — raises rather than fall back.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ from concurrent.futures import BrokenExecutor
 from contextlib import ExitStack
 from dataclasses import replace
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.core.columnar import (
     ColumnarTile,
@@ -120,16 +119,10 @@ from repro.core.columnar import (
     PairColumns,
 )
 from repro.core.join_result import JoinResult
-from repro.core.kernels import np_sweep, resolve_kernel
+from repro.core.kernels import np_distribute, np_sweep
 from repro.core.multiway import multiway_join
-from repro.core.pbsm import (
-    SpillablePartition,
-    TileAllowance,
-    TileGrid,
-    distribute,
-)
+from repro.core.pbsm import SpillablePartition, TileAllowance, TileGrid
 from repro.core.planner import STRATEGIES
-from repro.core.sweep import forward_sweep_pairs_batched
 from repro.engine.cache import ArtifactCache, ArtifactIdentity, Candidate
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.optimizer import PhysicalPlan
@@ -143,7 +136,7 @@ from repro.engine.pool import (
 )
 from repro.engine.resources import ResourceBudget
 from repro.engine.trace import Span, span_meter
-from repro.geom.rect import RECT_BYTES, Rect, intersection, union_mbr
+from repro.geom.rect import RECT_BYTES, Rect, union_mbr
 from repro.geom.refine import polylines_intersect
 from repro.sim.machines import MachineSpec
 from repro.storage.buffer_pool import BufferPool
@@ -229,7 +222,6 @@ class Executor:
         budget: Optional[ResourceBudget] = None,
         worker_pool: Optional[Union[WorkerPool, PoolClient]] = None,
         artifacts: Optional[ArtifactCache] = None,
-        kernel: str = "auto",
     ) -> None:
         self.disk = disk
         self.machine = machine
@@ -246,8 +238,6 @@ class Executor:
             artifacts if artifacts is not None
             else ArtifactCache(max_bytes=0)
         )
-        # Resolved once, here; workers obey the name in each payload.
-        self.kernel = resolve_kernel(kernel)
         # Measured sweep cost of each partitioned plan (total simulated
         # ops, keyed by artifact key), written after every execution;
         # the PLAN_MEMO_ENTRIES most recently executed plans are kept.
@@ -299,9 +289,9 @@ class Executor:
                 result = self._execute_pairwise(plan, entries)
                 if jspan is not None:
                     # What the join worked on, as ``distribute`` reports
-                    # for its path: which kernel ran (``numpy`` only if
-                    # it did not decline) and how much each side fed it
-                    # — a stream side feeds the whole relation.
+                    # for its path: which kernel ran (``numpy`` where the
+                    # row has one: ``pq-index``) and how much each side
+                    # fed it — a stream side feeds the whole relation.
                     detail = result.detail
                     jspan.attrs.update({
                         "kernel": detail.get("kernel", "python"),
@@ -315,7 +305,7 @@ class Executor:
             with span_meter(env, self.machine, trace,
                             "window-filter") as wspan:
                 result = _filter_window(
-                    result, entries, query.window, self.kernel,
+                    result, entries, query.window,
                     strip if stage == "window" else (),
                 )
                 if wspan is not None:
@@ -331,8 +321,7 @@ class Executor:
                         "refined_out"
                     ]
         if stage == "post":
-            result = _own_results(result, entries, strip, query.window,
-                                  self.kernel)
+            result = _own_results(result, entries, strip, query.window)
             if not query.collect_pairs:
                 result.pairs = None
         result.detail.setdefault("strategy", plan.strategy)
@@ -346,7 +335,7 @@ class Executor:
                         for e, region in zip(entries, plan.regions))
         result = STRATEGIES[plan.strategy].join(
             rel_a, rel_b, self.disk, collect_pairs=plan.query.collect_pairs,
-            kernel=self.kernel, pool=self.pool,
+            kernel="numpy", pool=self.pool,
         )
         # The strategy that ran and the estimate it was planned by.
         result.detail.update(strategy=plan.strategy,
@@ -396,7 +385,7 @@ class Executor:
                     "partitions": run.n_parts,
                     "artifact_hit": run.artifact_hit,
                     "spilled_rects": run.spilled_rects,
-                    **run.distribute_attrs,
+                    "copies": run.copies,
                 })
                 # Created before gather so the children land in phase
                 # order; filled by the account stage.
@@ -409,7 +398,7 @@ class Executor:
                     task_dicts = [outcome[1] for outcome in outcomes]
                     outcomes = [outcome[0] for outcome in outcomes]
                 pairs = (
-                    _merge_pairs([o[1] for o in outcomes], self.kernel)
+                    PairColumns.concat([o[1] for o in outcomes])
                     if run.collect else None
                 )
         # The gather span is closed: the merged op total the account
@@ -456,7 +445,7 @@ class Executor:
                                traced=trace is not None,
                                inline_all=inline_all, cancel=token)
         return _PartitionedRun(plan, entries, ident, n_parts, shipper,
-                               inline_all, self.kernel, strip)
+                               inline_all, strip)
 
     def _produce_tiles(self, run: "_PartitionedRun",
                        held: ExitStack) -> None:
@@ -500,7 +489,7 @@ class Executor:
         """
         tasks = (
             cached if window is None
-            else _prune_window(cached, window, self.kernel)
+            else _prune_window(cached, window)
         )
         sizes = [len(a) + len(a if b is None else b) for _, a, b in tasks]
         want = sum(sizes) * RECT_BYTES
@@ -540,16 +529,7 @@ class Executor:
         # put() takes bytes from the budget's free pool and evicts LRU
         # artifacts, never live grants.
         if tiles and run.spilled_rects == 0:
-            self.artifacts.retain(run.ident, DistributionImage(
-                (
-                    i,
-                    a if isinstance(a, ColumnarTile)
-                    else ColumnarTile.from_rects(a),
-                    b if b is None or isinstance(b, ColumnarTile)
-                    else ColumnarTile.from_rects(b),
-                )
-                for i, a, b in tiles
-            ))
+            self.artifacts.retain(run.ident, DistributionImage(tiles))
 
     def _scan_into_partitions(self, run: "_PartitionedRun", allowance,
                               held: ExitStack):
@@ -567,23 +547,14 @@ class Executor:
             held.callback(_free_partitions, parts)
             sides.append((entry, parts))
         ops = scanned = 0
-        distribute_kernel = self.kernel
         for entry, parts in sides:
-            side_ops = None
-            if distribute_kernel == "numpy":
-                side_ops = _distribute_columnar(
-                    entry, parts, run.grid, run.query.window, allowance
-                )
-            if side_ops is None:
-                distribute_kernel = "python"
-                side_ops = distribute(entry.stream, parts, run.grid,
-                                      run.query.window)
-            ops += side_ops
+            ops += _distribute_columnar(
+                entry, parts, run.grid, run.query.window, allowance
+            )
             scanned += len(entry.stream)
         env.charge("partition", ops)
         # One op per scanned rectangle, one per copy placed.
-        run.distribute_attrs = {"kernel": distribute_kernel,
-                                "copies": ops - scanned}
+        run.copies = ops - scanned
         all_parts = [p for _, parts in sides for p in parts]
         run.spilled_rects = sum(p.spilled_rects for p in all_parts)
         run.spill_partitions = sum(1 for p in all_parts if p.spilled)
@@ -612,7 +583,6 @@ class Executor:
         one-write-one-reread model the optimizer priced.
         """
         self_join = run.self_join
-        ship = self.worker_pool.kind == "process"
         will_cache = self.artifacts.enabled
         tiles: List[tuple] = []
         reread_rects = 0
@@ -624,19 +594,12 @@ class Executor:
             )
             reread_rects += sum(p.spilled_rects for p in active)
             size = len(parts_a[i]) + len(parts_b[i])
-            if ship or any(p.packed is not None for p in active):
-                # Columnar from the start: the same flat tiles serve
-                # the pickle boundary, the batch queue and the artifact
-                # cache (even a small tile may cross the process
-                # boundary, as part of a batch).
-                side_a = parts_a[i].materialize_columnar()
-                side_b = (
-                    None if self_join
-                    else parts_b[i].materialize_columnar()
-                )
-            else:
-                side_a = parts_a[i].materialize()
-                side_b = None if self_join else parts_b[i].materialize()
+            # Columnar: the same flat tiles serve the kernel, the pickle
+            # boundary, the batch queue and the artifact cache.
+            side_a = parts_a[i].materialize_columnar()
+            side_b = (
+                None if self_join else parts_b[i].materialize_columnar()
+            )
             run.ship(i, side_a, side_b, size)
             if will_cache:
                 tiles.append((i, side_a, side_b))
@@ -762,7 +725,6 @@ class Executor:
                 "ops_critical": critical,
                 "workers": plan.workers,
                 "tasks": len(submitted),
-                "kernel": self.kernel,
                 "shm_tasks": shipper.shm_tasks,
             })
         result = JoinResult(
@@ -793,7 +755,7 @@ class Executor:
                 "spill_partitions": run.spill_partitions,
                 "artifact_hit": run.artifact_hit,
                 "pool_kind": self.worker_pool.kind,
-                "kernel": self.kernel,
+                "kernel": "numpy",
                 "tasks_shipped": sum(
                     1 for _, shipped, _, _ in submitted if shipped
                 ),
@@ -825,7 +787,7 @@ class _PartitionedRun:
     def __init__(self, plan: PhysicalPlan, entries: List[CatalogEntry],
                  ident: ArtifactIdentity, n_parts: int,
                  shipper: "_TaskShipper", inline_all: bool,
-                 kernel: str, strip: Tuple[float, ...]) -> None:
+                 strip: Tuple[float, ...]) -> None:
         self.plan = plan
         self.query = plan.query
         self.self_join = plan.query.is_self_join
@@ -833,7 +795,6 @@ class _PartitionedRun:
         #: The relations distributed: a self-join's one input serves
         #: both sides.
         self.inputs = entries[:1] if self.self_join else entries
-        self.kernel = kernel
         self.ident = ident
         self.n_parts = n_parts
         self.shipper = shipper
@@ -844,12 +805,9 @@ class _PartitionedRun:
         self.grant = None
         self.artifact_hit = False
         self.spilled_rects = self.spill_partitions = 0
-        # Which distribute ran (None: tiles came from the artifact
-        # layer) and how many tile copies it placed, replication
-        # included.
-        self.distribute_attrs: Dict[str, object] = {
-            "kernel": None, "copies": 0,
-        }
+        # How many tile copies a cold distribute placed, replication
+        # included (0: tiles came from the artifact layer).
+        self.copies = 0
         self.sweep_on(ident.candidates[0])
 
     def sweep_on(self, cand: Candidate) -> None:
@@ -865,10 +823,11 @@ class _PartitionedRun:
 
     def ship(self, part_id: int, side_a, side_b, size: int) -> None:
         """One tile to the shipper, as a self-contained payload (slot
-        6 is always ``None``: tiles arrive pruned)."""
+        6 is always ``None``: tiles arrive pruned; slot 7 names the
+        kernel, always ``"numpy"``)."""
         self.shipper.add(
             (part_id, self.grid_spec, side_a, side_b, self.self_join,
-             self.collect, None, self.kernel),
+             self.collect, None, "numpy"),
             size,
         )
 
@@ -882,8 +841,8 @@ class _TaskShipper:
     submission is preserved — workers sweep early tiles while the
     coordinator materializes later ones); smaller tiles accumulate,
     and when their logical payload reaches ``TILE_BATCH_BYTES`` the
-    group goes out as **one** task (:func:`sweep_tile_batch_task` —
-    under the numpy kernel one kernel call).  Routing: a solo tile and
+    group goes out as **one** task (:func:`sweep_tile_batch_task`, one
+    kernel call).  Routing: a solo tile and
     a full group ship; the trailing group ships only if it is
     collectively worth a round-trip (``>= MIN_SHIP_RECTS`` rectangles)
     and otherwise runs on the coordinator, still as one task.  On a
@@ -1002,8 +961,8 @@ class _TaskShipper:
         """Swap the payload's tile sides for shared-memory refs.
 
         Returns ``(payload, segment names)``; the original payload and
-        ``()`` when nothing was packable (list-form sides, or the
-        segment allocation failed — pickling is always correct).
+        ``()`` when nothing was packable (empty sides, or the segment
+        allocation failed — pickling is always correct).
         """
         payloads = payload if batch else (payload,)
         tiles: List[ColumnarTile] = []
@@ -1042,36 +1001,23 @@ class _TaskShipper:
                     manager.task_done(names, abandoned=not fut.done())
 
 
-class _OpCounter:
-    """Minimal env stand-in for worker-local sweeps: counts CPU ops."""
-
-    def __init__(self) -> None:
-        self.cpu_ops = 0
-
-    def charge(self, category: str, ops: int) -> None:
-        if ops > 0:
-            self.cpu_ops += ops
+#: What a tile task returns: ``(owned pair count, owned pairs as
+#: :class:`PairColumns` or None, cpu ops, duplicates suppressed, pairs
+#: left to another shard)``.
+TaskOutcome = Tuple[int, Optional[PairColumns], int, int, int]
 
 
-#: What a tile task returns: ``(owned pair count, owned pairs or None,
-#: cpu ops, duplicates suppressed, pairs left to another shard)``.  The
-#: pairs are a list of tuples from the python body and
-#: :class:`PairColumns` from the numpy kernel.
-TaskOutcome = Tuple[int, Optional[Sequence[Tuple[int, int]]], int, int,
-                    int]
-
-def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
+def _sweep_group(payloads: tuple) -> TaskOutcome:
     """The tiles of ``payloads`` through one vectorized kernel call.
 
     All payloads belong to one query, so the first one speaks for the
-    grid, the self-join and collect flags, the kernel and the cancel
-    token — which is checked once, before the call: a group is the
-    unit a deadline can stop.  ``None`` hands the tiles to the python
-    body: the payloads name the python kernel, or the kernel declined
-    the input (then for the whole group; the caller retries tile by
-    tile).  Every task entry point
-    passes here first, so this is where a payload that still carries
-    a window (slot 6) is refused: tiles are pruned before they ship.
+    grid, the self-join and collect flags and the cancel token — which
+    is checked once, before the call: a group is the unit a deadline
+    can stop.  Every task entry point passes here, so this is where a
+    payload that still carries a window (slot 6) is refused (tiles are
+    pruned before they ship), and where a group the kernel declines
+    raises: the catalog admits only the finite, non-inverted
+    rectangles the kernel models.
     """
     if any(p[6] is not None for p in payloads):
         raise ValueError(
@@ -1079,8 +1025,6 @@ def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
             "a windowed query's tiles are pruned before they ship"
         )
     first = payloads[0]
-    if len(first) <= 7 or first[7] != "numpy":
-        return None
     _check_cancel(first)
     _, grid_spec, _, _, self_join, collect = first[:6]
     out = np_sweep.sweep_tiles(
@@ -1088,7 +1032,10 @@ def _sweep_group(payloads: tuple) -> Optional[TaskOutcome]:
         self_join, grid_spec, collect,
     )
     if out is None:
-        return None
+        raise ValueError(
+            "the tile kernel declined its input: a rectangle is inverted "
+            "or not finite"
+        )
     counts, pairs, ops, dups, unowned = out
     return (sum(counts), pairs, sum(ops), sum(dups), sum(unowned))
 
@@ -1107,136 +1054,35 @@ def _resolved(side):
 
 
 def sweep_tile_task(payload: tuple) -> TaskOutcome:
-    """Sweep one partition tile; runs on a pool worker or inline.
+    """Sweep one partition tile (a group of one, :func:`_sweep_group`);
+    runs on a pool worker or inline.
 
-    The payload is self-contained and picklable: tiles arrive as
-    :class:`ColumnarTile` columns, :class:`ShmTileRef` handles to them,
-    or ready ``Rect`` lists (inline runs); ``side_b is None`` marks a
-    self-join, whose single side sweeps against itself.
-    The seventh element is always ``None`` (a windowed query's tiles
-    were pruned before they shipped; anything else raises
-    ``ValueError``).  The payload's optional eighth element names the
-    sweep kernel
-    (``"python"`` when absent — old payloads stay valid); the optional
-    ninth is the query's :class:`~repro.engine.pool.CancelToken`,
-    checked before the sweep so a deadline-doomed task stops at the
-    tile boundary instead of finishing a pointless sweep.
-
-    Under the numpy kernel a solo tile is a group of one
-    (:func:`_sweep_group`): the whole task runs vectorized.  The body
-    below is the python kernel and the reference — ``kernel="python"``
-    engines and any tile the vectorized kernel declines land here, with bit-identical results.  It decodes the
-    tile, runs the forward sweep that collects its pairs in a list
-    (which sorts), then applies reference-point ownership and
-    self-join dedup in one tight loop over that list, so no Python
-    callback fires per candidate pair.  For self-joins the sweep emits
-    every pair in both orientations plus each rectangle against
-    itself, and the filter keeps exactly the ``rid_a < rid_b``
-    representative.  The grid spec is six numbers, or eight when a
-    shard's strip ``(lo, hi)`` follows them: a pair its partition owns
-    is then kept only if its reference x lies in ``[lo, hi)`` too.
-
-    Returns ``(owned pair count, owned pairs or None, cpu ops,
-    duplicates suppressed by the reference-point test and self-join
-    dedup, pairs the strip test left to another shard)`` — op counts
-    bit-identical to the per-pair-callback path.
+    The payload is self-contained and picklable: ``(part_id, grid_spec,
+    side_a, side_b, self_join, collect, None, "numpy")``, then
+    optionally the query's :class:`~repro.engine.pool.CancelToken`,
+    checked before the sweep.  Sides are :class:`ColumnarTile` columns
+    or :class:`ShmTileRef` handles to them, ``side_b is None`` for a
+    self-join; the grid spec is six numbers, or eight with a shard's
+    strip ``(lo, hi)``.  Returns ``(owned pair count, owned pairs or
+    None, cpu ops, duplicates suppressed, pairs left to another
+    shard)``, bit-identical to :func:`repro.core.pbsm.sweep_tile`.
     """
-    out = _sweep_group((payload,))
-    if out is not None:
-        return out
-    part_id, grid_spec, side_a, side_b, self_join, collect = payload[:6]
-    _check_cancel(payload)
-    side_a = _resolved(side_a)
-    if isinstance(side_a, ColumnarTile):
-        side_a = side_a.decode()
-    if side_b is None:
-        side_b = side_a
-    else:
-        side_b = _resolved(side_b)
-        if isinstance(side_b, ColumnarTile):
-            side_b = side_b.decode()
-
-    local = _OpCounter()
-    batch, _stats = forward_sweep_pairs_batched(side_a, side_b, local)
-
-    grid = TileGrid(
-        Rect(grid_spec[0], grid_spec[1], grid_spec[2], grid_spec[3], 0),
-        grid_spec[4], grid_spec[5],
-    )
-    part_of = grid.partition_of_point
-    strip = grid_spec[6:]
-    owned: List[Tuple[int, int]] = []
-    append = owned.append
-    dups = unowned = 0
-    for ra, rb in batch:
-        if self_join and not ra.rid < rb.rid:
-            dups += 1
-            continue
-        x = ra.xlo if ra.xlo >= rb.xlo else rb.xlo
-        y = ra.ylo if ra.ylo >= rb.ylo else rb.ylo
-        if part_of(x, y) != part_id:
-            dups += 1
-        elif strip and not _in_strip(x, strip):
-            unowned += 1
-        else:
-            append((ra.rid, rb.rid))
-    return (len(owned), owned if collect else None, local.cpu_ops, dups,
-            unowned)
+    return _sweep_group((payload,))
 
 
 def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
     """Sweep a group of small tiles as one task, shipped or inline.
 
     The group crosses the process boundary once (one pickle, one
-    scheduling round-trip) and, under the numpy kernel, is swept by
-    one kernel call (:func:`_sweep_group`) that returns the *merged*
-    outcome in the same ``(count, pairs, ops, dups)`` shape a
-    single-tile task produces.  The cancel token is checked once per
-    group, before that call.  Each tile is an independent partition,
-    so the pair set, its order (tile after tile) and the op accounting
-    are bit-identical to per-tile dispatch — which is also the
-    fallback: under the python kernel, or when the vectorized kernel
-    declines the group, the tiles run back to back through
-    :func:`sweep_tile_task` (one cancel check per tile) and their
-    results are concatenated (:func:`_merge_pairs`).
+    scheduling round-trip) and is swept by one kernel call
+    (:func:`_sweep_group`) that returns the *merged* outcome in the
+    shape a single-tile task produces.  Each tile is an independent
+    partition, so the pair set, its order (tile after tile) and the op
+    accounting are bit-identical to per-tile dispatch.
     """
     if not payloads:
         return (0, None, 0, 0, 0)
-    out = _sweep_group(payloads)
-    if out is not None:
-        return out
-    count = ops = dups = unowned = 0
-    parts: List[Sequence] = []
-    for payload in payloads:
-        c, pairs, o, d, u = sweep_tile_task(payload)
-        count += c
-        ops += o
-        dups += d
-        unowned += u
-        if pairs is not None:
-            parts.append(pairs)
-    # payload[5] is the collect flag, payload[7] the kernel; all tiles
-    # of one query share both.
-    merged = None
-    if payloads[0][5]:
-        kernel = payloads[0][7] if len(payloads[0]) > 7 else "python"
-        merged = _merge_pairs(parts, kernel)
-    return (count, merged, ops, dups, unowned)
-
-
-def _merge_pairs(parts: List[Sequence], kernel: str) -> Sequence:
-    """Per-tile pair sets back to back, in order.
-
-    Under the numpy kernel one array concatenation — a tile the python
-    body swept arrives as a list and is converted on the way in; the
-    python kernel extends a list.
-    """
-    if kernel == "numpy":
-        return PairColumns.concat(parts)
-    merged: List[Tuple[int, int]] = []
-    for part in parts:
-        merged.extend(part)
-    return merged
+    return _sweep_group(payloads)
 
 
 def sweep_task_traced(task: tuple) -> Tuple[tuple, dict]:
@@ -1296,9 +1142,9 @@ def _distribute_columnar(entry: CatalogEntry,
                          parts: List[SpillablePartition], grid: TileGrid,
                          window: Optional[Rect],
                          allowance: Optional[TileAllowance],
-                         ) -> Optional[int]:
+                         ) -> int:
     """:func:`~repro.core.pbsm.distribute` from the entry's column
-    image.
+    image; returns the ops, uncharged.
 
     The numpy kernel decides where every copy goes; this step places
     them.  The allowance is drawn in bulk, the copies it covers are
@@ -1308,15 +1154,17 @@ def _distribute_columnar(entry: CatalogEntry,
     between the same two reads as in the python loop
     (:func:`_spill_run`) — so tiles, op charges, grant size and the
     simulated disk's ledger all match the python distribute, and no
-    ``Rect`` is built on the way.  Returns ``None``, having touched
-    nothing, when the kernel declines the input.
+    ``Rect`` is built on the way.  Raises ``ValueError``, having
+    touched nothing, when the kernel declines the grid (a span too
+    small for its tile count to stay finite).
     """
-    from repro.core.kernels import np_distribute
-
     image = entry.columns
     dist = np_distribute.distribute(image, grid, window)
     if dist is None:
-        return None
+        raise ValueError(
+            f"the distribute kernel declined relation {entry.name!r} on "
+            f"the grid over {grid.universe}"
+        )
     copies = len(dist.rows)
     resident = (
         copies if allowance is None else allowance.take_many(copies)
@@ -1385,31 +1233,19 @@ def _critical_path_ops(part_ops: List[int], workers: int) -> int:
     return max(loads)
 
 
-def _prune_window(cached: DistributionImage, window: Rect,
-                  kernel: str = "python") -> List[tuple]:
+def _prune_window(cached: DistributionImage, window: Rect) -> List[tuple]:
     """A cached distribution's tasks cut down to ``window``.
 
     Every tile side keeps its rectangles that meet the window, in
     order.  A task left empty on both sides is dropped (its sweep
     would charge nothing); one empty on a single side is kept, because
-    sweeping the other side still charges its sort and inserts.
-    ``kernel="numpy"`` masks each side's column image in one pass and
-    cuts the survivors, still grouped, into per-partition views
-    (:func:`~repro.core.kernels.np_distribute.prune_image`); the python
-    body, one ``intersects`` test a decoded rectangle, is the
-    reference.
+    sweeping the other side still charges its sort and inserts.  Each
+    side's column image is masked in one pass and the survivors, still
+    grouped, cut into per-partition views
+    (:func:`~repro.core.kernels.np_distribute.prune_image`).
     """
-    if kernel == "numpy":
-        from repro.core.kernels import np_distribute
-
-        sides = [np_distribute.prune_image(image, window).tiles
-                 for image in cached.images]
-    else:
-        sides = [
-            [[r for r in tile.decode() if r.intersects(window)]
-             for tile in image.tiles]
-            for image in cached.images
-        ]
+    sides = [np_distribute.prune_image(image, window).tiles
+             for image in cached.images]
     return [
         (part, a, b) for part, a, b in cached.cut(sides)
         if len(a) or (b is not None and len(b))
@@ -1436,43 +1272,26 @@ def _strip_stage(plan: PhysicalPlan) -> str:
 
 
 def _filter_window(result: JoinResult, entries: List[CatalogEntry],
-                   window: Rect, kernel: str = "python",
+                   window: Rect,
                    strip: Tuple[float, ...] = ()) -> JoinResult:
     """Keep pairs/tuples whose common MBR intersection meets the window.
 
-    ``kernel="numpy"`` tests all pairs at once against the entries'
-    column images and keeps them as columns (a partitioned or
-    ``pq-index`` plan hands columns in; the list of a ``pq-mixed-*``,
-    ``st``, ``sssj`` or multiway plan is converted once); the python
-    loop is the fallback and the reference.  With a shard's ``strip``
-    a kept tuple must also have its reference x — the intersection's
-    low x, clipped to the window — in ``[lo, hi)``; the rest count as
+    All pairs are tested at once against the entries' column images
+    and kept as columns (a partitioned or ``pq-index`` plan hands
+    columns in; the list of a ``pq-mixed-*``, ``st``, ``sssj`` or
+    multiway plan is converted once).  With a shard's ``strip`` a kept
+    tuple must also have its reference x — the intersection's low x,
+    clipped to the window — in ``[lo, hi)``; the rest count as
     ``cross_shard_duplicates``.
     """
-    out = None
-    if kernel == "numpy":
-        from repro.core.kernels import np_distribute
-
-        out = np_distribute.filter_window(
-            [e.columns for e in entries], result.pairs, window, strip
-        )
+    out = np_distribute.filter_window(
+        [e.columns for e in entries], result.pairs, window, strip
+    )
     if out is None:
-        kept: List[tuple] = []
-        unowned = 0
-        for ids in result.pairs:
-            rects = [entries[i].by_id[rid] for i, rid in enumerate(ids)]
-            acc: Optional[Rect] = rects[0]
-            for r in rects[1:]:
-                acc = intersection(acc, r)
-                if acc is None:
-                    break
-            if acc is None or not acc.intersects(window):
-                continue
-            if strip and not _in_strip(max(acc.xlo, window.xlo), strip):
-                unowned += 1
-            else:
-                kept.append(ids)
-        out = kept, unowned
+        raise ValueError(
+            "the window filter declined its input: a registered "
+            "rectangle is not finite"
+        )
     kept, unowned = out
     result.detail["window_filtered"] = result.n_pairs - len(kept) - unowned
     if strip:
@@ -1483,44 +1302,27 @@ def _filter_window(result: JoinResult, entries: List[CatalogEntry],
 
 
 def _own_results(result: JoinResult, entries: List[CatalogEntry],
-                 strip: Tuple[float, ...], window: Optional[Rect],
-                 kernel: str) -> JoinResult:
+                 strip: Tuple[float, ...],
+                 window: Optional[Rect]) -> JoinResult:
     """Keep the results whose reference x lies in a shard's ``strip``.
 
     The post-filter for the answers no earlier stage tested (see
     :func:`_strip_stage`): the reference x is the largest low x of a
     tuple's rectangles, clipped to the window if there is one.  Every
-    id is looked up again — a column gather a relation under
-    ``kernel="numpy"``, ``by_id`` in the python loop — so this is
+    id is looked up again — one column gather a relation — so this is
     correct for any strategy but slower than the tests fused into the
     window filter and the tile kernels.  What it drops counts as
     ``cross_shard_duplicates``.
     """
     n = result.n_pairs
     floor = -math.inf if window is None else window.xlo
-    if kernel == "numpy":
-        from repro.core.kernels import np_distribute
-
-        kept: Sequence = np_distribute.filter_strip(
-            [e.columns for e in entries], result.pairs, strip, floor
-        )
-    else:
-        kept = [
-            ids for ids in result.pairs
-            if _in_strip(max(floor, *(entries[i].by_id[rid].xlo
-                                      for i, rid in enumerate(ids))),
-                         strip)
-        ]
+    kept = np_distribute.filter_strip(
+        [e.columns for e in entries], result.pairs, strip, floor
+    )
     result.detail["cross_shard_duplicates"] = n - len(kept)
     result.pairs = kept
     result.n_pairs = len(kept)
     return result
-
-
-def _in_strip(x: float, strip: Tuple[float, ...]) -> bool:
-    """:func:`~repro.core.kernels.np_sweep.strip_mask` for one x."""
-    lo, hi = strip
-    return lo <= x and (x < hi or hi == math.inf)
 
 
 def _refine_pairs(result: JoinResult,

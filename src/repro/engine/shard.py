@@ -103,7 +103,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.columnar import PairColumns
 from repro.core.histogram import DEFAULT_GRID, SpatialHistogram
 from repro.core.join_result import JoinResult
-from repro.engine.catalog import GeometryMap
+from repro.engine.catalog import GeometryMap, check_rects
 from repro.engine.engine import (
     EngineResult,
     SpatialQueryEngine,
@@ -201,27 +201,22 @@ def lpt_makespan(walls: Sequence[float], lanes: int) -> float:
 
 
 def gather_pairs(results: Sequence[JoinResult], arity: int,
-                 kernel: str, collect: bool):
-    """Shard sub-results merged: ``(tuples or None, how many)``.
+                 collect: bool):
+    """Shard sub-results merged: ``(columns or None, how many)``.
 
     Each shard kept only the results it owns, so the sub-results are
     disjoint: the count is their sum, and a collected gather is their
     tuples back to back, in the order of ``results`` (shard order) and
-    each shard's own order inside — ``None`` for a count-only query,
-    whose shards collected nothing.  Collected sub-results may mix
-    lists (the tuple-building strategies) and columns; the numpy
-    kernel concatenates them into columns, the python kernel into a
-    list.
+    each shard's own order inside, as one
+    :class:`~repro.core.columnar.PairColumns` — ``None`` for a
+    count-only query, whose shards collected nothing.  Collected
+    sub-results may mix lists (the tuple-building strategies) and
+    columns; the lists convert on the way in.
     """
     n_pairs = sum(r.n_pairs for r in results)
     if not collect:
         return None, n_pairs
-    if kernel == "numpy":
-        return PairColumns.concat([r.pairs for r in results], arity), n_pairs
-    merged: List[tuple] = []
-    for r in results:
-        merged.extend(r.pairs)
-    return merged, n_pairs
+    return PairColumns.concat([r.pairs for r in results], arity), n_pairs
 
 
 class _ShardOutcome(NamedTuple):
@@ -261,7 +256,6 @@ class ShardedEngine(_ServeShell):
         pool_kind: str = "process",
         artifact_cache_bytes: Optional[int] = None,
         trace: bool = False,
-        kernel: str = "auto",
         replicas: int = 1,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -285,7 +279,7 @@ class ShardedEngine(_ServeShell):
             cache_capacity=0, artifact_cache_bytes=artifact_cache_bytes,
             memory_bytes=(None if memory_bytes is None
                           else max(1, memory_bytes // self.shards)),
-            worker_pool=self.pool, kernel=kernel, trace=trace,
+            worker_pool=self.pool, trace=trace,
             slow_log_capacity=0,
         )
         self._replica_engines: List[List[SpatialQueryEngine]] = [
@@ -309,7 +303,6 @@ class ShardedEngine(_ServeShell):
         #: Scatter threads, created on the first multi-shard query.
         self._scatter_threads = min(self.shards, MAX_SCATTER_THREADS)
         self._scatter_pool: Optional[ThreadPoolExecutor] = None
-        self.kernel = self.engines[0].kernel
         self._cuts: Optional[List[float]] = None
         self._versions: Dict[str, int] = {}
         self._next_version = 1
@@ -388,11 +381,14 @@ class ShardedEngine(_ServeShell):
         relation's histogram; later relations are sliced along the
         same cuts so every relation's shard k covers the same strip
         (joins must align).  Shards whose slice is empty simply do not
-        hold the relation and are pruned from its queries.
+        hold the relation and are pruned from its queries.  What
+        :func:`~repro.engine.catalog.check_rects` refuses changes nothing:
+        not the cuts, not a shard.
         """
         rect_list = list(rects)
         if not rect_list:
             raise ValueError(f"relation {name!r} has no rectangles")
+        check_rects(name, rect_list, universe)
         uni = universe if universe is not None else mbr_of(rect_list)
         if self._cuts is None:
             self._cuts = balanced_cuts(
@@ -739,8 +735,7 @@ class ShardedEngine(_ServeShell):
         per-shard attribution in its ``detail``."""
         results = [oc.out.result for oc in outcomes]
         pairs, n_pairs = gather_pairs(
-            results, len(query.relations), self.kernel,
-            query.collect_pairs,
+            results, len(query.relations), query.collect_pairs,
         )
         detail: Dict[str, object] = {
             "strategy": "scatter-gather",

@@ -353,8 +353,7 @@ def serve_bench(args: argparse.Namespace) -> int:
             f"{report['pool']['tasks_dispatched']} shipped / "
             f"{report['pool']['tasks_inline']} inline"
         )],
-        ["kernel / shm", (
-            f"{m['kernel']}, "
+        ["shm", (
             f"{report['pool']['shm']['segments_created']} segments "
             f"(+{report['pool']['shm']['segments_recycled']} recycled), "
             f"{report['pool']['shm']['tile_refs_reused']} tile refs "

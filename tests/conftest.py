@@ -1,11 +1,12 @@
 """Shared fixtures: a small simulated machine room, tiny datasets, and
 the differential-testing harness (brute force vs. single engine vs.
-sharded scatter/gather)."""
+sharded scatter/gather, and the engine vs. its python reference)."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import os
 import random
 import threading
@@ -16,7 +17,9 @@ from typing import (
 import pytest
 
 import repro
+from repro.core import pbsm
 from repro.core.brute import brute_force_pairs
+from repro.core.planner import STRATEGIES
 from repro.engine import executor as executor_mod
 from repro.engine import shard as shard_mod
 from repro.geom.rect import Rect, intersection, mbr_of
@@ -233,7 +236,7 @@ def brute_reference(
     pair, ``rid_a < rid_b``, identity excluded); a ``window`` keeps a
     pair only when the rectangles' common intersection meets it — the
     same post-filter rule :func:`repro.engine.executor._filter_window`
-    applies.
+    applies (:func:`filter_window_reference` is its loop).
     """
     if rects_b is None:
         pairs = {
@@ -397,9 +400,8 @@ def windowed_hit_reference(engine, window: Rect):
         by_b.update((r.rid, r) for r in (
             side_a if side_b is None else side_b
         ))
-        _, got, task_ops, _, _ = executor_mod.sweep_tile_task(
-            (part, spec, side_a, side_b, side_b is None, True, None,
-             "python")
+        _, got, task_ops, _, _ = pbsm.sweep_tile(
+            (part, spec, side_a, side_b, side_b is None, True, None)
         )
         pairs += got
         ops += task_ops
@@ -409,3 +411,151 @@ def windowed_hit_reference(engine, window: Rect):
         if inter is not None and inter.intersects(window):
             kept.append((ida, idb))
     return kept, ops, one_sided
+
+
+# -- the python reference executor -------------------------------------------
+#
+# The engine runs only the numpy kernels.  What they are held to is the
+# python code they replaced: the bodies below (the executor's post-filters,
+# row by row) and the core references (``pbsm.distribute``,
+# ``pbsm.sweep_tile``, ``pq_join(kernel="python")``), swapped in for the
+# executor's module globals by :func:`reference_executor`.
+
+
+def prune_window_reference(cached, window: Rect) -> List[tuple]:
+    """:func:`repro.engine.executor._prune_window`, one ``intersects``
+    test a decoded rectangle: sides come back as ``Rect`` lists."""
+    sides = [
+        [[r for r in tile.decode() if r.intersects(window)]
+         for tile in image.tiles]
+        for image in cached.images
+    ]
+    return [
+        (part, a, b) for part, a, b in cached.cut(sides)
+        if len(a) or (b is not None and len(b))
+    ]
+
+
+def filter_window_reference(result, entries, window: Rect,
+                            strip: Tuple[float, ...] = ()):
+    """:func:`repro.engine.executor._filter_window`, one tuple at a time
+    through ``by_id``: kept tuples come back as a list."""
+    kept: List[tuple] = []
+    unowned = 0
+    for ids in result.pairs:
+        rects = [entries[i].by_id[rid] for i, rid in enumerate(ids)]
+        acc: Optional[Rect] = rects[0]
+        for r in rects[1:]:
+            acc = intersection(acc, r)
+            if acc is None:
+                break
+        if acc is None or not acc.intersects(window):
+            continue
+        if strip and not pbsm._in_strip(max(acc.xlo, window.xlo), strip):
+            unowned += 1
+        else:
+            kept.append(ids)
+    result.detail["window_filtered"] = result.n_pairs - len(kept) - unowned
+    if strip:
+        result.detail["cross_shard_duplicates"] = unowned
+    result.pairs = kept
+    result.n_pairs = len(kept)
+    return result
+
+
+def own_results_reference(result, entries, strip: Tuple[float, ...],
+                          window: Optional[Rect]):
+    """:func:`repro.engine.executor._own_results`, one ``by_id`` lookup
+    an id: kept tuples come back as a list."""
+    floor = -float("inf") if window is None else window.xlo
+    kept = [
+        ids for ids in result.pairs
+        if pbsm._in_strip(max(floor, *(entries[i].by_id[rid].xlo
+                                       for i, rid in enumerate(ids))),
+                          strip)
+    ]
+    result.detail["cross_shard_duplicates"] = result.n_pairs - len(kept)
+    result.pairs = kept
+    result.n_pairs = len(kept)
+    return result
+
+
+def reference_distribute(entry, parts, grid, window, allowance) -> int:
+    """:func:`repro.engine.executor._distribute_columnar` as the
+    per-rectangle :func:`repro.core.pbsm.distribute` over the entry's
+    base stream (the partitions hold the allowance)."""
+    return pbsm.distribute(entry.stream, parts, grid, window)
+
+
+def reference_tile_task(payload: tuple) -> tuple:
+    """:func:`repro.engine.executor.sweep_tile_task` through
+    :func:`repro.core.pbsm.sweep_tile`: same payload, same refusal of a
+    window in slot 6, same cancel check; pairs come back as a list."""
+    if payload[6] is not None:
+        raise ValueError("tile payloads carry no window (slot 6 must be "
+                         "None)")
+    executor_mod._check_cancel(payload)
+    sides = tuple(executor_mod._resolved(side) for side in payload[2:4])
+    return pbsm.sweep_tile(payload[:2] + sides + payload[4:])
+
+
+def reference_tile_batch_task(payloads: tuple) -> tuple:
+    """:func:`repro.engine.executor.sweep_tile_batch_task` as its tiles
+    through :func:`reference_tile_task` back to back, pairs in one
+    list."""
+    count = ops = dups = unowned = 0
+    pairs: Optional[list] = [] if payloads and payloads[0][5] else None
+    for payload in payloads:
+        c, got, o, d, u = reference_tile_task(payload)
+        count += c
+        ops += o
+        dups += d
+        unowned += u
+        if pairs is not None:
+            pairs.extend(got)
+    return (count, pairs, ops, dups, unowned)
+
+
+def _python_run(run, in_a, in_b, rel_a, rel_b, disk, collect, kernel,
+                pool):
+    return run(in_a, in_b, rel_a, rel_b, disk, collect, "python", pool)
+
+
+#: ``STRATEGIES`` with every row run by the python kernel, whatever the
+#: executor asks for: a ``pq-index`` plan joins through ``IndexSource``.
+REFERENCE_STRATEGIES = {
+    name: dataclasses.replace(row, run=functools.partial(_python_run,
+                                                         row.run))
+    for name, row in STRATEGIES.items()
+}
+
+
+@contextlib.contextmanager
+def reference_executor(on: bool = True):
+    """Every engine built and run inside the block executes the python
+    references instead of the numpy kernels.
+
+    The executor resolves the distribute, the two tile tasks, the
+    prune, the two post-filters and the strategy rows as its module
+    globals at call time (the end-to-end bench rebinds the tile tasks
+    the same way); here they are rebound to the references above.  The
+    block must hold the engine's whole life — built, run and closed
+    inside it — so a process pool forks with the references bound.
+    Everything placement and accounting depend on stays the engine's
+    own, so pairs, their order and ``sim.*`` must come out identical.
+    ``on=False`` leaves the engine as it is (a test parametrized over
+    both reads one line).
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if on:
+            for name, value in (
+                ("_distribute_columnar", reference_distribute),
+                ("sweep_tile_task", reference_tile_task),
+                ("sweep_tile_batch_task", reference_tile_batch_task),
+                ("_prune_window", prune_window_reference),
+                ("_filter_window", filter_window_reference),
+                ("_own_results", own_results_reference),
+                ("STRATEGIES", REFERENCE_STRATEGIES),
+            ):
+                patch.setattr(executor_mod, name, value)
+        yield

@@ -23,7 +23,7 @@ from repro.engine import Query, SpatialQueryEngine
 from repro.geom.rect import Rect
 from repro.sim.env import SimEnv
 
-from tests.conftest import TEST_SCALE
+from tests.conftest import TEST_SCALE, reference_executor
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 SIZES = (1000, 2000, 4000, 8000, 16000)
@@ -124,14 +124,15 @@ def test_overlay_stays_in_class_and_under_its_coefficient(ladder):
 @pytest.mark.parametrize("kernel", ("python", "numpy"))
 def test_index_window_stays_in_class_and_under_its_coefficients(ladder,
                                                                 kernel):
-    # Both kernels, not just this leg's: the parity shapes are small,
-    # and a replay that is exact there must not leave the class here.
+    # The engine and its python reference: the parity shapes are
+    # small, and a replay that is exact there must not leave the class
+    # here.
     sizes, ops, reads = SIZES[:4], [], []
     for n in sizes:
-        with SpatialQueryEngine(scale=TEST_SCALE, workers=2,
-                                pool_kind="serial", cache_capacity=0,
-                                memory_bytes=64 << 20,
-                                kernel=kernel) as engine:
+        with reference_executor(kernel == "python"), SpatialQueryEngine(
+            scale=TEST_SCALE, workers=2, pool_kind="serial",
+            cache_capacity=0, memory_bytes=64 << 20,
+        ) as engine:
             engine.register("a", ladder[n][0], universe=UNIT)
             engine.register("b", ladder[n][1], universe=UNIT)
             engine.prepare()

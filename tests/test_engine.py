@@ -33,6 +33,7 @@ from tests.conftest import (
     TEST_SCALE,
     brute_reference,
     dispatch,
+    reference_executor,
     windowed_hit_reference,
 )
 
@@ -90,6 +91,93 @@ class TestCatalog:
         tree = other.catalog.load_index("a", path)
         assert tree.num_objects == 300
         assert other.catalog.get("a").has_tree
+
+
+#: What ``register`` refuses, by name: one bad rectangle (rid 7, with
+#: a second bad one after it: the message names the first) or a bad
+#: universe over good rectangles.
+_INF, _NAN = math.inf, math.nan
+BAD_RELATIONS = {
+    "inf": Rect(0.2, _INF, 0.1, 0.3, 7),
+    "nan": Rect(0.2, 0.3, _NAN, 0.3, 7),
+    "inverted-x": Rect(0.5, 0.4, 0.1, 0.3, 7),
+    "inverted-y": Rect(0.2, 0.3, 0.6, 0.2, 7),
+    "universe": Rect(0.0, _INF, 0.0, 1.0, 0),
+}
+
+
+def _bad_registration(bad: str, good):
+    """``(rects, universe, message)`` of the ``bad`` case over ``good``."""
+    if bad == "universe":
+        return good, BAD_RELATIONS[bad], r"relation 'a': universe"
+    rects = list(good)
+    rects[7] = BAD_RELATIONS[bad]
+    rects[9] = Rect(0.5, 0.4, 0.6, 0.2, rects[9].rid)
+    return rects, UNIT, r"relation 'a': rectangle rid=7 "
+
+
+class TestRegisterRefusesWhatTheKernelsDecline:
+    """A non-finite or inverted rectangle, or a non-finite universe, is
+    refused at ``register`` with the relation and the first bad rid
+    named, and leaves the engine exactly as it was."""
+
+    @staticmethod
+    def _engine(sharded: bool):
+        if sharded:
+            return ShardedEngine(shards=2, scale=TEST_SCALE,
+                                 machine=MACHINE_3, workers=2,
+                                 pool_kind="serial", cache_capacity=8)
+        return SpatialQueryEngine(scale=TEST_SCALE, machine=MACHINE_3,
+                                  workers=2, pool_kind="serial",
+                                  cache_capacity=8)
+
+    @staticmethod
+    def _state(engine, sharded: bool):
+        engines = engine.all_engines if sharded else [engine]
+        state = [
+            (e.catalog.names(), e.catalog.versions_of(e.catalog.names()),
+             [list(e.catalog.get(n).rects) for n in e.catalog.names()],
+             len(e.cache), len(e.artifacts._entries))
+            for e in engines
+        ]
+        if sharded:
+            state.append((engine._cuts, dict(engine._versions),
+                          engine.boundary_replicas, len(engine.cache)))
+        return state
+
+    @pytest.mark.parametrize("sharded", (False, True),
+                             ids=("single", "sharded"))
+    @pytest.mark.parametrize("bad", sorted(BAD_RELATIONS))
+    def test_a_bad_relation_changes_nothing(self, bad, sharded):
+        a = uniform_rects(300, UNIT, 0.02, seed=1)
+        b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
+        rects, universe, message = _bad_registration(bad, a)
+        query = Query(relations=("a", "b"), force="pbsm-grid")
+        with self._engine(sharded) as fresh:
+            empty = self._state(fresh, sharded)
+        with self._engine(sharded) as engine:
+            # Refused before anything else: no relation, no cuts.
+            with pytest.raises(ValueError, match=message):
+                engine.register("a", rects, universe=universe)
+            assert self._state(engine, sharded) == empty
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            served = engine.execute(query).result.pair_set()
+            assert served == brute_reference(a, b)
+            before = self._state(engine, sharded)
+            # Refused again over a registered relation: versions,
+            # rectangles, caches and cuts all stay.
+            with pytest.raises(ValueError, match=message):
+                engine.register("a", rects, universe=universe)
+            assert self._state(engine, sharded) == before
+            hit = engine.execute(query)
+            assert hit.from_cache and hit.result.pair_set() == served
+            # And a valid registration still goes through.
+            moved = uniform_rects(300, UNIT, 0.02, seed=5)
+            engine.register("a", moved, universe=UNIT)
+            out = engine.execute(query)
+            assert not out.from_cache
+            assert out.result.pair_set() == brute_reference(moved, b)
 
 
 class TestQueryValidation:
@@ -474,20 +562,25 @@ class TestMemoryGovernance:
     @pytest.mark.parametrize("kernel", ("python", "numpy"))
     def test_pair_count_bound_ignores_the_representation(
             self, kernel, monkeypatch):
-        # MAX_CACHED_PAIRS counts pairs: a list (python kernel) and
-        # columns (numpy) stop being cached at the same result size.
+        # MAX_CACHED_PAIRS counts pairs: a list (the python reference's
+        # pq-index join) and columns (the numpy one) stop being cached
+        # at the same result size.
         from repro.engine import engine as engine_mod
 
+        with reference_executor(kernel == "python"):
+            self._check_pair_count_bound(kernel, engine_mod, monkeypatch)
+
+    def _check_pair_count_bound(self, kernel, engine_mod, monkeypatch):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            pool_kind="serial", kernel=kernel,
+            pool_kind="serial",
         )
         engine.register("a", uniform_rects(300, UNIT, 0.02, seed=1),
                         universe=UNIT)
         engine.register("b", uniform_rects(120, UNIT, 0.03, seed=2,
                                            id_base=100_000),
                         universe=UNIT)
-        q = Query(relations=("a", "b"), force="pbsm-grid")
+        q = Query(relations=("a", "b"), force="pq-index")
         monkeypatch.setattr(engine_mod, "MAX_CACHED_PAIRS", 0)
         n = engine.execute(q).result.n_pairs
         assert n > 1 and len(engine.cache) == 0
@@ -878,6 +971,7 @@ REUSE_WINDOWS = {
     "interior": Rect(0.31, 0.74, 0.22, 0.58, 0),
 }
 
+#: ``python``: the engine under the reference executor.
 _KERNELS = ("python", "numpy")
 
 
@@ -910,7 +1004,12 @@ class TestWindowedReuse:
                              ids=("pairwise", "self-join"))
     @pytest.mark.parametrize("kernel", _KERNELS)
     def test_matches_the_reference_prune(self, kernel, self_join):
-        engine = self._engine(kernel=kernel)
+        # ``python``: the reference executor, whose prune and sweep are
+        # the row-by-row bodies the numpy engine is held to.
+        with reference_executor(kernel == "python"):
+            self._check_windows(self._engine(), self_join)
+
+    def _check_windows(self, engine, self_join):
         a, b = engine._test_rects
         relations = ("a", "a") if self_join else ("a", "b")
         engine.execute(Query(relations=relations, force="pbsm-grid"))
@@ -1166,7 +1265,7 @@ class TestStagesReleaseWhatTheyHold:
         # A budget the first side already overflows: by the time the
         # second side's distribute raises, tiles are granted and
         # spilled.
-        engine = _prepared_ab_engine(memory_bytes=3000, kernel="numpy")
+        engine = _prepared_ab_engine(memory_bytes=3000)
         before = len(engine.disk._payloads)
         real, calls = np_distribute.distribute, []
 

@@ -1,13 +1,17 @@
-"""Differential tests for the runtime-selected sweep kernels.
+"""Differential tests for the numpy kernels against the python reference.
 
 The contract under test: the numpy kernel is *bit-identical* to the
 pure-python reference — same pairs, same emit order, same ``cpu_ops``
 and ``max_active_items`` accounting — at every level it plugs in
 (batched sweep, tile task, whole engine over serial and process
-pools).  Alongside parity, the suite pins kernel resolution semantics
-(``auto``/``REPRO_KERNEL``/explicit) and the hygiene of shared-memory
-tile shipping: segments are reference-counted, survive worker crashes,
-and never outlive the engine.
+pools).  At the engine level the reference is
+:func:`tests.conftest.reference_executor`: the same engine with the
+python bodies bound where the executor calls the kernels.  Alongside
+parity, the suite pins kernel resolution semantics
+(``auto``/``REPRO_KERNEL``/explicit, which the engine ignores) and the
+hygiene of shared-memory tile shipping: segments are
+reference-counted, survive worker crashes, and never outlive the
+engine.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import kernels
+from repro.core import kernels, pbsm
 from repro.core.columnar import (
     COLUMN_BYTES_PER_RECT,
     ColumnarTile,
@@ -33,6 +37,7 @@ from repro.core.pbsm import (
     SpillablePartition,
     TileAllowance,
     TileGrid,
+    _OpCounter,
     distribute,
 )
 from repro.core.pq_join import PQConfig
@@ -51,11 +56,7 @@ from repro.engine import (
 )
 from repro.engine import executor as executor_mod
 from repro.engine.catalog import Catalog
-from repro.engine.executor import (
-    _OpCounter,
-    sweep_tile_batch_task,
-    sweep_tile_task,
-)
+from repro.engine.executor import sweep_tile_batch_task, sweep_tile_task
 from repro.geom.rect import RECT_BYTES, Rect, intersection
 from repro.rtree.insert import RTreeBuilder
 from repro.rtree.rstar import RStarTreeBuilder
@@ -71,8 +72,13 @@ from tests.conftest import (
     _uniform,
     brute_reference,
     dispatch,
+    filter_window_reference,
     force_strategies,
     make_env,
+    prune_window_reference,
+    reference_executor,
+    reference_tile_batch_task,
+    reference_tile_task,
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
@@ -102,16 +108,24 @@ class TestResolveKernel:
         # ...but never overrides an explicit request.
         assert kernels.resolve_kernel("numpy") == "numpy"
 
-    def test_engine_surfaces_resolved_kernel(self):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, workers=1, pool_kind="serial",
-            kernel="python",
-        )
-        try:
-            assert engine.kernel == "python"
-            assert engine.metrics_snapshot()["kernel"] == "python"
-        finally:
-            engine.close()
+    def test_repro_kernel_leaves_the_engine_on_numpy(self, monkeypatch):
+        # The variable steers "auto" in core, never the engine: its
+        # partitioned and pq-index plans run numpy under it.
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "python")
+        rng = random.Random(4)
+        a = _uniform(rng, 200)
+        b = _uniform(rng, 150, 10_000)
+        with SpatialQueryEngine(scale=TEST_SCALE, workers=2,
+                                pool_kind="serial") as engine:
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            for force in ("pbsm-grid", "pq-index"):
+                out = engine.execute(Query(relations=("a", "b"),
+                                           force=force))
+                assert out.result.detail["kernel"] == "numpy", force
+                assert isinstance(out.result.pairs, PairColumns)
+                assert set(out.result.pairs) == brute_reference(a, b)
+            assert "kernel" not in engine.metrics_snapshot()
 
 
 # -- batched-sweep parity ----------------------------------------------------
@@ -225,22 +239,22 @@ class TestTileTaskParity:
     GRID_SPEC = (0.0, 1.0, 0.0, 1.0, 2, 4)  # 2x2 tiles, 4 partitions
 
     def _run(self, side_a, side_b, self_join, window=None):
-        """Both kernels over every partition; identical 4-tuples.  A
-        window prunes the tile first, each kernel with its own body."""
-        sides = {}
-        for kernel in ("python", "numpy"):
-            sides[kernel] = (side_a, side_b)
-            if window is not None:
-                (_, *sides[kernel]), = executor_mod._prune_window(
-                    DistributionImage([(0, side_a, side_b)]), window,
-                    kernel,
-                )
+        """The task and the reference over every partition; identical
+        outcomes.  A window prunes the tile first, each with its own
+        body."""
+        sides = {"numpy": (side_a, side_b), "python": (side_a, side_b)}
+        if window is not None:
+            cached = DistributionImage([(0, side_a, side_b)])
+            (_, *sides["numpy"]), = executor_mod._prune_window(cached,
+                                                               window)
+            (_, *sides["python"]), = prune_window_reference(cached, window)
         for part_id in range(self.GRID_SPEC[5]):
-            out = {}
-            for kernel in ("python", "numpy"):
-                payload = (part_id, self.GRID_SPEC, *sides[kernel],
-                           self_join, True, None, kernel)
-                out[kernel] = sweep_tile_task(payload)
+            out = {
+                kernel: task((part_id, self.GRID_SPEC, *sides[kernel],
+                              self_join, True, None, "numpy"))
+                for kernel, task in (("python", reference_tile_task),
+                                     ("numpy", sweep_tile_task))
+            }
             assert out["numpy"] == out["python"], (
                 f"kernel divergence on partition {part_id}"
             )
@@ -273,16 +287,6 @@ class TestTileTaskParity:
 
 
 class TestEngineParity:
-    def _engine(self, kernel, pool_kind, rects_a, rects_b):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
-            cache_capacity=0, kernel=kernel,
-        )
-        engine.register("a", rects_a, universe=UNIT)
-        if rects_b is not None:
-            engine.register("b", rects_b, universe=UNIT)
-        return engine
-
     @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_pairs_and_accounting_match(self, pool_kind):
         rng = random.Random(17)
@@ -292,20 +296,24 @@ class TestEngineParity:
         query = Query(relations=("a", "b"))
         outcomes = {}
         for kernel in ("python", "numpy"):
-            engine = self._engine(kernel, pool_kind, a, b)
-            try:
+            with reference_executor(kernel == "python"), \
+                    SpatialQueryEngine(
+                        scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
+                        cache_capacity=0,
+                    ) as engine:
+                engine.register("a", a, universe=UNIT)
+                engine.register("b", b, universe=UNIT)
                 with dispatch(MIN_SHIP_RECTS=0, SHM_MIN_BYTES=0):
                     out = engine.execute(query)
                 outcomes[kernel] = (
-                    sorted(out.result.pairs),
+                    list(out.result.pairs),
                     engine.metrics.sim_wall_seconds,
+                    engine.metrics.cpu_ops,
                     engine.metrics_snapshot()["pages_read"],
                 )
-            finally:
-                engine.close()
-        assert outcomes["numpy"][0] == ref
-        # Same pairs AND the same simulated cost: op accounting is
-        # kernel-invariant, only the wall clock may move.
+        assert sorted(outcomes["numpy"][0]) == ref
+        # Same pairs in the same order AND the same simulated cost: op
+        # accounting is kernel-invariant, only the wall clock may move.
         assert outcomes["numpy"] == outcomes["python"]
 
 
@@ -332,7 +340,7 @@ class TestShmShipping:
     def _shm_engine(self):
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, workers=2, pool_kind="process",
-            cache_capacity=0, kernel="python",
+            cache_capacity=0,
         )
         rects = _clustered(random.Random(23), 400)
         engine.register("a", rects, universe=UNIT)
@@ -473,7 +481,6 @@ def _place(kernel, relations, grid, window, budget_of, scale=TEST_SCALE):
             side_ops = executor_mod._distribute_columnar(
                 entry, parts, grid, window, allowance
             )
-            assert side_ops is not None
         else:
             side_ops = distribute(entry.stream, parts, grid, window)
         ops += side_ops
@@ -493,12 +500,13 @@ def _place(kernel, relations, grid, window, budget_of, scale=TEST_SCALE):
 
 
 def _engine_outcome(kernel, a, b, window, workers, memory_bytes):
-    engine = SpatialQueryEngine(
+    """One forced ``pbsm-grid`` query on a fresh engine: the engine
+    itself (``"numpy"``) or its python reference (``"python"``)."""
+    with reference_executor(kernel == "python"), SpatialQueryEngine(
         scale=TEST_SCALE, workers=workers, pool_kind="serial",
-        cache_capacity=0, artifact_cache_bytes=0, kernel=kernel,
+        cache_capacity=0, artifact_cache_bytes=0,
         memory_bytes=memory_bytes,
-    )
-    try:
+    ) as engine:
         engine.register("a", a, universe=UNIT)
         if b is not None:
             engine.register("b", b, universe=UNIT)
@@ -511,15 +519,13 @@ def _engine_outcome(kernel, a, b, window, workers, memory_bytes):
         ))
         detail = out.result.detail
         return {
-            "pairs": out.result.pairs,
+            "pairs": list(out.result.pairs),
             "spill": (detail["spilled_rects"], detail["spill_partitions"],
                       detail["tile_grant_bytes"]),
             "sim": (out.sim_wall_seconds, env.cpu_ops, env.page_reads,
                     env.page_writes, env.bytes_read, env.bytes_written),
             "high_water": engine.budget.high_water_bytes,
         }
-    finally:
-        engine.close()
 
 
 class TestDistributeParity:
@@ -652,27 +658,28 @@ class TestDistributeParity:
     def test_overflow_without_a_resident_tile_on_a_serial_pool(
             self, monkeypatch):
         # The whole grant goes to the corner tile the scan meets first,
-        # so every other partition holds overflow only on both sides;
-        # on a serial pool those materialize in list form, which
-        # decodes the column blocks the numpy distribute wrote.
-        decoded = []
-        materialize = SpillablePartition.materialize
+        # so every other partition holds overflow only on both sides:
+        # those materialize from nothing but the column blocks the
+        # numpy distribute spilled.
+        overflow_only = []
+        materialize = SpillablePartition.materialize_columnar
 
         def spy(part):
-            rects = materialize(part)
+            tile = materialize(part)
             if (part.packed is None and part._spill is not None
                     and part._spill.row_fed):
-                decoded.append(len(rects))
-            return rects
+                overflow_only.append(len(tile))
+            return tile
 
-        monkeypatch.setattr(SpillablePartition, "materialize", spy)
+        monkeypatch.setattr(SpillablePartition, "materialize_columnar",
+                            spy)
         rng = random.Random(77)
         a = [Rect(x, x + 0.001, x, x + 0.001, i)
              for i, x in enumerate(rng.random() / 40 for _ in range(140))]
         a += GENERATORS["degenerate"](rng, 200, 1_000)
         b = GENERATORS["uniform"](rng, 280, 10_000)
         got = _engine_outcome("numpy", a, b, None, 4, 2_600)
-        assert decoded and min(decoded) > 0
+        assert overflow_only and min(overflow_only) > 0
         monkeypatch.undo()
         assert got == _engine_outcome("python", a, b, None, 4, 2_600)
         assert set(got["pairs"]) == brute_reference(a, b)
@@ -693,7 +700,7 @@ class TestDistributeParity:
         b = GENERATORS["degenerate"](rng, 400, 10_000)
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
-            cache_capacity=0, artifact_cache_bytes=0, kernel="numpy",
+            cache_capacity=0, artifact_cache_bytes=0,
             memory_bytes=(len(a) + len(b)) * RECT_BYTES // 4,
         )
         try:
@@ -767,25 +774,36 @@ class TestDistributeParity:
                 got["numpy"]["pairs"]
             )
 
-    def test_non_finite_input_falls_back_untouched(self, disk, store):
+    def test_a_declined_distribute_raises_untouched(self, disk, store):
+        # Non-finite input is outside the kernels' model: they decline
+        # it, and the catalog never admits it.
         from repro.core.kernels import np_distribute
 
         rects = _uniform(random.Random(2), 50)
-        rects[7] = Rect(0.2, float("inf"), 0.1, 0.3, 7)
-        entry = Catalog(disk, store).register("a", rects, universe=UNIT)
+        bad = rects[:7] + [Rect(0.2, float("inf"), 0.1, 0.3, 7)]
+        image = np_distribute.ColumnImage(bad)
         grid = TileGrid(UNIT, 32, 8)
-        assert np_distribute.distribute(entry.columns, grid, None) is None
+        assert np_distribute.distribute(image, grid, None) is None
         assert np_distribute.filter_window(
-            [entry.columns, entry.columns], [(1, 2)], UNIT
+            [image, image], [(1, 2)], UNIT
         ) is None
+        catalog = Catalog(disk, store)
+        with pytest.raises(ValueError, match="rid=7"):
+            catalog.register("a", bad, universe=UNIT)
+        # A grid whose span is too thin for its tile count is the one
+        # decline a direct caller can still provoke: it raises, having
+        # taken no allowance, read no block and placed no copy.
+        entry = catalog.register("a", rects, universe=UNIT)
+        thin = TileGrid(Rect(0.0, 5e-324, 0.0, 1.0, 0), 32, 8)
+        assert np_distribute.distribute(entry.columns, thin, None) is None
         entry.stream  # built before the counters are read
         reads = disk.env.page_reads
         allowance = TileAllowance(10_000)
         parts = [SpillablePartition(disk, f"t{i}", allowance=allowance)
                  for i in range(8)]
-        assert executor_mod._distribute_columnar(
-            entry, parts, grid, None, allowance
-        ) is None
+        with pytest.raises(ValueError, match="declined relation 'a'"):
+            executor_mod._distribute_columnar(entry, parts, thin, None,
+                                              allowance)
         assert allowance.remaining == 10_000
         assert disk.env.page_reads == reads
         assert not any(len(part) for part in parts)
@@ -864,11 +882,12 @@ class TestDistributeParity:
                   for _ in range(1500)]
         window = Rect(0.25, 0.7, 0.3, 0.8, 0)
         got = {}
-        for kernel in ("python", "numpy"):
+        for kernel, filter_window in (
+                ("python", filter_window_reference),
+                ("numpy", executor_mod._filter_window)):
             result = JoinResult(algorithm="x", n_pairs=len(tuples),
                                 pairs=list(tuples), detail={})
-            out = executor_mod._filter_window(result, entries, window,
-                                              kernel)
+            out = filter_window(result, entries, window)
             got[kernel] = (out.pairs, out.n_pairs, dict(out.detail))
         assert got["numpy"] == got["python"]
         assert 0 < got["numpy"][1] < len(tuples)
@@ -883,9 +902,9 @@ class TestDistributeParity:
                    Query(relations=("a", "b"), window=window)]
         engines = [
             SpatialQueryEngine(scale=TEST_SCALE, workers=2,
-                               pool_kind="serial", kernel="numpy"),
+                               pool_kind="serial"),
             ShardedEngine(shards=2, scale=TEST_SCALE, workers=2,
-                          pool_kind="serial", kernel="numpy"),
+                          pool_kind="serial"),
         ]
         for engine in engines:
             try:
@@ -908,35 +927,31 @@ class TestDistributeParity:
         entry = engines[0].catalog.get("a")
         assert len(entry.columns) == len(a2)
 
-    def test_distribute_span_names_the_kernel(self):
+    def test_distribute_span_counts_the_copies(self):
         rng = random.Random(31)
         a = GENERATORS["degenerate"](rng, 200)
         b = GENERATORS["uniform"](rng, 200, 10_000)
         query = Query(relations=("a", "b"), force="pbsm-grid")
-        attrs = {}
+        copies = {}
         for kernel in ("python", "numpy"):
-            engine = SpatialQueryEngine(
-                scale=TEST_SCALE, workers=2, pool_kind="serial",
-                cache_capacity=0, kernel=kernel, trace=True,
-                memory_bytes=10_000_000,
-            )
-            try:
+            with reference_executor(kernel == "python"), \
+                    SpatialQueryEngine(
+                        scale=TEST_SCALE, workers=2, pool_kind="serial",
+                        cache_capacity=0, trace=True,
+                        memory_bytes=10_000_000,
+                    ) as engine:
                 engine.register("a", a, universe=UNIT)
                 engine.register("b", b, universe=UNIT)
                 cold = engine.execute(query).trace.find("distribute")
                 warm = engine.execute(query).trace.find("distribute")
-            finally:
-                engine.close()
-            assert cold.attrs["kernel"] == kernel
-            attrs[kernel] = cold.attrs["copies"]
+            copies[kernel] = cold.attrs["copies"]
             # Tiles came from the artifact cache: nothing distributed.
             assert warm.attrs["artifact_hit"] is True
-            assert (warm.attrs["kernel"], warm.attrs["copies"]) == (None, 0)
-        grid_copies = attrs["python"]
-        assert grid_copies == attrs["numpy"] > len(a) + len(b)
+            assert warm.attrs["copies"] == 0
+        assert copies["numpy"] == copies["python"] > len(a) + len(b)
 
 
-def _window_pruned(payloads, window, kernel="numpy"):
+def _window_pruned(payloads, window):
     """``payloads`` as a windowed query reusing their distribution
     ships them: the executor's coordinator-side prune to ``window``
     (``None``: untouched)."""
@@ -946,8 +961,7 @@ def _window_pruned(payloads, window, kernel="numpy"):
     cached = DistributionImage((p[0], p[2], p[3]) for p in payloads)
     return [
         (part, first[1], a, b) + first[4:]
-        for part, a, b in executor_mod._prune_window(cached, window,
-                                                     kernel)
+        for part, a, b in executor_mod._prune_window(cached, window)
     ]
 
 
@@ -1007,8 +1021,8 @@ class TestPruneParity:
         payloads = TestPairColumnsParity()._payloads(kind, "full")
         cached = DistributionImage((p[0], p[2], p[3]) for p in payloads)
         win = WINDOWS.get(window) or self.EXTRA[window]
-        ref = executor_mod._prune_window(cached, win, "python")
-        got = executor_mod._prune_window(cached, win, "numpy")
+        ref = prune_window_reference(cached, win)
+        got = executor_mod._prune_window(cached, win)
         assert all(type(side) is list for task in ref for side in task[1:]
                    if side is not None)
         assert _decoded(got) == ref
@@ -1046,28 +1060,31 @@ class TestPruneParity:
             (t, rects(a, 100 * t), None if self_join else rects(b, 50))
             for t, (a, b) in enumerate(tiles)
         )
-        ref = executor_mod._prune_window(cached, window, "python")
-        assert _decoded(executor_mod._prune_window(
-            cached, window, "numpy")) == ref
+        ref = prune_window_reference(cached, window)
+        assert _decoded(executor_mod._prune_window(cached, window)) == ref
         for part, a, b in ref:
             assert a or b, "a task left empty on both sides is dropped"
 
     @pytest.mark.parametrize("kernel", ("python", "numpy"))
     def test_a_window_in_the_payload_is_refused(self, kernel):
+        task, batch_task = {
+            "python": (reference_tile_task, reference_tile_batch_task),
+            "numpy": (sweep_tile_task, sweep_tile_batch_task),
+        }[kernel]
         tile = ColumnarTile.from_rects(_uniform(random.Random(4), 40))
         payload = (0, (0.0, 1.0, 0.0, 1.0, 1, 1), tile, None, True, True,
-                   Rect(0.2, 0.6, 0.2, 0.6, 0), kernel)
+                   Rect(0.2, 0.6, 0.2, 0.6, 0), "numpy")
         with pytest.raises(ValueError, match="slot 6"):
-            sweep_tile_task(payload)
+            task(payload)
         with pytest.raises(ValueError, match="slot 6"):
-            sweep_tile_batch_task((payload[:6] + (None, kernel), payload))
+            batch_task((payload[:6] + (None, "numpy"), payload))
 
 
 # -- columnar pairs: the kernel's output format ------------------------------
 
 
 class TestPairColumnsParity:
-    """``sweep_tile`` columns vs the python body's tuples, in order."""
+    """The tile tasks' columns vs the reference's tuples, in order."""
 
     P = 4
 
@@ -1087,7 +1104,7 @@ class TestPairColumnsParity:
         assert payloads
         total = 0
         for payload in payloads:
-            ref = sweep_tile_task(payload + ("python",))
+            ref = pbsm.sweep_tile(payload)
             got = sweep_tile_task(payload + ("numpy",))
             assert type(ref[1]) is list
             assert isinstance(got[1], PairColumns)
@@ -1099,44 +1116,39 @@ class TestPairColumnsParity:
 
     @pytest.mark.parametrize("kind", ("uniform", "clustered",
                                       "degenerate"))
-    def test_batch_of_mixed_python_and_numpy_tiles(self, kind):
-        payloads = self._payloads(kind, "full")
+    def test_a_declined_group_raises(self, kind):
+        payloads = [p + ("numpy",) for p in self._payloads(kind, "full")]
         assert len(payloads) > 1
-        # One inverted y-interval: the kernel declines the group, the
-        # tiles fall back one by one, and only the tile that holds it
-        # takes the python body (a list) — the others stay columns.
-        payloads[0] = _inverted(payloads[0])
-        solo = [sweep_tile_task(p + ("numpy",)) for p in payloads]
-        assert [type(out[1]) for out in solo] == (
-            [list] + [PairColumns] * (len(payloads) - 1)
-        )
-        ref = sweep_tile_batch_task(
-            tuple(p + ("python",) for p in payloads)
-        )
-        got = sweep_tile_batch_task(
-            tuple(p + ("numpy",) for p in payloads)
-        )
-        assert type(ref[1]) is list and isinstance(got[1], PairColumns)
-        assert list(got[1]) == ref[1] == [
-            pair for out in solo for pair in out[1]
-        ]
-        assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
+        # The batch is the solo tiles back to back...
+        solo = [sweep_tile_task(p) for p in payloads]
+        got = sweep_tile_batch_task(tuple(payloads))
+        assert isinstance(got[1], PairColumns)
+        assert list(got[1]) == [pair for out in solo for pair in out[1]]
         assert got[0] == len(got[1]) > 0
+        # ...and one inverted y-interval, which the catalog would have
+        # refused, makes the kernel decline the tile and any group
+        # holding it: the task raises, it does not fall back.
+        payloads[-1] = _inverted(payloads[-1])
+        with pytest.raises(ValueError, match="declined"):
+            sweep_tile_task(payloads[-1])
+        with pytest.raises(ValueError, match="declined"):
+            sweep_tile_batch_task(tuple(payloads))
 
     def test_batch_outcome_shapes(self):
         tile = ColumnarTile.from_rects(_uniform(random.Random(1), 30))
         spec = (0.0, 1.0, 0.0, 1.0, 1, 1)
-        for kernel, kind in (("python", list), ("numpy", PairColumns)):
-            counted = sweep_tile_batch_task((
-                (0, spec, tile, None, True, False, None, kernel),
+        for task, kind in ((reference_tile_batch_task, list),
+                           (sweep_tile_batch_task, PairColumns)):
+            counted = task((
+                (0, spec, tile, None, True, False, None, "numpy"),
             ))
             assert counted[1] is None and counted[0] > 0
-            collected = sweep_tile_batch_task((
-                (0, spec, tile, None, True, True, None, kernel),
+            collected = task((
+                (0, spec, tile, None, True, True, None, "numpy"),
             ))
             assert type(collected[1]) is kind
             assert len(collected[1]) == collected[0] == counted[0]
-        assert sweep_tile_batch_task(()) == (0, None, 0, 0, 0)
+            assert task(()) == (0, None, 0, 0, 0)
 
     @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_engine_returns_columns_in_the_python_order(self, pool_kind):
@@ -1146,11 +1158,11 @@ class TestPairColumnsParity:
         window = WINDOWS["interior"]
         got = {}
         for kernel in ("python", "numpy"):
-            engine = SpatialQueryEngine(
-                scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
-                cache_capacity=4, kernel=kernel,
-            )
-            try:
+            with reference_executor(kernel == "python"), \
+                    SpatialQueryEngine(
+                        scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
+                        cache_capacity=4,
+                    ) as engine:
                 engine.register("a", a, universe=UNIT)
                 engine.register("b", b, universe=UNIT)
                 # Small tiles batch, the trailing ones sweep inline.
@@ -1165,17 +1177,18 @@ class TestPairColumnsParity:
                     ]
                 got[kernel] = [o.result.pairs for o in outs]
                 assert outs[2].from_cache
-                # A hit shares immutable columns and copies a list.
-                assert (outs[2].result.pairs is outs[0].result.pairs) == (
-                    kernel == "numpy"
-                )
+                # A hit shares the immutable columns.
+                assert outs[2].result.pairs is outs[0].result.pairs
                 if pool_kind != "serial":
                     assert outs[0].result.detail["tile_batches"] > 0
-            finally:
-                engine.close()
-        assert all(type(p) is list for p in got["python"])
+        # The reference gathers columns too; its window filter keeps a
+        # list.
+        assert [type(p) for p in got["python"]] == [PairColumns, list,
+                                                     PairColumns]
         assert all(isinstance(p, PairColumns) for p in got["numpy"])
-        assert [list(p) for p in got["numpy"]] == got["python"]
+        assert [list(p) for p in got["numpy"]] == [
+            list(p) for p in got["python"]
+        ]
         assert set(got["python"][0]) == brute_reference(a, b)
         assert set(got["python"][1]) == brute_reference(a, b, window)
 
@@ -1257,7 +1270,7 @@ class TestSegmentedSweepParity:
         from repro.core.kernels import np_sweep
 
         first = payloads[0]
-        refs = [sweep_tile_task(p + ("python",)) for p in payloads]
+        refs = [pbsm.sweep_tile(p) for p in payloads]
         tiles = [(p[0], p[2], p[3]) for p in payloads]
         got = np_sweep.sweep_tiles(tiles, first[4], first[1], True)
         assert got is not None, "the kernel declined a valid group"
@@ -1316,7 +1329,7 @@ class TestSegmentedSweepParity:
         # order they had, and count the rest apart from the partition
         # duplicates; two strips meeting at a cut split every tile.
         payloads = TestPairColumnsParity()._payloads(kind, "full")
-        whole = [sweep_tile_task(p + ("python",)) for p in payloads]
+        whole = [pbsm.sweep_tile(p) for p in payloads]
         assert all(out[4] == 0 for out in whole)
         xs = sorted(r.xlo for p in payloads for r in p[2].decode())
         cut = xs[len(xs) // 2]
@@ -1340,8 +1353,8 @@ class TestSegmentedSweepParity:
         # Columns, shared-memory refs to them and Rect lists, mixed in
         # one group, are one input to the kernel.
         payloads = TestPairColumnsParity()._payloads("degenerate", "full")
-        ref = sweep_tile_batch_task(
-            tuple(p + ("python",) for p in payloads)
+        ref = reference_tile_batch_task(
+            tuple(p + ("numpy",) for p in payloads)
         )
         pool = WorkerPool(2, kind="process")
         try:
@@ -1463,10 +1476,10 @@ class TestSegmentedSweepParity:
             [(p[0], p[2], p[3]) for p in payloads],
             first[4], first[1], True,
         ) is None
-        # (``test_batch_of_mixed_python_and_numpy_tiles`` holds the
-        # tile-by-tile fallback to the python batch.)  A window over
-        # the data (x from 0.7 up) but not the rectangle (x 0.4-0.5)
-        # prunes it before either sweep, and the group sweeps again.
+        # (``test_a_declined_group_raises`` holds the tasks raising on
+        # it.)  A window over the data (x from 0.7 up) but not the
+        # rectangle (x 0.4-0.5) prunes it before either sweep, and the
+        # group sweeps again.
         away = Rect(0.6, 1.0, 0.0, 1.0, 0)
         refs = self._check(_window_pruned(payloads, away))
         assert sum(ref[0] for ref in refs), "vacuous: no pair owned"
@@ -1647,15 +1660,14 @@ class TestSegmentedSweepParity:
         def boxed(*_args, **_kwargs):
             raise AssertionError("the numpy path fell back to python")
 
-        monkeypatch.setattr(executor_mod, "forward_sweep_pairs_batched",
-                            boxed)
+        monkeypatch.setattr(pbsm, "forward_sweep_pairs_batched", boxed)
         monkeypatch.setattr(ColumnarTile, "decode", boxed)
         rng = random.Random(41)
         a = GENERATORS["clustered"](rng, 500)
         b = GENERATORS["skewed"](rng, 400, 10_000)
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
-            cache_capacity=0, kernel="numpy",
+            cache_capacity=0,
         )
         try:
             engine.register("a", a, universe=UNIT)
@@ -2066,7 +2078,7 @@ class TestIndexKernelServing:
         if sharded:
             engine = ShardedEngine(
                 shards=2, scale=TEST_SCALE, workers=2, pool_kind="serial",
-                cache_capacity=4, kernel="numpy",
+                cache_capacity=4,
             )
             force_strategies(engine.all_engines,
                              ["pq-index"] * len(engine.all_engines))
@@ -2074,7 +2086,7 @@ class TestIndexKernelServing:
         else:
             engine = SpatialQueryEngine(
                 scale=TEST_SCALE, workers=2, pool_kind="serial",
-                cache_capacity=4, kernel="numpy",
+                cache_capacity=4,
             )
             force = "pq-index"
         try:
@@ -2105,12 +2117,11 @@ class TestIndexKernelServing:
         rng = random.Random(59)
         a = _uniform(rng, 200)
         b = _uniform(rng, 150, 10_000)
-        for kernel, sharded in (("numpy", False), ("numpy", True),
-                                ("python", False)):
+        for sharded in (False, True):
             cls = ShardedEngine if sharded else SpatialQueryEngine
             extra = {"shards": 2} if sharded else {}
             with cls(scale=TEST_SCALE, workers=1, pool_kind="serial",
-                     kernel=kernel, **extra) as engine:
+                     **extra) as engine:
                 engine.register("a", a, universe=UNIT)
                 engine.register("b", b, universe=UNIT)
                 engine.prepare()
@@ -2119,12 +2130,9 @@ class TestIndexKernelServing:
                     writes = single.catalog.store.writes
                     for name in ("a", "b"):
                         built = single.catalog.get(name).tree._leaf_columns
-                        if kernel == "numpy":
-                            # Current: the first pq-index query builds
-                            # nothing.
-                            assert built is not None and built[0] == writes
-                        else:
-                            assert built is None
+                        # Current: the first pq-index query builds
+                        # nothing.
+                        assert built is not None and built[0] == writes
 
     def test_engine_accounting_matches_the_python_kernel(self):
         rng = random.Random(53)
@@ -2132,9 +2140,10 @@ class TestIndexKernelServing:
         b = GENERATORS["skewed"](rng, 500, 10_000)
         outcomes = {}
         for kernel in ("python", "numpy"):
-            with SpatialQueryEngine(scale=TEST_SCALE, workers=2,
-                                    pool_kind="serial", cache_capacity=0,
-                                    kernel=kernel) as engine:
+            with reference_executor(kernel == "python"), \
+                    SpatialQueryEngine(scale=TEST_SCALE, workers=2,
+                                       pool_kind="serial",
+                                       cache_capacity=0) as engine:
                 engine.register("a", a, universe=UNIT)
                 engine.register("b", b, universe=UNIT)
                 engine.prepare()
@@ -2146,6 +2155,7 @@ class TestIndexKernelServing:
                         force="pq-index",
                     ))
                     detail = dict(out.result.detail)
+                    # The reference joins through ``IndexSource``.
                     assert detail.pop("kernel") == kernel
                     runs.append((list(out.result.pairs), detail,
                                  out.sim_wall_seconds))

@@ -1198,8 +1198,8 @@ class TestHttpEndpoint:
         # pairs stay int64 columns: turning them into tuples anywhere
         # on the way (merge, window filter, shard gather, cache fill,
         # cache hit, the reply's count) is the regression this pins.
+        from repro.core import pbsm
         from repro.core.columnar import ColumnarTile, PairColumns
-        from repro.engine import executor as executor_mod
         from tests.conftest import (
             brute_reference,
             dispatch,
@@ -1210,8 +1210,7 @@ class TestHttpEndpoint:
         a = _uniform(rng, 700)
         b = _uniform(rng, 500, 10_000)
         window = Rect(0.2, 0.7, 0.1, 0.6, 0)
-        engine = _make_sharded(2, pool_kind="process", kernel="numpy",
-                               cache_capacity=8)
+        engine = _make_sharded(2, pool_kind="process", cache_capacity=8)
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)
         shards = engine.all_engines
@@ -1228,8 +1227,7 @@ class TestHttpEndpoint:
         def decoded(*_args, **_kwargs):
             raise AssertionError("a tile took the python sweep")
 
-        monkeypatch.setattr(executor_mod, "forward_sweep_pairs_batched",
-                            decoded)
+        monkeypatch.setattr(pbsm, "forward_sweep_pairs_batched", decoded)
         monkeypatch.setattr(ColumnarTile, "decode", decoded)
 
         async def scenario(fe):

@@ -49,6 +49,7 @@ from tests.conftest import (
     brute_reference,
     dispatch,
     force_strategies,
+    reference_executor,
     windowed_hit_reference,
 )
 
@@ -84,17 +85,17 @@ def test_sharded_signature_tracks_the_single_engine():
     single = inspect.signature(SpatialQueryEngine.__init__).parameters
     sharded = inspect.signature(ShardedEngine.__init__).parameters
     shared = (set(single) & set(sharded)) - {"self"}
-    assert {"workers", "memory_bytes", "pool_kind", "kernel"} <= shared
+    assert {"workers", "memory_bytes", "pool_kind"} <= shared
     for name in sorted(shared):
         assert sharded[name].default == single[name].default, name
     deleted = {"min_ship_rects", "tile_batch_bytes", "shm_min_bytes",
                "inline_plan_ops", "histogram_grid", "scatter_threads",
                "replica_timeout_seconds", "slow_threshold_seconds",
                "cache_bytes", "retry_backoff_seconds", "artifact_dir",
-               "result_store_bytes", "auto_index"}
+               "result_store_bytes", "auto_index", "kernel"}
     assert not deleted & (set(single) | set(sharded))
     assert "slow_log_capacity" not in sharded
-    assert (len(single) - 1, len(sharded) - 1) == (12, 12)
+    assert (len(single) - 1, len(sharded) - 1) == (11, 11)
     # Admission grants are the static per-class table.
     assert "adaptive_grants" not in inspect.signature(
         ServingFrontend.__init__).parameters
@@ -283,12 +284,13 @@ def _multiway_reference(a, b, c, window=None):
 
 
 class TestGatherParity:
-    """The numpy gather against brute force and the python gather.
+    """The gather against brute force and the python reference.
 
     Every shard keeps only the pairs it owns, so a collected gather is
     the shards' answers back to back: its pairs are compared as sets
     with brute force, checked free of duplicates, and compared as
-    sequences across kernels, which concatenate in the same order.
+    sequences with the reference executor's, which concatenate in the
+    same order.
     """
 
     WINDOW = Rect(0.2, 0.55, 0.15, 0.6, 0)
@@ -326,22 +328,21 @@ class TestGatherParity:
             (Query(relations=("near", "far")), set()),
         ]
 
-    def _serve(self, shards, pool_kind, kernel):
+    def _serve(self, shards, pool_kind, reference=False):
         data = self._data()
-        engine = _make_sharded(shards, pool_kind=pool_kind, kernel=kernel)
-        try:
+        with reference_executor(reference), \
+                _make_sharded(shards, pool_kind=pool_kind) as engine:
             for name, rects in data.items():
                 engine.register(name, rects, universe=UNIT)
-            return [(query, ref, engine.execute(query).result)
+            return [(query, ref, engine.execute(query).result,
+                     [e.metrics.sim_wall_seconds for e in engine.engines])
                     for query, ref in self._cases(data)]
-        finally:
-            engine.close()
 
     @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     @pytest.mark.parametrize("shards", (1, 2, 4))
     def test_every_query_shape(self, shards, pool_kind):
-        served = self._serve(shards, pool_kind, "numpy")
-        for query, ref, result in served:
+        served = self._serve(shards, pool_kind)
+        for query, ref, result, _ in served:
             what = f"{query.describe()} on {shards} {pool_kind} shards"
             assert result.n_pairs == len(ref), what
             if not query.collect_pairs:
@@ -354,18 +355,18 @@ class TestGatherParity:
             assert set(result.pairs) == ref, what
         dups = served[0][2].detail["cross_shard_duplicates"]
         assert (dups > 0) == (shards > 1), "straddlers must be counted"
-        # The forced-python leg: plain lists, the same answers and the
-        # same duplicate accounting.
-        for (query, ref, result), (_, _, want) in zip(
-            served, self._serve(shards, pool_kind, "python")
+        # The python reference: the same answers in the same order, the
+        # same duplicate accounting and the same simulated time a shard.
+        for (query, _, result, sim), (_, _, want, want_sim) in zip(
+            served, self._serve(shards, pool_kind, reference=True)
         ):
             assert want.n_pairs == result.n_pairs
             for key in ("cross_shard_duplicates", "shard_pairs",
                         "shards_queried", "shards_pruned"):
                 assert want.detail[key] == result.detail[key], key
             if query.collect_pairs:
-                assert type(want.pairs) is list
-                assert want.pairs == list(result.pairs)
+                assert list(want.pairs) == list(result.pairs)
+            assert want_sim == sim
 
     def test_shards_answering_with_different_strategies(self):
         data = self._data()
@@ -400,17 +401,15 @@ class TestGatherParity:
                        pairs=part if collect else None)
             for part in parts
         ]
-        for kernel, kind in (("python", list), ("numpy", PairColumns)):
-            pairs, n = gather_pairs(results, 3, kernel, collect)
-            assert n == len(triples)
-            if collect:
-                assert type(pairs) is kind
-                assert pairs == triples
-            else:
-                assert pairs is None
-        assert gather_pairs([], 2, "numpy", True) == ([], 0)
-        assert gather_pairs([], 2, "python", True) == ([], 0)
-        assert gather_pairs([], 2, "numpy", False) == (None, 0)
+        pairs, n = gather_pairs(results, 3, collect)
+        assert n == len(triples)
+        if collect:
+            assert type(pairs) is PairColumns
+            assert pairs == triples
+        else:
+            assert pairs is None
+        assert gather_pairs([], 2, True) == ([], 0)
+        assert gather_pairs([], 2, False) == (None, 0)
 
 
 # -- ownership: each shard keeps what its strip owns ------------------------
@@ -483,7 +482,6 @@ class TestOwnership:
     def test_edge_of_cut_differential(self, data):
         draw = data.draw
         shards = draw(st.sampled_from((2, 4)), label="shards")
-        kernel = draw(st.sampled_from(("python", "numpy")), label="kernel")
         shape = draw(st.sampled_from(("pairwise", "self", "multiway")),
                      label="shape")
         # A relation crowded into one histogram column collapses the
@@ -538,18 +536,28 @@ class TestOwnership:
         query = Query(relations=relations, window=window, refine=refine,
                       collect_pairs=collect)
 
-        engine = _make_sharded(shards, kernel=kernel)
-        try:
-            for name, rects in zip("abc", (a, b, c)):
-                engine.register(name, rects, universe=UNIT)
-            assert engine._cuts == cuts
-            force_strategies(engine.engines, [
-                draw(st.sampled_from(forces)) for _ in range(shards)
-            ])
-            result = engine.execute(query).result
-            participating, _ = engine.plan_shards(query)
-        finally:
-            engine.close()
+        shard_forces = [draw(st.sampled_from(forces), label="force")
+                        for _ in range(shards)]
+        outcomes = []
+        for reference in (False, True):
+            with reference_executor(reference), \
+                    _make_sharded(shards) as engine:
+                for name, rects in zip("abc", (a, b, c)):
+                    engine.register(name, rects, universe=UNIT)
+                assert engine._cuts == cuts
+                force_strategies(engine.engines, shard_forces)
+                result = engine.execute(query).result
+                participating, _ = engine.plan_shards(query)
+                outcomes.append((
+                    None if result.pairs is None else list(result.pairs),
+                    {key: result.detail[key] for key in (
+                        "cross_shard_duplicates", "shard_pairs",
+                        "shard_strategies")},
+                    [e.metrics.sim_wall_seconds for e in engine.engines],
+                ))
+        # The python reference: same pairs in the same order, same
+        # ownership accounting, same simulated time a shard.
+        assert outcomes[0] == outcomes[1]
 
         assert result.n_pairs == len(ref)
         if collect:
@@ -625,12 +633,18 @@ class TestWindowedReuse:
                              ids=("pairwise", "self-join"))
     @pytest.mark.parametrize("kernel", ("python", "numpy"))
     def test_matches_the_reference_prune(self, kernel, self_join):
+        # ``python``: the reference executor, whose prune and sweep are
+        # the row-by-row bodies the numpy engine is held to.
         rng = random.Random(37)
         a, b = ([r for r in rects if not r.intersects(self.HOLE)]
                 for rects in (_uniform(rng, 300), _uniform(rng, 200,
                                                            10_000)))
-        sharded = _make_sharded(2, kernel=kernel,
-                                memory_bytes=20_000_000)
+        with reference_executor(kernel == "python"), _make_sharded(
+            2, memory_bytes=20_000_000,
+        ) as sharded:
+            self._check_windows(sharded, a, b, self_join)
+
+    def _check_windows(self, sharded, a, b, self_join):
         sharded.register("a", a, universe=UNIT)
         sharded.register("b", b, universe=UNIT)
         relations = ("a", "a") if self_join else ("a", "b")
@@ -665,7 +679,6 @@ class TestWindowedReuse:
                 a, None if self_join else b, window
             ), name
         assert result.detail["shards_pruned"], "one-strip pruned none"
-        sharded.close()
 
 
 # -- shared pool lifecycle ---------------------------------------------------

@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from conftest import TEST_SCALE, dispatch
+from conftest import TEST_SCALE, dispatch, reference_executor
 from repro.engine import (
     LatencyTracker,
     Query,
@@ -145,40 +145,56 @@ def test_root_span_carries_metrics_deltas():
 ))
 def test_join_span_says_what_it_joined(force, kernel):
     # A slow pairwise plan explains itself from its own span: which
-    # kernel ran (``numpy`` only where one exists and did not decline),
-    # the pages it read and how much each side fed the sweep.
+    # kernel ran (``numpy`` only where the row has one, and ``python``
+    # under the reference executor), the pages it read and how much
+    # each side fed the sweep — the same numbers on both executors.
     window = Rect(20.0, 70.0, 10.0, 60.0, 0)
-    with _engine(trace=True, kernel=kernel, cache_capacity=0) as engine:
-        for win in (window, None):
-            out = engine.execute(Query(relations=("a", "b"), window=win,
-                                       force=force))
-            join = out.trace.find("join")
-            ran = ("numpy" if (force, kernel) == ("pq-index", "numpy")
-                   else "python")
-            assert join.attrs["strategy"] == force
-            assert join.attrs["kernel"] == ran
-            assert join.attrs["pages_read"] == join.pages_read
-            assert join.attrs["pairs"] >= out.result.n_pairs
-            if force == "pq-index":
-                inside = [sum(r.intersects(window) for r in rects)
-                          if win else len(rects)
-                          for rects in (A_RECTS, B_RECTS)]
-                assert [join.attrs["rects_a"],
-                        join.attrs["rects_b"]] == inside
-            else:
-                assert join.attrs["rects_b"] == len(B_RECTS)
-            assert validate_trace(out.trace.to_dict()) == []
-            # The validator is what pins them.
-            for key in ("kernel", "pages_read", "rects_a", "rects_b",
-                        "pairs"):
-                broken = out.trace.to_dict()
-                spans = [broken]
-                while spans:
-                    span = spans.pop()
-                    spans.extend(span["children"])
-                    if span["name"] == "join":
-                        del span["attrs"][key]
-                assert validate_trace(broken) != [], key
+    served = {}
+    for executor in ("python", "numpy"):
+        with reference_executor(executor == "python"), \
+                _engine(trace=True, cache_capacity=0) as engine:
+            served[executor] = [
+                engine.execute(Query(relations=("a", "b"), window=win,
+                                     force=force))
+                for win in (window, None)
+            ]
+    for out, other in zip(served[kernel], served[
+            "numpy" if kernel == "python" else "python"]):
+        attrs, other_attrs = (dict(o.trace.find("join").attrs)
+                              for o in (out, other))
+        attrs.pop("kernel")
+        other_attrs.pop("kernel")
+        assert attrs == other_attrs
+        assert list(out.result.pairs) == list(other.result.pairs)
+        assert out.sim_wall_seconds == other.sim_wall_seconds
+    for win, out in zip((window, None), served[kernel]):
+        join = out.trace.find("join")
+        ran = ("numpy" if (force, kernel) == ("pq-index", "numpy")
+               else "python")
+        assert join.attrs["strategy"] == force
+        assert join.attrs["kernel"] == ran
+        assert join.attrs["pages_read"] == join.pages_read
+        assert join.attrs["pairs"] >= out.result.n_pairs
+        if force == "pq-index":
+            inside = [sum(r.intersects(window) for r in rects)
+                      if win else len(rects)
+                      for rects in (A_RECTS, B_RECTS)]
+            assert [join.attrs["rects_a"],
+                    join.attrs["rects_b"]] == inside
+        else:
+            assert join.attrs["rects_b"] == len(B_RECTS)
+        assert validate_trace(out.trace.to_dict()) == []
+        # The validator is what pins them.
+        for key in ("kernel", "pages_read", "rects_a", "rects_b",
+                    "pairs"):
+            broken = out.trace.to_dict()
+            spans = [broken]
+            while spans:
+                span = spans.pop()
+                spans.extend(span["children"])
+                if span["name"] == "join":
+                    del span["attrs"][key]
+            assert validate_trace(broken) != [], key
 
 
 def test_hit_path_traces_and_records_latency():

@@ -1,8 +1,8 @@
 """Replay one workload's request stream in process, query by query.
 
 ``python benchmarks/replay.py --workload W --seed N --queries K
---warmup K [--workers N] [--force S] [--json]`` builds the deployment
-of ``benchmarks/e2e``'s workload ``W`` with the bench's own
+--warmup K [--workers N] [--force S] [--json] [--profile]`` builds the
+deployment of ``benchmarks/e2e``'s workload ``W`` with the bench's own
 ``server.build_engine`` (``--workers`` overrides its worker count),
 registers the bench's dataset, and sends the seeded stream the load
 generator would send straight to ``engine.execute``, one query at a
@@ -13,7 +13,11 @@ It prints, for each (window or overlay, strategy served), the count
 and the median wall time of ``execute``, then the total wall time and
 a digest of the per-query pair counts in stream order: two commits
 that answer alike print the same digest.  ``--json`` prints the same
-as one JSON object.
+as one JSON object.  ``--profile`` runs ``cProfile`` over the timed
+queries (not the warm-up) and prints its top entries by cumulative
+time after the table (to stderr with ``--json``).  It profiles this
+process only: what pool workers run shows as the coordinator's wait
+for them.
 
 The wall times are one process on one box, meant for finding where a
 plan loses time and for checking answers; they are not a controlled
@@ -24,10 +28,13 @@ each for that).  ``benchmarks/e2e/`` is imported read-only.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import dataclasses
 import hashlib
+import io
 import json
 import pathlib
+import pstats
 import random
 import statistics
 import sys
@@ -51,8 +58,14 @@ def served_strategy(out) -> str:
     return "+".join(sorted(set(per_shard.values()))) or "?"
 
 
+#: How many entries ``--profile`` prints.
+PROFILE_ENTRIES = 30
+
+
 def replay(workload: str, seed: int, queries: int, warmup: int,
-           workers=None, force=None) -> dict:
+           workers=None, force=None, profile=None) -> dict:
+    """Replay the stream; ``profile``, a ``cProfile.Profile``, is
+    enabled around each timed ``execute``."""
     import server
     from workloads import WORKLOADS, dataset
 
@@ -73,10 +86,15 @@ def replay(workload: str, seed: int, queries: int, warmup: int,
             query = parse_query_body(next(stream).body)["query"]
             if force is not None:
                 query = dataclasses.replace(query, force=force)
+            timed = n >= warmup
+            if timed and profile is not None:
+                profile.enable()
             t0 = time.perf_counter()
             out = engine.execute(query)
             wall = time.perf_counter() - t0
-            if n < warmup:
+            if timed and profile is not None:
+                profile.disable()
+            if not timed:
                 continue
             kind = "overlay" if query.window is None else "window"
             walls[kind, served_strategy(out)].append(wall)
@@ -112,15 +130,21 @@ def main(argv=None) -> int:
                     help="pool workers (default: the workload's own)")
     ap.add_argument("--force", choices=FORCEABLE, default=None)
     ap.add_argument("--json", action="store_true")
+    ap.add_argument("--profile", action="store_true",
+                    help="cProfile the timed queries; print the top "
+                         f"{PROFILE_ENTRIES} entries by cumulative time")
     args = ap.parse_args(argv)
     if args.queries < 1 or args.warmup < 0 or (
             args.workers is not None and args.workers < 1):
         ap.error("--queries and --workers must be at least 1, "
                  "--warmup at least 0")
+    profile = cProfile.Profile() if args.profile else None
     out = replay(args.workload, args.seed, args.queries, args.warmup,
-                 args.workers, args.force)
+                 args.workers, args.force, profile)
     if args.json:
         print(json.dumps(out))
+        if profile is not None:
+            print(profile_report(profile), file=sys.stderr)
         return 0
     print(f"{out['workload']} seed {out['seed']}, {out['workers']} "
           f"workers, {out['queries']} queries after {out['warmup']} "
@@ -131,7 +155,17 @@ def main(argv=None) -> int:
               f"{row['median_ms']:>10.2f}")
     print(f"total wall {out['total_wall_s']:.3f} s; "
           f"pair-count digest {out['pairs_digest']}")
+    if profile is not None:
+        print(profile_report(profile))
     return 0
+
+
+def profile_report(profile: cProfile.Profile) -> str:
+    """The top :data:`PROFILE_ENTRIES` entries by cumulative time."""
+    buf = io.StringIO()
+    pstats.Stats(profile, stream=buf).sort_stats(
+        "cumulative").print_stats(PROFILE_ENTRIES)
+    return buf.getvalue()
 
 
 if __name__ == "__main__":

@@ -59,7 +59,8 @@ class ColumnarTile:
 
     # Weakly referenceable: the pool's shared-memory manager unpins a
     # tile's segment from a finalizer on the tile.
-    __slots__ = ("xlo", "xhi", "ylo", "yhi", "rid", "__weakref__")
+    __slots__ = ("xlo", "xhi", "ylo", "yhi", "rid", "source",
+                 "__weakref__")
 
     def __init__(self) -> None:
         self.xlo = array("d")
@@ -67,6 +68,10 @@ class ColumnarTile:
         self.ylo = array("d")
         self.yhi = array("d")
         self.rid = array("q")
+        #: ``(columns, lo, hi)`` when the tile is rows ``lo:hi`` of a
+        #: :class:`TileImage`'s ``columns``, else ``None``: tiles that
+        #: are adjacent runs of one image read as one slice of it.
+        self.source = None
 
     @classmethod
     def from_rects(cls, rects: Iterable[Rect]) -> "ColumnarTile":
@@ -86,23 +91,13 @@ class ColumnarTile:
         tile.xlo, tile.xhi, tile.ylo, tile.yhi, tile.rid = (
             xlo, xhi, ylo, yhi, rid
         )
-        return tile
-
-    @classmethod
-    def from_columns(cls, xlo, xhi, ylo, yhi, rid) -> "ColumnarTile":
-        """A tile copied from five contiguous column buffers.
-
-        The buffers are float64 x4 + int64 runs of equal length (numpy
-        arrays, memoryviews); each column is one ``frombytes`` memcpy,
-        so a tile packed from a column image builds no ``Rect``.
-        """
-        tile = cls()
-        tile.extend_columns(xlo, xhi, ylo, yhi, rid)
+        tile.source = None
         return tile
 
     def extend_columns(self, xlo, xhi, ylo, yhi, rid) -> None:
-        """Append five contiguous column buffers (see
-        :meth:`from_columns`), one memcpy each."""
+        """Append five contiguous column buffers, float64 x4 + int64
+        runs of equal length (numpy arrays, memoryviews), one
+        ``frombytes`` memcpy each: no ``Rect`` is built."""
         for col, src in ((self.xlo, xlo), (self.xhi, xhi), (self.ylo, ylo),
                          (self.yhi, yhi), (self.rid, rid)):
             col.frombytes(memoryview(src).cast("B"))
@@ -189,6 +184,7 @@ class ColumnarTile:
             setattr(tile, name, mv[o:o + stride].cast("d"))
             o += stride
         tile.rid = mv[o:o + stride].cast("q")
+        tile.source = None
         return tile
 
     # Pickle via __reduce__ keeps the arrays as raw buffers and stays
@@ -226,8 +222,8 @@ class TileImage:
     :class:`ColumnarTile` views of those runs, made once, so a tile
     keeps its identity for as long as the image lives (the pool's
     shared-memory manager re-ships a tile it packed before by
-    reference).  One column pass over the image — a window mask —
-    covers every tile at once.
+    reference), and each names its run in ``source``.  One column
+    pass over the image — a window mask — covers every tile at once.
     """
 
     __slots__ = ("columns", "offsets", "tiles")
@@ -236,10 +232,37 @@ class TileImage:
         self.columns = tuple(columns)
         self.offsets = list(offsets)
         views = [memoryview(col) for col in self.columns]
-        self.tiles = [
-            ColumnarTile.wrap(*(view[lo:hi] for view in views))
-            for lo, hi in zip(self.offsets, self.offsets[1:])
-        ]
+        self.tiles = []
+        for lo, hi in zip(self.offsets, self.offsets[1:]):
+            tile = ColumnarTile.wrap(*(view[lo:hi] for view in views))
+            # The columns, not the image: no reference cycle, so the
+            # buffers go the moment the last tile or image does.
+            tile.source = (self.columns, lo, hi)
+            self.tiles.append(tile)
+
+    @classmethod
+    def holding(cls, tiles: Sequence[ColumnarTile]) -> "TileImage":
+        """An image of ``tiles``, in order, sharing their buffers where
+        it can.
+
+        Tiles that are views of one image's columns (``source``) and
+        cover them end to end, in row order — a cold distribute's
+        joining partitions, as a rule — need no copy: the image is
+        those columns.  Any other tiles are copied (:meth:`concat`).
+        Either way the tiles are new views, so the image shares no
+        tile, and no shared-memory pin, with the tiles it was made
+        from.
+        """
+        sources = [tile.source for tile in tiles]
+        columns = sources[0][0] if sources and sources[0] else None
+        if columns is not None and all(
+            src is not None and src[0] is columns for src in sources
+        ):
+            his = [hi for _, _, hi in sources]
+            if ([lo for _, lo, _ in sources] == [0, *his[:-1]]
+                    and his[-1] == len(columns[4])):
+                return cls(columns, [0, *his])
+        return cls.concat(tiles)
 
     @classmethod
     def concat(cls, tiles: Iterable[ColumnarTile]) -> "TileImage":
@@ -265,6 +288,8 @@ class DistributionImage:
     tile_b)`` per partition, ``tile_b`` ``None`` for a self-join — with
     every tile a view into its side's image, so the distribution is
     held once, in ``images`` (one for a self-join, two otherwise).
+    Tiles that already are views of one image a side, as a cold
+    distribute's are, share its columns (:meth:`TileImage.holding`).
     """
 
     __slots__ = ("parts", "images", "tasks")
@@ -274,7 +299,7 @@ class DistributionImage:
         self.parts = [part for part, _, _ in tasks]
         self_join = any(b is None for _, _, b in tasks)
         self.images = tuple(
-            TileImage.concat(task[side] for task in tasks)
+            TileImage.holding([task[side] for task in tasks])
             for side in ((1,) if self_join else (1, 2))
         )
         self.tasks = self.cut([image.tiles for image in self.images])

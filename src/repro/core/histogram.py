@@ -35,10 +35,13 @@ class SpatialHistogram:
             raise ValueError("grid must be at least 1")
         self.universe = universe
         self.grid = grid
-        span_x = universe.xhi - universe.xlo
-        span_y = universe.yhi - universe.ylo
-        self.cell_w = span_x / grid if span_x > 0 else 1.0
-        self.cell_h = span_y / grid if span_y > 0 else 1.0
+        # A zero span, or one too thin for a cell to be wider than 0
+        # (subnormal), is degenerate: one unit-wide cell column holds
+        # everything.
+        cell_w = (universe.xhi - universe.xlo) / grid
+        cell_h = (universe.yhi - universe.ylo) / grid
+        self.cell_w = cell_w if cell_w > 0 else 1.0
+        self.cell_h = cell_h if cell_h > 0 else 1.0
         self.counts: List[int] = [0] * (grid * grid)
         self.sum_w: List[float] = [0.0] * (grid * grid)
         self.sum_h: List[float] = [0.0] * (grid * grid)

@@ -1,4 +1,5 @@
-"""Vectorized cold path: tile distribution and the window post-filter.
+"""Vectorized cold path: tile distribution, and the window post-filter
+of the index and tuple-list plans.
 
 The python distribute (:func:`repro.core.pbsm.distribute`) walks
 a base stream one ``Rect`` at a time: window test, tile range,
@@ -22,7 +23,10 @@ second in-memory representation of the relation's base stream (as
   is the order the python loop appends them in.
 * **Group by partition.**  A stable sort of the resident copies by
   partition yields every partition's tile in scan order, gathered from
-  the image and packed with one memcpy per column.
+  the image once, one column at a time, into a
+  :class:`~repro.core.columnar.TileImage` whose tiles are views of
+  those columns: no tile is copied again, and a retained distribution
+  shares the columns.
 
 The warm path has one step here too: a windowed query that reuses a
 cached full distribution prunes its column image to the window
@@ -32,6 +36,12 @@ shipped.
 The kernel decides placement only.  Budget draws, block-read charges
 and spill writes stay with the executor, which walks the simulated
 disk exactly as the python path does.
+
+The window post-filter, :func:`filter_window`, serves the plans whose
+pairs leave a kernel as ids — ``pq-index`` and the tuple lists of the
+other strategies — by looking each rectangle up again by rid.  A
+partitioned plan never reaches it: its tile kernel tests the window
+where it emits a pair (:func:`~repro.core.kernels.np_sweep.sweep_tiles`).
 
 :func:`distribute` and :func:`filter_window` return ``None`` for
 inputs outside this model — non-finite coordinates, which make the
@@ -43,11 +53,11 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarTile, PairColumns, TileImage
+from repro.core.columnar import PairColumns, TileImage
 from repro.core.kernels.np_sweep import strip_mask, window_mask
 from repro.geom.rect import Rect
 
@@ -112,11 +122,14 @@ class Distribution:
         self.ops = scanned + len(rows)
 
     def tiles(self, image: ColumnImage, resident: int,
-              n_parts: int) -> List[Optional[ColumnarTile]]:
-        """The first ``resident`` copies as one tile per partition.
+              n_parts: int) -> TileImage:
+        """The first ``resident`` copies grouped by partition, as one
+        :class:`~repro.core.columnar.TileImage`.
 
-        Each tile holds its partition's copies in scan order; a
-        partition none of them reached is ``None``.
+        Its tile *i* holds partition *i*'s copies in scan order (empty
+        for a partition none of them reached).  The copies are gathered
+        from ``image`` once, one column at a time; the tiles are views
+        of those columns, so no tile is copied again.
         """
         parts = self.parts[:resident]
         # 16-bit keys take numpy's radix path: a linear stable sort.
@@ -124,16 +137,8 @@ class Distribution:
         rows = self.rows[:resident][np.argsort(keys, kind="stable")]
         columns = [col[rows] for col in (image.xlo, image.xhi, image.ylo,
                                          image.yhi, image.rid)]
-        out: List[Optional[ColumnarTile]] = [None] * n_parts
-        start = 0
         ends = np.cumsum(np.bincount(parts, minlength=n_parts)).tolist()
-        for part, end in enumerate(ends):
-            if end > start:
-                out[part] = ColumnarTile.from_columns(
-                    *(col[start:end] for col in columns)
-                )
-            start = end
-        return out
+        return TileImage(columns, [0, *ends])
 
 
 def distribute(image: ColumnImage, grid,

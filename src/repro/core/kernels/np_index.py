@@ -74,7 +74,7 @@ from repro.core.kernels.np_sweep import (
 from repro.core.pq_join import SAMPLE_RECTS
 from repro.core.sources import NODE_ENTRY_BYTES
 from repro.core.sweep import SweepStats, auto_strips
-from repro.geom.rect import RECT_BYTES, Rect, intersects
+from repro.geom.rect import RECT_BYTES, Rect, cells_per_unit, intersects
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -515,7 +515,8 @@ def index_join(tree_a, tree_b, env, universe: Optional[Rect],
             nstrips = auto_strips(span, _average_width(tree_a, tree_b))
         if nstrips < 1:
             return None
-        if span <= 0:  # StripedSweep's degenerate universe
+        if cells_per_unit(nstrips, span) == 0.0:
+            # StripedSweep's degenerate universe
             nstrips, span = 1, 1.0
     a = _traverse(tree_a, prune_a)
     b = _traverse(tree_b, prune_b) if a is not None else None

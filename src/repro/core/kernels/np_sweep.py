@@ -41,7 +41,31 @@ arithmetic:
   the next tile, and the three steps above run unchanged over the
   whole group; only the op replay knows about tiles, restarting its
   state at each segment.  One tile needs no ranks: its raw floats are
-  already such a key.
+  already such a key.  Tiles that are adjacent runs of one column
+  image (a cold distribute's, a cached distribution's) are read as one
+  slice of it; only tiles from different buffers are concatenated.
+* **Ownership, window, strip.**  :func:`sweep_tiles` then keeps a pair
+  only if its reference point lies in the pair's own partition (and,
+  in a self-join, ``rid_a < rid_b``); if its intersection meets the
+  query window; and, on a shard, if its reference x — clipped to the
+  window's low x — lies in the shard's strip.  All three ride in the
+  task's ``grid_spec``, which has one of four layouts:
+
+  ==========  ====================================================
+  entries     layout
+  ==========  ====================================================
+  6           ``xlo, xhi, ylo, yhi, tiles per side, partitions``
+              (the grid alone: no window, owns every x)
+  8           the grid, then the strip ``lo, hi``
+  10          the grid, then the window ``xlo, xhi, ylo, yhi``
+  12          the grid, the strip, then the window
+  ==========  ====================================================
+
+  The kernel counts each test's drops apart (``dups``, ``windowed``,
+  ``unowned``).  A tile pruned to the window never loses a pair to the
+  window test: two intervals that each meet a third, and each other,
+  meet it together, so the test guards the kernel's contract rather
+  than the engine's answers.
 
 Inputs with inverted y-intervals (``yhi < ylo``) break the
 "dead implies already inserted" identity, and a NaN coordinate has no
@@ -60,7 +84,7 @@ import numpy as np
 
 from repro.core.columnar import PairColumns
 from repro.core.sweep import SweepStats
-from repro.geom.rect import RECT_BYTES, Rect
+from repro.geom.rect import RECT_BYTES, Rect, cells_per_unit
 
 #: Upper bound on candidate pairs materialized per chunk (see
 #: :func:`_find_pairs`).  Bounds peak memory at roughly
@@ -145,7 +169,8 @@ class _Merged:
     replays — shares.
     """
 
-    __slots__ = ("xlo", "xhi", "ylo", "rid", "hi", "end", "is_a", "n")
+    __slots__ = ("xlo", "xhi", "ylo", "rid", "hi", "end", "is_a", "n",
+                 "_perm", "_yhi")
 
     def __init__(self, ca: Columns, cb: Columns,
                  keys_a: Tuple[np.ndarray, np.ndarray],
@@ -173,11 +198,18 @@ class _Merged:
         self.ylo = src[2][perm]
         self.rid = src[4][perm]
         self.hi = src[6][perm]
+        # Kept for yhi_at: most sweeps never read a yhi.
+        self._perm = perm
+        self._yhi = src[3]
         # Sorted needles search several times faster than unsorted ones.
         by_hi = np.argsort(self.hi)
         self.end = np.empty(self.n, dtype=np.int64)
         self.end[by_hi] = np.searchsorted(lo[order], self.hi[by_hi],
                                           side="right")
+
+    def yhi_at(self, events: np.ndarray) -> np.ndarray:
+        """The ``yhi`` of ``events`` (``hi`` is one only for raw keys)."""
+        return self._yhi[self._perm[events]]
 
 
 def _merge_order(lo: np.ndarray, xlo: Optional[np.ndarray],
@@ -487,30 +519,34 @@ def sweep_tiles(
     tiles: Sequence[tuple], self_join: bool, grid_spec: tuple,
     collect: bool,
 ) -> Optional[Tuple[List[int], Optional[PairColumns], List[int],
-                    List[int], List[int]]]:
+                    List[int], List[int], List[int]]]:
     """*k* whole tile tasks in one pass: sweep + ownership + dedup.
 
     ``tiles`` holds one ``(part_id, side_a, side_b)`` per tile of one
     query (so ``self_join``, the grid and ``collect`` are shared;
-    ``side_b`` is ``None`` when a tile sweeps against itself).  A
-    windowed query's tiles arrive already pruned to its window (the
-    executor cuts a cached distribution down on the coordinator).
+    ``side_b`` is ``None`` when a tile sweeps against itself).
     Mirrors :func:`repro.core.pbsm.sweep_tile`, the reference, tile
-    by tile — the
-    batched sweep (sort charge included), reference-point ownership
-    against the PBSM grid and each pair's own partition, self-join
-    dedup — without boxing a single ``Rect`` or id pair, and without a
-    pair ever crossing from one tile into the next.  ``grid_spec`` is
-    the grid's six numbers, optionally followed by a shard's strip
-    ``(lo, hi)``: a pair is then kept only if its reference x lies in
-    ``[lo, hi)`` too (:func:`strip_mask`).  Returns ``(counts, owned
-    pairs or None, cpu_ops, dups, unowned)`` with one entry per tile
-    in the four lists — ``dups`` what the partition test and self-join
-    dedup dropped, ``unowned`` what the strip test dropped after them
-    — and the pairs of all tiles as one
-    :class:`~repro.core.columnar.PairColumns`, tile after tile in the
-    python body's emit order — or ``None`` when the input is outside
-    the kernel's model, and then for the whole group.
+    by tile — the batched sweep (sort charge included),
+    reference-point ownership against the PBSM grid and each pair's
+    own partition, self-join dedup, then the window and strip tests —
+    without boxing a single ``Rect`` or id pair, and without a pair
+    ever crossing from one tile into the next.
+
+    ``grid_spec`` is the grid's six numbers ``(xlo, xhi, ylo, yhi,
+    tiles per side, partitions)``, then optionally a shard's strip
+    ``(lo, hi)``, then optionally the query window ``(xlo, xhi, ylo,
+    yhi)`` — 6, 8, 10 or 12 entries (:func:`spec_parts`).  With a
+    window a pair is kept only if its intersection meets the closed
+    window; with a strip only if its reference x, clipped to the
+    window's low x when there is one, lies in ``[lo, hi)``
+    (:func:`strip_mask`).  Returns ``(counts, owned pairs or None,
+    cpu_ops, dups, unowned, windowed)`` with one entry per tile in the
+    five lists — ``dups`` what the partition test and self-join dedup
+    dropped, ``windowed`` what the window test dropped after them,
+    ``unowned`` what the strip test dropped last — and the pairs of
+    all tiles as one :class:`~repro.core.columnar.PairColumns`, tile
+    after tile in the python body's emit order — or ``None`` when the
+    input is outside the kernel's model, and then for the whole group.
     """
     k = len(tiles)
     ca, tile_a = _gather([a for _, a, _ in tiles])
@@ -540,35 +576,55 @@ def sweep_tiles(
     ]
     if not a_idx.size:
         return ([0] * k, PairColumns.empty() if collect else None, ops,
-                [0] * k, [0] * k)
+                [0] * k, [0] * k, [0] * k)
 
     # Owned: the reference point lies in the pair's own partition.
     # (Its coordinates are dropped before the ids are gathered: on a
     # hot tile these pair-length columns are the task's peak memory.)
+    strip, window = spec_parts(grid_spec)
     ref_x = np.maximum(m.xlo[a_idx], m.xlo[b_idx])
-    own = _partition_of_points(
-        ref_x, np.maximum(m.ylo[a_idx], m.ylo[b_idx]), grid_spec[:6],
-    ) == np.array([part_id for part_id, _, _ in tiles], np.int64)[seg]
-    strip = grid_spec[6:]
-    in_strip = strip_mask(ref_x, strip) if strip else None
-    del ref_x
-    rid_a = m.rid[a_idx]
-    rid_b = m.rid[b_idx]
+    ref_y = np.maximum(m.ylo[a_idx], m.ylo[b_idx])
+    own = _partition_of_points(ref_x, ref_y, grid_spec[:6]) == np.array(
+        [part_id for part_id, _, _ in tiles], np.int64
+    )[seg]
     if self_join:
-        own &= rid_a < rid_b
-    found = owned = np.bincount(seg[own], minlength=k)
+        own &= m.rid[a_idx] < m.rid[b_idx]
+    found = np.bincount(seg[own], minlength=k)
     dups = np.bincount(seg, minlength=k) - found
-    if in_strip is not None:
-        own &= in_strip
+    kept = found
+    if window:
+        # The intersection — max of lows, min of highs — meets it.
+        wxlo, wxhi, wylo, wyhi = window
+        own &= (
+            (ref_x <= wxhi) & (ref_y <= wyhi)
+            & (np.minimum(m.xhi[a_idx], m.xhi[b_idx]) >= wxlo)
+            & (np.minimum(m.yhi_at(a_idx), m.yhi_at(b_idx)) >= wylo)
+        )
+        kept = np.bincount(seg[own], minlength=k)
+        np.maximum(ref_x, wxlo, out=ref_x)
+    del ref_y
+    owned = kept
+    if strip:
+        own &= strip_mask(ref_x, strip)
         owned = np.bincount(seg[own], minlength=k)
+    del ref_x
     pairs: Optional[PairColumns] = None
     if collect:
         ids = np.empty((int(owned.sum()), 2), dtype=np.int64)
-        ids[:, 0] = rid_a[own]
-        ids[:, 1] = rid_b[own]
+        ids[:, 0] = m.rid[a_idx[own]]
+        ids[:, 1] = m.rid[b_idx[own]]
         pairs = PairColumns(ids)
     return (owned.tolist(), pairs, ops, dups.tolist(),
-            (found - owned).tolist())
+            (kept - owned).tolist(), (found - kept).tolist())
+
+
+def spec_parts(grid_spec: tuple) -> Tuple[tuple, tuple]:
+    """``(strip, window)`` of a tile task's ``grid_spec``, each ``()``
+    when absent: the strip ``(lo, hi)`` follows the grid's six numbers,
+    and the window ``(xlo, xhi, ylo, yhi)`` comes last."""
+    extra = tuple(grid_spec[6:])
+    strip = extra[:2] if len(extra) % 4 == 2 else ()
+    return strip, extra[len(strip):]
 
 
 def strip_mask(x: np.ndarray, strip: Sequence[float]) -> np.ndarray:
@@ -585,13 +641,35 @@ def strip_mask(x: np.ndarray, strip: Sequence[float]) -> np.ndarray:
 
 def _gather(sides: list) -> Tuple[Columns, np.ndarray]:
     """One side of a group: the tiles' columns end to end, and the
-    tile index of every row."""
-    per_tile = [_columns(side) for side in sides]
-    cols = tuple(np.concatenate(col) for col in zip(*per_tile))
-    tile = np.repeat(
-        np.arange(len(sides), dtype=np.int64),
-        [len(c[0]) for c in per_tile],
-    )
+    tile index of every row.
+
+    Tiles that are adjacent runs of one image's columns
+    (:attr:`~repro.core.columnar.ColumnarTile.source`, in row order)
+    are read as one slice of those columns; only separate runs are
+    concatenated, so a group that is one run — or one tile — is swept
+    where it lies, without a copy.
+    """
+    runs: List[list] = []  # [columns, lo, hi], or [None, Columns]
+    for side in sides:
+        source = getattr(side, "source", None)  # a Rect list has none
+        if source is None:
+            runs.append([None, _columns(side)])
+        elif runs and runs[-1][0] is source[0] and runs[-1][2] == source[1]:
+            runs[-1][2] = source[2]
+        else:
+            runs.append(list(source))
+    per_run = [
+        run[1] if run[0] is None else tuple(
+            np.frombuffer(col, dtype=np.int64 if i == 4 else np.float64)[
+                run[1]:run[2]]
+            for i, col in enumerate(run[0])
+        )
+        for run in runs
+    ]
+    cols = (per_run[0] if len(per_run) == 1
+            else tuple(np.concatenate(col) for col in zip(*per_run)))
+    tile = np.repeat(np.arange(len(sides), dtype=np.int64),
+                     [len(side) for side in sides])
     return cols, tile
 
 
@@ -634,10 +712,8 @@ def _partition_of_points(x: np.ndarray, y: np.ndarray,
     ``_clamp`` — bit-identical partition ids.
     """
     uxlo, uxhi, uylo, uyhi, t, p = grid_spec
-    span_x = uxhi - uxlo
-    span_y = uyhi - uylo
-    inv_x = t / span_x if span_x > 0 else 0.0
-    inv_y = t / span_y if span_y > 0 else 0.0
+    inv_x = cells_per_unit(t, uxhi - uxlo)
+    inv_y = cells_per_unit(t, uyhi - uylo)
     col = ((x - uxlo) * inv_x).astype(np.int64)
     row = ((y - uylo) * inv_y).astype(np.int64)
     np.clip(col, 0, t - 1, out=col)

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.geom.rect import RECT_BYTES, Rect
+from repro.geom.rect import RECT_BYTES, Rect, cells_per_unit
 
 #: Fallback strip count for Striped-Sweep when nothing is known about
 #: rectangle widths.  Prefer :func:`auto_strips`, which sizes strips
@@ -75,9 +75,9 @@ def auto_strips(universe_xspan: float, avg_width: float,
     """
     if universe_xspan <= 0:
         return 1
-    if avg_width <= 0:
-        return cap
-    return max(1, min(cap, int(universe_xspan / (2.0 * avg_width))))
+    ratio = universe_xspan / (2.0 * avg_width) if avg_width > 0 else cap
+    # Compared before the cast: a subnormal width can make it infinite.
+    return cap if ratio >= cap else max(1, int(ratio))
 
 
 class ForwardSweep:
@@ -152,8 +152,9 @@ class StripedSweep:
         if nstrips < 1:
             raise ValueError("need at least one strip")
         span = xhi - xlo
-        if span <= 0:
-            # Degenerate universe: everything lands in one strip.
+        if cells_per_unit(nstrips, span) == 0.0:
+            # Degenerate universe (no width, or too thin for a finite
+            # strip scale): everything lands in one strip.
             nstrips = 1
             span = 1.0
         self.xlo = xlo

@@ -9,8 +9,10 @@ retains an artifact.  The row runs with ``kernel="numpy"``, so a
 back :class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``,
 ``st``, ``sssj``, multiway and :func:`_refine_pairs` still build tuple
 lists.
-Window and refinement predicates are post-filters on the collected
-pairs (:func:`_filter_window`, :func:`_refine_pairs`).  On a shard of a
+Refinement is a post-filter on the collected pairs
+(:func:`_refine_pairs`), and so is the window on these plans
+(:func:`_filter_window`); a partitioned plan's tile kernels test the
+window as they emit a pair instead.  On a shard of a
 :class:`~repro.engine.shard.ShardedEngine` the executor also keeps only
 the results whose reference point lies in the shard's strip
 (:attr:`Executor.strip`; where that test runs is :func:`_strip_stage`).
@@ -55,7 +57,9 @@ goes back once, whichever stage raises:
    <repro.engine.cache.ArtifactCache.retain>` for an unspilled
    distribution, kept as one column image a side whose tiles are
    views).  Tiles are placed from the catalog entry's column image
-   (:func:`_distribute_columnar`) and the overflow spilled as image
+   (:func:`_distribute_columnar`: each side's copies grouped once,
+   every resident tile a view of those columns, which a retained
+   distribution shares) and the overflow spilled as image
    rows (:func:`_spill_run`) — no ``Rect`` is built; the
    per-rectangle :func:`~repro.core.pbsm.distribute` is the
    reference, identical down to the order of the disk's ``allocate``
@@ -301,7 +305,9 @@ class Executor:
                         "pairs": result.n_pairs,
                     })
 
-        if query.window is not None and result.pairs is not None:
+        if (query.window is not None and result.pairs is not None
+                and plan.mode != "partitioned"):
+            # The tile kernels test the window as they emit a pair.
             with span_meter(env, self.machine, trace,
                             "window-filter") as wspan:
                 result = _filter_window(
@@ -362,9 +368,10 @@ class Executor:
     ) -> JoinResult:
         """The partitioned pipeline: plan, produce + ship, gather,
         account — one stage a method, each span opened by the stage
-        it measures.  A ``strip`` rides in every task's grid spec: the
-        tile kernels then keep only the pairs whose reference x lies
-        in it."""
+        it measures.  A ``strip`` and the query's window ride in every
+        task's grid spec: the tile kernels then keep only the pairs
+        whose intersection meets the window and whose reference x lies
+        in the strip."""
         env, machine = self.disk.env, self.machine
         run = self._plan_partitioned(plan, entries, trace, cancel, strip)
         shipper = run.shipper
@@ -678,16 +685,18 @@ class Executor:
         plan memo, the ``sweep`` span and the result record."""
         plan, shipper = run.plan, run.shipper
         submitted = shipper.submitted
-        n_pairs = total_ops = duplicates = unowned = inline_ops = 0
+        n_pairs = total_ops = duplicates = unowned = windowed = 0
+        inline_ops = 0
         shipped_ops: List[int] = []
         for (_fut, shipped, _size, _tiles), outcome in zip(
             submitted, outcomes
         ):
-            count, _pairs, task_ops, dups, left = outcome
+            count, _pairs, task_ops, dups, left, missed = outcome
             n_pairs += count
             total_ops += task_ops
             duplicates += dups
             unowned += left
+            windowed += missed
             if shipped:
                 shipped_ops.append(task_ops)
             else:
@@ -765,6 +774,8 @@ class Executor:
                 "inlined_by_cost": run.inline_all,
             },
         )
+        if run.query.window is not None:
+            result.detail["window_filtered"] = windowed
         if run.strip:
             result.detail["cross_shard_duplicates"] = unowned
         return result
@@ -814,12 +825,17 @@ class _PartitionedRun:
         """Cut and sweep on ``cand``'s grid: the plan's own, or — a
         windowed plan reusing the full distribution — the full one,
         whose tiles the produce stage prunes to the window before any
-        is shipped (:meth:`Executor._ship_cached`).  The grid spec
-        ends with the shard's strip, if any, on either grid."""
+        is shipped (:meth:`Executor._ship_cached`).  On either grid the
+        spec ends with the shard's strip, if any, then the query's
+        window, if any (:func:`~repro.core.kernels.np_sweep.spec_parts`)."""
         uni = cand.universe
+        window = self.query.window
         self.grid = TileGrid(uni, self.ident.tiles, self.n_parts)
-        self.grid_spec = (uni.xlo, uni.xhi, uni.ylo, uni.yhi,
-                          self.ident.tiles, self.n_parts, *self.strip)
+        self.grid_spec = (
+            uni.xlo, uni.xhi, uni.ylo, uni.yhi, self.ident.tiles,
+            self.n_parts, *self.strip,
+            *(() if window is None else window[:4]),
+        )
 
     def ship(self, part_id: int, side_a, side_b, size: int) -> None:
         """One tile to the shipper, as a self-contained payload (slot
@@ -1003,8 +1019,8 @@ class _TaskShipper:
 
 #: What a tile task returns: ``(owned pair count, owned pairs as
 #: :class:`PairColumns` or None, cpu ops, duplicates suppressed, pairs
-#: left to another shard)``.
-TaskOutcome = Tuple[int, Optional[PairColumns], int, int, int]
+#: left to another shard, pairs whose intersection missed the window)``.
+TaskOutcome = Tuple[int, Optional[PairColumns], int, int, int, int]
 
 
 def _sweep_group(payloads: tuple) -> TaskOutcome:
@@ -1014,15 +1030,17 @@ def _sweep_group(payloads: tuple) -> TaskOutcome:
     grid, the self-join and collect flags and the cancel token — which
     is checked once, before the call: a group is the unit a deadline
     can stop.  Every task entry point passes here, so this is where a
-    payload that still carries a window (slot 6) is refused (tiles are
-    pruned before they ship), and where a group the kernel declines
+    payload that carries a window in slot 6 is refused (tiles are
+    pruned before they ship, and the window the kernel tests rides at
+    the end of the grid spec), and where a group the kernel declines
     raises: the catalog admits only the finite, non-inverted
     rectangles the kernel models.
     """
     if any(p[6] is not None for p in payloads):
         raise ValueError(
             "tile payloads carry no window (slot 6 must be None): "
-            "a windowed query's tiles are pruned before they ship"
+            "a windowed query's tiles are pruned before they ship, and "
+            "its window rides in the grid spec"
         )
     first = payloads[0]
     _check_cancel(first)
@@ -1036,8 +1054,9 @@ def _sweep_group(payloads: tuple) -> TaskOutcome:
             "the tile kernel declined its input: a rectangle is inverted "
             "or not finite"
         )
-    counts, pairs, ops, dups, unowned = out
-    return (sum(counts), pairs, sum(ops), sum(dups), sum(unowned))
+    counts, pairs, ops, dups, unowned, windowed = out
+    return (sum(counts), pairs, sum(ops), sum(dups), sum(unowned),
+            sum(windowed))
 
 
 def _check_cancel(payload: tuple) -> None:
@@ -1062,10 +1081,12 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
     optionally the query's :class:`~repro.engine.pool.CancelToken`,
     checked before the sweep.  Sides are :class:`ColumnarTile` columns
     or :class:`ShmTileRef` handles to them, ``side_b is None`` for a
-    self-join; the grid spec is six numbers, or eight with a shard's
-    strip ``(lo, hi)``.  Returns ``(owned pair count, owned pairs or
-    None, cpu ops, duplicates suppressed, pairs left to another
-    shard)``, bit-identical to :func:`repro.core.pbsm.sweep_tile`.
+    self-join; the grid spec is six numbers, then a shard's strip
+    ``(lo, hi)`` if there is one, then the query's window ``(xlo, xhi,
+    ylo, yhi)`` if there is one.  Returns ``(owned pair count, owned
+    pairs or None, cpu ops, duplicates suppressed, pairs left to
+    another shard, pairs whose intersection missed the window)``,
+    bit-identical to :func:`repro.core.pbsm.sweep_tile`.
     """
     return _sweep_group((payload,))
 
@@ -1081,7 +1102,7 @@ def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
     accounting are bit-identical to per-tile dispatch.
     """
     if not payloads:
-        return (0, None, 0, 0, 0)
+        return (0, None, 0, 0, 0, 0)
     return _sweep_group(payloads)
 
 
@@ -1148,7 +1169,8 @@ def _distribute_columnar(entry: CatalogEntry,
 
     The numpy kernel decides where every copy goes; this step places
     them.  The allowance is drawn in bulk, the copies it covers are
-    packed per partition straight from the image, and the rest are
+    grouped by partition straight from the image (each partition's
+    tile a view of the grouped columns), and the rest are
     spilled as image rows while the base stream's blocks are read —
     each block once, with the spill writes of the copies it holds
     between the same two reads as in the python loop
@@ -1169,8 +1191,9 @@ def _distribute_columnar(entry: CatalogEntry,
     resident = (
         copies if allowance is None else allowance.take_many(copies)
     )
-    for part, tile in zip(parts, dist.tiles(image, resident, len(parts))):
-        part.packed = tile
+    for part, tile in zip(parts,
+                          dist.tiles(image, resident, len(parts)).tiles):
+        part.packed = tile if len(tile) else None
     # The overflow, in copy order: ascending image row, so a base
     # block's copies are one run of it.
     rows = dist.rows[resident:]
@@ -1256,19 +1279,20 @@ def _strip_stage(plan: PhysicalPlan) -> str:
     """Where a shard's strip test runs for ``plan``.
 
     A shard keeps a result only when its reference point lies in the
-    shard's strip.  The window filter tests it (``"window"``), or
-    without a window the tile kernels do (``"kernel"``), next to the
-    computations that already produce that point.  Any other answer,
-    and any that refinement may still shrink, takes one post-filter
-    that looks its ids up again (``"post"``), so that a shard never
-    counts a result left to another shard that refinement drops.
+    shard's strip.  A partitioned plan's tile kernels test it
+    (``"kernel"``), windowed or not, where they emit the pair; another
+    windowed plan's window filter tests it (``"window"``), next to the
+    intersection it already computes.  Any other answer, and any that
+    refinement may still shrink, takes one post-filter that looks its
+    ids up again (``"post"``), so that a shard never counts a result
+    left to another shard that refinement drops.
     """
     query = plan.query
     if query.refine:
         return "post"
-    if query.window is not None:
-        return "window"
-    return "kernel" if plan.mode == "partitioned" else "post"
+    if plan.mode == "partitioned":
+        return "kernel"
+    return "window" if query.window is not None else "post"
 
 
 def _filter_window(result: JoinResult, entries: List[CatalogEntry],
@@ -1276,8 +1300,10 @@ def _filter_window(result: JoinResult, entries: List[CatalogEntry],
                    strip: Tuple[float, ...] = ()) -> JoinResult:
     """Keep pairs/tuples whose common MBR intersection meets the window.
 
-    All pairs are tested at once against the entries' column images
-    and kept as columns (a partitioned or ``pq-index`` plan hands
+    The post-filter of every windowed plan but a partitioned one, whose
+    tile kernels test the window as they emit a pair.  All pairs are
+    tested at once against the entries' column images — every id
+    looked up again — and kept as columns (a ``pq-index`` plan hands
     columns in; the list of a ``pq-mixed-*``, ``st``, ``sssj`` or
     multiway plan is converted once).  With a shard's ``strip`` a kept
     tuple must also have its reference x — the intersection's low x,

@@ -17,6 +17,7 @@ matches the convention of the plane-sweep literature the paper builds on
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Optional
 
 #: On-disk footprint of one MBR record (paper Section 5.3): 16 bytes of
@@ -104,6 +105,21 @@ def union_mbr(a: Rect, b: Rect) -> Rect:
         a.yhi if a.yhi >= b.yhi else b.yhi,
         0,
     )
+
+
+def cells_per_unit(cells: float, span: float) -> float:
+    """``cells / span``: how many grid cells one unit of an axis spans.
+
+    A span that is not positive, or so thin (subnormal) that the
+    quotient overflows to infinity, counts as zero: the axis maps every
+    value to cell 0.  An infinite scale would turn the offset ``0`` of
+    a value on the axis's low edge into ``0 * inf = NaN``.
+    """
+    if span > 0:
+        scale = cells / span
+        if scale != math.inf:
+            return scale
+    return 0.0
 
 
 def mbr_of(rects: Iterable[Rect]) -> Rect:

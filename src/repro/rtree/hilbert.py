@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
+from repro.geom.rect import cells_per_unit
+
 #: Default curve order: a 65536 x 65536 grid, fine enough that distinct
 #: TIGER coordinates rarely collide in a cell.
 DEFAULT_ORDER = 16
@@ -99,13 +101,12 @@ def hilbert_keys(
 ) -> List[int]:
     """Curve keys for many points, normalized to the given bounding box.
 
-    A degenerate box (zero width or height) maps every point to the
-    same axis coordinate, which is still a valid total order.
+    A degenerate box (zero width or height, or one too thin for its
+    reciprocal to be finite) maps every point to the same axis
+    coordinate, which is still a valid total order.
     """
-    span_x = hi_x - lo_x
-    span_y = hi_y - lo_y
-    inv_x = 1.0 / span_x if span_x > 0 else 0.0
-    inv_y = 1.0 / span_y if span_y > 0 else 0.0
+    inv_x = cells_per_unit(1.0, hi_x - lo_x)
+    inv_y = cells_per_unit(1.0, hi_y - lo_y)
     return [
         hilbert_d((cx - lo_x) * inv_x, (cy - lo_y) * inv_y, order)
         for cx, cy in centers

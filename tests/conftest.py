@@ -400,7 +400,7 @@ def windowed_hit_reference(engine, window: Rect):
         by_b.update((r.rid, r) for r in (
             side_a if side_b is None else side_b
         ))
-        _, got, task_ops, _, _ = pbsm.sweep_tile(
+        _, got, task_ops, _, _, _ = pbsm.sweep_tile(
             (part, spec, side_a, side_b, side_b is None, True, None)
         )
         pairs += got
@@ -503,17 +503,18 @@ def reference_tile_batch_task(payloads: tuple) -> tuple:
     """:func:`repro.engine.executor.sweep_tile_batch_task` as its tiles
     through :func:`reference_tile_task` back to back, pairs in one
     list."""
-    count = ops = dups = unowned = 0
+    count = ops = dups = unowned = windowed = 0
     pairs: Optional[list] = [] if payloads and payloads[0][5] else None
     for payload in payloads:
-        c, got, o, d, u = reference_tile_task(payload)
+        c, got, o, d, u, w = reference_tile_task(payload)
         count += c
         ops += o
         dups += d
         unowned += u
+        windowed += w
         if pairs is not None:
             pairs.extend(got)
-    return (count, pairs, ops, dups, unowned)
+    return (count, pairs, ops, dups, unowned, windowed)
 
 
 def _python_run(run, in_a, in_b, rel_a, rel_b, disk, collect, kernel,

@@ -12,6 +12,7 @@ from repro.core.columnar import (
     COLUMN_BYTES_PER_RECT,
     ColumnarTile,
     PairColumns,
+    TileImage,
 )
 from repro.core.pbsm import SpillablePartition, TileAllowance
 from repro.core.sweep import (
@@ -177,6 +178,49 @@ class TestPairColumns:
         assert PairColumns.concat(
             [PAIR_LISTS["arity3"][:1], PAIR_LISTS["arity3"][1:]], 3
         ) == PAIR_LISTS["arity3"]
+
+
+class TestTileImage:
+    """Tiles as views of one image, and images made from such tiles."""
+
+    @staticmethod
+    def _image(sizes):
+        rects = uniform_rects(sum(sizes), UNIT, 0.04, seed=7)
+        tile = ColumnarTile.from_rects(rects)
+        offsets = [0]
+        for size in sizes:
+            offsets.append(offsets[-1] + size)
+        return TileImage((tile.xlo, tile.xhi, tile.ylo, tile.yhi,
+                          tile.rid), offsets), rects
+
+    def test_tiles_are_views_that_name_their_rows(self):
+        image, rects = self._image([3, 0, 5, 2])
+        lo = 0
+        for tile, size in zip(image.tiles, [3, 0, 5, 2]):
+            assert tile.source == (image.columns, lo, lo + size)
+            assert tile.decode() == rects[lo:lo + size]
+            lo += size
+        # A copy across a pickle boundary is a tile of its own.
+        assert pickle.loads(pickle.dumps(image.tiles[2])).source is None
+
+    @pytest.mark.parametrize("keep", ([0, 1, 2, 3], [0, 2, 3], [2], [],
+                                      [1, 3], [2, 0], "foreign"))
+    def test_holding_shares_or_copies_the_rows(self, keep):
+        image, rects = self._image([3, 0, 5, 2])
+        tiles = (
+            [image.tiles[0], ColumnarTile.from_rects(rects[:2])]
+            if keep == "foreign" else [image.tiles[i] for i in keep]
+        )
+        held = TileImage.holding(tiles)
+        assert [t.decode() for t in held.tiles] == [
+            t.decode() for t in tiles
+        ]
+        assert len(held) == sum(len(t) for t in tiles)
+        # Tiles 0-3 and 0, 2, 3 cover every row in order (tile 1 is
+        # empty): the columns are shared; anything else is copied.
+        shared = held.columns is image.columns
+        assert shared == (keep in ([0, 1, 2, 3], [0, 2, 3]))
+        assert not set(map(id, held.tiles)) & set(map(id, image.tiles))
 
 
 class TestSpillablePartitionColumnar:

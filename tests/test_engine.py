@@ -179,6 +179,36 @@ class TestRegisterRefusesWhatTheKernelsDecline:
             assert not out.from_cache
             assert out.result.pair_set() == brute_reference(moved, b)
 
+    #: Finite rectangles that are subnormally thin, by name: ``(rects,
+    #: universe)``.  50 zero-width ones at x = 0 and one 5e-324 wide
+    #: span a universe whose reciprocal width overflows; 51 that are
+    #: 1e-310 wide in the unit square give the striped sweep a strip
+    #: count ratio that overflows.
+    THIN = {
+        "thin-universe": (
+            [Rect(0.0, 0.0, i / 50, i / 50 + 0.01, i) for i in range(50)]
+            + [Rect(0.0, 5e-324, 0.3, 0.4, 50)], None),
+        "subnormal-width": (
+            [Rect(0.0, 1e-310, i / 51, i / 51 + 0.01, i)
+             for i in range(51)], UNIT),
+    }
+
+    @pytest.mark.parametrize("sharded", (False, True),
+                             ids=("single", "sharded"))
+    @pytest.mark.parametrize("case", sorted(THIN))
+    def test_a_subnormal_span_is_answered(self, case, sharded):
+        rects, universe = self.THIN[case]
+        a, b = rects[::2], rects[1::2]
+        with self._engine(sharded) as engine:
+            engine.register("a", a, universe=universe)
+            engine.register("b", b, universe=universe)
+            for force in ("pq-index", "pbsm-grid", None):
+                got = engine.execute(Query(relations=("a", "b"),
+                                           force=force)).result
+                assert got.pair_set() == brute_reference(a, b), force
+            got = engine.execute(Query(relations=("a", "a"))).result
+            assert got.pair_set() == brute_reference(a)
+
 
 class TestQueryValidation:
     def test_needs_two_relations(self):
@@ -1084,8 +1114,12 @@ class TestWindowedReuse:
         assert isinstance(cached, DistributionImage)
 
         def copy(tile):
-            return None if tile is None else ColumnarTile.from_columns(
-                tile.xlo, tile.xhi, tile.ylo, tile.yhi, tile.rid)
+            if tile is None:
+                return None
+            own = ColumnarTile()
+            own.extend_columns(tile.xlo, tile.xhi, tile.ylo, tile.yhi,
+                               tile.rid)
+            return own
 
         # The same tiles as a list of their own arrays, as they were
         # cached before the image: same bytes, charged the same.

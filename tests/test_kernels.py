@@ -790,11 +790,15 @@ class TestDistributeParity:
         catalog = Catalog(disk, store)
         with pytest.raises(ValueError, match="rid=7"):
             catalog.register("a", bad, universe=UNIT)
-        # A grid whose span is too thin for its tile count is the one
-        # decline a direct caller can still provoke: it raises, having
-        # taken no allowance, read no block and placed no copy.
-        entry = catalog.register("a", rects, universe=UNIT)
-        thin = TileGrid(Rect(0.0, 5e-324, 0.0, 1.0, 0), 32, 8)
+        # A grid so thin beside the data it cuts that a tile index
+        # overflows is the one decline a direct caller can still
+        # provoke (a span whose own reciprocal overflows counts as
+        # zero): it raises, having taken no allowance, read no block
+        # and placed no copy.
+        far = [Rect(r.xlo * 1e10, r.xhi * 1e10, r.ylo, r.yhi, r.rid)
+               for r in rects]
+        entry = catalog.register("a", far)
+        thin = TileGrid(Rect(0.0, 1e-300, 0.0, 1.0, 0), 32, 8)
         assert np_distribute.distribute(entry.columns, thin, None) is None
         entry.stream  # built before the counters are read
         reads = disk.env.page_reads
@@ -1148,7 +1152,7 @@ class TestPairColumnsParity:
             ))
             assert type(collected[1]) is kind
             assert len(collected[1]) == collected[0] == counted[0]
-            assert task(()) == (0, None, 0, 0, 0)
+            assert task(()) == (0, None, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_engine_returns_columns_in_the_python_order(self, pool_kind):
@@ -1181,11 +1185,10 @@ class TestPairColumnsParity:
                 assert outs[2].result.pairs is outs[0].result.pairs
                 if pool_kind != "serial":
                     assert outs[0].result.detail["tile_batches"] > 0
-        # The reference gathers columns too; its window filter keeps a
-        # list.
-        assert [type(p) for p in got["python"]] == [PairColumns, list,
-                                                     PairColumns]
-        assert all(isinstance(p, PairColumns) for p in got["numpy"])
+        # The reference gathers columns too, windowed or not: its tile
+        # task tests the window, and no post-filter builds a list.
+        assert all(isinstance(p, PairColumns)
+                   for p in got["python"] + got["numpy"])
         assert [list(p) for p in got["numpy"]] == [
             list(p) for p in got["python"]
         ]
@@ -1265,8 +1268,8 @@ class TestSegmentedSweepParity:
     """``sweep_tiles`` over a group vs the python body tile by tile."""
 
     def _check(self, payloads):
-        """Pairs, order, count, ops and dups per tile, at the kernel
-        and through both task entry points."""
+        """Pairs, order, count, ops, dups, strip and window drops per
+        tile, at the kernel and through both task entry points."""
         from repro.core.kernels import np_sweep
 
         first = payloads[0]
@@ -1274,18 +1277,19 @@ class TestSegmentedSweepParity:
         tiles = [(p[0], p[2], p[3]) for p in payloads]
         got = np_sweep.sweep_tiles(tiles, first[4], first[1], True)
         assert got is not None, "the kernel declined a valid group"
-        counts, pairs, ops, dups, unowned = got
-        assert [counts, ops, dups, unowned] == [
-            [ref[i] for ref in refs] for i in (0, 2, 3, 4)
+        counts, pairs, ops, dups, unowned, windowed = got
+        assert [counts, ops, dups, unowned, windowed] == [
+            [ref[i] for ref in refs] for i in (0, 2, 3, 4, 5)
         ]
         assert isinstance(pairs, PairColumns)
         assert list(pairs) == [pair for ref in refs for pair in ref[1]]
         assert np_sweep.sweep_tiles(
             tiles, first[4], first[1], False
-        ) == (counts, None, ops, dups, unowned)
+        ) == (counts, None, ops, dups, unowned, windowed)
         assert sweep_tile_batch_task(
             tuple(p + ("numpy",) for p in payloads)
-        ) == (sum(counts), pairs, sum(ops), sum(dups), sum(unowned))
+        ) == (sum(counts), pairs, sum(ops), sum(dups), sum(unowned),
+              sum(windowed))
         for payload, ref in zip(payloads, refs):  # k = 1, same kernel
             solo = sweep_tile_task(payload + ("numpy",))
             assert isinstance(solo[1], PairColumns)

@@ -21,7 +21,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.columnar import PairColumns
+from repro.core.columnar import ColumnarTile, PairColumns
 from repro.core.histogram import DEFAULT_GRID
 from repro.core.join_result import JoinResult
 from repro.engine import (
@@ -317,6 +317,11 @@ class TestGatherParity:
             (Query(relations=("a", "a")), brute_reference(a)),
             (Query(relations=("a", "b"), window=self.WINDOW),
              brute_reference(a, b, self.WINDOW)),
+            # An index plan's window (and strip) is the post-filter's;
+            # a partitioned plan's is its tile kernel's.
+            (Query(relations=("a", "b"), window=self.WINDOW,
+                   force="pq-index"),
+             brute_reference(a, b, self.WINDOW)),
             # Refined: the strip test runs after refinement, on the
             # reference x clipped to a window right of the first cut.
             (Query(relations=("a", "b"), window=self.RIGHT, refine=True),
@@ -577,6 +582,272 @@ class TestOwnership:
             for ids in ref for lo, hi in strips
         )
         assert result.detail["cross_shard_duplicates"] == raw - len(ref)
+
+
+# -- the window at emission: the tile kernels filter a windowed plan --------
+
+
+def _window_cell():
+    """A lattice window's ``(x, width, y, height)``, zero-area ones
+    included."""
+    return st.tuples(st.integers(0, LATTICE), st.integers(0, 24),
+                     st.integers(0, LATTICE), st.integers(0, 24))
+
+
+def _corner_pairs(window: Rect, corners, id_base: int):
+    """Two rectangles a window corner apart, one pair a corner: ``a``
+    crosses the corner (it meets the window), ``b`` lies beyond it, and
+    they overlap only outside the window.  (Two rectangles that both
+    meet a window can never intersect outside it — the x and y
+    intervals of each pair and the window meet pairwise, so all three
+    meet — which is why a pruned tile never drops a pair.)"""
+    step = 1 / LATTICE
+    a, b = [], []
+    for i, (right, top) in enumerate(corners):
+        x = window.xhi if right else window.xlo
+        y = window.yhi if top else window.ylo
+        sx = 1 if right else -1
+        sy = 1 if top else -1
+        a.append(Rect(*sorted((x - sx * step, x + 3 * sx * step)),
+                      *sorted((y - sy * step, y + 3 * sy * step)),
+                      id_base + i))
+        b.append(Rect(*sorted((x + sx * step, x + 2 * sx * step)),
+                      *sorted((y + sy * step, y + 2 * sy * step)),
+                      id_base + 100 + i))
+    return a, b
+
+
+def _grid_tiles(a, b, grid):
+    """``(part_id, side_a, side_b)`` for every partition of ``grid``
+    holding something on both sides (``b=None``: a self-join)."""
+    def cut(rects):
+        out = [[] for _ in range(grid.p)]
+        for r in rects:
+            for part in grid.partitions_of(r):
+                out[part].append(r)
+        return out
+
+    tiles_a = cut(a)
+    tiles_b = cut(b) if b is not None else [None] * grid.p
+    return [
+        (i, ColumnarTile.from_rects(tiles_a[i]),
+         None if b is None else ColumnarTile.from_rects(tiles_b[i]))
+        for i in range(grid.p)
+        if tiles_a[i] and (b is None or tiles_b[i])
+    ]
+
+
+class TestWindowAtEmission:
+    """A windowed partitioned plan's tile kernels test the window where
+    they emit a pair, and on a shard its strip on the reference x
+    clipped to the window: ``np_sweep.sweep_tiles`` against
+    ``pbsm.sweep_tile``, and the engine against its reference executor
+    and the window oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_kernel_differential(self, data):
+        from repro.core import pbsm
+        from repro.core.kernels import np_sweep
+        from repro.core.pbsm import TileGrid
+
+        draw = data.draw
+        x, w, y, h = draw(_window_cell(), label="window")
+        window = Rect(x / LATTICE, min(LATTICE, x + w) / LATTICE,
+                      y / LATTICE, min(LATTICE, y + h) / LATTICE, 0)
+        self_join = draw(st.booleans(), label="self_join")
+        a = _on_lattice(draw(st.lists(_cell(), max_size=14)), 0)
+        b = _on_lattice(draw(st.lists(_cell(), max_size=14)), 1_000)
+        # The one shape the test drops: pairs meeting outside the window.
+        extra_a, extra_b = _corner_pairs(window, draw(st.lists(
+            st.tuples(st.booleans(), st.booleans()), max_size=4,
+        ), label="corners"), 5_000)
+        a += extra_a
+        (a if self_join else b).extend(extra_b)
+        grid = TileGrid(UNIT, draw(st.sampled_from((1, 2, 4, 8))),
+                        draw(st.integers(1, 5)))
+        strip = draw(st.sampled_from((
+            (), (0.0, 0.5), (0.25, 0.75), (0.5, float("inf")),
+            (-float("inf"), x / LATTICE),
+        )), label="strip")
+        pruned = draw(st.booleans(), label="pruned")
+        if pruned:
+            a = [r for r in a if r.intersects(window)]
+            b = [r for r in b if r.intersects(window)]
+        tiles = _grid_tiles(a, None if self_join else b, grid)
+        if not tiles:
+            return
+        spec = (UNIT.xlo, UNIT.xhi, UNIT.ylo, UNIT.yhi, grid.t, grid.p,
+                *strip, *(() if draw(st.booleans(), label="unwindowed")
+                          else window[:4]))
+        refs = [pbsm.sweep_tile((part, spec, side_a, side_b, self_join,
+                                 True)) for part, side_a, side_b in tiles]
+        got = np_sweep.sweep_tiles(tiles, self_join, spec, True)
+        counts, pairs, ops, dups, unowned, windowed = got
+        assert [counts, ops, dups, unowned, windowed] == [
+            [ref[i] for ref in refs] for i in (0, 2, 3, 4, 5)
+        ]
+        assert list(pairs) == [pair for ref in refs for pair in ref[1]]
+        if pruned:
+            assert not any(windowed), "a pruned tile dropped a pair"
+
+    def test_corner_pairs_are_dropped(self):
+        from repro.core import pbsm
+        from repro.core.kernels import np_sweep
+
+        window = Rect(0.25, 0.5, 0.25, 0.5, 0)
+        a, b = _corner_pairs(window, [(False, False), (False, True),
+                                      (True, False), (True, True)], 0)
+        assert all(r.intersects(window) for r in a)
+        assert not any(r.intersects(window) for r in b)
+        spec = (0.0, 1.0, 0.0, 1.0, 1, 1, 0.0, 0.3, *window[:4])
+        tile = (0, ColumnarTile.from_rects(a), ColumnarTile.from_rects(b))
+        out = np_sweep.sweep_tiles([tile], False, spec, True)
+        assert out == ([0], PairColumns.empty(), out[2], [0], [0], [4])
+        assert pbsm.sweep_tile((0, spec, *tile[1:], False, True)) == (
+            0, [], out[2][0], 0, 0, 4)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+    ])
+    @given(data=st.data())
+    def test_engine_differential(self, data):
+        draw = data.draw
+        shards = draw(st.sampled_from((0, 1, 2, 4)), label="shards")
+        self_join = draw(st.booleans(), label="self_join")
+        reuse = draw(st.booleans(), label="reuse")
+        a = _on_lattice(draw(st.lists(_cell(), min_size=1, max_size=16),
+                             label="a"), 0)
+        b = _on_lattice(draw(st.lists(_cell(), min_size=1, max_size=16),
+                             label="b"), 10_000)
+        x, w, y, h = draw(_window_cell(), label="window")
+        xlo, xhi = x / LATTICE, min(LATTICE, x + w) / LATTICE
+        if shards > 1:
+            cuts = balanced_cuts(a, UNIT, shards, DEFAULT_GRID)
+            cut = draw(st.sampled_from(cuts), label="cut")
+            edge = draw(st.sampled_from(("xlo", "xhi", "both")))
+            if edge in ("xlo", "both"):
+                xlo, xhi = cut, max(cut, xhi)
+            if edge in ("xhi", "both"):
+                xlo, xhi = min(xlo, cut), cut
+        window = Rect(xlo, xhi, y / LATTICE,
+                      min(LATTICE, y + h) / LATTICE, 0)
+        relations = ("a", "a") if self_join else ("a", "b")
+        query = Query(relations=relations, window=window,
+                      force="pbsm-grid")
+
+        outcomes = []
+        for reference in (False, True):
+            with reference_executor(reference), _make_windowed(
+                shards, memory_bytes=20_000_000 if reuse else None,
+            ) as (engine, details):
+                engine.register("a", a, universe=UNIT)
+                engine.register("b", b, universe=UNIT)
+                if reuse:
+                    engine.execute(Query(relations=relations,
+                                         force="pbsm-grid"))
+                    for seen in details:
+                        seen.clear()
+                result = engine.execute(query).result
+                answered = [d for seen in details for d in seen]
+                hits = [d["artifact_hit"] for d in answered]
+                assert hits == [reuse] * len(answered)
+                outcomes.append((
+                    list(result.pairs),
+                    [{key: d.get(key) for key in (
+                        "window_filtered", "cross_shard_duplicates",
+                        "duplicates_eliminated", "sweep_ops_total")}
+                     for d in answered],
+                    [e.metrics.sim_wall_seconds for e in _engines(engine)],
+                ))
+        assert outcomes[0] == outcomes[1]
+        assert len(result.pairs) == len(set(result.pairs))
+        assert set(result.pairs) == brute_reference(
+            a, None if self_join else b, window
+        )
+        for d in answered:
+            assert d["window_filtered"] == 0  # pruned tiles: see above
+            assert ("cross_shard_duplicates" in d) == (shards > 1)
+
+    @pytest.mark.parametrize("shards", (0, 2))
+    def test_partitioned_windows_never_reach_filter_window(
+        self, shards, monkeypatch,
+    ):
+        from repro.core.kernels import np_distribute
+
+        calls = []
+        real = np_distribute.filter_window
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np_distribute, "filter_window", spy)
+        data = TestGatherParity._data()
+        a, b = data["a"], data["b"]
+        window = TestGatherParity.WINDOW
+        with _make_windowed(shards, memory_bytes=20_000_000) as (
+            engine, details,
+        ):
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            for relations, ref in ((("a", "b"), brute_reference(a, b,
+                                                                window)),
+                                   (("a", "a"), brute_reference(
+                                       a, None, window))):
+                # Cold, then from the cached full distribution.
+                for full_first in (False, True):
+                    if full_first:
+                        engine.execute(Query(relations=relations,
+                                             force="pbsm-grid"))
+                    got = engine.execute(Query(
+                        relations=relations, window=window,
+                        force="pbsm-grid",
+                    )).result
+                    assert set(got.pairs) == ref
+            assert calls == []
+            assert {d["artifact_hit"] for seen in details
+                    for d in seen} == {False, True}
+            # An index plan's window is still the post-filter's.
+            got = engine.execute(Query(relations=("a", "b"), window=window,
+                                       force="pq-index")).result
+            assert set(got.pairs) == brute_reference(a, b, window)
+            assert calls and all(w == window for w in calls)
+
+
+class _make_windowed:
+    """An engine for the window tests, and the ``detail`` of every
+    answer its shard engines give (one engine when ``shards`` is 0):
+    ``with _make_windowed(shards) as (engine, details)``.  ``details``
+    holds one list an engine, in shard order (shards answer a scatter
+    in any order)."""
+
+    def __init__(self, shards: int, memory_bytes=None) -> None:
+        kw = {} if memory_bytes is None else {"memory_bytes": memory_bytes}
+        self.engine = (_make_sharded(shards, **kw) if shards
+                       else _make_single(pool_kind="serial", **kw))
+        self.details = []
+        for shard in _engines(self.engine):
+            seen = []
+            self.details.append(seen)
+
+            def execute(query, *args, _run=shard.execute, _seen=seen,
+                        **kwargs):
+                out = _run(query, *args, **kwargs)
+                _seen.append(out.result.detail)
+                return out
+            shard.execute = execute
+
+    def __enter__(self):
+        return self.engine, self.details
+
+    def __exit__(self, *exc) -> None:
+        self.engine.close()
+
+
+def _engines(engine):
+    """The engines that execute: a sharded engine's shards, or itself."""
+    return engine.engines if isinstance(engine, ShardedEngine) else [engine]
 
 
 # -- randomized property tests (the test-archetype headline) -----------------

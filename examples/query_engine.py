@@ -4,7 +4,8 @@ Every earlier example rebuilds streams and indexes per call.  This one
 shows the serving layer: two relations are registered **once** with the
 engine's catalog, then several distinct queries run against them — a
 dense nationwide overlay, a localized window join (the planner switches
-to the index path), and a refined GIS query — and finally a repeat of
+to the index path), and the same window forced onto the plan the
+optimizer did not pick — and finally a repeat of
 the first query is answered straight from the result cache, visible in
 the engine's metrics as a cache hit with zero extra pages read.
 
@@ -52,13 +53,15 @@ def serve(engine: SpatialQueryEngine) -> None:
           f"{out.result.detail['strategy']} "
           f"(sim {out.sim_wall_seconds:.3f}s)")
 
-    # -- query 3: forced-strategy ablation -------------------------------
+    # -- query 3: the plan the optimizer did not pick -------------------
+    chosen = out.result.detail["strategy"]
+    other = "pbsm-grid" if chosen == "pq-index" else "pq-index"
     forced = Query(relations=("roads", "hydro"), window=TWIN_CITIES,
-                   force="sssj")
+                   force=other)
     out = engine.execute(forced)
-    print(f"[3] forced sssj    : {out.result.n_pairs:,} pairs via "
+    print(f"[3] forced {other}: {out.result.n_pairs:,} pairs via "
           f"{out.result.detail['strategy']} "
-          f"(sim {out.sim_wall_seconds:.3f}s — the planner was right)")
+          f"(sim {out.sim_wall_seconds:.3f}s; the optimizer chose {chosen})")
 
     # -- query 4: warm-cache repeat of query 1 ---------------------------
     before = engine.metrics_snapshot()

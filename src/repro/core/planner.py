@@ -84,10 +84,9 @@ class JoinStrategy:
     ``indexed`` says which side (a, b) it reads as an R-tree; the other
     side is read as its base stream.  ``price(model, rel_a, rel_b)`` is
     the Section 6.3 estimate; ``run(in_a, in_b, rel_a, rel_b, disk,
-    collect, kernel, pool)`` joins the inputs ``indexed`` picked
-    (``pool``: the buffer pool ``st`` shares with an engine, or
-    ``None`` for a fresh one).  A non-``planner`` row (``st``) is never
-    chosen, only forced.
+    collect, kernel)`` joins the inputs ``indexed`` picked.  A
+    non-``planner`` row (``st``) is never chosen, only forced.  The
+    serving engine runs only the ``pq-index`` row.
     """
 
     name: str
@@ -114,20 +113,20 @@ class JoinStrategy:
         return all(x is not None for x in self.inputs(rel_a, rel_b))
 
     def join(self, rel_a: Relation, rel_b: Relation, disk: Disk, *,
-             collect_pairs: bool = False, kernel: str = "auto",
-             pool=None) -> JoinResult:
+             collect_pairs: bool = False,
+             kernel: str = "auto") -> JoinResult:
         return self.run(*self.inputs(rel_a, rel_b), rel_a, rel_b, disk,
-                        collect_pairs, kernel, pool)
+                        collect_pairs, kernel)
 
 
-def _run_pq(in_a, in_b, rel_a, rel_b, disk, collect, kernel, pool):
+def _run_pq(in_a, in_b, rel_a, rel_b, disk, collect, kernel):
     # pq_join derives the sweep's universe from the two windows.
     return pq_join(in_a, in_b, disk, config=PQConfig(prune=True),
                    collect_pairs=collect, window_a=rel_a.universe,
                    window_b=rel_b.universe, kernel=kernel)
 
 
-def _run_sssj(in_a, in_b, rel_a, rel_b, disk, collect, kernel, pool):
+def _run_sssj(in_a, in_b, rel_a, rel_b, disk, collect, kernel):
     universe = None
     if rel_a.universe is not None and rel_b.universe is not None:
         universe = union_mbr(rel_a.universe, rel_b.universe)
@@ -135,8 +134,8 @@ def _run_sssj(in_a, in_b, rel_a, rel_b, disk, collect, kernel, pool):
                      collect_pairs=collect)
 
 
-def _run_st(in_a, in_b, rel_a, rel_b, disk, collect, kernel, pool):
-    return st_join(in_a, in_b, collect_pairs=collect, pool=pool)
+def _run_st(in_a, in_b, rel_a, rel_b, disk, collect, kernel):
+    return st_join(in_a, in_b, collect_pairs=collect)
 
 
 def _price_pq_mixed(model: CostModel, indexed: Relation,

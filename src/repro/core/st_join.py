@@ -48,26 +48,15 @@ def st_join(
     tree_b: RTree,
     config: STConfig = STConfig(),
     collect_pairs: bool = False,
-    pool: Optional[BufferPool] = None,
 ) -> JoinResult:
-    """Join the data rectangles of two R-trees on the same store.
-
-    ``pool`` lets a caller share one LRU pool across several joins (the
-    query engine keeps a pool warm between queries); by default a fresh
-    pool is created per join, as in the paper's one-shot experiments.
-    """
+    """Join the data rectangles of two R-trees on the same store,
+    through a fresh LRU pool, as in the paper's one-shot experiments."""
     if tree_a.store is not tree_b.store:
         raise ValueError("ST expects both indexes on the same page store")
     store = tree_a.store
     env = store.disk.env
-    if pool is None:
-        pool_pages = config.buffer_pool_pages or env.scale.buffer_pool_pages
-        pool = BufferPool(store, pool_pages)
-    elif pool.store is not store:
-        raise ValueError("shared buffer pool must sit on the trees' store")
-    pool_pages = pool.capacity
-    # Shared pools carry lifetime counters; report this join's delta.
-    requests0, misses0, hits0 = pool.requests, pool.misses, pool.hits
+    pool_pages = config.buffer_pool_pages or env.scale.buffer_pool_pages
+    pool = BufferPool(store, pool_pages)
 
     pairs: Optional[List[Tuple[int, int]]] = [] if collect_pairs else None
     n_pairs = 0
@@ -96,9 +85,9 @@ def st_join(
         pairs=pairs,
         max_memory_bytes=pool_pages * store.page_bytes,
         detail={
-            "page_requests": pool.requests - requests0,
-            "disk_reads": pool.misses - misses0,
-            "pool_hits": pool.hits - hits0,
+            "page_requests": pool.requests,
+            "disk_reads": pool.misses,
+            "pool_hits": pool.hits,
             "pool_pages": pool_pages,
             "lower_bound_pages": tree_a.page_count + tree_b.page_count,
         },

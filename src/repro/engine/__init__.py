@@ -87,11 +87,6 @@ from repro.engine.serve import (
 )
 from repro.engine.shard import ShardedEngine, lpt_makespan
 from repro.engine.trace import EnvMeter, Span, span_meter
-from repro.engine.workload import (
-    engine_for_dataset,
-    make_workload,
-    run_workload,
-)
 
 __all__ = [
     "AdmissionError",
@@ -123,12 +118,9 @@ __all__ = [
     "ServingFrontend",
     "ShardedEngine",
     "SpatialQueryEngine",
-    "engine_for_dataset",
     "lpt_makespan",
-    "make_workload",
     "merge_snapshots",
     "render_prometheus",
-    "run_workload",
     "serve_http",
     "span_meter",
     "validate_prometheus",

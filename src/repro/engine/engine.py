@@ -9,20 +9,17 @@ query flows
 
 and the engine accounts for each stage: simulated I/O and CPU seconds
 on the engine's machine (with the partitioned executor's parallel CPU
-savings applied), raw page/byte counters, result-cache and buffer-pool
+savings applied), raw page/byte counters, result-cache and artifact
 hit rates — all visible through ``metrics_snapshot()``.
 
 The engine deliberately owns its whole simulated hardware stack
-(environment, disk, page store, LRU buffer pool), so two engines never
-share counters and a long-lived engine's buffer pool stays warm across
-queries — the serving advantage the paper's one-shot experiments could
-not show.
+(environment, disk, page store), so two engines never share counters.
 
 It also owns one :class:`~repro.engine.resources.ResourceBudget` — by
 default the paper's internal-memory grant plus the ST buffer pool
-(Section 5.1's 24 MB + 22 MB, scaled) — attached to the environment so
-every layer of *execution* charges the same ledger: the buffer pool's
-resident pages, external sorts' run-formation chunks, and the
+(Section 5.1's 24 MB + 22 MB, scaled), though no plan the engine serves
+runs ST — attached to the environment so every layer of *execution*
+charges the same ledger: external sorts' run-formation chunks and the
 partitioned executor's tile grants (with disk spill beyond them).
 Result memory is governed separately by the size-aware cache's own
 byte bound.  Queries whose minimum grant exceeds the whole budget are
@@ -57,7 +54,6 @@ from repro.geom.rect import Rect
 from repro.sim.env import SimEnv
 from repro.sim.machines import MACHINE_3, MachineSpec
 from repro.sim.scale import DEFAULT_SCALE, ScaleConfig
-from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.pages import PageStore
 
@@ -76,11 +72,8 @@ def _copy_result(result: JoinResult) -> JoinResult:
 
 
 #: What the keys of ``ArtifactCache.snapshot()`` and
-#: ``ResourceBudget.snapshot()`` are called in a serving snapshot.  Read
-#: in both directions: ``metrics_snapshot()`` flattens the two blocks
-#: with these tables and ``run_workload``'s report
-#: (:mod:`repro.engine.workload`) rebuilds them — from a single engine's
-#: snapshot or a sharded deployment's merged one alike.
+#: ``ResourceBudget.snapshot()`` are called in a serving snapshot:
+#: ``metrics_snapshot()`` flattens the two blocks with these tables.
 ARTIFACT_SNAPSHOT_KEYS = {
     "entries": "artifact_cache_entries",
     "bytes": "artifact_cache_bytes",
@@ -266,7 +259,9 @@ class SpatialQueryEngine(_ServeShell):
         self.workers = max(1, workers)
         # The enforced internal-memory contract.  The default mirrors
         # the paper's Section 5.1 split: the algorithms' memory grant
-        # plus the tree join's LRU pool, both already scaled.
+        # plus the tree join's LRU pool, both already scaled (no served
+        # plan runs the tree join; the split keeps every grant the
+        # paper's).
         self.budget = ResourceBudget(
             memory_bytes if memory_bytes is not None
             else scale.memory_bytes + scale.buffer_pool_bytes
@@ -275,9 +270,6 @@ class SpatialQueryEngine(_ServeShell):
         self.env.budget = self.budget
         self.disk = Disk(self.env)
         self.store = PageStore(self.disk, scale.index_page_bytes)
-        self.pool = BufferPool(
-            self.store, scale.buffer_pool_pages, budget=self.budget
-        )
         self.catalog = Catalog(self.disk, self.store)
         # The persistent worker pool (process-based by default) and the
         # artifact cache are engine-lived: the pool is created lazily
@@ -308,7 +300,7 @@ class SpatialQueryEngine(_ServeShell):
             budget=self.budget, artifacts=self.artifacts,
         )
         self.executor = Executor(
-            self.disk, machine, pool=self.pool, budget=self.budget,
+            self.disk, machine, budget=self.budget,
             worker_pool=self.worker_pool, artifacts=self.artifacts,
         )
         self.metrics = EngineMetrics()
@@ -561,7 +553,7 @@ class SpatialQueryEngine(_ServeShell):
     # -- observability ---------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """Engine + cache + buffer-pool + budget counters in one dict."""
+        """Engine + cache + budget counters in one dict."""
         snap = self.metrics.snapshot()
         snap["worker_pool"] = self.worker_pool.snapshot()
         snap["slow_query_log"] = (
@@ -575,10 +567,6 @@ class SpatialQueryEngine(_ServeShell):
                      in BUDGET_SNAPSHOT_KEYS.items()})
         snap.update(flatten_result_cache_keys(self.cache))
         snap.update({
-            "buffer_pool_requests": self.pool.requests,
-            "buffer_pool_hit_rate": self.pool.hit_rate,
-            "buffer_pool_evictions": self.pool.evictions,
-            "buffer_pool_resident_pages": self.pool.resident_pages,
             "indexes_built": self.catalog.indexes_built,
             "relations": self.catalog.names(),
         })

@@ -1,14 +1,12 @@
 """Physical plan execution, including partitioned parallel joins.
 
-A pairwise plan runs its strategy's row of
-:data:`repro.core.planner.STRATEGIES` — one call, whatever the row —
-and reports the estimate the plan carries; a multiway plan runs
-:func:`multiway_join` over the streams it was priced on.  Neither
-retains an artifact.  The row runs with ``kernel="numpy"``, so a
-``pq-index`` plan runs :mod:`repro.core.kernels.np_index` and hands
-back :class:`~repro.core.columnar.PairColumns` — ``pq-mixed-*``,
-``st``, ``sssj``, multiway and :func:`_refine_pairs` still build tuple
-lists.
+A pairwise plan is ``pq-index``, the one row of
+:data:`repro.core.planner.STRATEGIES` the engine serves: it joins the
+two R-trees with ``kernel="numpy"`` (:mod:`repro.core.kernels.np_index`),
+hands back :class:`~repro.core.columnar.PairColumns` and reports the
+estimate the plan carries; a multiway plan runs :func:`multiway_join`
+over the streams it was priced on and hands back tuple lists, as
+:func:`_refine_pairs` does.  Neither retains an artifact.
 Refinement is a post-filter on the collected pairs
 (:func:`_refine_pairs`), and so is the window on these plans
 (:func:`_filter_window`); a partitioned plan's tile kernels test the
@@ -143,7 +141,6 @@ from repro.engine.trace import Span, span_meter
 from repro.geom.rect import RECT_BYTES, Rect, union_mbr
 from repro.geom.refine import polylines_intersect
 from repro.sim.machines import MachineSpec
-from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import Disk
 
 # -- dispatch policy ---------------------------------------------------
@@ -222,14 +219,12 @@ class Executor:
         self,
         disk: Disk,
         machine: MachineSpec,
-        pool: Optional[BufferPool] = None,
         budget: Optional[ResourceBudget] = None,
         worker_pool: Optional[Union[WorkerPool, PoolClient]] = None,
         artifacts: Optional[ArtifactCache] = None,
     ) -> None:
         self.disk = disk
         self.machine = machine
-        self.pool = pool
         self.budget = budget
         # A private serial pool keeps direct (engine-less) construction
         # working; the engine passes a client on its long-lived pool
@@ -293,15 +288,14 @@ class Executor:
                 result = self._execute_pairwise(plan, entries)
                 if jspan is not None:
                     # What the join worked on, as ``distribute`` reports
-                    # for its path: which kernel ran (``numpy`` where the
-                    # row has one: ``pq-index``) and how much each side
-                    # fed it — a stream side feeds the whole relation.
+                    # for its path: which kernel ran and how many
+                    # rectangles each tree fed it.
                     detail = result.detail
                     jspan.attrs.update({
-                        "kernel": detail.get("kernel", "python"),
+                        "kernel": detail["kernel"],
                         "pages_read": env.page_reads - reads_before,
-                        "rects_a": detail.get("rects_a", len(entries[0])),
-                        "rects_b": detail.get("rects_b", len(entries[1])),
+                        "rects_a": detail["rects_a"],
+                        "rects_b": detail["rects_b"],
                         "pairs": result.n_pairs,
                     })
 
@@ -339,9 +333,9 @@ class Executor:
                           entries: List[CatalogEntry]) -> JoinResult:
         rel_a, rel_b = (e.relation(universe=region)
                         for e, region in zip(entries, plan.regions))
-        result = STRATEGIES[plan.strategy].join(
+        result = STRATEGIES["pq-index"].join(
             rel_a, rel_b, self.disk, collect_pairs=plan.query.collect_pairs,
-            kernel="numpy", pool=self.pool,
+            kernel="numpy",
         )
         # The strategy that ran and the estimate it was planned by.
         result.detail.update(strategy=plan.strategy,
@@ -533,9 +527,12 @@ class Executor:
         # Retain the distribution for warm repeats — memory-resident
         # runs only (a spilled distribution exists precisely because
         # the budget could not hold it) — as one column image a side.
+        # An empty full distribution is kept too, so that its windows
+        # find it; an empty windowed one is not: it is keyed by its
+        # window and holds no bytes, so no byte bound would evict it.
         # put() takes bytes from the budget's free pool and evicts LRU
         # artifacts, never live grants.
-        if tiles and run.spilled_rects == 0:
+        if run.spilled_rects == 0 and (tiles or run.query.window is None):
             self.artifacts.retain(run.ident, DistributionImage(tiles))
 
     def _scan_into_partitions(self, run: "_PartitionedRun", allowance,
@@ -1304,11 +1301,10 @@ def _filter_window(result: JoinResult, entries: List[CatalogEntry],
     tile kernels test the window as they emit a pair.  All pairs are
     tested at once against the entries' column images — every id
     looked up again — and kept as columns (a ``pq-index`` plan hands
-    columns in; the list of a ``pq-mixed-*``, ``st``, ``sssj`` or
-    multiway plan is converted once).  With a shard's ``strip`` a kept
-    tuple must also have its reference x — the intersection's low x,
-    clipped to the window — in ``[lo, hi)``; the rest count as
-    ``cross_shard_duplicates``.
+    columns in; a multiway plan's tuple list is converted once).  With
+    a shard's ``strip`` a kept tuple must also have its reference x —
+    the intersection's low x, clipped to the window — in ``[lo, hi)``;
+    the rest count as ``cross_shard_duplicates``.
     """
     out = np_distribute.filter_window(
         [e.columns for e in entries], result.pairs, window, strip

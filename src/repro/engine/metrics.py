@@ -9,8 +9,8 @@ execution, simulated seconds on the engine's machine, and real
 wall-clock seconds spent inside the executor.
 
 ``snapshot()`` flattens everything into one dict (the `/metrics`
-endpoint analogue); the engine merges in result-cache and buffer-pool
-statistics so one call tells the whole serving story.
+endpoint analogue); the engine merges in result-cache, artifact-cache
+and budget statistics so one call tells the whole serving story.
 """
 
 from __future__ import annotations

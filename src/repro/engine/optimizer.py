@@ -7,17 +7,20 @@ machine, and emits an explainable :class:`PhysicalPlan`.  An unforced
 pairwise plan has two candidates, at every worker count:
 
 * ``"pq-index"`` — the :data:`repro.core.planner.STRATEGIES` row that
-  joins the two R-trees, when both exist;
+  joins the two R-trees (the catalog builds both for every relation);
 * ``"pbsm-grid"`` — a plan mode, not a row: PBSM-style tile
   partitioning fanned out over the executor's worker pool (inline on
   the coordinator when the pool is serial), priced as the single
   sequential partition pass it costs (tiles stay in memory).
 
-The other rows (``pq-mixed-*``, ``sssj``, ``st``) stay forceable as
-ablations and are priced by their own row when forced.
+These are also the only plans a query may force
+(:data:`repro.engine.query.FORCEABLE`); the other rows (``pq-mixed-*``,
+``sssj``, ``st``) run through
+:func:`repro.core.planner.unified_spatial_join` and the paper runner,
+not the engine.
 
-A plan is priced once, here — a forced strategy from its candidate
-entry, else from its row — and the executor reports that estimate.
+A plan is priced once, here, from its candidate entry, and the
+executor reports that estimate.
 
 Plans are priced against the engine's shared
 :class:`~repro.engine.resources.ResourceBudget`: the ``pbsm-grid``
@@ -325,13 +328,10 @@ class Optimizer:
             cached=tiles_cached,
         )
         # The index join first: min() keeps it on a tie.
-        candidates: List[Tuple[str, JoinCostEstimate]] = []
-        index_row = STRATEGIES["pq-index"]
-        if index_row.feasible(rel_a, rel_b):
-            candidates.append(
-                ("pq-index", index_row.price(model, rel_a, rel_b))
-            )
-        candidates.append(("pbsm-grid", pbsm))
+        candidates: List[Tuple[str, JoinCostEstimate]] = [
+            ("pq-index", STRATEGIES["pq-index"].price(model, rel_a, rel_b)),
+            ("pbsm-grid", pbsm),
+        ]
         notes: List[str] = []
         if tiles_cached:
             notes.append(
@@ -344,12 +344,9 @@ class Optimizer:
             rel_b.fraction_in(regions[0]),
         ]
         if query.force is not None:
-            # Query admits only forceable names; a row not offered
-            # here is priced by its row.
+            # Query admits only the two candidates' names.
             strategy = query.force
-            estimate = dict(candidates).get(strategy)
-            if estimate is None:
-                estimate = STRATEGIES[strategy].price(model, rel_a, rel_b)
+            estimate = dict(candidates)[strategy]
             notes.append("strategy forced by query")
         else:
             strategy, estimate = min(

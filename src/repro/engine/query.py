@@ -11,15 +11,18 @@ orphans every stale cached result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.planner import STRATEGIES
 from repro.geom.rect import Rect
 
-#: What ``Query.force`` accepts: the strategy table's rows, and the
-#: partitioned plan (a plan mode, not a row).
-FORCEABLE = (*STRATEGIES, "pbsm-grid")
+#: What ``Query.force`` accepts: the two plans the optimizer chooses
+#: between — the index join (a row of
+#: :data:`repro.core.planner.STRATEGIES`) and the partitioned plan (a
+#: plan mode, not a row).  The table's other rows run through
+#: :func:`repro.core.planner.unified_spatial_join`, not the engine.
+FORCEABLE = ("pq-index", "pbsm-grid")
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,9 @@ class Query:
         Keep the id pairs in the result (required for windowed or
         refined queries, where the engine must post-filter).
     force:
-        Optional strategy override for ablations, one of
-        :data:`FORCEABLE` (a self-join takes ``"pbsm-grid"`` only);
-        ``None`` lets the optimizer decide.
+        Optional plan override, one of :data:`FORCEABLE` — the two
+        plans the optimizer prices (a self-join takes ``"pbsm-grid"``
+        only); ``None`` lets the optimizer decide.
     """
 
     relations: Tuple[str, ...]
@@ -79,16 +82,21 @@ class Query:
                 "forced strategies apply to pairwise queries only "
                 "(multiway joins always cascade PQ)"
             )
-        if self.force is not None and self.force not in FORCEABLE:
-            raise ValueError(
-                f"unknown strategy {self.force!r}; accepted: "
-                f"{', '.join(FORCEABLE)}"
-            )
         if self.is_self_join and self.force not in (None, "pbsm-grid"):
             raise ValueError(
                 f"self-joins execute via pbsm-grid only (force="
                 f"{self.force!r} is not supported; accepted: pbsm-grid)"
             )
+        if self.force is not None and self.force not in FORCEABLE:
+            raise ValueError(
+                f"unknown strategy {self.force!r}; accepted: "
+                f"{', '.join(FORCEABLE)}"
+            )
+        if self.window is not None and any(
+                math.isnan(v) for v in self.window[:4]):
+            # The kernels model no NaN; an infinite window answers and
+            # an inverted one compiles to the empty plan.
+            raise ValueError(f"window has a NaN coordinate: {self.window}")
         if (self.window is not None or self.refine) and not self.collect_pairs:
             raise ValueError(
                 "windowed/refined queries must collect pairs "

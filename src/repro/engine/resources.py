@@ -7,10 +7,10 @@ exceeds that grant.  :class:`ResourceBudget` turns the simulated budget
 (:data:`repro.sim.scale.ScaleConfig.memory_bytes`) into an *enforced*
 runtime contract shared by every layer of the serving engine:
 
-* the storage layer's :class:`~repro.storage.buffer_pool.BufferPool`
-  charges resident pages, and
-  :func:`~repro.storage.sort.external_sort` sizes its run-formation
-  chunks to what the budget can actually grant;
+* the storage layer's :func:`~repro.storage.sort.external_sort` sizes
+  its run-formation chunks to what the budget can actually grant (and
+  a :class:`~repro.storage.buffer_pool.BufferPool` given the budget
+  charges its resident pages);
 * the core layer's :class:`~repro.core.pbsm.SpillablePartition` holds
   tiles in memory up to its allowance and overflows to disk;
 * the engine layer acquires per-query grants for partitioned tiles and

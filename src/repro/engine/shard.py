@@ -43,8 +43,8 @@ two shards; what the strip test dropped is counted per shard and
 summed into ``cross_shard_duplicates``.  The test runs where the
 reference point is already computed — in the window filter, or in the
 tile kernels next to PBSM's own partition test — and only the other
-answers (an unwindowed ``pq-*``, ``sssj``, ``st`` or multiway plan,
-or a refined one) take a post-filter that looks their ids up again.
+answers (an unwindowed ``pq-index`` or multiway plan, or a refined
+one) take a post-filter that looks their ids up again.
 
 **Scatter planning.**  A query touches only the shards that (a) hold
 data for every referenced relation and (b) — for windowed queries —
@@ -210,8 +210,8 @@ def gather_pairs(results: Sequence[JoinResult], arity: int,
     each shard's own order inside, as one
     :class:`~repro.core.columnar.PairColumns` — ``None`` for a
     count-only query, whose shards collected nothing.  Collected
-    sub-results may mix lists (the tuple-building strategies) and
-    columns; the lists convert on the way in.
+    sub-results may mix lists (a multiway or refined answer, an empty
+    plan's) and columns; the lists convert on the way in.
     """
     n_pairs = sum(r.n_pairs for r in results)
     if not collect:
@@ -900,13 +900,6 @@ class ShardedEngine(_ServeShell):
             # it is the only result cache in a sharded deployment
             # (shard engines run with theirs disabled).
             **flatten_result_cache_keys(self.cache),
-            # Requests, evictions, resident pages and index builds sum
-            # in the merge; a hit rate is weighted by its requests.
-            "buffer_pool_hit_rate": (
-                sum(e.pool.hit_rate * e.pool.requests
-                    for e in self.all_engines)
-                / max(1, snap["buffer_pool_requests"])
-            ),
             "relations": self.names(),
         })
         return snap

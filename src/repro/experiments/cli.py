@@ -12,18 +12,16 @@ algorithm x machine row instead, so results diff mechanically
 (``tests/golden/experiments_quick.jsonl`` pins ``--all --scale quick``
 in tier-1).
 
-Two subcommands build one deployment from the same arguments
-(dataset, workers, shards, replicas, memory budget, faults, ...):
-``serve-bench`` replays a seeded query mix against it serially, in
-process, and prints the report; ``serve`` puts it behind the admission
-front-end on an HTTP port (scrape ``GET /metrics``)::
+The ``serve`` subcommand builds one deployment from its arguments
+(dataset, workers, shards, replicas, memory budget, faults, ...) and
+puts it behind the admission front-end on an HTTP port (scrape
+``GET /metrics``)::
 
-    python -m repro.experiments serve-bench --dataset NY --queries 40 \
-        --workers 4 --scale quick --json
     python -m repro.experiments serve --dataset NY --workers 4 --port 8642
 
 Load comes from ``benchmarks/e2e/``, which drives a server process over
-a socket; nothing here generates concurrent traffic.
+a socket; ``benchmarks/replay.py`` replays a bench workload's stream
+in process, one query at a time.  Nothing here generates traffic.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import json
 import sys
 from typing import Dict, List
 
-from repro.data.datasets import DATASET_ORDER
+from repro.data.datasets import DATASET_ORDER, build_dataset
 from repro.experiments.report import fmt_seconds, format_table
 from repro.experiments.runner import (
     ALGORITHMS,
@@ -75,32 +73,8 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve-bench",
-        description=(
-            "Replay a seeded mixed query workload serially, in process, "
-            "against the deployment the arguments describe."
-        ),
-    )
-    _add_engine_args(parser)
-    parser.add_argument(
-        "--queries", type=int, default=30,
-        help="workload length (default: 30)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7,
-        help="workload seed (default: 7)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the serving report as one JSON object",
-    )
-    return _parse_deployment(parser, argv)
-
-
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    """The deployment serve-bench and the serve endpoint both build."""
+    """The deployment the serve endpoint builds."""
     parser.add_argument(
         "--dataset", choices=DATASET_ORDER, default="NJ",
         help="Table 2 dataset registered as roads/hydro (default: NJ)",
@@ -149,9 +123,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--trace", action="store_true",
         help=(
             "record a span tree per query (plan -> scatter -> worker "
-            "tasks -> gather) and keep the slowest eight; serve-bench "
-            "--json reports the last tree under 'trace' and the kept "
-            "ones under 'slow_queries'"
+            "tasks -> gather) and keep the slowest eight"
         ),
     )
     parser.add_argument(
@@ -302,8 +274,9 @@ def _build_engine(args: argparse.Namespace):
     it joins its fault plan)."""
     # Imported here so the classic experiment path stays importable
     # even if the engine package is being bisected.
+    from repro.engine.engine import SpatialQueryEngine
     from repro.engine.faults import FaultPlan
-    from repro.engine.workload import engine_for_dataset
+    from repro.engine.shard import ShardedEngine
 
     faults = None
     if args.faults:
@@ -311,93 +284,25 @@ def _build_engine(args: argparse.Namespace):
             faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
-    # ``replicas`` is a ShardedEngine parameter; unsharded,
-    # _parse_deployment refused any value but the default.
-    sharded = ({"replicas": max(1, args.replicas)}
-               if args.shards > 1 else {})
-    return engine_for_dataset(
-        args.dataset, _scale(args.scale), shards=args.shards,
-        workers=max(1, args.workers), pool_kind=args.pool_kind,
-        faults=faults, memory_bytes=args.memory_bytes, trace=args.trace,
-        **sharded,
+    scale = _scale(args.scale)
+    kwargs = dict(scale=scale, workers=max(1, args.workers),
+                  pool_kind=args.pool_kind, faults=faults,
+                  memory_bytes=args.memory_bytes, trace=args.trace)
+    # ``memory_bytes`` is the total budget, sliced evenly over the
+    # shards; unsharded, _parse_deployment refused any ``replicas`` but
+    # the default.
+    engine = (
+        ShardedEngine(shards=args.shards, replicas=max(1, args.replicas),
+                      **kwargs)
+        if args.shards > 1 else SpatialQueryEngine(**kwargs)
     )
-
-
-def serve_bench(args: argparse.Namespace) -> int:
-    from repro.engine.workload import make_workload, run_workload
-
-    with _build_engine(args) as engine:
-        report = run_workload(engine, make_workload(
-            engine.universe_of("roads"), args.queries, seed=args.seed,
-        ))
-    if args.json:
-        print(json.dumps(report, default=str, sort_keys=True))
-        return 0
-    m = report["metrics"]
-    rows = [
-        ["queries served", report["queries"]],
-        ["pairs returned", report["pairs_returned"]],
-        ["cache hits", m["cache_hits"]],
-        ["cache hit rate", f"{m['cache_hit_rate']:.0%}"],
-        ["pages read", m["pages_read"]],
-        ["wall seconds", fmt_seconds(report["wall_seconds"])],
-        ["simulated seconds", fmt_seconds(report["sim_wall_seconds"])],
-        ["queries/s (wall)", f"{report['queries_per_sec_wall']:.1f}"],
-        ["queries/s (simulated)", f"{report['queries_per_sec_sim']:.1f}"],
-        ["latency p50 / p95", (
-            f"{fmt_seconds(report['latency_p50_seconds'])} / "
-            f"{fmt_seconds(report['latency_p95_seconds'])}"
-        )],
-        ["worker pool", (
-            f"{report['pool']['kind']} x{report['pool']['workers']}, "
-            f"{report['pool']['tasks_dispatched']} shipped / "
-            f"{report['pool']['tasks_inline']} inline"
-        )],
-        ["shm", (
-            f"{report['pool']['shm']['segments_created']} segments "
-            f"(+{report['pool']['shm']['segments_recycled']} recycled), "
-            f"{report['pool']['shm']['tile_refs_reused']} tile refs "
-            f"reused"
-        )],
-        ["artifact cache", (
-            f"{report['artifacts']['hits']} hits, "
-            f"{report['artifacts']['entries']} entries, "
-            f"{report['artifacts']['bytes']} B"
-        )],
-        ["strategies", ", ".join(
-            f"{k}x{v}" for k, v in sorted(m["per_strategy"].items())
-        )],
-    ]
-    if args.shards > 1:
-        rows.append(["shards", (
-            f"{m['shards']}, "
-            f"{m['duplicates_eliminated']} boundary dups removed, "
-            f"{m['shards_pruned_total']} shard-queries pruned"
-        )])
-        rows.append(["replicas", (
-            f"{m['replicas']} per shard, "
-            f"{m['failovers']} failovers, "
-            f"{m['retries']} retries, "
-            f"{m['unhealthy_replicas']} unhealthy"
-        )])
-    budget = report["budget"]
-    rows += [
-        ["budget total bytes", budget["total_bytes"]],
-        ["budget high-water bytes", budget["high_water_bytes"]],
-        ["budget overcommits", budget["overcommits"]],
-        ["spilled rects", m["spilled_rects"]],
-        ["spilled bytes", m["spilled_bytes"]],
-        ["queries that spilled", m["spill_queries"]],
-        ["queries rejected", m["queries_rejected"]],
-        ["result cache bytes", m["result_cache_bytes"]],
-    ]
-    title = (
-        f"serve-bench {args.dataset} (scale {engine.scale.name}): "
-        f"{args.queries} queries, {max(1, args.workers)} workers"
-        + (f", {args.shards} shards" if args.shards > 1 else "")
-    )
-    print(format_table(["Metric", "Value"], rows, title=title))
-    return 0
+    # One Table 2 dataset as two relations, prepared, so the first
+    # query starts from built representations.
+    ds = build_dataset(args.dataset, scale)
+    engine.register("roads", ds.roads, universe=ds.universe)
+    engine.register("hydro", ds.hydro, universe=ds.universe)
+    engine.prepare()
+    return engine
 
 
 def serve_cmd(args: argparse.Namespace) -> int:
@@ -455,8 +360,6 @@ def serve_cmd(args: argparse.Namespace) -> int:
 
 def main(argv: List[str] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "serve-bench":
-        return serve_bench(_parse_serve_args(argv[1:]))
     if argv and argv[0] == "serve":
         return serve_cmd(_parse_http_args(argv[1:]))
     args = _parse_args(argv)

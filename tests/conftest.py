@@ -22,6 +22,7 @@ from repro.core.brute import brute_force_pairs
 from repro.core.planner import STRATEGIES
 from repro.engine import executor as executor_mod
 from repro.engine import shard as shard_mod
+from repro.engine.query import Query
 from repro.geom.rect import Rect, intersection, mbr_of
 from repro.sim.env import SimEnv
 from repro.sim.machines import ALL_MACHINES, MACHINE_3
@@ -136,8 +137,8 @@ def force_strategies(engines, forces) -> None:
 
     ``Query.force`` is one value for a whole scatter; wrapping the
     shard engines' ``execute`` is how a test gets one shard answering
-    from an index plan (a list) beside one answering from the
-    partitioned path (columns).
+    from the index plan beside one answering from the partitioned
+    path.
     """
     for engine, force in zip(engines, forces):
         def execute(query, *args, _run=engine.execute, _force=force,
@@ -145,6 +146,42 @@ def force_strategies(engines, forces) -> None:
             return _run(dataclasses.replace(query, force=_force),
                         *args, **kwargs)
         engine.execute = execute
+
+
+#: :func:`make_workload`'s mix: the share of queries that repeat an
+#: earlier query verbatim (cache-hit traffic), and the share of
+#: localized window queries among the fresh ones.
+REPEAT_SHARE = 0.4
+WINDOW_SHARE = 0.6
+
+
+def make_workload(universe: Rect, n_queries: int,
+                  seed: int = 7) -> List[Query]:
+    """A deterministic mixed stream of pairwise queries.
+
+    Roughly ``REPEAT_SHARE`` of the queries repeat a previously issued
+    query (eligible for the result cache); fresh queries are windowed
+    localized joins with ``WINDOW_SHARE`` probability, full overlays
+    otherwise.
+    """
+    rng = random.Random(seed)
+    queries: List[Query] = []
+    for _ in range(n_queries):
+        if queries and rng.random() < REPEAT_SHARE:
+            queries.append(rng.choice(queries))
+            continue
+        if rng.random() < WINDOW_SHARE:
+            # A window covering a few percent of the universe, placed
+            # uniformly — the localized-join regime where indexes win.
+            w = (universe.xhi - universe.xlo) * rng.uniform(0.08, 0.25)
+            h = (universe.yhi - universe.ylo) * rng.uniform(0.08, 0.25)
+            x = rng.uniform(universe.xlo, universe.xhi - w)
+            y = rng.uniform(universe.ylo, universe.yhi - h)
+            window: Optional[Rect] = Rect(x, x + w, y, y + h, 0)
+        else:
+            window = None
+        queries.append(Query(relations=("roads", "hydro"), window=window))
+    return queries
 
 
 def make_env(scale: ScaleConfig = TEST_SCALE) -> SimEnv:
@@ -517,9 +554,8 @@ def reference_tile_batch_task(payloads: tuple) -> tuple:
     return (count, pairs, ops, dups, unowned, windowed)
 
 
-def _python_run(run, in_a, in_b, rel_a, rel_b, disk, collect, kernel,
-                pool):
-    return run(in_a, in_b, rel_a, rel_b, disk, collect, "python", pool)
+def _python_run(run, in_a, in_b, rel_a, rel_b, disk, collect, kernel):
+    return run(in_a, in_b, rel_a, rel_b, disk, collect, "python")
 
 
 #: ``STRATEGIES`` with every row run by the python kernel, whatever the

@@ -16,8 +16,6 @@ from repro.engine import (
     ShardedEngine,
     SpatialQueryEngine,
     WorkerPool,
-    make_workload,
-    run_workload,
 )
 from repro.geom.rect import Rect, intersection
 from repro.sim.machines import MACHINE_3
@@ -26,13 +24,13 @@ from repro.engine.pool import DeadlineExceeded
 from repro.engine.query import FORCEABLE
 
 from repro.engine.cache import artifact_bytes
-from repro.core.cost_model import CostModel
 from repro.core.planner import STRATEGIES
 
 from tests.conftest import (
     TEST_SCALE,
     brute_reference,
     dispatch,
+    make_workload,
     reference_executor,
     windowed_hit_reference,
 )
@@ -233,7 +231,7 @@ class TestQueryValidation:
 
     def test_multiway_force_rejected(self):
         with pytest.raises(ValueError, match="pairwise"):
-            Query(relations=("a", "b", "c"), force="sssj")
+            Query(relations=("a", "b", "c"), force="pq-index")
 
     def test_unknown_force_rejected_at_construction(self):
         # Refused before any engine (or shard replica) sees it, with
@@ -241,10 +239,28 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="nested-loop") as err:
             Query(relations=("a", "b"), force="nested-loop")
         assert all(name in str(err.value) for name in FORCEABLE)
+        # The strategy table's other rows run through
+        # unified_spatial_join, not the engine.
+        assert FORCEABLE == ("pq-index", "pbsm-grid")
+        for name in STRATEGIES:
+            if name not in FORCEABLE:
+                with pytest.raises(ValueError, match="pq-index, pbsm-grid"):
+                    Query(relations=("a", "b"), force=name)
 
-    @pytest.mark.parametrize(
-        "force", [f for f in FORCEABLE if f != "pbsm-grid"]
-    )
+    @pytest.mark.parametrize("coord", range(4))
+    def test_nan_window_rejected_at_construction(self, coord):
+        # The kernels model no NaN: refused before any engine (or shard
+        # replica) sees it.  An infinite window is a valid one.
+        bounds = [0.1, 0.6, 0.1, 0.6]
+        bounds[coord] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            Query(relations=("a", "b"), window=Rect(*bounds, 0))
+        assert Query(relations=("a", "b"),
+                     window=Rect(-math.inf, math.inf, 0.1, 0.6, 0))
+
+    # Every row of the strategy table, forceable or not: a self-join
+    # names the one plan it takes.
+    @pytest.mark.parametrize("force", list(STRATEGIES))
     def test_self_join_force_rejected_at_construction(self, force):
         with pytest.raises(ValueError, match="accepted: pbsm-grid"):
             Query(relations=("a", "a"), force=force)
@@ -291,8 +307,10 @@ class TestExecution:
 
     def test_forced_strategy_respected(self):
         engine = make_engine()
-        out = engine.execute(Query(relations=("a", "b"), force="sssj"))
-        assert out.result.detail["strategy"] == "sssj"
+        chosen = engine.optimizer.compile(Query(relations=("a", "b")))
+        other, = set(FORCEABLE) - {chosen.strategy}
+        out = engine.execute(Query(relations=("a", "b"), force=other))
+        assert out.result.detail["strategy"] == other
 
     def test_empty_window_shortcut(self):
         engine = make_engine()
@@ -312,38 +330,14 @@ class TestExecution:
         assert out.result.n_pairs >= 0
         assert all(len(t) == 3 for t in out.result.pairs)
 
-    def test_st_strategy_uses_shared_pool(self):
-        engine = make_engine()
-        engine.prepare()
-        out = engine.execute(Query(relations=("a", "b"), force="st"))
-        assert out.result.detail["strategy"] == "st"
-        assert engine.pool.requests > 0
-        snap = engine.metrics_snapshot()
-        assert snap["buffer_pool_requests"] == engine.pool.requests
-
-    def test_st_detail_reports_per_join_deltas(self):
-        # A second ST run over the warm shared pool must report its own
-        # page requests, not the pool's lifetime totals.
-        engine = make_engine(cache_capacity=0)
-        engine.prepare()
-        first = engine.execute(Query(relations=("a", "b"), force="st"))
-        second = engine.execute(Query(relations=("a", "b"), force="st"))
-        assert second.result.detail["page_requests"] == (
-            first.result.detail["page_requests"]
-        )
-        # Warm pool: the repeat join's misses can only shrink.
-        assert second.result.detail["disk_reads"] <= (
-            first.result.detail["disk_reads"]
-        )
-
     def test_forced_engine_strategy_priced(self):
         engine = make_engine()
         engine.prepare()
         window = Rect(0.1, 0.6, 0.1, 0.6, 0)
         out = engine.execute(
-            Query(relations=("a", "b"), window=window, force="st")
+            Query(relations=("a", "b"), window=window, force="pq-index")
         )
-        assert out.result.detail["strategy"] == "st"
+        assert out.result.detail["strategy"] == "pq-index"
         assert math.isfinite(out.plan.estimate.io_seconds)
         out = engine.execute(Query(relations=("a", "b"),
                                    force="pbsm-grid"))
@@ -487,11 +481,14 @@ class TestResultCache:
 
     def test_caller_mutation_cannot_corrupt_cache(self):
         engine = make_engine()
-        # A plan that hands back a tuple list on either kernel: columns
-        # (a numpy pbsm-grid or pq-index answer) cannot be mutated.
-        q = Query(relations=("a", "b"), force="sssj")
+        engine.register("c", uniform_rects(80, UNIT, 0.05, seed=3,
+                                           id_base=200_000), universe=UNIT)
+        # The one plan that hands back a tuple list: columns (a
+        # pbsm-grid or pq-index answer) cannot be mutated.
+        q = Query(relations=("a", "b", "c"))
         first = engine.execute(q)
         n = first.result.n_pairs
+        assert isinstance(first.result.pairs, list) and n > 0
         first.result.pairs.clear()          # caller abuses its copy
         first.result.detail["strategy"] = "vandalized"
         second = engine.execute(q)
@@ -676,7 +673,7 @@ class TestSelfJoin:
     def test_self_join_rejects_foreign_force(self):
         engine = make_engine()
         with pytest.raises(ValueError, match="pbsm-grid"):
-            engine.execute(Query(relations=("a", "a"), force="sssj"))
+            engine.execute(Query(relations=("a", "a"), force="pq-index"))
 
 
 class TestMultiwayPricing:
@@ -741,10 +738,9 @@ class TestMetricsAndWorkload:
 
     def test_workload_runs_and_reports(self):
         queries = make_workload(UNIT, 12, seed=3)
-        report = self._replay(queries, workers=2, cache_capacity=32)
-        assert report["queries"] == 12
-        assert report["sim_wall_seconds"] > 0
-        assert report["metrics"]["queries_served"] == 12
+        snap = self._replay(queries, workers=2, cache_capacity=32)
+        assert snap["queries_served"] == 12
+        assert snap["sim_wall_seconds"] > 0
         # The serving layer's reason to exist, on the simulated clock:
         # the same workload takes longer on one worker with no result
         # cache than with either of them, and answers the same.  Both
@@ -752,36 +748,27 @@ class TestMetricsAndWorkload:
         # where tasks ship: on 3 000 x 1 200 rectangles they do, on the
         # 300 x 120 above nothing reaches MIN_SHIP_RECTS and two
         # workers' eight partitions only add replication.
-        cold_1, cold_k, warm_1 = reports = [
+        cold_1, cold_k, warm_1 = snaps = [
             self._replay(queries, workers, capacity, n_a=3000, n_b=1200)
             for workers, capacity in ((1, 0), (2, 0), (1, 32))
         ]
         assert cold_k["sim_wall_seconds"] < cold_1["sim_wall_seconds"]
         assert warm_1["sim_wall_seconds"] < cold_1["sim_wall_seconds"]
-        assert warm_1["metrics"]["cache_hits"] > 0
-        assert len({r["pairs_returned"] for r in reports}) == 1
+        assert warm_1["cache_hits"] > 0
+        assert len({s["pairs_returned"] for s in snaps}) == 1
 
     @staticmethod
     def _replay(queries, workers, cache_capacity, **data):
+        """A fresh engine's snapshot after serving ``queries`` serially."""
         engine = make_engine(workers=workers, cache_capacity=cache_capacity,
                              **data)
         # make_workload targets relations named roads/hydro.
         engine.register("roads", engine._test_rects[0], universe=UNIT)
         engine.register("hydro", engine._test_rects[1], universe=UNIT)
         with engine:
-            return run_workload(engine, queries)
-
-    def test_run_workload_reports_deltas(self):
-        engine = make_engine(cache_capacity=0)
-        engine.register("roads", engine._test_rects[0], universe=UNIT)
-        engine.register("hydro", engine._test_rects[1], universe=UNIT)
-        queries = make_workload(UNIT, 6, seed=4)
-        first = run_workload(engine, queries)
-        second = run_workload(engine, queries)
-        # Per-workload sim seconds, not the engine's lifetime clock.
-        assert first["sim_wall_seconds"] + second["sim_wall_seconds"] == (
-            pytest.approx(engine.metrics.sim_wall_seconds)
-        )
+            for q in queries:
+                engine.execute(q)
+            return engine.metrics_snapshot()
 
 
 class TestParallelPool:
@@ -1062,6 +1049,32 @@ class TestWindowedReuse:
         assert self_join or one_sided, "vacuous: no tile left one-sided"
         engine.close()
 
+    def test_empty_distribution_is_reused_by_its_windows(self):
+        # No partition holds both sides, so the full distribution has
+        # no task; it is retained all the same, and its windows hit it.
+        # An empty windowed distribution holds no bytes and is keyed by
+        # its window: retained, no byte bound would ever evict it.
+        engine = SpatialQueryEngine(
+            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
+            pool_kind="serial", cache_capacity=0, memory_bytes=10_000_000,
+        )
+        engine.register("a", [Rect(0.0, 0.0, 0.0, 0.0, 0)], universe=UNIT)
+        engine.register("b", [Rect(2 / 64, 2 / 64, 0.0, 0.0, 1)],
+                        universe=UNIT)
+        windowed = Query(relations=("a", "b"),
+                         window=Rect(0.0, 0.0, 0.0, 0.0, 0),
+                         force="pbsm-grid")
+        cold = engine.execute(windowed).result
+        assert len(engine.artifacts) == 0
+        full = engine.execute(Query(relations=("a", "b"),
+                                    force="pbsm-grid")).result
+        out = engine.execute(windowed).result
+        engine.close()
+        assert cold.n_pairs == full.n_pairs == out.n_pairs == 0
+        assert not cold.detail["artifact_hit"]
+        assert not full.detail["artifact_hit"]
+        assert out.detail["artifact_hit"] is True
+
     def test_small_window_ships_nothing(self):
         # Full tiles of 60-odd rectangles ship on their own; what a
         # small window leaves of all of them is one group, run here.
@@ -1222,8 +1235,7 @@ class TestPricingMatchesExecution:
 
 class TestServingCandidates:
     """An unforced pairwise plan chooses between pq-index and pbsm-grid
-    only, at every worker count; the other rows run when forced, priced
-    by their row, and leave nothing behind."""
+    only, at every worker count: the two plans a query may force."""
 
     @pytest.mark.parametrize("windowed", (False, True),
                              ids=("overlay", "window"))
@@ -1233,50 +1245,12 @@ class TestServingCandidates:
         engine = _prepared_ab_engine(workers=workers)
         query = Query(relations=("a", "b"),
                       window=_WINDOW if windowed else None)
-        entries = [engine.catalog.get(n) for n in query.relations]
-        rels = [e.relation() for e in entries]
-        feasible = [
-            name for name in ("pq-index", "pbsm-grid")
-            if name == "pbsm-grid" or STRATEGIES[name].feasible(*rels)
-        ]
         plan = engine.optimizer.compile(query)
-        assert [name for name, _ in plan.candidates] == feasible
-        assert plan.strategy in feasible
+        assert [name for name, _ in plan.candidates] == list(FORCEABLE)
+        assert plan.strategy in FORCEABLE
         result = engine.execute(query).result
         assert result.pair_set() == brute_reference(
             *engine._test_rects, query.window)
-        engine.close()
-
-    @pytest.mark.parametrize("forced",
-                             ("sssj", "st", "pq-mixed-a", "pq-mixed-b"))
-    def test_a_forced_ablation_does_not_stick(self, forced):
-        # A forced sssj used to retain both sides' sorted runs, which
-        # then priced sssj at 0 s, tied a cached distribution and won
-        # the tie by table order: every later overlay ran sssj.
-        engine = _prepared_ab_engine(memory_bytes=10_000_000)
-        overlay = Query(relations=("a", "b"))
-        expected = brute_reference(*engine._test_rects)
-        first = engine.execute(overlay)
-        assert first.plan.strategy == "pbsm-grid"
-        assert first.result.pair_set() == expected
-        retained = list(engine.artifacts._entries)
-
-        ablation = engine.execute(
-            Query(relations=("a", "b"), force=forced))
-        assert ablation.result.detail["strategy"] == forced
-        assert ablation.plan.estimate.io_seconds == (
-            STRATEGIES[forced].price(
-                CostModel(MACHINE_3, TEST_SCALE),
-                *(e.relation() for e in
-                  (engine.catalog.get("a"), engine.catalog.get("b"))),
-            ).io_seconds
-        )
-        assert ablation.result.pair_set() == expected
-        assert list(engine.artifacts._entries) == retained
-
-        again = engine.execute(overlay)
-        assert again.plan.strategy == "pbsm-grid"
-        assert again.result.pair_set() == expected
         engine.close()
 
 
@@ -1558,7 +1532,11 @@ class TestLatencyMetrics:
         engine = make_engine(workers=2, cache_capacity=16)
         engine.register("roads", engine._test_rects[0], universe=UNIT)
         engine.register("hydro", engine._test_rects[1], universe=UNIT)
-        report = run_workload(engine, make_workload(UNIT, 8, seed=5))
-        assert report["latency_p95_seconds"] >= report["latency_p50_seconds"]
-        assert report["pool"]["workers"] == 2
-        assert "hits" in report["artifacts"]
+        for q in make_workload(UNIT, 8, seed=5):
+            engine.execute(q)
+        snap = engine.metrics_snapshot()
+        engine.close()
+        assert snap["latency_count"] == 8
+        assert snap["latency_p95_seconds"] >= snap["latency_p50_seconds"]
+        assert snap["worker_pool"]["workers"] == 2
+        assert "artifact_cache_hits" in snap

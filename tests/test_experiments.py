@@ -176,7 +176,7 @@ class TestCLI:
         # All machines price the same run, so raw counters agree.
         assert len({row["page_reads"] for row in rows}) == 1
 
-    @pytest.mark.parametrize("command", ("serve-bench", "serve"))
+    @pytest.mark.parametrize("command", ("serve",))
     @pytest.mark.parametrize("flags, needs", (
         (["--replicas", "2"], "--replicas needs --shards > 1"),
     ))
@@ -191,7 +191,7 @@ class TestCLI:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             f"error: {needs}")
 
-    @pytest.mark.parametrize("command", ("serve-bench", "serve"))
+    @pytest.mark.parametrize("command", ("serve",))
     def test_cli_refuses_a_thread_pool(self, command, capsys):
         # A pool is forked processes or the coordinator.
         with pytest.raises(SystemExit) as exc:
@@ -199,36 +199,6 @@ class TestCLI:
                       "--pool-kind", "thread"])
         assert exc.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
-
-    def test_cli_serve_bench(self, capsys):
-        rc = cli_main(["serve-bench", "--dataset", "NJ", "--scale",
-                       "quick", "--queries", "8", "--workers", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "serve-bench NJ" in out
-        assert "cache hit rate" in out
-
-    def test_cli_serve_bench_json(self, capsys):
-        rc = cli_main(["serve-bench", "--dataset", "NJ", "--scale",
-                       "quick", "--queries", "8", "--json"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["queries"] == 8
-        assert report["metrics"]["queries_served"] == 8
-        assert report["sim_wall_seconds"] > 0
-
-    def test_cli_serve_bench_memory_budget_and_trace(self, capsys):
-        # The shared deployment arguments reach the engine: a 4 KiB
-        # budget makes the partitioned plans spill, --trace traces.
-        rc = cli_main(["serve-bench", "--dataset", "NJ", "--scale",
-                       "quick", "--queries", "12", "--workers", "2",
-                       "--pool-kind", "serial", "--memory-bytes", "4096",
-                       "--trace", "--json"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["budget"]["total_bytes"] == 4096
-        assert report["metrics"]["spilled_rects"] > 0
-        assert report["trace"]["name"] == "query"
 
     @pytest.mark.skipif(os.name != "posix",
                         reason="POSIX signals and process groups")
@@ -256,7 +226,7 @@ class TestCLI:
             conn.request("GET", "/metrics", headers=close)
             scrape = conn.getresponse().read().decode()
             conn.close()
-            # serve takes the deployment arguments serve-bench takes.
+            # The deployment arguments reach the engine.
             assert "repro_engine_budget_total_bytes 65536\n" in scrape
             assert "repro_engine_slow_query_log_admitted 1\n" in scrape
             proc.send_signal(signal.SIGTERM)

@@ -49,6 +49,7 @@ from tests.conftest import (
     _uniform,
     brute_reference,
     dispatch,
+    make_workload,
     within,
 )
 from tests.test_pool_leaks import _shm_files
@@ -856,9 +857,7 @@ class TestFailoverMetrics:
         assert 'repro_engine_per_shard_queries_served{shard="0"}' in text
         engine.close()
 
-    def test_run_workload_surfaces_failovers(self):
-        from repro.engine import make_workload, run_workload
-
+    def test_serial_workload_surfaces_failovers(self):
         plan = FaultPlan([
             FaultRule(site="shard.execute", kind="exception", times=1),
         ])
@@ -869,9 +868,12 @@ class TestFailoverMetrics:
             Query(relations=("a", "b"), window=q.window)
             for q in queries
         ]
-        report = run_workload(engine, queries)
-        assert report["metrics"]["failovers"] >= 1
-        assert report["metrics"]["retries"] >= 1
+        for q in queries:
+            engine.execute(q)
+        snap = engine.metrics_snapshot()
+        assert snap["queries_served"] == 6
+        assert snap["failovers"] >= 1
+        assert snap["retries"] >= 1
         engine.close()
 
 

@@ -152,10 +152,11 @@ class TestChooseMethod:
         self, workers,
     ):
         # Not offered by the one-shot planner, nor by the engine's
-        # optimizer with or without a window; a forced st still runs,
-        # priced by its row.
+        # optimizer with or without a window, whose queries cannot
+        # force it; unified_spatial_join still runs a forced st, priced
+        # by its row.
         assert "st" not in PLANNER
-        _, _, a, b, _, _ = build_world(seed=23)
+        env, disk, a, b, rel_a, rel_b = build_world(seed=23)
         engine = SpatialQueryEngine(
             scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
             pool_kind="serial", cache_capacity=0,
@@ -166,14 +167,14 @@ class TestChooseMethod:
             plan = engine.optimizer.compile(
                 Query(relations=("a", "b"), window=window))
             assert "st" not in dict(plan.candidates)
-            forced = engine.execute(
-                Query(relations=("a", "b"), window=window, force="st"))
-            assert forced.plan.strategy == "st"
-            assert forced.result.detail["strategy"] == "st"
-            assert math.isfinite(forced.plan.estimate.io_seconds)
-            assert forced.result.pair_set() == brute_reference(
-                a, b, window)
+            with pytest.raises(ValueError, match="unknown strategy"):
+                Query(relations=("a", "b"), window=window, force="st")
         engine.close()
+        forced = unified_spatial_join(rel_a, rel_b, disk, MACHINE_3,
+                                      collect_pairs=True, force="st")
+        assert forced.detail["strategy"] == "st"
+        assert math.isfinite(forced.detail["estimated_io_seconds"])
+        assert forced.pair_set() == brute_reference(a, b)
 
     def test_tie_break_prefers_earlier_candidate(self, monkeypatch):
         # Equal estimates everywhere: min() is stable, so the first

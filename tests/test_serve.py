@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.data.datasets import build_dataset
 from repro.engine import (
     DeadlineExceeded,
     FaultPlan,
@@ -39,11 +40,8 @@ from repro.engine import (
     ServingFrontend,
     ShardedEngine,
     SpatialQueryEngine,
-    engine_for_dataset,
     lpt_makespan,
-    make_workload,
     render_prometheus,
-    run_workload,
     serve_http,
 )
 from repro.engine.obs import SlowQueryLog
@@ -52,7 +50,12 @@ from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
 from repro.sim.scale import QUICK_SCALE
 
-from tests.conftest import TEST_SCALE, _uniform, brute_reference
+from tests.conftest import (
+    TEST_SCALE,
+    _uniform,
+    brute_reference,
+    make_workload,
+)
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -190,11 +193,14 @@ class TestReplicaSelection:
         # pick the same replica for every sub-query, so their
         # simulated clocks (which see each replica's warm or cold
         # artifact cache) agree to the bit.
+        ds = build_dataset("NJ", QUICK_SCALE)
+
         def replay():
-            sharded = engine_for_dataset(
-                "NJ", QUICK_SCALE, shards=2, replicas=2,
-                pool_kind="serial",
-            )
+            sharded = ShardedEngine(shards=2, replicas=2, scale=QUICK_SCALE,
+                                    pool_kind="serial")
+            sharded.register("roads", ds.roads, universe=ds.universe)
+            sharded.register("hydro", ds.hydro, universe=ds.universe)
+            sharded.prepare()
             queries = make_workload(
                 sharded.universe_of("roads"), 60, seed=5
             )
@@ -649,8 +655,7 @@ class TestConcurrentWorkloadDriver:
             Query(relations=("a", "b"), window=q.window)
             for q in queries
         ]
-        serial = run_workload(engine, queries)
-        engine.close()
+        serial = _serial_replay(engine, queries)
         engine = _registered(n=150)
         before = engine.metrics_snapshot()
         with _frontend(engine, admission_bytes=6 << 20,
@@ -702,6 +707,15 @@ class TestConcurrentWorkloadDriver:
 # -- single-engine serialization ---------------------------------------------
 
 
+def _serial_replay(engine, queries) -> dict:
+    """The snapshot of a fresh ``engine`` after serving ``queries`` one
+    after another, then closing it: the serial reference."""
+    with engine:
+        for q in queries:
+            engine.execute(q)
+        return engine.metrics_snapshot()
+
+
 def _record_lock_order(engine) -> list:
     """The queries in the order ``engine``'s own lock granted them.
 
@@ -739,14 +753,13 @@ class TestSingleEngineSerialization:
         # granted.
         assert sorted(map(id, granted)) == sorted(map(id, self.QUERIES))
         engine = _registered_single(n=150)
-        serial = run_workload(engine, granted)
-        engine.close()
+        serial = _serial_replay(engine, granted)
         # With execute serialized the env page counter deltas and
         # metrics cannot interleave: totals match the serial run bit
         # for bit (a race here shows up as corrupted sums).
         assert pairs == serial["pairs_returned"]
         assert after["pages_read"] - before["pages_read"] == (
-            serial["metrics"]["pages_read"]
+            serial["pages_read"]
         )
         assert after["sim_wall_seconds"] - before["sim_wall_seconds"] == (
             pytest.approx(serial["sim_wall_seconds"])

@@ -15,6 +15,7 @@ caches, interleaved and concurrent workloads).
 from __future__ import annotations
 
 import inspect
+import math
 import random
 import threading
 
@@ -31,8 +32,6 @@ from repro.engine import (
     ShardedEngine,
     SpatialQueryEngine,
     WorkerPool,
-    make_workload,
-    run_workload,
 )
 from repro.engine.query import FORCEABLE
 from repro.engine.shard import balanced_cuts, gather_pairs
@@ -49,6 +48,7 @@ from tests.conftest import (
     brute_reference,
     dispatch,
     force_strategies,
+    make_workload,
     reference_executor,
     windowed_hit_reference,
 )
@@ -189,18 +189,22 @@ class TestDifferential:
         assert_same_pairs(a, b, force=force, shard_counts=(2, 3),
                           pool_kinds=("serial",))
 
-    @pytest.mark.parametrize("relations, force", [
-        (("a", "b"), "nested-loop"), (("a", "a"), "sssj"),
-    ])
-    def test_bad_force_never_reaches_a_replica(self, relations, force):
+    @pytest.mark.parametrize("relations, force, window", [
+        (("a", "b"), "nested-loop", None),
+        (("a", "a"), "pq-index", None),
+        (("a", "b"), None, Rect(0.1, math.nan, 0.1, 0.6, 0)),
+    ], ids=("unknown-force", "self-join-force", "nan-window"))
+    def test_bad_force_never_reaches_a_replica(self, relations, force,
+                                               window):
         # A malformed request is the caller's error, not a replica
         # failure: it must not cost retries, backoff or health.
         rng = random.Random(14)
         sharded = _make_sharded(2, replicas=2)
         sharded.register("a", _uniform(rng, 80), universe=UNIT)
         sharded.register("b", _uniform(rng, 60, 10_000), universe=UNIT)
-        with pytest.raises(ValueError, match="accepted"):
-            sharded.execute(Query(relations=relations, force=force))
+        with pytest.raises(ValueError, match="accepted|NaN"):
+            sharded.execute(Query(relations=relations, force=force,
+                                  window=window))
         snap = sharded.metrics_snapshot()
         assert (snap["replica_failures"], snap["retries"]) == (0, 0)
         assert snap["replica_health"] == [[1.0, 1.0], [1.0, 1.0]]
@@ -376,7 +380,7 @@ class TestGatherParity:
     def test_shards_answering_with_different_strategies(self):
         data = self._data()
         ref = brute_reference(data["a"], data["b"])
-        for forced in (("pq-index", "pbsm-grid"), ("pbsm-grid", "sssj")):
+        for forced in (("pq-index", "pbsm-grid"), ("pbsm-grid", "pq-index")):
             engine = _make_sharded(2)
             try:
                 engine.register("a", data["a"], universe=UNIT)
@@ -523,7 +527,7 @@ class TestOwnership:
                 xlo, xhi = min(xlo, cut), cut
             window = Rect(xlo, xhi, y / LATTICE,
                           min(LATTICE, y + 2 * h) / LATTICE, 0)
-        forces = (None, "pq-index", "sssj", "pbsm-grid")
+        forces = (None, "pq-index", "pbsm-grid")
         if shape == "self":
             relations, inputs = ("a", "a"), (a,)
             ref = brute_reference(a, None, window)
@@ -1216,36 +1220,32 @@ class TestShardedServing:
             sharded.execute(Query(relations=("a", "a")))
         sharded.close()
 
-    def test_run_workload_on_sharded_engine(self):
+    def test_workload_on_sharded_engine(self):
         rng = random.Random(53)
         roads = _uniform(rng, 220)
         hydro = _uniform(rng, 160, 10_000)
         queries = make_workload(UNIT, 14, seed=5)
 
-        single = _make_single(cache_capacity=16)
-        single.register("roads", roads, universe=UNIT)
-        single.register("hydro", hydro, universe=UNIT)
-        ref = run_workload(single, queries)
-        single.close()
+        answers = []
+        for engine in (_make_single(cache_capacity=16),
+                       _make_sharded(3, cache_capacity=16)):
+            engine.register("roads", roads, universe=UNIT)
+            engine.register("hydro", hydro, universe=UNIT)
+            answers.append([set(engine.execute(q).result.pairs)
+                            for q in queries])
+            m = engine.metrics_snapshot()
+            engine.close()
 
-        sharded = _make_sharded(3, cache_capacity=16)
-        sharded.register("roads", roads, universe=UNIT)
-        sharded.register("hydro", hydro, universe=UNIT)
-        report = run_workload(sharded, queries)
-        sharded.close()
-
-        assert report["queries"] == ref["queries"] == 14
-        assert report["pairs_returned"] == ref["pairs_returned"], (
-            "the serving harness must see identical answers sharded"
+        assert answers[0] == answers[1], (
+            "a serial replay must see identical answers sharded"
         )
-        assert report["sim_wall_seconds"] > 0
-        m = report["metrics"]
+        assert m["sim_wall_seconds"] > 0
         assert m["shards"] == 3
         assert m["shards_pruned_total"] > 0, "windows must prune shards"
         assert m["queries_served"] == 14
         assert m["cache_hits"] > 0, "repeats must hit the top cache"
         assert m["budget_total_bytes"] == sum(
-            e.budget.total_bytes for e in sharded.engines
+            e.budget.total_bytes for e in engine.engines
         )
 
     def test_metrics_snapshot_aggregates_consistently(self):

@@ -1,5 +1,5 @@
 """Vectorized cold path: tile distribution, and the window post-filter
-of the index and tuple-list plans.
+of the multiway plan.
 
 The python distribute (:func:`repro.core.pbsm.distribute`) walks
 a base stream one ``Rect`` at a time: window test, tile range,
@@ -7,10 +7,17 @@ partition set, one ``append`` per copy.  This module computes the same
 placement — the same copies, in the same order, for the same op
 charge — from whole-column arithmetic over a :class:`ColumnImage`, a
 second in-memory representation of the relation's base stream (as
-``CatalogEntry.rects`` and ``by_id`` already are):
+``CatalogEntry.rects`` already is):
 
 * **Window prune.**  Closed-interval ``Rect.intersects`` as four
-  column comparisons.
+  column comparisons.  This is the only window test a partitioned
+  plan makes (an index plan's traversal prunes its leaves the same
+  way, to the window-clipped region of the other input): two
+  rectangles that each meet a region inside the window, and meet each
+  other, have an intersection that meets the window.  Per axis, two
+  closed intervals that each meet a third, and meet each other, share
+  a point with it (1-D Helly), so the pair's intersection and the
+  window share a point on both axes.
 * **Tile ranges.**  ``TileGrid.tile_range`` truncates
   ``(v - universe.lo) * inv`` toward zero and then clamps to
   ``[0, t - 1]``; both steps are monotone, so clamping the float first
@@ -37,11 +44,9 @@ The kernel decides placement only.  Budget draws, block-read charges
 and spill writes stay with the executor, which walks the simulated
 disk exactly as the python path does.
 
-The window post-filter, :func:`filter_window`, serves the plans whose
-pairs leave a kernel as ids — ``pq-index`` and the tuple lists of the
-other strategies — by looking each rectangle up again by rid.  A
-partitioned plan never reaches it: its tile kernel tests the window
-where it emits a pair (:func:`~repro.core.kernels.np_sweep.sweep_tiles`).
+The window post-filter, :func:`filter_window`, serves the one plan
+whose inputs are not pruned to the window — multiway, whose tuples
+leave the cascade as ids — by looking each rectangle up again by rid.
 
 :func:`distribute` and :func:`filter_window` return ``None`` for
 inputs outside this model — non-finite coordinates, which make the
@@ -70,7 +75,7 @@ class ColumnImage:
     """A relation's rectangles as five columns in stream order.
 
     ``rid`` lookups resolve through a sorted index; among duplicate
-    ids the last row wins, as in ``CatalogEntry.by_id``.
+    ids the last row wins, as in a dict built over the rectangles.
     """
 
     __slots__ = ("xlo", "xhi", "ylo", "yhi", "rid", "bounds",
@@ -250,26 +255,21 @@ def prune_image(image: TileImage, window: Rect) -> TileImage:
 
 
 def filter_window(images: Sequence[ColumnImage],
-                  pairs: Sequence[tuple], window: Rect,
-                  strip: Sequence[float] = (),
-                  ) -> Optional[Tuple[PairColumns, int]]:
-    """The pairs/tuples whose common intersection meets ``window``,
-    and how many of those a shard's ``strip`` left to another shard.
+                  pairs: Sequence[tuple],
+                  window: Rect) -> Optional[PairColumns]:
+    """The pairs/tuples whose common intersection meets ``window``.
 
     ``images[i]`` resolves the *i*-th id of every tuple (arity >= 2).
     The common intersection is max-of-lows / min-of-highs over the
     tuple's rectangles; it is empty when a low exceeds its high.
     Kept tuples come back as columns, in the same order; ``pairs``
-    that already are columns are masked as they stand.  With a
-    ``strip`` ``(lo, hi)`` a tuple is kept only when its reference x,
-    the intersection's low x clipped to the window, lies in
-    ``[lo, hi)`` (:func:`~repro.core.kernels.np_sweep.strip_mask`).
+    that already are columns are masked as they stand.
     """
     if not all(math.isfinite(b) for im in images for b in im.bounds):
         return None
     columns = PairColumns.from_pairs(pairs, len(images))
     if not len(columns):
-        return columns, 0
+        return columns
     ids = columns.ids
     rows = images[0].rows_of(ids[:, 0])
     xlo, xhi = images[0].xlo[rows], images[0].xhi[rows]
@@ -285,23 +285,19 @@ def filter_window(images: Sequence[ColumnImage],
         (xlo <= xhi) & (ylo <= yhi)
         & window_mask(xlo, xhi, ylo, yhi, window)
     )
-    if not strip:
-        return PairColumns(ids[keep]), 0
-    found = int(np.count_nonzero(keep))
-    keep &= strip_mask(np.maximum(xlo, window.xlo, out=xlo), strip)
-    kept = PairColumns(ids[keep])
-    return kept, found - len(kept)
+    return PairColumns(ids[keep])
 
 
 def filter_strip(images: Sequence[ColumnImage], pairs: Sequence[tuple],
-                 strip: Sequence[float], floor: float) -> PairColumns:
+                 strip: Sequence[float]) -> PairColumns:
     """The pairs/tuples a shard owning ``strip`` keeps, as columns in
     the same order: those whose reference x — the largest low x of
-    their rectangles, and at least ``floor`` — lies in the strip
-    (:func:`~repro.core.kernels.np_sweep.strip_mask`).  ``images[i]``
+    their rectangles — lies in the strip
+    (:func:`~repro.core.kernels.np_sweep.strip_mask`; a windowed
+    query's strip has the window's low x folded in).  ``images[i]``
     resolves the *i*-th id of every tuple."""
     columns = PairColumns.from_pairs(pairs, len(images))
-    ref_x = np.full(len(columns), floor)
+    ref_x = np.full(len(columns), -math.inf)
     for i, im in enumerate(images):
         np.maximum(ref_x, im.xlo[im.rows_of(columns.ids[:, i])], out=ref_x)
     return PairColumns(columns.ids[strip_mask(ref_x, strip)])

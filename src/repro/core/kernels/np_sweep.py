@@ -44,28 +44,25 @@ arithmetic:
   already such a key.  Tiles that are adjacent runs of one column
   image (a cold distribute's, a cached distribution's) are read as one
   slice of it; only tiles from different buffers are concatenated.
-* **Ownership, window, strip.**  :func:`sweep_tiles` then keeps a pair
-  only if its reference point lies in the pair's own partition (and,
-  in a self-join, ``rid_a < rid_b``); if its intersection meets the
-  query window; and, on a shard, if its reference x — clipped to the
-  window's low x — lies in the shard's strip.  All three ride in the
-  task's ``grid_spec``, which has one of four layouts:
+* **Ownership, strip.**  :func:`sweep_tiles` then keeps a pair only
+  if its reference point lies in the pair's own partition (and, in a
+  self-join, ``rid_a < rid_b``) and, on a shard, if its reference x
+  lies in the shard's strip.  Both ride in the task's ``grid_spec``,
+  which has one of two layouts:
 
   ==========  ====================================================
   entries     layout
   ==========  ====================================================
   6           ``xlo, xhi, ylo, yhi, tiles per side, partitions``
-              (the grid alone: no window, owns every x)
+              (the grid alone: owns every x)
   8           the grid, then the strip ``lo, hi``
-  10          the grid, then the window ``xlo, xhi, ylo, yhi``
-  12          the grid, the strip, then the window
   ==========  ====================================================
 
-  The kernel counts each test's drops apart (``dups``, ``windowed``,
-  ``unowned``).  A tile pruned to the window never loses a pair to the
-  window test: two intervals that each meet a third, and each other,
-  meet it together, so the test guards the kernel's contract rather
-  than the engine's answers.
+  The kernel counts each test's drops apart (``dups``, ``unowned``).
+  It knows no window: a windowed query's tiles hold only rectangles
+  that meet the window, which is all the window test there is
+  (:mod:`~repro.core.kernels.np_distribute` says why), and a shard
+  folds the window's low x into its strip (:func:`fold_floor`).
 
 Inputs with inverted y-intervals (``yhi < ylo``) break the
 "dead implies already inserted" identity, and a NaN coordinate has no
@@ -169,8 +166,7 @@ class _Merged:
     replays — shares.
     """
 
-    __slots__ = ("xlo", "xhi", "ylo", "rid", "hi", "end", "is_a", "n",
-                 "_perm", "_yhi")
+    __slots__ = ("xlo", "xhi", "ylo", "rid", "hi", "end", "is_a", "n")
 
     def __init__(self, ca: Columns, cb: Columns,
                  keys_a: Tuple[np.ndarray, np.ndarray],
@@ -198,18 +194,11 @@ class _Merged:
         self.ylo = src[2][perm]
         self.rid = src[4][perm]
         self.hi = src[6][perm]
-        # Kept for yhi_at: most sweeps never read a yhi.
-        self._perm = perm
-        self._yhi = src[3]
         # Sorted needles search several times faster than unsorted ones.
         by_hi = np.argsort(self.hi)
         self.end = np.empty(self.n, dtype=np.int64)
         self.end[by_hi] = np.searchsorted(lo[order], self.hi[by_hi],
                                           side="right")
-
-    def yhi_at(self, events: np.ndarray) -> np.ndarray:
-        """The ``yhi`` of ``events`` (``hi`` is one only for raw keys)."""
-        return self._yhi[self._perm[events]]
 
 
 def _merge_order(lo: np.ndarray, xlo: Optional[np.ndarray],
@@ -519,7 +508,7 @@ def sweep_tiles(
     tiles: Sequence[tuple], self_join: bool, grid_spec: tuple,
     collect: bool,
 ) -> Optional[Tuple[List[int], Optional[PairColumns], List[int],
-                    List[int], List[int], List[int]]]:
+                    List[int], List[int]]]:
     """*k* whole tile tasks in one pass: sweep + ownership + dedup.
 
     ``tiles`` holds one ``(part_id, side_a, side_b)`` per tile of one
@@ -528,26 +517,29 @@ def sweep_tiles(
     Mirrors :func:`repro.core.pbsm.sweep_tile`, the reference, tile
     by tile — the batched sweep (sort charge included),
     reference-point ownership against the PBSM grid and each pair's
-    own partition, self-join dedup, then the window and strip tests —
-    without boxing a single ``Rect`` or id pair, and without a pair
-    ever crossing from one tile into the next.
+    own partition, self-join dedup, then the strip test — without
+    boxing a single ``Rect`` or id pair, and without a pair ever
+    crossing from one tile into the next.
 
     ``grid_spec`` is the grid's six numbers ``(xlo, xhi, ylo, yhi,
     tiles per side, partitions)``, then optionally a shard's strip
-    ``(lo, hi)``, then optionally the query window ``(xlo, xhi, ylo,
-    yhi)`` — 6, 8, 10 or 12 entries (:func:`spec_parts`).  With a
-    window a pair is kept only if its intersection meets the closed
-    window; with a strip only if its reference x, clipped to the
-    window's low x when there is one, lies in ``[lo, hi)``
-    (:func:`strip_mask`).  Returns ``(counts, owned pairs or None,
-    cpu_ops, dups, unowned, windowed)`` with one entry per tile in the
-    five lists — ``dups`` what the partition test and self-join dedup
-    dropped, ``windowed`` what the window test dropped after them,
-    ``unowned`` what the strip test dropped last — and the pairs of
-    all tiles as one :class:`~repro.core.columnar.PairColumns`, tile
-    after tile in the python body's emit order — or ``None`` when the
-    input is outside the kernel's model, and then for the whole group.
+    ``(lo, hi)``: 6 or 8 entries.  With a strip a pair is kept only
+    if its reference x lies in ``[lo, hi)`` (:func:`strip_mask`; a
+    windowed query's strip has the window's low x folded in,
+    :func:`fold_floor`).  A window is not the kernel's: a windowed
+    query's tiles hold only the rectangles that meet it.  Returns
+    ``(counts, owned pairs or None, cpu_ops, dups, unowned)`` with one
+    entry per tile in the four lists — ``dups`` what the partition
+    test and self-join dedup dropped, ``unowned`` what the strip test
+    dropped after them — and the pairs of all tiles as one
+    :class:`~repro.core.columnar.PairColumns`, tile after tile in the
+    python body's emit order — or ``None`` when the input is outside
+    the kernel's model, and then for the whole group.
     """
+    if len(grid_spec) not in (6, 8):
+        raise ValueError(
+            f"a grid spec has 6 or 8 entries, not {len(grid_spec)}"
+        )
     k = len(tiles)
     ca, tile_a = _gather([a for _, a, _ in tiles])
     if all(b is None or b is a for _, a, b in tiles):
@@ -576,36 +568,22 @@ def sweep_tiles(
     ]
     if not a_idx.size:
         return ([0] * k, PairColumns.empty() if collect else None, ops,
-                [0] * k, [0] * k, [0] * k)
+                [0] * k, [0] * k)
 
     # Owned: the reference point lies in the pair's own partition.
     # (Its coordinates are dropped before the ids are gathered: on a
     # hot tile these pair-length columns are the task's peak memory.)
-    strip, window = spec_parts(grid_spec)
     ref_x = np.maximum(m.xlo[a_idx], m.xlo[b_idx])
-    ref_y = np.maximum(m.ylo[a_idx], m.ylo[b_idx])
-    own = _partition_of_points(ref_x, ref_y, grid_spec[:6]) == np.array(
-        [part_id for part_id, _, _ in tiles], np.int64
-    )[seg]
+    own = _partition_of_points(
+        ref_x, np.maximum(m.ylo[a_idx], m.ylo[b_idx]), grid_spec[:6]
+    ) == np.array([part_id for part_id, _, _ in tiles], np.int64)[seg]
     if self_join:
         own &= m.rid[a_idx] < m.rid[b_idx]
     found = np.bincount(seg[own], minlength=k)
     dups = np.bincount(seg, minlength=k) - found
-    kept = found
-    if window:
-        # The intersection — max of lows, min of highs — meets it.
-        wxlo, wxhi, wylo, wyhi = window
-        own &= (
-            (ref_x <= wxhi) & (ref_y <= wyhi)
-            & (np.minimum(m.xhi[a_idx], m.xhi[b_idx]) >= wxlo)
-            & (np.minimum(m.yhi_at(a_idx), m.yhi_at(b_idx)) >= wylo)
-        )
-        kept = np.bincount(seg[own], minlength=k)
-        np.maximum(ref_x, wxlo, out=ref_x)
-    del ref_y
-    owned = kept
-    if strip:
-        own &= strip_mask(ref_x, strip)
+    owned = found
+    if len(grid_spec) == 8:
+        own &= strip_mask(ref_x, grid_spec[6:])
         owned = np.bincount(seg[own], minlength=k)
     del ref_x
     pairs: Optional[PairColumns] = None
@@ -615,16 +593,7 @@ def sweep_tiles(
         ids[:, 1] = m.rid[b_idx[own]]
         pairs = PairColumns(ids)
     return (owned.tolist(), pairs, ops, dups.tolist(),
-            (kept - owned).tolist(), (found - kept).tolist())
-
-
-def spec_parts(grid_spec: tuple) -> Tuple[tuple, tuple]:
-    """``(strip, window)`` of a tile task's ``grid_spec``, each ``()``
-    when absent: the strip ``(lo, hi)`` follows the grid's six numbers,
-    and the window ``(xlo, xhi, ylo, yhi)`` comes last."""
-    extra = tuple(grid_spec[6:])
-    strip = extra[:2] if len(extra) % 4 == 2 else ()
-    return strip, extra[len(strip):]
+            (found - owned).tolist())
 
 
 def strip_mask(x: np.ndarray, strip: Sequence[float]) -> np.ndarray:
@@ -637,6 +606,22 @@ def strip_mask(x: np.ndarray, strip: Sequence[float]) -> np.ndarray:
     if lo == -math.inf:
         return x < hi
     return (x >= lo) & (x < hi)
+
+
+def fold_floor(strip: Sequence[float], floor: float) -> Tuple[float, float]:
+    """The strip that owns ``x`` exactly when ``strip`` owns
+    ``max(x, floor)``.
+
+    A windowed query's reference x is clipped up to the window's low
+    x; folding that floor into the strip once spares every test the
+    clip.  ``lo <= max(x, floor)`` holds for every x once ``floor``
+    reaches ``lo``, and ``max(x, floor) < hi`` for none once it
+    reaches a finite ``hi``; :func:`strip_mask`'s infinite ``hi``
+    still owns an infinite x.
+    """
+    lo, hi = strip
+    return (-math.inf if floor >= lo else lo,
+            hi if floor < hi or hi == math.inf else -math.inf)
 
 
 def _gather(sides: list) -> Tuple[Columns, np.ndarray]:

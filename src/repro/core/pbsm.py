@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 from repro.core.columnar import ColumnarTile
 from repro.core.join_result import JoinResult
 from repro.core.sweep import forward_sweep_pairs, forward_sweep_pairs_batched
-from repro.geom.rect import RECT_BYTES, Rect, cells_per_unit, intersection
+from repro.geom.rect import RECT_BYTES, Rect, cells_per_unit
 from repro.storage.disk import Disk
 from repro.storage.stream import Stream
 
@@ -453,16 +453,16 @@ def sweep_tile(payload: tuple) -> tuple:
     self-joins the sweep emits every pair in both orientations plus
     each rectangle against itself, and the filter keeps exactly the
     ``rid_a < rid_b`` representative.  The grid spec is six numbers,
-    then optionally a shard's strip ``(lo, hi)``, then optionally the
-    query window ``(xlo, xhi, ylo, yhi)``: 6, 8, 10 or 12 entries.  A
-    pair its partition owns is then kept only if its intersection
-    meets the window, and only if its reference x — clipped to the
-    window's low x when there is a window — lies in ``[lo, hi)``.
+    then optionally a shard's strip ``(lo, hi)``: 6 or 8 entries.  A
+    pair its partition owns is then kept only if its reference x lies
+    in ``[lo, hi)``.  A windowed query's tiles hold only rectangles
+    that meet the window, and its strip has the window's low x folded
+    in (:func:`~repro.core.kernels.np_sweep.fold_floor`), so no window
+    is tested here.
 
     Returns ``(owned pair count, owned pairs as a list or None, cpu
     ops, duplicates suppressed by the reference-point test and
-    self-join dedup, pairs the strip test left to another shard, pairs
-    the window test dropped)``.
+    self-join dedup, pairs the strip test left to another shard)``.
     """
     part_id, grid_spec, side_a, side_b, self_join, collect = payload[:6]
     if isinstance(side_a, ColumnarTile):
@@ -480,12 +480,10 @@ def sweep_tile(payload: tuple) -> tuple:
         grid_spec[4], grid_spec[5],
     )
     part_of = grid.partition_of_point
-    extra = grid_spec[6:]
-    strip = extra[:2] if len(extra) in (2, 6) else ()
-    window = Rect(*extra[len(strip):], 0) if len(extra) >= 4 else None
+    strip = grid_spec[6:]
     owned: List[Tuple[int, int]] = []
     append = owned.append
-    dups = unowned = windowed = 0
+    dups = unowned = 0
     for ra, rb in batch:
         if self_join and not ra.rid < rb.rid:
             dups += 1
@@ -494,15 +492,9 @@ def sweep_tile(payload: tuple) -> tuple:
         y = ra.ylo if ra.ylo >= rb.ylo else rb.ylo
         if part_of(x, y) != part_id:
             dups += 1
-        elif window is not None and not (
-            intersection(ra, rb).intersects(window)
-        ):
-            windowed += 1
-        elif strip and not _in_strip(
-            x if window is None else max(x, window.xlo), strip
-        ):
+        elif strip and not _in_strip(x, strip):
             unowned += 1
         else:
             append((ra.rid, rb.rid))
     return (len(owned), owned if collect else None, local.cpu_ops, dups,
-            unowned, windowed)
+            unowned)

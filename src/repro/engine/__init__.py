@@ -53,7 +53,7 @@ from repro.engine.cache import (
 )
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.engine import EngineResult, SpatialQueryEngine
-from repro.engine.executor import Executor
+from repro.engine.executor import Executor, lpt_makespan
 from repro.engine.faults import (
     FaultPlan,
     FaultRule,
@@ -85,7 +85,7 @@ from repro.engine.serve import (
     ServingFrontend,
     serve_http,
 )
-from repro.engine.shard import ShardedEngine, lpt_makespan
+from repro.engine.shard import ShardedEngine
 from repro.engine.trace import EnvMeter, Span, span_meter
 
 __all__ = [

@@ -357,9 +357,9 @@ class ArtifactCache:
         *full* distribution of the same relations, on the full grid,
         which the executor prunes to the window first — one mask over
         each side's cached column image, so only the surviving rows
-        are grouped, routed and swept.  The results are identical,
-        because the distribute-phase filter is only a pruning step and
-        windowed queries always run the window post-filter.
+        are grouped, routed and swept.  The results are identical:
+        either way the tiles hold exactly the rectangles that meet the
+        window, which is the plan's whole window test.
         """
         inputs = entries[:1] if self_join else entries
         versions = tuple((e.name, e.version) for e in inputs)

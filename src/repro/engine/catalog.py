@@ -77,7 +77,6 @@ class CatalogEntry:
         self.universe = universe if universe is not None else mbr_of(rects)
         self.geometries = geometries
         self.version = version
-        self.by_id: Dict[int, Rect] = {r.rid: r for r in rects}
         self._stream: Optional[Stream] = None
         self._tree: Optional[RTree] = None
         self._histogram: Optional[SpatialHistogram] = None
@@ -117,7 +116,7 @@ class CatalogEntry:
         """The base stream as a column image.
 
         Same rectangles, same order as :attr:`stream`; ~56 bytes per
-        rectangle with the id index.  Like ``rects`` and ``by_id`` it
+        rectangle with the id index.  Like ``rects`` it
         is a host-side copy of what the simulated disk already holds,
         so it is not charged to the memory budget.  It lives on the
         entry: re-registering the name replaces the entry and the

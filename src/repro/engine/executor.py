@@ -8,12 +8,17 @@ estimate the plan carries; a multiway plan runs :func:`multiway_join`
 over the streams it was priced on and hands back tuple lists, as
 :func:`_refine_pairs` does.  Neither retains an artifact.
 Refinement is a post-filter on the collected pairs
-(:func:`_refine_pairs`), and so is the window on these plans
-(:func:`_filter_window`); a partitioned plan's tile kernels test the
-window as they emit a pair instead.  On a shard of a
+(:func:`_refine_pairs`).  A window is applied once, where a plan reads
+its inputs: a ``pq-index`` traversal keeps only the leaf rectangles
+that meet the window-clipped region (``plan.regions``), a partitioned
+plan's distribute or cached-tile prune only the rectangles that meet
+the window, and two rectangles that each meet the window and each
+other meet it together; only multiway, whose streams are not pruned,
+post-filters its tuples (:func:`_filter_window`).  On a shard of a
 :class:`~repro.engine.shard.ShardedEngine` the executor also keeps only
 the results whose reference point lies in the shard's strip
-(:attr:`Executor.strip`; where that test runs is :func:`_strip_stage`).
+(:attr:`Executor.strip`, with a window's low x folded in; where that
+test runs is :func:`_strip_stage`).
 
 The engine-only path is **partitioned execution**
 (:meth:`Executor._execute_partitioned`): both inputs are cut into
@@ -105,7 +110,7 @@ declines — raises rather than fall back.
 
 from __future__ import annotations
 
-import math
+import heapq
 import os
 import time
 from collections import OrderedDict
@@ -113,7 +118,7 @@ from concurrent.futures import BrokenExecutor
 from contextlib import ExitStack
 from dataclasses import replace
 from operator import itemgetter
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.core.columnar import (
     ColumnarTile,
@@ -142,6 +147,9 @@ from repro.geom.rect import RECT_BYTES, Rect, union_mbr
 from repro.geom.refine import polylines_intersect
 from repro.sim.machines import MachineSpec
 from repro.storage.disk import Disk
+
+#: A load :func:`lpt_makespan` schedules: simulated ops or seconds.
+Number = TypeVar("Number", int, float)
 
 # -- dispatch policy ---------------------------------------------------
 #
@@ -262,6 +270,9 @@ class Executor:
         env = self.disk.env
         entries = [catalog.get(n) for n in query.relations]
         strip = self.strip
+        if strip and query.window is not None:
+            # The reference x is clipped up to the window's low x.
+            strip = np_sweep.fold_floor(strip, query.window.xlo)
         stage = _strip_stage(plan) if strip else None
         if stage == "post" and not query.collect_pairs:
             # The post-filter looks ids up: collect them, drop them after.
@@ -299,15 +310,11 @@ class Executor:
                         "pairs": result.n_pairs,
                     })
 
-        if (query.window is not None and result.pairs is not None
-                and plan.mode != "partitioned"):
-            # The tile kernels test the window as they emit a pair.
+        if query.window is not None and plan.mode == "multiway":
+            # Every other plan read only what meets the window.
             with span_meter(env, self.machine, trace,
                             "window-filter") as wspan:
-                result = _filter_window(
-                    result, entries, query.window,
-                    strip if stage == "window" else (),
-                )
+                result = _filter_window(result, entries, query.window)
                 if wspan is not None:
                     wspan.attrs["filtered"] = result.detail[
                         "window_filtered"
@@ -321,7 +328,7 @@ class Executor:
                         "refined_out"
                     ]
         if stage == "post":
-            result = _own_results(result, entries, strip, query.window)
+            result = _own_results(result, entries, strip)
             if not query.collect_pairs:
                 result.pairs = None
         result.detail.setdefault("strategy", plan.strategy)
@@ -362,10 +369,9 @@ class Executor:
     ) -> JoinResult:
         """The partitioned pipeline: plan, produce + ship, gather,
         account — one stage a method, each span opened by the stage
-        it measures.  A ``strip`` and the query's window ride in every
-        task's grid spec: the tile kernels then keep only the pairs
-        whose intersection meets the window and whose reference x lies
-        in the strip."""
+        it measures.  A ``strip`` rides in every task's grid spec: the
+        tile kernels then keep only the pairs whose reference x lies in
+        it.  The window prunes the tiles before any is swept."""
         env, machine = self.disk.env, self.machine
         run = self._plan_partitioned(plan, entries, trace, cancel, strip)
         shipper = run.shipper
@@ -682,18 +688,17 @@ class Executor:
         plan memo, the ``sweep`` span and the result record."""
         plan, shipper = run.plan, run.shipper
         submitted = shipper.submitted
-        n_pairs = total_ops = duplicates = unowned = windowed = 0
+        n_pairs = total_ops = duplicates = unowned = 0
         inline_ops = 0
         shipped_ops: List[int] = []
         for (_fut, shipped, _size, _tiles), outcome in zip(
             submitted, outcomes
         ):
-            count, _pairs, task_ops, dups, left, missed = outcome
+            count, _pairs, task_ops, dups, left = outcome
             n_pairs += count
             total_ops += task_ops
             duplicates += dups
             unowned += left
-            windowed += missed
             if shipped:
                 shipped_ops.append(task_ops)
             else:
@@ -714,9 +719,7 @@ class Executor:
         # inline tasks are serial on the coordinator, which sweeps
         # them while the workers run — the slower of the two lanes
         # bounds the parallel phase.
-        critical = max(
-            inline_ops, _critical_path_ops(shipped_ops, plan.workers)
-        )
+        critical = max(inline_ops, lpt_makespan(shipped_ops, plan.workers))
         spo = self.machine.cpu.seconds_per_op
         if sweep_span is not None:
             # The span's simulated CPU is the *parallel-phase* duration
@@ -771,8 +774,6 @@ class Executor:
                 "inlined_by_cost": run.inline_all,
             },
         )
-        if run.query.window is not None:
-            result.detail["window_filtered"] = windowed
         if run.strip:
             result.detail["cross_shard_duplicates"] = unowned
         return result
@@ -823,15 +824,12 @@ class _PartitionedRun:
         windowed plan reusing the full distribution — the full one,
         whose tiles the produce stage prunes to the window before any
         is shipped (:meth:`Executor._ship_cached`).  On either grid the
-        spec ends with the shard's strip, if any, then the query's
-        window, if any (:func:`~repro.core.kernels.np_sweep.spec_parts`)."""
+        spec ends with the shard's strip, if any."""
         uni = cand.universe
-        window = self.query.window
         self.grid = TileGrid(uni, self.ident.tiles, self.n_parts)
         self.grid_spec = (
             uni.xlo, uni.xhi, uni.ylo, uni.yhi, self.ident.tiles,
             self.n_parts, *self.strip,
-            *(() if window is None else window[:4]),
         )
 
     def ship(self, part_id: int, side_a, side_b, size: int) -> None:
@@ -1016,8 +1014,8 @@ class _TaskShipper:
 
 #: What a tile task returns: ``(owned pair count, owned pairs as
 #: :class:`PairColumns` or None, cpu ops, duplicates suppressed, pairs
-#: left to another shard, pairs whose intersection missed the window)``.
-TaskOutcome = Tuple[int, Optional[PairColumns], int, int, int, int]
+#: left to another shard)``.
+TaskOutcome = Tuple[int, Optional[PairColumns], int, int, int]
 
 
 def _sweep_group(payloads: tuple) -> TaskOutcome:
@@ -1027,17 +1025,16 @@ def _sweep_group(payloads: tuple) -> TaskOutcome:
     grid, the self-join and collect flags and the cancel token — which
     is checked once, before the call: a group is the unit a deadline
     can stop.  Every task entry point passes here, so this is where a
-    payload that carries a window in slot 6 is refused (tiles are
-    pruned before they ship, and the window the kernel tests rides at
-    the end of the grid spec), and where a group the kernel declines
-    raises: the catalog admits only the finite, non-inverted
-    rectangles the kernel models.
+    payload that carries a window in slot 6 is refused (a windowed
+    query's tiles are pruned before they ship, which is all the window
+    test there is), and where a group the kernel declines raises: the
+    catalog admits only the finite, non-inverted rectangles the kernel
+    models.
     """
     if any(p[6] is not None for p in payloads):
         raise ValueError(
             "tile payloads carry no window (slot 6 must be None): "
-            "a windowed query's tiles are pruned before they ship, and "
-            "its window rides in the grid spec"
+            "a windowed query's tiles are pruned before they ship"
         )
     first = payloads[0]
     _check_cancel(first)
@@ -1051,9 +1048,8 @@ def _sweep_group(payloads: tuple) -> TaskOutcome:
             "the tile kernel declined its input: a rectangle is inverted "
             "or not finite"
         )
-    counts, pairs, ops, dups, unowned, windowed = out
-    return (sum(counts), pairs, sum(ops), sum(dups), sum(unowned),
-            sum(windowed))
+    counts, pairs, ops, dups, unowned = out
+    return sum(counts), pairs, sum(ops), sum(dups), sum(unowned)
 
 
 def _check_cancel(payload: tuple) -> None:
@@ -1079,10 +1075,10 @@ def sweep_tile_task(payload: tuple) -> TaskOutcome:
     checked before the sweep.  Sides are :class:`ColumnarTile` columns
     or :class:`ShmTileRef` handles to them, ``side_b is None`` for a
     self-join; the grid spec is six numbers, then a shard's strip
-    ``(lo, hi)`` if there is one, then the query's window ``(xlo, xhi,
-    ylo, yhi)`` if there is one.  Returns ``(owned pair count, owned
-    pairs or None, cpu ops, duplicates suppressed, pairs left to
-    another shard, pairs whose intersection missed the window)``,
+    ``(lo, hi)`` if there is one (a windowed query's with the window's
+    low x folded in; its tiles are already pruned to the window).
+    Returns ``(owned pair count, owned pairs or None, cpu ops,
+    duplicates suppressed, pairs left to another shard)``,
     bit-identical to :func:`repro.core.pbsm.sweep_tile`.
     """
     return _sweep_group((payload,))
@@ -1099,7 +1095,7 @@ def sweep_tile_batch_task(payloads: tuple) -> TaskOutcome:
     accounting are bit-identical to per-tile dispatch.
     """
     if not payloads:
-        return (0, None, 0, 0, 0, 0)
+        return (0, None, 0, 0, 0)
     return _sweep_group(payloads)
 
 
@@ -1243,14 +1239,25 @@ def _spill_run(parts: List[SpillablePartition], image, rows,
         part.spill_rows(image, chunk)
 
 
-def _critical_path_ops(part_ops: List[int], workers: int) -> int:
-    """Busiest worker's ops under greedy LPT assignment of partitions."""
-    if not part_ops:
-        return 0
-    loads = [0] * max(1, workers)
-    for w in sorted(part_ops, reverse=True):
-        loads[loads.index(min(loads))] += w
-    return max(loads)
+def lpt_makespan(loads: Sequence[Number], lanes: int) -> Number:
+    """Makespan of ``loads`` placed greedily, longest first, each on the
+    least-loaded of ``lanes`` lanes (LPT).
+
+    The simulated critical path of work that runs concurrently: the
+    shipped tasks of a partitioned plan over its workers, and the
+    sub-queries of a scatter over the shared pool's lanes.  One lane
+    degenerates to the sum in the given order, and at least as many
+    lanes as loads to the max.  Ints in give an int out, floats a
+    float, so op totals stay exact.
+    """
+    lanes = max(1, int(lanes))
+    if lanes == 1 or len(loads) <= 1:
+        return sum(loads)
+    heap = [0] * min(lanes, len(loads))
+    for w in sorted(loads, reverse=True):
+        # heap[0] is the least-loaded lane (min-heap invariant).
+        heapq.heapreplace(heap, heap[0] + w)
+    return max(heap)
 
 
 def _prune_window(cached: DistributionImage, window: Rect) -> List[tuple]:
@@ -1276,70 +1283,57 @@ def _strip_stage(plan: PhysicalPlan) -> str:
     """Where a shard's strip test runs for ``plan``.
 
     A shard keeps a result only when its reference point lies in the
-    shard's strip.  A partitioned plan's tile kernels test it
-    (``"kernel"``), windowed or not, where they emit the pair; another
-    windowed plan's window filter tests it (``"window"``), next to the
-    intersection it already computes.  Any other answer, and any that
-    refinement may still shrink, takes one post-filter that looks its
-    ids up again (``"post"``), so that a shard never counts a result
-    left to another shard that refinement drops.
+    shard's strip.  An unrefined partitioned plan's tile kernels test
+    it (``"kernel"``), windowed or not, where they emit the pair.  Any
+    other answer, and any that refinement may still shrink, takes one
+    post-filter that looks its ids up again (``"post"``), so that a
+    shard never counts a result left to another shard that refinement
+    drops.
     """
-    query = plan.query
-    if query.refine:
-        return "post"
-    if plan.mode == "partitioned":
+    if plan.mode == "partitioned" and not plan.query.refine:
         return "kernel"
-    return "window" if query.window is not None else "post"
+    return "post"
 
 
 def _filter_window(result: JoinResult, entries: List[CatalogEntry],
-                   window: Rect,
-                   strip: Tuple[float, ...] = ()) -> JoinResult:
-    """Keep pairs/tuples whose common MBR intersection meets the window.
+                   window: Rect) -> JoinResult:
+    """Keep the tuples whose common MBR intersection meets the window.
 
-    The post-filter of every windowed plan but a partitioned one, whose
-    tile kernels test the window as they emit a pair.  All pairs are
-    tested at once against the entries' column images — every id
-    looked up again — and kept as columns (a ``pq-index`` plan hands
-    columns in; a multiway plan's tuple list is converted once).  With
-    a shard's ``strip`` a kept tuple must also have its reference x —
-    the intersection's low x, clipped to the window — in ``[lo, hi)``;
-    the rest count as ``cross_shard_duplicates``.
+    The post-filter of a windowed multiway plan, the one plan whose
+    inputs are not pruned to the window.  All tuples are tested at
+    once against the entries' column images — every id looked up
+    again — and kept as columns (the tuple list is converted once);
+    what it drops is ``window_filtered``.
     """
-    out = np_distribute.filter_window(
-        [e.columns for e in entries], result.pairs, window, strip
+    kept = np_distribute.filter_window(
+        [e.columns for e in entries], result.pairs, window
     )
-    if out is None:
+    if kept is None:
         raise ValueError(
             "the window filter declined its input: a registered "
             "rectangle is not finite"
         )
-    kept, unowned = out
-    result.detail["window_filtered"] = result.n_pairs - len(kept) - unowned
-    if strip:
-        result.detail["cross_shard_duplicates"] = unowned
+    result.detail["window_filtered"] = result.n_pairs - len(kept)
     result.pairs = kept
     result.n_pairs = len(kept)
     return result
 
 
 def _own_results(result: JoinResult, entries: List[CatalogEntry],
-                 strip: Tuple[float, ...],
-                 window: Optional[Rect]) -> JoinResult:
+                 strip: Tuple[float, ...]) -> JoinResult:
     """Keep the results whose reference x lies in a shard's ``strip``.
 
-    The post-filter for the answers no earlier stage tested (see
+    The post-filter for the answers the tile kernels did not test (see
     :func:`_strip_stage`): the reference x is the largest low x of a
-    tuple's rectangles, clipped to the window if there is one.  Every
-    id is looked up again — one column gather a relation — so this is
-    correct for any strategy but slower than the tests fused into the
-    window filter and the tile kernels.  What it drops counts as
+    tuple's rectangles (a windowed query's ``strip`` has the window's
+    low x folded in).  Every id is looked up again — one column gather
+    a relation — so this is correct for any strategy but slower than
+    the test fused into the tile kernels.  What it drops counts as
     ``cross_shard_duplicates``.
     """
     n = result.n_pairs
-    floor = -math.inf if window is None else window.xlo
     kept = np_distribute.filter_strip(
-        [e.columns for e in entries], result.pairs, strip, floor
+        [e.columns for e in entries], result.pairs, strip
     )
     result.detail["cross_shard_duplicates"] = n - len(kept)
     result.pairs = kept

@@ -8,9 +8,7 @@ exceeds that grant.  :class:`ResourceBudget` turns the simulated budget
 runtime contract shared by every layer of the serving engine:
 
 * the storage layer's :func:`~repro.storage.sort.external_sort` sizes
-  its run-formation chunks to what the budget can actually grant (and
-  a :class:`~repro.storage.buffer_pool.BufferPool` given the budget
-  charges its resident pages);
+  its run-formation chunks to what the budget can actually grant;
 * the core layer's :class:`~repro.core.pbsm.SpillablePartition` holds
   tiles in memory up to its allowance and overflows to disk;
 * the engine layer acquires per-query grants for partitioned tiles and
@@ -96,9 +94,9 @@ class ResourceGrant:
         """Return bytes to the budget.
 
         ``release(n)`` gives back up to ``n`` held bytes and keeps the
-        grant alive (a long-lived consumer like the buffer pool shrinks
-        and regrows).  ``release()`` gives back everything and closes
-        the grant for good.
+        grant alive (a long-lived consumer, such as the artifact cache,
+        shrinks and regrows).  ``release()`` gives back everything and
+        closes the grant for good.
         """
         if self._closed:
             return

@@ -41,10 +41,13 @@ own strip (the engine's ``executor.strip``, set when the first
 gather is a sum.  A pair straddling a cut is still *found* by up to
 two shards; what the strip test dropped is counted per shard and
 summed into ``cross_shard_duplicates``.  The test runs where the
-reference point is already computed — in the window filter, or in the
-tile kernels next to PBSM's own partition test — and only the other
-answers (an unwindowed ``pq-index`` or multiway plan, or a refined
-one) take a post-filter that looks their ids up again.
+reference point is already computed — in the tile kernels, next to
+PBSM's own partition test — and every other answer (a ``pq-index`` or
+multiway plan, or a refined one) takes a post-filter that looks its
+ids up again.  A windowed query's reference x is clipped up to the
+window's low x: the executor folds that floor into the strip once
+(:func:`~repro.core.kernels.np_sweep.fold_floor`), so neither test
+clips.
 
 **Scatter planning.**  A query touches only the shards that (a) hold
 data for every referenced relation and (b) — for windowed queries —
@@ -94,7 +97,6 @@ immediately — failing over would just repeat them R times.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -112,6 +114,7 @@ from repro.engine.engine import (
     cacheable,
     flatten_result_cache_keys,
 )
+from repro.engine.executor import lpt_makespan
 from repro.engine.faults import FaultPlan, InjectedFault
 from repro.engine.metrics import (
     SERVING_KEYS,
@@ -176,28 +179,6 @@ MAX_BACKOFF_SECONDS = 0.25
 #: bound is min(participating shards, this, pool workers are shared
 #: anyway so more buys nothing).
 MAX_SCATTER_THREADS = 8
-
-
-def lpt_makespan(walls: Sequence[float], lanes: int) -> float:
-    """Makespan of ``walls`` LPT-scheduled onto ``lanes`` lanes.
-
-    The scatter critical path: participating shards run *concurrently*
-    on one shared worker pool, so the simulated cost of a scattered
-    query is not the sum of its shard walls but the makespan of the
-    best greedy (longest-processing-time-first) placement onto the
-    pool's parallel lanes.  One lane degenerates to the sum; at least
-    as many lanes as shards degenerates to the max.
-    """
-    if not walls:
-        return 0.0
-    lanes = max(1, int(lanes))
-    if lanes == 1:
-        return float(sum(walls))
-    loads = [0.0] * min(lanes, len(walls))
-    for w in sorted(walls, reverse=True):
-        # loads[0] is the least-loaded lane (min-heap invariant).
-        heapq.heapreplace(loads, loads[0] + float(w))
-    return max(loads)
 
 
 def gather_pairs(results: Sequence[JoinResult], arity: int,
@@ -780,10 +761,10 @@ class ShardedEngine(_ServeShell):
         and fill the result cache."""
         # Shards ran concurrently on the shared pool, so the query's
         # simulated cost is the LPT makespan of the shard walls over the
-        # pool's lanes, not their sum.
-        sim_wall = lpt_makespan(
+        # pool's lanes, not their sum (0.0 when every shard was pruned).
+        sim_wall = float(lpt_makespan(
             [oc.out.sim_wall_seconds for oc in outcomes], self.scatter_lanes
-        )
+        ))
         wall = time.perf_counter() - t_start
         with self._lock:
             self._metrics.record_served(result.n_pairs, sim_wall, wall)

@@ -9,18 +9,12 @@ pool and pages are re-read 1.14-1.63 times on average (Table 4).
 ``requests`` counts logical page requests; ``misses`` counts the ones
 that actually reached the disk.  Table 4 reports disk reads, i.e.
 misses; the hit/request split powers the buffer-pool ablation bench.
-
-When a shared :class:`~repro.engine.resources.ResourceBudget` is
-attached, the pool charges its resident pages against it (category
-``"buffer_pool"``) so the engine's memory high-water marks include the
-pool — the paper's 22 MB pool is part of the machine's 64 MB, not extra.
-The page-count capacity remains the pool's own hard bound.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any
 
 from repro.storage.pages import PageStore
 
@@ -28,8 +22,7 @@ from repro.storage.pages import PageStore
 class BufferPool:
     """Fixed-capacity LRU cache in front of a :class:`PageStore`."""
 
-    def __init__(self, store: PageStore, capacity_pages: int,
-                 budget: Optional[Any] = None) -> None:
+    def __init__(self, store: PageStore, capacity_pages: int) -> None:
         if capacity_pages <= 0:
             raise ValueError("buffer pool needs at least one page")
         self.store = store
@@ -39,9 +32,6 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._grant = (
-            budget.acquire("buffer_pool", 0) if budget is not None else None
-        )
 
     def request(self, page_id: int) -> Any:
         """Return the page payload, reading from disk only on a miss."""
@@ -53,13 +43,9 @@ class BufferPool:
         self.misses += 1
         payload = self.store.read(page_id)
         self._cache[page_id] = payload
-        if self._grant is not None:
-            self._grant.charge(self.store.page_bytes)
         if len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
             self.evictions += 1
-            if self._grant is not None:
-                self._grant.release(self.store.page_bytes)
         return payload
 
     def contains(self, page_id: int) -> bool:
@@ -71,22 +57,9 @@ class BufferPool:
         Counters (``requests``/``hits``/``misses``/``evictions``) are
         deliberately left intact: clearing models a cold restart of the
         *pages*, while the statistics describe the pool's whole service
-        history.  Use :meth:`reset_stats` to zero the counters.
+        history.
         """
-        if self._grant is not None:
-            self._grant.release(len(self._cache) * self.store.page_bytes)
         self._cache.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the request/hit/miss/eviction counters.
-
-        Resident pages stay cached — a serving engine resets statistics
-        between measurement windows without giving up its warm pool.
-        """
-        self.requests = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @property
     def resident_pages(self) -> int:

@@ -272,8 +272,10 @@ def brute_reference(
     ``rects_b=None`` is a self-join (one representative per unordered
     pair, ``rid_a < rid_b``, identity excluded); a ``window`` keeps a
     pair only when the rectangles' common intersection meets it — the
-    same post-filter rule :func:`repro.engine.executor._filter_window`
-    applies (:func:`filter_window_reference` is its loop).
+    rule a multiway plan's post-filter applies
+    (:func:`repro.engine.executor._filter_window`;
+    :func:`filter_window_reference` is its loop) and every other plan
+    meets by reading only the rectangles that meet the window.
     """
     if rects_b is None:
         pairs = {
@@ -437,7 +439,7 @@ def windowed_hit_reference(engine, window: Rect):
         by_b.update((r.rid, r) for r in (
             side_a if side_b is None else side_b
         ))
-        _, got, task_ops, _, _, _ = pbsm.sweep_tile(
+        _, got, task_ops, _, _ = pbsm.sweep_tile(
             (part, spec, side_a, side_b, side_b is None, True, None)
         )
         pairs += got
@@ -473,43 +475,40 @@ def prune_window_reference(cached, window: Rect) -> List[tuple]:
     ]
 
 
-def filter_window_reference(result, entries, window: Rect,
-                            strip: Tuple[float, ...] = ()):
+def _by_id(entries) -> List[Dict[int, Rect]]:
+    """Each entry's rectangles by id (the last registration of an id
+    wins, as in ``ColumnImage.rows_of``)."""
+    return [{r.rid: r for r in entry.rects} for entry in entries]
+
+
+def filter_window_reference(result, entries, window: Rect):
     """:func:`repro.engine.executor._filter_window`, one tuple at a time
-    through ``by_id``: kept tuples come back as a list."""
+    through a dict by id: kept tuples come back as a list."""
+    by_id = _by_id(entries)
     kept: List[tuple] = []
-    unowned = 0
     for ids in result.pairs:
-        rects = [entries[i].by_id[rid] for i, rid in enumerate(ids)]
+        rects = [by_id[i][rid] for i, rid in enumerate(ids)]
         acc: Optional[Rect] = rects[0]
         for r in rects[1:]:
             acc = intersection(acc, r)
             if acc is None:
                 break
-        if acc is None or not acc.intersects(window):
-            continue
-        if strip and not pbsm._in_strip(max(acc.xlo, window.xlo), strip):
-            unowned += 1
-        else:
+        if acc is not None and acc.intersects(window):
             kept.append(ids)
-    result.detail["window_filtered"] = result.n_pairs - len(kept) - unowned
-    if strip:
-        result.detail["cross_shard_duplicates"] = unowned
+    result.detail["window_filtered"] = result.n_pairs - len(kept)
     result.pairs = kept
     result.n_pairs = len(kept)
     return result
 
 
-def own_results_reference(result, entries, strip: Tuple[float, ...],
-                          window: Optional[Rect]):
-    """:func:`repro.engine.executor._own_results`, one ``by_id`` lookup
-    an id: kept tuples come back as a list."""
-    floor = -float("inf") if window is None else window.xlo
+def own_results_reference(result, entries, strip: Tuple[float, ...]):
+    """:func:`repro.engine.executor._own_results`, one dict lookup an
+    id: kept tuples come back as a list."""
+    by_id = _by_id(entries)
     kept = [
         ids for ids in result.pairs
-        if pbsm._in_strip(max(floor, *(entries[i].by_id[rid].xlo
-                                       for i, rid in enumerate(ids))),
-                          strip)
+        if pbsm._in_strip(max(by_id[i][rid].xlo
+                              for i, rid in enumerate(ids)), strip)
     ]
     result.detail["cross_shard_duplicates"] = result.n_pairs - len(kept)
     result.pairs = kept
@@ -540,18 +539,17 @@ def reference_tile_batch_task(payloads: tuple) -> tuple:
     """:func:`repro.engine.executor.sweep_tile_batch_task` as its tiles
     through :func:`reference_tile_task` back to back, pairs in one
     list."""
-    count = ops = dups = unowned = windowed = 0
+    count = ops = dups = unowned = 0
     pairs: Optional[list] = [] if payloads and payloads[0][5] else None
     for payload in payloads:
-        c, got, o, d, u, w = reference_tile_task(payload)
+        c, got, o, d, u = reference_tile_task(payload)
         count += c
         ops += o
         dups += d
         unowned += u
-        windowed += w
         if pairs is not None:
             pairs.extend(got)
-    return (count, pairs, ops, dups, unowned, windowed)
+    return (count, pairs, ops, dups, unowned)
 
 
 def _python_run(run, in_a, in_b, rel_a, rel_b, disk, collect, kernel):

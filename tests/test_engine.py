@@ -290,7 +290,8 @@ class TestExecution:
             if inter is not None and inter.intersects(window):
                 expected.add((ra_id, rb_id))
         assert out.result.pair_set() == expected
-        assert "window_filtered" in out.result.detail
+        # Its plan read only what meets the window: nothing post-filters.
+        assert "window_filtered" not in out.result.detail
 
     def test_partitioned_matches_direct(self):
         serial = make_engine(workers=1)

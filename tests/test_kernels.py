@@ -1152,7 +1152,7 @@ class TestPairColumnsParity:
             ))
             assert type(collected[1]) is kind
             assert len(collected[1]) == collected[0] == counted[0]
-            assert task(()) == (0, None, 0, 0, 0, 0)
+            assert task(()) == (0, None, 0, 0, 0)
 
     @pytest.mark.parametrize("pool_kind", ("serial", "process"))
     def test_engine_returns_columns_in_the_python_order(self, pool_kind):
@@ -1268,8 +1268,8 @@ class TestSegmentedSweepParity:
     """``sweep_tiles`` over a group vs the python body tile by tile."""
 
     def _check(self, payloads):
-        """Pairs, order, count, ops, dups, strip and window drops per
-        tile, at the kernel and through both task entry points."""
+        """Pairs, order, count, ops, dups and strip drops per tile, at
+        the kernel and through both task entry points."""
         from repro.core.kernels import np_sweep
 
         first = payloads[0]
@@ -1277,19 +1277,18 @@ class TestSegmentedSweepParity:
         tiles = [(p[0], p[2], p[3]) for p in payloads]
         got = np_sweep.sweep_tiles(tiles, first[4], first[1], True)
         assert got is not None, "the kernel declined a valid group"
-        counts, pairs, ops, dups, unowned, windowed = got
-        assert [counts, ops, dups, unowned, windowed] == [
-            [ref[i] for ref in refs] for i in (0, 2, 3, 4, 5)
+        counts, pairs, ops, dups, unowned = got
+        assert [counts, ops, dups, unowned] == [
+            [ref[i] for ref in refs] for i in (0, 2, 3, 4)
         ]
         assert isinstance(pairs, PairColumns)
         assert list(pairs) == [pair for ref in refs for pair in ref[1]]
         assert np_sweep.sweep_tiles(
             tiles, first[4], first[1], False
-        ) == (counts, None, ops, dups, unowned, windowed)
+        ) == (counts, None, ops, dups, unowned)
         assert sweep_tile_batch_task(
             tuple(p + ("numpy",) for p in payloads)
-        ) == (sum(counts), pairs, sum(ops), sum(dups), sum(unowned),
-              sum(windowed))
+        ) == (sum(counts), pairs, sum(ops), sum(dups), sum(unowned))
         for payload, ref in zip(payloads, refs):  # k = 1, same kernel
             solo = sweep_tile_task(payload + ("numpy",))
             assert isinstance(solo[1], PairColumns)

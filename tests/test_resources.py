@@ -9,11 +9,9 @@ from repro.data.generator import uniform_rects
 from repro.engine.cache import ResultCache, approx_result_bytes
 from repro.engine.resources import ResourceBudget
 from repro.geom.rect import RECT_BYTES, Rect
-from repro.storage.buffer_pool import BufferPool
 from repro.storage.sort import MIN_SORT_RECTS, sort_stream_by_ylo
 from repro.storage.stream import Stream
 
-from tests.conftest import TEST_SCALE
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -140,21 +138,6 @@ class TestSpillablePartition:
 
 
 class TestBudgetedStorage:
-    def test_buffer_pool_charges_resident_pages(self, store):
-        budget = ResourceBudget(100 * TEST_SCALE.index_page_bytes)
-        pool = BufferPool(store, capacity_pages=4, budget=budget)
-        pages = store.allocate_many(6)
-        for p in pages:
-            store.write(p, payload=("x", p))
-        for p in pages:
-            pool.request(p)
-        # Eviction keeps the charge at capacity, not at request count.
-        assert budget.used_by("buffer_pool") == (
-            4 * TEST_SCALE.index_page_bytes
-        )
-        pool.clear()
-        assert budget.used_by("buffer_pool") == 0
-
     def test_external_sort_adapts_to_budget(self, disk):
         # A budget with almost nothing free forces the sort down to its
         # floor chunk size: more runs, same output.

@@ -19,6 +19,7 @@ import math
 import random
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -588,7 +589,7 @@ class TestOwnership:
         assert result.detail["cross_shard_duplicates"] == raw - len(ref)
 
 
-# -- the window at emission: the tile kernels filter a windowed plan --------
+# -- the window where the inputs are read ------------------------------------
 
 
 def _window_cell():
@@ -596,29 +597,6 @@ def _window_cell():
     included."""
     return st.tuples(st.integers(0, LATTICE), st.integers(0, 24),
                      st.integers(0, LATTICE), st.integers(0, 24))
-
-
-def _corner_pairs(window: Rect, corners, id_base: int):
-    """Two rectangles a window corner apart, one pair a corner: ``a``
-    crosses the corner (it meets the window), ``b`` lies beyond it, and
-    they overlap only outside the window.  (Two rectangles that both
-    meet a window can never intersect outside it — the x and y
-    intervals of each pair and the window meet pairwise, so all three
-    meet — which is why a pruned tile never drops a pair.)"""
-    step = 1 / LATTICE
-    a, b = [], []
-    for i, (right, top) in enumerate(corners):
-        x = window.xhi if right else window.xlo
-        y = window.yhi if top else window.ylo
-        sx = 1 if right else -1
-        sy = 1 if top else -1
-        a.append(Rect(*sorted((x - sx * step, x + 3 * sx * step)),
-                      *sorted((y - sy * step, y + 3 * sy * step)),
-                      id_base + i))
-        b.append(Rect(*sorted((x + sx * step, x + 2 * sx * step)),
-                      *sorted((y + sy * step, y + 2 * sy * step)),
-                      id_base + 100 + i))
-    return a, b
 
 
 def _grid_tiles(a, b, grid):
@@ -642,11 +620,41 @@ def _grid_tiles(a, b, grid):
 
 
 class TestWindowAtEmission:
-    """A windowed partitioned plan's tile kernels test the window where
-    they emit a pair, and on a shard its strip on the reference x
-    clipped to the window: ``np_sweep.sweep_tiles`` against
-    ``pbsm.sweep_tile``, and the engine against its reference executor
-    and the window oracle."""
+    """A window is applied once, where a plan reads its inputs: the tile
+    kernels test only ownership and a shard's strip (with the window's
+    low x folded in), ``np_sweep.sweep_tiles`` against
+    ``pbsm.sweep_tile``; the engine against its reference executor and
+    the window oracle; and no plan but multiway post-filters."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(_cell(), min_size=3, max_size=3))
+    def test_what_meets_a_window_pairs_inside_it(self, cells):
+        # Why a plan that read only what meets the window needs no
+        # second test: per axis, two closed intervals that each meet a
+        # third, and meet each other, share a point with it (1-D
+        # Helly).  Zero-width and zero-height rectangles included.
+        a, b, w = _on_lattice(cells, 0)
+        if a.intersects(b) and a.intersects(w) and b.intersects(w):
+            assert intersection(a, b).intersects(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.sampled_from((-math.inf, math.inf)) | st.integers(-2, 66),
+        floor=st.sampled_from((-math.inf, math.inf)) | st.integers(-2, 66),
+        lo=st.sampled_from((-math.inf,)) | st.integers(0, 64),
+        hi=st.sampled_from((math.inf,)) | st.integers(0, 64),
+    )
+    def test_a_folded_floor_is_the_clip(self, x, floor, lo, hi):
+        # A shard owns a windowed result when max(x, window's low x)
+        # lies in its strip: the folded strip owns x exactly then, an
+        # infinite high bound owning an infinite x included.
+        from repro.core.kernels import np_sweep
+
+        strip = (lo, hi)
+        folded = np_sweep.fold_floor(strip, floor)
+        assert np_sweep.strip_mask(np.array([float(x)]), folded)[0] == (
+            np_sweep.strip_mask(np.array([float(max(x, floor))]),
+                                strip)[0])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -656,60 +664,65 @@ class TestWindowAtEmission:
         from repro.core.pbsm import TileGrid
 
         draw = data.draw
-        x, w, y, h = draw(_window_cell(), label="window")
-        window = Rect(x / LATTICE, min(LATTICE, x + w) / LATTICE,
-                      y / LATTICE, min(LATTICE, y + h) / LATTICE, 0)
+        x = draw(st.integers(0, LATTICE), label="x")
         self_join = draw(st.booleans(), label="self_join")
         a = _on_lattice(draw(st.lists(_cell(), max_size=14)), 0)
         b = _on_lattice(draw(st.lists(_cell(), max_size=14)), 1_000)
-        # The one shape the test drops: pairs meeting outside the window.
-        extra_a, extra_b = _corner_pairs(window, draw(st.lists(
-            st.tuples(st.booleans(), st.booleans()), max_size=4,
-        ), label="corners"), 5_000)
-        a += extra_a
-        (a if self_join else b).extend(extra_b)
         grid = TileGrid(UNIT, draw(st.sampled_from((1, 2, 4, 8))),
                         draw(st.integers(1, 5)))
         strip = draw(st.sampled_from((
             (), (0.0, 0.5), (0.25, 0.75), (0.5, float("inf")),
             (-float("inf"), x / LATTICE),
         )), label="strip")
-        pruned = draw(st.booleans(), label="pruned")
-        if pruned:
-            a = [r for r in a if r.intersects(window)]
-            b = [r for r in b if r.intersects(window)]
         tiles = _grid_tiles(a, None if self_join else b, grid)
         if not tiles:
             return
         spec = (UNIT.xlo, UNIT.xhi, UNIT.ylo, UNIT.yhi, grid.t, grid.p,
-                *strip, *(() if draw(st.booleans(), label="unwindowed")
-                          else window[:4]))
+                *strip)
         refs = [pbsm.sweep_tile((part, spec, side_a, side_b, self_join,
                                  True)) for part, side_a, side_b in tiles]
         got = np_sweep.sweep_tiles(tiles, self_join, spec, True)
-        counts, pairs, ops, dups, unowned, windowed = got
-        assert [counts, ops, dups, unowned, windowed] == [
-            [ref[i] for ref in refs] for i in (0, 2, 3, 4, 5)
+        counts, pairs, ops, dups, unowned = got
+        assert [counts, ops, dups, unowned] == [
+            [ref[i] for ref in refs] for i in (0, 2, 3, 4)
         ]
         assert list(pairs) == [pair for ref in refs for pair in ref[1]]
-        if pruned:
-            assert not any(windowed), "a pruned tile dropped a pair"
 
-    def test_corner_pairs_are_dropped(self):
-        from repro.core import pbsm
+    def test_a_grid_spec_has_six_or_eight_entries(self):
+        # The grid spec has 6 or 8 entries: a window no longer rides
+        # in it.
         from repro.core.kernels import np_sweep
 
-        window = Rect(0.25, 0.5, 0.25, 0.5, 0)
-        a, b = _corner_pairs(window, [(False, False), (False, True),
-                                      (True, False), (True, True)], 0)
-        assert all(r.intersects(window) for r in a)
-        assert not any(r.intersects(window) for r in b)
-        spec = (0.0, 1.0, 0.0, 1.0, 1, 1, 0.0, 0.3, *window[:4])
-        tile = (0, ColumnarTile.from_rects(a), ColumnarTile.from_rects(b))
-        out = np_sweep.sweep_tiles([tile], False, spec, True)
-        assert out == ([0], PairColumns.empty(), out[2], [0], [0], [4])
-        assert pbsm.sweep_tile((0, spec, *tile[1:], False, True)) == (
-            0, [], out[2][0], 0, 0, 4)
+        rects = [Rect(0.1, 0.3, 0.1, 0.3, 1), Rect(0.2, 0.4, 0.2, 0.4, 2)]
+        tile = (0, ColumnarTile.from_rects(rects[:1]),
+                ColumnarTile.from_rects(rects[1:]))
+        grid = (0.0, 1.0, 0.0, 1.0, 1, 1)
+        assert np_sweep.sweep_tiles([tile], False, grid, True)[0] == [1]
+        for extra in ((0.0, 1.0, 0.0, 1.0), (0.0, 0.5, 0.0, 1.0, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="6 or 8 entries"):
+                np_sweep.sweep_tiles([tile], False, grid + extra, True)
+
+    @pytest.mark.parametrize("force", FORCEABLE)
+    def test_a_strip_takes_the_windows_low_x(self, force):
+        # A window that starts right of the cut leaves the left shard
+        # pruned, so the right one must keep the pairs whose rectangles
+        # all start left of the cut: their reference x is the window's
+        # low x, folded into the right shard's strip.
+        a = [Rect(i / 40, i / 40 + 0.3, 0.3, 0.7, i) for i in range(40)]
+        b = [Rect(i / 40 + 0.01, i / 40 + 0.2, 0.2, 0.6, 1_000 + i)
+             for i in range(40)]
+        with _make_sharded(2) as engine:
+            engine.register("a", a, universe=UNIT)
+            engine.register("b", b, universe=UNIT)
+            cut = engine.strip_of(0)[1]
+            window = Rect(cut + 0.05, cut + 0.2, 0.0, 1.0, 0)
+            result = engine.execute(Query(relations=("a", "b"),
+                                          window=window, force=force)).result
+        assert result.detail["shards_pruned"] == [0]
+        ref = brute_reference(a, b, window)
+        by_id = {r.rid: r for r in a + b}
+        assert any(max(by_id[i].xlo for i in ids) < cut for ids in ref)
+        assert sorted(result.pairs) == sorted(ref)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
@@ -770,13 +783,16 @@ class TestWindowAtEmission:
             a, None if self_join else b, window
         )
         for d in answered:
-            assert d["window_filtered"] == 0  # pruned tiles: see above
+            assert "window_filtered" not in d  # no post-filter ran
             assert ("cross_shard_duplicates" in d) == (shards > 1)
 
     @pytest.mark.parametrize("shards", (0, 2))
     def test_partitioned_windows_never_reach_filter_window(
         self, shards, monkeypatch,
     ):
+        # Nor do index windows: a plan whose inputs were pruned to the
+        # window is not filtered again.  Only multiway, whose streams
+        # are not pruned, calls the post-filter.
         from repro.core.kernels import np_distribute
 
         calls = []
@@ -788,13 +804,13 @@ class TestWindowAtEmission:
 
         monkeypatch.setattr(np_distribute, "filter_window", spy)
         data = TestGatherParity._data()
-        a, b = data["a"], data["b"]
+        a, b, c = data["a"], data["b"], data["c"]
         window = TestGatherParity.WINDOW
         with _make_windowed(shards, memory_bytes=20_000_000) as (
             engine, details,
         ):
-            engine.register("a", a, universe=UNIT)
-            engine.register("b", b, universe=UNIT)
+            for name in "abc":
+                engine.register(name, data[name], universe=UNIT)
             for relations, ref in ((("a", "b"), brute_reference(a, b,
                                                                 window)),
                                    (("a", "a"), brute_reference(
@@ -809,13 +825,16 @@ class TestWindowAtEmission:
                         force="pbsm-grid",
                     )).result
                     assert set(got.pairs) == ref
-            assert calls == []
             assert {d["artifact_hit"] for seen in details
                     for d in seen} == {False, True}
-            # An index plan's window is still the post-filter's.
             got = engine.execute(Query(relations=("a", "b"), window=window,
                                        force="pq-index")).result
             assert set(got.pairs) == brute_reference(a, b, window)
+            assert "window_filtered" not in got.detail
+            assert calls == []
+            got = engine.execute(Query(relations=("a", "b", "c"),
+                                       window=window)).result
+            assert set(got.pairs) == _multiway_reference(a, b, c, window)
             assert calls and all(w == window for w in calls)
 
 

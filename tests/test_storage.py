@@ -324,16 +324,3 @@ class TestBufferPool:
         pool.request(0)
         pool.clear()
         assert pool.requests == 2 and pool.hits == 1 and pool.misses == 1
-
-    def test_reset_stats_keeps_pages(self, store):
-        self._store_with_pages(store, 3)
-        pool = BufferPool(store, capacity_pages=2)
-        pool.request(0)
-        pool.request(1)
-        pool.request(2)  # evicts 0
-        pool.reset_stats()
-        assert pool.requests == 0 and pool.hits == 0
-        assert pool.misses == 0 and pool.evictions == 0
-        assert pool.resident_pages == 2      # pages stay warm
-        pool.request(2)
-        assert pool.hits == 1                # ...and still serve hits

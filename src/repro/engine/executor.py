@@ -118,7 +118,7 @@ from concurrent.futures import BrokenExecutor
 from contextlib import ExitStack
 from dataclasses import replace
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.columnar import (
     ColumnarTile,
@@ -147,9 +147,6 @@ from repro.geom.rect import RECT_BYTES, Rect, union_mbr
 from repro.geom.refine import polylines_intersect
 from repro.sim.machines import MachineSpec
 from repro.storage.disk import Disk
-
-#: A load :func:`lpt_makespan` schedules: simulated ops or seconds.
-Number = TypeVar("Number", int, float)
 
 # -- dispatch policy ---------------------------------------------------
 #
@@ -1239,7 +1236,7 @@ def _spill_run(parts: List[SpillablePartition], image, rows,
         part.spill_rows(image, chunk)
 
 
-def lpt_makespan(loads: Sequence[Number], lanes: int) -> Number:
+def lpt_makespan(loads: Sequence[float], lanes: int) -> float:
     """Makespan of ``loads`` placed greedily, longest first, each on the
     least-loaded of ``lanes`` lanes (LPT).
 
@@ -1247,8 +1244,8 @@ def lpt_makespan(loads: Sequence[Number], lanes: int) -> Number:
     shipped tasks of a partitioned plan over its workers, and the
     sub-queries of a scatter over the shared pool's lanes.  One lane
     degenerates to the sum in the given order, and at least as many
-    lanes as loads to the max.  Ints in give an int out, floats a
-    float, so op totals stay exact.
+    lanes as loads to the max.  Ints in give an int out (simulated
+    ops stay exact), floats a float.
     """
     lanes = max(1, int(lanes))
     if lanes == 1 or len(loads) <= 1:
